@@ -19,7 +19,7 @@ claim = VirtPt(0x20_0000, Fraction(1, 2), 0x1111)
 assert machine_sat(claim, root, state, registry) is None
 ledger = lower(claim, root, registry)
 print("half-share virtual claim lowers to:")
-for loc, q, v in ledger.claims:
+for loc, q, v in ledger.sorted_claims():
     print(f"  {loc} share={q} value={v:#x}")
 
 # Each mapped word owns a 1/512 slice of its L1 entry (and thinner
@@ -30,9 +30,8 @@ total = Ledger(root)
 for w in range(512):
     node = L4L1PointsTo(0x20_0000 + 8 * w, l4, l3, l2, l1, 0x5000 + 8 * w)
     total = ledger_join(total, lower(node, root, registry))
-l1_loc = [loc for loc, _, _ in total.claims][-1]
-print(f"joining 512 per-word chains: L1 entry share = "
-      f"{dict((str(l), q) for l, q, _ in total.claims)[str(l1_loc)]}")
+_l1_loc, l1_share, _ = total.sorted_claims()[-1]
+print(f"joining 512 per-word chains: L1 entry share = {l1_share}")
 try:
     ledger_join(total, lower(
         L4L1PointsTo(0x20_0000, l4, l3, l2, l1, 0x5000), root, registry))

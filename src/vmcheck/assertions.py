@@ -11,18 +11,23 @@ Two complementary readings are provided:
 
 * ``machine_sat`` checks an assertion directly against a machine state
   (ground truth, ignores fractions).
-* ``lower`` turns an assertion into a :class:`Ledger`: a finite map from
+* ``lower`` turns an assertion into a :class:`Ledger`: a dict from
   concrete locations to (share, value) claims.  Root-relative claims are
   keyed by the root that governs them, so wrapping and unwrapping the
   other-space modality is reflected purely in the keys.
 
-Shares are exact rationals in (0, 1]; joining claims adds shares and
-requires equal values, and can never silently exceed the full share.
+Ledger operations are persistent (each returns a new ledger from a copy
+of the dict) and never sort; claims are put in ``loc_sort_key`` order
+only where order is visible, by :meth:`Ledger.sorted_claims`.
+
+Shares are exact rationals in (0, 1]; ``Ledger.add`` is the one place
+shares are added: it requires equal values and can never silently exceed
+the full share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -86,14 +91,6 @@ def check_share(q: Fraction) -> Fraction:
     if not (0 < q <= 1):
         raise ValueError(f"share {q} outside (0, 1]")
     return q
-
-
-def frac_combine(a: Fraction, b: Fraction) -> Fraction:
-    """Exact sum of two shares; fails rather than exceed the full share."""
-    total = check_share(a) + check_share(b)
-    if total > 1:
-        raise SumExceedsOne()
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -349,14 +346,14 @@ class SpaceLoc(Location):
 
 
 def loc_sort_key(loc: Location) -> tuple:
-    order = {RegLoc: 0, PhysLoc: 1, WalkLoc: 2, SpaceLoc: 3}
+    """Total order on locations: registers, physical words, walks, spaces."""
     if isinstance(loc, RegLoc):
         return (0, loc.reg.value)
     if isinstance(loc, PhysLoc):
         return (1, loc.frame, loc.off)
     if isinstance(loc, WalkLoc):
         return (2, loc.root, loc.va)
-    return (order[type(loc)],)
+    return (3, loc.root)
 
 
 # --------------------------------------------------------------------------
@@ -366,34 +363,34 @@ def loc_sort_key(loc: Location) -> tuple:
 @dataclass(frozen=True)
 class Ledger:
     """Concrete multiset of fractional ownership claims, relative to one
-    evaluation root (the cr3 value claims were lowered under)."""
+    evaluation root (the cr3 value claims were lowered under).
+
+    ``claims`` maps each location to its (share, value) claim.  The dict
+    is never mutated once a ledger holds it: every operation copies it
+    and returns a new ledger, leaving the receiver unchanged."""
 
     root: int
-    claims: tuple = ()  # ((Location, Fraction, value), ...) sorted
+    claims: dict = field(default_factory=dict, hash=False)
     pures: frozenset = frozenset()  # {(governing_root, Pred)}
 
     @classmethod
     def build(cls, root: int, claims: Mapping, pures=frozenset()) -> "Ledger":
-        items = tuple(sorted(((loc, q, v) for loc, (q, v) in claims.items()),
-                             key=lambda c: loc_sort_key(c[0])))
-        return cls(root, items, frozenset(pures))
+        return cls(root, dict(claims), frozenset(pures))
 
-    def as_dict(self) -> dict:
-        return {loc: (q, v) for loc, q, v in self.claims}
+    def sorted_claims(self) -> tuple:
+        """((Location, share, value), ...) in ``loc_sort_key`` order."""
+        return tuple((loc, q, v) for loc, (q, v) in
+                     sorted(self.claims.items(),
+                            key=lambda c: loc_sort_key(c[0])))
 
     def get(self, loc: Location) -> Optional[tuple]:
-        for claim_loc, q, v in self.claims:
-            if claim_loc == loc:
-                return (q, v)
-        return None
-
-    def with_claims(self, claims: Mapping) -> "Ledger":
-        return Ledger.build(self.root, claims, self.pures)
+        return self.claims.get(loc)
 
     def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
-        claims = self.as_dict()
-        if loc in claims:
-            held_q, held_v = claims[loc]
+        held = self.claims.get(loc)
+        claims = self.claims.copy()
+        if held is not None:
+            held_q, held_v = held
             if held_v != val:
                 raise ValueDisagreement(loc)
             total = held_q + q
@@ -402,45 +399,47 @@ class Ledger:
             claims[loc] = (total, val)
         else:
             claims[loc] = (check_share(q), val)
-        return self.with_claims(claims)
+        return Ledger(self.root, claims, self.pures)
 
     def consume(self, loc: Location, q: Fraction,
                 val: Optional[int] = None) -> "Ledger":
-        claims = self.as_dict()
-        if loc not in claims:
+        held = self.claims.get(loc)
+        if held is None:
             raise InsufficientFraction(loc, q, Fraction(0))
-        held_q, held_v = claims[loc]
+        held_q, held_v = held
         if val is not None and held_v != val:
             raise ValueDisagreement(loc)
         if held_q < q:
             raise InsufficientFraction(loc, q, held_q)
+        claims = self.claims.copy()
         if held_q == q:
             del claims[loc]
         else:
             claims[loc] = (held_q - q, held_v)
-        return self.with_claims(claims)
+        return Ledger(self.root, claims, self.pures)
 
     def set_value(self, loc: Location, val: int) -> "Ledger":
-        claims = self.as_dict()
-        if loc not in claims:
+        held = self.claims.get(loc)
+        if held is None:
             raise InsufficientFraction(loc, FULL, Fraction(0))
-        held_q, _ = claims[loc]
-        if held_q != FULL:
-            raise InsufficientFraction(loc, FULL, held_q)
+        if held[0] != FULL:
+            raise InsufficientFraction(loc, FULL, held[0])
+        claims = self.claims.copy()
         claims[loc] = (FULL, val)
-        return self.with_claims(claims)
+        return Ledger(self.root, claims, self.pures)
 
     def with_root(self, root: int) -> "Ledger":
         return Ledger(root, self.claims, self.pures)
 
     def contains(self, sub: "Ledger") -> Optional[tuple]:
         """Sub-ledger inclusion check.  Returns None when every claim of
-        `sub` is covered, else (reason, location, detail)."""
-        mine = self.as_dict()
-        for loc, q, v in sub.claims:
-            if loc not in mine:
+        `sub` is covered, else (reason, location, detail) for the first
+        uncovered location in ``loc_sort_key`` order."""
+        for loc, q, v in sub.sorted_claims():
+            held = self.claims.get(loc)
+            if held is None:
                 return ("missing", loc, None)
-            held_q, held_v = mine[loc]
+            held_q, held_v = held
             if held_v != v:
                 return ("value", loc, held_v)
             if held_q < q:
@@ -449,11 +448,12 @@ class Ledger:
 
 
 def ledger_join(a: Ledger, b: Ledger) -> Ledger:
-    """Disjoint composition: shares add per location, values must agree."""
+    """Disjoint composition: shares add per location, values must agree.
+    The first failing location in ``loc_sort_key`` order is reported."""
     if a.root != b.root:
         raise ValueError("ledgers joined under different evaluation roots")
     out = a
-    for loc, q, v in b.claims:
+    for loc, q, v in b.sorted_claims():
         out = out.add(loc, q, v)
     return Ledger(out.root, out.claims, a.pures | b.pures)
 

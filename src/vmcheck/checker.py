@@ -68,6 +68,7 @@ from .assertions import (
     WalkLoc,
     WitnessUnavailable,
     InsufficientFraction as LedgerInsufficientFraction,
+    ledger_join,
     lower,
     machine_sat,
     normalize,
@@ -219,15 +220,18 @@ def _claim_text(loc: Location, q: Fraction, v: int) -> str:
     return f"{loc} {q} {v:#x}"
 
 
-def _ledger_delta(before: Ledger, after: Ledger) -> tuple:
-    """(consumed, produced) rendered claim deltas between two ledgers."""
-    old = before.as_dict()
-    new = after.as_dict()
+_NO_CLAIM = (Fraction(0), None)
+
+
+def _ledger_delta(before: Ledger, after: Ledger, touched) -> tuple:
+    """(consumed, produced) rendered claim deltas between two ledgers at
+    the touched locations, the only ones a step's ledger operations can
+    have changed."""
     consumed = []
     produced = []
-    for loc in sorted(set(old) | set(new), key=lambda l: str(l)):
-        oq, ov = old.get(loc, (Fraction(0), None))
-        nq, nv = new.get(loc, (Fraction(0), None))
+    for loc in sorted(set(touched), key=str):
+        oq, ov = before.claims.get(loc, _NO_CLAIM)
+        nq, nv = after.claims.get(loc, _NO_CLAIM)
         if ov == nv:
             if nq > oq:
                 produced.append(_claim_text(loc, nq - oq, nv))
@@ -263,6 +267,15 @@ def _ghost_violation(err: GhostError, index: int) -> Violation:
     return Violation(VALUE_DISAGREEMENT, index, None, str(err))
 
 
+def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
+    """The lowest root other than `root` under which the ledger holds a
+    walk claim for `va` (a claim stranded there by an address-space
+    switch), or None."""
+    return min((loc.root for loc in ledger.claims
+                if isinstance(loc, WalkLoc) and loc.va == va
+                and loc.root != root), default=None)
+
+
 def _walk_claim(ctx: CheckerCtx, va: int, index: int):
     """Find the current space's walk claim for va, or explain its absence
     (distinguishing a claim stranded under another root)."""
@@ -270,14 +283,13 @@ def _walk_claim(ctx: CheckerCtx, va: int, index: int):
     claim = ctx.ledger.get(loc)
     if claim is not None:
         return loc, claim
-    for other_loc, _q, _v in ctx.ledger.claims:
-        if isinstance(other_loc, WalkLoc) and other_loc.va == va \
-                and other_loc.root != ctx.root:
-            return Violation(
-                UNSOUND_FRAME, index, str(loc),
-                f"claim for va {va:#x} is governed by space "
-                f"{other_loc.root:#x}; it was framed across an address-space "
-                "switch and cannot be used here"), None
+    other = _stranded_root(ctx.ledger, va, ctx.root)
+    if other is not None:
+        return Violation(
+            UNSOUND_FRAME, index, str(loc),
+            f"claim for va {va:#x} is governed by space "
+            f"{other:#x}; it was framed across an address-space "
+            "switch and cannot be used here"), None
     return Violation(MISSING_RESOURCE, index, str(loc),
                      f"no walk claim for va {va:#x} in the current space"), None
 
@@ -290,11 +302,14 @@ def _reg_value(ctx: CheckerCtx, reg: Reg, index: int):
     return None, claim
 
 
-def _set_reg(ctx: CheckerCtx, reg: Reg, value: int, index: int):
+def _set_value(ctx: CheckerCtx, loc: Location, value: int, index: int,
+               rule: str):
+    """Overwrite a fully held claim: a rule's outcome (see apply_rule)."""
     try:
-        return None, ctx.ledger.set_value(RegLoc(reg), value)
+        ledger = ctx.ledger.set_value(loc, value)
     except LedgerError as err:
-        return _ledger_violation(err, index), None
+        return _ledger_violation(err, index)
+    return replace(ctx, ledger=ledger), rule, (loc,)
 
 
 def _phys_loc_of(pa: int) -> PhysLoc:
@@ -388,49 +403,38 @@ def _switch_root(ctx: CheckerCtx, new_root: int, index: int):
 
 def _apply_instr(ctx: CheckerCtx, instr: Instr, index: int):
     if isinstance(instr, Skip):
-        return None, ctx, "skip"
+        return ctx, "skip", ()
 
     if isinstance(instr, MovRegReg):
         fail, src = _reg_value(ctx, instr.src, index)
         if fail:
-            return fail, None, None
-        fail, ledger = _set_reg(ctx, instr.dst, src[1], index)
-        if fail:
-            return fail, None, None
-        return None, replace(ctx, ledger=ledger), "reg-from-reg"
+            return fail
+        return _set_value(ctx, RegLoc(instr.dst), src[1], index,
+                          "reg-from-reg")
 
     if isinstance(instr, MovRegImm):
-        fail, ledger = _set_reg(ctx, instr.dst, instr.imm, index)
-        if fail:
-            return fail, None, None
-        return None, replace(ctx, ledger=ledger), "reg-imm"
+        return _set_value(ctx, RegLoc(instr.dst), instr.imm, index, "reg-imm")
 
     if isinstance(instr, AddRegImm):
         fail, dst = _reg_value(ctx, instr.dst, index)
         if fail:
-            return fail, None, None
-        fail, ledger = _set_reg(ctx, instr.dst,
-                                (dst[1] + instr.imm) % (1 << 64), index)
-        if fail:
-            return fail, None, None
-        return None, replace(ctx, ledger=ledger), "reg-add"
+            return fail
+        return _set_value(ctx, RegLoc(instr.dst),
+                          (dst[1] + instr.imm) % (1 << 64), index, "reg-add")
 
     if isinstance(instr, MovRegFromMem):
         fail, va, pa, value = _rule_read_mem(ctx, instr.base, instr.disp, index)
         if fail:
-            return fail, None, None
-        fail, ledger = _set_reg(ctx, instr.dst, value, index)
-        if fail:
-            return fail, None, None
-        return None, replace(ctx, ledger=ledger), "load-virt"
+            return fail
+        return _set_value(ctx, RegLoc(instr.dst), value, index, "load-virt")
 
     if isinstance(instr, (MovMemFromReg, MovMemFromCr3)):
         fail = _space_witness(ctx, ctx.root, index)
         if fail:
-            return fail, None, None
+            return fail
         fail, base_claim = _reg_value(ctx, instr.base, index)
         if fail:
-            return fail, None, None
+            return fail
         va = (base_claim[1] + instr.disp) % (1 << 64)
         if isinstance(instr, MovMemFromCr3):
             value = ctx.root
@@ -438,42 +442,35 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr, index: int):
         else:
             fail, src = _reg_value(ctx, instr.src, index)
             if fail:
-                return fail, None, None
+                return fail
             value = src[1]
             rule = "store-virt"
         got = _walk_claim(ctx, va, index)
         if isinstance(got[0], Violation):
-            return got[0], None, None
+            return got[0]
         _loc, (_q, pa) = got
-        try:
-            ledger = ctx.ledger.set_value(_phys_loc_of(pa), value)
-        except LedgerError as err:
-            return _ledger_violation(err, index), None, None
-        return None, replace(ctx, ledger=ledger), rule
+        return _set_value(ctx, _phys_loc_of(pa), value, index, rule)
 
     if isinstance(instr, MovToCr3FromReg):
         fail, src = _reg_value(ctx, instr.src, index)
         if fail:
-            return fail, None, None
+            return fail
         fail, switched = _switch_root(ctx, src[1], index)
         if fail:
-            return fail, None, None
-        return None, switched, "cr3-switch-reg"
+            return fail
+        return switched, "cr3-switch-reg", ()
 
     if isinstance(instr, MovRegFromCr3):
-        fail, ledger = _set_reg(ctx, instr.dst, ctx.root, index)
-        if fail:
-            return fail, None, None
-        return None, replace(ctx, ledger=ledger), "cr3-read"
+        return _set_value(ctx, RegLoc(instr.dst), ctx.root, index, "cr3-read")
 
     if isinstance(instr, MovToCr3FromMem):
         fail, va, pa, value = _rule_read_mem(ctx, instr.base, instr.disp, index)
         if fail:
-            return fail, None, None
+            return fail
         fail, switched = _switch_root(ctx, value, index)
         if fail:
-            return fail, None, None
-        return None, switched, "cr3-switch-mem"
+            return fail
+        return switched, "cr3-switch-mem", ()
 
     raise TypeError(f"unknown instruction {instr!r}")
 
@@ -481,29 +478,31 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr, index: int):
 def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk, index: int):
     fail, slots, entries = _chain_entries(ctx, step.va, index)
     if fail:
-        return fail, None
+        return fail
     evidence = L4L1PointsTo(step.va, entries[0], entries[1], entries[2],
                             entries[3], step.pa)
     theta = ctx.registry.get(ctx.root)
     if theta is None:
         return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
-                         "current root is not a registered space"), None
+                         "current root is not a registered space")
     try:
         new_theta, _tokens = ghost_ops.ghost_insert_walk(
             theta, {}, ctx.root, step.va, step.pa, evidence,
             ctx.machine if ctx.mode == COEXEC else None)
     except GhostError as err:
-        return _ghost_violation(err, index), None
+        return _ghost_violation(err, index)
+    walk_loc = WalkLoc(ctx.root, step.va)
     ledger = ctx.ledger
     try:
         for loc, share, entry in zip(slots, _CHAIN_SHARES, entries):
             ledger = ledger.consume(loc, share, entry)
-        ledger = ledger.add(WalkLoc(ctx.root, step.va), FULL, step.pa)
+        ledger = ledger.add(walk_loc, FULL, step.pa)
     except LedgerError as err:
-        return _ledger_violation(err, index), None
+        return _ledger_violation(err, index)
     registry = {r: dict(t) for r, t in ctx.registry.items()}
     registry[ctx.root] = new_theta
-    return None, replace(ctx, ledger=ledger, registry=registry)
+    return (replace(ctx, ledger=ledger, registry=registry),
+            "ghost-insert-walk", (*slots, walk_loc))
 
 
 def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
@@ -511,20 +510,20 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
     claim = ctx.ledger.get(loc)
     if claim is None:
         return Violation(INSUFFICIENT_FRACTION, index, str(loc),
-                         f"no walk token held for va {step.va:#x}"), None
+                         f"no walk token held for va {step.va:#x}")
     q, pa = claim
     theta = ctx.registry.get(ctx.root)
     if theta is None:
         return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
-                         "current root is not a registered space"), None
+                         "current root is not a registered space")
     try:
         new_theta, _tokens = ghost_ops.ghost_remove_walk(
             theta, {(ctx.root, step.va): q}, ctx.root, step.va)
     except GhostError as err:
-        return _ghost_violation(err, index), None
+        return _ghost_violation(err, index)
     fail, slots, entries = _chain_entries(ctx, step.va, index)
     if fail:
-        return fail, None
+        return fail
     ledger = ctx.ledger
     try:
         ledger = ledger.consume(loc, FULL, pa)
@@ -532,59 +531,61 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
         for slot, share, entry in zip(slots, _CHAIN_SHARES, entries):
             ledger = ledger.add(slot, share, entry)
     except LedgerError as err:
-        return _ledger_violation(err, index), None
+        return _ledger_violation(err, index)
     registry = {r: dict(t) for r, t in ctx.registry.items()}
     registry[ctx.root] = new_theta
-    return None, replace(ctx, ledger=ledger, registry=registry)
+    return (replace(ctx, ledger=ledger, registry=registry),
+            "ghost-remove-walk", (loc, *slots))
 
 
 def _apply_call(ctx: CheckerCtx, step: CallStep, index: int):
     stub = ctx.stubs.get(step.name)
     if stub is None:
         return Violation(STUB_PRE_FAILED, index, step.name,
-                         f"no stub named {step.name!r}"), None
+                         f"no stub named {step.name!r}")
     ledger = ctx.ledger
+    touched = []
     for pattern in stub.consumes:
         if isinstance(pattern, RegPt):
-            claim = ledger.get(RegLoc(pattern.reg))
+            loc = RegLoc(pattern.reg)
+            claim = ledger.get(loc)
             if claim is None:
                 return Violation(
-                    STUB_PRE_FAILED, index, str(RegLoc(pattern.reg)),
-                    f"stub {step.name} needs a claim on {pattern.reg.value}"), None
+                    STUB_PRE_FAILED, index, str(loc),
+                    f"stub {step.name} needs a claim on {pattern.reg.value}")
             held_q, held_v = claim
             if pattern.val is not None and held_v != pattern.val:
                 return Violation(
-                    STUB_PRE_FAILED, index, str(RegLoc(pattern.reg)),
+                    STUB_PRE_FAILED, index, str(loc),
                     f"stub {step.name} needs {pattern.reg.value} = "
-                    f"{pattern.val:#x}, ledger holds {held_v:#x}"), None
+                    f"{pattern.val:#x}, ledger holds {held_v:#x}")
             try:
-                ledger = ledger.consume(RegLoc(pattern.reg), pattern.q)
+                ledger = ledger.consume(loc, pattern.q)
             except LedgerError as err:
-                vio = _ledger_violation(err, index)
-                return replace(vio, kind=STUB_PRE_FAILED), None
+                return replace(_ledger_violation(err, index),
+                               kind=STUB_PRE_FAILED)
+            touched.append(loc)
         else:
             try:
                 needed = lower(pattern, ctx.root, ctx.registry)
-                for loc, q, v in needed.claims:
+                for loc, q, v in needed.sorted_claims():
                     ledger = ledger.consume(loc, q, v)
             except LedgerError as err:
-                vio = _ledger_violation(err, index)
-                return replace(vio, kind=STUB_PRE_FAILED), None
+                return replace(_ledger_violation(err, index),
+                               kind=STUB_PRE_FAILED)
+            touched.extend(needed.claims)
     env = StubEnv(machine=ctx.machine, root=ctx.root, registry=ctx.registry,
                   free_list=ctx.free_list, free_cursor=ctx.free_cursor)
     try:
         result = stub.apply(env)
     except StubError as err:
-        return Violation(STUB_PRE_FAILED, index, step.name, str(err)), None
+        return Violation(STUB_PRE_FAILED, index, step.name, str(err))
     try:
         produced = lower(result.produces, ctx.root, ctx.registry)
-        merged = ledger
-        for loc, q, v in produced.claims:
-            merged = merged.add(loc, q, v)
-        merged = Ledger(merged.root, merged.claims,
-                        merged.pures | produced.pures)
+        merged = ledger_join(ledger, produced)
     except LedgerError as err:
-        return _ledger_violation(err, index), None
+        return _ledger_violation(err, index)
+    touched.extend(produced.claims)
     new_ctx = replace(ctx, ledger=merged, free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
         new_ctx = replace(new_ctx, machine=result.machine)
@@ -594,62 +595,74 @@ def _apply_call(ctx: CheckerCtx, step: CallStep, index: int):
             return Violation(
                 STUB_PRE_FAILED, index, step.name,
                 f"stub {step.name} promised claims the machine does not "
-                f"satisfy: {report}"), None
-    return None, new_ctx
+                f"satisfy: {report}")
+    return new_ctx, f"call:{step.name}", touched
 
 
 def _apply_assert(ctx: CheckerCtx, step: AssertStep, index: int):
     try:
         wanted = lower(step.assertion, ctx.root, ctx.registry)
     except WitnessUnavailable as err:
-        for other_loc, _q, _v in ctx.ledger.claims:
-            if isinstance(other_loc, WalkLoc) and other_loc.va == err.va \
-                    and other_loc.root != err.root:
-                return Violation(
-                    UNSOUND_FRAME, index, str(WalkLoc(err.root, err.va)),
-                    f"asserted claim for va {err.va:#x} only holds in space "
-                    f"{other_loc.root:#x}; wrap it in the other-space "
-                    "modality instead of framing it"), None
-        return _ledger_violation(err, index), None
+        other = _stranded_root(ctx.ledger, err.va, err.root)
+        if other is not None:
+            return Violation(
+                UNSOUND_FRAME, index, str(WalkLoc(err.root, err.va)),
+                f"asserted claim for va {err.va:#x} only holds in space "
+                f"{other:#x}; wrap it in the other-space "
+                "modality instead of framing it")
+        return _ledger_violation(err, index)
     except LedgerError as err:
-        return _ledger_violation(err, index), None
+        return _ledger_violation(err, index)
     problem = ctx.ledger.contains(wanted)
     if problem is not None:
         # before naming the first gap, see whether the root cause is a
         # walk claim stranded under a different governing root
-        held = ctx.ledger.as_dict()
-        for loc, _q, _v in wanted.claims:
-            if isinstance(loc, WalkLoc) and loc not in held:
-                for other_loc in held:
-                    if isinstance(other_loc, WalkLoc) \
-                            and other_loc.va == loc.va \
-                            and other_loc.root != loc.root:
-                        return Violation(
-                            UNSOUND_FRAME, index, str(loc),
-                            f"asserted claim for va {loc.va:#x} is governed "
-                            f"by space {other_loc.root:#x}; it was framed "
-                            "across an address-space switch"), None
+        for loc, _q, _v in wanted.sorted_claims():
+            if isinstance(loc, WalkLoc) and loc not in ctx.ledger.claims:
+                other = _stranded_root(ctx.ledger, loc.va, loc.root)
+                if other is not None:
+                    return Violation(
+                        UNSOUND_FRAME, index, str(loc),
+                        f"asserted claim for va {loc.va:#x} is governed "
+                        f"by space {other:#x}; it was framed "
+                        "across an address-space switch")
         reason, loc, detail = problem
         if reason == "missing":
             return Violation(MISSING_RESOURCE, index, str(loc),
-                             "asserted claim is not in the ledger"), None
+                             "asserted claim is not in the ledger")
         if reason == "fraction":
             return Violation(INSUFFICIENT_FRACTION, index, str(loc),
-                             f"ledger holds only {detail}"), None
+                             f"ledger holds only {detail}")
         return Violation(VALUE_DISAGREEMENT, index, str(loc),
-                         f"ledger holds value {detail:#x}"), None
+                         f"ledger holds value {detail:#x}")
     for g, pred in wanted.pures:
         if not pure_holds(pred, g, ctx.registry):
             return Violation(VALUE_DISAGREEMENT, index, str(pred),
-                             "pure predicate is false"), None
+                             "pure predicate is false")
     if ctx.mode == COEXEC:
         report = machine_sat(step.assertion, ctx.root, ctx.machine,
                              ctx.registry)
         if report is not None:
             return Violation(MACHINE_DISAGREE, index, None,
                              f"ledger accepts the assertion but the machine "
-                             f"does not: {report}"), None
-    return None, ctx
+                             f"does not: {report}")
+    return ctx, "assert", ()
+
+
+def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte],
+                index: int):
+    """Moving between the virtual and the PTE view of a mapping needs the
+    current space's walk claim; the ledger does not change."""
+    got = _walk_claim(ctx, step.va, index)
+    if isinstance(got[0], Violation):
+        return got[0]
+    if isinstance(step, GhostPteToVirt):
+        return ctx, "ghost-pte-to-virt", ()
+    loc, (_q, pa) = got
+    if pa != step.pa:
+        return Violation(VALUE_DISAGREEMENT, index, str(loc),
+                         f"walk resolves to {pa:#x}, not {step.pa:#x}")
+    return ctx, "ghost-virt-to-pte", ()
 
 
 # --------------------------------------------------------------------------
@@ -661,7 +674,7 @@ def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
     if ctx.machine.reg(Reg.CR3) != ctx.root:
         return (f"machine cr3 {ctx.machine.reg(Reg.CR3):#x} differs from "
                 f"checker root {ctx.root:#x}")
-    for loc, _q, v in ctx.ledger.claims:
+    for loc, _q, v in ctx.ledger.sorted_claims():
         if isinstance(loc, RegLoc):
             got = ctx.machine.reg(loc.reg)
             if got != v:
@@ -698,14 +711,28 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                index: int) -> Union[tuple, Violation]:
     """Apply one script step to the context.  Returns (ctx', StepRecord)
     or the Violation that stops the check."""
-    before = ctx.ledger
-    root_before = ctx.root
-
+    # each rule returns a Violation or (ctx', rule name, the locations
+    # its ledger operations touched)
     if isinstance(script_step, InstrStep):
-        fail, new_ctx, rule = _apply_instr(ctx, script_step.instr, index)
-        if fail:
-            return fail
-        if new_ctx.mode == COEXEC:
+        outcome = _apply_instr(ctx, script_step.instr, index)
+    elif isinstance(script_step, GhostInsertWalk):
+        outcome = _apply_ghost_insert(ctx, script_step, index)
+    elif isinstance(script_step, GhostRemoveWalk):
+        outcome = _apply_ghost_remove(ctx, script_step, index)
+    elif isinstance(script_step, (GhostPteToVirt, GhostVirtToPte)):
+        outcome = _apply_view(ctx, script_step, index)
+    elif isinstance(script_step, CallStep):
+        outcome = _apply_call(ctx, script_step, index)
+    elif isinstance(script_step, AssertStep):
+        outcome = _apply_assert(ctx, script_step, index)
+    else:
+        raise TypeError(f"unknown script step {script_step!r}")
+    if isinstance(outcome, Violation):
+        return outcome
+    new_ctx, rule, touched = outcome
+
+    if new_ctx.mode == COEXEC:
+        if isinstance(script_step, InstrStep):
             result = machine_step(new_ctx.machine, script_step.instr,
                                   CHECK_OPTS)
             if isinstance(result, Fault):
@@ -714,54 +741,13 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                     f"ledger accepts pc {ctx.machine.pc} but the machine "
                     f"faults: {result!r}")
             new_ctx = replace(new_ctx, machine=result)
-    elif isinstance(script_step, GhostInsertWalk):
-        fail, new_ctx = _apply_ghost_insert(ctx, script_step, index)
-        if fail:
-            return fail
-        rule = "ghost-insert-walk"
-    elif isinstance(script_step, GhostRemoveWalk):
-        fail, new_ctx = _apply_ghost_remove(ctx, script_step, index)
-        if fail:
-            return fail
-        rule = "ghost-remove-walk"
-    elif isinstance(script_step, GhostPteToVirt):
-        got = _walk_claim(ctx, script_step.va, index)
-        if isinstance(got[0], Violation):
-            return got[0]
-        new_ctx = ctx
-        rule = "ghost-pte-to-virt"
-    elif isinstance(script_step, GhostVirtToPte):
-        got = _walk_claim(ctx, script_step.va, index)
-        if isinstance(got[0], Violation):
-            return got[0]
-        _loc, (_q, pa) = got
-        if pa != script_step.pa:
-            return Violation(VALUE_DISAGREEMENT, index, str(_loc),
-                             f"walk resolves to {pa:#x}, not "
-                             f"{script_step.pa:#x}")
-        new_ctx = ctx
-        rule = "ghost-virt-to-pte"
-    elif isinstance(script_step, CallStep):
-        fail, new_ctx = _apply_call(ctx, script_step, index)
-        if fail:
-            return fail
-        rule = f"call:{script_step.name}"
-    elif isinstance(script_step, AssertStep):
-        fail, new_ctx = _apply_assert(ctx, script_step, index)
-        if fail:
-            return fail
-        rule = "assert"
-    else:
-        raise TypeError(f"unknown script step {script_step!r}")
-
-    if new_ctx.mode == COEXEC:
         complaint = audit_ledger(new_ctx)
         if complaint is not None:
             return Violation(MACHINE_DISAGREE, index, None, complaint)
 
-    consumed, produced = _ledger_delta(before, new_ctx.ledger)
+    consumed, produced = _ledger_delta(ctx.ledger, new_ctx.ledger, touched)
     record = StepRecord(index=index, rule=rule, consumed=consumed,
-                        produced=produced, root_before=root_before,
+                        produced=produced, root_before=ctx.root,
                         root_after=new_ctx.root)
     return new_ctx, record
 
@@ -783,7 +769,8 @@ class Report:
     def payload(self) -> dict:
         def claims_json(ledger: Ledger) -> list:
             return [{"location": str(loc), "share": str(q),
-                     "value": f"{v:#x}"} for loc, q, v in ledger.claims]
+                     "value": f"{v:#x}"}
+                    for loc, q, v in ledger.sorted_claims()]
 
         return {
             "ok": self.ok,
@@ -828,7 +815,7 @@ class Report:
         if self.violation is None:
             lines.append(f"final root: {self.final_root:#x}")
             lines.append("final claims:")
-            for loc, q, v in self.final_ledger.claims:
+            for loc, q, v in self.final_ledger.sorted_claims():
                 lines.append(f"  {_claim_text(loc, q, v)}")
             lines.append("result: ok")
         else:

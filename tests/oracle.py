@@ -9,7 +9,13 @@ Outcome encoding:
     ("ok", phys_byte_address)
     ("not-present", level)        level in 4..1, the entry that failed
     ("frame-unmapped", byte_addr) the table frame (or word) was absent
+
+``ledger_delta`` is the reference for the checker's step records: it
+diffs two whole claim maps where the checker looks only at the locations
+a step touched.
 """
+
+from fractions import Fraction
 
 PAGE = 4096
 
@@ -157,3 +163,24 @@ def random_table_config(rng):
         candidate_vas.append(rng.randrange(1 << 64))
 
     return root_frame * PAGE, mem, candidate_vas
+
+
+def ledger_delta(old, new):
+    """(consumed, produced) rendered claim deltas between two claim maps
+    {location: (share, value)}, over every location either one holds."""
+    consumed = []
+    produced = []
+    for loc in sorted(set(old) | set(new), key=lambda l: str(l)):
+        oq, ov = old.get(loc, (Fraction(0), None))
+        nq, nv = new.get(loc, (Fraction(0), None))
+        if ov == nv:
+            if nq > oq:
+                produced.append(f"{loc} {nq - oq} {nv:#x}")
+            elif oq > nq:
+                consumed.append(f"{loc} {oq - nq} {ov:#x}")
+        else:
+            if ov is not None:
+                consumed.append(f"{loc} {oq} {ov:#x}")
+            if nv is not None:
+                produced.append(f"{loc} {nq} {nv:#x}")
+    return tuple(consumed), tuple(produced)

@@ -338,7 +338,7 @@ def _candidate_steps(rng, ctx, roots):
     """Propose a batch of steps the current ledger might accept."""
     regs = [r for r in Reg if r.is_data]
     pick_reg = lambda: rng.choice(regs)
-    walk_claims = [(loc, q, v) for loc, q, v in ctx.ledger.claims
+    walk_claims = [(loc, q, v) for loc, q, v in ctx.ledger.sorted_claims()
                    if isinstance(loc, WalkLoc) and loc.root == ctx.root]
     imm_pool = [0, 8, 0x7, 0x20_0000, 0x20_1000, *roots]
     roll = rng.random()
@@ -392,7 +392,7 @@ def _candidate_steps(rng, ctx, roots):
             return [GhostRemoveWalk(loc.va)]
         return []
     # assert something currently held
-    loc, q, v = rng.choice(ctx.ledger.claims)
+    loc, q, v = rng.choice(ctx.ledger.sorted_claims())
     node = _claim_assertion(loc, q, v, ctx)
     return [AssertStep(node)] if node is not None else []
 
@@ -439,7 +439,7 @@ def test_criterion_8_coexecution_soundness():
 
             # every final claim holds in the independently-run final state
             registry_after = final_ctx.registry
-            for loc, _q, v in report.final_ledger.claims:
+            for loc, _q, v in report.final_ledger.sorted_claims():
                 if isinstance(loc, RegLoc):
                     assert outcome.reg(loc.reg) == v
                 elif isinstance(loc, PhysLoc):

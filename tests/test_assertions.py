@@ -28,7 +28,6 @@ from vmcheck.assertions import (
     VirtPt,
     WalkLoc,
     WitnessUnavailable,
-    frac_combine,
     is_fact,
     ledger_join,
     lower,
@@ -41,11 +40,13 @@ from gen import leaf_pool, multi_space_fixture, random_assertion
 
 
 # --------------------------------------------------------------------------
-# Shares
+# Shares: Ledger.add is the one place shares are added
 
 
 def test_frac_combine_halves():
-    assert frac_combine(Fraction(1, 2), Fraction(1, 2)) == 1
+    half = Ledger(0x1000).add(PhysLoc(1, 0), Fraction(1, 2), 7)
+    assert half.add(PhysLoc(1, 0), Fraction(1, 2), 7).get(PhysLoc(1, 0)) \
+        == (FULL, 7)
 
 
 def test_frac_combine_512_slices():
@@ -53,15 +54,16 @@ def test_frac_combine_512_slices():
     for _ in range(512):
         total = total + L1_SHARE if total else L1_SHARE
     assert total == 1
-    acc = L1_SHARE
-    for _ in range(511):
-        acc = frac_combine(acc, L1_SHARE)
-    assert acc == FULL
+    led = Ledger(0x1000)
+    for _ in range(512):
+        led = led.add(PhysLoc(1, 0), L1_SHARE, 7)
+    assert led.get(PhysLoc(1, 0)) == (FULL, 7)
 
 
 def test_frac_combine_overflow():
+    full = Ledger(0x1000).add(PhysLoc(1, 0), FULL, 7)
     with pytest.raises(SumExceedsOne):
-        frac_combine(Fraction(1), Fraction(1, 512))
+        full.add(PhysLoc(1, 0), Fraction(1, 512), 7)
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200),
@@ -69,11 +71,12 @@ def test_frac_combine_overflow():
 def test_frac_combine_is_exact(n1, d1, n2, d2):
     a = Fraction(min(n1, d1), max(n1, d1))
     b = Fraction(min(n2, d2), max(n2, d2))
+    held = Ledger(0x1000).add(PhysLoc(1, 0), a, 7)
     if a + b > 1:
         with pytest.raises(SumExceedsOne):
-            frac_combine(a, b)
+            held.add(PhysLoc(1, 0), b, 7)
     else:
-        assert frac_combine(a, b) == a + b
+        assert held.add(PhysLoc(1, 0), b, 7).get(PhysLoc(1, 0)) == (a + b, 7)
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_lower_l4l1_share_schedule():
     (l4, l3, l2, l1) = [s[3].raw for s in trace.steps]
     node = L4L1PointsTo(0x20_0000, l4, l3, l2, l1, 0x5000)
     led = lower(node, roots[0], registry)
-    fracs = sorted(q for _, q, _ in led.claims)
+    fracs = sorted(q for q, _ in led.claims.values())
     assert fracs == sorted([Fraction(1, 512 ** 4), Fraction(1, 512 ** 3),
                             Fraction(1, 512 ** 2), Fraction(1, 512)])
     assert machine_sat(node, roots[0], state, registry) is None

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmcheck.machine import (
     MachineState,
@@ -12,10 +14,13 @@ from vmcheck.machine import (
     Reg,
     walk,
 )
+from vmcheck import assertions
 from vmcheck.assertions import (
     FULL,
     IASpace,
     L4L1PointsTo,
+    Ledger,
+    LedgerError,
     OtherSpace,
     PhysLoc,
     PhysPt,
@@ -23,6 +28,7 @@ from vmcheck.assertions import (
     Pure,
     RegLoc,
     RegPt,
+    SpaceLoc,
     VirtPt,
     WalkLoc,
     lower,
@@ -44,10 +50,14 @@ from vmcheck.checker import (
     UNKNOWN_ROOT,
     UNSOUND_FRAME,
     VALUE_DISAGREEMENT,
+    Report,
+    _ledger_delta,
     check_double,
     frame_audit,
 )
+from vmcheck.cases import map_page_case
 
+import oracle
 from gen import multi_space_fixture
 
 
@@ -254,7 +264,7 @@ def test_ghost_insert_consumes_chain_and_grants_token():
     assert report.final_ledger.get(WalkLoc(root, 0x20_1000)) == (FULL, 0x6000)
     # chain shares moved into the invariant
     lowered = lower(node, root, registry)
-    for loc, _q, _v in lowered.claims:
+    for loc in lowered.claims:
         assert report.final_ledger.get(loc) is None
 
 
@@ -416,3 +426,102 @@ def test_reports_are_deterministic():
         return report.to_json(), report.to_text()
 
     assert render() == render()
+
+
+# --------------------------------------------------------------------------
+# The claim ledger: persistent operations, records from touched locations
+
+
+_LOCS = (RegLoc(Reg.RAX), RegLoc(Reg.RBX), PhysLoc(1, 0), PhysLoc(1, 8),
+         WalkLoc(0x1000, 0x20_0000), WalkLoc(0x2000, 0x20_0000),
+         SpaceLoc(0x1000), SpaceLoc(0x2000))
+
+ledger_ops = st.tuples(
+    st.sampled_from(("add", "consume", "set_value")), st.sampled_from(_LOCS),
+    st.sampled_from((Fraction(1, 512), Fraction(1, 4), Fraction(1, 2), FULL)),
+    st.sampled_from((0, 1, None)))
+
+
+def _apply_op(ledger, op):
+    kind, loc, q, val = op
+    if kind == "add":
+        return ledger.add(loc, q, val or 0)
+    if kind == "consume":
+        return ledger.consume(loc, q, val)
+    return ledger.set_value(loc, val or 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(ledger_ops, max_size=5), max_size=10))
+def test_step_record_from_touched_locations_matches_full_diff(steps):
+    ledger = Ledger(0x1000)
+    for ops in steps:
+        before = ledger
+        for op in ops:
+            prior, prior_claims = ledger, dict(ledger.claims)
+            try:
+                ledger = _apply_op(ledger, op)
+            except LedgerError:
+                pass
+            assert prior.claims == prior_claims  # the receiver is unchanged
+        touched = [loc for _kind, loc, _q, _v in ops]
+        assert _ledger_delta(before, ledger, touched) == \
+            oracle.ledger_delta(before.claims, ledger.claims)
+
+
+def test_equal_ledgers_render_alike_whatever_the_insertion_order():
+    claims = [(SpaceLoc(0x2000), FULL, 0x2000),
+              (WalkLoc(0x2000, 0x20_0000), FULL, 0x5000),
+              (SpaceLoc(0x1000), FULL, 0x1000),
+              (WalkLoc(0x1000, 0x20_0000), Fraction(1, 2), 0x6000),
+              (RegLoc(Reg.RAX), FULL, 7),
+              (PhysLoc(5, 0), FULL, 0x1111)]
+    ledgers = []
+    for order in (claims, claims[::-1]):
+        ledger = Ledger(0x1000)
+        for loc, q, v in order:
+            ledger = ledger.add(loc, q, v)
+        ledgers.append(ledger)
+    a, b = ledgers
+    assert a == b
+    assert a.sorted_claims() == b.sorted_claims()
+    assert [loc for loc, _q, _v in a.sorted_claims()][-2:] == \
+        [SpaceLoc(0x1000), SpaceLoc(0x2000)]
+    reports = [Report(root=0x1000, mode=RESOURCE_ONLY, records=(),
+                      final_ledger=ledger, final_machine=None,
+                      final_root=0x1000, violation=None)
+               for ledger in ledgers]
+    assert reports[0].to_text() == reports[1].to_text()
+    assert reports[0].to_json() == reports[1].to_json()
+
+
+def _ordering_calls(monkeypatch, words):
+    """Calls of loc_sort_key and of Location.__str__ while checking
+    map_page_case(words) in resource mode."""
+    case = map_page_case(words)
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(assertions, "loc_sort_key",
+                        counted(assertions.loc_sort_key))
+    for cls in (RegLoc, PhysLoc, WalkLoc, SpaceLoc):
+        monkeypatch.setattr(cls, "__str__", counted(cls.__str__))
+    report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
+                          mode=RESOURCE_ONLY, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    monkeypatch.undo()
+    assert report.ok, report.violation
+    return calls[0]
+
+
+def test_ordering_work_grows_linearly_with_mapping_width(monkeypatch):
+    # sorting or rendering the whole ledger on every step would make the
+    # count quadratic in the width: a 4x wider mapping would cost ~16x
+    small = _ordering_calls(monkeypatch, 64)
+    large = _ordering_calls(monkeypatch, 256)
+    assert large / small <= 4.5, (small, large)
