@@ -259,14 +259,6 @@ def _ledger_violation(err: LedgerError, index: int) -> Violation:
     return Violation(VALUE_DISAGREEMENT, index, None, str(err))
 
 
-def _ghost_violation(err: GhostError, index: int) -> Violation:
-    if isinstance(err, ghost_ops.UnknownRoot):
-        return Violation(UNKNOWN_ROOT, index, f"{err.root:#x}", str(err))
-    if isinstance(err, ghost_ops.InsufficientToken):
-        return Violation(INSUFFICIENT_FRACTION, index, str(err.key), str(err))
-    return Violation(VALUE_DISAGREEMENT, index, None, str(err))
-
-
 def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
     """The lowest root other than `root` under which the ledger holds a
     walk claim for `va` (a claim stranded there by an address-space
@@ -486,11 +478,10 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk, index: int):
         return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
                          "current root is not a registered space")
     try:
-        new_theta, _tokens = ghost_ops.ghost_insert_walk(
-            theta, {}, ctx.root, step.va, step.pa, evidence,
-            ctx.machine if ctx.mode == COEXEC else None)
+        new_theta = ghost_ops.ghost_insert_walk(theta, step.va, step.pa,
+                                                evidence)
     except GhostError as err:
-        return _ghost_violation(err, index)
+        return Violation(VALUE_DISAGREEMENT, index, None, str(err))
     walk_loc = WalkLoc(ctx.root, step.va)
     ledger = ctx.ledger
     try:
@@ -499,41 +490,38 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk, index: int):
         ledger = ledger.add(walk_loc, FULL, step.pa)
     except LedgerError as err:
         return _ledger_violation(err, index)
-    registry = {r: dict(t) for r, t in ctx.registry.items()}
-    registry[ctx.root] = new_theta
+    registry = {**ctx.registry, ctx.root: new_theta}
     return (replace(ctx, ledger=ledger, registry=registry),
             "ghost-insert-walk", (*slots, walk_loc))
 
 
 def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
     loc = WalkLoc(ctx.root, step.va)
-    claim = ctx.ledger.get(loc)
-    if claim is None:
+    if ctx.ledger.get(loc) is None:
         return Violation(INSUFFICIENT_FRACTION, index, str(loc),
                          f"no walk token held for va {step.va:#x}")
-    q, pa = claim
     theta = ctx.registry.get(ctx.root)
     if theta is None:
         return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
                          "current root is not a registered space")
     try:
-        new_theta, _tokens = ghost_ops.ghost_remove_walk(
-            theta, {(ctx.root, step.va): q}, ctx.root, step.va)
+        # the walk claim is the entry's token: only the full claim retires it
+        ledger = ctx.ledger.consume(loc, FULL)
+        new_theta = ghost_ops.ghost_remove_walk(theta, step.va)
+    except LedgerError as err:
+        return _ledger_violation(err, index)
     except GhostError as err:
-        return _ghost_violation(err, index)
+        return Violation(VALUE_DISAGREEMENT, index, None, str(err))
     fail, slots, entries = _chain_entries(ctx, step.va, index)
     if fail:
         return fail
-    ledger = ctx.ledger
     try:
-        ledger = ledger.consume(loc, FULL, pa)
         # the chain shares held inside the invariant come back out
         for slot, share, entry in zip(slots, _CHAIN_SHARES, entries):
             ledger = ledger.add(slot, share, entry)
     except LedgerError as err:
         return _ledger_violation(err, index)
-    registry = {r: dict(t) for r, t in ctx.registry.items()}
-    registry[ctx.root] = new_theta
+    registry = {**ctx.registry, ctx.root: new_theta}
     return (replace(ctx, ledger=ledger, registry=registry),
             "ghost-remove-walk", (loc, *slots))
 

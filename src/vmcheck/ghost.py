@@ -1,35 +1,22 @@
-"""Per-address-space ghost state: walk maps, the space registry, tokens.
+"""Per-address-space ghost state: walk maps and the space registry.
 
 Each registered address space (keyed by its page-table root) carries a
 walk map: a finite map from word-aligned virtual addresses to the
 physical word they translate to.  The space invariant says every entry
 of that map is justified by present, correctly-chained table entries in
-the machine.  Walk-map updates are mediated by tokens: inserting grants
-the full token for the new key, removing requires it back.
+the machine.  The right to a walk-map entry is the full ``walk:`` claim
+in the checker's ledger: inserting an entry grants it, removing the
+entry requires it back.
 
 All operations are pure: they return updated copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
-
 from .machine import MachineState, PhysAddr, decode_pte, translate
-from .assertions import (
-    FULL,
-    L4L1PointsTo,
-    PtePt,
-    Registry,
-    SumExceedsOne,
-    VirtPt,
-    check_share,
-    machine_sat,
-)
+from .assertions import L4L1PointsTo, MismatchReport, Registry
 
 WalkMap = dict  # {va: pa}
-TokenBank = dict  # {(root, va): Fraction}
 
 
 class GhostError(Exception):
@@ -52,25 +39,6 @@ class EvidenceInvalid(GhostError):
     pass
 
 
-class InsufficientToken(GhostError):
-    def __init__(self, key, held):
-        self.key = key
-        self.held = held
-        super().__init__(f"token for {key} is {held}, need 1")
-
-
-def register_space(registry: Registry, root: int,
-                   theta: Optional[WalkMap] = None) -> Registry:
-    """Add a new address space with the given (default empty) walk map."""
-    if root % 4096:
-        raise ValueError(f"root {root:#x} is not page aligned")
-    if root in registry:
-        raise ValueError(f"space {root:#x} already registered")
-    out = {r: dict(t) for r, t in registry.items()}
-    out[root] = dict(theta or {})
-    return out
-
-
 def ias_check(state: MachineState, root: int, registry: Registry) -> list:
     """Validate the space invariant: every walk-map entry of `root`
     translates in the machine to its recorded physical word.  Returns the
@@ -88,85 +56,35 @@ def ias_check(state: MachineState, root: int, registry: Registry) -> list:
     return failures
 
 
-def token_split(tokens: TokenBank, key: tuple, q: Fraction) -> TokenBank:
-    """Carve `q` off the held token for `key` into a separate record;
-    stress-testing helper for the share arithmetic."""
-    held = tokens.get(key, Fraction(0))
-    q = check_share(q)
-    if held < q:
-        raise InsufficientToken(key, held)
-    out = dict(tokens)
-    out[key] = held - q
-    return out
-
-
-def token_join(tokens: TokenBank, key: tuple, q: Fraction) -> TokenBank:
-    held = tokens.get(key, Fraction(0))
-    total = held + check_share(q)
-    if total > 1:
-        raise SumExceedsOne(key)
-    out = dict(tokens)
-    out[key] = total
-    return out
-
-
 def _evidence_resolves(evidence: L4L1PointsTo, va: int, pa: int) -> bool:
     resolved = (decode_pte(evidence.l1e).frame.value << 12) | (va & 0xFFF)
     return evidence.va == va and resolved == pa
 
 
-def ghost_insert_walk(theta: WalkMap, tokens: TokenBank, root: int, va: int,
-                      pa: int, evidence: L4L1PointsTo,
-                      state: Optional[MachineState] = None) -> tuple:
-    """Insert va -> pa into the walk map, granting the full token.
+def ghost_insert_walk(theta: WalkMap, va: int, pa: int,
+                      evidence: L4L1PointsTo) -> WalkMap:
+    """Insert va -> pa into the walk map.
 
-    The caller supplies the walk-chain evidence; its arithmetic must
-    resolve va to pa, and when a machine state is given the chain must
-    actually hold there.
+    The caller supplies the walk-chain evidence: its arithmetic must
+    resolve va to pa and each of its four entries must be present.
     """
     if va in theta:
         raise AlreadyMapped(va)
     if not _evidence_resolves(evidence, va, pa):
         raise EvidenceInvalid(
             f"chain for {va:#x} does not resolve to {pa:#x}")
-    if state is not None:
-        report = machine_sat(evidence, root, state)
-        if report is not None:
-            raise EvidenceInvalid(str(report))
-    new_theta = dict(theta)
-    new_theta[va] = pa
-    new_tokens = token_join(tokens, (root, va), FULL)
-    return new_theta, new_tokens
+    for entry in (evidence.l4e, evidence.l3e, evidence.l2e, evidence.l1e):
+        if not decode_pte(entry).present:
+            raise EvidenceInvalid(str(MismatchReport(
+                evidence, "table entry is not present", entry)))
+    return {**theta, va: pa}
 
 
-def ghost_remove_walk(theta: WalkMap, tokens: TokenBank, root: int,
-                      va: int) -> tuple:
-    """Remove va from the walk map; requires the full token, which is
-    retired.  The backing physical claims become free again."""
-    key = (root, va)
-    held = tokens.get(key, Fraction(0))
-    if held < 1:
-        raise InsufficientToken(key, held)
+def ghost_remove_walk(theta: WalkMap, va: int) -> WalkMap:
+    """Remove va from the walk map.  The caller retires the full walk
+    claim; the backing physical claims become free again."""
     if va not in theta:
         raise GhostError(f"walk map has no entry for {va:#x}")
     new_theta = dict(theta)
     del new_theta[va]
-    new_tokens = dict(tokens)
-    del new_tokens[key]
-    return new_theta, new_tokens
-
-
-def pte_to_virt(claim: PtePt) -> VirtPt:
-    """Forget the exposed physical address of a PTE points-to."""
-    return VirtPt(claim.va, claim.q, claim.val)
-
-
-def virt_to_pte(claim: VirtPt, pa: int, state: MachineState,
-                root: int) -> PtePt:
-    """Re-expose the physical address behind a virtual points-to; the
-    supplied address is validated against the machine's translation."""
-    result = translate(root, state.mem, claim.va, set_accessed=False)
-    if not isinstance(result, PhysAddr) or result.byte != pa:
-        raise EvidenceInvalid(
-            f"{claim.va:#x} does not translate to {pa:#x}")
-    return PtePt(claim.va, claim.q, pa, claim.val)
+    return new_theta

@@ -62,10 +62,6 @@ class Word:
         return self.value
 
 
-def w64(v: int) -> Word:
-    return Word(v, 64)
-
-
 def w52(v: int) -> Word:
     return Word(v, 52)
 
@@ -125,10 +121,6 @@ class PhysAddr:
     @property
     def byte(self) -> int:
         return (self.frame.value << 12) | self.offset.value
-
-    @property
-    def word_aligned(self) -> bool:
-        return self.offset.value % WORD_BYTES == 0
 
 
 PTE_PRESENT = 1 << 0
@@ -475,25 +467,51 @@ class StepOpts:
 DEFAULT_OPTS = StepOpts()
 
 
-def _effective_va(state: MachineState, base: Reg, disp: int) -> int:
-    return (state.reg(base) + disp) % (1 << 64)
+_MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
 
 
-def _translate_for(state: MachineState, va: int, opts: StepOpts,
-                   write: bool = False) -> Union[WalkTrace, Fault]:
+def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
+                   opts: StepOpts) -> Union[MachineState, Fault]:
+    """The one path of the memory forms: translate base + disp under cr3
+    (accessed bits land in `nxt`), then load the word into a register or
+    store a register's value.  Faults, in the order they are checked: a
+    control register in a data operand, a misaligned va, a misaligned
+    root, the walk's own fault, a read-only entry on a store, an absent
+    word."""
+    if isinstance(instr, MovRegFromMem):
+        data_operands, load, store = (instr.dst, instr.base), instr.dst, None
+    elif isinstance(instr, MovToCr3FromMem):
+        data_operands, load, store = (instr.base,), Reg.CR3, None
+    elif isinstance(instr, MovMemFromReg):
+        data_operands, load, store = (instr.src, instr.base), None, instr.src
+    else:
+        data_operands, load, store = (instr.base,), None, Reg.CR3
+    for reg in data_operands:
+        if not reg.is_data:
+            return BadRegister(reg)
+    va = (state.reg(instr.base) + instr.disp) % (1 << 64)
     if va % WORD_BYTES:
         return Misaligned(va)
     root = state.reg(Reg.CR3)
     if root % PAGE_SIZE:
         return Misaligned(root)
-    trace = walk(root, state.mem, va, set_accessed=opts.set_accessed)
+    trace = walk(root, nxt.mem, va, set_accessed=opts.set_accessed)
     if not trace.ok:
         return trace.result
-    if write and opts.enforce_rw:
+    if store is not None and opts.enforce_rw:
         for level, _frame, _off, pte in trace.steps:
             if not pte.writable:
                 return ReadOnly(level, va)
-    return trace
+    pa = trace.result
+    if store is not None:
+        fail = nxt.write_word(pa.frame.value, pa.offset.value,
+                              state.reg(store))
+        return nxt if fail is None else fail
+    value = nxt.read_word(pa.frame.value, pa.offset.value)
+    if isinstance(value, Fault):
+        return value
+    nxt.regs[load] = value
+    return nxt
 
 
 def step(state: MachineState, instr: Instr,
@@ -527,33 +545,6 @@ def step(state: MachineState, instr: Instr,
         nxt.regs[instr.dst] = (state.reg(instr.dst) + instr.imm) % (1 << 64)
         return nxt
 
-    if isinstance(instr, MovRegFromMem):
-        if not (instr.dst.is_data and instr.base.is_data):
-            return BadRegister(instr.dst if not instr.dst.is_data else instr.base)
-        va = _effective_va(state, instr.base, instr.disp)
-        trace = _translate_for(nxt, va, opts)
-        if isinstance(trace, Fault):
-            return trace
-        pa = trace.result
-        value = nxt.read_word(pa.frame.value, pa.offset.value)
-        if isinstance(value, Fault):
-            return value
-        nxt.regs[instr.dst] = value
-        return nxt
-
-    if isinstance(instr, MovMemFromReg):
-        if not (instr.src.is_data and instr.base.is_data):
-            return BadRegister(instr.src if not instr.src.is_data else instr.base)
-        va = _effective_va(state, instr.base, instr.disp)
-        trace = _translate_for(nxt, va, opts, write=True)
-        if isinstance(trace, Fault):
-            return trace
-        pa = trace.result
-        fail = nxt.write_word(pa.frame.value, pa.offset.value, state.reg(instr.src))
-        if fail is not None:
-            return fail
-        return nxt
-
     if isinstance(instr, MovToCr3FromReg):
         if not instr.src.is_data:
             return BadRegister(instr.src)
@@ -566,32 +557,8 @@ def step(state: MachineState, instr: Instr,
         nxt.regs[instr.dst] = state.reg(Reg.CR3)
         return nxt
 
-    if isinstance(instr, MovMemFromCr3):
-        if not instr.base.is_data:
-            return BadRegister(instr.base)
-        va = _effective_va(state, instr.base, instr.disp)
-        trace = _translate_for(nxt, va, opts, write=True)
-        if isinstance(trace, Fault):
-            return trace
-        pa = trace.result
-        fail = nxt.write_word(pa.frame.value, pa.offset.value, state.reg(Reg.CR3))
-        if fail is not None:
-            return fail
-        return nxt
-
-    if isinstance(instr, MovToCr3FromMem):
-        if not instr.base.is_data:
-            return BadRegister(instr.base)
-        va = _effective_va(state, instr.base, instr.disp)
-        trace = _translate_for(nxt, va, opts)
-        if isinstance(trace, Fault):
-            return trace
-        pa = trace.result
-        value = nxt.read_word(pa.frame.value, pa.offset.value)
-        if isinstance(value, Fault):
-            return value
-        nxt.regs[Reg.CR3] = value
-        return nxt
+    if isinstance(instr, _MEM_FORMS):
+        return _access_memory(state, nxt, instr, opts)
 
     raise TypeError(f"unknown instruction {instr!r}")
 

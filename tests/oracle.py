@@ -12,7 +12,8 @@ Outcome encoding:
 
 ``ledger_delta`` is the reference for the checker's step records: it
 diffs two whole claim maps where the checker looks only at the locations
-a step touched.
+a step touched.  ``naive_step`` is the reference for the memory forms of
+``step``, built on ``naive_walk``.
 """
 
 from fractions import Fraction
@@ -184,3 +185,65 @@ def ledger_delta(old, new):
             if nv is not None:
                 produced.append(f"{loc} {nq} {nv:#x}")
     return tuple(consumed), tuple(produced)
+
+
+# The four memory forms of the mov family: whether each loads or stores,
+# and which of its operands must name data registers, in the order a
+# fault reports them.
+MEM_FORMS = {
+    "MovRegFromMem": ("load", ("dst", "base")),
+    "MovToCr3FromMem": ("load", ("base",)),
+    "MovMemFromReg": ("store", ("src", "base")),
+    "MovMemFromCr3": ("store", ("base",)),
+}
+
+
+def naive_step(regs, mem, form, ops, enforce_rw=True, set_accessed=True):
+    """One memory-form instruction, from the paging layout alone.
+
+    `regs` maps register names to values (absent ones read 0), `mem` is
+    the nested map {frame: {offset: word}}, `form` a key of MEM_FORMS and
+    `ops` its operands {"dst"/"src"/"base": name, "disp": int}; the cr3
+    forms load into or store from "cr3".  Returns ("ok", regs', mem') as
+    fresh copies, or a fault tuple: ("bad-register", name),
+    ("misaligned", addr), a naive_walk failure, ("read-only", level) or
+    ("frame-unmapped", byte_addr).
+    """
+    kind, data_operands = MEM_FORMS[form]
+    for operand in data_operands:
+        if ops[operand] == "cr3":
+            return ("bad-register", ops[operand])
+    va = (regs.get(ops["base"], 0) + ops["disp"]) % (1 << 64)
+    if va % 8:
+        return ("misaligned", va)
+    root = regs.get("cr3", 0)
+    if root % PAGE:
+        return ("misaligned", root)
+    outcome = naive_walk(root, mem, va)
+    if outcome[0] != "ok":
+        return outcome
+    # the walk succeeded, so every slot on the chain exists and is present
+    fields = va_fields(va)
+    table = root // PAGE
+    chain = []
+    for level, index in ((4, "i4"), (3, "i3"), (2, "i2"), (1, "i1")):
+        slot = fields[index] * 8
+        chain.append((level, table, slot))
+        table = entry_fields(mem[table][slot])["frame"]
+    if kind == "store" and enforce_rw:
+        for level, table, slot in chain:
+            if not entry_fields(mem[table][slot])["writable"]:
+                return ("read-only", level)
+    new_regs = dict(regs)
+    new_mem = {frame: dict(words) for frame, words in mem.items()}
+    if set_accessed:
+        for _level, table, slot in chain:
+            new_mem[table][slot] |= 32
+    frame, off = outcome[1] // PAGE, outcome[1] % PAGE
+    if off not in new_mem.get(frame, {}):
+        return ("frame-unmapped", outcome[1])
+    if kind == "load":
+        new_regs[ops.get("dst", "cr3")] = new_mem[frame][off]
+    else:
+        new_mem[frame][off] = regs.get(ops.get("src", "cr3"), 0)
+    return ("ok", new_regs, new_mem)

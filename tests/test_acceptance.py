@@ -55,7 +55,7 @@ from vmcheck.assertions import (
     normalize,
     sep,
 )
-from vmcheck.ghost import ias_check, token_join, token_split
+from vmcheck.ghost import ias_check
 from vmcheck.checker import (
     AssertStep,
     CheckerCtx,
@@ -132,24 +132,22 @@ def test_criterion_2_fraction_conservation():
             ledger_join(total, slice_ledger)
         # randomized split/join stress never exceeds the full share
         rng = random.Random(99)
+        walk = WalkLoc(root, 0x20_0000)
         for _ in range(300):
-            key = (root, 0x20_0000)
-            tokens = {key: FULL}
+            ledger = Ledger.build(root, {walk: (FULL, 0x5000)})
             outstanding = []
             for _ in range(rng.randrange(1, 40)):
                 if outstanding and rng.random() < 0.5:
-                    tokens = token_join(tokens, key, outstanding.pop())
+                    ledger = ledger.add(walk, outstanding.pop(), 0x5000)
                 else:
-                    held = tokens[key]
-                    if held == 0:
-                        continue
+                    held = ledger.get(walk)[0]
                     q = held / rng.choice([2, 3, 5, 512])
-                    tokens = token_split(tokens, key, q)
+                    ledger = ledger.consume(walk, q, 0x5000)
                     outstanding.append(q)
-                assert 0 <= tokens[key] <= 1
+                assert 0 < ledger.get(walk)[0] <= 1
             for q in outstanding:
-                tokens = token_join(tokens, key, q)
-            assert tokens[key] == FULL
+                ledger = ledger.add(walk, q, 0x5000)
+            assert ledger.get(walk) == (FULL, 0x5000)
 
 
 def _no_pushable_wrapper(a):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmcheck.machine import (
+    AddRegImm,
     MachineState,
     MovMemFromReg,
     MovRegFromMem,
@@ -37,6 +39,7 @@ from vmcheck.assertions import (
 from vmcheck.checker import (
     AssertStep,
     CallStep,
+    COEXEC,
     GhostInsertWalk,
     GhostRemoveWalk,
     InstrStep,
@@ -51,6 +54,7 @@ from vmcheck.checker import (
     UNSOUND_FRAME,
     VALUE_DISAGREEMENT,
     Report,
+    Violation,
     _ledger_delta,
     check_double,
     frame_audit,
@@ -278,6 +282,50 @@ def test_ghost_insert_needs_chain_shares():
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == INSUFFICIENT_FRACTION
+
+
+@pytest.mark.parametrize("level", [4, 3, 2, 1])
+def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
+    # the ledger's chain claims are the only evidence resource mode has;
+    # an entry without its present bit does not justify a walk
+    state, registry, roots = fixture()
+    root = roots[0]
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][0x20_1000]
+    field = f"l{level}e"
+    good = chain_claim(state, root, 0x20_1000, 0x6000)
+    node = replace(good, **{field: getattr(good, field) & ~1})
+    pre = sep(IASpace(), node, Pure(PredUnmapped(0x20_1000)))
+    report = check_double(pre, root, [GhostInsertWalk(0x20_1000, 0x6000)],
+                          mode=RESOURCE_ONLY, init=state, registry=registry)
+    assert report.violation == Violation(
+        VALUE_DISAGREEMENT, 0, None,
+        f"table entry is not present for {node!r} "
+        f"(observed {getattr(node, field)!r})")
+
+
+def test_not_present_insert_reports_alike_in_both_modes():
+    # map_new_page, with the L1 entry written one less: 0x200002 is
+    # writable but not present, so publishing the walk must fail
+    case = map_page_case(1)
+    script = list(case.script)
+    assert script[2] == CallStep("alloc_phys_page_or_panic")
+    script.insert(3, InstrStep(AddRegImm(Reg.RAX, (1 << 64) - 1)))
+    reports = {mode: check_double(case.pre, case.root, script, case.stubs,
+                                  mode=mode, init=case.state,
+                                  registry=case.registry,
+                                  free_list=case.free_list)
+               for mode in (RESOURCE_ONLY, COEXEC)}
+    text = reports[RESOURCE_ONLY].to_text()
+    assert text.endswith(
+        "result: FAIL step 5: ValueDisagreement: table entry is not present "
+        "for L4L1PointsTo(va=4194304, l4e=1052675, l3e=1056771, "
+        "l2e=1060867, l1e=2097154, pa=2097152) (observed 2097154)\n")
+    assert text.replace("mode: resource", "mode: coexec", 1) == \
+        reports[COEXEC].to_text()
+    assert reports[RESOURCE_ONLY].to_json().replace(
+        '"mode": "resource"', '"mode": "coexec"', 1) == \
+        reports[COEXEC].to_json()
 
 
 def test_ghost_remove_roundtrip_restores_ledger():

@@ -11,20 +11,39 @@ from vmcheck.machine import (
     synth_tables,
     walk,
 )
-from vmcheck.assertions import FULL, L4L1PointsTo, PtePt, SumExceedsOne, VirtPt
+from vmcheck.assertions import (
+    FULL,
+    IASpace,
+    L4L1PointsTo,
+    Ledger,
+    PtePt,
+    SumExceedsOne,
+    VirtPt,
+    WalkLoc,
+    lower,
+    sep,
+)
+from vmcheck.checker import (
+    COEXEC,
+    GhostInsertWalk,
+    GhostPteToVirt,
+    GhostRemoveWalk,
+    GhostVirtToPte,
+    INSUFFICIENT_FRACTION,
+    MACHINE_DISAGREE,
+    RESOURCE_ONLY,
+    VALUE_DISAGREEMENT,
+    Violation,
+    check_double,
+)
 from vmcheck.ghost import (
     AlreadyMapped,
     EvidenceInvalid,
-    InsufficientToken,
+    GhostError,
     UnknownRoot,
     ghost_insert_walk,
     ghost_remove_walk,
     ias_check,
-    pte_to_virt,
-    register_space,
-    token_join,
-    token_split,
-    virt_to_pte,
 )
 
 from gen import multi_space_fixture
@@ -130,57 +149,49 @@ def test_ias_check_detects_misresolution():
 
 
 # --------------------------------------------------------------------------
-# registry management
-
-
-def test_register_space():
-    registry = {}
-    registry = register_space(registry, 0x10_0000)
-    assert registry == {0x10_0000: {}}
-    with pytest.raises(ValueError):
-        register_space(registry, 0x10_0000)
-    with pytest.raises(ValueError):
-        register_space(registry, 0x10_0001)
-
-
-# --------------------------------------------------------------------------
 # insert / remove
 
 
 def test_insert_into_empty_theta():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
-    theta, tokens = ghost_insert_walk({}, {}, root, 0x20_0000, 0x5000,
-                                      evidence, state)
-    assert theta == {0x20_0000: 0x5000}
-    assert tokens == {(root, 0x20_0000): FULL}
+    theta = {}
+    assert ghost_insert_walk(theta, 0x20_0000, 0x5000, evidence) == \
+        {0x20_0000: 0x5000}
+    assert theta == {}
 
 
 def test_insert_rejects_double_mapping():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
-    theta, tokens = ghost_insert_walk({}, {}, root, 0x20_0000, 0x5000,
-                                      evidence, state)
+    theta = ghost_insert_walk({}, 0x20_0000, 0x5000, evidence)
     with pytest.raises(AlreadyMapped):
-        ghost_insert_walk(theta, tokens, root, 0x20_0000, 0x5000, evidence,
-                          state)
+        ghost_insert_walk(theta, 0x20_0000, 0x5000, evidence)
 
 
 def test_insert_validates_evidence_arithmetic():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
     with pytest.raises(EvidenceInvalid):
-        ghost_insert_walk({}, {}, root, 0x20_0000, 0x9000, evidence, state)
+        ghost_insert_walk({}, 0x20_0000, 0x9000, evidence)
 
 
 def test_insert_validates_evidence_against_machine():
+    # the chain claim says the L1 entry maps the page; the machine's L1
+    # entry was wiped, so co-execution rejects the precondition
     state, registry, root = fixture()
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][0x20_0000]
     evidence = chain_for(state, root, 0x20_0000)
     trace = walk(root, state.mem, 0x20_0000)
     _, frame, off, _ = trace.steps[3]
-    state.mem[frame][off] = 0  # wipe the L1 entry behind the evidence
-    with pytest.raises(EvidenceInvalid):
-        ghost_insert_walk({}, {}, root, 0x20_0000, 0x5000, evidence, state)
+    state.mem[frame][off] = 0
+    report = check_double(sep(IASpace(), evidence), root,
+                          [GhostInsertWalk(0x20_0000, 0x5000)], init=state,
+                          registry=registry, mode=COEXEC)
+    assert report.violation == Violation(
+        MACHINE_DISAGREE, -1, None, "precondition not machine-satisfied: "
+        f"table slot differs for {evidence!r} (observed 0)")
 
 
 def test_insert_then_ias_check_holds():
@@ -189,59 +200,61 @@ def test_insert_then_ias_check_holds():
     theta = dict(registry[root])
     del theta[0x20_1000]
     registry[root] = theta
-    new_theta, _tokens = ghost_insert_walk(theta, {}, root, 0x20_1000,
-                                           0x6000, evidence, state)
-    registry[root] = new_theta
+    registry[root] = ghost_insert_walk(theta, 0x20_1000, 0x6000, evidence)
     assert ias_check(state, root, registry) == []
 
 
 def test_remove_roundtrip():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
-    theta, tokens = ghost_insert_walk({}, {}, root, 0x20_0000, 0x5000,
-                                      evidence, state)
-    theta2, tokens2 = ghost_remove_walk(theta, tokens, root, 0x20_0000)
+    theta = ghost_insert_walk({}, 0x20_0000, 0x5000, evidence)
+    theta2 = ghost_remove_walk(theta, 0x20_0000)
     assert theta2 == {}
-    assert tokens2 == {}
+    assert theta == {0x20_0000: 0x5000}
+    with pytest.raises(GhostError):
+        ghost_remove_walk(theta2, 0x20_0000)
     # invariant only quantifies over the map's domain
     registry[root] = theta2
     assert ias_check(state, root, registry) == []
 
 
 def test_remove_requires_full_token():
+    # the walk claim is the token: half of it cannot retire the entry
     state, registry, root = fixture()
-    tokens = {(root, 0x20_0000): Fraction(1, 2)}
-    with pytest.raises(InsufficientToken):
-        ghost_remove_walk({0x20_0000: 0x5000}, tokens, root, 0x20_0000)
+    pre = sep(IASpace(), VirtPt(0x20_0000, Fraction(1, 2), 0x1111))
+    loc = f"walk:{root:#x}:0x200000"
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report = check_double(pre, root, [GhostRemoveWalk(0x20_0000)],
+                              init=state, registry=registry, mode=mode)
+        assert report.violation == Violation(
+            INSUFFICIENT_FRACTION, 0, loc, f"need 1 of {loc}, hold 1/2")
 
 
 # --------------------------------------------------------------------------
-# token arithmetic
+# walk-claim share arithmetic
 
 
 def test_token_split_join_stress():
     rng = random.Random(9)
+    loc = WalkLoc(0x1000, 0x20_0000)
     for _ in range(200):
-        key = (0x1000, 0x20_0000)
-        tokens = {key: FULL}
+        ledger = Ledger.build(0x1000, {loc: (FULL, 0x5000)})
         outstanding = []
         for _ in range(rng.randrange(1, 30)):
             if outstanding and rng.random() < 0.5:
                 q = outstanding.pop()
-                tokens = token_join(tokens, key, q)
+                ledger = ledger.add(loc, q, 0x5000)
             else:
-                held = tokens[key]
-                if held == 0:
-                    continue
+                held = ledger.get(loc)[0]
                 q = held / rng.choice([2, 3, 4])
-                tokens = token_split(tokens, key, q)
+                ledger = ledger.consume(loc, q, 0x5000)
                 outstanding.append(q)
-            assert 0 <= tokens[key] <= 1
+            assert 0 < ledger.get(loc)[0] <= 1
         for q in outstanding:
-            tokens = token_join(tokens, key, q)
-        assert tokens[key] == FULL
+            ledger = ledger.add(loc, q, 0x5000)
+        assert ledger.get(loc) == (FULL, 0x5000)
         with pytest.raises(SumExceedsOne):
-            token_join(tokens, key, Fraction(1, 512))
+            ledger.add(loc, Fraction(1, 512), 0x5000)
 
 
 # --------------------------------------------------------------------------
@@ -249,15 +262,23 @@ def test_token_split_join_stress():
 
 
 def test_pte_to_virt_forgets_pa():
-    claim = PtePt(0x20_0000, Fraction(1, 2), 0x5000, 0x1111)
-    assert pte_to_virt(claim) == VirtPt(0x20_0000, Fraction(1, 2), 0x1111)
+    # with the walk map naming the pa, both views lower to the same claims
+    registry = {0x1000: {0x20_0000: 0x5000}}
+    q = Fraction(1, 2)
+    assert lower(PtePt(0x20_0000, q, 0x5000, 0x1111), 0x1000, registry) == \
+        lower(VirtPt(0x20_0000, q, 0x1111), 0x1000, registry)
 
 
 def test_virt_to_pte_validates_and_roundtrips():
     state, registry, root = fixture()
-    v = VirtPt(0x20_0000, FULL, 0x1111)
-    p = virt_to_pte(v, 0x5000, state, root)
-    assert p == PtePt(0x20_0000, FULL, 0x5000, 0x1111)
-    assert pte_to_virt(p) == v
-    with pytest.raises(EvidenceInvalid):
-        virt_to_pte(v, 0x6000, state, root)
+    pre = sep(IASpace(), VirtPt(0x20_0000, FULL, 0x1111))
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report = check_double(pre, root, [GhostVirtToPte(0x20_0000, 0x5000),
+                                          GhostPteToVirt(0x20_0000)],
+                              init=state, registry=registry, mode=mode)
+        assert report.ok
+        assert report.final_ledger == lower(pre, root, registry)
+        report = check_double(pre, root, [GhostVirtToPte(0x20_0000, 0x6000)],
+                              init=state, registry=registry, mode=mode)
+        assert report.violation.kind == VALUE_DISAGREEMENT
+        assert report.violation.step == 0

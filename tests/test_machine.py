@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vmcheck.machine import (
@@ -417,3 +417,86 @@ def test_instruction_displacement_validation():
     with pytest.raises(ValueError):
         MovRegFromMem(Reg.RAX, Reg.RDI, 4096)
     MovRegFromMem(Reg.RAX, Reg.RDI, -8)
+
+
+# --------------------------------------------------------------------------
+# The memory forms against the reference stepper
+
+
+_MEM_FORM_CLASSES = {cls.__name__: cls for cls in
+                     (MovRegFromMem, MovToCr3FromMem, MovMemFromReg,
+                      MovMemFromCr3)}
+
+
+def _mem_form_state(cr3):
+    """Writable data at 0x20_0000 (frame 5, two words), read-only data at
+    0x20_1000 (frame 6, one word, so +8 is unmapped) and the root table
+    itself at 0x20_3000, so accesses can land on table entries."""
+    mem, root = synth_tables([(0x20_0000, 0x5000, True),
+                              (0x20_1000, 0x6000, False),
+                              (0x20_3000, 0x10_0000, True)], alloc_base=0x100)
+    assert root == 0x10_0000
+    mem_set(mem, 0x5, 0x0, 0x1111)
+    mem_set(mem, 0x5, 0x8, 0x2222)
+    mem_set(mem, 0x6, 0x0, 0x3333)
+    regs = {Reg.CR3: root if cr3 is None else cr3}
+    return MachineState(regs=regs, mem=mem, pc=3)
+
+
+def _adapt_step(result):
+    """Map a step() result onto naive_step's outcome tuples."""
+    if isinstance(result, BadRegister):
+        return ("bad-register", result.reg.value)
+    if isinstance(result, Misaligned):
+        return ("misaligned", result.addr)
+    if isinstance(result, (NotPresent, ReadOnly)):
+        kind = "not-present" if isinstance(result, NotPresent) else "read-only"
+        return (kind, result.level)
+    if isinstance(result, FrameUnmapped):
+        return ("frame-unmapped", result.phys)
+    assert isinstance(result, MachineState), result
+    assert result.pc == 4
+    return ("ok", {r.value: result.reg(r) for r in Reg}, result.mem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.sampled_from(sorted(_MEM_FORM_CLASSES)),
+       dst=st.sampled_from(list(Reg)), src=st.sampled_from(list(Reg)),
+       base=st.sampled_from(list(Reg)),
+       base_va=st.sampled_from([0x20_0000, 0x20_1000, 0x20_3000, 0x20_0004,
+                                0x20_2000, 1 << 39, (1 << 64) - 8]),
+       disp=st.sampled_from([0, 8, -8, 0xFF8]),
+       cr3=st.sampled_from([None] * 4 + [0x10_0008, 0x9000]),
+       src_value=st.integers(0, (1 << 64) - 1),
+       enforce_rw=st.booleans(), set_accessed=st.booleans())
+@example(form="MovMemFromReg", dst=Reg.RAX, src=Reg.RAX, base=Reg.RDI,
+         base_va=0x20_1000, disp=0, cr3=None, src_value=7, enforce_rw=True,
+         set_accessed=True)
+@example(form="MovMemFromCr3", dst=Reg.RAX, src=Reg.RAX, base=Reg.RDI,
+         base_va=0x20_1000, disp=0, cr3=None, src_value=7, enforce_rw=False,
+         set_accessed=False)
+@example(form="MovRegFromMem", dst=Reg.RAX, src=Reg.RAX, base=Reg.RDI,
+         base_va=0x20_3000, disp=0, cr3=None, src_value=7, enforce_rw=True,
+         set_accessed=True)  # loads the L4 entry its own walk just marked
+def test_step_memory_forms_match_reference(form, dst, src, base, base_va,
+                                           disp, cr3, src_value, enforce_rw,
+                                           set_accessed):
+    cls = _MEM_FORM_CLASSES[form]
+    ops = {"dst": dst, "src": src, "base": base, "disp": disp}
+    ops = {k: v for k, v in ops.items() if k in cls.__dataclass_fields__}
+    state = _mem_form_state(cr3)
+    state.regs[src] = src_value
+    state.regs[base] = base_va
+    before = state.copy()
+
+    result = step(state, cls(**ops), StepOpts(enforce_rw=enforce_rw,
+                                              set_accessed=set_accessed))
+
+    expected = oracle.naive_step(
+        {r.value: state.reg(r) for r in Reg}, before.mem, form,
+        {k: v if k == "disp" else v.value for k, v in ops.items()},
+        enforce_rw=enforce_rw, set_accessed=set_accessed)
+    assert _adapt_step(result) == expected
+    # step never mutates its input
+    assert state.regs == before.regs and state.mem == before.mem
+    assert state.pc == before.pc
