@@ -34,12 +34,12 @@ from typing import Mapping, Optional
 from .machine import (
     MachineState,
     PAGE_SIZE,
-    PhysAddr,
+    PTE_PRESENT,
     Reg,
     WORD_BYTES,
     chain_slots,
-    decode_pte,
-    translate,
+    pte_frame,
+    resolve,
 )
 
 # Registry: {root: {va: pa}} per-space ghost walk maps.
@@ -496,8 +496,7 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
             acc = acc.add(WalkLoc(g, node.va), node.q, node.pa)
             return acc.add(_phys_loc(node.pa), node.q, node.val)
         if isinstance(node, L4L1PointsTo):
-            slots = chain_slots(g, node.va, decode_pte(node.l4e),
-                                decode_pte(node.l3e), decode_pte(node.l2e))
+            slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
             shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
             entries = (node.l4e, node.l3e, node.l2e, node.l1e)
             for (frame, off), share, entry in zip(slots, shares, entries):
@@ -566,35 +565,33 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
             return None
         return MismatchReport(a, "physical word differs", got)
     if isinstance(a, VirtPt):
-        result = translate(root, state.mem, a.va, set_accessed=False)
-        if not isinstance(result, PhysAddr):
-            return MismatchReport(a, "translation fails", result)
-        got = state.read_word(result.frame.value, result.offset.value)
+        pa = resolve(root, state.mem, a.va)
+        if not isinstance(pa, int):
+            return MismatchReport(a, "translation fails", pa)
+        got = state.read_word(pa >> 12, pa & (PAGE_SIZE - 1))
         if got == a.val:
             return None
         return MismatchReport(a, "word behind the mapping differs", got)
     if isinstance(a, PtePt):
-        result = translate(root, state.mem, a.va, set_accessed=False)
-        if not isinstance(result, PhysAddr):
-            return MismatchReport(a, "translation fails", result)
-        if result.byte != a.pa:
-            return MismatchReport(a, "resolved physical address differs",
-                                  result.byte)
-        got = state.read_word(result.frame.value, result.offset.value)
+        pa = resolve(root, state.mem, a.va)
+        if not isinstance(pa, int):
+            return MismatchReport(a, "translation fails", pa)
+        if pa != a.pa:
+            return MismatchReport(a, "resolved physical address differs", pa)
+        got = state.read_word(pa >> 12, pa & (PAGE_SIZE - 1))
         if got == a.val:
             return None
         return MismatchReport(a, "word behind the mapping differs", got)
     if isinstance(a, L4L1PointsTo):
-        slots = chain_slots(root, a.va, decode_pte(a.l4e), decode_pte(a.l3e),
-                            decode_pte(a.l2e))
+        slots = chain_slots(root, a.va, a.l4e, a.l3e, a.l2e)
         entries = (a.l4e, a.l3e, a.l2e, a.l1e)
         for (frame, off), entry in zip(slots, entries):
             got = state.read_word(frame, off)
             if got != entry:
                 return MismatchReport(a, "table slot differs", got)
-            if not decode_pte(entry).present:
+            if not entry & PTE_PRESENT:
                 return MismatchReport(a, "table entry is not present", entry)
-        resolved = (decode_pte(a.l1e).frame.value << 12) | (a.va & (PAGE_SIZE - 1))
+        resolved = (pte_frame(a.l1e) << 12) | (a.va & (PAGE_SIZE - 1))
         if resolved != a.pa:
             return MismatchReport(a, "chain does not resolve to pa", resolved)
         return None

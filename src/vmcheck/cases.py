@@ -20,6 +20,7 @@ from .machine import (
     MovToCr3FromMem,
     Reg,
     mem_set,
+    own_frame,
     synth_tables,
     walk,
 )
@@ -129,7 +130,8 @@ def _alloc_page_stub(words: int = 1) -> StubSpec:
             raise StubError(f"free-list entry {fpaddr:#x} is not page aligned")
         machine = env.machine.copy()
         frame = fpaddr >> 12
-        machine.mem[frame] = {off: 0 for off in range(0, PAGE, 8)}
+        page = own_frame(machine.mem, frame)
+        page.update(dict.fromkeys(range(0, PAGE, 8), 0))
         machine.regs[Reg.RAX] = fpaddr + 3
         produces = sep(
             RegPt(Reg.RAX, FULL, fpaddr + 3),

@@ -36,13 +36,13 @@ from .machine import (
     MovToCr3FromMem,
     MovToCr3FromReg,
     PAGE_SIZE,
-    PhysAddr,
     Reg,
     Skip,
     StepOpts,
-    split_va,
+    as_phys,
+    pte_frame,
+    resolve,
     step as machine_step,
-    translate,
 )
 from .assertions import (
     Assertion,
@@ -69,6 +69,7 @@ from .assertions import (
     WitnessUnavailable,
     InsufficientFraction as LedgerInsufficientFraction,
     ledger_join,
+    loc_sort_key,
     lower,
     machine_sat,
     normalize,
@@ -183,7 +184,9 @@ class StubSpec:
     """Axiomatized procedure: claims it consumes, a deterministic state
     effect, and the claims it produces (validated against the machine
     after the effect runs).  A RegPt pattern with val=None consumes the
-    register claim whatever its value."""
+    register claim whatever its value.  The effect must write memory only
+    through ``write_word``/``mem_set``/``own_frame`` on a copy: frames are
+    shared copy-on-write with the checker's machine."""
 
     name: str
     consumes: tuple
@@ -204,6 +207,11 @@ class CheckerCtx:
     stubs: dict
     free_list: tuple = ()
     free_cursor: int = 0
+    # co-execution audit index, {table frame: {(root, va), ...}}: the walks
+    # (walk claims and walk-map entries) a check has read that frame for.
+    # None until a full audit has passed; then it only grows, so successor
+    # contexts share it (stale entries cost a re-check, never a miss).
+    reads: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -313,11 +321,10 @@ def _chain_entries(ctx: CheckerCtx, va: int, index: int):
     the current root reads.  Values come from ledger claims when present,
     falling back to the (co-executed or initial) machine tables."""
     table_frame = ctx.root >> 12
-    i4, i3, i2, i1, _off = split_va(va)
     slots = []
     entries = []
-    for idx in (i4, i3, i2, i1):
-        off = idx.value * 8
+    for shift in (39, 30, 21, 12):
+        off = ((va >> shift) & 0x1FF) * 8
         loc = PhysLoc(table_frame, off)
         claim = ctx.ledger.get(loc)
         if claim is not None:
@@ -332,7 +339,7 @@ def _chain_entries(ctx: CheckerCtx, va: int, index: int):
             entry = got
         slots.append(loc)
         entries.append(entry)
-        table_frame = (entry >> 12) & ((1 << 40) - 1)
+        table_frame = pte_frame(entry)
     return None, slots, entries
 
 
@@ -657,38 +664,93 @@ def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte],
 # Co-execution audit
 
 
-def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
-    """Validate every ledger claim against the machine; None when clean."""
-    if ctx.machine.reg(Reg.CR3) != ctx.root:
-        return (f"machine cr3 {ctx.machine.reg(Reg.CR3):#x} differs from "
+def _audit(ctx: CheckerCtx, locs, entries: dict,
+           reads: Optional[dict]) -> Optional[str]:
+    """Validate the held claims at `locs` against the machine, plus, for
+    each root in `entries` whose space claim is held, the walk-map entries
+    at the vas listed there (a space claim in `locs` checks them all).
+    The first complaint in ``loc_sort_key`` order is returned, None when
+    clean.  Every walk is noted in `reads` (see ``ghost.note_reads``)."""
+    machine = ctx.machine
+    if machine.reg(Reg.CR3) != ctx.root:
+        return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
                 f"checker root {ctx.root:#x}")
-    for loc, _q, v in ctx.ledger.sorted_claims():
+    claims = ctx.ledger.claims
+    todo = {loc for loc in locs if loc in claims}
+    todo.update(loc for loc in map(SpaceLoc, entries) if loc in claims)
+    slots = None if reads is None else []
+    for loc in sorted(todo, key=loc_sort_key):
+        _q, v = claims[loc]
         if isinstance(loc, RegLoc):
-            got = ctx.machine.reg(loc.reg)
+            got = machine.reg(loc.reg)
             if got != v:
                 return f"{loc}: ledger {v:#x}, machine {got:#x}"
         elif isinstance(loc, PhysLoc):
-            got = ctx.machine.read_word(loc.frame, loc.off)
+            got = machine.read_word(loc.frame, loc.off)
             if got != v:
                 return f"{loc}: ledger {v:#x}, machine {got!r}"
         elif isinstance(loc, WalkLoc):
-            result = translate(loc.root, ctx.machine.mem, loc.va,
-                               set_accessed=False)
-            if not isinstance(result, PhysAddr) or result.byte != v:
-                return f"{loc}: ledger {v:#x}, machine walk {result!r}"
+            got = resolve(loc.root, machine.mem, loc.va, slots=slots)
+            if reads is not None:
+                ghost_ops.note_reads(reads, loc.root, loc.va, slots)
+                slots.clear()
+            if got != v:
+                return f"{loc}: ledger {v:#x}, machine walk {as_phys(got)!r}"
             theta = ctx.registry.get(loc.root)
             if theta is None or theta.get(loc.va) != v:
                 return f"{loc}: walk map does not record {v:#x}"
-        elif isinstance(loc, SpaceLoc):
+        else:
+            registry = ctx.registry
+            theta = registry.get(loc.root)
+            if loc not in locs and theta is not None:
+                registry = {loc.root: {va: theta[va] for va in
+                                       entries[loc.root] if va in theta}}
             try:
-                failures = ghost_ops.ias_check(ctx.machine, loc.root,
-                                               ctx.registry)
+                failures = ghost_ops.ias_check(machine, loc.root, registry,
+                                               reads)
             except GhostError as err:
                 return f"{loc}: {err}"
             if failures:
                 va, fault = failures[0]
                 return f"{loc}: walk-map entry {va:#x} broken: {fault!r}"
     return None
+
+
+def audit_ledger(ctx: CheckerCtx, reads: Optional[dict] = None
+                 ) -> Optional[str]:
+    """Validate every ledger claim against the machine; None when clean.
+    This full audit runs before the first step and after every stub call;
+    it is also the oracle the per-step audit is tested against."""
+    return _audit(ctx, ctx.ledger.claims, {}, reads)
+
+
+def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
+                frames, walk: Optional[tuple]) -> Optional[str]:
+    """The audit after one step, when every claim held before it: only
+    what the step could have changed can have broken.  That is the
+    locations its rule touched, the data register `reg` and the memory
+    `frames` the machine wrote (taken from the machine, not the rule),
+    every walk that read a written frame (``ctx.reads``), and the
+    walk-map entry `walk` = (root, va) a ghost step inserted or removed;
+    cr3 is always compared.  Everything else still holds, so the first
+    complaint is the one the full audit would give."""
+    reads = ctx.reads
+    locs = set(touched)
+    if reg is not None:
+        locs.add(RegLoc(reg))
+    walks = set()
+    if walk is not None:
+        walks.add(walk)
+    if frames:
+        locs.update(loc for loc in ctx.ledger.claims
+                    if isinstance(loc, PhysLoc) and loc.frame in frames)
+        for frame in frames:
+            walks.update(reads.get(frame, ()))
+    entries = {}
+    for root, va in walks:
+        locs.add(WalkLoc(root, va))
+        entries.setdefault(root, set()).add(va)
+    return _audit(ctx, locs, entries, reads)
 
 
 # --------------------------------------------------------------------------
@@ -720,6 +782,7 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
     new_ctx, rule, touched = outcome
 
     if new_ctx.mode == COEXEC:
+        reg = frames = walk = None
         if isinstance(script_step, InstrStep):
             result = machine_step(new_ctx.machine, script_step.instr,
                                   CHECK_OPTS)
@@ -729,7 +792,17 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                     f"ledger accepts pc {ctx.machine.pc} but the machine "
                     f"faults: {result!r}")
             new_ctx = replace(new_ctx, machine=result)
-        complaint = audit_ledger(new_ctx)
+            # the one data register an instruction writes is its dst
+            reg = getattr(script_step.instr, "dst", None)
+            frames = result.mem.owned
+        elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
+            walk = (ctx.root, script_step.va)
+        if new_ctx.reads is None or isinstance(script_step, CallStep):
+            # a stub's effect is arbitrary code: audit and index afresh
+            new_ctx = replace(new_ctx, reads={})
+            complaint = audit_ledger(new_ctx, new_ctx.reads)
+        else:
+            complaint = _audit_step(new_ctx, touched, reg, frames, walk)
         if complaint is not None:
             return Violation(MACHINE_DISAGREE, index, None, complaint)
 
@@ -859,7 +932,8 @@ def check_double(pre: Assertion, root: int, script: Script,
                      machine=init.copy(), mode=mode, stubs=dict(stubs),
                      free_list=tuple(free_list), free_cursor=0)
     if mode == COEXEC:
-        complaint = audit_ledger(ctx)
+        ctx = replace(ctx, reads={})
+        complaint = audit_ledger(ctx, ctx.reads)
         if complaint is not None:
             return fail(Violation(MACHINE_DISAGREE, -1, None, complaint))
 

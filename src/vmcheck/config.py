@@ -47,6 +47,13 @@ def _num(value, what: str) -> int:
         raise ConfigError(f"bad number {value!r} for {what}") from None
 
 
+def _word(value, what: str) -> int:
+    word = _num(value, what)
+    if not (0 <= word < (1 << 64)):
+        raise ConfigError(f"{what} {word:#x} is not a 64-bit word")
+    return word
+
+
 def load_config(text: str) -> StateConfig:
     try:
         body = json.loads(text)
@@ -61,7 +68,7 @@ def load_config(text: str) -> StateConfig:
             reg = Reg(name)
         except ValueError:
             raise ConfigError(f"unknown register {name!r}") from None
-        registers[reg] = _num(value, f"register {name}")
+        registers[reg] = _word(value, f"register {name}")
 
     memory = {}
     for frame_text, words in body.get("memory", {}).items():
@@ -73,7 +80,7 @@ def load_config(text: str) -> StateConfig:
             off = _num(off_text, "memory offset")
             if off % WORD_BYTES or not (0 <= off < 4096):
                 raise ConfigError(f"offset {off:#x} is not a word slot")
-            inner[off] = _num(val, "memory word")
+            inner[off] = _word(val, f"memory word {frame:#x}:{off:#x}")
         memory[frame] = inner
 
     registry = {}

@@ -13,7 +13,9 @@ All operations are pure: they return updated copies.
 
 from __future__ import annotations
 
-from .machine import MachineState, PhysAddr, decode_pte, translate
+from typing import Optional
+
+from .machine import PTE_PRESENT, MachineState, pte_frame, resolve
 from .assertions import L4L1PointsTo, MismatchReport, Registry
 
 WalkMap = dict  # {va: pa}
@@ -39,25 +41,38 @@ class EvidenceInvalid(GhostError):
     pass
 
 
-def ias_check(state: MachineState, root: int, registry: Registry) -> list:
+def ias_check(state: MachineState, root: int, registry: Registry,
+              reads: Optional[dict] = None) -> list:
     """Validate the space invariant: every walk-map entry of `root`
     translates in the machine to its recorded physical word.  Returns the
-    list of (va, fault-or-misresolution) failures, empty when intact."""
+    list of (va, fault-or-misresolution) failures, empty when intact.
+
+    With ``reads``, each walk is noted there as ``{table frame: {(root,
+    va), ...}}``, the frames whose writes could change its outcome."""
     if root not in registry:
         raise UnknownRoot(root)
+    theta = registry[root]
     failures = []
-    for va in sorted(registry[root]):
-        pa = registry[root][va]
-        result = translate(root, state.mem, va, set_accessed=False)
-        if not isinstance(result, PhysAddr):
-            failures.append((va, result))
-        elif result.byte != pa:
-            failures.append((va, result.byte))
+    slots = None if reads is None else []
+    for va in sorted(theta):
+        got = resolve(root, state.mem, va, slots=slots)
+        if reads is not None:
+            note_reads(reads, root, va, slots)
+            slots.clear()
+        if got != theta[va]:
+            failures.append((va, got))
     return failures
 
 
+def note_reads(reads: dict, root: int, va: int, slots: list) -> None:
+    """Record under each table frame in `slots` that the walk of `va`
+    under `root` read it."""
+    for slot in slots:
+        reads.setdefault(slot >> 12, set()).add((root, va))
+
+
 def _evidence_resolves(evidence: L4L1PointsTo, va: int, pa: int) -> bool:
-    resolved = (decode_pte(evidence.l1e).frame.value << 12) | (va & 0xFFF)
+    resolved = (pte_frame(evidence.l1e) << 12) | (va & 0xFFF)
     return evidence.va == va and resolved == pa
 
 
@@ -74,7 +89,7 @@ def ghost_insert_walk(theta: WalkMap, va: int, pa: int,
         raise EvidenceInvalid(
             f"chain for {va:#x} does not resolve to {pa:#x}")
     for entry in (evidence.l4e, evidence.l3e, evidence.l2e, evidence.l1e):
-        if not decode_pte(entry).present:
+        if not entry & PTE_PRESENT:
             raise EvidenceInvalid(str(MismatchReport(
                 evidence, "table entry is not present", entry)))
     return {**theta, va: pa}

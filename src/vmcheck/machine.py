@@ -9,13 +9,22 @@ allocated words, and fixtures allocate explicitly).
 
 Virtual addresses translate through four levels of page tables rooted at
 the physical address held in ``cr3``.  Bits 48..63 of a virtual address
-are ignored by translation.  Uninitialized registers read as zero.
+are ignored by translation.  Uninitialized registers read as zero.  One
+int-only kernel, ``resolve``, does every walk; ``walk`` and ``translate``
+wrap its result in ``WalkTrace``/``Pte``/``PhysAddr`` for callers that
+print or inspect entries.  Word widths are checked where values enter
+(instruction constructors, the parser, the state loader), not per walk.
 
 All operations are pure over value-semantics state: ``step``/``run``
-return fresh states and never mutate their input.  The one deliberate
-exception is ``translate``/``walk`` with ``set_accessed=True``, which
-updates accessed bits in the ``mem`` mapping it was handed; ``step``
-only ever passes in a private copy.
+return fresh states and never mutate their input.  Copies share memory
+frames: ``MachineState.copy`` is copy-on-write per frame, and every
+in-place memory write (``write_word``, ``mem_set``, accessed-bit updates
+by ``resolve``/``walk``/``translate`` with ``set_accessed=True``) goes
+through ``own_frame``, which copies a shared frame before its first
+write.  So a write never reaches a sibling copy, and the frames a state
+replaced since it was copied (``mem.owned``) are exactly the frames it
+wrote.  Code that writes a frame's word map directly, bypassing
+``own_frame``, breaks this.
 """
 
 from __future__ import annotations
@@ -157,7 +166,12 @@ class Pte:
 
     @property
     def frame(self) -> Word:
-        return w52((self.raw >> 12) & _FRAME_MASK)
+        return w52(pte_frame(self.raw))
+
+
+def pte_frame(entry: int) -> int:
+    """The frame number a raw entry points to (bits 12..51)."""
+    return (entry >> 12) & _FRAME_MASK
 
 
 def decode_pte(entry: int) -> Pte:
@@ -223,7 +237,40 @@ class PcOutOfRange(Fault):
 # --------------------------------------------------------------------------
 # State
 
-Mem = dict  # {frame: {offset: word}}
+
+class Mem(dict):
+    """Physical memory ``{frame: {offset: word}}`` whose word maps may be
+    shared with copies.  ``owned`` holds the frames this map may write in
+    place, or is None when it shares none; any other frame is copied by
+    :func:`own_frame` before its first write."""
+
+    __slots__ = ("owned",)
+
+    def __init__(self, frames=(), owned: Optional[set] = None):
+        super().__init__(frames)
+        self.owned = owned
+
+    def fork(self) -> "Mem":
+        """A copy sharing every frame with this map; from now on both copy
+        a frame before writing it."""
+        self.owned = set()
+        return Mem(self, set())
+
+
+def own_frame(mem: dict, frame: int) -> dict:
+    """The word map of `frame`, private to `mem`: shared frames are copied
+    first and absent ones created.  Every in-place memory write goes
+    through here; a plain dict (a fixture under construction) shares
+    nothing and is written in place."""
+    owned = getattr(mem, "owned", None)
+    words = mem.get(frame)
+    if owned is None:
+        if words is None:
+            words = mem[frame] = {}
+    elif frame not in owned:
+        words = mem[frame] = {} if words is None else dict(words)
+        owned.add(frame)
+    return words
 
 
 @dataclass
@@ -231,18 +278,21 @@ class MachineState:
     """Register file, sparse physical memory, and program counter."""
 
     regs: dict = field(default_factory=dict)  # {Reg: int}
-    mem: Mem = field(default_factory=dict)
+    mem: Mem = field(default_factory=Mem)
     pc: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.mem, Mem):
+            self.mem = Mem(self.mem)
 
     def reg(self, r: Reg) -> int:
         return self.regs.get(r, 0)
 
     def copy(self) -> "MachineState":
-        return MachineState(
-            regs=dict(self.regs),
-            mem={f: dict(words) for f, words in self.mem.items()},
-            pc=self.pc,
-        )
+        """Copy-on-write: the copy shares every memory frame until one side
+        writes it (see ``own_frame``)."""
+        return MachineState(regs=dict(self.regs), mem=self.mem.fork(),
+                            pc=self.pc)
 
     def read_word(self, frame: int, off: int) -> Union[int, FrameUnmapped]:
         if off % WORD_BYTES:
@@ -260,7 +310,7 @@ class MachineState:
         words = self.mem.get(frame)
         if words is None or off not in words:
             return FrameUnmapped((frame << 12) | off)
-        words[off] = value
+        own_frame(self.mem, frame)[off] = value
         return None
 
 
@@ -268,7 +318,7 @@ def mem_set(mem: Mem, frame: int, off: int, value: int) -> None:
     """Allocate-and-store used by fixtures; step never allocates."""
     if off % WORD_BYTES:
         raise ValueError(f"offset {off:#x} is not word aligned")
-    mem.setdefault(frame, {})[off] = value
+    own_frame(mem, frame)[off] = value
 
 
 # --------------------------------------------------------------------------
@@ -406,49 +456,78 @@ class WalkTrace:
         return None
 
 
-def walk(root: int, mem: Mem, va: int, set_accessed: bool = False) -> WalkTrace:
-    """Perform the 4-level table walk from `root`, recording each slot.
+_LEVEL_SHIFTS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
-    With ``set_accessed`` the accessed bit is set on each entry that
-    passes its present check, mutating ``mem`` in place.
+
+def resolve(root: int, mem: Mem, va: int, set_accessed: bool = False,
+            slots: Optional[list] = None) -> Union[int, Fault]:
+    """The walk kernel: the physical byte address `va` translates to under
+    the tables rooted at `root`, or the walk's fault.  Plain ints only,
+    nothing boxed per level.
+
+    With ``slots`` (a list), the byte address of each table slot read is
+    appended to it, level 4 first.  With ``set_accessed`` each entry that
+    passes its present check gets its accessed bit, through ``own_frame``.
     """
     if root % PAGE_SIZE:
         raise ValueError(f"table root {root:#x} is not page aligned")
-    i4, i3, i2, i1, off = split_va(va)
-    table_frame = root >> 12
-    steps = []
-    for level, index in ((4, i4), (3, i3), (2, i2), (1, i1)):
-        slot_off = index.value * WORD_BYTES
-        words = mem.get(table_frame)
-        if words is None or slot_off not in words:
-            return WalkTrace(va, tuple(steps),
-                             FrameUnmapped((table_frame << 12) | slot_off))
-        entry = decode_pte(words[slot_off])
-        steps.append((level, table_frame, slot_off, entry))
-        if not entry.present:
-            return WalkTrace(va, tuple(steps), NotPresent(level, va))
-        if set_accessed and not entry.accessed:
-            words[slot_off] = entry.raw | PTE_ACCESSED
-        table_frame = entry.frame.value
-    return WalkTrace(va, tuple(steps), PhysAddr.of(table_frame, off.value))
+    if not (0 <= va < (1 << 64)):
+        raise ValueError(f"virtual address {va:#x} is not a 64-bit word")
+    frame = root >> 12
+    for level, shift in _LEVEL_SHIFTS:
+        off = ((va >> shift) & 0x1FF) * WORD_BYTES
+        words = mem.get(frame)
+        if words is None or off not in words:
+            return FrameUnmapped((frame << 12) | off)
+        entry = words[off]
+        if slots is not None:
+            slots.append((frame << 12) | off)
+        if not entry & PTE_PRESENT:
+            return NotPresent(level, va)
+        if set_accessed and not entry & PTE_ACCESSED:
+            own_frame(mem, frame)[off] = entry | PTE_ACCESSED
+        frame = (entry >> 12) & _FRAME_MASK
+    return (frame << 12) | (va & 0xFFF)
+
+
+def as_phys(result: Union[int, Fault]) -> Union[PhysAddr, Fault]:
+    """A kernel result with the address boxed as a PhysAddr."""
+    if isinstance(result, int):
+        return PhysAddr.of(result >> 12, result & 0xFFF)
+    return result
+
+
+def walk(root: int, mem: Mem, va: int, set_accessed: bool = False) -> WalkTrace:
+    """Perform the 4-level table walk from `root`, recording each slot and
+    its entry as read (before any accessed-bit update).
+
+    With ``set_accessed`` the accessed bit is set on each entry that
+    passes its present check, in ``mem`` (copy-before-write).
+    """
+    slots = []
+    result = resolve(root, mem, va, slots=slots)
+    steps = tuple((level, slot >> 12, slot & 0xFFF,
+                   decode_pte(mem[slot >> 12][slot & 0xFFF]))
+                  for level, slot in zip((4, 3, 2, 1), slots))
+    if set_accessed:
+        resolve(root, mem, va, set_accessed=True)
+    return WalkTrace(va, steps, as_phys(result))
 
 
 def translate(root: int, mem: Mem, va: int,
               set_accessed: bool = False) -> Union[PhysAddr, Fault]:
     """Translate `va` under the tables rooted at `root`."""
-    return walk(root, mem, va, set_accessed=set_accessed).result
+    return as_phys(resolve(root, mem, va, set_accessed))
 
 
-def chain_slots(root: int, va: int, l4e: Pte, l3e: Pte, l2e: Pte) -> tuple:
+def chain_slots(root: int, va: int, l4e: int, l3e: int, l2e: int) -> tuple:
     """The four (frame, offset) table slots a walk of `va` reads, computed
-    from the root and the first three entries without touching memory."""
-    i4, i3, i2, i1, _off = split_va(va)
-    return (
-        (root >> 12, i4.value * WORD_BYTES),
-        (l4e.frame.value, i3.value * WORD_BYTES),
-        (l3e.frame.value, i2.value * WORD_BYTES),
-        (l2e.frame.value, i1.value * WORD_BYTES),
-    )
+    from the root and the first three raw entries without touching
+    memory."""
+    return tuple((frame, ((va >> shift) & 0x1FF) * WORD_BYTES)
+                 for frame, (_level, shift) in
+                 zip((root >> 12, pte_frame(l4e), pte_frame(l3e),
+                      pte_frame(l2e)), _LEVEL_SHIFTS))
 
 
 # --------------------------------------------------------------------------
@@ -495,19 +574,19 @@ def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
     root = state.reg(Reg.CR3)
     if root % PAGE_SIZE:
         return Misaligned(root)
-    trace = walk(root, nxt.mem, va, set_accessed=opts.set_accessed)
-    if not trace.ok:
-        return trace.result
-    if store is not None and opts.enforce_rw:
-        for level, _frame, _off, pte in trace.steps:
-            if not pte.writable:
+    check_rw = store is not None and opts.enforce_rw
+    slots = [] if check_rw else None
+    pa = resolve(root, nxt.mem, va, opts.set_accessed, slots)
+    if not isinstance(pa, int):
+        return pa
+    if check_rw:
+        for level, slot in zip((4, 3, 2, 1), slots):
+            if not nxt.mem[slot >> 12][slot & 0xFFF] & PTE_WRITABLE:
                 return ReadOnly(level, va)
-    pa = trace.result
     if store is not None:
-        fail = nxt.write_word(pa.frame.value, pa.offset.value,
-                              state.reg(store))
+        fail = nxt.write_word(pa >> 12, pa & 0xFFF, state.reg(store))
         return nxt if fail is None else fail
-    value = nxt.read_word(pa.frame.value, pa.offset.value)
+    value = nxt.read_word(pa >> 12, pa & 0xFFF)
     if isinstance(value, Fault):
         return value
     nxt.regs[load] = value

@@ -356,6 +356,9 @@ def _parse_ghost(rest: str, line: int) -> ScriptStep:
     args = {}
     for key, val in _GHOST_ARG_RE.findall(parts[1] if len(parts) > 1 else ""):
         args[key] = _parse_int(val, line, 1)
+        if args[key] >= 1 << 64:
+            raise ParseError(line, 1,
+                             f"ghost {key}={val} is not a 64-bit word")
     try:
         if op == "insert_walk":
             return GhostInsertWalk(args["va"], args["pa"])
@@ -401,7 +404,10 @@ def parse_program(text: str) -> Script:
             if dst[0] != "reg" or dst[1] is Reg.CR3 or imm[0] != "imm":
                 raise ParseError(lineno, 1, "add takes a data register and "
                                             "an immediate")
-            script.append(InstrStep(AddRegImm(dst[1], imm[1])))
+            try:
+                script.append(InstrStep(AddRegImm(dst[1], imm[1])))
+            except ValueError as err:
+                raise ParseError(lineno, 1, str(err)) from None
         elif head == "skip" and not rest:
             script.append(InstrStep(Skip()))
         elif head == "call":

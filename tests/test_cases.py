@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from vmcheck import assertions, checker, ghost, machine
 from vmcheck.machine import PhysAddr, Reg, translate
 from vmcheck.assertions import (
     FULL,
@@ -104,6 +107,46 @@ def test_map_page_iterated_variant_resource():
     for w in (0, 17, 511):
         assert report.final_ledger.get(
             WalkLoc(case.root, MAP_VA + 8 * w)) == (FULL, MAP_FPADDR + 8 * w)
+
+
+def test_map_page_iterated_variant_coexec():
+    # the same full page co-executed: each step re-checks only what it
+    # could change, so 512 published walks stay well under a second
+    case = map_page_case(words=512)
+    start = time.perf_counter()
+    report = run_case(case)
+    elapsed = time.perf_counter() - start
+    assert report.ok, report.violation
+    assert elapsed <= 1.0, elapsed
+    resource = run_case(case, mode=RESOURCE_ONLY)
+    assert report.final_ledger == resource.final_ledger
+
+
+def _kernel_walks(monkeypatch, words):
+    """Walks done by the machine's walk kernel while co-executing
+    map_page_case(words)."""
+    case = map_page_case(words)
+    calls = [0]
+    kernel = machine.resolve
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    for module in (machine, assertions, ghost, checker):
+        monkeypatch.setattr(module, "resolve", counted)
+    report = run_case(case)
+    monkeypatch.undo()
+    assert report.ok, report.violation
+    return calls[0]
+
+
+def test_coexec_walks_grow_linearly_with_mapping_width(monkeypatch):
+    # re-walking every claim and walk-map entry after every step would
+    # make the count quadratic: a 4x wider mapping would cost ~16x
+    small = _kernel_walks(monkeypatch, 64)
+    large = _kernel_walks(monkeypatch, 256)
+    assert large / small <= 4.5, (small, large)
 
 
 def test_map_page_iterated_variant_coexec_small():

@@ -153,3 +153,38 @@ def test_usage_error_exit_code(capsys, tmp_path):
                              str(tmp_path / "missing.json"),
                              "--root", "0x1000", "--va", "0x0")
     assert code == 2
+
+
+def test_add_with_a_negative_immediate_is_a_parse_error(capsys, workdir):
+    tmp, state_path, roots = workdir
+    prog = tmp / "prog.s"
+    prog.write_text("mov rax, 0x1\n\nadd rax, -1\n")
+    code, _out, err = invoke(capsys, "run", str(prog), "--state",
+                             str(state_path))
+    assert code == 2
+    assert err == "error: line 3, column 1: immediate -0x1 is not a " \
+                  "64-bit word\n"
+
+
+@pytest.mark.parametrize("state, field", [
+    ('{"registers": {"rax": "0x10000000000000000"}}', "register rax"),
+    ('{"registers": {"cr3": "-4096"}}', "register cr3"),
+    ('{"memory": {"0x100": {"0x8": "0x1ffffffffffffffff"}}}',
+     "memory word 0x100:0x8"),
+])
+def test_state_words_wider_than_64_bits_are_rejected(capsys, tmp_path,
+                                                     state, field):
+    # the walk kernel masks entries instead of range-checking them, so a
+    # wide table entry must not get past the loader
+    state_path = tmp_path / "state.json"
+    state_path.write_text(state)
+    prog = tmp_path / "prog.s"
+    prog.write_text("skip\n")
+    code, out, err = invoke(capsys, "run", str(prog), "--state",
+                            str(state_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {state_path}: {field} ")
+    assert err.endswith(" is not a 64-bit word\n")
+    code, _out, err = invoke(capsys, "walk", "--state", str(state_path),
+                             "--root", "0x100000", "--va", "0x0")
+    assert code == 2 and field in err

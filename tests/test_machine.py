@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from vmcheck.machine import (
     AddRegImm,
     BadRegister,
+    DATA_REGS,
     FrameUnmapped,
     MachineState,
     Misaligned,
@@ -500,3 +501,99 @@ def test_step_memory_forms_match_reference(form, dst, src, base, base_va,
     # step never mutates its input
     assert state.regs == before.regs and state.mem == before.mem
     assert state.pc == before.pc
+
+
+# --------------------------------------------------------------------------
+# Copy-on-write memory
+
+
+def _snapshot(state):
+    return (dict(state.regs), {f: dict(w) for f, w in state.mem.items()},
+            state.pc)
+
+
+_ANY_FORM = st.one_of(
+    st.builds(MovRegFromMem, st.sampled_from(DATA_REGS),
+              st.just(Reg.RDI), st.sampled_from([0, 8])),
+    st.builds(MovMemFromReg, st.just(Reg.RDI), st.sampled_from([0, 8]),
+              st.sampled_from(DATA_REGS)),
+    st.builds(MovMemFromCr3, st.just(Reg.RDI), st.sampled_from([0, 8])),
+    st.builds(MovRegImm, st.sampled_from(DATA_REGS),
+              st.sampled_from([0, 0x20_0000, 0x20_1000, 0x20_3000])),
+    st.builds(AddRegImm, st.just(Reg.RDI), st.sampled_from([8, 0x1000])),
+    st.builds(MovToCr3FromMem, st.just(Reg.RDI), st.just(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=st.lists(_ANY_FORM, min_size=1, max_size=4),
+       base_va=st.sampled_from([0x20_0000, 0x20_1000, 0x20_3000]),
+       value=st.sampled_from([0, 0x9999, 0x10_0023]),
+       enforce_rw=st.booleans(), set_accessed=st.booleans())
+@example(program=[MovMemFromReg(Reg.RDI, 0, Reg.RAX)], base_va=0x20_3000,
+         value=0, enforce_rw=True, set_accessed=True)  # stores into the root
+def test_step_and_run_leave_input_and_sibling_unchanged(
+        program, base_va, value, enforce_rw, set_accessed):
+    opts = StepOpts(enforce_rw=enforce_rw, set_accessed=set_accessed)
+    origin = _mem_form_state(None)
+    origin.pc = 0
+    origin.regs[Reg.RDI] = base_va
+    origin.regs[Reg.RAX] = value
+    state = origin.copy()
+    sibling = state.copy()
+    snap = _snapshot(state)
+
+    nxt = step(state, program[0], opts)
+    outcome = run(state, program, opts)
+
+    for other in (state, sibling, origin):
+        assert _snapshot(other) == snap
+    if isinstance(nxt, MachineState):
+        # the frames step replaced are exactly its write set: every frame
+        # it did not write is still shared with the input
+        for frame, words in nxt.mem.items():
+            assert (words is state.mem[frame]) == (frame not in nxt.mem.owned)
+            if words != state.mem[frame]:
+                assert frame in nxt.mem.owned
+    if isinstance(outcome, MachineState):
+        assert outcome.pc == len(program)
+
+
+@settings(max_examples=30, deadline=None)
+@given(words=st.sampled_from([1, 3]), rax=st.integers(0, (1 << 64) - 1),
+       alloc_first=st.booleans())
+def test_library_stubs_leave_input_and_sibling_unchanged(words, rax,
+                                                         alloc_first):
+    from vmcheck.cases import MAP_FPADDR, map_page_case
+    from vmcheck.checker import StubEnv
+
+    case = map_page_case(words)
+    state = case.state.copy()
+    state.regs[Reg.RAX] = rax
+    sibling = state.copy()
+    snap = _snapshot(state)
+    env = StubEnv(machine=state, root=case.root, registry=case.registry,
+                  free_list=case.free_list, free_cursor=0)
+    names = ["ensure_L1_page", "alloc_phys_page_or_panic"]
+    for name in names[::-1] if alloc_first else names:
+        result = case.stubs[name].apply(env)
+        assert _snapshot(state) == snap
+        assert _snapshot(sibling) == snap
+        if name == "alloc_phys_page_or_panic":
+            # it zeroed its page through the copy-before-write path
+            assert result.machine.mem.owned == {MAP_FPADDR >> 12}
+            assert result.machine.reg(Reg.RAX) == MAP_FPADDR + 3
+
+
+def test_walk_with_accessed_bits_copies_a_shared_frame():
+    state = _mem_form_state(None)
+    sibling = state.copy()
+    snap = _snapshot(sibling)
+    trace = walk(state.reg(Reg.CR3), state.mem, 0x20_0000, set_accessed=True)
+    assert trace.ok and not any(pte.accessed for *_, pte in trace.steps)
+    assert all(decode_pte(state.mem[frame][off]).accessed
+               for _lvl, frame, off, _pte in trace.steps)
+    assert _snapshot(sibling) == snap
+    mem_set(state.mem, 0x5, 0x0, 0xAB)
+    assert state.write_word(0x5, 0x8, 0xCD) is None
+    assert _snapshot(sibling) == snap

@@ -215,3 +215,10 @@ def test_assertion_roundtrip_random_trees():
         assert parse_assertion(text) == tree
         # printing parsed output is stable
         assert print_assertion(parse_assertion(text)) == text
+
+
+def test_parse_rejects_ghost_arguments_wider_than_64_bits():
+    with pytest.raises(ParseError) as info:
+        parse_program("skip\n@ghost insert_walk va=0x10000000000000000 "
+                      "pa=0x5000")
+    assert info.value.line == 2
