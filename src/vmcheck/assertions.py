@@ -10,11 +10,14 @@ root.
 Two complementary readings are provided:
 
 * ``machine_sat`` checks an assertion directly against a machine state
-  (ground truth, ignores fractions).
+  (ground truth, ignores fractions).  The checker never calls it: it
+  audits lowered claims instead; this is the reference the tests use.
 * ``lower`` turns an assertion into a :class:`Ledger`: a dict from
   concrete locations to (share, value) claims.  Root-relative claims are
   keyed by the root that governs them, so wrapping and unwrapping the
-  other-space modality is reflected purely in the keys.
+  other-space modality is reflected purely in the keys.  A walk-chain
+  claim that is false on its own entries (``chain_fault``) does not
+  lower.
 
 Ledger operations are persistent (each returns a new ledger from a copy
 of the dict) and never sort; claims are put in ``loc_sort_key`` order
@@ -52,6 +55,7 @@ L1_SHARE = Fraction(1, 512)
 L2_SHARE = Fraction(1, 512 ** 2)
 L3_SHARE = Fraction(1, 512 ** 3)
 L4_SHARE = Fraction(1, 512 ** 4)
+CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
 
 
 class LedgerError(Exception):
@@ -76,6 +80,10 @@ class InsufficientFraction(LedgerError):
         self.needed = needed
         self.held = held
         super().__init__(f"need {needed} of {location}, hold {held}")
+
+
+class BrokenChain(LedgerError):
+    """A walk-chain claim whose own entries do not make a walk."""
 
 
 class WitnessUnavailable(LedgerError):
@@ -462,6 +470,20 @@ def ledger_join(a: Ledger, b: Ledger) -> Ledger:
 # Lowering assertions to ledgers
 
 
+def chain_fault(chain: L4L1PointsTo) -> Optional[str]:
+    """Why a walk-chain claim is false whatever the machine holds, or
+    None: its L1 entry must resolve its va to its pa, and each of its
+    four entries must be present."""
+    resolved = (pte_frame(chain.l1e) << 12) | (chain.va & (PAGE_SIZE - 1))
+    if resolved != chain.pa:
+        return f"chain for {chain.va:#x} does not resolve to {chain.pa:#x}"
+    for entry in (chain.l4e, chain.l3e, chain.l2e, chain.l1e):
+        if not entry & PTE_PRESENT:
+            return (f"table entry is not present for {chain!r} "
+                    f"(observed {entry!r})")
+    return None
+
+
 def _phys_loc(byte_addr: int) -> PhysLoc:
     return PhysLoc(byte_addr >> 12, byte_addr & (PAGE_SIZE - 1))
 
@@ -496,10 +518,13 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
             acc = acc.add(WalkLoc(g, node.va), node.q, node.pa)
             return acc.add(_phys_loc(node.pa), node.q, node.val)
         if isinstance(node, L4L1PointsTo):
+            fault = chain_fault(node)
+            if fault is not None:
+                raise BrokenChain(fault)
             slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
-            shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
             entries = (node.l4e, node.l3e, node.l2e, node.l1e)
-            for (frame, off), share, entry in zip(slots, shares, entries):
+            for (frame, off), share, entry in zip(slots, CHAIN_SHARES,
+                                                  entries):
                 acc = acc.add(PhysLoc(frame, off), share, entry)
             return acc
         if isinstance(node, IASpace):
@@ -589,12 +614,8 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
             got = state.read_word(frame, off)
             if got != entry:
                 return MismatchReport(a, "table slot differs", got)
-            if not entry & PTE_PRESENT:
-                return MismatchReport(a, "table entry is not present", entry)
-        resolved = (pte_frame(a.l1e) << 12) | (a.va & (PAGE_SIZE - 1))
-        if resolved != a.pa:
-            return MismatchReport(a, "chain does not resolve to pa", resolved)
-        return None
+        fault = chain_fault(a)
+        return None if fault is None else MismatchReport(a, fault)
     if isinstance(a, IASpace):
         from .ghost import UnknownRoot, ias_check
 

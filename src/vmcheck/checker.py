@@ -2,9 +2,13 @@
 
 A script is checked one step at a time: every instruction must find the
 claims it needs in the ledger (with enough of a share, and agreeing on
-values), consumes and reissues them per its rule, and, in co-execution
-mode, the concrete machine is stepped alongside and every surviving
-claim is re-validated against it after each step.
+values) and consumes and reissues them per its rule.  The concrete
+machine is stepped alongside in both modes, so stubs and walk chains
+read the state the script has reached and a step the machine faults on
+is rejected.  Only co-execution mode compares the two: it audits every
+claim before the first step and after each stub call, and after any
+other step what that step could change.  That audit is the checker's
+only comparison of claims with the machine; resource mode skips it.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -46,11 +50,8 @@ from .machine import (
 )
 from .assertions import (
     Assertion,
+    CHAIN_SHARES,
     FULL,
-    L1_SHARE,
-    L2_SHARE,
-    L3_SHARE,
-    L4_SHARE,
     L4L1PointsTo,
     Ledger,
     LedgerError,
@@ -71,7 +72,6 @@ from .assertions import (
     ledger_join,
     loc_sort_key,
     lower,
-    machine_sat,
     normalize,
     pure_holds,
 )
@@ -182,8 +182,8 @@ class StubResult:
 @dataclass(frozen=True)
 class StubSpec:
     """Axiomatized procedure: claims it consumes, a deterministic state
-    effect, and the claims it produces (validated against the machine
-    after the effect runs).  A RegPt pattern with val=None consumes the
+    effect, and the claims it produces (in co-execution, audited against
+    the machine after the effect runs).  A RegPt pattern with val=None consumes the
     register claim whatever its value.  The effect must write memory only
     through ``write_word``/``mem_set``/``own_frame`` on a copy: frames are
     shared copy-on-write with the checker's machine."""
@@ -319,7 +319,7 @@ def _phys_loc_of(pa: int) -> PhysLoc:
 def _chain_entries(ctx: CheckerCtx, va: int, index: int):
     """Resolve the four table slots and entry values a walk of `va` under
     the current root reads.  Values come from ledger claims when present,
-    falling back to the (co-executed or initial) machine tables."""
+    falling back to the current machine's tables."""
     table_frame = ctx.root >> 12
     slots = []
     entries = []
@@ -341,9 +341,6 @@ def _chain_entries(ctx: CheckerCtx, va: int, index: int):
         entries.append(entry)
         table_frame = pte_frame(entry)
     return None, slots, entries
-
-
-_CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
 
 
 # --------------------------------------------------------------------------
@@ -478,21 +475,19 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk, index: int):
     fail, slots, entries = _chain_entries(ctx, step.va, index)
     if fail:
         return fail
-    evidence = L4L1PointsTo(step.va, entries[0], entries[1], entries[2],
-                            entries[3], step.pa)
+    evidence = L4L1PointsTo(step.va, *entries, step.pa)
     theta = ctx.registry.get(ctx.root)
     if theta is None:
         return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
                          "current root is not a registered space")
     try:
-        new_theta = ghost_ops.ghost_insert_walk(theta, step.va, step.pa,
-                                                evidence)
+        new_theta = ghost_ops.ghost_insert_walk(theta, evidence)
     except GhostError as err:
         return Violation(VALUE_DISAGREEMENT, index, None, str(err))
     walk_loc = WalkLoc(ctx.root, step.va)
     ledger = ctx.ledger
     try:
-        for loc, share, entry in zip(slots, _CHAIN_SHARES, entries):
+        for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
             ledger = ledger.consume(loc, share, entry)
         ledger = ledger.add(walk_loc, FULL, step.pa)
     except LedgerError as err:
@@ -524,7 +519,7 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
         return fail
     try:
         # the chain shares held inside the invariant come back out
-        for slot, share, entry in zip(slots, _CHAIN_SHARES, entries):
+        for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
             ledger = ledger.add(slot, share, entry)
     except LedgerError as err:
         return _ledger_violation(err, index)
@@ -581,16 +576,15 @@ def _apply_call(ctx: CheckerCtx, step: CallStep, index: int):
     except LedgerError as err:
         return _ledger_violation(err, index)
     touched.extend(produced.claims)
-    new_ctx = replace(ctx, ledger=merged, free_cursor=result.free_cursor)
+    new_ctx = replace(ctx, ledger=merged, machine=result.machine,
+                      free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
-        new_ctx = replace(new_ctx, machine=result.machine)
-        report = machine_sat(result.produces, ctx.root, result.machine,
-                             ctx.registry)
-        if report is not None:
+        complaint = _audit(new_ctx, produced.claims, {}, None)
+        if complaint is not None:
             return Violation(
                 STUB_PRE_FAILED, index, step.name,
                 f"stub {step.name} promised claims the machine does not "
-                f"satisfy: {report}")
+                f"satisfy: {complaint}")
     return new_ctx, f"call:{step.name}", touched
 
 
@@ -634,13 +628,6 @@ def _apply_assert(ctx: CheckerCtx, step: AssertStep, index: int):
         if not pure_holds(pred, g, ctx.registry):
             return Violation(VALUE_DISAGREEMENT, index, str(pred),
                              "pure predicate is false")
-    if ctx.mode == COEXEC:
-        report = machine_sat(step.assertion, ctx.root, ctx.machine,
-                             ctx.registry)
-        if report is not None:
-            return Violation(MACHINE_DISAGREE, index, None,
-                             f"ledger accepts the assertion but the machine "
-                             f"does not: {report}")
     return ctx, "assert", ()
 
 
@@ -781,22 +768,21 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
         return outcome
     new_ctx, rule, touched = outcome
 
+    reg = frames = walk = None
+    if isinstance(script_step, InstrStep):
+        result = machine_step(new_ctx.machine, script_step.instr, CHECK_OPTS)
+        if isinstance(result, Fault):
+            return Violation(
+                MACHINE_DISAGREE, index, None,
+                f"ledger accepts pc {ctx.machine.pc} but the machine "
+                f"faults: {result!r}")
+        new_ctx = replace(new_ctx, machine=result)
+        # the one data register an instruction writes is its dst
+        reg = getattr(script_step.instr, "dst", None)
+        frames = result.mem.owned
+    elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
+        walk = (ctx.root, script_step.va)
     if new_ctx.mode == COEXEC:
-        reg = frames = walk = None
-        if isinstance(script_step, InstrStep):
-            result = machine_step(new_ctx.machine, script_step.instr,
-                                  CHECK_OPTS)
-            if isinstance(result, Fault):
-                return Violation(
-                    MACHINE_DISAGREE, index, None,
-                    f"ledger accepts pc {ctx.machine.pc} but the machine "
-                    f"faults: {result!r}")
-            new_ctx = replace(new_ctx, machine=result)
-            # the one data register an instruction writes is its dst
-            reg = getattr(script_step.instr, "dst", None)
-            frames = result.mem.owned
-        elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
-            walk = (ctx.root, script_step.va)
         if new_ctx.reads is None or isinstance(script_step, CallStep):
             # a stub's effect is arbitrary code: audit and index afresh
             new_ctx = replace(new_ctx, reads={})
@@ -892,8 +878,10 @@ def check_double(pre: Assertion, root: int, script: Script,
     """Check a script against a precondition under an initial root.
 
     The precondition is lowered into the starting ledger; each step is
-    then checked by :func:`apply_rule`.  In co-execution mode the machine
-    runs alongside and every claim is validated against it continuously.
+    then checked by :func:`apply_rule`, which steps a copy of `init`
+    alongside.  In co-execution mode `init`'s cr3 must be `root`, and
+    every claim is audited against the machine before the first step and
+    kept in agreement with it after each step.
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
@@ -915,23 +903,16 @@ def check_double(pre: Assertion, root: int, script: Script,
         if not pure_holds(pred, g, registry):
             return fail(Violation(VALUE_DISAGREEMENT, -1, str(pred),
                                   "precondition pure predicate is false"))
+    ctx = CheckerCtx(ledger=ledger, root=root,
+                     registry={r: dict(t) for r, t in registry.items()},
+                     machine=init.copy(), mode=mode, stubs=dict(stubs),
+                     free_list=tuple(free_list), free_cursor=0)
     if mode == COEXEC:
         if init.reg(Reg.CR3) != root:
             return fail(Violation(
                 MACHINE_DISAGREE, -1, None,
                 f"initial machine cr3 {init.reg(Reg.CR3):#x} differs from "
                 f"declared root {root:#x}"))
-        report = machine_sat(pre, root, init, registry)
-        if report is not None:
-            return fail(Violation(MACHINE_DISAGREE, -1, None,
-                                  f"precondition not machine-satisfied: "
-                                  f"{report}"))
-
-    ctx = CheckerCtx(ledger=ledger, root=root,
-                     registry={r: dict(t) for r, t in registry.items()},
-                     machine=init.copy(), mode=mode, stubs=dict(stubs),
-                     free_list=tuple(free_list), free_cursor=0)
-    if mode == COEXEC:
         ctx = replace(ctx, reads={})
         complaint = audit_ledger(ctx, ctx.reads)
         if complaint is not None:

@@ -1,7 +1,10 @@
 """On-disk machine/ghost state: registers, memory words, the space
 registry, and the allocation free list.  Serialized as JSON with all
 numbers as 0x-hex strings; dumping is canonical (numeric key order), so
-load-then-dump is byte-stable."""
+load-then-dump is byte-stable.  Loading rejects, with a ConfigError
+naming the field, any section or inner map that is not an object, a
+free list that is not a list, a word outside [0, 2^64), and a walk-map
+key or value that is not word aligned."""
 
 from __future__ import annotations
 
@@ -54,6 +57,21 @@ def _word(value, what: str) -> int:
     return word
 
 
+def _aligned_word(value, what: str) -> int:
+    word = _word(value, what)
+    if word % WORD_BYTES:
+        raise ConfigError(f"{what} {word:#x} is not word aligned")
+    return word
+
+
+def _shaped(value, kind, what: str):
+    """`value`, which must be a JSON object (kind=dict) or list."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a JSON "
+                          f"{'list' if kind is list else 'object'}")
+    return value
+
+
 def load_config(text: str) -> StateConfig:
     try:
         body = json.loads(text)
@@ -63,7 +81,8 @@ def load_config(text: str) -> StateConfig:
         raise ConfigError("top level must be an object")
 
     registers = {}
-    for name, value in body.get("registers", {}).items():
+    for name, value in _shaped(body.get("registers", {}), dict,
+                               "registers").items():
         try:
             reg = Reg(name)
         except ValueError:
@@ -71,12 +90,14 @@ def load_config(text: str) -> StateConfig:
         registers[reg] = _word(value, f"register {name}")
 
     memory = {}
-    for frame_text, words in body.get("memory", {}).items():
+    for frame_text, words in _shaped(body.get("memory", {}), dict,
+                                     "memory").items():
         frame = _num(frame_text, "memory frame")
         if not (0 <= frame < (1 << 52)):
             raise ConfigError(f"frame {frame:#x} out of range")
         inner = {}
-        for off_text, val in words.items():
+        for off_text, val in _shaped(words, dict,
+                                     f"memory frame {frame:#x}").items():
             off = _num(off_text, "memory offset")
             if off % WORD_BYTES or not (0 <= off < 4096):
                 raise ConfigError(f"offset {off:#x} is not a word slot")
@@ -84,15 +105,20 @@ def load_config(text: str) -> StateConfig:
         memory[frame] = inner
 
     registry = {}
-    for root_text, theta in body.get("registry", {}).items():
+    for root_text, walks in _shaped(body.get("registry", {}), dict,
+                                    "registry").items():
         root = _num(root_text, "space root")
         if root % 4096:
             raise ConfigError(f"space root {root:#x} is not page aligned")
-        registry[root] = {_num(va, "walk-map key"): _num(pa, "walk-map value")
-                          for va, pa in theta.items()}
+        theta = registry[root] = {}
+        for va_text, pa_text in _shaped(walks, dict,
+                                        f"walk map {root:#x}").items():
+            va = _aligned_word(va_text, f"walk map {root:#x} key")
+            theta[va] = _aligned_word(
+                pa_text, f"walk map {root:#x} entry {va:#x} ->")
 
-    free_list = tuple(_num(x, "free-list entry")
-                      for x in body.get("free_list", []))
+    free_list = tuple(_num(x, "free-list entry") for x in
+                      _shaped(body.get("free_list", []), list, "free_list"))
     return StateConfig(registers=registers, memory=memory,
                        registry=registry, free_list=free_list)
 

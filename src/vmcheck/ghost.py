@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .machine import PTE_PRESENT, MachineState, pte_frame, resolve
-from .assertions import L4L1PointsTo, MismatchReport, Registry
+from .machine import MachineState, resolve
+from .assertions import L4L1PointsTo, Registry, chain_fault
 
 WalkMap = dict  # {va: pa}
 
@@ -71,28 +71,18 @@ def note_reads(reads: dict, root: int, va: int, slots: list) -> None:
         reads.setdefault(slot >> 12, set()).add((root, va))
 
 
-def _evidence_resolves(evidence: L4L1PointsTo, va: int, pa: int) -> bool:
-    resolved = (pte_frame(evidence.l1e) << 12) | (va & 0xFFF)
-    return evidence.va == va and resolved == pa
+def ghost_insert_walk(theta: WalkMap, evidence: L4L1PointsTo) -> WalkMap:
+    """Insert evidence.va -> evidence.pa into the walk map.
 
-
-def ghost_insert_walk(theta: WalkMap, va: int, pa: int,
-                      evidence: L4L1PointsTo) -> WalkMap:
-    """Insert va -> pa into the walk map.
-
-    The caller supplies the walk-chain evidence: its arithmetic must
-    resolve va to pa and each of its four entries must be present.
+    The walk-chain evidence must hold on its own (``chain_fault``): its
+    L1 entry resolves va to pa and each of its four entries is present.
     """
-    if va in theta:
-        raise AlreadyMapped(va)
-    if not _evidence_resolves(evidence, va, pa):
-        raise EvidenceInvalid(
-            f"chain for {va:#x} does not resolve to {pa:#x}")
-    for entry in (evidence.l4e, evidence.l3e, evidence.l2e, evidence.l1e):
-        if not entry & PTE_PRESENT:
-            raise EvidenceInvalid(str(MismatchReport(
-                evidence, "table entry is not present", entry)))
-    return {**theta, va: pa}
+    if evidence.va in theta:
+        raise AlreadyMapped(evidence.va)
+    fault = chain_fault(evidence)
+    if fault is not None:
+        raise EvidenceInvalid(fault)
+    return {**theta, evidence.va: evidence.pa}
 
 
 def ghost_remove_walk(theta: WalkMap, va: int) -> WalkMap:

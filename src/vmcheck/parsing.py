@@ -25,7 +25,10 @@ Assertions:
     FR ::= "{" INT "/" INT "}"
     PRED ::= WORD "==" WORD | "aligned" WORD | "unmapped" WORD
 
-An absent FR means the full share.  Parsing and printing round-trip.
+An absent FR means the full share, and a share must lie in (0, 1].
+Every number in an assertion must fit in 64 bits, and a value a claim
+refuses (a cr3 claim, a misaligned address or root) is a ParseError with
+its line and column.  Parsing and printing round-trip.
 """
 
 from __future__ import annotations
@@ -148,11 +151,17 @@ class _AssertionParser:
         if kind != "sym" or text != sym:
             raise ParseError(self.line, col, f"got {text!r}", (sym,))
 
+    def word(self, text, col):
+        value = _parse_int(text, self.line, col)
+        if value >= 1 << 64:
+            raise ParseError(self.line, col, f"{text} is not a 64-bit word")
+        return value
+
     def number(self):
         kind, text, col = self.next(expect="number")
         if kind != "num":
             raise ParseError(self.line, col, f"got {text!r}", ("number",))
-        return _parse_int(text, self.line, col)
+        return self.word(text, col)
 
     def fraction(self) -> Fraction:
         tok = self.peek()
@@ -163,6 +172,8 @@ class _AssertionParser:
         self.expect_sym("/")
         den = self.number()
         self.expect_sym("}")
+        if den == 0:
+            raise ParseError(self.line, tok[2], "share has denominator 0")
         return Fraction(num, den)
 
     def parse(self) -> Assertion:
@@ -176,6 +187,18 @@ class _AssertionParser:
         return sep(*parts)
 
     def parse_one(self) -> Assertion:
+        """One leaf or wrapper; a value its constructor refuses (a cr3
+        claim, a misaligned address, a share outside (0, 1]) is a
+        ParseError at the leaf's first token."""
+        tok = self.peek()
+        try:
+            return self.parse_leaf()
+        except ParseError:
+            raise
+        except ValueError as err:
+            raise ParseError(self.line, tok[2], str(err)) from None
+
+    def parse_leaf(self) -> Assertion:
         kind, text, col = self.next(expect="assertion")
         if kind == "word" and text == "emp":
             return Emp()
@@ -208,7 +231,7 @@ class _AssertionParser:
             self.expect_sym(")")
             return OtherSpace(root, body)
         if kind == "num":
-            va = _parse_int(text, self.line, col)
+            va = self.word(text, col)
             nkind, ntext, ncol = self.next(expect="|->v or |->vpte")
             if nkind == "sym" and ntext == "|->v":
                 q = self.fraction()
@@ -232,7 +255,7 @@ class _AssertionParser:
         if kind == "word" and text == "unmapped":
             return PredUnmapped(self.number())
         if kind == "num":
-            lhs = _parse_int(text, self.line, col)
+            lhs = self.word(text, col)
             self.expect_sym("==")
             return PredEq(lhs, self.number())
         raise ParseError(self.line, col, f"got {text!r}",

@@ -14,12 +14,17 @@ from vmcheck.machine import (
     MovRegReg,
     MovToCr3FromReg,
     Reg,
+    chain_slots,
     walk,
 )
 from vmcheck import assertions
 from vmcheck.assertions import (
     FULL,
     IASpace,
+    L1_SHARE,
+    L2_SHARE,
+    L3_SHARE,
+    L4_SHARE,
     L4L1PointsTo,
     Ledger,
     LedgerError,
@@ -47,6 +52,7 @@ from vmcheck.checker import (
     MACHINE_DISAGREE,
     MISSING_RESOURCE,
     RESOURCE_ONLY,
+    STUB_PRE_FAILED,
     StubEnv,
     StubResult,
     StubSpec,
@@ -287,7 +293,9 @@ def test_ghost_insert_needs_chain_shares():
 @pytest.mark.parametrize("level", [4, 3, 2, 1])
 def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     # the ledger's chain claims are the only evidence resource mode has;
-    # an entry without its present bit does not justify a walk
+    # an entry without its present bit does not justify a walk.  The
+    # chain is held as shares of its four slots, since a not-present
+    # walk-chain claim does not even lower
     state, registry, roots = fixture()
     root = roots[0]
     registry = {r: dict(t) for r, t in registry.items()}
@@ -295,13 +303,20 @@ def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     field = f"l{level}e"
     good = chain_claim(state, root, 0x20_1000, 0x6000)
     node = replace(good, **{field: getattr(good, field) & ~1})
-    pre = sep(IASpace(), node, Pure(PredUnmapped(0x20_1000)))
+    entries = (node.l4e, node.l3e, node.l2e, node.l1e)
+    slots = chain_slots(root, node.va, *entries[:3])
+    shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
+    pre = sep(IASpace(), Pure(PredUnmapped(0x20_1000)),
+              *(PhysPt(frame, off, q, entry) for (frame, off), q, entry
+                in zip(slots, shares, entries)))
     report = check_double(pre, root, [GhostInsertWalk(0x20_1000, 0x6000)],
                           mode=RESOURCE_ONLY, init=state, registry=registry)
     assert report.violation == Violation(
         VALUE_DISAGREEMENT, 0, None,
         f"table entry is not present for {node!r} "
         f"(observed {getattr(node, field)!r})")
+    with pytest.raises(assertions.BrokenChain):
+        lower(node, root, registry)
 
 
 def test_not_present_insert_reports_alike_in_both_modes():
@@ -394,7 +409,7 @@ def test_lying_stub_is_caught_by_audit():
     # A stub that corrupts a claimed memory word without saying so.
     def apply(env: StubEnv) -> StubResult:
         machine = env.machine.copy()
-        machine.mem[0x5][0x0] = 0xBAD
+        assert machine.write_word(0x5, 0x0, 0xBAD) is None
         return StubResult(produces=sep(), machine=machine,
                           free_cursor=env.free_cursor)
 
@@ -405,6 +420,25 @@ def test_lying_stub_is_caught_by_audit():
                           stubs={"evil": stub}, init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == MACHINE_DISAGREE
+    assert state.mem[0x5][0x0] == 0x1111
+
+
+def test_stub_promise_is_audited():
+    # a stub that promises a register value its effect did not set: the
+    # audit of just the produced claims names the broken one
+    def apply(env: StubEnv) -> StubResult:
+        return StubResult(produces=RegPt(Reg.RAX, FULL, 0x42),
+                          machine=env.machine, free_cursor=env.free_cursor)
+
+    stub = StubSpec(name="liar", consumes=(RegPt(Reg.RAX, FULL, None),),
+                    apply=apply)
+    state, registry, roots = fixture()
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7))
+    report = check_double(pre, roots[0], [CallStep("liar")],
+                          stubs={"liar": stub}, init=state, registry=registry)
+    assert report.violation == Violation(
+        STUB_PRE_FAILED, 0, "liar", "stub liar promised claims the machine "
+        "does not satisfy: reg:rax: ledger 0x42, machine 0x7")
 
 
 def test_rule_locality_in_step_records():
@@ -452,7 +486,8 @@ def test_precondition_must_hold_on_machine():
 
 def test_resource_mode_ignores_machine():
     _state, registry, roots = fixture()
-    # a bare state that satisfies nothing; resource mode never looks
+    # a bare state that satisfies nothing: resource mode steps it but
+    # never compares claims with it
     pre = sep(RegPt(Reg.RAX, FULL, 0x9999), RegPt(Reg.RBX, FULL, 0))
     report = check_double(pre, roots[0],
                           [InstrStep(MovRegReg(Reg.RBX, Reg.RAX))],

@@ -188,3 +188,28 @@ def test_state_words_wider_than_64_bits_are_rejected(capsys, tmp_path,
     code, _out, err = invoke(capsys, "walk", "--state", str(state_path),
                              "--root", "0x100000", "--va", "0x0")
     assert code == 2 and field in err
+
+
+@pytest.mark.parametrize("pre, message", [
+    ("cr3 |->r 0x0", "column 1: cr3 is tracked by the checker root"),
+    ("0x3 |->v 0x0", "column 1: va 0x3 is not word aligned"),
+    ("rax |->r {1/0} 0", "column 10: share has denominator 0"),
+    ("rax |->r {3/2} 0", "column 1: share 3/2 outside (0, 1]"),
+    ("rax |->r {0/1} 0", "column 1: share 0 outside (0, 1]"),
+    ("[0x1001](emp)", "column 1: space root 0x1001 is not page aligned"),
+    ("phys 0x1:0x3 |->a 0", "column 1: offset 0x3 is not a word slot"),
+    ("rax |->r 0x1ffffffffffffffff",
+     "column 10: 0x1ffffffffffffffff is not a 64-bit word"),
+])
+def test_hostile_precondition_is_a_parse_error(capsys, workdir, pre, message):
+    tmp, state_path, roots = workdir
+    prog = tmp / "prog.s"
+    prog.write_text("skip\n")
+    pre_path = tmp / "pre.txt"
+    pre_path.write_text(pre + "\n")
+    code, out, err = invoke(capsys, "check", str(prog), "--state",
+                            str(state_path), "--pre", str(pre_path),
+                            "--root", f"{roots[0]:#x}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line 1, {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err

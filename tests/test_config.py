@@ -55,6 +55,17 @@ def test_to_machine_state():
     '{"registry": {"0x1001": {}}}',
     '{"memory": {"0x5": {"0x0": 17}}}',
     "not json",
+    '{"registers": []}',
+    '{"memory": []}',
+    '{"memory": {"0x1": []}}',
+    '{"registry": []}',
+    '{"registry": {"0x1000": []}}',
+    '{"free_list": "0x1000"}',
+    '{"free_list": {"0x1000": "0x1"}}',
+    '{"registry": {"0x1000": {"0x3": "0x5000"}}}',
+    '{"registry": {"0x1000": {"0x10000000000000000": "0x5000"}}}',
+    '{"registry": {"0x1000": {"0x8": "0x5004"}}}',
+    '{"registry": {"0x1000": {"0x8": "0x10000000000000000"}}}',
 ])
 def test_rejects_malformed(text):
     with pytest.raises(ConfigError):

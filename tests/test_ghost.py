@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -156,7 +157,7 @@ def test_insert_into_empty_theta():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
     theta = {}
-    assert ghost_insert_walk(theta, 0x20_0000, 0x5000, evidence) == \
+    assert ghost_insert_walk(theta, evidence) == \
         {0x20_0000: 0x5000}
     assert theta == {}
 
@@ -164,21 +165,22 @@ def test_insert_into_empty_theta():
 def test_insert_rejects_double_mapping():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
-    theta = ghost_insert_walk({}, 0x20_0000, 0x5000, evidence)
+    theta = ghost_insert_walk({}, evidence)
     with pytest.raises(AlreadyMapped):
-        ghost_insert_walk(theta, 0x20_0000, 0x5000, evidence)
+        ghost_insert_walk(theta, evidence)
 
 
 def test_insert_validates_evidence_arithmetic():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
     with pytest.raises(EvidenceInvalid):
-        ghost_insert_walk({}, 0x20_0000, 0x9000, evidence)
+        ghost_insert_walk({}, replace(evidence, pa=0x9000))
 
 
 def test_insert_validates_evidence_against_machine():
     # the chain claim says the L1 entry maps the page; the machine's L1
-    # entry was wiped, so co-execution rejects the precondition
+    # entry was wiped, so co-execution's initial audit rejects the
+    # precondition at that slot
     state, registry, root = fixture()
     registry = {r: dict(t) for r, t in registry.items()}
     del registry[root][0x20_0000]
@@ -190,8 +192,8 @@ def test_insert_validates_evidence_against_machine():
                           [GhostInsertWalk(0x20_0000, 0x5000)], init=state,
                           registry=registry, mode=COEXEC)
     assert report.violation == Violation(
-        MACHINE_DISAGREE, -1, None, "precondition not machine-satisfied: "
-        f"table slot differs for {evidence!r} (observed 0)")
+        MACHINE_DISAGREE, -1, None,
+        f"phys:{frame:#x}:{off:#x}: ledger {evidence.l1e:#x}, machine 0")
 
 
 def test_insert_then_ias_check_holds():
@@ -200,14 +202,14 @@ def test_insert_then_ias_check_holds():
     theta = dict(registry[root])
     del theta[0x20_1000]
     registry[root] = theta
-    registry[root] = ghost_insert_walk(theta, 0x20_1000, 0x6000, evidence)
+    registry[root] = ghost_insert_walk(theta, evidence)
     assert ias_check(state, root, registry) == []
 
 
 def test_remove_roundtrip():
     state, registry, root = fixture()
     evidence = chain_for(state, root, 0x20_0000)
-    theta = ghost_insert_walk({}, 0x20_0000, 0x5000, evidence)
+    theta = ghost_insert_walk({}, evidence)
     theta2 = ghost_remove_walk(theta, 0x20_0000)
     assert theta2 == {}
     assert theta == {0x20_0000: 0x5000}
