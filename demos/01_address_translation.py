@@ -1,7 +1,7 @@
 """Walk through 4-level address translation on synthesized tables."""
 
 from vmcheck.machine import (
-    NotPresent, Reg, split_va, synth_tables, translate, walk,
+    NotPresent, split_va, synth_tables, translate, walk, walk_text,
 )
 
 # Two virtual pages, one of them read-only.  Table frames are allocated
@@ -13,14 +13,15 @@ print(f"root table at {root:#x}, {len(mem)} table frames allocated")
 
 va = 0x20_0008
 i4, i3, i2, i1, off = split_va(va)
-print(f"va {va:#x} splits into indices "
-      f"({i4.value}, {i3.value}, {i2.value}, {i1.value}) offset {off.value:#x}")
+print(f"va {va:#x} splits into indices ({i4}, {i3}, {i2}, {i1}) "
+      f"offset {off:#x}")
 
-trace = walk(root, mem, va)
-for level, frame, slot, pte in trace.steps:
-    print(f"  l{level}: slot {frame:#x}:{slot:#x} entry {pte.raw:#x} "
-          f"(present={pte.present}, rw={pte.writable})")
-print(f"  resolves to {trace.result.byte:#x}")
+# walk returns the raw entries it read, level 4 first, and the address
+steps, pa = walk(root, mem, va)
+*entries, outcome = walk_text(pa, steps)
+for line in entries:
+    print(f"  {line}")
+print(f"  resolves to {outcome}")
 
 # An unmapped address reports the level whose entry was empty.
 missing = translate(root, mem, 0x40_0000)

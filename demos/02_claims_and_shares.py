@@ -24,8 +24,8 @@ for loc, q, v in ledger.sorted_claims():
 
 # Each mapped word owns a 1/512 slice of its L1 entry (and thinner
 # slices of the interior entries).  512 slices reassemble exactly.
-trace = walk(root, state.mem, 0x20_0000)
-l4, l3, l2, l1 = (s[3].raw for s in trace.steps)
+steps, _pa = walk(root, state.mem, 0x20_0000)
+l4, l3, l2, l1 = (entry for _slot, entry in steps)
 total = Ledger(root)
 for w in range(512):
     node = L4L1PointsTo(0x20_0000 + 8 * w, l4, l3, l2, l1, 0x5000 + 8 * w)

@@ -42,7 +42,7 @@ from .machine import (
     WORD_BYTES,
     chain_slots,
     pte_frame,
-    resolve,
+    translate,
 )
 
 # Registry: {root: {va: pa}} per-space ghost walk maps.
@@ -590,7 +590,7 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
             return None
         return MismatchReport(a, "physical word differs", got)
     if isinstance(a, VirtPt):
-        pa = resolve(root, state.mem, a.va)
+        pa = translate(root, state.mem, a.va)
         if not isinstance(pa, int):
             return MismatchReport(a, "translation fails", pa)
         got = state.read_word(pa >> 12, pa & (PAGE_SIZE - 1))
@@ -598,7 +598,7 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
             return None
         return MismatchReport(a, "word behind the mapping differs", got)
     if isinstance(a, PtePt):
-        pa = resolve(root, state.mem, a.va)
+        pa = translate(root, state.mem, a.va)
         if not isinstance(pa, int):
             return MismatchReport(a, "translation fails", pa)
         if pa != a.pa:

@@ -26,11 +26,9 @@ from .machine import (
 )
 from .assertions import (
     Assertion,
+    CHAIN_SHARES,
     FULL,
     IASpace,
-    L2_SHARE,
-    L3_SHARE,
-    L4_SHARE,
     OtherSpace,
     PhysPt,
     PredAligned,
@@ -89,12 +87,11 @@ def _ensure_l1_stub() -> StubSpec:
 
     def apply(env: StubEnv) -> StubResult:
         va = env.machine.reg(Reg.RDI)
-        trace = walk(env.root, env.machine.mem, va)
-        if len(trace.steps) < 4:
+        steps, _ = walk(env.root, env.machine.mem, va)
+        if len(steps) < 4:
             raise StubError(
                 f"interior tables for va {va:#x} are not all present")
-        (s4, s3, s2, s1) = trace.steps
-        slot_pa = (s1[1] << 12) | s1[2]
+        (slot_pa, l1e) = steps[3]
         theta = env.registry.get(env.root, {})
         candidates = sorted(v for v, p in theta.items() if p == slot_pa)
         if not candidates:
@@ -105,16 +102,20 @@ def _ensure_l1_stub() -> StubSpec:
         machine.regs[Reg.RAX] = pte_addr
         produces = sep(
             RegPt(Reg.RAX, FULL, pte_addr),
-            PtePt(pte_addr, FULL, slot_pa, s1[3].raw),
-            PhysPt(s4[1], s4[2], L4_SHARE, s4[3].raw),
-            PhysPt(s3[1], s3[2], L3_SHARE, s3[3].raw),
-            PhysPt(s2[1], s2[2], L2_SHARE, s2[3].raw),
+            PtePt(pte_addr, FULL, slot_pa, l1e),
+            *_interior_shares(steps),
         )
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor)
 
     return StubSpec(name="ensure_L1_page",
                     consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
+
+
+def _interior_shares(steps: tuple) -> tuple:
+    """One mapped word's shares of the L4, L3 and L2 entries of a walk."""
+    return tuple(PhysPt(slot >> 12, slot & (PAGE - 1), share, entry)
+                 for (slot, entry), share in zip(steps[:3], CHAIN_SHARES))
 
 
 def _alloc_page_stub(words: int = 1) -> StubSpec:
@@ -167,13 +168,11 @@ def _map_fixture():
     through a virtual address)."""
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True)], alloc_base=0x100)
-    trace = walk(root, mem, MAP_SIBLING_VA)
-    l1_table_pa = trace.steps[3][1] << 12
+    l1_table_pa = walk(root, mem, MAP_SIBLING_VA)[0][3][0] & ~(PAGE - 1)
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True),
          (MAP_PTE_PAGE_VA, l1_table_pa, True)], alloc_base=0x100)
-    slot = walk(root, mem, MAP_VA).steps[3]
-    pte_slot_pa = (slot[1] << 12) | slot[2]
+    pte_slot_pa = walk(root, mem, MAP_VA)[0][3][0]
     pte_addr = MAP_PTE_PAGE_VA + (pte_slot_pa - l1_table_pa)
     registry = {root: {MAP_SIBLING_VA: 0x9000, pte_addr: pte_slot_pa}}
     state = MachineState(
@@ -185,6 +184,8 @@ def _map_fixture():
 def map_page_case(words: int = 1) -> CaseStudy:
     """Map `words` fresh words at MAP_VA (1 is the canonical case; 512
     maps the whole page through the same L1 entry)."""
+    if not 1 <= words <= PAGE // 8:
+        raise ValueError(f"a page holds 1 to {PAGE // 8} words, not {words}")
     state, registry, root, _pte_addr, _slot = _map_fixture()
     pre = sep(
         IASpace(),
@@ -226,14 +227,9 @@ def _iterated_ensure_l1(words: int) -> StubSpec:
         single = base.apply(env)
         parts = [single.produces]
         va = env.machine.reg(Reg.RDI)
-        trace = walk(env.root, env.machine.mem, va)
-        (s4, s3, s2, _s1) = trace.steps
+        steps, _ = walk(env.root, env.machine.mem, va)
         for _ in range(words - 1):
-            parts.append(sep(
-                PhysPt(s4[1], s4[2], L4_SHARE, s4[3].raw),
-                PhysPt(s3[1], s3[2], L3_SHARE, s3[3].raw),
-                PhysPt(s2[1], s2[2], L2_SHARE, s2[3].raw),
-            ))
+            parts.append(sep(*_interior_shares(steps)))
         return StubResult(produces=sep(*parts), machine=single.machine,
                           free_cursor=single.free_cursor)
 
@@ -249,13 +245,12 @@ def _unmap_fixture():
     mapped to MAP_FPADDR and registered in the walk map."""
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True)], alloc_base=0x100)
-    l1_table_pa = walk(root, mem, MAP_SIBLING_VA).steps[3][1] << 12
+    l1_table_pa = walk(root, mem, MAP_SIBLING_VA)[0][3][0] & ~(PAGE - 1)
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True),
          (MAP_PTE_PAGE_VA, l1_table_pa, True),
          (MAP_VA, MAP_FPADDR, True)], alloc_base=0x100)
-    slot = walk(root, mem, MAP_VA).steps[3]
-    pte_slot_pa = (slot[1] << 12) | slot[2]
+    pte_slot_pa = walk(root, mem, MAP_VA)[0][3][0]
     pte_addr = MAP_PTE_PAGE_VA + (pte_slot_pa - l1_table_pa)
     frame = MAP_FPADDR >> 12
     mem[frame] = {off: 0 for off in range(0, PAGE, 8)}

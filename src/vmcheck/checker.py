@@ -43,10 +43,10 @@ from .machine import (
     Reg,
     Skip,
     StepOpts,
-    as_phys,
     pte_frame,
-    resolve,
     step as machine_step,
+    translate,
+    walk_text,
 )
 from .assertions import (
     Assertion,
@@ -575,6 +575,11 @@ def _apply_call(ctx: CheckerCtx, step: CallStep, index: int):
         merged = ledger_join(ledger, produced)
     except LedgerError as err:
         return _ledger_violation(err, index)
+    for g, pred in produced.pures:
+        if not pure_holds(pred, g, ctx.registry):
+            return Violation(
+                STUB_PRE_FAILED, index, step.name,
+                f"stub {step.name} promised a false pure predicate: {pred}")
     touched.extend(produced.claims)
     new_ctx = replace(ctx, ledger=merged, machine=result.machine,
                       free_cursor=result.free_cursor)
@@ -677,12 +682,13 @@ def _audit(ctx: CheckerCtx, locs, entries: dict,
             if got != v:
                 return f"{loc}: ledger {v:#x}, machine {got!r}"
         elif isinstance(loc, WalkLoc):
-            got = resolve(loc.root, machine.mem, loc.va, slots=slots)
+            got = translate(loc.root, machine.mem, loc.va, slots=slots)
             if reads is not None:
                 ghost_ops.note_reads(reads, loc.root, loc.va, slots)
                 slots.clear()
             if got != v:
-                return f"{loc}: ledger {v:#x}, machine walk {as_phys(got)!r}"
+                return (f"{loc}: ledger {v:#x}, machine walk "
+                        f"{walk_text(got)[0]}")
             theta = ctx.registry.get(loc.root)
             if theta is None or theta.get(loc.va) != v:
                 return f"{loc}: walk map does not record {v:#x}"
@@ -879,9 +885,10 @@ def check_double(pre: Assertion, root: int, script: Script,
 
     The precondition is lowered into the starting ledger; each step is
     then checked by :func:`apply_rule`, which steps a copy of `init`
-    alongside.  In co-execution mode `init`'s cr3 must be `root`, and
-    every claim is audited against the machine before the first step and
-    kept in agreement with it after each step.
+    alongside, so `init`'s cr3 must be `root` in both modes.  The mode
+    only switches the audit: in co-execution mode every claim is audited
+    against the machine before the first step and kept in agreement with
+    it after each step.
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
@@ -907,12 +914,12 @@ def check_double(pre: Assertion, root: int, script: Script,
                      registry={r: dict(t) for r, t in registry.items()},
                      machine=init.copy(), mode=mode, stubs=dict(stubs),
                      free_list=tuple(free_list), free_cursor=0)
+    if init.reg(Reg.CR3) != root:
+        return fail(Violation(
+            MACHINE_DISAGREE, -1, None,
+            f"initial machine cr3 {init.reg(Reg.CR3):#x} differs from "
+            f"declared root {root:#x}"))
     if mode == COEXEC:
-        if init.reg(Reg.CR3) != root:
-            return fail(Violation(
-                MACHINE_DISAGREE, -1, None,
-                f"initial machine cr3 {init.reg(Reg.CR3):#x} differs from "
-                f"declared root {root:#x}"))
         ctx = replace(ctx, reads={})
         complaint = audit_ledger(ctx, ctx.reads)
         if complaint is not None:

@@ -21,11 +21,11 @@ from pathlib import Path
 from .machine import (
     Fault,
     MachineState,
-    PhysAddr,
     Reg,
     StepOpts,
     step as machine_step,
     walk,
+    walk_text,
 )
 from .checker import (
     COEXEC,
@@ -71,22 +71,8 @@ def _load_state(path: str) -> StateConfig:
         raise UsageError(f"{path}: {err}") from None
 
 
-def _pte_flags(pte) -> str:
-    flags = []
-    flags.append("present" if pte.present else "not-present")
-    if pte.writable:
-        flags.append("rw")
-    if pte.accessed:
-        flags.append("accessed")
-    return ",".join(flags)
-
-
 # --------------------------------------------------------------------------
 # run
-
-
-def _fault_text(fault: Fault) -> str:
-    return repr(fault)
 
 
 def cmd_run(args) -> int:
@@ -113,7 +99,7 @@ def cmd_run(args) -> int:
             if args.trace:
                 out.append(f"{state.pc:4d} | {print_instr(instr):<24} | "
                            f"{state.reg(Reg.CR3):#x} | "
-                           f"fault: {_fault_text(result)}")
+                           f"fault: {result!r}")
             fault = (state.pc, result)
             break
         if args.trace:
@@ -123,7 +109,7 @@ def cmd_run(args) -> int:
         state = result
 
     if fault is not None:
-        out.append(f"fault at pc {fault[0]}: {_fault_text(fault[1])}")
+        out.append(f"fault at pc {fault[0]}: {fault[1]!r}")
         print("\n".join(out))
         return 1
 
@@ -197,15 +183,12 @@ def cmd_walk(args) -> int:
     state = cfg.to_machine_state()
     if root % 4096:
         raise UsageError(f"--root {root:#x} is not page aligned")
-    trace = walk(root, state.mem, va)
-    for level, frame, off, pte in trace.steps:
-        print(f"l{level} slot {frame:#x}:{off:#x} entry {pte.raw:#018x} "
-              f"{_pte_flags(pte)}")
-    if isinstance(trace.result, PhysAddr):
-        print(f"pa {trace.result.byte:#x}")
-        return 0
-    print(f"fault: {_fault_text(trace.result)}")
-    return 1
+    steps, result = walk(root, state.mem, va)
+    *lines, outcome = walk_text(result, steps)
+    ok = isinstance(result, int)
+    lines.append(f"pa {outcome}" if ok else f"fault: {outcome}")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 # --------------------------------------------------------------------------

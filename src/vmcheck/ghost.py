@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .machine import MachineState, resolve
+from .machine import MachineState, translate
 from .assertions import L4L1PointsTo, Registry, chain_fault
 
 WalkMap = dict  # {va: pa}
@@ -55,7 +55,7 @@ def ias_check(state: MachineState, root: int, registry: Registry,
     failures = []
     slots = None if reads is None else []
     for va in sorted(theta):
-        got = resolve(root, state.mem, va, slots=slots)
+        got = translate(root, state.mem, va, slots=slots)
         if reads is not None:
             note_reads(reads, root, va, slots)
             slots.clear()

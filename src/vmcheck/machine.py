@@ -9,22 +9,23 @@ allocated words, and fixtures allocate explicitly).
 
 Virtual addresses translate through four levels of page tables rooted at
 the physical address held in ``cr3``.  Bits 48..63 of a virtual address
-are ignored by translation.  Uninitialized registers read as zero.  One
-int-only kernel, ``resolve``, does every walk; ``walk`` and ``translate``
-wrap its result in ``WalkTrace``/``Pte``/``PhysAddr`` for callers that
-print or inspect entries.  Word widths are checked where values enter
-(instruction constructors, the parser, the state loader), not per walk.
+are ignored by translation.  Uninitialized registers read as zero.
+Every value is a plain int: addresses, raw table entries (read through
+``pte_frame`` and the ``PTE_*`` bits) and walk results.  One kernel,
+``translate``, does every walk; ``walk`` also returns the raw entries it
+read, and ``walk_text`` renders both.  Bit widths are checked where
+values enter (instruction constructors, the parser, the state loader),
+not per walk.
 
 All operations are pure over value-semantics state: ``step``/``run``
 return fresh states and never mutate their input.  Copies share memory
 frames: ``MachineState.copy`` is copy-on-write per frame, and every
 in-place memory write (``write_word``, ``mem_set``, accessed-bit updates
-by ``resolve``/``walk``/``translate`` with ``set_accessed=True``) goes
-through ``own_frame``, which copies a shared frame before its first
-write.  So a write never reaches a sibling copy, and the frames a state
-replaced since it was copied (``mem.owned``) are exactly the frames it
-wrote.  Code that writes a frame's word map directly, bypassing
-``own_frame``, breaks this.
+by ``translate`` with ``set_accessed=True``) goes through ``own_frame``,
+which copies a shared frame before its first write.  So a write never
+reaches a sibling copy, and the frames a state replaced since it was
+copied (``mem.owned``) are exactly the frames it wrote.  Code that writes
+a frame's word map directly, bypassing ``own_frame``, breaks this.
 """
 
 from __future__ import annotations
@@ -36,52 +37,6 @@ from typing import Iterable, Optional, Union
 PAGE_SIZE = 4096
 WORD_BYTES = 8
 ENTRIES_PER_TABLE = 512
-
-_WIDTHS = (64, 52, 12, 9)
-
-
-@dataclass(frozen=True)
-class Word:
-    """Fixed-width unsigned machine word (widths 64, 52, 12, or 9).
-
-    Construction checks the range; narrowing an existing value must go
-    through an explicit slice, never silent truncation.
-    """
-
-    value: int
-    width: int = 64
-
-    def __post_init__(self) -> None:
-        if self.width not in _WIDTHS:
-            raise ValueError(f"unsupported word width {self.width}")
-        if not (0 <= self.value < (1 << self.width)):
-            raise ValueError(
-                f"value {self.value:#x} out of range for a {self.width}-bit word"
-            )
-
-    def slice(self, lo: int, hi: int, width: int) -> "Word":
-        """Extract bits lo..hi (inclusive) into a new word of `width` bits."""
-        if not (0 <= lo <= hi < self.width):
-            raise ValueError(f"bad bit range {lo}..{hi} for width {self.width}")
-        if hi - lo + 1 > width:
-            raise ValueError("slice wider than target width")
-        return Word((self.value >> lo) & ((1 << (hi - lo + 1)) - 1), width)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def w52(v: int) -> Word:
-    return Word(v, 52)
-
-
-def w12(v: int) -> Word:
-    return Word(v, 12)
-
-
-def w9(v: int) -> Word:
-    return Word(v, 9)
-
 
 class Reg(str, Enum):
     """Register identifiers.  cr3 is the page-table control register and
@@ -116,57 +71,12 @@ class Reg(str, Enum):
 DATA_REGS = tuple(r for r in Reg if r.is_data)
 
 
-@dataclass(frozen=True)
-class PhysAddr:
-    """A translated physical address split into frame and page offset."""
-
-    frame: Word  # 52-bit frame number
-    offset: Word  # 12-bit offset within the frame
-
-    @classmethod
-    def of(cls, frame: int, offset: int) -> "PhysAddr":
-        return cls(w52(frame), w12(offset))
-
-    @property
-    def byte(self) -> int:
-        return (self.frame.value << 12) | self.offset.value
-
-
+# A raw table entry: present (bit 0), read-write (bit 1), accessed (bit 5)
+# and the target frame in bits 12..51.
 PTE_PRESENT = 1 << 0
 PTE_WRITABLE = 1 << 1
 PTE_ACCESSED = 1 << 5
 _FRAME_MASK = (1 << 40) - 1
-
-
-@dataclass(frozen=True)
-class Pte:
-    """Decoded view of a 64-bit table entry.
-
-    Control bits: present (bit 0), read-write (bit 1), accessed (bit 5).
-    The target frame lives in bits 12..51 and is zero-extended to 52 bits.
-    """
-
-    raw: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.raw < (1 << 64)):
-            raise ValueError(f"entry {self.raw:#x} is not a 64-bit word")
-
-    @property
-    def present(self) -> bool:
-        return bool(self.raw & PTE_PRESENT)
-
-    @property
-    def writable(self) -> bool:
-        return bool(self.raw & PTE_WRITABLE)
-
-    @property
-    def accessed(self) -> bool:
-        return bool(self.raw & PTE_ACCESSED)
-
-    @property
-    def frame(self) -> Word:
-        return w52(pte_frame(self.raw))
 
 
 def pte_frame(entry: int) -> int:
@@ -174,14 +84,9 @@ def pte_frame(entry: int) -> int:
     return (entry >> 12) & _FRAME_MASK
 
 
-def decode_pte(entry: int) -> Pte:
-    """Decode a raw 64-bit word into its entry views."""
-    return Pte(entry)
-
-
 def encode_pte(frame: int, present: bool = True, writable: bool = False,
-               accessed: bool = False) -> Pte:
-    """Build an entry from a 40-bit frame number plus control bits."""
+               accessed: bool = False) -> int:
+    """Build a raw entry from a 40-bit frame number plus control bits."""
     if not (0 <= frame <= _FRAME_MASK):
         raise ValueError(f"frame {frame:#x} does not fit in 40 bits")
     raw = frame << 12
@@ -191,7 +96,7 @@ def encode_pte(frame: int, present: bool = True, writable: bool = False,
         raw |= PTE_WRITABLE
     if accessed:
         raw |= PTE_ACCESSED
-    return Pte(raw)
+    return raw
 
 
 # --------------------------------------------------------------------------
@@ -427,43 +332,17 @@ def split_va(va: int) -> tuple:
     12-bit page offset.  Bits 48..63 are ignored."""
     if not (0 <= va < (1 << 64)):
         raise ValueError(f"virtual address {va:#x} is not a 64-bit word")
-    return (
-        w9((va >> 39) & 0x1FF),
-        w9((va >> 30) & 0x1FF),
-        w9((va >> 21) & 0x1FF),
-        w9((va >> 12) & 0x1FF),
-        w12(va & 0xFFF),
-    )
-
-
-@dataclass(frozen=True)
-class WalkTrace:
-    """Every table slot visited by one translation attempt, in walk order
-    (level 4 first), plus the final outcome."""
-
-    va: int
-    steps: tuple  # ((level, slot_frame, slot_off, Pte), ...)
-    result: Union[PhysAddr, Fault]
-
-    @property
-    def ok(self) -> bool:
-        return isinstance(self.result, PhysAddr)
-
-    def entry(self, level: int) -> Optional[Pte]:
-        for lvl, _frame, _off, pte in self.steps:
-            if lvl == level:
-                return pte
-        return None
+    return ((va >> 39) & 0x1FF, (va >> 30) & 0x1FF, (va >> 21) & 0x1FF,
+            (va >> 12) & 0x1FF, va & 0xFFF)
 
 
 _LEVEL_SHIFTS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
 
-def resolve(root: int, mem: Mem, va: int, set_accessed: bool = False,
-            slots: Optional[list] = None) -> Union[int, Fault]:
+def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
+              slots: Optional[list] = None) -> Union[int, Fault]:
     """The walk kernel: the physical byte address `va` translates to under
-    the tables rooted at `root`, or the walk's fault.  Plain ints only,
-    nothing boxed per level.
+    the tables rooted at `root`, or the walk's fault.
 
     With ``slots`` (a list), the byte address of each table slot read is
     appended to it, level 4 first.  With ``set_accessed`` each entry that
@@ -490,34 +369,31 @@ def resolve(root: int, mem: Mem, va: int, set_accessed: bool = False,
     return (frame << 12) | (va & 0xFFF)
 
 
-def as_phys(result: Union[int, Fault]) -> Union[PhysAddr, Fault]:
-    """A kernel result with the address boxed as a PhysAddr."""
-    if isinstance(result, int):
-        return PhysAddr.of(result >> 12, result & 0xFFF)
-    return result
-
-
-def walk(root: int, mem: Mem, va: int, set_accessed: bool = False) -> WalkTrace:
-    """Perform the 4-level table walk from `root`, recording each slot and
-    its entry as read (before any accessed-bit update).
-
-    With ``set_accessed`` the accessed bit is set on each entry that
-    passes its present check, in ``mem`` (copy-before-write).
-    """
+def walk(root: int, mem: Mem, va: int) -> tuple:
+    """The walk of `va` from `root` with the entries it read: ``(((slot_pa,
+    entry), ...), result)``, level 4 first, where the result is what
+    :func:`translate` returns."""
     slots = []
-    result = resolve(root, mem, va, slots=slots)
-    steps = tuple((level, slot >> 12, slot & 0xFFF,
-                   decode_pte(mem[slot >> 12][slot & 0xFFF]))
-                  for level, slot in zip((4, 3, 2, 1), slots))
-    if set_accessed:
-        resolve(root, mem, va, set_accessed=True)
-    return WalkTrace(va, steps, as_phys(result))
+    result = translate(root, mem, va, slots=slots)
+    return (tuple((slot, mem[slot >> 12][slot & 0xFFF]) for slot in slots),
+            result)
 
 
-def translate(root: int, mem: Mem, va: int,
-              set_accessed: bool = False) -> Union[PhysAddr, Fault]:
-    """Translate `va` under the tables rooted at `root`."""
-    return as_phys(resolve(root, mem, va, set_accessed))
+def walk_text(result: Union[int, Fault], steps: tuple = ()) -> list:
+    """A walk as lines of text: one per ``(slot_pa, entry)`` in `steps`
+    with the slot, the raw entry and its flags, then the result, ``0x...``
+    for an address and the repr for a fault."""
+    lines = []
+    for level, (slot, entry) in zip((4, 3, 2, 1), steps):
+        flags = ["present" if entry & PTE_PRESENT else "not-present"]
+        if entry & PTE_WRITABLE:
+            flags.append("rw")
+        if entry & PTE_ACCESSED:
+            flags.append("accessed")
+        lines.append(f"l{level} slot {slot >> 12:#x}:{slot & 0xFFF:#x} "
+                     f"entry {entry:#018x} {','.join(flags)}")
+    lines.append(f"{result:#x}" if isinstance(result, int) else repr(result))
+    return lines
 
 
 def chain_slots(root: int, va: int, l4e: int, l3e: int, l2e: int) -> tuple:
@@ -576,7 +452,7 @@ def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
         return Misaligned(root)
     check_rw = store is not None and opts.enforce_rw
     slots = [] if check_rw else None
-    pa = resolve(root, nxt.mem, va, opts.set_accessed, slots)
+    pa = translate(root, nxt.mem, va, opts.set_accessed, slots)
     if not isinstance(pa, int):
         return pa
     if check_rw:
@@ -700,18 +576,17 @@ def synth_tables(mappings: Iterable[tuple], alloc_base: int) -> tuple:
         i4, i3, i2, i1, _ = split_va(va)
         table = root_frame
         for index in (i4, i3, i2):
-            slot = index.value * WORD_BYTES
-            entry = decode_pte(mem[table][slot])
-            if not entry.present:
+            slot = index * WORD_BYTES
+            entry = mem[table][slot]
+            if not entry & PTE_PRESENT:
                 child = alloc()
-                mem[table][slot] = encode_pte(child, writable=True).raw
+                mem[table][slot] = encode_pte(child, writable=True)
                 table = child
             else:
-                table = entry.frame.value
-        slot = i1.value * WORD_BYTES
-        existing = decode_pte(mem[table][slot])
-        if existing.present:
+                table = pte_frame(entry)
+        slot = i1 * WORD_BYTES
+        if mem[table][slot] & PTE_PRESENT:
             raise ValueError(f"conflicting mappings for page {page:#x}")
-        mem[table][slot] = encode_pte(pa >> 12, writable=bool(writable)).raw
+        mem[table][slot] = encode_pte(pa >> 12, writable=bool(writable))
 
     return mem, root_frame << 12

@@ -25,7 +25,6 @@ from vmcheck.machine import (
     MovRegFromCr3,
     MovMemFromCr3,
     NotPresent,
-    PhysAddr,
     Reg,
     StepOpts,
     run,
@@ -89,8 +88,8 @@ def criterion(num, name):
 
 
 def adapt(result):
-    if isinstance(result, PhysAddr):
-        return ("ok", result.byte)
+    if isinstance(result, int):
+        return ("ok", result)
     if isinstance(result, NotPresent):
         return ("not-present", result.level)
     if isinstance(result, FrameUnmapped):
@@ -209,12 +208,13 @@ def test_criterion_4_iaspace_sensitivity():
         prefix_len = {4: 1, 3: 2, 2: 3, 1: 4}
         for target_va, _pa, _w in mappings:
             for level in (4, 3, 2, 1):
-                trace = walk(root, state.mem, target_va)
-                _lvl, frame, off, pte = trace.steps[4 - level]
-                state.mem[frame][off] = pte.raw & ~1
+                steps, _pa = walk(root, state.mem, target_va)
+                slot, entry = steps[4 - level]
+                frame, off = slot >> 12, slot & 0xFFF
+                state.mem[frame][off] = entry & ~1
 
                 def prefix(va, n):
-                    return tuple(x.value for x in split_va(va)[:n])
+                    return split_va(va)[:n]
 
                 n = prefix_len[level]
                 expected = {va for va in theta
@@ -223,7 +223,7 @@ def test_criterion_4_iaspace_sensitivity():
                 assert {va for va, _ in failures} == expected
                 assert all(fault == NotPresent(level, va)
                            for va, fault in failures)
-                state.mem[frame][off] = pte.raw  # restore
+                state.mem[frame][off] = entry  # restore
 
 
 def test_criterion_5_map_new_page_end_to_end():
@@ -240,9 +240,8 @@ def test_criterion_5_map_new_page_end_to_end():
         assert report.final_ledger.get(
             PhysLoc(MAP_FPADDR >> 12, 0)) == (FULL, 0)
         # and the machine really translates there, to a zeroed word
-        result = translate(case.root, report.final_machine.mem, MAP_VA)
-        assert isinstance(result, PhysAddr)
-        assert result.byte == MAP_FPADDR
+        assert translate(case.root, report.final_machine.mem,
+                         MAP_VA) == MAP_FPADDR
         assert report.final_machine.mem[MAP_FPADDR >> 12][0] == 0
 
 
@@ -443,9 +442,7 @@ def test_criterion_8_coexecution_soundness():
                 elif isinstance(loc, PhysLoc):
                     assert outcome.mem[loc.frame][loc.off] == v
                 elif isinstance(loc, WalkLoc):
-                    result = translate(loc.root, outcome.mem, loc.va)
-                    assert isinstance(result, PhysAddr)
-                    assert result.byte == v
+                    assert translate(loc.root, outcome.mem, loc.va) == v
                 elif isinstance(loc, SpaceLoc):
                     assert ias_check(outcome, loc.root, registry_after) == []
         assert switches >= 20  # the generator does exercise cr3 writes
@@ -454,8 +451,7 @@ def test_criterion_8_coexecution_soundness():
 def test_criterion_9_unmap_roundtrip():
     with criterion(9, "unmap-roundtrip"):
         case = case_study("map_new_page")
-        slot = walk(case.root, case.state.mem, MAP_VA).steps[3]
-        slot_pa = (slot[1] << 12) | slot[2]
+        slot_pa, _l1e = walk(case.root, case.state.mem, MAP_VA)[0][3]
         combined = list(case.script) + list(unmap_script(slot_pa))
         report = check_double(case.pre, case.root, combined,
                               stubs=case.stubs, init=case.state,

@@ -209,8 +209,8 @@ def test_lower_iaspace_and_pure():
 
 def test_lower_l4l1_share_schedule():
     state, registry, roots = multi_space_fixture()
-    trace = walk(roots[0], state.mem, 0x20_0000)
-    (l4, l3, l2, l1) = [s[3].raw for s in trace.steps]
+    steps, _pa = walk(roots[0], state.mem, 0x20_0000)
+    (l4, l3, l2, l1) = [entry for _slot, entry in steps]
     node = L4L1PointsTo(0x20_0000, l4, l3, l2, l1, 0x5000)
     led = lower(node, roots[0], registry)
     fracs = sorted(q for q, _ in led.claims.values())
@@ -223,16 +223,16 @@ def test_lower_512_words_reassembles_l1_slot():
     # All 512 words of one page route through the same L1 entry; the
     # per-word slices of that entry must add up to exactly the full share.
     state, registry, roots = multi_space_fixture()
-    trace = walk(roots[0], state.mem, 0x20_0000)
-    (l4, l3, l2, l1) = [s[3].raw for s in trace.steps]
+    steps, _pa = walk(roots[0], state.mem, 0x20_0000)
+    (l4, l3, l2, l1) = [entry for _slot, entry in steps]
     led = Ledger(roots[0])
     for w in range(512):
         va = 0x20_0000 + 8 * w
         node = L4L1PointsTo(va, l4, l3, l2, l1, 0x5000 + 8 * w)
         led = ledger_join(led, lower(node, roots[0], registry))
-    l1_frame, l1_off = trace.steps[3][1], trace.steps[3][2]
+    l1_frame, l1_off = divmod(steps[3][0], 0x1000)
     assert led.get(PhysLoc(l1_frame, l1_off)) == (FULL, l1)
-    l2_frame, l2_off = trace.steps[2][1], trace.steps[2][2]
+    l2_frame, l2_off = divmod(steps[2][0], 0x1000)
     assert led.get(PhysLoc(l2_frame, l2_off)) == (Fraction(1, 512), l2)
     # one more slice of the L1 entry cannot exist
     extra = L(roots[0], {PhysLoc(l1_frame, l1_off): (L1_SHARE, l1)})
@@ -255,8 +255,7 @@ def test_sat_virtpt_and_broken_level():
     assert machine_sat(VirtPt(0x20_0000, FULL, 0x1111), roots[0], state,
                        registry) is None
     # clear the L2 entry's present bit and re-check
-    trace = walk(roots[0], state.mem, 0x20_0000)
-    _, frame, off, _ = trace.steps[2]
+    frame, off = divmod(walk(roots[0], state.mem, 0x20_0000)[0][2][0], 0x1000)
     state.mem[frame][off] &= ~1
     report = machine_sat(VirtPt(0x20_0000, FULL, 0x1111), roots[0], state,
                          registry)

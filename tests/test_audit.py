@@ -81,10 +81,10 @@ ALIAS_B_VA = 0x30_1000     # A: -> B's L1 table page
 def _alias_fixture():
     """(state, registry, root A, root B, A's L1 table, B's L1 table)."""
     mem_b, root_b = synth_tables([(DATA_VA, 0x6000, True)], alloc_base=0x180)
-    l1_b = walk(root_b, mem_b, DATA_VA).steps[3][1] << 12
+    l1_b = walk(root_b, mem_b, DATA_VA)[0][3][0] & ~0xFFF
     data = [(DATA_VA, 0x5000, True), (SIBLING_VA, 0x6000, True)]
     mem, root = synth_tables(data, alloc_base=0x100)
-    l1_a = walk(root, mem, DATA_VA).steps[3][1] << 12
+    l1_a = walk(root, mem, DATA_VA)[0][3][0] & ~0xFFF
     mem, root = synth_tables(data + [(ALIAS_VA, l1_a, True),
                                      (ALIAS_B_VA, l1_b, True)],
                              alloc_base=0x100)
@@ -122,6 +122,24 @@ def test_store_through_alias_breaks_a_held_walk_claim(monkeypatch):
         MACHINE_DISAGREE, 0, None,
         f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, machine walk "
         f"NotPresent(level=1, va={DATA_VA})")
+
+
+def test_store_through_alias_redirects_a_held_walk_claim(monkeypatch):
+    # as above, but the stored entry is present: the walk now resolves to
+    # another address, printed as one
+    state, registry, root, root_b, _l1_a, l1_b = _alias_fixture()
+    state.regs[Reg.RDI] = ALIAS_B_VA
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0),
+              RegPt(Reg.RDI, FULL, ALIAS_B_VA),
+              VirtPt(ALIAS_B_VA, FULL, _word(state, l1_b)),
+              OtherSpace(root_b, VirtPt(DATA_VA, FULL, 0x3333)))
+    script = [InstrStep(MovRegImm(Reg.RAX, 0x7003)),
+              InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))]
+    report = _assert_same_reports(monkeypatch, pre, root, script,
+                                  init=state, registry=registry)
+    assert report.violation == Violation(
+        MACHINE_DISAGREE, 1, None,
+        f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, machine walk 0x7000")
 
 
 def test_store_through_alias_breaks_only_a_walk_map_entry(monkeypatch):

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from vmcheck import assertions, checker, ghost, machine
-from vmcheck.machine import PhysAddr, Reg, translate
+from vmcheck.machine import Reg, translate
 from vmcheck.assertions import (
     FULL,
     PhysLoc,
@@ -90,13 +90,21 @@ def test_map_new_page_machine_outcome():
     report = run_case(case)
     assert report.ok
     machine = report.final_machine
-    result = translate(case.root, machine.mem, MAP_VA)
-    assert isinstance(result, PhysAddr)
-    assert result.byte == MAP_FPADDR
+    assert translate(case.root, machine.mem, MAP_VA) == MAP_FPADDR
     assert machine.mem[MAP_FPADDR >> 12][0] == 0
     assert report.final_ledger.get(WalkLoc(case.root, MAP_VA)) == \
         (FULL, MAP_FPADDR)
     assert report.final_ledger.get(PhysLoc(MAP_FPADDR >> 12, 0)) == (FULL, 0)
+
+
+def test_map_page_case_sizes_are_bounded_by_a_page():
+    # a page holds 512 words; outside 1..512 the case is not built at all
+    # (513 used to fail later, inside a stub, as a ValueError)
+    for words in (1, 512):
+        assert map_page_case(words).free_list == (MAP_FPADDR,)
+    for words in (0, 513):
+        with pytest.raises(ValueError, match="1 to 512 words"):
+            map_page_case(words)
 
 
 def test_map_page_iterated_variant_resource():
@@ -127,14 +135,14 @@ def _kernel_walks(monkeypatch, words):
     map_page_case(words)."""
     case = map_page_case(words)
     calls = [0]
-    kernel = machine.resolve
+    kernel = machine.translate
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return kernel(*args, **kwargs)
 
     for module in (machine, assertions, ghost, checker):
-        monkeypatch.setattr(module, "resolve", counted)
+        monkeypatch.setattr(module, "translate", counted)
     report = run_case(case)
     monkeypatch.undo()
     assert report.ok, report.violation
@@ -155,8 +163,8 @@ def test_map_page_iterated_variant_coexec_small():
     assert report.ok, report.violation
     machine = report.final_machine
     for w in range(8):
-        result = translate(case.root, machine.mem, MAP_VA + 8 * w)
-        assert result.byte == MAP_FPADDR + 8 * w
+        assert translate(case.root, machine.mem,
+                         MAP_VA + 8 * w) == MAP_FPADDR + 8 * w
 
 
 def test_unmap_page_machine_outcome():
@@ -173,8 +181,7 @@ def test_unmap_page_machine_outcome():
 def test_map_then_unmap_roundtrip():
     case = case_study("map_new_page")
     from vmcheck.machine import walk
-    slot = walk(case.root, case.state.mem, MAP_VA).steps[3]
-    slot_pa = (slot[1] << 12) | slot[2]
+    slot_pa, _l1e = walk(case.root, case.state.mem, MAP_VA)[0][3]
     # compose: run the map script followed by the unmap script
     combined = list(case.script) + list(unmap_script(slot_pa))
     report = check_double(case.pre, case.root, combined, stubs=case.stubs,

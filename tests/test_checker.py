@@ -252,9 +252,9 @@ def test_frame_audit_skips_touched_claims():
 
 
 def chain_claim(state, root, va, pa):
-    trace = walk(root, state.mem, va)
-    assert trace.ok
-    l4, l3, l2, l1 = (s[3].raw for s in trace.steps)
+    steps, result = walk(root, state.mem, va)
+    assert isinstance(result, int)
+    l4, l3, l2, l1 = (entry for _slot, entry in steps)
     return L4L1PointsTo(va, l4, l3, l2, l1, pa)
 
 
@@ -441,6 +441,24 @@ def test_stub_promise_is_audited():
         "does not satisfy: reg:rax: ledger 0x42, machine 0x7")
 
 
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_stub_false_pure_predicate_is_rejected(mode):
+    # a stub that promises a mapped va is unmapped: the claim is not about
+    # the machine, so only the pure check can catch it
+    def apply(env: StubEnv) -> StubResult:
+        return StubResult(produces=Pure(PredUnmapped(0x20_0000)),
+                          machine=env.machine, free_cursor=env.free_cursor)
+
+    stub = StubSpec(name="liar", consumes=(), apply=apply)
+    state, registry, roots = fixture()
+    report = check_double(sep(IASpace()), roots[0], [CallStep("liar")],
+                          stubs={"liar": stub}, mode=mode, init=state,
+                          registry=registry)
+    assert report.violation == Violation(
+        STUB_PRE_FAILED, 0, "liar",
+        "stub liar promised a false pure predicate: unmapped 0x200000")
+
+
 def test_rule_locality_in_step_records():
     # a register move's record names exactly the claims it touched
     state, registry, roots = fixture()
@@ -486,12 +504,13 @@ def test_precondition_must_hold_on_machine():
 
 def test_resource_mode_ignores_machine():
     _state, registry, roots = fixture()
-    # a bare state that satisfies nothing: resource mode steps it but
-    # never compares claims with it
+    # a state with only cr3 set satisfies no claim: resource mode steps
+    # it but never compares claims with it
     pre = sep(RegPt(Reg.RAX, FULL, 0x9999), RegPt(Reg.RBX, FULL, 0))
     report = check_double(pre, roots[0],
                           [InstrStep(MovRegReg(Reg.RBX, Reg.RAX))],
-                          mode=RESOURCE_ONLY, init=MachineState(),
+                          mode=RESOURCE_ONLY,
+                          init=MachineState(regs={Reg.CR3: roots[0]}),
                           registry=registry)
     assert report.ok
     assert report.final_ledger.get(RegLoc(Reg.RBX)) == (FULL, 0x9999)

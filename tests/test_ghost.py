@@ -56,10 +56,10 @@ def fixture():
 
 
 def chain_for(state, root, va):
-    trace = walk(root, state.mem, va)
-    assert trace.ok
-    l4, l3, l2, l1 = (s[3].raw for s in trace.steps)
-    return L4L1PointsTo(va, l4, l3, l2, l1, trace.result.byte)
+    steps, pa = walk(root, state.mem, va)
+    assert isinstance(pa, int)
+    l4, l3, l2, l1 = (entry for _slot, entry in steps)
+    return L4L1PointsTo(va, l4, l3, l2, l1, pa)
 
 
 # --------------------------------------------------------------------------
@@ -93,15 +93,12 @@ def test_ias_check_reports_exact_victims():
     assert ias_check(state, root, registry) == []
 
     # find the L3 slot used by the first two mappings (they share i4, i3)
-    trace = walk(root, state.mem, 0x20_0000)
-    _, frame, off, _ = trace.steps[1]
+    frame, off = divmod(walk(root, state.mem, 0x20_0000)[0][1][0], 0x1000)
     state.mem[frame][off] &= ~1
 
     expected_broken = set()
     for va in theta:
-        i4, i3, _, _, _ = split_va(va)
-        t4, t3 = split_va(0x20_0000)[:2]
-        if (i4.value, i3.value) == (t4.value, t3.value):
+        if split_va(va)[:2] == split_va(0x20_0000)[:2]:
             expected_broken.add(va)
     failures = ias_check(state, root, registry)
     assert {va for va, _ in failures} == expected_broken
@@ -185,8 +182,7 @@ def test_insert_validates_evidence_against_machine():
     registry = {r: dict(t) for r, t in registry.items()}
     del registry[root][0x20_0000]
     evidence = chain_for(state, root, 0x20_0000)
-    trace = walk(root, state.mem, 0x20_0000)
-    _, frame, off, _ = trace.steps[3]
+    frame, off = divmod(walk(root, state.mem, 0x20_0000)[0][3][0], 0x1000)
     state.mem[frame][off] = 0
     report = check_double(sep(IASpace(), evidence), root,
                           [GhostInsertWalk(0x20_0000, 0x5000)], init=state,

@@ -20,15 +20,16 @@ from vmcheck.machine import (
     MovToCr3FromMem,
     MovToCr3FromReg,
     NotPresent,
-    PhysAddr,
+    PTE_ACCESSED,
+    PTE_PRESENT,
+    PTE_WRITABLE,
     ReadOnly,
     Reg,
     Skip,
     StepOpts,
-    Word,
-    decode_pte,
     encode_pte,
     mem_set,
+    pte_frame,
     run,
     split_va,
     step,
@@ -42,8 +43,8 @@ import oracle
 
 def adapt(result):
     """Map a translate() result onto the oracle's outcome tuples."""
-    if isinstance(result, PhysAddr):
-        return ("ok", result.byte)
+    if isinstance(result, int):
+        return ("ok", result)
     if isinstance(result, NotPresent):
         return ("not-present", result.level)
     if isinstance(result, FrameUnmapped):
@@ -52,41 +53,20 @@ def adapt(result):
 
 
 # --------------------------------------------------------------------------
-# Words
-
-
-def test_word_range_is_checked():
-    Word((1 << 52) - 1, 52)
-    with pytest.raises(ValueError):
-        Word(1 << 52, 52)
-    with pytest.raises(ValueError):
-        Word(-1, 64)
-    with pytest.raises(ValueError):
-        Word(3, 7)
-
-
-def test_word_narrowing_is_explicit():
-    w = Word(0xABCD, 64)
-    assert w.slice(0, 11, 12).value == 0xBCD
-    with pytest.raises(ValueError):
-        w.slice(0, 63, 12)
-
-
-# --------------------------------------------------------------------------
 # split_va
 
 
 def test_split_va_zero():
-    assert tuple(x.value for x in split_va(0)) == (0, 0, 0, 0, 0)
+    assert split_va(0) == (0, 0, 0, 0, 0)
 
 
 def test_split_va_pure_offset():
-    assert tuple(x.value for x in split_va(0xFFF)) == (0, 0, 0, 0, 0xFFF)
+    assert split_va(0xFFF) == (0, 0, 0, 0, 0xFFF)
 
 
 def test_split_va_distinct_fields():
     va = (1 << 39) | (2 << 30) | (3 << 21) | (4 << 12) | 5
-    assert tuple(x.value for x in split_va(va)) == (1, 2, 3, 4, 5)
+    assert split_va(va) == (1, 2, 3, 4, 5)
 
 
 def test_split_va_ignores_high_bits():
@@ -97,50 +77,54 @@ def test_split_va_ignores_high_bits():
 @given(st.integers(0, (1 << 64) - 1))
 def test_split_va_matches_field_oracle(va):
     fields = oracle.va_fields(va)
-    i4, i3, i2, i1, off = split_va(va)
-    assert (i4.value, i3.value, i2.value, i1.value, off.value) == (
-        fields["i4"], fields["i3"], fields["i2"], fields["i1"], fields["off"])
+    assert split_va(va) == (fields["i4"], fields["i3"], fields["i2"],
+                            fields["i1"], fields["off"])
 
 
 # --------------------------------------------------------------------------
-# PTE decode/encode
+# PTE decode/encode: raw ints read through pte_frame and the PTE_* bits
+
+
+def decode(entry):
+    return (bool(entry & PTE_PRESENT), bool(entry & PTE_WRITABLE),
+            bool(entry & PTE_ACCESSED), pte_frame(entry))
 
 
 def test_decode_all_zero():
-    assert not decode_pte(0).present
+    assert decode(0) == (False, False, False, 0)
 
 
 def test_decode_fpaddr_plus_3():
     fpaddr = 0x201000
-    pte = decode_pte(fpaddr + 3)
-    assert pte.present and pte.writable
-    assert pte.frame.value == fpaddr >> 12
+    assert decode(fpaddr + 3) == (True, True, False, fpaddr >> 12)
 
 
 def test_decode_accessed_entry():
     raw = 0x1000 | (1 << 5) | 1
-    pte = decode_pte(raw)
-    assert pte.present and pte.accessed and not pte.writable
-    assert pte.frame.value == 1
+    assert decode(raw) == (True, False, True, 1)
     ref = oracle.entry_fields(raw)
-    assert (pte.present, pte.writable, pte.accessed, pte.frame.value) == (
-        ref["present"], ref["writable"], ref["accessed"], ref["frame"])
+    assert decode(raw) == (ref["present"], ref["writable"], ref["accessed"],
+                           ref["frame"])
 
 
 @given(st.integers(0, (1 << 40) - 1), st.booleans(), st.booleans(), st.booleans())
 def test_pte_roundtrip(frame, present, writable, accessed):
-    pte = encode_pte(frame, present=present, writable=writable, accessed=accessed)
-    back = decode_pte(pte.raw)
-    assert back.frame.value == frame
-    assert (back.present, back.writable, back.accessed) == (present, writable, accessed)
+    raw = encode_pte(frame, present=present, writable=writable,
+                     accessed=accessed)
+    assert decode(raw) == (present, writable, accessed, frame)
+
+
+def test_encode_rejects_a_frame_wider_than_40_bits():
+    encode_pte((1 << 40) - 1)
+    with pytest.raises(ValueError):
+        encode_pte(1 << 40)
 
 
 @given(st.integers(0, (1 << 64) - 1))
 def test_decode_matches_oracle(raw):
-    pte = decode_pte(raw)
     ref = oracle.entry_fields(raw)
-    assert (pte.present, pte.writable, pte.accessed, pte.frame.value) == (
-        ref["present"], ref["writable"], ref["accessed"], ref["frame"])
+    assert decode(raw) == (ref["present"], ref["writable"], ref["accessed"],
+                           ref["frame"])
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +139,7 @@ def identity_fixture():
 def test_translate_single_mapping():
     mem, root = identity_fixture()
     result = translate(root, mem, 0x20_0000)
-    assert result == PhysAddr.of(5, 0)
+    assert result == 0x5000
     assert adapt(result) == oracle.naive_walk(root, mem, 0x20_0000)
 
 
@@ -168,9 +152,7 @@ def test_translate_unpopulated_root_index():
 def test_translate_offset_passthrough():
     mem, root = identity_fixture()
     for off in (0, 8, 0x10, 0xFF8):
-        result = translate(root, mem, 0x20_0000 | off)
-        assert isinstance(result, PhysAddr)
-        assert result.offset.value == off
+        assert translate(root, mem, 0x20_0000 | off) == 0x5000 | off
 
 
 def test_translate_requires_aligned_root():
@@ -183,21 +165,20 @@ def test_translate_reports_missing_level():
     # Build tables missing exactly level k and check the reported level.
     for k in (4, 3, 2, 1):
         mem, root = identity_fixture()
-        trace = walk(root, mem, 0x20_0000)
-        assert trace.ok
-        level_slot = {lvl: (frame, off) for lvl, frame, off, _ in trace.steps}
-        frame, off = level_slot[k]
-        mem[frame][off] &= ~1  # clear the present bit
+        steps, pa = walk(root, mem, 0x20_0000)
+        assert pa == 0x5000
+        slot, _entry = steps[4 - k]
+        mem[slot >> 12][slot & 0xFFF] &= ~1  # clear the present bit
         result = translate(root, mem, 0x20_0000)
         assert result == NotPresent(k, 0x20_0000)
 
 
 def test_translate_success_implies_all_present():
     mem, root = identity_fixture()
-    trace = walk(root, mem, 0x20_0000)
-    assert trace.ok
-    assert len(trace.steps) == 4
-    assert all(pte.present for _, _, _, pte in trace.steps)
+    steps, pa = walk(root, mem, 0x20_0000)
+    assert pa == 0x5000
+    assert len(steps) == 4
+    assert all(entry & PTE_PRESENT for _slot, entry in steps)
 
 
 def test_translate_oracle_equivalence_small():
@@ -217,10 +198,10 @@ def test_translate_pure_without_accessed_flag():
 
 def test_translate_sets_accessed_bits():
     mem, root = identity_fixture()
-    trace = walk(root, mem, 0x20_0000)
+    steps, _pa = walk(root, mem, 0x20_0000)
     translate(root, mem, 0x20_0000, set_accessed=True)
-    for _, frame, off, _ in trace.steps:
-        assert decode_pte(mem[frame][off]).accessed
+    for slot, _entry in steps:
+        assert mem[slot >> 12][slot & 0xFFF] & PTE_ACCESSED
 
 
 # --------------------------------------------------------------------------
@@ -262,9 +243,9 @@ def test_synth_tables_rejects_conflicts():
 
 def test_synth_tables_readonly_mapping():
     mem, root = synth_tables([(0x20_0000, 0x5000, False)], alloc_base=0x100)
-    trace = walk(root, mem, 0x20_0000)
-    assert trace.ok
-    assert not trace.steps[-1][3].writable
+    steps, pa = walk(root, mem, 0x20_0000)
+    assert pa == 0x5000
+    assert not steps[-1][1] & PTE_WRITABLE
 
 
 # --------------------------------------------------------------------------
@@ -296,8 +277,7 @@ def test_step_store_via_identity_mapping():
     state.regs[Reg.RSP] = 0xCAFE
     nxt = step(state, MovMemFromReg(Reg.RDI, 8, Reg.RSP))
     pa = translate(state.reg(Reg.CR3), state.mem, 0x20_0008)
-    assert isinstance(pa, PhysAddr)
-    assert nxt.mem[pa.frame.value][pa.offset.value] == 0xCAFE
+    assert nxt.mem[pa >> 12][pa & 0xFFF] == 0xCAFE
     # untouched input state
     assert state.mem[0x5][0x8] == 0
 
@@ -358,16 +338,15 @@ def test_step_with_accessed_touches_word_and_entry_bits():
     state.regs[Reg.RSP] = 1
     nxt = step(state, MovMemFromReg(Reg.RDI, 8, Reg.RSP),
                StepOpts(set_accessed=True))
-    slots = {(frame, off)
-             for _lvl, frame, off, _p in walk(state.reg(Reg.CR3), state.mem,
-                                              0x20_0008).steps}
+    steps, _pa = walk(state.reg(Reg.CR3), state.mem, 0x20_0008)
+    slots = {(slot >> 12, slot & 0xFFF) for slot, _entry in steps}
     extra = [d for d in mem_diff(state, nxt) if d != (0x5, 0x8)]
     assert set(extra) <= slots
     for frame, off in extra:
-        before = decode_pte(state.mem[frame][off])
-        after = decode_pte(nxt.mem[frame][off])
-        assert not before.accessed and after.accessed
-        assert (after.raw & ~(1 << 5)) == before.raw
+        before = state.mem[frame][off]
+        after = nxt.mem[frame][off]
+        assert not before & PTE_ACCESSED
+        assert after == before | PTE_ACCESSED
 
 
 def test_cr3_moves():
@@ -589,10 +568,12 @@ def test_walk_with_accessed_bits_copies_a_shared_frame():
     state = _mem_form_state(None)
     sibling = state.copy()
     snap = _snapshot(sibling)
-    trace = walk(state.reg(Reg.CR3), state.mem, 0x20_0000, set_accessed=True)
-    assert trace.ok and not any(pte.accessed for *_, pte in trace.steps)
-    assert all(decode_pte(state.mem[frame][off]).accessed
-               for _lvl, frame, off, _pte in trace.steps)
+    steps, _pa = walk(state.reg(Reg.CR3), state.mem, 0x20_0000)
+    assert translate(state.reg(Reg.CR3), state.mem, 0x20_0000,
+                     set_accessed=True) == 0x5000
+    assert not any(entry & PTE_ACCESSED for _slot, entry in steps)
+    assert all(state.mem[slot >> 12][slot & 0xFFF] & PTE_ACCESSED
+               for slot, _entry in steps)
     assert _snapshot(sibling) == snap
     mem_set(state.mem, 0x5, 0x0, 0xAB)
     assert state.write_word(0x5, 0x8, 0xCD) is None

@@ -119,8 +119,8 @@ def test_remove_returns_the_chain_the_script_wrote_in_resource_mode():
     # slot from the machine: it must be the entry the script stored
     # there, not the initial (empty) one
     case = map_page_case(1)
-    _level, frame, off, _pte = walk(case.root, case.state.mem,
-                                    MAP_VA).steps[3]
+    frame, off = divmod(walk(case.root, case.state.mem, MAP_VA)[0][3][0],
+                        0x1000)
     tail = [GhostRemoveWalk(MAP_VA),
             AssertStep(PhysPt(frame, off, Fraction(1, 512), 0))]
     for words, mode in ((512, RESOURCE_ONLY), (8, COEXEC)):
@@ -149,7 +149,7 @@ def test_a_step_the_machine_faults_on_fails_in_resource_mode():
     # precondition on trust, still cannot run a load the machine faults on
     state, registry, roots = multi_space_fixture()
     root = roots[0]
-    _level, frame, off, _pte = walk(root, state.mem, 0x20_0000).steps[3]
+    frame, off = divmod(walk(root, state.mem, 0x20_0000)[0][3][0], 0x1000)
     state.mem[frame][off] = 0
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
               RegPt(Reg.RDI, FULL, 0x20_0000),
@@ -163,6 +163,24 @@ def test_a_step_the_machine_faults_on_fails_in_resource_mode():
         "faults: NotPresent(level=1, va=2097152)")
 
 
+def test_initial_cr3_must_be_the_root_in_both_modes():
+    # both modes step the machine, so a machine in another space would
+    # translate there while the checker and its stubs walk under the root
+    state, registry, (root_a, _root_b, root_c) = multi_space_fixture()
+    state.regs[Reg.CR3] = root_c
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
+              RegPt(Reg.RDI, FULL, 0x20_0000),
+              VirtPt(0x20_0000, FULL, 0x1111))
+    script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))]
+    for mode in MODES:
+        report = check_double(pre, root_a, script, mode=mode, init=state,
+                              registry=registry)
+        assert report.violation == Violation(
+            MACHINE_DISAGREE, -1, None,
+            f"initial machine cr3 {root_c:#x} differs from declared root "
+            f"{root_a:#x}")
+
+
 @pytest.mark.parametrize("broken, narrative", [
     (lambda chain: replace(chain, pa=0x7000),
      "chain for 0x201000 does not resolve to 0x7000"),
@@ -173,8 +191,8 @@ def test_broken_chain_precondition_is_rejected_in_both_modes(broken,
                                                              narrative):
     state, registry, roots = multi_space_fixture()
     root = roots[0]
-    trace = walk(root, state.mem, 0x20_1000)
-    chain = broken(L4L1PointsTo(0x20_1000, *(s[3].raw for s in trace.steps),
+    steps, _pa = walk(root, state.mem, 0x20_1000)
+    chain = broken(L4L1PointsTo(0x20_1000, *(entry for _slot, entry in steps),
                                 0x6000))
     for mode in MODES:
         report = check_double(sep(IASpace(), chain), root, [], mode=mode,
