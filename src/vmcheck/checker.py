@@ -680,7 +680,8 @@ def _audit(ctx: CheckerCtx, locs, entries: dict,
         elif isinstance(loc, PhysLoc):
             got = machine.read_word(loc.frame, loc.off)
             if got != v:
-                return f"{loc}: ledger {v:#x}, machine {got!r}"
+                return (f"{loc}: ledger {v:#x}, machine "
+                        f"{walk_text(got)[0]}")
         elif isinstance(loc, WalkLoc):
             got = translate(loc.root, machine.mem, loc.va, slots=slots)
             if reads is not None:
@@ -705,7 +706,8 @@ def _audit(ctx: CheckerCtx, locs, entries: dict,
                 return f"{loc}: {err}"
             if failures:
                 va, fault = failures[0]
-                return f"{loc}: walk-map entry {va:#x} broken: {fault!r}"
+                return (f"{loc}: walk-map entry {va:#x} broken: "
+                        f"{walk_text(fault)[0]}")
     return None
 
 

@@ -14,6 +14,7 @@ Output is deterministic: identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -57,11 +58,16 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {err.strerror}") from None
 
 
-def _parse_hex(text: str, what: str) -> int:
+def _parse_word(text: str, what: str) -> int:
+    """A 64-bit word given as 0x-hex or decimal on the command line."""
     try:
-        return int(text, 16) if text.lower().startswith("0x") else int(text)
+        value = int(text, 16) if text.lower().startswith("0x") \
+            else int(text)
     except ValueError:
         raise UsageError(f"bad {what}: {text!r}") from None
+    if not (0 <= value < (1 << 64)):
+        raise UsageError(f"{what} {value:#x} is not a 64-bit word")
+    return value
 
 
 def _load_state(path: str) -> StateConfig:
@@ -152,7 +158,7 @@ def cmd_check(args) -> int:
     cfg = _load_state(args.state)
     script = parse_program(_read(args.prog))
     pre = parse_assertion(_read(args.pre).strip())
-    root = _parse_hex(args.root, "--root")
+    root = _parse_word(args.root, "--root")
     mode = COEXEC if args.mode == "coexec" else RESOURCE_ONLY
 
     report = check_double(pre, root, script, stubs=STUB_LIBRARY, mode=mode,
@@ -178,8 +184,8 @@ def cmd_check(args) -> int:
 
 def cmd_walk(args) -> int:
     cfg = _load_state(args.state)
-    root = _parse_hex(args.root, "--root")
-    va = _parse_hex(args.va, "--va")
+    root = _parse_word(args.root, "--root")
+    va = _parse_word(args.va, "--va")
     state = cfg.to_machine_state()
     if root % 4096:
         raise UsageError(f"--root {root:#x} is not page aligned")
@@ -220,7 +226,9 @@ def cmd_case(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` only reads it."""
     parser = argparse.ArgumentParser(
         prog="vmcheck",
         description="emulate a paged x86-64 fragment and check resource "

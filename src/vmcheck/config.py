@@ -4,14 +4,26 @@ numbers as 0x-hex strings; dumping is canonical (numeric key order), so
 load-then-dump is byte-stable.  Loading rejects, with a ConfigError
 naming the field, any section or inner map that is not an object, a
 free list that is not a list, a word outside [0, 2^64), and a walk-map
-key or value that is not word aligned."""
+key or value that is not word aligned.
+
+Memory frames are decoded in bulk when every offset is spelled as the
+dumper spells it (``0x0`` .. ``0xff8``: one table lookup checks spelling,
+alignment and range) and every value is ``0x`` and 1 to 16 lower-case hex
+digits (one pattern over the newline-joined values, whose newline count
+must be the word count less one, so that ``"0x1\\n0x2"`` cannot pass as
+two words).  Any other frame, such as one holding a non-string value, is
+decoded word by word: other spellings (``0X``, zero-padded, decimal,
+``_``, whitespace) still load, and every error names the first bad field
+exactly as before."""
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .machine import MachineState, Reg, WORD_BYTES
+from .machine import MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES
 from .assertions import Registry
 
 
@@ -27,9 +39,10 @@ class StateConfig:
     free_list: tuple = ()
 
     def to_machine_state(self) -> MachineState:
-        return MachineState(
-            regs=dict(self.registers),
-            mem={f: dict(words) for f, words in self.memory.items()})
+        """A machine state sharing this config's frames copy-on-write: a
+        frame is copied on the machine's first write to it."""
+        return MachineState(regs=dict(self.registers),
+                            mem=Mem(self.memory, set()))
 
     @classmethod
     def of(cls, state: MachineState, registry: Registry,
@@ -72,6 +85,31 @@ def _shaped(value, kind, what: str):
     return value
 
 
+_SLOTS = {f"{off:#x}": off for off in range(0, PAGE_SIZE, WORD_BYTES)}
+_HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
+
+
+def _frame_words(words: dict, frame: int) -> dict:
+    """The {offset: word} map of one memory frame's JSON object."""
+    try:
+        offs = list(map(_SLOTS.__getitem__, words))
+        values = list(words.values())
+        joined = "\n".join(values)
+    except (KeyError, TypeError):
+        pass
+    else:
+        if (_HEX_WORDS.fullmatch(joined)
+                and joined.count("\n") == len(values) - 1):
+            return dict(zip(offs, map(int, values, repeat(16))))
+    inner = {}
+    for off_text, val in words.items():
+        off = _num(off_text, "memory offset")
+        if off % WORD_BYTES or not (0 <= off < 4096):
+            raise ConfigError(f"offset {off:#x} is not a word slot")
+        inner[off] = _word(val, f"memory word {frame:#x}:{off:#x}")
+    return inner
+
+
 def load_config(text: str) -> StateConfig:
     try:
         body = json.loads(text)
@@ -95,14 +133,8 @@ def load_config(text: str) -> StateConfig:
         frame = _num(frame_text, "memory frame")
         if not (0 <= frame < (1 << 52)):
             raise ConfigError(f"frame {frame:#x} out of range")
-        inner = {}
-        for off_text, val in _shaped(words, dict,
-                                     f"memory frame {frame:#x}").items():
-            off = _num(off_text, "memory offset")
-            if off % WORD_BYTES or not (0 <= off < 4096):
-                raise ConfigError(f"offset {off:#x} is not a word slot")
-            inner[off] = _word(val, f"memory word {frame:#x}:{off:#x}")
-        memory[frame] = inner
+        memory[frame] = _frame_words(
+            _shaped(words, dict, f"memory frame {frame:#x}"), frame)
 
     registry = {}
     for root_text, walks in _shaped(body.get("registry", {}), dict,

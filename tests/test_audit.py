@@ -155,8 +155,7 @@ def test_store_through_alias_breaks_only_a_walk_map_entry(monkeypatch):
                                   init=state, registry=registry)
     assert report.violation == Violation(
         MACHINE_DISAGREE, 1, None,
-        f"space:{root:#x}: walk-map entry {SIBLING_VA:#x} broken: "
-        f"{0x7000}")
+        f"space:{root:#x}: walk-map entry {SIBLING_VA:#x} broken: 0x7000")
 
 
 def _alias_pre(rng, state, root_b, l1_a, l1_b):
@@ -344,7 +343,7 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
                           init=state, registry=registry)
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None,
-        f"phys:{l1_a >> 12:#x}:0x8: ledger {entry:#x}, machine 0")
+        f"phys:{l1_a >> 12:#x}:0x8: ledger {entry:#x}, machine 0x0")
 
 
 def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
@@ -363,5 +362,4 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
                           init=state, registry=registry)
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None,
-        f"space:{root:#x}: walk-map entry {DATA_VA + 8:#x} broken: "
-        f"{0x5008}")
+        f"space:{root:#x}: walk-map entry {DATA_VA + 8:#x} broken: 0x5008")

@@ -213,3 +213,25 @@ def test_hostile_precondition_is_a_parse_error(capsys, workdir, pre, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: line 1, {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value, shown", [
+    ("walk", "--va", "0x10000000000000000", "0x10000000000000000"),
+    ("walk", "--va", "-8", "-0x8"),
+    ("walk", "--root", "-4096", "-0x1000"),
+    ("check", "--root", "-4096", "-0x1000"),
+])
+def test_address_arguments_outside_a_word_are_usage_errors(
+        capsys, workdir, command, flag, value, shown):
+    tmp, state_path, roots = workdir
+    prog = tmp / "prog.s"
+    prog.write_text("skip\n")
+    pre = tmp / "pre.txt"
+    pre.write_text("emp\n")
+    args = {"--root": f"{roots[0]:#x}", "--va": "0x200000", flag: value}
+    argv = ([command, "--state", str(state_path), "--root", args["--root"]]
+            + (["--va", args["--va"]] if command == "walk" else
+               [str(prog), "--pre", str(pre)]))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} {shown} is not a 64-bit word\n"

@@ -1,5 +1,10 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from vmcheck import cli, config
 from vmcheck.machine import Reg
 from vmcheck.config import (
     ConfigError,
@@ -70,3 +75,129 @@ def test_to_machine_state():
 def test_rejects_malformed(text):
     with pytest.raises(ConfigError):
         load_config(text)
+
+
+def test_to_machine_state_shares_frames_until_a_write():
+    cfg = load_config('{"memory": {"0x5": {"0x0": "0x1111"}}}')
+    state = cfg.to_machine_state()
+    assert state.mem[5] is cfg.memory[5]
+    assert state.write_word(5, 0, 0x2222) is None
+    assert state.mem[5][0] == 0x2222
+    assert cfg.memory[5][0] == 0x1111
+    assert cfg.to_machine_state().mem[5][0] == 0x1111
+
+
+# Memory-frame spellings for the differential test below: the dumper's
+# own, and the ones only the word-by-word path accepts or rejects.
+
+_WORDS = st.one_of(st.integers(0, (1 << 64) - 1),
+                   st.integers(1 << 64, 1 << 70), st.integers(-16, -1))
+
+
+@st.composite
+def _spelling(draw, value: int):
+    digits = f"{abs(value):x}"
+    sign = "-" if value < 0 else ""
+    return draw(st.sampled_from([
+        f"{sign}0x{digits}",
+        f"{sign}0X{digits}",
+        f"{sign}0x{digits.upper()}",
+        f"{sign}0x{digits.zfill(16)}",
+        f"{sign}0x{digits.zfill(17)}",
+        f"{sign}0x{'0' * 20}{digits}",
+        str(value),
+        f"{sign}0x{digits[:1]}_{digits[1:]}" if len(digits) > 1
+        else f"{sign}0x_{digits}",
+        f"{sign}0x{digits}_",
+        f"{sign}0x{digits[:1]}__{digits[1:]}",
+        f" {sign}0x{digits}",
+        f"{sign}0x{digits}\t",
+        f"{sign}0x{digits}\n0x1",
+        f"{sign}0x{digits}\n",
+        f"{sign}0x",
+        "0xg",
+        "",
+    ]))
+
+
+_CANONICAL_SLOTS = st.integers(0, 511).map(lambda i: f"{i * 8:#x}")
+_CANONICAL_WORDS = st.integers(0, (1 << 64) - 1).map(hex)
+_HOSTILE_SLOTS = st.one_of(
+    st.integers(-16, 5000).flatmap(_spelling),
+    st.sampled_from(["0x1000", "0xff9", "0x4", "-0x8", "0x08", "8"]))
+_HOSTILE_WORDS = st.one_of(
+    _WORDS.flatmap(_spelling),
+    # one step from the dumper's spelling: too wide, `_`, two words in one
+    st.integers(1 << 64, 1 << 70).map(hex),
+    _CANONICAL_WORDS.flatmap(lambda v: st.sampled_from(
+        [f"{v}_", f"{v[:3]}_{v[3:]}", f"{v}__1", f"{v}\n0x1"])),
+    st.one_of(st.integers(0, 99), st.none(), st.booleans(),
+              st.floats(allow_nan=False), st.lists(st.just("0x1"),
+                                                   max_size=2)))
+
+
+def _frames():
+    """Up to four frames of canonical words, some with a few hostile
+    entries mixed in."""
+    clean = st.dictionaries(_CANONICAL_SLOTS, _CANONICAL_WORDS, max_size=16)
+    hostile = st.dictionaries(
+        st.one_of(_CANONICAL_SLOTS, _CANONICAL_SLOTS, _HOSTILE_SLOTS),
+        _HOSTILE_WORDS, min_size=1, max_size=2)
+    mixed = st.tuples(clean, hostile).map(lambda p: {**p[0], **p[1]})
+    return st.dictionaries(st.integers(0, 64).map(hex),
+                           st.one_of(clean, mixed), max_size=4)
+
+
+def _outcome(text: str):
+    try:
+        return "ok", load_config(text).memory
+    except ConfigError as err:
+        return "error", str(err)
+
+
+@seed(7)
+@settings(max_examples=150, deadline=None)
+@given(_frames())
+def test_bulk_frame_decode_matches_the_word_by_word_path(memory):
+    text = json.dumps({"memory": memory})
+    got = _outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_SLOTS", {})  # every frame word by word
+        want = _outcome(text)
+    assert got == want
+
+
+def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
+    # the dumper's spelling is the bulk path's: a change to either that
+    # loses the match sends every word back through _word
+    words = {off: (off * 0x9E3779B97F4A7C15) % (1 << 64)
+             for off in range(0, 4096, 8)}
+    cfg = StateConfig(registers={Reg.RAX: 1},
+                      memory={0x5: words, 0x6: {0: 0, 8: (1 << 64) - 1}})
+    fields = []
+    real_word = config._word
+
+    def counted(value, what):
+        fields.append(what)
+        return real_word(value, what)
+
+    monkeypatch.setattr(config, "_word", counted)
+    assert load_config(dump_config(cfg)) == cfg
+    assert fields == ["register rax"]
+
+
+def test_the_shared_parser_gives_identical_runs(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    state, registry, roots = multi_space_fixture()
+    state_path = tmp_path / "state.json"
+    state_path.write_text(dump_config(StateConfig.of(state, registry)))
+    good = ["walk", "--state", str(state_path), "--root", f"{roots[0]:#x}",
+            "--va", "0x200000"]
+    runs = []
+    for argv in (good, ["walk", "--state", str(state_path)], good):
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr()))
+    (code1, out1), (bad, err), (code2, out2) = runs
+    assert bad == 2 and err.out == "" and "required" in err.err
+    assert code1 == code2 == 0 and out1.err == out2.err == ""
+    assert out1.out == out2.out and out1.out.endswith("pa 0x5000\n")

@@ -189,7 +189,7 @@ def test_insert_validates_evidence_against_machine():
                           registry=registry, mode=COEXEC)
     assert report.violation == Violation(
         MACHINE_DISAGREE, -1, None,
-        f"phys:{frame:#x}:{off:#x}: ledger {evidence.l1e:#x}, machine 0")
+        f"phys:{frame:#x}:{off:#x}: ledger {evidence.l1e:#x}, machine 0x0")
 
 
 def test_insert_then_ias_check_holds():
