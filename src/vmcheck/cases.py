@@ -79,11 +79,13 @@ class CaseStudy:
 # Stub library (resolvable by name, including from the command line)
 
 
-def _ensure_l1_stub() -> StubSpec:
+def _ensure_l1_stub(words: int = 1) -> StubSpec:
     """Hands over the page-table plumbing for the address in rdi: shares
     of the three interior entries plus a full PTE points-to for the L1
     slot, whose own virtual address lands in rax.  The fixture must have
-    built the interior tables and mapped the L1 table page somewhere."""
+    built the interior tables and mapped the L1 table page somewhere.
+    Hands out one set of interior shares for each of the `words` walks
+    to be published (each published walk consumes one set)."""
 
     def apply(env: StubEnv) -> StubResult:
         va = env.machine.reg(Reg.RDI)
@@ -103,7 +105,7 @@ def _ensure_l1_stub() -> StubSpec:
         produces = sep(
             RegPt(Reg.RAX, FULL, pte_addr),
             PtePt(pte_addr, FULL, slot_pa, l1e),
-            *_interior_shares(steps),
+            *_interior_shares(steps) * words,
         )
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor)
@@ -206,34 +208,14 @@ def map_page_case(words: int = 1) -> CaseStudy:
     script.append(GhostPteToVirt(MAP_VA))
     post = sep(*(VirtPt(MAP_VA + 8 * w, FULL, 0) for w in range(words)))
     script.append(AssertStep(post))
-    stubs = dict(STUB_LIBRARY)
-    if words != 1:
-        stubs["alloc_phys_page_or_panic"] = _alloc_page_stub(words)
-        stubs["ensure_L1_page"] = _iterated_ensure_l1(words)
+    stubs = {"ensure_L1_page": _ensure_l1_stub(words),
+             "alloc_phys_page_or_panic": _alloc_page_stub(words)}
     return CaseStudy(
         name="map_new_page",
         description="install a fresh page mapping by writing its L1 entry "
                     "through a virtual address, then publish the walk",
         root=root, pre=pre, script=script, stubs=stubs, expected_post=post,
         state=state, registry=registry, free_list=(MAP_FPADDR,))
-
-
-def _iterated_ensure_l1(words: int) -> StubSpec:
-    """Like ensure_L1_page but hands out one interior-share set per word
-    being mapped (each published walk consumes one set)."""
-    base = _ensure_l1_stub()
-
-    def apply(env: StubEnv) -> StubResult:
-        single = base.apply(env)
-        parts = [single.produces]
-        va = env.machine.reg(Reg.RDI)
-        steps, _ = walk(env.root, env.machine.mem, va)
-        for _ in range(words - 1):
-            parts.append(sep(*_interior_shares(steps)))
-        return StubResult(produces=sep(*parts), machine=single.machine,
-                          free_cursor=single.free_cursor)
-
-    return StubSpec(name=base.name, consumes=base.consumes, apply=apply)
 
 
 # --------------------------------------------------------------------------

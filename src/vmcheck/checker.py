@@ -10,6 +10,13 @@ claim before the first step and after each stub call, and after any
 other step what that step could change.  That audit is the checker's
 only comparison of claims with the machine; resource mode skips it.
 
+Rules refuse a step by raising: a ``Reject`` with the violation's kind,
+location and narrative, or the ``LedgerError`` of a failed ledger
+operation, left to propagate.  ``apply_rule`` is the one place that
+turns either into a ``Violation`` stamped with the step's index (ledger
+errors through the one kind mapping, ``_ledger_reject``), and
+``check_double`` does the same for its precondition checks at step -1.
+
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
 claims by their governing root, so the switch itself only has to move
@@ -64,7 +71,6 @@ from .assertions import (
     Sep,
     SpaceLoc,
     SumExceedsOne,
-    ValueDisagreement as LedgerValueDisagreement,
     VirtPt,
     WalkLoc,
     WitnessUnavailable,
@@ -253,18 +259,36 @@ def _ledger_delta(before: Ledger, after: Ledger, touched) -> tuple:
     return tuple(consumed), tuple(produced)
 
 
-def _ledger_violation(err: LedgerError, index: int) -> Violation:
-    if isinstance(err, SumExceedsOne):
-        return Violation(INSUFFICIENT_FRACTION, index,
-                         str(err.location) if err.location else None, str(err))
-    if isinstance(err, LedgerValueDisagreement):
-        return Violation(VALUE_DISAGREEMENT, index, str(err.location), str(err))
-    if isinstance(err, LedgerInsufficientFraction):
-        return Violation(INSUFFICIENT_FRACTION, index, str(err.location), str(err))
+class Reject(Exception):
+    """A rule's refusal of a step: the kind, location and narrative of
+    the Violation that apply_rule stamps with the step's index."""
+
+    def __init__(self, kind: str, location: Optional[str], narrative: str):
+        super().__init__(kind, location, narrative)
+        self.kind = kind
+        self.location = location
+        self.narrative = narrative
+
+
+def _ledger_reject(err: LedgerError) -> Reject:
+    """The refusal a failed ledger operation stands for."""
     if isinstance(err, WitnessUnavailable):
-        return Violation(MISSING_RESOURCE, index,
-                         str(WalkLoc(err.root, err.va)), str(err))
-    return Violation(VALUE_DISAGREEMENT, index, None, str(err))
+        return Reject(MISSING_RESOURCE, str(WalkLoc(err.root, err.va)),
+                      str(err))
+    if isinstance(err, (SumExceedsOne, LedgerInsufficientFraction)):
+        kind = INSUFFICIENT_FRACTION
+    else:
+        kind = VALUE_DISAGREEMENT
+    location = getattr(err, "location", None)  # BrokenChain has none
+    return Reject(kind, None if location is None else str(location),
+                  str(err))
+
+
+def _violation(err: Union[Reject, LedgerError], index: int) -> Violation:
+    """The one place a refusal becomes a Violation, at step `index`."""
+    if isinstance(err, LedgerError):
+        err = _ledger_reject(err)
+    return Violation(err.kind, index, err.location, err.narrative)
 
 
 def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
@@ -276,47 +300,41 @@ def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
                 and loc.root != root), default=None)
 
 
-def _walk_claim(ctx: CheckerCtx, va: int, index: int):
-    """Find the current space's walk claim for va, or explain its absence
-    (distinguishing a claim stranded under another root)."""
+def _walk_claim(ctx: CheckerCtx, va: int) -> int:
+    """The pa of the current space's walk claim for va; its absence is
+    refused, naming a claim stranded under another root."""
     loc = WalkLoc(ctx.root, va)
     claim = ctx.ledger.get(loc)
     if claim is not None:
-        return loc, claim
+        return claim[1]
     other = _stranded_root(ctx.ledger, va, ctx.root)
     if other is not None:
-        return Violation(
-            UNSOUND_FRAME, index, str(loc),
-            f"claim for va {va:#x} is governed by space "
-            f"{other:#x}; it was framed across an address-space "
-            "switch and cannot be used here"), None
-    return Violation(MISSING_RESOURCE, index, str(loc),
-                     f"no walk claim for va {va:#x} in the current space"), None
+        raise Reject(UNSOUND_FRAME, str(loc),
+                     f"claim for va {va:#x} is governed by space "
+                     f"{other:#x}; it was framed across an address-space "
+                     "switch and cannot be used here")
+    raise Reject(MISSING_RESOURCE, str(loc),
+                 f"no walk claim for va {va:#x} in the current space")
 
 
-def _reg_value(ctx: CheckerCtx, reg: Reg, index: int):
+def _reg_value(ctx: CheckerCtx, reg: Reg) -> int:
     claim = ctx.ledger.get(RegLoc(reg))
     if claim is None:
-        return Violation(MISSING_RESOURCE, index, str(RegLoc(reg)),
-                         f"no claim on register {reg.value}"), None
-    return None, claim
+        raise Reject(MISSING_RESOURCE, str(RegLoc(reg)),
+                     f"no claim on register {reg.value}")
+    return claim[1]
 
 
-def _set_value(ctx: CheckerCtx, loc: Location, value: int, index: int,
-               rule: str):
+def _set_value(ctx: CheckerCtx, loc: Location, value: int, rule: str):
     """Overwrite a fully held claim: a rule's outcome (see apply_rule)."""
-    try:
-        ledger = ctx.ledger.set_value(loc, value)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
-    return replace(ctx, ledger=ledger), rule, (loc,)
+    return replace(ctx, ledger=ctx.ledger.set_value(loc, value)), rule, (loc,)
 
 
 def _phys_loc_of(pa: int) -> PhysLoc:
     return PhysLoc(pa >> 12, pa & (PAGE_SIZE - 1))
 
 
-def _chain_entries(ctx: CheckerCtx, va: int, index: int):
+def _chain_entries(ctx: CheckerCtx, va: int):
     """Resolve the four table slots and entry values a walk of `va` under
     the current root reads.  Values come from ledger claims when present,
     falling back to the current machine's tables."""
@@ -330,283 +348,202 @@ def _chain_entries(ctx: CheckerCtx, va: int, index: int):
         if claim is not None:
             entry = claim[1]
         else:
-            got = ctx.machine.read_word(table_frame, off)
-            if isinstance(got, Fault):
-                return Violation(
-                    MISSING_RESOURCE, index, str(loc),
-                    f"table slot for va {va:#x} is neither claimed nor "
-                    "present in the machine"), None, None
-            entry = got
+            entry = ctx.machine.read_word(table_frame, off)
+            if isinstance(entry, Fault):
+                raise Reject(MISSING_RESOURCE, str(loc),
+                             f"table slot for va {va:#x} is neither claimed "
+                             "nor present in the machine")
         slots.append(loc)
         entries.append(entry)
         table_frame = pte_frame(entry)
-    return None, slots, entries
+    return slots, entries
+
+
+def _walk_map(ctx: CheckerCtx) -> dict:
+    """The current space's walk map."""
+    theta = ctx.registry.get(ctx.root)
+    if theta is None:
+        raise Reject(UNKNOWN_ROOT, f"{ctx.root:#x}",
+                     "current root is not a registered space")
+    return theta
 
 
 # --------------------------------------------------------------------------
-# Per-step rules
+# Per-step rules: each returns (ctx', rule name, the locations its ledger
+# operations touched) or refuses the step by raising a Reject or letting a
+# LedgerError through.
 
 
-def _space_witness(ctx: CheckerCtx, root: int, index: int) -> Optional[Violation]:
+def _space_witness(ctx: CheckerCtx, root: int) -> None:
     if ctx.ledger.get(SpaceLoc(root)) is None:
-        return Violation(MISSING_RESOURCE, index, str(SpaceLoc(root)),
-                         f"no invariant witness for space {root:#x}")
-    return None
+        raise Reject(MISSING_RESOURCE, str(SpaceLoc(root)),
+                     f"no invariant witness for space {root:#x}")
 
 
-def _rule_read_mem(ctx: CheckerCtx, base: Reg, disp: int, index: int):
-    """Common ledger work for a memory read: returns (violation, va, pa,
-    value, ledger-untouched ctx)."""
-    fail = _space_witness(ctx, ctx.root, index)
-    if fail:
-        return fail, None, None, None
-    fail, base_claim = _reg_value(ctx, base, index)
-    if fail:
-        return fail, None, None, None
-    va = (base_claim[1] + disp) % (1 << 64)
-    got = _walk_claim(ctx, va, index)
-    if isinstance(got[0], Violation):
-        return got[0], None, None, None
-    _loc, (q, pa) = got
-    data = ctx.ledger.get(_phys_loc_of(pa))
-    if data is None:
-        return Violation(MISSING_RESOURCE, index, str(_phys_loc_of(pa)),
-                         f"no data claim behind va {va:#x}"), None, None, None
-    return None, va, pa, data[1]
-
-
-def _switch_root(ctx: CheckerCtx, new_root: int, index: int):
+def _switch_root(ctx: CheckerCtx, new_root: int) -> CheckerCtx:
     """The address-space switch: keeps facts, turns the target space's
     wrapped claims into current ones, and leaves the old space's claims
     reachable only through the other-space wrapper (all by re-keying the
     evaluation root; claims are already tagged with their governing
     space)."""
     if new_root % PAGE_SIZE:
-        return Violation(UNKNOWN_ROOT, index, f"{new_root:#x}",
-                         "target root is not page aligned"), None
+        raise Reject(UNKNOWN_ROOT, f"{new_root:#x}",
+                     "target root is not page aligned")
     if new_root not in ctx.registry:
-        return Violation(UNKNOWN_ROOT, index, f"{new_root:#x}",
-                         "target root is not a registered space"), None
-    fail = _space_witness(ctx, ctx.root, index)
-    if fail:
-        return fail, None
-    fail = _space_witness(ctx, new_root, index)
-    if fail:
-        return fail, None
-    return None, replace(ctx, root=new_root,
-                         ledger=ctx.ledger.with_root(new_root))
+        raise Reject(UNKNOWN_ROOT, f"{new_root:#x}",
+                     "target root is not a registered space")
+    _space_witness(ctx, ctx.root)
+    _space_witness(ctx, new_root)
+    return replace(ctx, root=new_root, ledger=ctx.ledger.with_root(new_root))
 
 
-def _apply_instr(ctx: CheckerCtx, instr: Instr, index: int):
+def _apply_instr(ctx: CheckerCtx, instr: Instr):
     if isinstance(instr, Skip):
         return ctx, "skip", ()
-
     if isinstance(instr, MovRegReg):
-        fail, src = _reg_value(ctx, instr.src, index)
-        if fail:
-            return fail
-        return _set_value(ctx, RegLoc(instr.dst), src[1], index,
+        return _set_value(ctx, RegLoc(instr.dst), _reg_value(ctx, instr.src),
                           "reg-from-reg")
-
     if isinstance(instr, MovRegImm):
-        return _set_value(ctx, RegLoc(instr.dst), instr.imm, index, "reg-imm")
-
+        return _set_value(ctx, RegLoc(instr.dst), instr.imm, "reg-imm")
     if isinstance(instr, AddRegImm):
-        fail, dst = _reg_value(ctx, instr.dst, index)
-        if fail:
-            return fail
         return _set_value(ctx, RegLoc(instr.dst),
-                          (dst[1] + instr.imm) % (1 << 64), index, "reg-add")
-
-    if isinstance(instr, MovRegFromMem):
-        fail, va, pa, value = _rule_read_mem(ctx, instr.base, instr.disp, index)
-        if fail:
-            return fail
-        return _set_value(ctx, RegLoc(instr.dst), value, index, "load-virt")
-
-    if isinstance(instr, (MovMemFromReg, MovMemFromCr3)):
-        fail = _space_witness(ctx, ctx.root, index)
-        if fail:
-            return fail
-        fail, base_claim = _reg_value(ctx, instr.base, index)
-        if fail:
-            return fail
-        va = (base_claim[1] + instr.disp) % (1 << 64)
-        if isinstance(instr, MovMemFromCr3):
-            value = ctx.root
-            rule = "cr3-store"
-        else:
-            fail, src = _reg_value(ctx, instr.src, index)
-            if fail:
-                return fail
-            value = src[1]
-            rule = "store-virt"
-        got = _walk_claim(ctx, va, index)
-        if isinstance(got[0], Violation):
-            return got[0]
-        _loc, (_q, pa) = got
-        return _set_value(ctx, _phys_loc_of(pa), value, index, rule)
-
-    if isinstance(instr, MovToCr3FromReg):
-        fail, src = _reg_value(ctx, instr.src, index)
-        if fail:
-            return fail
-        fail, switched = _switch_root(ctx, src[1], index)
-        if fail:
-            return fail
-        return switched, "cr3-switch-reg", ()
-
+                          (_reg_value(ctx, instr.dst) + instr.imm) % (1 << 64),
+                          "reg-add")
     if isinstance(instr, MovRegFromCr3):
-        return _set_value(ctx, RegLoc(instr.dst), ctx.root, index, "cr3-read")
+        return _set_value(ctx, RegLoc(instr.dst), ctx.root, "cr3-read")
+    if isinstance(instr, MovToCr3FromReg):
+        return (_switch_root(ctx, _reg_value(ctx, instr.src)),
+                "cr3-switch-reg", ())
+    if not isinstance(instr, (MovRegFromMem, MovToCr3FromMem, MovMemFromReg,
+                              MovMemFromCr3)):
+        raise TypeError(f"unknown instruction {instr!r}")
 
-    if isinstance(instr, MovToCr3FromMem):
-        fail, va, pa, value = _rule_read_mem(ctx, instr.base, instr.disp, index)
-        if fail:
-            return fail
-        fail, switched = _switch_root(ctx, value, index)
-        if fail:
-            return fail
-        return switched, "cr3-switch-mem", ()
+    # the memory forms, checked as machine._access_memory checks them: the
+    # space witness, the base register, the stored register and the walk
+    # claim; then the load, store or switch itself
+    _space_witness(ctx, ctx.root)
+    va = (_reg_value(ctx, instr.base) + instr.disp) % (1 << 64)
+    if isinstance(instr, MovMemFromReg):
+        stored = _reg_value(ctx, instr.src)
+    data_loc = _phys_loc_of(_walk_claim(ctx, va))
+    if isinstance(instr, MovMemFromReg):
+        return _set_value(ctx, data_loc, stored, "store-virt")
+    if isinstance(instr, MovMemFromCr3):
+        return _set_value(ctx, data_loc, ctx.root, "cr3-store")
+    data = ctx.ledger.get(data_loc)
+    if data is None:
+        raise Reject(MISSING_RESOURCE, str(data_loc),
+                     f"no data claim behind va {va:#x}")
+    if isinstance(instr, MovRegFromMem):
+        return _set_value(ctx, RegLoc(instr.dst), data[1], "load-virt")
+    return _switch_root(ctx, data[1]), "cr3-switch-mem", ()
 
-    raise TypeError(f"unknown instruction {instr!r}")
 
-
-def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk, index: int):
-    fail, slots, entries = _chain_entries(ctx, step.va, index)
-    if fail:
-        return fail
+def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
+    slots, entries = _chain_entries(ctx, step.va)
     evidence = L4L1PointsTo(step.va, *entries, step.pa)
-    theta = ctx.registry.get(ctx.root)
-    if theta is None:
-        return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
-                         "current root is not a registered space")
     try:
-        new_theta = ghost_ops.ghost_insert_walk(theta, evidence)
+        theta = ghost_ops.ghost_insert_walk(_walk_map(ctx), evidence)
     except GhostError as err:
-        return Violation(VALUE_DISAGREEMENT, index, None, str(err))
+        raise Reject(VALUE_DISAGREEMENT, None, str(err))
     walk_loc = WalkLoc(ctx.root, step.va)
     ledger = ctx.ledger
-    try:
-        for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
-            ledger = ledger.consume(loc, share, entry)
-        ledger = ledger.add(walk_loc, FULL, step.pa)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
-    registry = {**ctx.registry, ctx.root: new_theta}
+    for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
+        ledger = ledger.consume(loc, share, entry)
+    ledger = ledger.add(walk_loc, FULL, step.pa)
+    registry = {**ctx.registry, ctx.root: theta}
     return (replace(ctx, ledger=ledger, registry=registry),
             "ghost-insert-walk", (*slots, walk_loc))
 
 
-def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk, index: int):
+def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
     loc = WalkLoc(ctx.root, step.va)
     if ctx.ledger.get(loc) is None:
-        return Violation(INSUFFICIENT_FRACTION, index, str(loc),
-                         f"no walk token held for va {step.va:#x}")
-    theta = ctx.registry.get(ctx.root)
-    if theta is None:
-        return Violation(UNKNOWN_ROOT, index, f"{ctx.root:#x}",
-                         "current root is not a registered space")
+        raise Reject(INSUFFICIENT_FRACTION, str(loc),
+                     f"no walk token held for va {step.va:#x}")
+    theta = _walk_map(ctx)
+    # the walk claim is the entry's token: only the full claim retires it
+    ledger = ctx.ledger.consume(loc, FULL)
     try:
-        # the walk claim is the entry's token: only the full claim retires it
-        ledger = ctx.ledger.consume(loc, FULL)
-        new_theta = ghost_ops.ghost_remove_walk(theta, step.va)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
+        theta = ghost_ops.ghost_remove_walk(theta, step.va)
     except GhostError as err:
-        return Violation(VALUE_DISAGREEMENT, index, None, str(err))
-    fail, slots, entries = _chain_entries(ctx, step.va, index)
-    if fail:
-        return fail
-    try:
-        # the chain shares held inside the invariant come back out
-        for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
-            ledger = ledger.add(slot, share, entry)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
-    registry = {**ctx.registry, ctx.root: new_theta}
+        raise Reject(VALUE_DISAGREEMENT, None, str(err))
+    slots, entries = _chain_entries(ctx, step.va)
+    # the chain shares held inside the invariant come back out
+    for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
+        ledger = ledger.add(slot, share, entry)
+    registry = {**ctx.registry, ctx.root: theta}
     return (replace(ctx, ledger=ledger, registry=registry),
             "ghost-remove-walk", (loc, *slots))
 
 
-def _apply_call(ctx: CheckerCtx, step: CallStep, index: int):
+def _apply_call(ctx: CheckerCtx, step: CallStep):
     stub = ctx.stubs.get(step.name)
     if stub is None:
-        return Violation(STUB_PRE_FAILED, index, step.name,
-                         f"no stub named {step.name!r}")
+        raise Reject(STUB_PRE_FAILED, step.name,
+                     f"no stub named {step.name!r}")
     ledger = ctx.ledger
     touched = []
-    for pattern in stub.consumes:
-        if isinstance(pattern, RegPt):
-            loc = RegLoc(pattern.reg)
-            claim = ledger.get(loc)
-            if claim is None:
-                return Violation(
-                    STUB_PRE_FAILED, index, str(loc),
-                    f"stub {step.name} needs a claim on {pattern.reg.value}")
-            held_q, held_v = claim
-            if pattern.val is not None and held_v != pattern.val:
-                return Violation(
-                    STUB_PRE_FAILED, index, str(loc),
-                    f"stub {step.name} needs {pattern.reg.value} = "
-                    f"{pattern.val:#x}, ledger holds {held_v:#x}")
-            try:
+    try:
+        for pattern in stub.consumes:
+            if isinstance(pattern, RegPt):
+                loc = RegLoc(pattern.reg)
+                claim = ledger.get(loc)
+                if claim is None:
+                    raise Reject(STUB_PRE_FAILED, str(loc),
+                                 f"stub {step.name} needs a claim on "
+                                 f"{pattern.reg.value}")
+                if pattern.val is not None and claim[1] != pattern.val:
+                    raise Reject(STUB_PRE_FAILED, str(loc),
+                                 f"stub {step.name} needs "
+                                 f"{pattern.reg.value} = {pattern.val:#x}, "
+                                 f"ledger holds {claim[1]:#x}")
                 ledger = ledger.consume(loc, pattern.q)
-            except LedgerError as err:
-                return replace(_ledger_violation(err, index),
-                               kind=STUB_PRE_FAILED)
-            touched.append(loc)
-        else:
-            try:
+                touched.append(loc)
+            else:
                 needed = lower(pattern, ctx.root, ctx.registry)
                 for loc, q, v in needed.sorted_claims():
                     ledger = ledger.consume(loc, q, v)
-            except LedgerError as err:
-                return replace(_ledger_violation(err, index),
-                               kind=STUB_PRE_FAILED)
-            touched.extend(needed.claims)
+                touched.extend(needed.claims)
+    except LedgerError as err:
+        unmet = _ledger_reject(err)
+        raise Reject(STUB_PRE_FAILED, unmet.location, unmet.narrative)
     env = StubEnv(machine=ctx.machine, root=ctx.root, registry=ctx.registry,
                   free_list=ctx.free_list, free_cursor=ctx.free_cursor)
     try:
         result = stub.apply(env)
     except StubError as err:
-        return Violation(STUB_PRE_FAILED, index, step.name, str(err))
-    try:
-        produced = lower(result.produces, ctx.root, ctx.registry)
-        merged = ledger_join(ledger, produced)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
+        raise Reject(STUB_PRE_FAILED, step.name, str(err))
+    produced = lower(result.produces, ctx.root, ctx.registry)
+    merged = ledger_join(ledger, produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, ctx.registry):
-            return Violation(
-                STUB_PRE_FAILED, index, step.name,
-                f"stub {step.name} promised a false pure predicate: {pred}")
+            raise Reject(STUB_PRE_FAILED, step.name,
+                         f"stub {step.name} promised a false pure "
+                         f"predicate: {pred}")
     touched.extend(produced.claims)
     new_ctx = replace(ctx, ledger=merged, machine=result.machine,
                       free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
         complaint = _audit(new_ctx, produced.claims, {}, None)
         if complaint is not None:
-            return Violation(
-                STUB_PRE_FAILED, index, step.name,
-                f"stub {step.name} promised claims the machine does not "
-                f"satisfy: {complaint}")
+            raise Reject(STUB_PRE_FAILED, step.name,
+                         f"stub {step.name} promised claims the machine "
+                         f"does not satisfy: {complaint}")
     return new_ctx, f"call:{step.name}", touched
 
 
-def _apply_assert(ctx: CheckerCtx, step: AssertStep, index: int):
+def _apply_assert(ctx: CheckerCtx, step: AssertStep):
     try:
         wanted = lower(step.assertion, ctx.root, ctx.registry)
     except WitnessUnavailable as err:
         other = _stranded_root(ctx.ledger, err.va, err.root)
-        if other is not None:
-            return Violation(
-                UNSOUND_FRAME, index, str(WalkLoc(err.root, err.va)),
-                f"asserted claim for va {err.va:#x} only holds in space "
-                f"{other:#x}; wrap it in the other-space "
-                "modality instead of framing it")
-        return _ledger_violation(err, index)
-    except LedgerError as err:
-        return _ledger_violation(err, index)
+        if other is None:
+            raise
+        raise Reject(UNSOUND_FRAME, str(WalkLoc(err.root, err.va)),
+                     f"asserted claim for va {err.va:#x} only holds in space "
+                     f"{other:#x}; wrap it in the other-space "
+                     "modality instead of framing it")
     problem = ctx.ledger.contains(wanted)
     if problem is not None:
         # before naming the first gap, see whether the root cause is a
@@ -615,40 +552,35 @@ def _apply_assert(ctx: CheckerCtx, step: AssertStep, index: int):
             if isinstance(loc, WalkLoc) and loc not in ctx.ledger.claims:
                 other = _stranded_root(ctx.ledger, loc.va, loc.root)
                 if other is not None:
-                    return Violation(
-                        UNSOUND_FRAME, index, str(loc),
-                        f"asserted claim for va {loc.va:#x} is governed "
-                        f"by space {other:#x}; it was framed "
-                        "across an address-space switch")
+                    raise Reject(UNSOUND_FRAME, str(loc),
+                                 f"asserted claim for va {loc.va:#x} is "
+                                 f"governed by space {other:#x}; it was "
+                                 "framed across an address-space switch")
         reason, loc, detail = problem
         if reason == "missing":
-            return Violation(MISSING_RESOURCE, index, str(loc),
-                             "asserted claim is not in the ledger")
+            raise Reject(MISSING_RESOURCE, str(loc),
+                         "asserted claim is not in the ledger")
         if reason == "fraction":
-            return Violation(INSUFFICIENT_FRACTION, index, str(loc),
-                             f"ledger holds only {detail}")
-        return Violation(VALUE_DISAGREEMENT, index, str(loc),
-                         f"ledger holds value {detail:#x}")
+            raise Reject(INSUFFICIENT_FRACTION, str(loc),
+                         f"ledger holds only {detail}")
+        raise Reject(VALUE_DISAGREEMENT, str(loc),
+                     f"ledger holds value {detail:#x}")
     for g, pred in wanted.pures:
         if not pure_holds(pred, g, ctx.registry):
-            return Violation(VALUE_DISAGREEMENT, index, str(pred),
-                             "pure predicate is false")
+            raise Reject(VALUE_DISAGREEMENT, str(pred),
+                         "pure predicate is false")
     return ctx, "assert", ()
 
 
-def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte],
-                index: int):
+def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte]):
     """Moving between the virtual and the PTE view of a mapping needs the
     current space's walk claim; the ledger does not change."""
-    got = _walk_claim(ctx, step.va, index)
-    if isinstance(got[0], Violation):
-        return got[0]
+    pa = _walk_claim(ctx, step.va)
     if isinstance(step, GhostPteToVirt):
         return ctx, "ghost-pte-to-virt", ()
-    loc, (_q, pa) = got
     if pa != step.pa:
-        return Violation(VALUE_DISAGREEMENT, index, str(loc),
-                         f"walk resolves to {pa:#x}, not {step.pa:#x}")
+        raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(ctx.root, step.va)),
+                     f"walk resolves to {pa:#x}, not {step.pa:#x}")
     return ctx, "ghost-virt-to-pte", ()
 
 
@@ -755,50 +687,49 @@ def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
 def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                index: int) -> Union[tuple, Violation]:
     """Apply one script step to the context.  Returns (ctx', StepRecord)
-    or the Violation that stops the check."""
-    # each rule returns a Violation or (ctx', rule name, the locations
-    # its ledger operations touched)
-    if isinstance(script_step, InstrStep):
-        outcome = _apply_instr(ctx, script_step.instr, index)
-    elif isinstance(script_step, GhostInsertWalk):
-        outcome = _apply_ghost_insert(ctx, script_step, index)
-    elif isinstance(script_step, GhostRemoveWalk):
-        outcome = _apply_ghost_remove(ctx, script_step, index)
-    elif isinstance(script_step, (GhostPteToVirt, GhostVirtToPte)):
-        outcome = _apply_view(ctx, script_step, index)
-    elif isinstance(script_step, CallStep):
-        outcome = _apply_call(ctx, script_step, index)
-    elif isinstance(script_step, AssertStep):
-        outcome = _apply_assert(ctx, script_step, index)
-    else:
-        raise TypeError(f"unknown script step {script_step!r}")
-    if isinstance(outcome, Violation):
-        return outcome
-    new_ctx, rule, touched = outcome
-
-    reg = frames = walk = None
-    if isinstance(script_step, InstrStep):
-        result = machine_step(new_ctx.machine, script_step.instr, CHECK_OPTS)
-        if isinstance(result, Fault):
-            return Violation(
-                MACHINE_DISAGREE, index, None,
-                f"ledger accepts pc {ctx.machine.pc} but the machine "
-                f"faults: {result!r}")
-        new_ctx = replace(new_ctx, machine=result)
-        # the one data register an instruction writes is its dst
-        reg = getattr(script_step.instr, "dst", None)
-        frames = result.mem.owned
-    elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
-        walk = (ctx.root, script_step.va)
-    if new_ctx.mode == COEXEC:
-        if new_ctx.reads is None or isinstance(script_step, CallStep):
-            # a stub's effect is arbitrary code: audit and index afresh
-            new_ctx = replace(new_ctx, reads={})
-            complaint = audit_ledger(new_ctx, new_ctx.reads)
+    or the Violation that stops the check: the one place a step's refusal
+    (a rule's, the machine's or the audit's) is stamped with its index."""
+    try:
+        if isinstance(script_step, InstrStep):
+            new_ctx, rule, touched = _apply_instr(ctx, script_step.instr)
+        elif isinstance(script_step, GhostInsertWalk):
+            new_ctx, rule, touched = _apply_ghost_insert(ctx, script_step)
+        elif isinstance(script_step, GhostRemoveWalk):
+            new_ctx, rule, touched = _apply_ghost_remove(ctx, script_step)
+        elif isinstance(script_step, (GhostPteToVirt, GhostVirtToPte)):
+            new_ctx, rule, touched = _apply_view(ctx, script_step)
+        elif isinstance(script_step, CallStep):
+            new_ctx, rule, touched = _apply_call(ctx, script_step)
+        elif isinstance(script_step, AssertStep):
+            new_ctx, rule, touched = _apply_assert(ctx, script_step)
         else:
-            complaint = _audit_step(new_ctx, touched, reg, frames, walk)
-        if complaint is not None:
-            return Violation(MACHINE_DISAGREE, index, None, complaint)
+            raise TypeError(f"unknown script step {script_step!r}")
+
+        reg = frames = walk = None
+        if isinstance(script_step, InstrStep):
+            result = machine_step(new_ctx.machine, script_step.instr,
+                                  CHECK_OPTS)
+            if isinstance(result, Fault):
+                raise Reject(MACHINE_DISAGREE, None,
+                             f"ledger accepts pc {ctx.machine.pc} but the "
+                             f"machine faults: {result!r}")
+            new_ctx = replace(new_ctx, machine=result)
+            # the one data register an instruction writes is its dst
+            reg = getattr(script_step.instr, "dst", None)
+            frames = result.mem.owned
+        elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
+            walk = (ctx.root, script_step.va)
+        if new_ctx.mode == COEXEC:
+            if new_ctx.reads is None or isinstance(script_step, CallStep):
+                # a stub's effect is arbitrary code: audit and index afresh
+                new_ctx = replace(new_ctx, reads={})
+                complaint = audit_ledger(new_ctx, new_ctx.reads)
+            else:
+                complaint = _audit_step(new_ctx, touched, reg, frames, walk)
+            if complaint is not None:
+                raise Reject(MACHINE_DISAGREE, None, complaint)
+    except (Reject, LedgerError) as err:
+        return _violation(err, index)
 
     consumed, produced = _ledger_delta(ctx.ledger, new_ctx.ledger, touched)
     record = StepRecord(index=index, rule=rule, consumed=consumed,
@@ -894,49 +825,44 @@ def check_double(pre: Assertion, root: int, script: Script,
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
-    stubs = stubs or {}
-
-    def fail(violation: Violation) -> Report:
-        return Report(root=root, mode=mode, records=(), final_ledger=None,
-                      final_machine=None, final_root=None,
-                      violation=violation)
-
-    if root % PAGE_SIZE:
-        return fail(Violation(UNKNOWN_ROOT, -1, f"{root:#x}",
-                              "initial root is not page aligned"))
-    try:
-        ledger = lower(pre, root, registry)
-    except LedgerError as err:
-        return fail(_ledger_violation(err, -1))
-    for g, pred in ledger.pures:
-        if not pure_holds(pred, g, registry):
-            return fail(Violation(VALUE_DISAGREEMENT, -1, str(pred),
-                                  "precondition pure predicate is false"))
-    ctx = CheckerCtx(ledger=ledger, root=root,
-                     registry={r: dict(t) for r, t in registry.items()},
-                     machine=init.copy(), mode=mode, stubs=dict(stubs),
-                     free_list=tuple(free_list), free_cursor=0)
-    if init.reg(Reg.CR3) != root:
-        return fail(Violation(
-            MACHINE_DISAGREE, -1, None,
-            f"initial machine cr3 {init.reg(Reg.CR3):#x} differs from "
-            f"declared root {root:#x}"))
-    if mode == COEXEC:
-        ctx = replace(ctx, reads={})
-        complaint = audit_ledger(ctx, ctx.reads)
-        if complaint is not None:
-            return fail(Violation(MACHINE_DISAGREE, -1, None, complaint))
-
     records = []
-    for index, script_step in enumerate(script):
-        outcome = apply_rule(ctx, script_step, index)
-        if isinstance(outcome, Violation):
-            return Report(root=root, mode=mode, records=tuple(records),
-                          final_ledger=None, final_machine=None,
-                          final_root=None, violation=outcome)
-        ctx, record = outcome
-        records.append(record)
+    violation = None
+    try:
+        if root % PAGE_SIZE:
+            raise Reject(UNKNOWN_ROOT, f"{root:#x}",
+                         "initial root is not page aligned")
+        ledger = lower(pre, root, registry)
+        for g, pred in ledger.pures:
+            if not pure_holds(pred, g, registry):
+                raise Reject(VALUE_DISAGREEMENT, str(pred),
+                             "precondition pure predicate is false")
+        if init.reg(Reg.CR3) != root:
+            raise Reject(MACHINE_DISAGREE, None,
+                         f"initial machine cr3 {init.reg(Reg.CR3):#x} "
+                         f"differs from declared root {root:#x}")
+        ctx = CheckerCtx(ledger=ledger, root=root,
+                         registry={r: dict(t) for r, t in registry.items()},
+                         machine=init.copy(), mode=mode,
+                         stubs=dict(stubs or {}), free_list=tuple(free_list),
+                         reads={} if mode == COEXEC else None)
+        complaint = audit_ledger(ctx, ctx.reads) if mode == COEXEC else None
+        if complaint is not None:
+            raise Reject(MACHINE_DISAGREE, None, complaint)
+    except (Reject, LedgerError) as err:
+        violation = _violation(err, -1)
+    else:
+        for index, script_step in enumerate(script):
+            outcome = apply_rule(ctx, script_step, index)
+            if isinstance(outcome, Violation):
+                violation = outcome
+                break
+            ctx, record = outcome
+            records.append(record)
 
+    if violation is not None:
+        return Report(root=root, mode=mode, records=tuple(records),
+                      final_ledger=None, final_machine=None,
+                      final_root=None, violation=violation)
     return Report(root=root, mode=mode, records=tuple(records),
                   final_ledger=ctx.ledger, final_machine=ctx.machine,
                   final_root=ctx.root, violation=None)
@@ -1001,9 +927,9 @@ def frame_audit(pre: Assertion, root: int, script: Script) -> list:
     warnings = []
     for claim in sorted(candidates, key=repr):
         if claim.va not in touched:
-            warnings.append(Violation(
-                UNSOUND_FRAME, switch_steps[0], str(WalkLoc(root, claim.va)),
+            warnings.append(_violation(Reject(
+                UNSOUND_FRAME, str(WalkLoc(root, claim.va)),
                 f"claim for va {claim.va:#x} is framed, untouched, across an "
                 "address-space switch; wrap it in the other-space modality "
-                "for the old root"))
+                "for the old root"), switch_steps[0]))
     return warnings

@@ -125,14 +125,21 @@ def cmd_run(args) -> int:
         if val:
             out.append(f"  {reg.value}={val:#x}")
     out.append("memory:")
-    for frame in sorted(set(initial.mem) | set(state.mem)):
-        before = initial.mem.get(frame, {})
-        after = state.mem.get(frame, {})
-        for off in sorted(set(before) | set(after)):
-            if before.get(off) != after.get(off):
-                out.append(f"  {frame:#x}:{off:#x}={after.get(off, 0):#x}")
+    out.extend(f"  {frame:#x}:{off:#x}={word:#x}"
+               for frame, off, word in _memory_diff(initial, state))
     print("\n".join(out))
     return 0
+
+
+def _memory_diff(before: MachineState, after: MachineState):
+    """(frame, offset, word after) for each memory word that differs, in
+    address order; a word missing after reads as 0."""
+    for frame in sorted(set(before.mem) | set(after.mem)):
+        b = before.mem.get(frame, {})
+        a = after.mem.get(frame, {})
+        for off in sorted(set(b) | set(a)):
+            if b.get(off) != a.get(off):
+                yield frame, off, a.get(off, 0)
 
 
 def _delta_text(before: MachineState, after: MachineState) -> str:
@@ -141,12 +148,8 @@ def _delta_text(before: MachineState, after: MachineState) -> str:
                       key=lambda r: r.value):
         if before.reg(reg) != after.reg(reg):
             deltas.append(f"{reg.value}={after.reg(reg):#x}")
-    for frame in sorted(set(before.mem) | set(after.mem)):
-        b = before.mem.get(frame, {})
-        a = after.mem.get(frame, {})
-        for off in sorted(set(b) | set(a)):
-            if b.get(off) != a.get(off):
-                deltas.append(f"mem[{frame:#x}:{off:#x}]={a.get(off, 0):#x}")
+    deltas.extend(f"mem[{frame:#x}:{off:#x}]={word:#x}"
+                  for frame, off, word in _memory_diff(before, after))
     return " ".join(deltas) if deltas else "-"
 
 

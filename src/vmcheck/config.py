@@ -139,7 +139,7 @@ def load_config(text: str) -> StateConfig:
     registry = {}
     for root_text, walks in _shaped(body.get("registry", {}), dict,
                                     "registry").items():
-        root = _num(root_text, "space root")
+        root = _word(root_text, "space root")
         if root % 4096:
             raise ConfigError(f"space root {root:#x} is not page aligned")
         theta = registry[root] = {}
@@ -149,7 +149,7 @@ def load_config(text: str) -> StateConfig:
             theta[va] = _aligned_word(
                 pa_text, f"walk map {root:#x} entry {va:#x} ->")
 
-    free_list = tuple(_num(x, "free-list entry") for x in
+    free_list = tuple(_word(x, "free-list entry") for x in
                       _shaped(body.get("free_list", []), list, "free_list"))
     return StateConfig(registers=registers, memory=memory,
                        registry=registry, free_list=free_list)

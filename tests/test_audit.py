@@ -328,9 +328,9 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
               VirtPt(ALIAS_VA + 8, FULL, entry))
     real_rule = checker._apply_instr
 
-    def forgetful(ctx, instr, index):
-        outcome = real_rule(ctx, instr, index)
-        return outcome if isinstance(outcome, Violation) else (ctx, "nop", ())
+    def forgetful(ctx, instr):
+        real_rule(ctx, instr)  # a refusal raises through
+        return ctx, "nop", ()
 
     monkeypatch.setattr(checker, "_apply_instr", forgetful)
     report = check_double(pre, root, [InstrStep(MovRegImm(Reg.RAX, 7))],
@@ -351,7 +351,7 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
     # claim for it: the entry the step changed is still re-walked
     state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
 
-    def trusting(ctx, step, index):
+    def trusting(ctx, step):
         theta = {**ctx.registry[ctx.root], step.va: step.pa}
         return (replace(ctx, registry={**ctx.registry, ctx.root: theta}),
                 "ghost-insert-walk", ())

@@ -235,3 +235,27 @@ def test_address_arguments_outside_a_word_are_usage_errors(
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {flag} {shown} is not a 64-bit word\n"
+
+
+@pytest.mark.parametrize("section, value, field", [
+    ("free_list", ["-4096"], "free-list entry -0x1000"),
+    ("free_list", ["0x100000000000000000"],
+     "free-list entry 0x100000000000000000"),
+    ("registry", {"-4096": {}}, "space root -0x1000"),
+])
+def test_free_list_and_space_roots_outside_a_word_are_usage_errors(
+        capsys, tmp_path, section, value, field):
+    # a negative free-list entry used to reach the alloc_page stub and end
+    # in a traceback from PhysPt
+    invoke(capsys, "case", "map_new_page", "--emit", str(tmp_path))
+    state = tmp_path / "map_new_page.state.json"
+    body = json.loads(state.read_text())
+    body[section] = value
+    state.write_text(json.dumps(body))
+    code, out, err = invoke(capsys, "check",
+                            str(tmp_path / "map_new_page.prog"),
+                            "--state", str(state),
+                            "--pre", str(tmp_path / "map_new_page.pre"),
+                            "--root", f"{case_study('map_new_page').root:#x}")
+    assert code == 2 and out == ""
+    assert err == f"error: {state}: {field} is not a 64-bit word\n"

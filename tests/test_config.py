@@ -71,6 +71,10 @@ def test_to_machine_state():
     '{"registry": {"0x1000": {"0x10000000000000000": "0x5000"}}}',
     '{"registry": {"0x1000": {"0x8": "0x5004"}}}',
     '{"registry": {"0x1000": {"0x8": "0x10000000000000000"}}}',
+    '{"registry": {"-4096": {}}}',
+    '{"registry": {"0x100000000000000000": {}}}',
+    '{"free_list": ["-4096"]}',
+    '{"free_list": ["0x100000000000000000"]}',
 ])
 def test_rejects_malformed(text):
     with pytest.raises(ConfigError):
