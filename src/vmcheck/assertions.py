@@ -484,7 +484,7 @@ def chain_fault(chain: L4L1PointsTo) -> Optional[str]:
     return None
 
 
-def _phys_loc(byte_addr: int) -> PhysLoc:
+def phys_loc(byte_addr: int) -> PhysLoc:
     return PhysLoc(byte_addr >> 12, byte_addr & (PAGE_SIZE - 1))
 
 
@@ -513,10 +513,10 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
                 raise WitnessUnavailable(g, node.va)
             pa = theta[node.va]
             acc = acc.add(WalkLoc(g, node.va), node.q, pa)
-            return acc.add(_phys_loc(pa), node.q, node.val)
+            return acc.add(phys_loc(pa), node.q, node.val)
         if isinstance(node, PtePt):
             acc = acc.add(WalkLoc(g, node.va), node.q, node.pa)
-            return acc.add(_phys_loc(node.pa), node.q, node.val)
+            return acc.add(phys_loc(node.pa), node.q, node.val)
         if isinstance(node, L4L1PointsTo):
             fault = chain_fault(node)
             if fault is not None:

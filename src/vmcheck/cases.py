@@ -163,19 +163,26 @@ MAP_PTE_PAGE_VA = 0x80_0000
 MAP_FPADDR = 0x20_0000
 
 
-def _map_fixture():
-    """Tables where MAP_VA's interior chain exists but its L1 entry is
-    empty: a sibling page forces the L1 table, and a second mapping makes
-    that table's page virtually addressable (so the entry can be written
-    through a virtual address)."""
+def _pte_page_tables(extra: list) -> tuple:
+    """Tables mapping the sibling page, the L1 table that holds MAP_VA's
+    entry at MAP_PTE_PAGE_VA (so the entry can be written through a
+    virtual address), and the `extra` mappings: (mem, root, the entry's
+    virtual address, its physical slot)."""
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True)], alloc_base=0x100)
     l1_table_pa = walk(root, mem, MAP_SIBLING_VA)[0][3][0] & ~(PAGE - 1)
     mem, root = synth_tables(
         [(MAP_SIBLING_VA, 0x9000, True),
-         (MAP_PTE_PAGE_VA, l1_table_pa, True)], alloc_base=0x100)
+         (MAP_PTE_PAGE_VA, l1_table_pa, True), *extra], alloc_base=0x100)
     pte_slot_pa = walk(root, mem, MAP_VA)[0][3][0]
     pte_addr = MAP_PTE_PAGE_VA + (pte_slot_pa - l1_table_pa)
+    return mem, root, pte_addr, pte_slot_pa
+
+
+def _map_fixture():
+    """Tables where MAP_VA's interior chain exists but its L1 entry is
+    empty: the sibling page forces the L1 table."""
+    mem, root, pte_addr, pte_slot_pa = _pte_page_tables([])
     registry = {root: {MAP_SIBLING_VA: 0x9000, pte_addr: pte_slot_pa}}
     state = MachineState(
         regs={Reg.CR3: root, Reg.RDI: MAP_VA, Reg.RAX: 0, Reg.R14: 0},
@@ -225,15 +232,8 @@ def map_page_case(words: int = 1) -> CaseStudy:
 def _unmap_fixture():
     """The state map_new_page leaves behind, built directly: MAP_VA is
     mapped to MAP_FPADDR and registered in the walk map."""
-    mem, root = synth_tables(
-        [(MAP_SIBLING_VA, 0x9000, True)], alloc_base=0x100)
-    l1_table_pa = walk(root, mem, MAP_SIBLING_VA)[0][3][0] & ~(PAGE - 1)
-    mem, root = synth_tables(
-        [(MAP_SIBLING_VA, 0x9000, True),
-         (MAP_PTE_PAGE_VA, l1_table_pa, True),
-         (MAP_VA, MAP_FPADDR, True)], alloc_base=0x100)
-    pte_slot_pa = walk(root, mem, MAP_VA)[0][3][0]
-    pte_addr = MAP_PTE_PAGE_VA + (pte_slot_pa - l1_table_pa)
+    mem, root, pte_addr, pte_slot_pa = _pte_page_tables(
+        [(MAP_VA, MAP_FPADDR, True)])
     frame = MAP_FPADDR >> 12
     mem[frame] = {off: 0 for off in range(0, PAGE, 8)}
     registry = {root: {MAP_SIBLING_VA: 0x9000, pte_addr: pte_slot_pa,

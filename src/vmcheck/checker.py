@@ -10,6 +10,13 @@ claim before the first step and after each stub call, and after any
 other step what that step could change.  That audit is the checker's
 only comparison of claims with the machine; resource mode skips it.
 
+The checker reads page tables only through the machine's walk kernel,
+``translate``.  A ghost step takes its walk chain from the current
+machine (which co-execution's audit has proved equal to every held
+claim) and keeps the space's walk map in the registry itself.  The audit
+walks each (root, va) once per pass, for a walk claim and the same
+walk-map entry alike, and notes the table frames the walk read.
+
 Rules refuse a step by raising: a ``Reject`` with the violation's kind,
 location and narrative, or the ``LedgerError`` of a failed ledger
 operation, left to propagate.  ``apply_rule`` is the one place that
@@ -36,6 +43,7 @@ from typing import Callable, Optional, Union
 from .machine import (
     AddRegImm,
     Fault,
+    FrameUnmapped,
     Instr,
     MachineState,
     MovMemFromCr3,
@@ -50,7 +58,6 @@ from .machine import (
     Reg,
     Skip,
     StepOpts,
-    pte_frame,
     step as machine_step,
     translate,
     walk_text,
@@ -75,14 +82,14 @@ from .assertions import (
     WalkLoc,
     WitnessUnavailable,
     InsufficientFraction as LedgerInsufficientFraction,
+    chain_fault,
     ledger_join,
     loc_sort_key,
     lower,
     normalize,
+    phys_loc,
     pure_holds,
 )
-from . import ghost as ghost_ops
-from .ghost import GhostError
 
 COEXEC = "coexec"
 RESOURCE_ONLY = "resource"
@@ -330,33 +337,20 @@ def _set_value(ctx: CheckerCtx, loc: Location, value: int, rule: str):
     return replace(ctx, ledger=ctx.ledger.set_value(loc, value)), rule, (loc,)
 
 
-def _phys_loc_of(pa: int) -> PhysLoc:
-    return PhysLoc(pa >> 12, pa & (PAGE_SIZE - 1))
-
-
 def _chain_entries(ctx: CheckerCtx, va: int):
-    """Resolve the four table slots and entry values a walk of `va` under
-    the current root reads.  Values come from ledger claims when present,
-    falling back to the current machine's tables."""
-    table_frame = ctx.root >> 12
+    """The four table slots and entry values the current machine's walk
+    of `va` under the current root reads.  A walk that stops before the
+    L1 entry is refused at the slot where it stopped."""
+    mem = ctx.machine.mem
     slots = []
-    entries = []
-    for shift in (39, 30, 21, 12):
-        off = ((va >> shift) & 0x1FF) * 8
-        loc = PhysLoc(table_frame, off)
-        claim = ctx.ledger.get(loc)
-        if claim is not None:
-            entry = claim[1]
-        else:
-            entry = ctx.machine.read_word(table_frame, off)
-            if isinstance(entry, Fault):
-                raise Reject(MISSING_RESOURCE, str(loc),
-                             f"table slot for va {va:#x} is neither claimed "
-                             "nor present in the machine")
-        slots.append(loc)
-        entries.append(entry)
-        table_frame = pte_frame(entry)
-    return slots, entries
+    got = translate(ctx.root, mem, va, slots=slots)
+    if len(slots) < 4:
+        stop = got.phys if isinstance(got, FrameUnmapped) else slots[-1]
+        raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
+                     f"table slot for va {va:#x} holds no present entry "
+                     "in the machine")
+    return ([phys_loc(slot) for slot in slots],
+            [mem[slot >> 12][slot & (PAGE_SIZE - 1)] for slot in slots])
 
 
 def _walk_map(ctx: CheckerCtx) -> dict:
@@ -425,7 +419,7 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
     va = (_reg_value(ctx, instr.base) + instr.disp) % (1 << 64)
     if isinstance(instr, MovMemFromReg):
         stored = _reg_value(ctx, instr.src)
-    data_loc = _phys_loc_of(_walk_claim(ctx, va))
+    data_loc = phys_loc(_walk_claim(ctx, va))
     if isinstance(instr, MovMemFromReg):
         return _set_value(ctx, data_loc, stored, "store-virt")
     if isinstance(instr, MovMemFromCr3):
@@ -441,17 +435,20 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
 
 def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
     slots, entries = _chain_entries(ctx, step.va)
-    evidence = L4L1PointsTo(step.va, *entries, step.pa)
-    try:
-        theta = ghost_ops.ghost_insert_walk(_walk_map(ctx), evidence)
-    except GhostError as err:
-        raise Reject(VALUE_DISAGREEMENT, None, str(err))
+    theta = _walk_map(ctx)
+    if step.va in theta:
+        raise Reject(VALUE_DISAGREEMENT, None,
+                     f"walk map already holds {step.va:#x}")
+    # the chain must hold on its own: resolve va to pa, every entry present
+    fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
+    if fault is not None:
+        raise Reject(VALUE_DISAGREEMENT, None, fault)
     walk_loc = WalkLoc(ctx.root, step.va)
     ledger = ctx.ledger
     for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
         ledger = ledger.consume(loc, share, entry)
     ledger = ledger.add(walk_loc, FULL, step.pa)
-    registry = {**ctx.registry, ctx.root: theta}
+    registry = {**ctx.registry, ctx.root: {**theta, step.va: step.pa}}
     return (replace(ctx, ledger=ledger, registry=registry),
             "ghost-insert-walk", (*slots, walk_loc))
 
@@ -464,10 +461,11 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
     theta = _walk_map(ctx)
     # the walk claim is the entry's token: only the full claim retires it
     ledger = ctx.ledger.consume(loc, FULL)
-    try:
-        theta = ghost_ops.ghost_remove_walk(theta, step.va)
-    except GhostError as err:
-        raise Reject(VALUE_DISAGREEMENT, None, str(err))
+    if step.va not in theta:
+        raise Reject(VALUE_DISAGREEMENT, None,
+                     f"walk map has no entry for {step.va:#x}")
+    theta = dict(theta)
+    del theta[step.va]
     slots, entries = _chain_entries(ctx, step.va)
     # the chain shares held inside the invariant come back out
     for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
@@ -525,7 +523,7 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
     new_ctx = replace(ctx, ledger=merged, machine=result.machine,
                       free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
-        complaint = _audit(new_ctx, produced.claims, {}, None)
+        complaint = _audit(new_ctx, produced.claims)
         if complaint is not None:
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised claims the machine "
@@ -588,21 +586,34 @@ def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte]):
 # Co-execution audit
 
 
-def _audit(ctx: CheckerCtx, locs, entries: dict,
-           reads: Optional[dict]) -> Optional[str]:
+def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
     """Validate the held claims at `locs` against the machine, plus, for
-    each root in `entries` whose space claim is held, the walk-map entries
-    at the vas listed there (a space claim in `locs` checks them all).
-    The first complaint in ``loc_sort_key`` order is returned, None when
-    clean.  Every walk is noted in `reads` (see ``ghost.note_reads``)."""
+    each (root, va) in `walks`, its walk claim and, if the root's space
+    claim is held, its walk-map entry (a space claim in `locs` checks
+    every entry).  Each (root, va) is walked once, and with ``ctx.reads``
+    each walk is noted there under every table frame it read.  The first
+    complaint in ``loc_sort_key`` order is returned, None when clean."""
     machine = ctx.machine
     if machine.reg(Reg.CR3) != ctx.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
                 f"checker root {ctx.root:#x}")
     claims = ctx.ledger.claims
     todo = {loc for loc in locs if loc in claims}
-    todo.update(loc for loc in map(SpaceLoc, entries) if loc in claims)
-    slots = None if reads is None else []
+    for root, va in walks:
+        todo.update(loc for loc in (WalkLoc(root, va), SpaceLoc(root))
+                    if loc in claims)
+    reads = ctx.reads
+    walked = {}
+
+    def translated(root: int, va: int):
+        if (root, va) not in walked:
+            slots = []
+            walked[root, va] = translate(root, machine.mem, va, slots=slots)
+            if reads is not None:
+                for slot in slots:
+                    reads.setdefault(slot >> 12, set()).add((root, va))
+        return walked[root, va]
+
     for loc in sorted(todo, key=loc_sort_key):
         _q, v = claims[loc]
         if isinstance(loc, RegLoc):
@@ -615,10 +626,7 @@ def _audit(ctx: CheckerCtx, locs, entries: dict,
                 return (f"{loc}: ledger {v:#x}, machine "
                         f"{walk_text(got)[0]}")
         elif isinstance(loc, WalkLoc):
-            got = translate(loc.root, machine.mem, loc.va, slots=slots)
-            if reads is not None:
-                ghost_ops.note_reads(reads, loc.root, loc.va, slots)
-                slots.clear()
+            got = translated(loc.root, loc.va)
             if got != v:
                 return (f"{loc}: ledger {v:#x}, machine walk "
                         f"{walk_text(got)[0]}")
@@ -626,29 +634,25 @@ def _audit(ctx: CheckerCtx, locs, entries: dict,
             if theta is None or theta.get(loc.va) != v:
                 return f"{loc}: walk map does not record {v:#x}"
         else:
-            registry = ctx.registry
-            theta = registry.get(loc.root)
-            if loc not in locs and theta is not None:
-                registry = {loc.root: {va: theta[va] for va in
-                                       entries[loc.root] if va in theta}}
-            try:
-                failures = ghost_ops.ias_check(machine, loc.root, registry,
-                                               reads)
-            except GhostError as err:
-                return f"{loc}: {err}"
-            if failures:
-                va, fault = failures[0]
-                return (f"{loc}: walk-map entry {va:#x} broken: "
-                        f"{walk_text(fault)[0]}")
+            theta = ctx.registry.get(loc.root)
+            if theta is None:
+                return (f"{loc}: address space {loc.root:#x} is not "
+                        "registered")
+            vas = theta if loc in locs else \
+                {va for root, va in walks if root == loc.root and va in theta}
+            for va in sorted(vas):
+                got = translated(loc.root, va)
+                if got != theta[va]:
+                    return (f"{loc}: walk-map entry {va:#x} broken: "
+                            f"{walk_text(got)[0]}")
     return None
 
 
-def audit_ledger(ctx: CheckerCtx, reads: Optional[dict] = None
-                 ) -> Optional[str]:
+def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
     """Validate every ledger claim against the machine; None when clean.
     This full audit runs before the first step and after every stub call;
     it is also the oracle the per-step audit is tested against."""
-    return _audit(ctx, ctx.ledger.claims, {}, reads)
+    return _audit(ctx, ctx.ledger.claims)
 
 
 def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
@@ -661,7 +665,6 @@ def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
     walk-map entry `walk` = (root, va) a ghost step inserted or removed;
     cr3 is always compared.  Everything else still holds, so the first
     complaint is the one the full audit would give."""
-    reads = ctx.reads
     locs = set(touched)
     if reg is not None:
         locs.add(RegLoc(reg))
@@ -672,12 +675,8 @@ def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
         locs.update(loc for loc in ctx.ledger.claims
                     if isinstance(loc, PhysLoc) and loc.frame in frames)
         for frame in frames:
-            walks.update(reads.get(frame, ()))
-    entries = {}
-    for root, va in walks:
-        locs.add(WalkLoc(root, va))
-        entries.setdefault(root, set()).add(va)
-    return _audit(ctx, locs, entries, reads)
+            walks.update(ctx.reads.get(frame, ()))
+    return _audit(ctx, locs, walks)
 
 
 # --------------------------------------------------------------------------
@@ -723,7 +722,7 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
             if new_ctx.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh
                 new_ctx = replace(new_ctx, reads={})
-                complaint = audit_ledger(new_ctx, new_ctx.reads)
+                complaint = audit_ledger(new_ctx)
             else:
                 complaint = _audit_step(new_ctx, touched, reg, frames, walk)
             if complaint is not None:
@@ -845,7 +844,7 @@ def check_double(pre: Assertion, root: int, script: Script,
                          machine=init.copy(), mode=mode,
                          stubs=dict(stubs or {}), free_list=tuple(free_list),
                          reads={} if mode == COEXEC else None)
-        complaint = audit_ledger(ctx, ctx.reads) if mode == COEXEC else None
+        complaint = audit_ledger(ctx) if mode == COEXEC else None
         if complaint is not None:
             raise Reject(MACHINE_DISAGREE, None, complaint)
     except (Reject, LedgerError) as err:

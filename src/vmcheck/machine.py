@@ -36,7 +36,6 @@ from typing import Iterable, Optional, Union
 
 PAGE_SIZE = 4096
 WORD_BYTES = 8
-ENTRIES_PER_TABLE = 512
 
 class Reg(str, Enum):
     """Register identifiers.  cr3 is the page-table control register and

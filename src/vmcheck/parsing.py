@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
 
 from .machine import (
     AddRegImm,
@@ -115,16 +114,14 @@ def _tokenize(text: str, line: int):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = text[pos:].strip()
             if not rest:
                 break
             raise ParseError(line, pos + 1, f"cannot read {rest[:10]!r}")
-        if m.lastgroup is not None or m.group("sym") or m.group("num") \
-                or m.group("word"):
-            kind = ("sym" if m.group("sym") else
-                    "num" if m.group("num") else "word")
-            tokens.append((kind, m.group(kind), m.start(kind) + 1))
+        # each alternative is one named group that matches non-empty text
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 

@@ -157,6 +157,25 @@ def test_coexec_walks_grow_linearly_with_mapping_width(monkeypatch):
     assert large / small <= 4.5, (small, large)
 
 
+def test_coexec_swtch_walks_each_audited_walk_once(monkeypatch):
+    # the audit walks each (root, va) once per pass: a held walk claim and
+    # the same va's walk-map entry share one translate (36 when each was
+    # walked on its own)
+    calls = [0]
+    kernel = machine.translate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    for module in (assertions, ghost, checker):
+        monkeypatch.setattr(module, "translate", counted)
+    report = run_case(case_study("swtch"))
+    monkeypatch.undo()
+    assert report.ok, report.violation
+    assert calls[0] == 18
+
+
 def test_map_page_iterated_variant_coexec_small():
     case = map_page_case(words=8)
     report = run_case(case)

@@ -1,5 +1,7 @@
+import ast
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,10 @@ from vmcheck.machine import (
     MovToCr3FromReg,
     Reg,
     chain_slots,
+    mem_set,
     walk,
 )
-from vmcheck import assertions
+from vmcheck import assertions, checker
 from vmcheck.assertions import (
     FULL,
     IASpace,
@@ -292,31 +295,54 @@ def test_ghost_insert_needs_chain_shares():
 
 @pytest.mark.parametrize("level", [4, 3, 2, 1])
 def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
-    # the ledger's chain claims are the only evidence resource mode has;
-    # an entry without its present bit does not justify a walk.  The
-    # chain is held as shares of its four slots, since a not-present
-    # walk-chain claim does not even lower
+    # an entry without its present bit does not justify a walk: the
+    # machine's entry at `level` is cleared, the chain is held as shares
+    # of its four slots with the machine's values (a not-present
+    # walk-chain claim does not even lower), and both modes refuse alike
     state, registry, roots = fixture()
     root = roots[0]
     registry = {r: dict(t) for r, t in registry.items()}
-    del registry[root][0x20_1000]
+    registry[root] = {}  # no other walk-map entry reads the cleared slot
     field = f"l{level}e"
     good = chain_claim(state, root, 0x20_1000, 0x6000)
     node = replace(good, **{field: getattr(good, field) & ~1})
     entries = (node.l4e, node.l3e, node.l2e, node.l1e)
     slots = chain_slots(root, node.va, *entries[:3])
     shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
+    frame, off = slots[4 - level]
     pre = sep(IASpace(), Pure(PredUnmapped(0x20_1000)),
-              *(PhysPt(frame, off, q, entry) for (frame, off), q, entry
+              *(PhysPt(f, o, q, entry) for (f, o), q, entry
                 in zip(slots, shares, entries)))
-    report = check_double(pre, root, [GhostInsertWalk(0x20_1000, 0x6000)],
-                          mode=RESOURCE_ONLY, init=state, registry=registry)
-    assert report.violation == Violation(
-        VALUE_DISAGREEMENT, 0, None,
-        f"table entry is not present for {node!r} "
-        f"(observed {getattr(node, field)!r})")
+    script = [GhostInsertWalk(0x20_1000, 0x6000)]
+    cleared = state.copy()
+    mem_set(cleared.mem, frame, off, getattr(node, field))
+    if level == 1:
+        # a complete walk: the chain's own check names the entry
+        want = Violation(VALUE_DISAGREEMENT, 0, None,
+                         f"table entry is not present for {node!r} "
+                         f"(observed {getattr(node, field)!r})")
+    else:
+        want = Violation(MISSING_RESOURCE, 0, f"phys:{frame:#x}:{off:#x}",
+                         "table slot for va 0x201000 holds no present "
+                         "entry in the machine")
+    reports = {mode: check_double(pre, root, script, mode=mode, init=cleared,
+                                  registry=registry)
+               for mode in (RESOURCE_ONLY, COEXEC)}
+    assert reports[RESOURCE_ONLY].violation == want
+    assert reports[COEXEC].violation == want
+    assert reports[RESOURCE_ONLY].to_json().replace(
+        '"mode": "resource"', '"mode": "coexec"', 1) == \
+        reports[COEXEC].to_json()
     with pytest.raises(assertions.BrokenChain):
         lower(node, root, registry)
+    # resource mode with a ledger that contradicts the intact machine: the
+    # chain is taken from the machine, and the ledger's claim at the
+    # cleared slot disagrees with it
+    report = check_double(pre, root, script, mode=RESOURCE_ONLY, init=state,
+                          registry=registry)
+    assert report.violation == Violation(
+        VALUE_DISAGREEMENT, 0, f"phys:{frame:#x}:{off:#x}",
+        f"claims disagree on the value at phys:{frame:#x}:{off:#x}")
 
 
 def test_not_present_insert_reports_alike_in_both_modes():
@@ -627,3 +653,24 @@ def test_ordering_work_grows_linearly_with_mapping_width(monkeypatch):
     small = _ordering_calls(monkeypatch, 64)
     large = _ordering_calls(monkeypatch, 256)
     assert large / small <= 4.5, (small, large)
+
+
+def test_checker_does_not_use_the_reference_checks():
+    # the checker compares claims with the machine only through its own
+    # audit: it neither imports the ghost module nor names the reference
+    # checks machine_sat and ias_check
+    modules = set()
+    names = set()
+    for node in ast.walk(ast.parse(Path(checker.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "machine" in modules
+    assert not {"ghost", "vmcheck.ghost"} & modules
+    assert not {"ghost", "machine_sat", "ias_check"} & names

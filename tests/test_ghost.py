@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,15 +36,7 @@ from vmcheck.checker import (
     Violation,
     check_double,
 )
-from vmcheck.ghost import (
-    AlreadyMapped,
-    EvidenceInvalid,
-    GhostError,
-    UnknownRoot,
-    ghost_insert_walk,
-    ghost_remove_walk,
-    ias_check,
-)
+from vmcheck.ghost import UnknownRoot, ias_check
 
 from gen import multi_space_fixture
 
@@ -150,28 +141,45 @@ def test_ias_check_detects_misresolution():
 # insert / remove
 
 
-def test_insert_into_empty_theta():
+def _insert_check(script, mode, va=0x20_0000):
+    """check_double of `script` from space A with `va` dropped from its
+    walk map, holding the space witness and the chain of `va`.  Returns
+    (report, the registry passed in, root A), so a test can see that the
+    check leaves the caller's registry unchanged."""
     state, registry, root = fixture()
-    evidence = chain_for(state, root, 0x20_0000)
-    theta = {}
-    assert ghost_insert_walk(theta, evidence) == \
-        {0x20_0000: 0x5000}
-    assert theta == {}
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][va]
+    pre = sep(IASpace(), chain_for(state, root, va))
+    report = check_double(pre, root, script, init=state, registry=registry,
+                          mode=mode)
+    return report, registry, root
+
+
+def test_insert_into_empty_theta():
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report, registry, root = _insert_check(
+            [GhostInsertWalk(0x20_0000, 0x5000)], mode)
+        assert report.ok, report.violation
+        assert report.final_ledger.get(WalkLoc(root, 0x20_0000)) == \
+            (FULL, 0x5000)
+        assert registry[root] == {0x20_1000: 0x6000}
 
 
 def test_insert_rejects_double_mapping():
-    state, registry, root = fixture()
-    evidence = chain_for(state, root, 0x20_0000)
-    theta = ghost_insert_walk({}, evidence)
-    with pytest.raises(AlreadyMapped):
-        ghost_insert_walk(theta, evidence)
+    insert = GhostInsertWalk(0x20_0000, 0x5000)
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report, _registry, _root = _insert_check([insert, insert], mode)
+        assert report.violation == Violation(
+            VALUE_DISAGREEMENT, 1, None, "walk map already holds 0x200000")
 
 
 def test_insert_validates_evidence_arithmetic():
-    state, registry, root = fixture()
-    evidence = chain_for(state, root, 0x20_0000)
-    with pytest.raises(EvidenceInvalid):
-        ghost_insert_walk({}, replace(evidence, pa=0x9000))
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report, _registry, _root = _insert_check(
+            [GhostInsertWalk(0x20_0000, 0x9000)], mode)
+        assert report.violation == Violation(
+            VALUE_DISAGREEMENT, 0, None,
+            "chain for 0x200000 does not resolve to 0x9000")
 
 
 def test_insert_validates_evidence_against_machine():
@@ -193,27 +201,43 @@ def test_insert_validates_evidence_against_machine():
 
 
 def test_insert_then_ias_check_holds():
-    state, registry, root = fixture()
-    evidence = chain_for(state, root, 0x20_1000)
-    theta = dict(registry[root])
-    del theta[0x20_1000]
-    registry[root] = theta
-    registry[root] = ghost_insert_walk(theta, evidence)
-    assert ias_check(state, root, registry) == []
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report, registry, root = _insert_check(
+            [GhostInsertWalk(0x20_1000, 0x6000)], mode, va=0x20_1000)
+        assert report.ok, report.violation
+        registry[root][0x20_1000] = 0x6000
+        assert ias_check(report.final_machine, root, registry) == []
 
 
 def test_remove_roundtrip():
+    insert = GhostInsertWalk(0x20_0000, 0x5000)
+    remove = GhostRemoveWalk(0x20_0000)
+    state, _registry, root = fixture()
+    pre = sep(IASpace(), chain_for(state, root, 0x20_0000))
+    for mode in (COEXEC, RESOURCE_ONLY):
+        report, registry, _root = _insert_check([insert, remove], mode)
+        assert report.ok, report.violation
+        # the chain shares come back out; the walk claim is retired
+        assert report.final_ledger == lower(pre, root, registry)
+        # invariant only quantifies over the map's domain
+        assert ias_check(report.final_machine, root, registry) == []
+        report, _registry, _root = _insert_check([insert, remove, remove],
+                                                 mode)
+        assert report.violation == Violation(
+            INSUFFICIENT_FRACTION, 2, f"walk:{root:#x}:0x200000",
+            "no walk token held for va 0x200000")
+    # a walk claim whose entry the map lacks cannot retire it; only
+    # resource mode gets this far, co-execution's audit refuses the
+    # precondition
     state, registry, root = fixture()
-    evidence = chain_for(state, root, 0x20_0000)
-    theta = ghost_insert_walk({}, evidence)
-    theta2 = ghost_remove_walk(theta, 0x20_0000)
-    assert theta2 == {}
-    assert theta == {0x20_0000: 0x5000}
-    with pytest.raises(GhostError):
-        ghost_remove_walk(theta2, 0x20_0000)
-    # invariant only quantifies over the map's domain
-    registry[root] = theta2
-    assert ias_check(state, root, registry) == []
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][0x20_0000]
+    report = check_double(sep(IASpace(), PtePt(0x20_0000, FULL, 0x5000,
+                                               0x1111)),
+                          root, [remove], init=state, registry=registry,
+                          mode=RESOURCE_ONLY)
+    assert report.violation == Violation(
+        VALUE_DISAGREEMENT, 0, None, "walk map has no entry for 0x200000")
 
 
 def test_remove_requires_full_token():

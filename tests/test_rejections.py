@@ -289,7 +289,7 @@ def _ghost_cases():
     c_maps_va = {**multi_space_fixture()[1], root_c: {VA: 0x6000}}
     return {
         "insert-slot-absent": (
-            MISSING_RESOURCE, "is neither claimed nor present",
+            MISSING_RESOURCE, "holds no present entry",
             lambda: _check(IASpace(), [GhostInsertWalk(VA, 0x6000)],
                            root=root_c)),
         "insert-unregistered-space": (
@@ -328,7 +328,7 @@ def _ghost_cases():
             lambda: _check(sep(IASpace(), PtePt(NEXT, FULL, 0x5008, 0x2222)),
                            [GhostRemoveWalk(NEXT)])),
         "remove-slot-absent": (
-            MISSING_RESOURCE, "is neither claimed nor present",
+            MISSING_RESOURCE, "holds no present entry",
             lambda: _check(sep(IASpace(), PtePt(VA, FULL, 0x6000, 0x3333)),
                            [GhostRemoveWalk(VA)], root=root_c,
                            registry=c_maps_va)),
