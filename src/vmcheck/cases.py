@@ -245,20 +245,6 @@ def _unmap_fixture():
     return state, registry, root, pte_addr, pte_slot_pa
 
 
-def unmap_script(pte_slot_pa: int) -> Script:
-    return [
-        AssertStep(VirtPt(MAP_VA, FULL, 0)),
-        GhostRemoveWalk(MAP_VA),
-        InstrStep(MovRegImm(Reg.RAX, 0)),
-        InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX)),
-        AssertStep(sep(
-            PhysPt(pte_slot_pa >> 12, pte_slot_pa & (PAGE - 1), FULL, 0),
-            PhysPt(MAP_FPADDR >> 12, 0, FULL, 0),
-            Pure(PredUnmapped(MAP_VA)),
-        )),
-    ]
-
-
 def unmap_page_case() -> CaseStudy:
     state, registry, root, pte_addr, pte_slot_pa = _unmap_fixture()
     l1e = MAP_FPADDR + 3
@@ -274,11 +260,22 @@ def unmap_page_case() -> CaseStudy:
         PhysPt(MAP_FPADDR >> 12, 0, FULL, 0),
         Pure(PredUnmapped(MAP_VA)),
     )
+    script = [
+        AssertStep(VirtPt(MAP_VA, FULL, 0)),
+        GhostRemoveWalk(MAP_VA),
+        InstrStep(MovRegImm(Reg.RAX, 0)),
+        InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX)),
+        AssertStep(sep(
+            PhysPt(pte_slot_pa >> 12, pte_slot_pa & (PAGE - 1), FULL, 0),
+            PhysPt(MAP_FPADDR >> 12, 0, FULL, 0),
+            Pure(PredUnmapped(MAP_VA)),
+        )),
+    ]
     return CaseStudy(
         name="unmap_page",
         description="retire a mapping: give the walk token back, zero the "
                     "L1 entry, reclaim the backing word",
-        root=root, pre=pre, script=unmap_script(pte_slot_pa),
+        root=root, pre=pre, script=script,
         stubs=dict(STUB_LIBRARY), expected_post=post, state=state,
         registry=registry, free_list=())
 
@@ -390,15 +387,13 @@ def swtch_case() -> CaseStudy:
 # --------------------------------------------------------------------------
 
 
-CASE_NAMES = ("map_new_page", "unmap_page", "swtch")
+CASES = {"map_new_page": map_page_case, "unmap_page": unmap_page_case,
+         "swtch": swtch_case}
+CASE_NAMES = tuple(CASES)
 
 
 def case_study(name: str) -> CaseStudy:
     """Assemble a named case, or raise UnknownCase."""
-    if name == "map_new_page":
-        return map_page_case()
-    if name == "unmap_page":
-        return unmap_page_case()
-    if name == "swtch":
-        return swtch_case()
-    raise UnknownCase(f"no case study named {name!r}")
+    if name not in CASES:
+        raise UnknownCase(f"no case study named {name!r}")
+    return CASES[name]()

@@ -10,12 +10,15 @@ claim before the first step and after each stub call, and after any
 other step what that step could change.  That audit is the checker's
 only comparison of claims with the machine; resource mode skips it.
 
-The checker reads page tables only through the machine's walk kernel,
-``translate``.  A ghost step takes its walk chain from the current
-machine (which co-execution's audit has proved equal to every held
-claim) and keeps the space's walk map in the registry itself.  The audit
-walks each (root, va) once per pass, for a walk claim and the same
-walk-map entry alike, and notes the table frames the walk read.
+The checker takes the instruction forms from the machine (the memory
+forms are ``MEM_FORMS``) and reads page tables only through its walk
+kernel, ``translate``.  A ghost step names word addresses only (its
+constructor refuses any other value, as for a walk-map key), takes its
+walk chain from the current machine (which co-execution's audit has
+proved equal to every held claim) and keeps the space's walk map in the
+registry itself.  The audit walks each (root, va) once per pass, for a
+walk claim and the same walk-map entry alike, and notes the table
+frames the walk read.
 
 Rules refuse a step by raising: a ``Reject`` with the violation's kind,
 location and narrative, or the ``LedgerError`` of a failed ledger
@@ -45,6 +48,7 @@ from .machine import (
     Fault,
     FrameUnmapped,
     Instr,
+    MEM_FORMS,
     MachineState,
     MovMemFromCr3,
     MovMemFromReg,
@@ -58,6 +62,7 @@ from .machine import (
     Reg,
     Skip,
     StepOpts,
+    WORD_BYTES,
     step as machine_step,
     translate,
     walk_text,
@@ -131,24 +136,38 @@ class InstrStep(ScriptStep):
     instr: Instr
 
 
+class GhostStep(ScriptStep):
+    """A ghost step: every field is a word address, a word-aligned 64-bit
+    word, as a walk-map key or value must be."""
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"ghost {name}={value:#x} is not a 64-bit "
+                                 "word")
+            if value % WORD_BYTES:
+                raise ValueError(f"ghost {name}={value:#x} is not word "
+                                 "aligned")
+
+
 @dataclass(frozen=True)
-class GhostInsertWalk(ScriptStep):
+class GhostInsertWalk(GhostStep):
     va: int
     pa: int
 
 
 @dataclass(frozen=True)
-class GhostRemoveWalk(ScriptStep):
+class GhostRemoveWalk(GhostStep):
     va: int
 
 
 @dataclass(frozen=True)
-class GhostPteToVirt(ScriptStep):
+class GhostPteToVirt(GhostStep):
     va: int
 
 
 @dataclass(frozen=True)
-class GhostVirtToPte(ScriptStep):
+class GhostVirtToPte(GhostStep):
     va: int
     pa: int
 
@@ -408,8 +427,7 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
     if isinstance(instr, MovToCr3FromReg):
         return (_switch_root(ctx, _reg_value(ctx, instr.src)),
                 "cr3-switch-reg", ())
-    if not isinstance(instr, (MovRegFromMem, MovToCr3FromMem, MovMemFromReg,
-                              MovMemFromCr3)):
+    if not isinstance(instr, MEM_FORMS):
         raise TypeError(f"unknown instruction {instr!r}")
 
     # the memory forms, checked as machine._access_memory checks them: the
@@ -876,7 +894,9 @@ def frame_audit(pre: Assertion, root: int, script: Script) -> list:
     no step touches yet a cr3 write survives past, without an other-space
     wrapper.  Such claims silently change meaning at the switch; each one
     is reported as an UnsoundFrame.  check_double fails on its own if a
-    stranded claim is actually used."""
+    stranded claim is actually used.  Register values are known from the
+    precondition and followed through the register forms; a load forgets
+    its destination, a stub call (which may write any register) all."""
     switch_steps = [i for i, s in enumerate(script)
                     if isinstance(s, InstrStep)
                     and isinstance(s.instr, (MovToCr3FromReg, MovToCr3FromMem))]
@@ -891,21 +911,20 @@ def frame_audit(pre: Assertion, root: int, script: Script) -> list:
 
     # Forward-resolve register values from the precondition's claims to
     # work out which virtual addresses the instructions touch.
-    reg_vals = {}
-    for p in parts:
-        if isinstance(p, RegPt):
-            reg_vals[p.reg] = p.val
+    reg_vals = {p.reg: p.val for p in parts if isinstance(p, RegPt)}
     touched = set()
     for s in script:
-        if isinstance(s, (GhostInsertWalk, GhostRemoveWalk, GhostPteToVirt,
-                          GhostVirtToPte)):
+        if isinstance(s, GhostStep):
             touched.add(s.va)
+            continue
+        if isinstance(s, CallStep):
+            # a stub may write any register
+            reg_vals.clear()
             continue
         if not isinstance(s, InstrStep):
             continue
         instr = s.instr
-        if isinstance(instr, (MovRegFromMem, MovMemFromReg, MovMemFromCr3,
-                              MovToCr3FromMem)):
+        if isinstance(instr, MEM_FORMS):
             base = instr.base
             if base in reg_vals:
                 touched.add((reg_vals[base] + instr.disp) % (1 << 64))

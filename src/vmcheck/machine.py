@@ -14,8 +14,10 @@ Every value is a plain int: addresses, raw table entries (read through
 ``pte_frame`` and the ``PTE_*`` bits) and walk results.  One kernel,
 ``translate``, does every walk; ``walk`` also returns the raw entries it
 read, and ``walk_text`` renders both.  Bit widths are checked where
-values enter (instruction constructors, the parser, the state loader),
-not per walk.
+values enter (instruction constructors, the parser, the state loader).
+``translate`` checks its root's alignment and its va's width on every
+call too, but only to refuse misuse of the Python API: values from
+those entry points always pass.
 
 All operations are pure over value-semantics state: ``step``/``run``
 return fresh states and never mutate their input.  Copies share memory
@@ -230,19 +232,20 @@ def mem_set(mem: Mem, frame: int, off: int, value: int) -> None:
 
 
 class Instr:
-    """Base for the mov-family instruction forms."""
+    """Base for the mov-family instruction forms.  Every form names its
+    operands with the same fields: registers ``dst``, ``src`` and
+    ``base`` (``step`` faults on cr3 in any of them), a displacement
+    ``disp`` and an immediate ``imm``, the last two checked here."""
 
-
-def _check_disp(disp: int) -> None:
-    if disp % WORD_BYTES:
-        raise ValueError(f"displacement {disp} is not a multiple of 8")
-    if not (-PAGE_SIZE < disp < PAGE_SIZE):
-        raise ValueError(f"displacement {disp} out of range")
-
-
-def _check_imm(imm: int) -> None:
-    if not (0 <= imm < (1 << 64)):
-        raise ValueError(f"immediate {imm:#x} is not a 64-bit word")
+    def __post_init__(self) -> None:
+        disp = getattr(self, "disp", 0)
+        if disp % WORD_BYTES:
+            raise ValueError(f"displacement {disp} is not a multiple of 8")
+        if not (-PAGE_SIZE < disp < PAGE_SIZE):
+            raise ValueError(f"displacement {disp} out of range")
+        imm = getattr(self, "imm", 0)
+        if not (0 <= imm < (1 << 64)):
+            raise ValueError(f"immediate {imm:#x} is not a 64-bit word")
 
 
 @dataclass(frozen=True)
@@ -256,17 +259,11 @@ class MovRegImm(Instr):
     dst: Reg
     imm: int
 
-    def __post_init__(self) -> None:
-        _check_imm(self.imm)
-
 
 @dataclass(frozen=True)
 class AddRegImm(Instr):
     dst: Reg
     imm: int
-
-    def __post_init__(self) -> None:
-        _check_imm(self.imm)
 
 
 @dataclass(frozen=True)
@@ -275,18 +272,12 @@ class MovRegFromMem(Instr):
     base: Reg
     disp: int = 0
 
-    def __post_init__(self) -> None:
-        _check_disp(self.disp)
-
 
 @dataclass(frozen=True)
 class MovMemFromReg(Instr):
     base: Reg
     disp: int
     src: Reg
-
-    def __post_init__(self) -> None:
-        _check_disp(self.disp)
 
 
 @dataclass(frozen=True)
@@ -304,17 +295,11 @@ class MovMemFromCr3(Instr):
     base: Reg
     disp: int = 0
 
-    def __post_init__(self) -> None:
-        _check_disp(self.disp)
-
 
 @dataclass(frozen=True)
 class MovToCr3FromMem(Instr):
     base: Reg
     disp: int = 0
-
-    def __post_init__(self) -> None:
-        _check_disp(self.disp)
 
 
 @dataclass(frozen=True)
@@ -421,7 +406,8 @@ class StepOpts:
 DEFAULT_OPTS = StepOpts()
 
 
-_MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
+# The forms that translate base + disp and load or store the word there.
+MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
 
 
 def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
@@ -429,20 +415,12 @@ def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
     """The one path of the memory forms: translate base + disp under cr3
     (accessed bits land in `nxt`), then load the word into a register or
     store a register's value.  Faults, in the order they are checked: a
-    control register in a data operand, a misaligned va, a misaligned
-    root, the walk's own fault, a read-only entry on a store, an absent
-    word."""
-    if isinstance(instr, MovRegFromMem):
-        data_operands, load, store = (instr.dst, instr.base), instr.dst, None
-    elif isinstance(instr, MovToCr3FromMem):
-        data_operands, load, store = (instr.base,), Reg.CR3, None
-    elif isinstance(instr, MovMemFromReg):
-        data_operands, load, store = (instr.src, instr.base), None, instr.src
+    misaligned va, a misaligned root, the walk's own fault, a read-only
+    entry on a store, an absent word."""
+    if isinstance(instr, (MovRegFromMem, MovToCr3FromMem)):
+        load, store = getattr(instr, "dst", Reg.CR3), None
     else:
-        data_operands, load, store = (instr.base,), None, Reg.CR3
-    for reg in data_operands:
-        if not reg.is_data:
-            return BadRegister(reg)
+        load, store = None, getattr(instr, "src", Reg.CR3)
     va = (state.reg(instr.base) + instr.disp) % (1 << 64)
     if va % WORD_BYTES:
         return Misaligned(va)
@@ -472,49 +450,32 @@ def step(state: MachineState, instr: Instr,
          opts: StepOpts = DEFAULT_OPTS) -> Union[MachineState, Fault]:
     """Execute one instruction, returning the successor state or the fault.
 
-    The input state is never modified; at most one memory word changes in
-    the result (plus accessed bits when enabled).
+    A control register in a data operand (``dst``, ``src`` or ``base``,
+    checked in that order) faults before anything else.  The input state
+    is never modified; at most one memory word changes in the result
+    (plus accessed bits when enabled).
     """
+    for operand in (getattr(instr, "dst", None), getattr(instr, "src", None),
+                    getattr(instr, "base", None)):
+        if operand is not None and not operand.is_data:
+            return BadRegister(operand)
     nxt = state.copy()
     nxt.pc = state.pc + 1
-
-    if isinstance(instr, Skip):
-        return nxt
-
     if isinstance(instr, MovRegReg):
-        if not (instr.dst.is_data and instr.src.is_data):
-            return BadRegister(instr.dst if not instr.dst.is_data else instr.src)
         nxt.regs[instr.dst] = state.reg(instr.src)
-        return nxt
-
-    if isinstance(instr, MovRegImm):
-        if not instr.dst.is_data:
-            return BadRegister(instr.dst)
+    elif isinstance(instr, MovRegImm):
         nxt.regs[instr.dst] = instr.imm
-        return nxt
-
-    if isinstance(instr, AddRegImm):
-        if not instr.dst.is_data:
-            return BadRegister(instr.dst)
+    elif isinstance(instr, AddRegImm):
         nxt.regs[instr.dst] = (state.reg(instr.dst) + instr.imm) % (1 << 64)
-        return nxt
-
-    if isinstance(instr, MovToCr3FromReg):
-        if not instr.src.is_data:
-            return BadRegister(instr.src)
+    elif isinstance(instr, MovToCr3FromReg):
         nxt.regs[Reg.CR3] = state.reg(instr.src)
-        return nxt
-
-    if isinstance(instr, MovRegFromCr3):
-        if not instr.dst.is_data:
-            return BadRegister(instr.dst)
+    elif isinstance(instr, MovRegFromCr3):
         nxt.regs[instr.dst] = state.reg(Reg.CR3)
-        return nxt
-
-    if isinstance(instr, _MEM_FORMS):
+    elif isinstance(instr, MEM_FORMS):
         return _access_memory(state, nxt, instr, opts)
-
-    raise TypeError(f"unknown instruction {instr!r}")
+    elif not isinstance(instr, Skip):
+        raise TypeError(f"unknown instruction {instr!r}")
+    return nxt
 
 
 def run(state: MachineState, program: Iterable[Instr],

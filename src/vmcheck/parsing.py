@@ -13,7 +13,8 @@ Program lines:
     @assert { ASSERTION }
 
 ``;`` starts a comment.  DISP is optional (default 0) and may be
-negative.  Numbers are 0x-hex or decimal.
+negative.  An ADDR is a word-aligned 64-bit word.  Numbers are 0x-hex
+or decimal.
 
 Assertions:
     A ::= "emp" | REG "|->r" FR? WORD
@@ -296,10 +297,48 @@ def print_assertion(a: Assertion) -> str:
 
 
 # --------------------------------------------------------------------------
-# Program parsing
+# Program text: one spelling table for the instruction forms and one for
+# the ghost steps, read by the parser and the printer alike
+
+# (mnemonic, destination kind, source kind) -> (form, fields in operand
+# order).  A "reg" or "cr3" operand gives one value, the register, and
+# its field is None where the form has no field for it; a "mem" operand
+# gives two, base and disp; an "imm" operand one.
+_FORMS = {
+    ("mov", "reg", "reg"): (MovRegReg, ("dst", "src")),
+    ("mov", "reg", "imm"): (MovRegImm, ("dst", "imm")),
+    ("add", "reg", "imm"): (AddRegImm, ("dst", "imm")),
+    ("mov", "reg", "mem"): (MovRegFromMem, ("dst", "base", "disp")),
+    ("mov", "mem", "reg"): (MovMemFromReg, ("base", "disp", "src")),
+    ("mov", "cr3", "reg"): (MovToCr3FromReg, (None, "src")),
+    ("mov", "reg", "cr3"): (MovRegFromCr3, ("dst", None)),
+    ("mov", "mem", "cr3"): (MovMemFromCr3, ("base", "disp", None)),
+    ("mov", "cr3", "mem"): (MovToCr3FromMem, (None, "base", "disp")),
+}
+_SPELLING = {form: (key, fields) for key, (form, fields) in _FORMS.items()}
+
+# why operand kinds that match no row are refused: by mnemonic for add,
+# by destination kind for mov
+_REFUSALS = {
+    "add": "add takes a data register and an immediate",
+    "cr3": "cr3 cannot be loaded from an immediate",
+    "mem": "memory stores take a register source",
+    "imm": "an immediate cannot be a destination",
+}
+
+# ghost op -> (form, fields in argument order)
+_GHOST_FORMS = {
+    "insert_walk": (GhostInsertWalk, ("va", "pa")),
+    "remove_walk": (GhostRemoveWalk, ("va",)),
+    "pte_to_virt": (GhostPteToVirt, ("va",)),
+    "virt_to_pte": (GhostVirtToPte, ("va", "pa")),
+}
+_GHOST_SPELLING = {form: (op, fields)
+                   for op, (form, fields) in _GHOST_FORMS.items()}
 
 _MEM_OPERAND_RE = re.compile(
     r"^\[\s*(?P<reg>[a-z0-9]+)\s*(?:(?P<sign>[+-])\s*(?P<disp>0x[0-9a-fA-F]+|\d+))?\s*\]$")
+_GHOST_ARG_RE = re.compile(r"([a-z_]+)=(0x[0-9a-fA-F]+|\d+)")
 
 
 def _split_operands(rest: str, line: int):
@@ -315,7 +354,7 @@ def _split_operands(rest: str, line: int):
 
 
 def _operand(text: str, line: int):
-    """Classify an operand: ('reg', Reg) | ('mem', reg, disp) | ('imm', n)."""
+    """Classify an operand: its kind and its values (see ``_FORMS``)."""
     m = _MEM_OPERAND_RE.match(text)
     if m:
         name = m.group("reg")
@@ -329,45 +368,34 @@ def _operand(text: str, line: int):
             disp = _parse_int(m.group("disp"), line, 1)
             if m.group("sign") == "-":
                 disp = -disp
-        return ("mem", _REG_NAMES[name], disp)
+        return "mem", (_REG_NAMES[name], disp)
     if text in _REG_NAMES:
-        return ("reg", _REG_NAMES[text])
-    return ("imm", _parse_int(text, line, 1))
+        reg = _REG_NAMES[text]
+        return "reg" if reg.is_data else "cr3", (reg,)
+    return "imm", (_parse_int(text, line, 1),)
 
 
-def _parse_mov(rest: str, line: int) -> Instr:
-    dst_text, src_text = _split_operands(rest, line)
-    dst = _operand(dst_text, line)
-    src = _operand(src_text, line)
+def _build(form, fields, values, line: int) -> ScriptStep:
+    """The one constructor call for a step read from text; a value the
+    form refuses is a ParseError."""
     try:
-        if dst[0] == "reg" and dst[1] is Reg.CR3:
-            if src[0] == "reg":
-                return MovToCr3FromReg(src[1])
-            if src[0] == "mem":
-                return MovToCr3FromMem(src[1], src[2])
-            raise ParseError(line, 1, "cr3 cannot be loaded from an immediate")
-        if dst[0] == "reg":
-            if src[0] == "reg" and src[1] is Reg.CR3:
-                return MovRegFromCr3(dst[1])
-            if src[0] == "reg":
-                return MovRegReg(dst[1], src[1])
-            if src[0] == "mem":
-                return MovRegFromMem(dst[1], src[1], src[2])
-            return MovRegImm(dst[1], src[1])
-        if dst[0] == "mem":
-            if src[0] == "reg" and src[1] is Reg.CR3:
-                return MovMemFromCr3(dst[1], dst[2])
-            if src[0] == "reg":
-                return MovMemFromReg(dst[1], dst[2], src[1])
-            raise ParseError(line, 1, "memory stores take a register source")
-        raise ParseError(line, 1, "an immediate cannot be a destination")
+        return form(**{f: v for f, v in zip(fields, values) if f})
     except ValueError as err:
-        if isinstance(err, ParseError):
-            raise
         raise ParseError(line, 1, str(err)) from None
 
 
-_GHOST_ARG_RE = re.compile(r"([a-z_]+)=(0x[0-9a-fA-F]+|\d+)")
+def _parse_instr(head: str, rest: str, line: int) -> Instr:
+    dst_text, src_text = _split_operands(rest, line)
+    dst_kind, dst = _operand(dst_text, line)
+    src_kind, src = _operand(src_text, line)
+    row = _FORMS.get((head, dst_kind, src_kind))
+    if row is None and (head, dst_kind, src_kind) == ("mov", "cr3", "cr3"):
+        # cr3 also names a register: the load from one, which step faults on
+        row = _FORMS["mov", "cr3", "reg"]
+    if row is None:
+        raise ParseError(line, 1, _REFUSALS["add" if head == "add"
+                                            else dst_kind])
+    return _build(*row, dst + src, line)
 
 
 def _parse_ghost(rest: str, line: int) -> ScriptStep:
@@ -379,21 +407,14 @@ def _parse_ghost(rest: str, line: int) -> ScriptStep:
         if args[key] >= 1 << 64:
             raise ParseError(line, 1,
                              f"ghost {key}={val} is not a 64-bit word")
-    try:
-        if op == "insert_walk":
-            return GhostInsertWalk(args["va"], args["pa"])
-        if op == "remove_walk":
-            return GhostRemoveWalk(args["va"])
-        if op == "pte_to_virt":
-            return GhostPteToVirt(args["va"])
-        if op == "virt_to_pte":
-            return GhostVirtToPte(args["va"], args["pa"])
-    except KeyError as err:
-        raise ParseError(line, 1, f"ghost {op} is missing {err.args[0]}=") \
-            from None
-    raise ParseError(line, 1, f"unknown ghost command {op!r}",
-                     ("insert_walk", "remove_walk", "pte_to_virt",
-                      "virt_to_pte"))
+    if op not in _GHOST_FORMS:
+        raise ParseError(line, 1, f"unknown ghost command {op!r}",
+                         tuple(_GHOST_FORMS))
+    form, fields = _GHOST_FORMS[op]
+    for name in fields:
+        if name not in args:
+            raise ParseError(line, 1, f"ghost {op} is missing {name}=")
+    return _build(form, fields, [args[name] for name in fields], line)
 
 
 def parse_program(text: str) -> Script:
@@ -415,19 +436,8 @@ def parse_program(text: str) -> Script:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "mov":
-            script.append(InstrStep(_parse_mov(rest, lineno)))
-        elif head == "add":
-            dst_text, imm_text = _split_operands(rest, lineno)
-            dst = _operand(dst_text, lineno)
-            imm = _operand(imm_text, lineno)
-            if dst[0] != "reg" or dst[1] is Reg.CR3 or imm[0] != "imm":
-                raise ParseError(lineno, 1, "add takes a data register and "
-                                            "an immediate")
-            try:
-                script.append(InstrStep(AddRegImm(dst[1], imm[1])))
-            except ValueError as err:
-                raise ParseError(lineno, 1, str(err)) from None
+        if head in ("mov", "add"):
+            script.append(InstrStep(_parse_instr(head, rest, lineno)))
         elif head == "skip" and not rest:
             script.append(InstrStep(Skip()))
         elif head == "call":
@@ -441,52 +451,37 @@ def parse_program(text: str) -> Script:
     return script
 
 
-# --------------------------------------------------------------------------
-# Program printing
-
-
-def _mem_text(base: Reg, disp: int) -> str:
+def _operand_text(kind: str, values) -> str:
+    """One operand printed, taking its values from the iterator."""
+    value = next(values)
+    if kind == "imm":
+        return f"{value:#x}"
+    if kind != "mem":
+        return value.value
+    disp = next(values)
     if disp == 0:
-        return f"[{base.value}]"
-    sign = "+" if disp >= 0 else "-"
-    return f"[{base.value}{sign}{abs(disp)}]"
+        return f"[{value.value}]"
+    return f"[{value.value}{'+' if disp > 0 else '-'}{abs(disp)}]"
 
 
 def print_instr(instr: Instr) -> str:
     if isinstance(instr, Skip):
         return "skip"
-    if isinstance(instr, MovRegReg):
-        return f"mov {instr.dst.value}, {instr.src.value}"
-    if isinstance(instr, MovRegImm):
-        return f"mov {instr.dst.value}, {instr.imm:#x}"
-    if isinstance(instr, AddRegImm):
-        return f"add {instr.dst.value}, {instr.imm:#x}"
-    if isinstance(instr, MovRegFromMem):
-        return f"mov {instr.dst.value}, {_mem_text(instr.base, instr.disp)}"
-    if isinstance(instr, MovMemFromReg):
-        return f"mov {_mem_text(instr.base, instr.disp)}, {instr.src.value}"
-    if isinstance(instr, MovToCr3FromReg):
-        return f"mov cr3, {instr.src.value}"
-    if isinstance(instr, MovRegFromCr3):
-        return f"mov {instr.dst.value}, cr3"
-    if isinstance(instr, MovMemFromCr3):
-        return f"mov {_mem_text(instr.base, instr.disp)}, cr3"
-    if isinstance(instr, MovToCr3FromMem):
-        return f"mov cr3, {_mem_text(instr.base, instr.disp)}"
-    raise TypeError(f"cannot print {instr!r}")
+    if type(instr) not in _SPELLING:
+        raise TypeError(f"cannot print {instr!r}")
+    (mnemonic, *kinds), fields = _SPELLING[type(instr)]
+    values = iter([getattr(instr, f) if f else Reg.CR3 for f in fields])
+    return f"{mnemonic} " + ", ".join(_operand_text(kind, values)
+                                      for kind in kinds)
 
 
 def print_step(script_step: ScriptStep) -> str:
     if isinstance(script_step, InstrStep):
         return print_instr(script_step.instr)
-    if isinstance(script_step, GhostInsertWalk):
-        return f"@ghost insert_walk va={script_step.va:#x} pa={script_step.pa:#x}"
-    if isinstance(script_step, GhostRemoveWalk):
-        return f"@ghost remove_walk va={script_step.va:#x}"
-    if isinstance(script_step, GhostPteToVirt):
-        return f"@ghost pte_to_virt va={script_step.va:#x}"
-    if isinstance(script_step, GhostVirtToPte):
-        return f"@ghost virt_to_pte va={script_step.va:#x} pa={script_step.pa:#x}"
+    if type(script_step) in _GHOST_SPELLING:
+        op, fields = _GHOST_SPELLING[type(script_step)]
+        return f"@ghost {op}" + "".join(f" {f}={getattr(script_step, f):#x}"
+                                        for f in fields)
     if isinstance(script_step, CallStep):
         return f"call {script_step.name}"
     if isinstance(script_step, AssertStep):

@@ -66,7 +66,7 @@ from vmcheck.checker import (
     check_double,
     frame_audit,
 )
-from vmcheck.cases import MAP_FPADDR, MAP_VA, SWTCH_OLD_REGS, case_study, unmap_script
+from vmcheck.cases import MAP_FPADDR, MAP_VA, SWTCH_OLD_REGS, case_study
 from vmcheck.cli import main as cli_main
 from vmcheck.config import dump_config, load_config
 from vmcheck.parsing import parse_assertion, parse_program, print_assertion, print_program
@@ -451,8 +451,7 @@ def test_criterion_8_coexecution_soundness():
 def test_criterion_9_unmap_roundtrip():
     with criterion(9, "unmap-roundtrip"):
         case = case_study("map_new_page")
-        slot_pa, _l1e = walk(case.root, case.state.mem, MAP_VA)[0][3]
-        combined = list(case.script) + list(unmap_script(slot_pa))
+        combined = list(case.script) + list(case_study("unmap_page").script)
         report = check_double(case.pre, case.root, combined,
                               stubs=case.stubs, init=case.state,
                               registry=case.registry,

@@ -34,7 +34,6 @@ from vmcheck.cases import (
     UnknownCase,
     case_study,
     map_page_case,
-    unmap_script,
 )
 
 
@@ -199,10 +198,8 @@ def test_unmap_page_machine_outcome():
 
 def test_map_then_unmap_roundtrip():
     case = case_study("map_new_page")
-    from vmcheck.machine import walk
-    slot_pa, _l1e = walk(case.root, case.state.mem, MAP_VA)[0][3]
     # compose: run the map script followed by the unmap script
-    combined = list(case.script) + list(unmap_script(slot_pa))
+    combined = list(case.script) + list(case_study("unmap_page").script)
     report = check_double(case.pre, case.root, combined, stubs=case.stubs,
                           init=case.state, registry=case.registry,
                           free_list=case.free_list)

@@ -49,7 +49,9 @@ from vmcheck.checker import (
     CallStep,
     COEXEC,
     GhostInsertWalk,
+    GhostPteToVirt,
     GhostRemoveWalk,
+    GhostVirtToPte,
     InstrStep,
     INSUFFICIENT_FRACTION,
     MACHINE_DISAGREE,
@@ -252,6 +254,37 @@ def test_frame_audit_skips_touched_claims():
     script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
               InstrStep(MovToCr3FromReg(Reg.RBX))]
     assert frame_audit(pre, roots[0], script) == []
+
+
+def test_frame_audit_forgets_registers_at_a_call():
+    # ensure_L1_page writes rax; after the call rdi is unknown too, so the
+    # load does not count as touching the claim
+    state, registry, roots = fixture()
+    claim = VirtPt(0x20_0000, FULL, 0x1111)
+    pre = switch_pre(roots, (claim, RegPt(Reg.RDI, FULL, 0x20_0000),
+                             RegPt(Reg.RAX, FULL, 0x7)))
+    script = [CallStep("ensure_L1_page"),
+              InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
+              InstrStep(MovToCr3FromReg(Reg.RBX))]
+    warnings = frame_audit(pre, roots[0], script)
+    assert [(w.kind, w.step) for w in warnings] == [(UNSOUND_FRAME, 2)]
+
+
+@pytest.mark.parametrize("form, args, message", [
+    (GhostInsertWalk, (0x40_0003, 0x20_0000), "va=0x400003 is not word"),
+    (GhostInsertWalk, (0x40_0000, 0x20_0003), "pa=0x200003 is not word"),
+    (GhostRemoveWalk, (0x4,), "va=0x4 is not word"),
+    (GhostPteToVirt, (12,), "va=0xc is not word"),
+    (GhostVirtToPte, (0x40_0000, 0x7), "pa=0x7 is not word"),
+    (GhostInsertWalk, (1 << 64, 0x20_0000), "va=0x10000000000000000 is not a"),
+    (GhostInsertWalk, (0x40_0000, -8), "pa=-0x8 is not a 64-bit"),
+    (GhostRemoveWalk, (-8,), "va=-0x8 is not a 64-bit"),
+    (GhostPteToVirt, (1 << 64,), "va=0x10000000000000000 is not a"),
+    (GhostVirtToPte, (0x40_0000, 1 << 64), "pa=0x10000000000000000 is not"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_ghost_steps_take_only_word_addresses(form, args, message):
+    with pytest.raises(ValueError, match=f"^ghost {message}"):
+        form(*args)
 
 
 def chain_claim(state, root, va, pa):

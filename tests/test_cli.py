@@ -136,6 +136,27 @@ def test_check_violation_exit_code(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_check_refuses_a_ghost_address_that_is_not_a_word_address(
+        capsys, tmp_path):
+    invoke(capsys, "case", "map_new_page", "--emit", str(tmp_path))
+    case = case_study("map_new_page")
+    prog = tmp_path / "map_new_page.prog"
+    text = prog.read_text()
+    line = "@ghost insert_walk va=0x400000 pa=0x200000"
+    assert text.splitlines()[4] == line
+    prog.write_text(text.replace(
+        line, "@ghost insert_walk va=0x400003 pa=0x200003"))
+    code, out, err = invoke(capsys, "check", str(prog),
+                            "--state",
+                            str(tmp_path / "map_new_page.state.json"),
+                            "--pre", str(tmp_path / "map_new_page.pre"),
+                            "--root", f"{case.root:#x}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 5, column 1: ghost va=0x400003 is "
+                          "not word aligned")
+
+
 def test_case_emission_is_deterministic(capsys, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

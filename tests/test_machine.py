@@ -315,6 +315,40 @@ def test_step_rejects_cr3_in_data_slot():
     assert step(MachineState(), MovRegImm(Reg.RAX, 1)).reg(Reg.RAX) == 1
 
 
+REGISTER_FORMS = [
+    (MovRegReg(Reg.RAX, Reg.RBX), {Reg.RAX: 7}),
+    (MovRegImm(Reg.RAX, 9), {Reg.RAX: 9}),
+    (AddRegImm(Reg.RAX, 9), {Reg.RAX: 14}),
+    (MovToCr3FromReg(Reg.RBX), {Reg.CR3: 7}),
+    (MovRegFromCr3(Reg.RBX), {Reg.RBX: 0x1000}),
+]
+
+
+@pytest.mark.parametrize("instr, changed", REGISTER_FORMS,
+                         ids=[type(i).__name__ for i, _ in REGISTER_FORMS])
+def test_step_register_forms(instr, changed):
+    regs = {Reg.RAX: 5, Reg.RBX: 7, Reg.CR3: 0x1000}
+    state = MachineState(regs=dict(regs))
+    nxt = step(state, instr)
+    assert nxt.regs == {**regs, **changed}
+    assert nxt.pc == 1
+    assert state.regs == regs
+
+
+@pytest.mark.parametrize("instr", [
+    MovRegReg(Reg.CR3, Reg.RAX),
+    MovRegReg(Reg.RAX, Reg.CR3),
+    MovRegReg(Reg.CR3, Reg.CR3),
+    MovRegImm(Reg.CR3, 9),
+    AddRegImm(Reg.CR3, 9),
+    MovToCr3FromReg(Reg.CR3),
+    MovRegFromCr3(Reg.CR3),
+])
+def test_step_register_forms_refuse_cr3_in_a_data_operand(instr):
+    state = MachineState(regs={Reg.RAX: 5, Reg.CR3: 0x1000})
+    assert step(state, instr) == BadRegister(Reg.CR3)
+
+
 def mem_diff(before, after):
     diffs = []
     for frame in set(before.mem) | set(after.mem):

@@ -1,10 +1,16 @@
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmcheck.machine import (
+    DATA_REGS,
     AddRegImm,
+    Instr,
     MovMemFromCr3,
     MovMemFromReg,
     MovRegFromCr3,
@@ -38,10 +44,13 @@ from vmcheck.checker import (
     GhostInsertWalk,
     GhostPteToVirt,
     GhostRemoveWalk,
+    GhostStep,
     GhostVirtToPte,
     InstrStep,
 )
 from vmcheck.parsing import (
+    _FORMS,
+    _GHOST_FORMS,
     ParseError,
     parse_assertion,
     parse_program,
@@ -154,6 +163,79 @@ def test_program_roundtrip():
     script = parse_program(text)
     printed = print_program(script)
     assert parse_program(printed) == script
+    # printing is a fixed point
+    assert print_program(parse_program(printed)) == printed
+
+
+@pytest.mark.parametrize("line, message", [
+    ("add rax, rbx", "add takes a data register and an immediate"),
+    ("add cr3, 8", "add takes a data register and an immediate"),
+    ("add [rdi], 8", "add takes a data register and an immediate"),
+    ("mov cr3, 0x1000", "cr3 cannot be loaded from an immediate"),
+    ("mov [rdi], 8", "memory stores take a register source"),
+    ("mov [rdi], [rsi]", "memory stores take a register source"),
+    ("mov 8, rax", "an immediate cannot be a destination"),
+])
+def test_parse_refuses_operand_kinds_that_match_no_form(line, message):
+    with pytest.raises(ParseError) as info:
+        parse_program(line)
+    assert str(info.value) == f"line 1, column 1: {message}"
+
+
+def test_parse_reads_cr3_from_cr3_as_a_cr3_load():
+    # machine.step faults on it, as on any cr3 in a data operand
+    assert unwrap(parse_program("mov cr3, cr3")) == [MovToCr3FromReg(Reg.CR3)]
+
+
+@pytest.mark.parametrize("line", [
+    "@ghost insert_walk va=0x400003 pa=0x200000",
+    "@ghost insert_walk va=0x400000 pa=0x200003",
+    "@ghost remove_walk va=0x4",
+    "@ghost pte_to_virt va=12",
+    "@ghost virt_to_pte va=0x400000 pa=0x7",
+])
+def test_parse_refuses_ghost_addresses_that_are_not_word_addresses(line):
+    with pytest.raises(ParseError) as info:
+        parse_program("skip\n" + line)
+    assert (info.value.line, info.value.col) == (2, 1)
+    assert "is not word aligned" in str(info.value)
+
+
+def test_every_form_has_exactly_one_spelling_row():
+    instr_forms = set(Instr.__subclasses__()) - {Skip}
+    assert Counter(form for form, _ in _FORMS.values()) == \
+        Counter(instr_forms)
+    assert Counter(form for form, _ in _GHOST_FORMS.values()) == \
+        Counter(GhostStep.__subclasses__())
+    # and each row names every field of its form once
+    for form, fields in [*_FORMS.values(), *_GHOST_FORMS.values()]:
+        assert sorted(f for f in fields if f) == \
+            sorted(f.name for f in dataclasses.fields(form))
+
+
+_WORD_ADDR = st.integers(0, (1 << 61) - 1).map(lambda k: 8 * k)
+_FIELD_VALUES = {
+    "dst": st.sampled_from(DATA_REGS),
+    "src": st.sampled_from(DATA_REGS),
+    "base": st.sampled_from(DATA_REGS),
+    "disp": st.integers(-511, 511).map(lambda k: 8 * k),
+    "imm": st.integers(0, (1 << 64) - 1),
+    "va": _WORD_ADDR,
+    "pa": _WORD_ADDR,
+}
+
+
+@pytest.mark.parametrize("row", [*_FORMS.values(), *_GHOST_FORMS.values()],
+                         ids=lambda row: row[0].__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_spelling_row_roundtrips(row, data):
+    form, fields = row
+    built = data.draw(st.builds(form, **{f: _FIELD_VALUES[f]
+                                         for f in fields if f}))
+    step = InstrStep(built) if isinstance(built, Instr) else built
+    printed = print_program([step])
+    assert parse_program(printed) == [step]
     # printing is a fixed point
     assert print_program(parse_program(printed)) == printed
 
