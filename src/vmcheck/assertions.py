@@ -19,13 +19,14 @@ Two complementary readings are provided:
   claim that is false on its own entries (``chain_fault``) does not
   lower.
 
-Ledger operations are persistent (each returns a new ledger from a copy
-of the dict) and never sort; claims are put in ``loc_sort_key`` order
-only where order is visible, by :meth:`Ledger.sorted_claims`.
+Ledgers are persistent.  A change is made on a draft (``Ledger.edit``),
+one copy of the dict changed in place, and never sorts; claims are put in
+``loc_sort_key`` order only where order is visible, by ``sorted_claims``.
 
-Shares are exact rationals in (0, 1]; ``Ledger.add`` is the one place
-shares are added: it requires equal values and can never silently exceed
-the full share.
+Shares are exact rationals in (0, 1], checked where they enter, by
+``check_share``; ledger operations compare only their int parts.  ``add``
+is the one place shares are added: it requires equal values and can never
+silently exceed the full share.
 """
 
 from __future__ import annotations
@@ -94,11 +95,19 @@ class WitnessUnavailable(LedgerError):
 
 
 def check_share(q: Fraction) -> Fraction:
-    if not isinstance(q, Fraction):
+    """A share as it enters: a Fraction or an int (not a bool) in (0, 1]."""
+    if isinstance(q, int) and not isinstance(q, bool):
         q = Fraction(q)
-    if not (0 < q <= 1):
+    elif not isinstance(q, Fraction):
+        raise ValueError(f"share {q!r} is not a Fraction or an int")
+    if not 0 < q.numerator <= q.denominator:
         raise ValueError(f"share {q} outside (0, 1]")
     return q
+
+
+def _positive(q: Fraction) -> None:
+    if q.numerator <= 0:
+        raise ValueError(f"share {q} outside (0, 1]")
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +383,8 @@ class Ledger:
     evaluation root (the cr3 value claims were lowered under).
 
     ``claims`` maps each location to its (share, value) claim.  The dict
-    is never mutated once a ledger holds it: every operation copies it
-    and returns a new ledger, leaving the receiver unchanged."""
+    is never mutated once a ledger holds it: each operation is a draft of
+    one operation, returning a new ledger and leaving the receiver as is."""
 
     root: int
     claims: dict = field(default_factory=dict, hash=False)
@@ -383,7 +392,12 @@ class Ledger:
 
     @classmethod
     def build(cls, root: int, claims: Mapping, pures=frozenset()) -> "Ledger":
-        return cls(root, dict(claims), frozenset(pures))
+        return cls(root, {loc: (check_share(q), v)
+                          for loc, (q, v) in claims.items()}, frozenset(pures))
+
+    def edit(self) -> "LedgerDraft":
+        """A draft holding its own copy of the claims dict."""
+        return LedgerDraft(self.root, self.claims.copy(), self.pures)
 
     def sorted_claims(self) -> tuple:
         """((Location, share, value), ...) in ``loc_sort_key`` order."""
@@ -395,46 +409,14 @@ class Ledger:
         return self.claims.get(loc)
 
     def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
-        held = self.claims.get(loc)
-        claims = self.claims.copy()
-        if held is not None:
-            held_q, held_v = held
-            if held_v != val:
-                raise ValueDisagreement(loc)
-            total = held_q + q
-            if total > 1:
-                raise SumExceedsOne(loc)
-            claims[loc] = (total, val)
-        else:
-            claims[loc] = (check_share(q), val)
-        return Ledger(self.root, claims, self.pures)
+        return self.edit().add(loc, q, val).done()
 
     def consume(self, loc: Location, q: Fraction,
                 val: Optional[int] = None) -> "Ledger":
-        held = self.claims.get(loc)
-        if held is None:
-            raise InsufficientFraction(loc, q, Fraction(0))
-        held_q, held_v = held
-        if val is not None and held_v != val:
-            raise ValueDisagreement(loc)
-        if held_q < q:
-            raise InsufficientFraction(loc, q, held_q)
-        claims = self.claims.copy()
-        if held_q == q:
-            del claims[loc]
-        else:
-            claims[loc] = (held_q - q, held_v)
-        return Ledger(self.root, claims, self.pures)
+        return self.edit().consume(loc, q, val).done()
 
     def set_value(self, loc: Location, val: int) -> "Ledger":
-        held = self.claims.get(loc)
-        if held is None:
-            raise InsufficientFraction(loc, FULL, Fraction(0))
-        if held[0] != FULL:
-            raise InsufficientFraction(loc, FULL, held[0])
-        claims = self.claims.copy()
-        claims[loc] = (FULL, val)
-        return Ledger(self.root, claims, self.pures)
+        return self.edit().set_value(loc, val).done()
 
     def with_root(self, root: int) -> "Ledger":
         return Ledger(root, self.claims, self.pures)
@@ -450,20 +432,79 @@ class Ledger:
             held_q, held_v = held
             if held_v != v:
                 return ("value", loc, held_v)
-            if held_q < q:
+            if (held_q - q).numerator < 0:
                 return ("fraction", loc, held_q)
         return None
+
+
+@dataclass
+class LedgerDraft:
+    """A ledger being changed: its own copy of the claims dict, changed in
+    place.  ``add``, ``consume`` and ``set_value`` check all before they
+    change anything; ``done`` hands the dict to a new ledger, after which
+    the draft is not used.  A share added has entered through
+    ``check_share`` or is a constant, so only its sign is checked here."""
+
+    root: int
+    claims: dict
+    pures: frozenset
+
+    def done(self) -> Ledger:
+        return Ledger(self.root, self.claims, self.pures)
+
+    def add(self, loc: Location, q: Fraction, val: int) -> "LedgerDraft":
+        _positive(q)
+        held = self.claims.get(loc)
+        if held is not None:
+            if held[1] != val:
+                raise ValueDisagreement(loc)
+            q = held[0] + q
+        if q.numerator > q.denominator:
+            raise SumExceedsOne(loc)
+        self.claims[loc] = (q, val)
+        return self
+
+    def consume(self, loc: Location, q: Fraction,
+                val: Optional[int] = None) -> "LedgerDraft":
+        _positive(q)
+        held = self.claims.get(loc)
+        if held is None:
+            raise InsufficientFraction(loc, q, Fraction(0))
+        held_q, held_v = held
+        if val is not None and held_v != val:
+            raise ValueDisagreement(loc)
+        rest = held_q - q
+        if rest.numerator < 0:
+            raise InsufficientFraction(loc, q, held_q)
+        if rest.numerator == 0:
+            del self.claims[loc]
+        else:
+            self.claims[loc] = (rest, held_v)
+        return self
+
+    def set_value(self, loc: Location, val: int) -> "LedgerDraft":
+        held = self.claims.get(loc)
+        if held is None:
+            raise InsufficientFraction(loc, FULL, Fraction(0))
+        if held[0].numerator != held[0].denominator:
+            raise InsufficientFraction(loc, FULL, held[0])
+        self.claims[loc] = (FULL, val)
+        return self
+
+    def join(self, other: Ledger) -> "LedgerDraft":
+        """Add every claim of `other` (see :func:`ledger_join`)."""
+        if self.root != other.root:
+            raise ValueError("ledgers joined under different evaluation roots")
+        for loc, q, v in other.sorted_claims():
+            self.add(loc, q, v)
+        self.pures = self.pures | other.pures
+        return self
 
 
 def ledger_join(a: Ledger, b: Ledger) -> Ledger:
     """Disjoint composition: shares add per location, values must agree.
     The first failing location in ``loc_sort_key`` order is reported."""
-    if a.root != b.root:
-        raise ValueError("ledgers joined under different evaluation roots")
-    out = a
-    for loc, q, v in b.sorted_claims():
-        out = out.add(loc, q, v)
-    return Ledger(out.root, out.claims, a.pures | b.pures)
+    return a.edit().join(b).done()
 
 
 # --------------------------------------------------------------------------
@@ -496,48 +537,51 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
     governing space's walk map (from `registry`) to name its backing
     physical word.
     """
-    out = Ledger(root)
+    acc = Ledger(root).edit()
+    _lower_into(acc, a, root, registry or {})
+    return acc.done()
 
-    def walk_ast(node: Assertion, g: int, acc: Ledger) -> Ledger:
-        if isinstance(node, Emp):
-            return acc
-        if isinstance(node, Pure):
-            return Ledger(acc.root, acc.claims, acc.pures | {(g, node.pred)})
-        if isinstance(node, RegPt):
-            return acc.add(RegLoc(node.reg), node.q, node.val)
-        if isinstance(node, PhysPt):
-            return acc.add(PhysLoc(node.frame, node.off), node.q, node.val)
-        if isinstance(node, VirtPt):
-            theta = (registry or {}).get(g)
-            if theta is None or node.va not in theta:
-                raise WitnessUnavailable(g, node.va)
-            pa = theta[node.va]
-            acc = acc.add(WalkLoc(g, node.va), node.q, pa)
-            return acc.add(phys_loc(pa), node.q, node.val)
-        if isinstance(node, PtePt):
-            acc = acc.add(WalkLoc(g, node.va), node.q, node.pa)
-            return acc.add(phys_loc(node.pa), node.q, node.val)
-        if isinstance(node, L4L1PointsTo):
-            fault = chain_fault(node)
-            if fault is not None:
-                raise BrokenChain(fault)
-            slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
-            entries = (node.l4e, node.l3e, node.l2e, node.l1e)
-            for (frame, off), share, entry in zip(slots, CHAIN_SHARES,
-                                                  entries):
-                acc = acc.add(PhysLoc(frame, off), share, entry)
-            return acc
-        if isinstance(node, IASpace):
-            return acc.add(SpaceLoc(g), FULL, g)
-        if isinstance(node, OtherSpace):
-            return walk_ast(node.body, node.root, acc)
-        if isinstance(node, Sep):
-            for part in node.parts:
-                acc = walk_ast(part, g, acc)
-            return acc
+
+def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
+                registry: Registry) -> None:
+    """Add the claims of `node`, governed by `g`, to the draft.  (A module
+    function, not a closure over `acc`: a recursive closure is a cycle,
+    which would keep the draft and its claims alive until a collection.)"""
+    if isinstance(node, Emp):
+        pass
+    elif isinstance(node, Pure):
+        acc.pures = acc.pures | {(g, node.pred)}
+    elif isinstance(node, RegPt):
+        acc.add(RegLoc(node.reg), node.q, node.val)
+    elif isinstance(node, PhysPt):
+        acc.add(PhysLoc(node.frame, node.off), node.q, node.val)
+    elif isinstance(node, VirtPt):
+        theta = registry.get(g)
+        if theta is None or node.va not in theta:
+            raise WitnessUnavailable(g, node.va)
+        pa = theta[node.va]
+        acc.add(WalkLoc(g, node.va), node.q, pa)
+        acc.add(phys_loc(pa), node.q, node.val)
+    elif isinstance(node, PtePt):
+        acc.add(WalkLoc(g, node.va), node.q, node.pa)
+        acc.add(phys_loc(node.pa), node.q, node.val)
+    elif isinstance(node, L4L1PointsTo):
+        fault = chain_fault(node)
+        if fault is not None:
+            raise BrokenChain(fault)
+        slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
+        entries = (node.l4e, node.l3e, node.l2e, node.l1e)
+        for (frame, off), share, entry in zip(slots, CHAIN_SHARES, entries):
+            acc.add(PhysLoc(frame, off), share, entry)
+    elif isinstance(node, IASpace):
+        acc.add(SpaceLoc(g), FULL, g)
+    elif isinstance(node, OtherSpace):
+        _lower_into(acc, node.body, node.root, registry)
+    elif isinstance(node, Sep):
+        for part in node.parts:
+            _lower_into(acc, part, g, registry)
+    else:
         raise TypeError(f"unknown assertion {node!r}")
-
-    return walk_ast(a, root, out)
 
 
 # --------------------------------------------------------------------------
@@ -589,19 +633,11 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
         if got == a.val:
             return None
         return MismatchReport(a, "physical word differs", got)
-    if isinstance(a, VirtPt):
+    if isinstance(a, (VirtPt, PtePt)):
         pa = translate(root, state.mem, a.va)
         if not isinstance(pa, int):
             return MismatchReport(a, "translation fails", pa)
-        got = state.read_word(pa >> 12, pa & (PAGE_SIZE - 1))
-        if got == a.val:
-            return None
-        return MismatchReport(a, "word behind the mapping differs", got)
-    if isinstance(a, PtePt):
-        pa = translate(root, state.mem, a.va)
-        if not isinstance(pa, int):
-            return MismatchReport(a, "translation fails", pa)
-        if pa != a.pa:
+        if isinstance(a, PtePt) and pa != a.pa:
             return MismatchReport(a, "resolved physical address differs", pa)
         got = state.read_word(pa >> 12, pa & (PAGE_SIZE - 1))
         if got == a.val:

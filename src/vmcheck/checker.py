@@ -88,7 +88,6 @@ from .assertions import (
     WitnessUnavailable,
     InsufficientFraction as LedgerInsufficientFraction,
     chain_fault,
-    ledger_join,
     loc_sort_key,
     lower,
     normalize,
@@ -256,7 +255,7 @@ class StepRecord:
     root_after: int
 
 
-def _claim_text(loc: Location, q: Fraction, v: int) -> str:
+def _claim_text(loc: Union[Location, str], q: Fraction, v: int) -> str:
     return f"{loc} {q} {v:#x}"
 
 
@@ -269,19 +268,20 @@ def _ledger_delta(before: Ledger, after: Ledger, touched) -> tuple:
     have changed."""
     consumed = []
     produced = []
-    for loc in sorted(set(touched), key=str):
+    for text, loc in sorted((str(loc), loc) for loc in set(touched)):
         oq, ov = before.claims.get(loc, _NO_CLAIM)
         nq, nv = after.claims.get(loc, _NO_CLAIM)
         if ov == nv:
-            if nq > oq:
-                produced.append(_claim_text(loc, nq - oq, nv))
-            elif oq > nq:
-                consumed.append(_claim_text(loc, oq - nq, ov))
+            gain = nq - oq
+            if gain.numerator > 0:
+                produced.append(_claim_text(text, gain, nv))
+            elif gain.numerator < 0:
+                consumed.append(_claim_text(text, -gain, ov))
         else:
             if ov is not None:
-                consumed.append(_claim_text(loc, oq, ov))
+                consumed.append(_claim_text(text, oq, ov))
             if nv is not None:
-                produced.append(_claim_text(loc, nq, nv))
+                produced.append(_claim_text(text, nq, nv))
     return tuple(consumed), tuple(produced)
 
 
@@ -462,12 +462,12 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
     walk_loc = WalkLoc(ctx.root, step.va)
-    ledger = ctx.ledger
+    draft = ctx.ledger.edit()
     for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
-        ledger = ledger.consume(loc, share, entry)
-    ledger = ledger.add(walk_loc, FULL, step.pa)
+        draft.consume(loc, share, entry)
+    draft.add(walk_loc, FULL, step.pa)
     registry = {**ctx.registry, ctx.root: {**theta, step.va: step.pa}}
-    return (replace(ctx, ledger=ledger, registry=registry),
+    return (replace(ctx, ledger=draft.done(), registry=registry),
             "ghost-insert-walk", (*slots, walk_loc))
 
 
@@ -478,7 +478,7 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(ctx)
     # the walk claim is the entry's token: only the full claim retires it
-    ledger = ctx.ledger.consume(loc, FULL)
+    draft = ctx.ledger.edit().consume(loc, FULL)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
@@ -487,9 +487,9 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
     slots, entries = _chain_entries(ctx, step.va)
     # the chain shares held inside the invariant come back out
     for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
-        ledger = ledger.add(slot, share, entry)
+        draft.add(slot, share, entry)
     registry = {**ctx.registry, ctx.root: theta}
-    return (replace(ctx, ledger=ledger, registry=registry),
+    return (replace(ctx, ledger=draft.done(), registry=registry),
             "ghost-remove-walk", (loc, *slots))
 
 
@@ -498,13 +498,13 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
     if stub is None:
         raise Reject(STUB_PRE_FAILED, step.name,
                      f"no stub named {step.name!r}")
-    ledger = ctx.ledger
+    draft = ctx.ledger.edit()
     touched = []
     try:
         for pattern in stub.consumes:
             if isinstance(pattern, RegPt):
                 loc = RegLoc(pattern.reg)
-                claim = ledger.get(loc)
+                claim = draft.claims.get(loc)
                 if claim is None:
                     raise Reject(STUB_PRE_FAILED, str(loc),
                                  f"stub {step.name} needs a claim on "
@@ -514,12 +514,12 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
                                  f"stub {step.name} needs "
                                  f"{pattern.reg.value} = {pattern.val:#x}, "
                                  f"ledger holds {claim[1]:#x}")
-                ledger = ledger.consume(loc, pattern.q)
+                draft.consume(loc, pattern.q)
                 touched.append(loc)
             else:
                 needed = lower(pattern, ctx.root, ctx.registry)
                 for loc, q, v in needed.sorted_claims():
-                    ledger = ledger.consume(loc, q, v)
+                    draft.consume(loc, q, v)
                 touched.extend(needed.claims)
     except LedgerError as err:
         unmet = _ledger_reject(err)
@@ -531,14 +531,14 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, step.name, str(err))
     produced = lower(result.produces, ctx.root, ctx.registry)
-    merged = ledger_join(ledger, produced)
+    draft.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, ctx.registry):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised a false pure "
                          f"predicate: {pred}")
     touched.extend(produced.claims)
-    new_ctx = replace(ctx, ledger=merged, machine=result.machine,
+    new_ctx = replace(ctx, ledger=draft.done(), machine=result.machine,
                       free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
         complaint = _audit(new_ctx, produced.claims)

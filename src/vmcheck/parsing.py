@@ -13,8 +13,9 @@ Program lines:
     @assert { ASSERTION }
 
 ``;`` starts a comment.  DISP is optional (default 0) and may be
-negative.  An ADDR is a word-aligned 64-bit word.  Numbers are 0x-hex
-or decimal.
+negative.  An ADDR is a word-aligned 64-bit word.  A ghost step names
+each of its arguments once and nothing else.  Numbers are 0x-hex or
+decimal in ASCII digits, ``0x[0-9a-fA-F]+`` or ``[0-9]+``, everywhere.
 
 Assertions:
     A ::= "emp" | REG "|->r" FR? WORD
@@ -93,12 +94,16 @@ class ParseError(ValueError):
 _REG_NAMES = {r.value: r for r in Reg}
 
 
+# the one number grammar of program and assertion text
+_NUM = r"0x[0-9a-fA-F]+|[0-9]+"
+_NUM_RE = re.compile(_NUM)
+
+
 def _parse_int(text: str, line: int, col: int) -> int:
-    try:
-        return int(text, 16) if text.lower().startswith("0x") else int(text)
-    except ValueError:
+    if not _NUM_RE.fullmatch(text):
         raise ParseError(line, col, f"bad number {text!r}",
-                         ("0x-hex", "decimal")) from None
+                         ("0x-hex", "decimal"))
+    return int(text, 16) if text.startswith("0x") else int(text)
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +111,7 @@ def _parse_int(text: str, line: int, col: int) -> int:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sym>\|->vpte|\|->r|\|->a|\|->v|==|[{}()\[\]*:/])"
-    r"|(?P<num>0x[0-9a-fA-F]+|\d+)"
+    rf"|(?P<num>{_NUM})"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))")
 
 
@@ -337,8 +342,7 @@ _GHOST_SPELLING = {form: (op, fields)
                    for op, (form, fields) in _GHOST_FORMS.items()}
 
 _MEM_OPERAND_RE = re.compile(
-    r"^\[\s*(?P<reg>[a-z0-9]+)\s*(?:(?P<sign>[+-])\s*(?P<disp>0x[0-9a-fA-F]+|\d+))?\s*\]$")
-_GHOST_ARG_RE = re.compile(r"([a-z_]+)=(0x[0-9a-fA-F]+|\d+)")
+    rf"^\[\s*(?P<reg>[a-z0-9]+)\s*(?:(?P<sign>[+-])\s*(?P<disp>{_NUM}))?\s*\]$")
 
 
 def _split_operands(rest: str, line: int):
@@ -372,7 +376,10 @@ def _operand(text: str, line: int):
     if text in _REG_NAMES:
         reg = _REG_NAMES[text]
         return "reg" if reg.is_data else "cr3", (reg,)
-    return "imm", (_parse_int(text, line, 1),)
+    # the sign is read so that the form can refuse a negative immediate
+    negative = text.startswith("-")
+    value = _parse_int(text[negative:], line, 1)
+    return "imm", (-value if negative else value,)
 
 
 def _build(form, fields, values, line: int) -> ScriptStep:
@@ -399,18 +406,28 @@ def _parse_instr(head: str, rest: str, line: int) -> Instr:
 
 
 def _parse_ghost(rest: str, line: int) -> ScriptStep:
-    parts = rest.split(None, 1)
-    op = parts[0] if parts else ""
-    args = {}
-    for key, val in _GHOST_ARG_RE.findall(parts[1] if len(parts) > 1 else ""):
-        args[key] = _parse_int(val, line, 1)
-        if args[key] >= 1 << 64:
-            raise ParseError(line, 1,
-                             f"ghost {key}={val} is not a 64-bit word")
+    """A ghost step: its op, then each of the op's fields once, as
+    ``KEY=NUMBER``; anything else on the line is refused."""
+    op, *words = rest.split() or [""]
     if op not in _GHOST_FORMS:
         raise ParseError(line, 1, f"unknown ghost command {op!r}",
                          tuple(_GHOST_FORMS))
     form, fields = _GHOST_FORMS[op]
+    args = {}
+    for word in words:
+        key, eq, val = word.partition("=")
+        if not eq:
+            raise ParseError(line, 1, f"cannot read ghost argument {word!r}",
+                             ("KEY=NUMBER",))
+        if key not in fields:
+            raise ParseError(line, 1, f"ghost {op} takes no argument {key!r}",
+                             tuple(f"{name}=" for name in fields))
+        if key in args:
+            raise ParseError(line, 1, f"ghost {op} repeats {key}=")
+        args[key] = _parse_int(val, line, 1)
+        if args[key] >= 1 << 64:
+            raise ParseError(line, 1,
+                             f"ghost {key}={val} is not a 64-bit word")
     for name in fields:
         if name not in args:
             raise ParseError(line, 1, f"ghost {op} is missing {name}=")

@@ -79,6 +79,50 @@ def test_frac_combine_is_exact(n1, d1, n2, d2):
         assert held.add(PhysLoc(1, 0), b, 7).get(PhysLoc(1, 0)) == (a + b, 7)
 
 
+@pytest.mark.parametrize("share", ["1/2", True, False, 0.1, 0.5, None])
+@pytest.mark.parametrize("make", [
+    lambda q: RegPt(Reg.RAX, q, 0),
+    lambda q: PhysPt(1, 0, q, 0),
+    lambda q: VirtPt(0x1000, q, 0),
+    lambda q: PtePt(0x1000, q, 0x2000, 0),
+])
+def test_a_share_enters_only_as_a_fraction_or_an_int(make, share):
+    with pytest.raises(ValueError, match="is not a Fraction or an int"):
+        make(share)
+
+
+@pytest.mark.parametrize("share, held", [
+    (1, Fraction(1)), (Fraction(1, 3), Fraction(1, 3)), (FULL, FULL)])
+def test_a_share_that_enters_is_a_fraction(share, held):
+    q = RegPt(Reg.RAX, share, 0).q
+    assert (type(q), q) == (Fraction, held)
+
+
+@pytest.mark.parametrize("share", [Fraction(3, 2), Fraction(0), 2, 0,
+                                   Fraction(-1, 2), "1/2", True])
+def test_ledger_build_checks_every_share(share):
+    with pytest.raises(ValueError):
+        Ledger.build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
+                              PhysLoc(1, 0): (share, 0)})
+
+
+def test_ledger_operations_refuse_a_share_that_is_not_positive():
+    loc = PhysLoc(1, 0)
+    full = Ledger(0x1000).add(loc, FULL, 0)
+    with pytest.raises(ValueError, match=r"share -1/2 outside \(0, 1\]"):
+        full.consume(loc, Fraction(-1, 2))
+    half = Ledger(0x1000).add(loc, Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match=r"share -1/2 outside \(0, 1\]"):
+        half.add(loc, Fraction(-1, 2), 0)
+    for ledger in (full, half):
+        for op in (lambda d: d.add(loc, Fraction(0), 0),
+                   lambda d: d.consume(loc, Fraction(0)),
+                   lambda d: d.add(PhysLoc(1, 8), Fraction(-1, 2), 0)):
+            with pytest.raises(ValueError):
+                op(ledger)
+    assert (full.get(loc), half.get(loc)) == ((FULL, 0), (Fraction(1, 2), 0))
+
+
 # --------------------------------------------------------------------------
 # Ledger join
 

@@ -630,6 +630,107 @@ def test_step_record_from_touched_locations_matches_full_diff(steps):
             oracle.ledger_delta(before.claims, ledger.claims)
 
 
+draft_ops = st.tuples(
+    st.sampled_from(("add", "consume", "set_value")), st.sampled_from(_LOCS),
+    st.sampled_from((Fraction(-1, 2), Fraction(1, 512), Fraction(1, 4),
+                     Fraction(1, 2), FULL)),
+    st.sampled_from((0, 1, None)))
+
+
+def _outcome(apply, target, op):
+    """(the target after op, the type of error op raised, or None)."""
+    try:
+        return apply(target, op), None
+    except (LedgerError, ValueError) as err:
+        return target, type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ledger_ops, max_size=8), st.lists(draft_ops, max_size=20))
+def test_a_draft_replays_ops_as_the_ledger_operations_do(setup, ops):
+    start = Ledger(0x1000)
+    for op in setup:
+        start, _err = _outcome(_apply_op, start, op)
+    held = dict(start.claims)
+    ledger, draft = start, start.edit()
+    for op in ops:
+        ledger, want = _outcome(_apply_op, ledger, op)
+        # an operation that raises leaves the draft as it was
+        draft, got = _outcome(_apply_op, draft, op)
+        assert got == want
+        assert draft.claims == ledger.claims
+    assert draft.done() == ledger
+    assert start.claims == held
+
+
+def _refused_leaving_the_ledger(ctx, script_step):
+    held = dict(ctx.ledger.claims)
+    outcome = checker.apply_rule(ctx, script_step, 0)
+    assert isinstance(outcome, Violation)
+    assert ctx.ledger.claims == held
+    return outcome
+
+
+def test_an_insert_refused_partway_leaves_the_ledger_before_it():
+    state, registry, roots = fixture()
+    root = roots[0]
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][0x20_1000]
+    node = chain_claim(state, root, 0x20_1000, 0x6000)
+    slots = [PhysLoc(*slot) for slot in chain_slots(
+        root, node.va, node.l4e, node.l3e, node.l2e)]
+    # the L4, L3 and L2 shares are held, the L1 share is not: three
+    # consumes succeed before the fourth fails
+    held = zip(slots[:3], (L4_SHARE, L3_SHARE, L2_SHARE),
+               (node.l4e, node.l3e, node.l2e))
+    ledger = Ledger.build(root, {SpaceLoc(root): (FULL, root),
+                                 **{loc: (q, v) for loc, q, v in held}})
+    ctx = checker.CheckerCtx(ledger=ledger, root=root, registry=registry,
+                             machine=state, mode=RESOURCE_ONLY, stubs={})
+    violation = _refused_leaving_the_ledger(
+        ctx, GhostInsertWalk(0x20_1000, 0x6000))
+    assert (violation.kind, violation.location) == \
+        (INSUFFICIENT_FRACTION, str(slots[3]))
+
+
+def test_a_call_refused_partway_leaves_the_ledger_before_it():
+    state, registry, roots = fixture()
+    # the stub's first consumed claim is held, its second is missing
+    stub = StubSpec(name="two", consumes=(RegPt(Reg.RAX, FULL, None),
+                                          PhysPt(0x300, 0, FULL, 0)),
+                    apply=lambda env: pytest.fail("the stub ran"))
+    ctx = checker.CheckerCtx(
+        ledger=lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0],
+                     registry),
+        root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
+        stubs={"two": stub})
+    violation = _refused_leaving_the_ledger(ctx, CallStep("two"))
+    assert (violation.kind, violation.location) == \
+        (STUB_PRE_FAILED, "phys:0x300:0x0")
+
+
+def test_a_check_copies_the_claims_once_per_step_and_per_lower(monkeypatch):
+    case = map_page_case(64)
+    edits, lowers = [], []
+    real_edit, real_lower = Ledger.edit, checker.lower
+
+    def edit(ledger):
+        edits.append(ledger)
+        return real_edit(ledger)
+
+    def counted_lower(*args):
+        lowers.append(args)
+        return real_lower(*args)
+
+    monkeypatch.setattr(Ledger, "edit", edit)
+    monkeypatch.setattr(checker, "lower", counted_lower)
+    report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
+                          mode=RESOURCE_ONLY, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    assert report.ok
+    assert len(edits) <= len(case.script) + len(lowers)
+
+
 def test_equal_ledgers_render_alike_whatever_the_insertion_order():
     claims = [(SpaceLoc(0x2000), FULL, 0x2000),
               (WalkLoc(0x2000, 0x20_0000), FULL, 0x5000),

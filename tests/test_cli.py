@@ -157,6 +157,25 @@ def test_check_refuses_a_ghost_address_that_is_not_a_word_address(
                           "not word aligned")
 
 
+def test_check_refuses_ghost_arguments_other_than_each_field_once(
+        capsys, tmp_path):
+    invoke(capsys, "case", "unmap_page", "--emit", str(tmp_path))
+    case = case_study("unmap_page")
+    prog = tmp_path / "unmap_page.prog"
+    lines = prog.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if line.startswith("@ghost remove_walk va="))
+    lines[index] += " va=0x2000 pa=0x7 junk!! xx=1"
+    prog.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, "check", str(prog),
+                            "--state", str(tmp_path / "unmap_page.state.json"),
+                            "--pre", str(tmp_path / "unmap_page.pre"),
+                            "--root", f"{case.root:#x}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: line {index + 1}, column 1: ghost remove_walk "
+                   "repeats va=\n")
+
+
 def test_case_emission_is_deterministic(capsys, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

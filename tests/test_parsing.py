@@ -304,3 +304,55 @@ def test_parse_rejects_ghost_arguments_wider_than_64_bits():
         parse_program("skip\n@ghost insert_walk va=0x10000000000000000 "
                       "pa=0x5000")
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    ("va=0x1000 va=0x2000 pa=0x7 junk!! xx=1", "ghost remove_walk repeats va="),
+    ("va=0x1000 pa=0x7", "ghost remove_walk takes no argument 'pa' "
+                         "(expected va=)"),
+    ("va=0x1000 xx=1", "ghost remove_walk takes no argument 'xx' "
+                       "(expected va=)"),
+    ("va=0x1000 junk!!", "cannot read ghost argument 'junk!!' "
+                         "(expected KEY=NUMBER)"),
+    ("junk!! va=0x1000", "cannot read ghost argument 'junk!!' "
+                         "(expected KEY=NUMBER)"),
+    ("va=0X1000", "bad number '0X1000' (expected 0x-hex, decimal)"),
+])
+def test_parse_refuses_ghost_arguments_other_than_each_field_once(
+        args, message):
+    with pytest.raises(ParseError) as info:
+        parse_program(f"skip\n@ghost remove_walk {args}")
+    assert str(info.value) == f"line 2, column 1: {message}"
+
+
+@pytest.mark.parametrize("line, text", [
+    ("mov rax, 1_000", "1_000"),
+    ("mov rax, +5", "+5"),
+    ("mov rax, ٣", "٣"),            # ARABIC-INDIC DIGIT THREE
+    ("mov rax, 0X10", "0X10"),
+    ("mov rax, 0x1_0", "0x1_0"),
+    ("mov rax, [rdi+٣]", "[rdi+٣]"),
+    ("@ghost remove_walk va=1_000", "1_000"),
+    ("@ghost remove_walk va=８", "８"),  # FULLWIDTH DIGIT EIGHT
+])
+def test_program_numbers_are_ascii_hex_or_decimal(line, text):
+    with pytest.raises(ParseError) as info:
+        parse_program(line)
+    assert str(info.value) == (f"line 1, column 1: bad number {text!r} "
+                               "(expected 0x-hex, decimal)")
+
+
+@pytest.mark.parametrize("text", ["rax |->r ٣",
+                                  "８ |->v 0x0"])
+def test_assertion_numbers_are_ascii_hex_or_decimal(text):
+    with pytest.raises(ParseError, match="cannot read"):
+        parse_assertion(text)
+
+
+def test_program_numbers_read_as_before():
+    assert unwrap(parse_program(
+        "mov rax, 0x1f\nmov rbx, 010\nmov rcx, [rdi-0x8]\nmov rdx, 0xAb")) == [
+        MovRegImm(Reg.RAX, 0x1F), MovRegImm(Reg.RBX, 10),
+        MovRegFromMem(Reg.RCX, Reg.RDI, -8), MovRegImm(Reg.RDX, 0xAB)]
+    with pytest.raises(ParseError, match="immediate -0x1 is not a 64-bit"):
+        parse_program("mov rax, -1")
