@@ -20,8 +20,9 @@ Two complementary readings are provided:
   lower.
 
 Ledgers are persistent.  A change is made on a draft (``Ledger.edit``),
-one copy of the dict changed in place, and never sorts; claims are put in
-``loc_sort_key`` order only where order is visible, by ``sorted_claims``.
+one copy of the dict changed in place, whose journal step records are
+read from.  Locations are tuples that are their own sort key; claims are
+sorted only where order is visible, by ``sorted_claims``.
 
 Shares are exact rationals in (0, 1], checked where they enter, by
 ``check_share``; ledger operations compare only their int parts.  ``add``
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .machine import (
@@ -257,19 +259,18 @@ class Sep(Assertion):
 
 
 def sep(*parts: Assertion) -> Assertion:
-    """Canonical separating conjunction: flattened, Emp-free, sorted."""
+    """Canonical separating conjunction: flattened, Emp-free, sorted by
+    repr (built once per distinct part object)."""
     flat = []
-
-    def collect(a: Assertion) -> None:
+    todo = list(reversed(parts))
+    while todo:
+        a = todo.pop()
         if isinstance(a, Sep):
-            for p in a.parts:
-                collect(p)
+            todo.extend(reversed(a.parts))
         elif not isinstance(a, Emp):
             flat.append(a)
-
-    for part in parts:
-        collect(part)
-    flat.sort(key=repr)
+    texts = {id(a): repr(a) for a in {id(a): a for a in flat}.values()}
+    flat.sort(key=lambda a: texts[id(a)])
     if not flat:
         return Emp()
     if len(flat) == 1:
@@ -324,53 +325,48 @@ def normalize(a: Assertion) -> Assertion:
 # Ledger locations
 
 
-class Location:
-    pass
+class Location(tuple):
+    """A ledger location: the tuple (kind, fields...), one subclass per
+    kind, whose constructor's parameters name its fields.  Hashing,
+    equality and ordering are the tuple's, in C, so a location is its own
+    sort key: registers, physical words, walks, spaces (kinds 0 to 3),
+    each kind in field order.  Its text is its class's ``text`` format."""
 
+    def __init_subclass__(cls, text: str) -> None:
+        code = cls.__new__.__code__
+        cls._text, cls._fields = text, code.co_varnames[1:code.co_argcount]
+        for index, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(index)))
 
-@dataclass(frozen=True)
-class RegLoc(Location):
-    reg: Reg
-
-    def __str__(self) -> str:
-        return f"reg:{self.reg.value}"
-
-
-@dataclass(frozen=True)
-class PhysLoc(Location):
-    frame: int
-    off: int
-
-    def __str__(self) -> str:
-        return f"phys:{self.frame:#x}:{self.off:#x}"
-
-
-@dataclass(frozen=True)
-class WalkLoc(Location):
-    root: int
-    va: int
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
 
     def __str__(self) -> str:
-        return f"walk:{self.root:#x}:{self.va:#x}"
+        return self._text.format(*self)
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self[1:])))
 
 
-@dataclass(frozen=True)
-class SpaceLoc(Location):
-    root: int
-
-    def __str__(self) -> str:
-        return f"space:{self.root:#x}"
+class RegLoc(Location, text="reg:{1.value}"):
+    def __new__(cls, reg: Reg) -> "RegLoc":
+        return tuple.__new__(cls, (0, reg))
 
 
-def loc_sort_key(loc: Location) -> tuple:
-    """Total order on locations: registers, physical words, walks, spaces."""
-    if isinstance(loc, RegLoc):
-        return (0, loc.reg.value)
-    if isinstance(loc, PhysLoc):
-        return (1, loc.frame, loc.off)
-    if isinstance(loc, WalkLoc):
-        return (2, loc.root, loc.va)
-    return (3, loc.root)
+class PhysLoc(Location, text="phys:{1:#x}:{2:#x}"):
+    def __new__(cls, frame: int, off: int) -> "PhysLoc":
+        return tuple.__new__(cls, (1, frame, off))
+
+
+class WalkLoc(Location, text="walk:{1:#x}:{2:#x}"):
+    def __new__(cls, root: int, va: int) -> "WalkLoc":
+        return tuple.__new__(cls, (2, root, va))
+
+
+class SpaceLoc(Location, text="space:{1:#x}"):
+    def __new__(cls, root: int) -> "SpaceLoc":
+        return tuple.__new__(cls, (3, root))
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +396,9 @@ class Ledger:
         return LedgerDraft(self.root, self.claims.copy(), self.pures)
 
     def sorted_claims(self) -> tuple:
-        """((Location, share, value), ...) in ``loc_sort_key`` order."""
-        return tuple((loc, q, v) for loc, (q, v) in
-                     sorted(self.claims.items(),
-                            key=lambda c: loc_sort_key(c[0])))
+        """((Location, share, value), ...) in location order."""
+        return tuple((loc, q, v)
+                     for loc, (q, v) in sorted(self.claims.items()))
 
     def get(self, loc: Location) -> Optional[tuple]:
         return self.claims.get(loc)
@@ -424,7 +419,7 @@ class Ledger:
     def contains(self, sub: "Ledger") -> Optional[tuple]:
         """Sub-ledger inclusion check.  Returns None when every claim of
         `sub` is covered, else (reason, location, detail) for the first
-        uncovered location in ``loc_sort_key`` order."""
+        uncovered location in location order."""
         for loc, q, v in sub.sorted_claims():
             held = self.claims.get(loc)
             if held is None:
@@ -443,25 +438,35 @@ class LedgerDraft:
     place.  ``add``, ``consume`` and ``set_value`` check all before they
     change anything; ``done`` hands the dict to a new ledger, after which
     the draft is not used.  A share added has entered through
-    ``check_share`` or is a constant, so only its sign is checked here."""
+    ``check_share`` or is a constant, so only its sign is checked here.
+    ``journal``, which step records are rendered from, maps each location
+    changed to (its claim before the first change or None, the (consumed,
+    produced) claims of that change, or None once another followed)."""
 
     root: int
     claims: dict
     pures: frozenset
+    journal: dict = field(default_factory=dict)
 
     def done(self) -> Ledger:
         return Ledger(self.root, self.claims, self.pures)
 
+    def _note(self, loc: Location, held, out, into) -> None:
+        """Journal a change at `loc`, which held `held` before it."""
+        first = self.journal.get(loc)
+        self.journal[loc] = ((held, (out, into)) if first is None
+                             else (first[0], None))
+
     def add(self, loc: Location, q: Fraction, val: int) -> "LedgerDraft":
         _positive(q)
         held = self.claims.get(loc)
-        if held is not None:
-            if held[1] != val:
-                raise ValueDisagreement(loc)
-            q = held[0] + q
-        if q.numerator > q.denominator:
+        if held is not None and held[1] != val:
+            raise ValueDisagreement(loc)
+        total = q if held is None else held[0] + q
+        if total.numerator > total.denominator:
             raise SumExceedsOne(loc)
-        self.claims[loc] = (q, val)
+        self._note(loc, held, None, (q, val))
+        self.claims[loc] = (total, val)
         return self
 
     def consume(self, loc: Location, q: Fraction,
@@ -476,6 +481,7 @@ class LedgerDraft:
         rest = held_q - q
         if rest.numerator < 0:
             raise InsufficientFraction(loc, q, held_q)
+        self._note(loc, held, (q, held_v), None)
         if rest.numerator == 0:
             del self.claims[loc]
         else:
@@ -488,7 +494,9 @@ class LedgerDraft:
             raise InsufficientFraction(loc, FULL, Fraction(0))
         if held[0].numerator != held[0].denominator:
             raise InsufficientFraction(loc, FULL, held[0])
-        self.claims[loc] = (FULL, val)
+        if held[1] != val:
+            self._note(loc, held, held, (FULL, val))
+            self.claims[loc] = (FULL, val)
         return self
 
     def join(self, other: Ledger) -> "LedgerDraft":
@@ -503,7 +511,7 @@ class LedgerDraft:
 
 def ledger_join(a: Ledger, b: Ledger) -> Ledger:
     """Disjoint composition: shares add per location, values must agree.
-    The first failing location in ``loc_sort_key`` order is reported."""
+    The first failing location in location order is reported."""
     return a.edit().join(b).done()
 
 

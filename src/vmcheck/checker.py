@@ -20,12 +20,14 @@ registry itself.  The audit walks each (root, va) once per pass, for a
 walk claim and the same walk-map entry alike, and notes the table
 frames the walk read.
 
-Rules refuse a step by raising: a ``Reject`` with the violation's kind,
-location and narrative, or the ``LedgerError`` of a failed ledger
-operation, left to propagate.  ``apply_rule`` is the one place that
-turns either into a ``Violation`` stamped with the step's index (ledger
-errors through the one kind mapping, ``_ledger_reject``), and
-``check_double`` does the same for its precondition checks at step -1.
+A rule does its ledger work on one draft and returns the draft's
+journal: the step's record is rendered from it, with arithmetic only for
+a location changed more than once, and the per-step audit checks its
+locations.  Rules refuse a step by raising: a ``Reject`` with the
+violation's kind, location and narrative, or the ``LedgerError`` of a
+failed ledger operation.  ``apply_rule`` is the one place that turns
+either into a ``Violation`` stamped with the step's index (ledger errors
+through ``_ledger_reject``), as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -88,7 +90,6 @@ from .assertions import (
     WitnessUnavailable,
     InsufficientFraction as LedgerInsufficientFraction,
     chain_fault,
-    loc_sort_key,
     lower,
     normalize,
     phys_loc,
@@ -259,29 +260,31 @@ def _claim_text(loc: Union[Location, str], q: Fraction, v: int) -> str:
     return f"{loc} {q} {v:#x}"
 
 
-_NO_CLAIM = (Fraction(0), None)
+def _net(before: Optional[tuple], after: Optional[tuple]) -> tuple:
+    """The (consumed, produced) claims from claim `before` to `after` (or
+    None): the share moved if the value stayed, else both whole claims."""
+    if before is None or after is None or before[1] != after[1]:
+        return before, after
+    gain = after[0] - before[0]
+    if gain.numerator > 0:
+        return None, (gain, after[1])
+    if gain.numerator < 0:
+        return (-gain, before[1]), None
+    return None, None
 
 
-def _ledger_delta(before: Ledger, after: Ledger, touched) -> tuple:
-    """(consumed, produced) rendered claim deltas between two ledgers at
-    the touched locations, the only ones a step's ledger operations can
-    have changed."""
-    consumed = []
-    produced = []
-    for text, loc in sorted((str(loc), loc) for loc in set(touched)):
-        oq, ov = before.claims.get(loc, _NO_CLAIM)
-        nq, nv = after.claims.get(loc, _NO_CLAIM)
-        if ov == nv:
-            gain = nq - oq
-            if gain.numerator > 0:
-                produced.append(_claim_text(text, gain, nv))
-            elif gain.numerator < 0:
-                consumed.append(_claim_text(text, -gain, ov))
-        else:
-            if ov is not None:
-                consumed.append(_claim_text(text, oq, ov))
-            if nv is not None:
-                produced.append(_claim_text(text, nq, nv))
+def _step_claims(journal: dict, after: Ledger) -> tuple:
+    """(consumed, produced) rendered claims of a step from its draft's
+    journal (see ``LedgerDraft``), in location text order: one operation's
+    own claims, or the net change where several changed a location."""
+    consumed, produced = [], []
+    for text, loc in sorted((str(loc), loc) for loc in journal):
+        before, moved = journal[loc]
+        out, into = moved or _net(before, after.claims.get(loc))
+        if out is not None:
+            consumed.append(_claim_text(text, *out))
+        if into is not None:
+            produced.append(_claim_text(text, *into))
     return tuple(consumed), tuple(produced)
 
 
@@ -301,10 +304,8 @@ def _ledger_reject(err: LedgerError) -> Reject:
     if isinstance(err, WitnessUnavailable):
         return Reject(MISSING_RESOURCE, str(WalkLoc(err.root, err.va)),
                       str(err))
-    if isinstance(err, (SumExceedsOne, LedgerInsufficientFraction)):
-        kind = INSUFFICIENT_FRACTION
-    else:
-        kind = VALUE_DISAGREEMENT
+    short = isinstance(err, (SumExceedsOne, LedgerInsufficientFraction))
+    kind = INSUFFICIENT_FRACTION if short else VALUE_DISAGREEMENT
     location = getattr(err, "location", None)  # BrokenChain has none
     return Reject(kind, None if location is None else str(location),
                   str(err))
@@ -353,7 +354,8 @@ def _reg_value(ctx: CheckerCtx, reg: Reg) -> int:
 
 def _set_value(ctx: CheckerCtx, loc: Location, value: int, rule: str):
     """Overwrite a fully held claim: a rule's outcome (see apply_rule)."""
-    return replace(ctx, ledger=ctx.ledger.set_value(loc, value)), rule, (loc,)
+    draft = ctx.ledger.edit().set_value(loc, value)
+    return replace(ctx, ledger=draft.done()), rule, draft.journal
 
 
 def _chain_entries(ctx: CheckerCtx, va: int):
@@ -382,9 +384,9 @@ def _walk_map(ctx: CheckerCtx) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Per-step rules: each returns (ctx', rule name, the locations its ledger
-# operations touched) or refuses the step by raising a Reject or letting a
-# LedgerError through.
+# Per-step rules: each returns (ctx', rule name, the journal of its ledger
+# draft, {} if it made none) or refuses the step by raising a Reject or
+# letting a LedgerError through.
 
 
 def _space_witness(ctx: CheckerCtx, root: int) -> None:
@@ -412,7 +414,7 @@ def _switch_root(ctx: CheckerCtx, new_root: int) -> CheckerCtx:
 
 def _apply_instr(ctx: CheckerCtx, instr: Instr):
     if isinstance(instr, Skip):
-        return ctx, "skip", ()
+        return ctx, "skip", {}
     if isinstance(instr, MovRegReg):
         return _set_value(ctx, RegLoc(instr.dst), _reg_value(ctx, instr.src),
                           "reg-from-reg")
@@ -426,7 +428,7 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
         return _set_value(ctx, RegLoc(instr.dst), ctx.root, "cr3-read")
     if isinstance(instr, MovToCr3FromReg):
         return (_switch_root(ctx, _reg_value(ctx, instr.src)),
-                "cr3-switch-reg", ())
+                "cr3-switch-reg", {})
     if not isinstance(instr, MEM_FORMS):
         raise TypeError(f"unknown instruction {instr!r}")
 
@@ -448,7 +450,7 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
                      f"no data claim behind va {va:#x}")
     if isinstance(instr, MovRegFromMem):
         return _set_value(ctx, RegLoc(instr.dst), data[1], "load-virt")
-    return _switch_root(ctx, data[1]), "cr3-switch-mem", ()
+    return _switch_root(ctx, data[1]), "cr3-switch-mem", {}
 
 
 def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
@@ -461,14 +463,13 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
     fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
-    walk_loc = WalkLoc(ctx.root, step.va)
     draft = ctx.ledger.edit()
     for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
         draft.consume(loc, share, entry)
-    draft.add(walk_loc, FULL, step.pa)
+    draft.add(WalkLoc(ctx.root, step.va), FULL, step.pa)
     registry = {**ctx.registry, ctx.root: {**theta, step.va: step.pa}}
     return (replace(ctx, ledger=draft.done(), registry=registry),
-            "ghost-insert-walk", (*slots, walk_loc))
+            "ghost-insert-walk", draft.journal)
 
 
 def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
@@ -490,7 +491,7 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
         draft.add(slot, share, entry)
     registry = {**ctx.registry, ctx.root: theta}
     return (replace(ctx, ledger=draft.done(), registry=registry),
-            "ghost-remove-walk", (loc, *slots))
+            "ghost-remove-walk", draft.journal)
 
 
 def _apply_call(ctx: CheckerCtx, step: CallStep):
@@ -499,7 +500,6 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
         raise Reject(STUB_PRE_FAILED, step.name,
                      f"no stub named {step.name!r}")
     draft = ctx.ledger.edit()
-    touched = []
     try:
         for pattern in stub.consumes:
             if isinstance(pattern, RegPt):
@@ -515,12 +515,10 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
                                  f"{pattern.reg.value} = {pattern.val:#x}, "
                                  f"ledger holds {claim[1]:#x}")
                 draft.consume(loc, pattern.q)
-                touched.append(loc)
             else:
                 needed = lower(pattern, ctx.root, ctx.registry)
                 for loc, q, v in needed.sorted_claims():
                     draft.consume(loc, q, v)
-                touched.extend(needed.claims)
     except LedgerError as err:
         unmet = _ledger_reject(err)
         raise Reject(STUB_PRE_FAILED, unmet.location, unmet.narrative)
@@ -537,7 +535,6 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised a false pure "
                          f"predicate: {pred}")
-    touched.extend(produced.claims)
     new_ctx = replace(ctx, ledger=draft.done(), machine=result.machine,
                       free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
@@ -546,7 +543,7 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised claims the machine "
                          f"does not satisfy: {complaint}")
-    return new_ctx, f"call:{step.name}", touched
+    return new_ctx, f"call:{step.name}", draft.journal
 
 
 def _apply_assert(ctx: CheckerCtx, step: AssertStep):
@@ -585,7 +582,7 @@ def _apply_assert(ctx: CheckerCtx, step: AssertStep):
         if not pure_holds(pred, g, ctx.registry):
             raise Reject(VALUE_DISAGREEMENT, str(pred),
                          "pure predicate is false")
-    return ctx, "assert", ()
+    return ctx, "assert", {}
 
 
 def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte]):
@@ -593,11 +590,11 @@ def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte]):
     current space's walk claim; the ledger does not change."""
     pa = _walk_claim(ctx, step.va)
     if isinstance(step, GhostPteToVirt):
-        return ctx, "ghost-pte-to-virt", ()
+        return ctx, "ghost-pte-to-virt", {}
     if pa != step.pa:
         raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(ctx.root, step.va)),
                      f"walk resolves to {pa:#x}, not {step.pa:#x}")
-    return ctx, "ghost-virt-to-pte", ()
+    return ctx, "ghost-virt-to-pte", {}
 
 
 # --------------------------------------------------------------------------
@@ -610,7 +607,7 @@ def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
     claim is held, its walk-map entry (a space claim in `locs` checks
     every entry).  Each (root, va) is walked once, and with ``ctx.reads``
     each walk is noted there under every table frame it read.  The first
-    complaint in ``loc_sort_key`` order is returned, None when clean."""
+    complaint in location order is returned, None when clean."""
     machine = ctx.machine
     if machine.reg(Reg.CR3) != ctx.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
@@ -632,7 +629,7 @@ def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
                     reads.setdefault(slot >> 12, set()).add((root, va))
         return walked[root, va]
 
-    for loc in sorted(todo, key=loc_sort_key):
+    for loc in sorted(todo):
         _q, v = claims[loc]
         if isinstance(loc, RegLoc):
             got = machine.reg(loc.reg)
@@ -673,17 +670,18 @@ def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
     return _audit(ctx, ctx.ledger.claims)
 
 
-def _audit_step(ctx: CheckerCtx, touched, reg: Optional[Reg],
+def _audit_step(ctx: CheckerCtx, journal: dict, reg: Optional[Reg],
                 frames, walk: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the
-    locations its rule touched, the data register `reg` and the memory
-    `frames` the machine wrote (taken from the machine, not the rule),
-    every walk that read a written frame (``ctx.reads``), and the
-    walk-map entry `walk` = (root, va) a ghost step inserted or removed;
-    cr3 is always compared.  Everything else still holds, so the first
-    complaint is the one the full audit would give."""
-    locs = set(touched)
+    locations its rule changed (the keys of its draft's `journal`), the
+    data register `reg` and the memory `frames` the machine wrote (taken
+    from the machine, not the rule), every walk that read a written frame
+    (``ctx.reads``), and the walk-map entry `walk` = (root, va) a ghost
+    step inserted or removed; cr3 is always compared.  Everything else
+    still holds, so the first complaint is the one the full audit would
+    give."""
+    locs = set(journal)
     if reg is not None:
         locs.add(RegLoc(reg))
     walks = set()
@@ -708,17 +706,17 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
     (a rule's, the machine's or the audit's) is stamped with its index."""
     try:
         if isinstance(script_step, InstrStep):
-            new_ctx, rule, touched = _apply_instr(ctx, script_step.instr)
+            new_ctx, rule, journal = _apply_instr(ctx, script_step.instr)
         elif isinstance(script_step, GhostInsertWalk):
-            new_ctx, rule, touched = _apply_ghost_insert(ctx, script_step)
+            new_ctx, rule, journal = _apply_ghost_insert(ctx, script_step)
         elif isinstance(script_step, GhostRemoveWalk):
-            new_ctx, rule, touched = _apply_ghost_remove(ctx, script_step)
+            new_ctx, rule, journal = _apply_ghost_remove(ctx, script_step)
         elif isinstance(script_step, (GhostPteToVirt, GhostVirtToPte)):
-            new_ctx, rule, touched = _apply_view(ctx, script_step)
+            new_ctx, rule, journal = _apply_view(ctx, script_step)
         elif isinstance(script_step, CallStep):
-            new_ctx, rule, touched = _apply_call(ctx, script_step)
+            new_ctx, rule, journal = _apply_call(ctx, script_step)
         elif isinstance(script_step, AssertStep):
-            new_ctx, rule, touched = _apply_assert(ctx, script_step)
+            new_ctx, rule, journal = _apply_assert(ctx, script_step)
         else:
             raise TypeError(f"unknown script step {script_step!r}")
 
@@ -742,13 +740,13 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                 new_ctx = replace(new_ctx, reads={})
                 complaint = audit_ledger(new_ctx)
             else:
-                complaint = _audit_step(new_ctx, touched, reg, frames, walk)
+                complaint = _audit_step(new_ctx, journal, reg, frames, walk)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
     except (Reject, LedgerError) as err:
         return _violation(err, index)
 
-    consumed, produced = _ledger_delta(ctx.ledger, new_ctx.ledger, touched)
+    consumed, produced = _step_claims(journal, new_ctx.ledger)
     record = StepRecord(index=index, rule=rule, consumed=consumed,
                         produced=produced, root_before=ctx.root,
                         root_after=new_ctx.root)
@@ -770,11 +768,6 @@ class Report:
         return self.violation is None
 
     def payload(self) -> dict:
-        def claims_json(ledger: Ledger) -> list:
-            return [{"location": str(loc), "share": str(q),
-                     "value": f"{v:#x}"}
-                    for loc, q, v in ledger.sorted_claims()]
-
         return {
             "ok": self.ok,
             "mode": self.mode,
@@ -792,8 +785,9 @@ class Report:
                 }
                 for r in self.records
             ],
-            "final_claims": claims_json(self.final_ledger)
-            if self.final_ledger is not None else None,
+            "final_claims": None if self.final_ledger is None else [
+                {"location": str(loc), "share": str(q), "value": f"{v:#x}"}
+                for loc, q, v in self.final_ledger.sorted_claims()],
             "violation": None if self.violation is None else {
                 "kind": self.violation.kind,
                 "step": self.violation.step,
@@ -876,13 +870,11 @@ def check_double(pre: Assertion, root: int, script: Script,
             ctx, record = outcome
             records.append(record)
 
-    if violation is not None:
-        return Report(root=root, mode=mode, records=tuple(records),
-                      final_ledger=None, final_machine=None,
-                      final_root=None, violation=violation)
+    ok = violation is None
     return Report(root=root, mode=mode, records=tuple(records),
-                  final_ledger=ctx.ledger, final_machine=ctx.machine,
-                  final_root=ctx.root, violation=None)
+                  final_ledger=ctx.ledger if ok else None,
+                  final_machine=ctx.machine if ok else None,
+                  final_root=ctx.root if ok else None, violation=violation)
 
 
 # --------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .parsing import (
     print_assertion,
     print_instr,
     print_program,
+    signed_number,
 )
 
 
@@ -60,11 +61,9 @@ def _read(path: str) -> str:
 
 def _parse_word(text: str, what: str) -> int:
     """A 64-bit word given as 0x-hex or decimal on the command line."""
-    try:
-        value = int(text, 16) if text.lower().startswith("0x") \
-            else int(text)
-    except ValueError:
-        raise UsageError(f"bad {what}: {text!r}") from None
+    value = signed_number(text)
+    if value is None:
+        raise UsageError(f"bad {what}: {text!r}")
     if not (0 <= value < (1 << 64)):
         raise UsageError(f"{what} {value:#x} is not a 64-bit word")
     return value

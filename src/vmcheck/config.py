@@ -3,8 +3,10 @@ registry, and the allocation free list.  Serialized as JSON with all
 numbers as 0x-hex strings; dumping is canonical (numeric key order), so
 load-then-dump is byte-stable.  Loading rejects, with a ConfigError
 naming the field, any section or inner map that is not an object, a
-free list that is not a list, a word outside [0, 2^64), and a walk-map
-key or value that is not word aligned.
+free list that is not a list, a number outside the grammar program text
+uses (``parsing.signed_number``: 0x-hex or decimal ASCII digits), a word
+outside [0, 2^64), a walk-map key or value that is not word aligned, and
+a space root or free-list entry that is not page aligned.
 
 Memory frames are decoded in bulk when every offset is spelled as the
 dumper spells it (``0x0`` .. ``0xff8``: one table lookup checks spelling,
@@ -12,9 +14,9 @@ alignment and range) and every value is ``0x`` and 1 to 16 lower-case hex
 digits (one pattern over the newline-joined values, whose newline count
 must be the word count less one, so that ``"0x1\\n0x2"`` cannot pass as
 two words).  Any other frame, such as one holding a non-string value, is
-decoded word by word: other spellings (``0X``, zero-padded, decimal,
-``_``, whitespace) still load, and every error names the first bad field
-exactly as before."""
+decoded word by word: other spellings of the grammar (upper-case hex
+digits, zero-padded, decimal) still load, and every error names the
+first bad field exactly as before."""
 
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from itertools import repeat
 
 from .machine import MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES
 from .assertions import Registry
+from .parsing import signed_number
 
 
 class ConfigError(ValueError):
@@ -56,11 +59,10 @@ class StateConfig:
 def _num(value, what: str) -> int:
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a 0x-hex string, got {value!r}")
-    try:
-        return int(value, 16) if value.lower().startswith("0x") \
-            else int(value)
-    except ValueError:
-        raise ConfigError(f"bad number {value!r} for {what}") from None
+    number = signed_number(value)
+    if number is None:
+        raise ConfigError(f"bad number {value!r} for {what}")
+    return number
 
 
 def _word(value, what: str) -> int:
@@ -74,6 +76,13 @@ def _aligned_word(value, what: str) -> int:
     word = _word(value, what)
     if word % WORD_BYTES:
         raise ConfigError(f"{what} {word:#x} is not word aligned")
+    return word
+
+
+def _page_address(value, what: str) -> int:
+    word = _word(value, what)
+    if word % PAGE_SIZE:
+        raise ConfigError(f"{what} {word:#x} is not page aligned")
     return word
 
 
@@ -139,9 +148,7 @@ def load_config(text: str) -> StateConfig:
     registry = {}
     for root_text, walks in _shaped(body.get("registry", {}), dict,
                                     "registry").items():
-        root = _word(root_text, "space root")
-        if root % 4096:
-            raise ConfigError(f"space root {root:#x} is not page aligned")
+        root = _page_address(root_text, "space root")
         theta = registry[root] = {}
         for va_text, pa_text in _shaped(walks, dict,
                                         f"walk map {root:#x}").items():
@@ -149,7 +156,7 @@ def load_config(text: str) -> StateConfig:
             theta[va] = _aligned_word(
                 pa_text, f"walk map {root:#x} entry {va:#x} ->")
 
-    free_list = tuple(_word(x, "free-list entry") for x in
+    free_list = tuple(_page_address(x, "free-list entry") for x in
                       _shaped(body.get("free_list", []), list, "free_list"))
     return StateConfig(registers=registers, memory=memory,
                        registry=registry, free_list=free_list)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Optional
 
 from .machine import (
     AddRegImm,
@@ -94,16 +95,33 @@ class ParseError(ValueError):
 _REG_NAMES = {r.value: r for r in Reg}
 
 
-# the one number grammar of program and assertion text
+# the one number grammar of program and assertion text, state files and
+# command-line arguments
 _NUM = r"0x[0-9a-fA-F]+|[0-9]+"
 _NUM_RE = re.compile(_NUM)
 
 
+def signed_number(text: str) -> Optional[int]:
+    """`text` read as an optional `-` and a number, or None.  No reader
+    takes a negative number: the sign is read only so that a reader can
+    name the value it refuses, so `-0` is no number."""
+    negative = text.startswith("-")
+    if not _NUM_RE.fullmatch(text, negative):
+        return None
+    value = int(text[negative:], 16 if text.startswith("0x", negative)
+                else 10)
+    return (-value or None) if negative else value
+
+
+def _bad_number(text: str, line: int, col: int) -> ParseError:
+    return ParseError(line, col, f"bad number {text!r}", ("0x-hex", "decimal"))
+
+
 def _parse_int(text: str, line: int, col: int) -> int:
-    if not _NUM_RE.fullmatch(text):
-        raise ParseError(line, col, f"bad number {text!r}",
-                         ("0x-hex", "decimal"))
-    return int(text, 16) if text.startswith("0x") else int(text)
+    value = None if text.startswith("-") else signed_number(text)
+    if value is None:
+        raise _bad_number(text, line, col)
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -377,9 +395,10 @@ def _operand(text: str, line: int):
         reg = _REG_NAMES[text]
         return "reg" if reg.is_data else "cr3", (reg,)
     # the sign is read so that the form can refuse a negative immediate
-    negative = text.startswith("-")
-    value = _parse_int(text[negative:], line, 1)
-    return "imm", (-value if negative else value,)
+    value = signed_number(text)
+    if value is None:
+        raise _bad_number(text, line, 1)
+    return "imm", (value,)
 
 
 def _build(form, fields, values, line: int) -> ScriptStep:

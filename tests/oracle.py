@@ -11,8 +11,7 @@ Outcome encoding:
     ("frame-unmapped", byte_addr) the table frame (or word) was absent
 
 ``ledger_delta`` is the reference for the checker's step records: it
-diffs two whole claim maps where the checker looks only at the locations
-a step touched.  ``naive_step`` is the reference for the memory forms of
+diffs two whole claim maps where the checker reads its draft's journal.  ``naive_step`` is the reference for the memory forms of
 ``step``, built on ``naive_walk``.
 """
 

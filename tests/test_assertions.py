@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from vmcheck.assertions import (
     L1_SHARE,
     L4L1PointsTo,
     Emp,
+    Location,
     Ledger,
     OtherSpace,
     PhysLoc,
@@ -421,3 +424,93 @@ def test_sep_is_order_insensitive():
     assert sep(a, b) == sep(b, a)
     assert sep(a, Emp()) == a
     assert sep() == Emp()
+
+
+def _flat_parts(a) -> list:
+    """The parts of an assertion under its separating conjunctions."""
+    if isinstance(a, Sep):
+        return [p for part in a.parts for p in _flat_parts(part)]
+    return [] if isinstance(a, Emp) else [a]
+
+
+def test_sep_orders_parts_by_repr_on_random_trees():
+    # random trees nest Sep directly, hold Emp units and repeat leaves
+    state, registry, roots = multi_space_fixture()
+    pool = leaf_pool(state, registry, roots)
+    rng = random.Random(12)
+    for _ in range(300):
+        parts = [random_assertion(rng, pool, roots)
+                 for _ in range(rng.randrange(5))]
+        want = sorted((p for part in parts for p in _flat_parts(part)),
+                      key=repr)
+        got = sep(*parts)
+        if not want:
+            assert got == Emp()
+        elif len(want) == 1:
+            assert got is want[0]
+        else:
+            assert isinstance(got, Sep) and list(got.parts) == want
+
+
+# --------------------------------------------------------------------------
+# Locations: tuples that are their own sort key
+
+
+def _dataclass_sort_key(loc) -> tuple:
+    """The explicit sort key locations had when they were dataclasses."""
+    if isinstance(loc, RegLoc):
+        return (0, loc.reg.value)
+    if isinstance(loc, PhysLoc):
+        return (1, loc.frame, loc.off)
+    if isinstance(loc, WalkLoc):
+        return (2, loc.root, loc.va)
+    return (3, loc.root)
+
+
+_SMALL = st.integers(0, 3)
+_LOCATIONS = st.one_of(
+    st.sampled_from([r for r in Reg if r is not Reg.CR3]).map(RegLoc),
+    st.builds(PhysLoc, _SMALL, _SMALL.map(lambda i: 8 * i)),
+    st.builds(WalkLoc, _SMALL.map(lambda i: i << 12),
+              _SMALL.map(lambda i: 8 * i)),
+    st.builds(SpaceLoc, _SMALL.map(lambda i: i << 12)))
+
+
+@given(st.lists(_LOCATIONS, max_size=40))
+def test_locations_sort_as_the_dataclass_key_sorted_them(locs):
+    assert sorted(locs) == sorted(locs, key=_dataclass_sort_key)
+    ledger = Ledger.build(0x1000, {loc: (FULL, 0) for loc in locs})
+    assert [loc for loc, _q, _v in ledger.sorted_claims()] == \
+        sorted(set(locs), key=_dataclass_sort_key)
+
+
+def test_locations_of_different_kinds_are_distinct_keys():
+    claims = {PhysLoc(1, 8): "phys", WalkLoc(1, 8): "walk",
+              SpaceLoc(1): "space", RegLoc(Reg.RAX): "reg"}
+    assert len(claims) == 4
+    assert claims[PhysLoc(1, 8)] == "phys"
+    assert claims[WalkLoc(1, 8)] == "walk"
+    assert PhysLoc(1, 8) != WalkLoc(1, 8)
+    assert SpaceLoc(1) != WalkLoc(1, 8)
+
+
+@pytest.mark.parametrize("loc, text, shown, fields", [
+    (RegLoc(Reg.RAX), "reg:rax", "RegLoc(reg=<Reg.RAX: 'rax'>)",
+     {"reg": Reg.RAX}),
+    (PhysLoc(0x5, 0x8), "phys:0x5:0x8", "PhysLoc(frame=5, off=8)",
+     {"frame": 5, "off": 8}),
+    (WalkLoc(0x1000, 0x20_0000), "walk:0x1000:0x200000",
+     "WalkLoc(root=4096, va=2097152)", {"root": 0x1000, "va": 0x20_0000}),
+    (SpaceLoc(0x1000), "space:0x1000", "SpaceLoc(root=4096)",
+     {"root": 0x1000}),
+])
+def test_each_location_kind_keeps_its_text_repr_and_fields(loc, text, shown,
+                                                           fields):
+    assert isinstance(loc, Location)
+    assert (str(loc), repr(loc)) == (text, shown)
+    assert {name: getattr(loc, name) for name in fields} == fields
+    assert type(loc)(**fields) == loc
+    assert copy.copy(loc) == loc
+    assert pickle.loads(pickle.dumps(loc)) == loc
+    with pytest.raises(TypeError):
+        type(loc)(*fields.values(), 0)

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vmcheck import cli, config, parsing
 from vmcheck.cli import main
 from vmcheck.cases import CASE_NAMES, case_study
 from vmcheck.config import StateConfig, dump_config
@@ -299,3 +302,114 @@ def test_free_list_and_space_roots_outside_a_word_are_usage_errors(
                             "--root", f"{case_study('map_new_page').root:#x}")
     assert code == 2 and out == ""
     assert err == f"error: {state}: {field} is not a 64-bit word\n"
+
+
+# --------------------------------------------------------------------------
+# One number grammar: command-line words and state files read numbers as
+# program and assertion text do
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--root", "1_048_576"),
+    ("walk", "--va", "\u0664\u0661\u0669\u0664\u0663\u0660\u0664"),
+    ("walk", "--va", "0X400000"),
+    ("walk", "--root", " 0x100000"),
+    ("walk", "--va", "-0"),
+])
+def test_address_arguments_are_ascii_hex_or_decimal(capsys, workdir, command,
+                                                    flag, value):
+    tmp, state_path, roots = workdir
+    prog = tmp / "prog.s"
+    prog.write_text("skip\n")
+    pre = tmp / "pre.txt"
+    pre.write_text("emp\n")
+    args = {"--root": f"{roots[0]:#x}", "--va": "0x200000", flag: value}
+    argv = ([command, "--state", str(state_path), "--root", args["--root"]]
+            + (["--va", args["--va"]] if command == "walk" else
+               [str(prog), "--pre", str(pre)]))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: bad {flag}: {value!r}\n"
+
+
+def _check_map_new_page_with(capsys, tmp_path, free_list):
+    invoke(capsys, "case", "map_new_page", "--emit", str(tmp_path))
+    state = tmp_path / "map_new_page.state.json"
+    body = json.loads(state.read_text())
+    body["free_list"] = free_list
+    state.write_text(json.dumps(body))
+    code, out, err = invoke(capsys, "check",
+                            str(tmp_path / "map_new_page.prog"),
+                            "--state", str(state),
+                            "--pre", str(tmp_path / "map_new_page.pre"),
+                            "--root", f"{case_study('map_new_page').root:#x}")
+    return code, out, err.replace(str(state), "STATE")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1_0_0_0", "bad number '1_0_0_0' for free-list entry"),
+    ("0X200000", "bad number '0X200000' for free-list entry"),
+    ("\u0662", "bad number '\u0662' for free-list entry"),
+    ("0x200008", "free-list entry 0x200008 is not page aligned"),
+    ("2097160", "free-list entry 0x200008 is not page aligned"),
+])
+def test_free_list_entries_are_page_addresses_in_the_number_grammar(
+        capsys, tmp_path, entry, message):
+    code, out, err = _check_map_new_page_with(capsys, tmp_path, [entry])
+    assert code == 2 and out == ""
+    assert err == f"error: STATE: {message}\n"
+
+
+def test_free_list_entries_spelled_as_before_still_load(capsys, tmp_path):
+    for entry in ("0x200000", "2097152", "0x0200000"):
+        code, out, _err = _check_map_new_page_with(capsys, tmp_path, [entry])
+        assert code == 0 and out.endswith("result: ok\n")
+
+
+def _reader_outcomes(text: str) -> list:
+    """What each of the five number readers makes of `text`: its value,
+    or None when it refuses the text."""
+    def outcome(read, errors):
+        try:
+            return read()
+        except errors:
+            return None
+
+    def program():
+        (step,) = parsing.parse_program(f"mov rax, {text}")
+        return step.instr.imm
+
+    def assertion():
+        return parsing.parse_assertion(f"rax |->r {text}").val
+
+    return [outcome(lambda: parsing._parse_int(text, 1, 1),
+                    parsing.ParseError),
+            outcome(program, parsing.ParseError),
+            outcome(assertion, parsing.ParseError),
+            outcome(lambda: config._word(text, "word"), config.ConfigError),
+            outcome(lambda: cli._parse_word(text, "--va"), cli.UsageError)]
+
+
+# ASCII digits and hex letters, the spellings the grammar refuses (0X, _,
+# +, -), and digits from other scripts; at most 16 characters, so that
+# every number the grammar reads fits in 64 bits
+_NUMBER_TEXT = st.text(
+    st.sampled_from("0123456789abcdefABCDEFxX_+-"
+                    "\u0663\uff18\u09e7\u00b2"), min_size=1, max_size=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_NUMBER_TEXT,
+                 st.integers(0, (1 << 64) - 1).map(hex),
+                 st.integers(0, 10 ** 19 - 1).map(str)))
+def test_the_five_number_readers_agree(text):
+    outcomes = _reader_outcomes(text)
+    assert outcomes == [outcomes[0]] * 5, (text, outcomes)
+
+
+def test_the_five_number_readers_read_the_grammar():
+    assert _reader_outcomes("0x1f") == [0x1F] * 5
+    assert _reader_outcomes("0010") == [10] * 5
+    assert _reader_outcomes("0xAb") == [0xAB] * 5
+    for text in ("1_000", "+5", "-5", "-0", "0X10", "0x", "\u0663"):
+        assert _reader_outcomes(text) == [None] * 5, text

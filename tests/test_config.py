@@ -75,6 +75,11 @@ def test_to_machine_state():
     '{"registry": {"0x100000000000000000": {}}}',
     '{"free_list": ["-4096"]}',
     '{"free_list": ["0x100000000000000000"]}',
+    '{"free_list": ["0x200008"]}',
+    '{"free_list": ["1_0_0_0"]}',
+    '{"registers": {"rax": "0X10"}}',
+    '{"registers": {"rax": " 0x10"}}',
+    '{"registers": {"rax": "-0"}}',
 ])
 def test_rejects_malformed(text):
     with pytest.raises(ConfigError):
