@@ -22,7 +22,9 @@ Two complementary readings are provided:
 Ledgers are persistent.  A change is made on a draft (``Ledger.edit``),
 one copy of the dict changed in place, whose journal step records are
 read from.  Locations are tuples that are their own sort key; claims are
-sorted only where order is visible, by ``sorted_claims``.
+sorted only where order is visible, by ``sorted_claims``.  A refusal is
+a ``Reject``: a failed ledger operation raises a ``LedgerError`` of its
+kind, and ``contains`` returns the one for its first uncovered claim.
 
 Shares are exact rationals in (0, 1], checked where they enter, by
 ``check_share``; ledger operations compare only their int parts.  ``add``
@@ -61,39 +63,60 @@ L4_SHARE = Fraction(1, 512 ** 4)
 CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
 
 
-class LedgerError(Exception):
-    """Base for ledger composition failures."""
+# The kinds of refusal a ledger error stands for (see Reject).
+MISSING_RESOURCE = "MissingResource"
+INSUFFICIENT_FRACTION = "InsufficientFraction"
+VALUE_DISAGREEMENT = "ValueDisagreement"
+
+
+class Reject(Exception):
+    """A refusal of a checker step: the kind, location text (or None) and
+    narrative of the violation it stands for.  Its str is the narrative."""
+
+    def __init__(self, kind: str, location: Optional[str], narrative: str):
+        super().__init__(narrative)
+        self.kind, self.location, self.narrative = kind, location, narrative
+
+
+class LedgerError(Reject):
+    """A failed ledger operation, raised with the location it failed at
+    (or None) and any details: a refusal of its class's ``kind``, narrated
+    by its class's ``text``, a format of those arguments."""
+
+    kind, text = VALUE_DISAGREEMENT, "{1}"
+
+    def __init__(self, location, *details):
+        where = None if location is None else str(location)
+        super().__init__(self.kind, where,
+                         self.text.format(location, *details))
 
 
 class SumExceedsOne(LedgerError):
-    def __init__(self, location=None):
-        self.location = location
-        super().__init__(f"share sum exceeds 1 at {location}")
+    kind, text = INSUFFICIENT_FRACTION, "share sum exceeds 1 at {0}"
 
 
 class ValueDisagreement(LedgerError):
-    def __init__(self, location):
-        self.location = location
-        super().__init__(f"claims disagree on the value at {location}")
+    text = "claims disagree on the value at {0}"
 
 
 class InsufficientFraction(LedgerError):
-    def __init__(self, location, needed, held):
-        self.location = location
-        self.needed = needed
-        self.held = held
-        super().__init__(f"need {needed} of {location}, hold {held}")
+    """Raised with the location, the share needed and the share held."""
+
+    kind, text = INSUFFICIENT_FRACTION, "need {1} of {0}, hold {2}"
 
 
 class BrokenChain(LedgerError):
-    """A walk-chain claim whose own entries do not make a walk."""
+    """A walk-chain claim whose own entries do not make a walk, raised
+    with no location and the reason."""
 
 
 class WitnessUnavailable(LedgerError):
-    def __init__(self, root, va):
-        self.root = root
-        self.va = va
-        super().__init__(f"no walk-map entry for va {va:#x} in space {root:#x}")
+    kind = MISSING_RESOURCE
+    text = "no walk-map entry for va {0.va:#x} in space {0.root:#x}"
+
+    def __init__(self, root: int, va: int):
+        self.root, self.va = root, va
+        super().__init__(WalkLoc(root, va))
 
 
 def check_share(q: Fraction) -> Fraction:
@@ -392,8 +415,8 @@ class Ledger:
                           for loc, (q, v) in claims.items()}, frozenset(pures))
 
     def edit(self) -> "LedgerDraft":
-        """A draft holding its own copy of the claims dict."""
-        return LedgerDraft(self.root, self.claims.copy(), self.pures)
+        """A draft holding its own copy of the claims dict, with a journal."""
+        return LedgerDraft(self.root, self.claims.copy(), self.pures, {})
 
     def sorted_claims(self) -> tuple:
         """((Location, share, value), ...) in location order."""
@@ -416,19 +439,21 @@ class Ledger:
     def with_root(self, root: int) -> "Ledger":
         return Ledger(root, self.claims, self.pures)
 
-    def contains(self, sub: "Ledger") -> Optional[tuple]:
-        """Sub-ledger inclusion check.  Returns None when every claim of
-        `sub` is covered, else (reason, location, detail) for the first
+    def contains(self, sub: "Ledger") -> Optional[Reject]:
+        """Sub-ledger inclusion check: None when every claim of `sub` is
+        covered, else the refusal of an assertion of `sub` at the first
         uncovered location in location order."""
         for loc, q, v in sub.sorted_claims():
             held = self.claims.get(loc)
             if held is None:
-                return ("missing", loc, None)
-            held_q, held_v = held
-            if held_v != v:
-                return ("value", loc, held_v)
-            if (held_q - q).numerator < 0:
-                return ("fraction", loc, held_q)
+                return Reject(MISSING_RESOURCE, str(loc),
+                              "asserted claim is not in the ledger")
+            if held[1] != v:
+                return Reject(VALUE_DISAGREEMENT, str(loc),
+                              f"ledger holds value {held[1]:#x}")
+            if (held[0] - q).numerator < 0:
+                return Reject(INSUFFICIENT_FRACTION, str(loc),
+                              f"ledger holds only {held[0]}")
         return None
 
 
@@ -441,18 +466,21 @@ class LedgerDraft:
     ``check_share`` or is a constant, so only its sign is checked here.
     ``journal``, which step records are rendered from, maps each location
     changed to (its claim before the first change or None, the (consumed,
-    produced) claims of that change, or None once another followed)."""
+    produced) claims of that change, or None once another followed); a
+    draft built without one, as ``lower``'s, keeps none."""
 
     root: int
     claims: dict
     pures: frozenset
-    journal: dict = field(default_factory=dict)
+    journal: Optional[dict] = None
 
     def done(self) -> Ledger:
         return Ledger(self.root, self.claims, self.pures)
 
     def _note(self, loc: Location, held, out, into) -> None:
         """Journal a change at `loc`, which held `held` before it."""
+        if self.journal is None:
+            return
         first = self.journal.get(loc)
         self.journal[loc] = ((held, (out, into)) if first is None
                              else (first[0], None))
@@ -545,7 +573,7 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
     governing space's walk map (from `registry`) to name its backing
     physical word.
     """
-    acc = Ledger(root).edit()
+    acc = LedgerDraft(root, {}, frozenset())
     _lower_into(acc, a, root, registry or {})
     return acc.done()
 
@@ -576,7 +604,7 @@ def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
     elif isinstance(node, L4L1PointsTo):
         fault = chain_fault(node)
         if fault is not None:
-            raise BrokenChain(fault)
+            raise BrokenChain(None, fault)
         slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
         entries = (node.l4e, node.l3e, node.l2e, node.l1e)
         for (frame, off), share, entry in zip(slots, CHAIN_SHARES, entries):

@@ -20,14 +20,12 @@ registry itself.  The audit walks each (root, va) once per pass, for a
 walk claim and the same walk-map entry alike, and notes the table
 frames the walk read.
 
-A rule does its ledger work on one draft and returns the draft's
-journal: the step's record is rendered from it, with arithmetic only for
-a location changed more than once, and the per-step audit checks its
-locations.  Rules refuse a step by raising: a ``Reject`` with the
-violation's kind, location and narrative, or the ``LedgerError`` of a
-failed ledger operation.  ``apply_rule`` is the one place that turns
-either into a ``Violation`` stamped with the step's index (ledger errors
-through ``_ledger_reject``), as ``check_double`` does at step -1.
+``apply_rule`` is a step's one transaction: it opens the one ledger draft
+the step's rule (from ``_RULES``) works on, commits it only when the
+rule, the machine step and the audit all pass, and renders the step's
+record from the draft's journal.  A refusal is a raised ``Reject`` (a
+failed ledger operation's ``LedgerError`` is one), which ``apply_rule``
+stamps with the step's index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -41,9 +39,9 @@ rule; the ledger is the one global precondition threaded through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .machine import (
     AddRegImm,
@@ -73,22 +71,25 @@ from .assertions import (
     Assertion,
     CHAIN_SHARES,
     FULL,
+    INSUFFICIENT_FRACTION,
     L4L1PointsTo,
     Ledger,
+    LedgerDraft,
     LedgerError,
     Location,
+    MISSING_RESOURCE,
     PhysLoc,
     PtePt,
     RegLoc,
     RegPt,
     Registry,
+    Reject,
     Sep,
     SpaceLoc,
-    SumExceedsOne,
+    VALUE_DISAGREEMENT,
     VirtPt,
     WalkLoc,
     WitnessUnavailable,
-    InsufficientFraction as LedgerInsufficientFraction,
     chain_fault,
     lower,
     normalize,
@@ -101,10 +102,7 @@ RESOURCE_ONLY = "resource"
 
 CHECK_OPTS = StepOpts(enforce_rw=True, set_accessed=False)
 
-# Violation kinds
-MISSING_RESOURCE = "MissingResource"
-INSUFFICIENT_FRACTION = "InsufficientFraction"
-VALUE_DISAGREEMENT = "ValueDisagreement"
+# Violation kinds (and the three of ledger errors, from assertions)
 UNSOUND_FRAME = "UnsoundFrame"
 UNKNOWN_ROOT = "UnknownRoot"
 STUB_PRE_FAILED = "StubPreFailed"
@@ -229,8 +227,10 @@ class StubSpec:
 # Checker context
 
 
-@dataclass(frozen=True)
-class CheckerCtx:
+class CheckerCtx(NamedTuple):
+    """The checker's state between steps: a named tuple, whose cheap
+    ``_replace`` a step calls twice (in its rule and its commit)."""
+
     ledger: Ledger
     root: int
     registry: Registry
@@ -288,36 +288,6 @@ def _step_claims(journal: dict, after: Ledger) -> tuple:
     return tuple(consumed), tuple(produced)
 
 
-class Reject(Exception):
-    """A rule's refusal of a step: the kind, location and narrative of
-    the Violation that apply_rule stamps with the step's index."""
-
-    def __init__(self, kind: str, location: Optional[str], narrative: str):
-        super().__init__(kind, location, narrative)
-        self.kind = kind
-        self.location = location
-        self.narrative = narrative
-
-
-def _ledger_reject(err: LedgerError) -> Reject:
-    """The refusal a failed ledger operation stands for."""
-    if isinstance(err, WitnessUnavailable):
-        return Reject(MISSING_RESOURCE, str(WalkLoc(err.root, err.va)),
-                      str(err))
-    short = isinstance(err, (SumExceedsOne, LedgerInsufficientFraction))
-    kind = INSUFFICIENT_FRACTION if short else VALUE_DISAGREEMENT
-    location = getattr(err, "location", None)  # BrokenChain has none
-    return Reject(kind, None if location is None else str(location),
-                  str(err))
-
-
-def _violation(err: Union[Reject, LedgerError], index: int) -> Violation:
-    """The one place a refusal becomes a Violation, at step `index`."""
-    if isinstance(err, LedgerError):
-        err = _ledger_reject(err)
-    return Violation(err.kind, index, err.location, err.narrative)
-
-
 def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
     """The lowest root other than `root` under which the ledger holds a
     walk claim for `va` (a claim stranded there by an address-space
@@ -352,12 +322,6 @@ def _reg_value(ctx: CheckerCtx, reg: Reg) -> int:
     return claim[1]
 
 
-def _set_value(ctx: CheckerCtx, loc: Location, value: int, rule: str):
-    """Overwrite a fully held claim: a rule's outcome (see apply_rule)."""
-    draft = ctx.ledger.edit().set_value(loc, value)
-    return replace(ctx, ledger=draft.done()), rule, draft.journal
-
-
 def _chain_entries(ctx: CheckerCtx, va: int):
     """The four table slots and entry values the current machine's walk
     of `va` under the current root reads.  A walk that stops before the
@@ -384,9 +348,9 @@ def _walk_map(ctx: CheckerCtx) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Per-step rules: each returns (ctx', rule name, the journal of its ledger
-# draft, {} if it made none) or refuses the step by raising a Reject or
-# letting a LedgerError through.
+# Per-step rules: each takes the step's ledger draft, which apply_rule
+# opens and commits, and returns (ctx', rule name), or refuses the step by
+# raising a Reject (a failed ledger operation's LedgerError is one).
 
 
 def _space_witness(ctx: CheckerCtx, root: int) -> None:
@@ -398,7 +362,7 @@ def _space_witness(ctx: CheckerCtx, root: int) -> None:
 def _switch_root(ctx: CheckerCtx, new_root: int) -> CheckerCtx:
     """The address-space switch: keeps facts, turns the target space's
     wrapped claims into current ones, and leaves the old space's claims
-    reachable only through the other-space wrapper (all by re-keying the
+    reachable only through the other-space wrapper (all by moving the
     evaluation root; claims are already tagged with their governing
     space)."""
     if new_root % PAGE_SIZE:
@@ -409,26 +373,35 @@ def _switch_root(ctx: CheckerCtx, new_root: int) -> CheckerCtx:
                      "target root is not a registered space")
     _space_witness(ctx, ctx.root)
     _space_witness(ctx, new_root)
-    return replace(ctx, root=new_root, ledger=ctx.ledger.with_root(new_root))
+    return ctx._replace(root=new_root)
 
 
-def _apply_instr(ctx: CheckerCtx, instr: Instr):
+def _set_value(ctx: CheckerCtx, draft: LedgerDraft, loc: Location,
+               value: int, rule: str):
+    """Overwrite a fully held claim: a rule's outcome."""
+    draft.set_value(loc, value)
+    return ctx, rule
+
+
+def _apply_instr(ctx: CheckerCtx, draft: LedgerDraft, step: InstrStep):
+    instr = step.instr
     if isinstance(instr, Skip):
-        return ctx, "skip", {}
+        return ctx, "skip"
     if isinstance(instr, MovRegReg):
-        return _set_value(ctx, RegLoc(instr.dst), _reg_value(ctx, instr.src),
-                          "reg-from-reg")
+        return _set_value(ctx, draft, RegLoc(instr.dst),
+                          _reg_value(ctx, instr.src), "reg-from-reg")
     if isinstance(instr, MovRegImm):
-        return _set_value(ctx, RegLoc(instr.dst), instr.imm, "reg-imm")
+        return _set_value(ctx, draft, RegLoc(instr.dst), instr.imm,
+                          "reg-imm")
     if isinstance(instr, AddRegImm):
-        return _set_value(ctx, RegLoc(instr.dst),
+        return _set_value(ctx, draft, RegLoc(instr.dst),
                           (_reg_value(ctx, instr.dst) + instr.imm) % (1 << 64),
                           "reg-add")
     if isinstance(instr, MovRegFromCr3):
-        return _set_value(ctx, RegLoc(instr.dst), ctx.root, "cr3-read")
+        return _set_value(ctx, draft, RegLoc(instr.dst), ctx.root,
+                          "cr3-read")
     if isinstance(instr, MovToCr3FromReg):
-        return (_switch_root(ctx, _reg_value(ctx, instr.src)),
-                "cr3-switch-reg", {})
+        return _switch_root(ctx, _reg_value(ctx, instr.src)), "cr3-switch-reg"
     if not isinstance(instr, MEM_FORMS):
         raise TypeError(f"unknown instruction {instr!r}")
 
@@ -441,19 +414,21 @@ def _apply_instr(ctx: CheckerCtx, instr: Instr):
         stored = _reg_value(ctx, instr.src)
     data_loc = phys_loc(_walk_claim(ctx, va))
     if isinstance(instr, MovMemFromReg):
-        return _set_value(ctx, data_loc, stored, "store-virt")
+        return _set_value(ctx, draft, data_loc, stored, "store-virt")
     if isinstance(instr, MovMemFromCr3):
-        return _set_value(ctx, data_loc, ctx.root, "cr3-store")
+        return _set_value(ctx, draft, data_loc, ctx.root, "cr3-store")
     data = ctx.ledger.get(data_loc)
     if data is None:
         raise Reject(MISSING_RESOURCE, str(data_loc),
                      f"no data claim behind va {va:#x}")
     if isinstance(instr, MovRegFromMem):
-        return _set_value(ctx, RegLoc(instr.dst), data[1], "load-virt")
-    return _switch_root(ctx, data[1]), "cr3-switch-mem", {}
+        return _set_value(ctx, draft, RegLoc(instr.dst), data[1],
+                          "load-virt")
+    return _switch_root(ctx, data[1]), "cr3-switch-mem"
 
 
-def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
+def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
+                        step: GhostInsertWalk):
     slots, entries = _chain_entries(ctx, step.va)
     theta = _walk_map(ctx)
     if step.va in theta:
@@ -463,23 +438,22 @@ def _apply_ghost_insert(ctx: CheckerCtx, step: GhostInsertWalk):
     fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
-    draft = ctx.ledger.edit()
     for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
         draft.consume(loc, share, entry)
     draft.add(WalkLoc(ctx.root, step.va), FULL, step.pa)
     registry = {**ctx.registry, ctx.root: {**theta, step.va: step.pa}}
-    return (replace(ctx, ledger=draft.done(), registry=registry),
-            "ghost-insert-walk", draft.journal)
+    return ctx._replace(registry=registry), "ghost-insert-walk"
 
 
-def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
+def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
+                        step: GhostRemoveWalk):
     loc = WalkLoc(ctx.root, step.va)
     if ctx.ledger.get(loc) is None:
         raise Reject(INSUFFICIENT_FRACTION, str(loc),
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(ctx)
     # the walk claim is the entry's token: only the full claim retires it
-    draft = ctx.ledger.edit().consume(loc, FULL)
+    draft.consume(loc, FULL)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
@@ -490,16 +464,14 @@ def _apply_ghost_remove(ctx: CheckerCtx, step: GhostRemoveWalk):
     for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
         draft.add(slot, share, entry)
     registry = {**ctx.registry, ctx.root: theta}
-    return (replace(ctx, ledger=draft.done(), registry=registry),
-            "ghost-remove-walk", draft.journal)
+    return ctx._replace(registry=registry), "ghost-remove-walk"
 
 
-def _apply_call(ctx: CheckerCtx, step: CallStep):
+def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
     stub = ctx.stubs.get(step.name)
     if stub is None:
         raise Reject(STUB_PRE_FAILED, step.name,
                      f"no stub named {step.name!r}")
-    draft = ctx.ledger.edit()
     try:
         for pattern in stub.consumes:
             if isinstance(pattern, RegPt):
@@ -520,8 +492,7 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
                 for loc, q, v in needed.sorted_claims():
                     draft.consume(loc, q, v)
     except LedgerError as err:
-        unmet = _ledger_reject(err)
-        raise Reject(STUB_PRE_FAILED, unmet.location, unmet.narrative)
+        raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
     env = StubEnv(machine=ctx.machine, root=ctx.root, registry=ctx.registry,
                   free_list=ctx.free_list, free_cursor=ctx.free_cursor)
     try:
@@ -535,18 +506,19 @@ def _apply_call(ctx: CheckerCtx, step: CallStep):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised a false pure "
                          f"predicate: {pred}")
-    new_ctx = replace(ctx, ledger=draft.done(), machine=result.machine,
-                      free_cursor=result.free_cursor)
+    new_ctx = ctx._replace(machine=result.machine,
+                           free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
-        complaint = _audit(new_ctx, produced.claims)
+        complaint = _audit(new_ctx._replace(ledger=draft.done()),
+                           produced.claims)
         if complaint is not None:
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised claims the machine "
                          f"does not satisfy: {complaint}")
-    return new_ctx, f"call:{step.name}", draft.journal
+    return new_ctx, f"call:{step.name}"
 
 
-def _apply_assert(ctx: CheckerCtx, step: AssertStep):
+def _apply_assert(ctx: CheckerCtx, draft: LedgerDraft, step: AssertStep):
     try:
         wanted = lower(step.assertion, ctx.root, ctx.registry)
     except WitnessUnavailable as err:
@@ -569,32 +541,37 @@ def _apply_assert(ctx: CheckerCtx, step: AssertStep):
                                  f"asserted claim for va {loc.va:#x} is "
                                  f"governed by space {other:#x}; it was "
                                  "framed across an address-space switch")
-        reason, loc, detail = problem
-        if reason == "missing":
-            raise Reject(MISSING_RESOURCE, str(loc),
-                         "asserted claim is not in the ledger")
-        if reason == "fraction":
-            raise Reject(INSUFFICIENT_FRACTION, str(loc),
-                         f"ledger holds only {detail}")
-        raise Reject(VALUE_DISAGREEMENT, str(loc),
-                     f"ledger holds value {detail:#x}")
+        raise problem
     for g, pred in wanted.pures:
         if not pure_holds(pred, g, ctx.registry):
             raise Reject(VALUE_DISAGREEMENT, str(pred),
                          "pure predicate is false")
-    return ctx, "assert", {}
+    return ctx, "assert"
 
 
-def _apply_view(ctx: CheckerCtx, step: Union[GhostPteToVirt, GhostVirtToPte]):
+def _apply_view(ctx: CheckerCtx, draft: LedgerDraft,
+                step: Union[GhostPteToVirt, GhostVirtToPte]):
     """Moving between the virtual and the PTE view of a mapping needs the
     current space's walk claim; the ledger does not change."""
     pa = _walk_claim(ctx, step.va)
     if isinstance(step, GhostPteToVirt):
-        return ctx, "ghost-pte-to-virt", {}
+        return ctx, "ghost-pte-to-virt"
     if pa != step.pa:
         raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(ctx.root, step.va)),
                      f"walk resolves to {pa:#x}, not {step.pa:#x}")
-    return ctx, "ghost-virt-to-pte", {}
+    return ctx, "ghost-virt-to-pte"
+
+
+# the rule of each kind of script step
+_RULES = {
+    InstrStep: _apply_instr,
+    GhostInsertWalk: _apply_ghost_insert,
+    GhostRemoveWalk: _apply_ghost_remove,
+    GhostPteToVirt: _apply_view,
+    GhostVirtToPte: _apply_view,
+    CallStep: _apply_call,
+    AssertStep: _apply_assert,
+}
 
 
 # --------------------------------------------------------------------------
@@ -670,23 +647,18 @@ def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
     return _audit(ctx, ctx.ledger.claims)
 
 
-def _audit_step(ctx: CheckerCtx, journal: dict, reg: Optional[Reg],
-                frames, walk: Optional[tuple]) -> Optional[str]:
+def _audit_step(ctx: CheckerCtx, reg: Optional[Reg], frames,
+                walk: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
-    what the step could have changed can have broken.  That is the
-    locations its rule changed (the keys of its draft's `journal`), the
-    data register `reg` and the memory `frames` the machine wrote (taken
-    from the machine, not the rule), every walk that read a written frame
-    (``ctx.reads``), and the walk-map entry `walk` = (root, va) a ghost
-    step inserted or removed; cr3 is always compared.  Everything else
-    still holds, so the first complaint is the one the full audit would
-    give."""
-    locs = set(journal)
-    if reg is not None:
-        locs.add(RegLoc(reg))
-    walks = set()
-    if walk is not None:
-        walks.add(walk)
+    what the step could have changed can have broken.  That is the data
+    register `reg` and the memory `frames` the machine wrote, every walk
+    that read a written frame (``ctx.reads``), and the walk-map entry
+    `walk` = (root, va) a ghost step inserted or removed; cr3 is always
+    compared.  Rules change no claim outside these, since they take chain
+    and data values from the machine audited before the step.  So the
+    first complaint is the one the full audit would give."""
+    locs = set() if reg is None else {RegLoc(reg)}
+    walks = set() if walk is None else {walk}
     if frames:
         locs.update(loc for loc in ctx.ledger.claims
                     if isinstance(loc, PhysLoc) and loc.frame in frames)
@@ -702,52 +674,43 @@ def _audit_step(ctx: CheckerCtx, journal: dict, reg: Optional[Reg],
 def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                index: int) -> Union[tuple, Violation]:
     """Apply one script step to the context.  Returns (ctx', StepRecord)
-    or the Violation that stops the check: the one place a step's refusal
-    (a rule's, the machine's or the audit's) is stamped with its index."""
+    or the Violation that stops the check.  The rule's draft becomes the
+    next ledger only when the rule, the machine step and the audit pass;
+    a refusal by any of them is stamped with the step's index."""
+    rule = _RULES.get(type(script_step))
+    if rule is None:
+        raise TypeError(f"unknown script step {script_step!r}")
+    draft = ctx.ledger.edit()
     try:
+        new_ctx, name = rule(ctx, draft, script_step)
+        machine, reg, frames, walk = new_ctx.machine, None, None, None
         if isinstance(script_step, InstrStep):
-            new_ctx, rule, journal = _apply_instr(ctx, script_step.instr)
-        elif isinstance(script_step, GhostInsertWalk):
-            new_ctx, rule, journal = _apply_ghost_insert(ctx, script_step)
-        elif isinstance(script_step, GhostRemoveWalk):
-            new_ctx, rule, journal = _apply_ghost_remove(ctx, script_step)
-        elif isinstance(script_step, (GhostPteToVirt, GhostVirtToPte)):
-            new_ctx, rule, journal = _apply_view(ctx, script_step)
-        elif isinstance(script_step, CallStep):
-            new_ctx, rule, journal = _apply_call(ctx, script_step)
-        elif isinstance(script_step, AssertStep):
-            new_ctx, rule, journal = _apply_assert(ctx, script_step)
-        else:
-            raise TypeError(f"unknown script step {script_step!r}")
-
-        reg = frames = walk = None
-        if isinstance(script_step, InstrStep):
-            result = machine_step(new_ctx.machine, script_step.instr,
-                                  CHECK_OPTS)
-            if isinstance(result, Fault):
+            machine = machine_step(machine, script_step.instr, CHECK_OPTS)
+            if isinstance(machine, Fault):
                 raise Reject(MACHINE_DISAGREE, None,
                              f"ledger accepts pc {ctx.machine.pc} but the "
-                             f"machine faults: {result!r}")
-            new_ctx = replace(new_ctx, machine=result)
+                             f"machine faults: {machine!r}")
             # the one data register an instruction writes is its dst
             reg = getattr(script_step.instr, "dst", None)
-            frames = result.mem.owned
+            frames = machine.mem.owned
         elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
             walk = (ctx.root, script_step.va)
+        new_ctx = new_ctx._replace(machine=machine, ledger=Ledger(
+            new_ctx.root, draft.claims, draft.pures))
         if new_ctx.mode == COEXEC:
             if new_ctx.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh
-                new_ctx = replace(new_ctx, reads={})
+                new_ctx = new_ctx._replace(reads={})
                 complaint = audit_ledger(new_ctx)
             else:
-                complaint = _audit_step(new_ctx, journal, reg, frames, walk)
+                complaint = _audit_step(new_ctx, reg, frames, walk)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
-    except (Reject, LedgerError) as err:
-        return _violation(err, index)
+    except Reject as err:
+        return Violation(err.kind, index, err.location, err.narrative)
 
-    consumed, produced = _step_claims(journal, new_ctx.ledger)
-    record = StepRecord(index=index, rule=rule, consumed=consumed,
+    consumed, produced = _step_claims(draft.journal, new_ctx.ledger)
+    record = StepRecord(index=index, rule=name, consumed=consumed,
                         produced=produced, root_before=ctx.root,
                         root_after=new_ctx.root)
     return new_ctx, record
@@ -859,8 +822,8 @@ def check_double(pre: Assertion, root: int, script: Script,
         complaint = audit_ledger(ctx) if mode == COEXEC else None
         if complaint is not None:
             raise Reject(MACHINE_DISAGREE, None, complaint)
-    except (Reject, LedgerError) as err:
-        violation = _violation(err, -1)
+    except Reject as err:
+        violation = Violation(err.kind, -1, err.location, err.narrative)
     else:
         for index, script_step in enumerate(script):
             outcome = apply_rule(ctx, script_step, index)
@@ -934,12 +897,10 @@ def frame_audit(pre: Assertion, root: int, script: Script) -> list:
         elif isinstance(instr, (MovRegFromMem, MovRegFromCr3)):
             reg_vals.pop(instr.dst, None)
 
-    warnings = []
-    for claim in sorted(candidates, key=repr):
-        if claim.va not in touched:
-            warnings.append(_violation(Reject(
-                UNSOUND_FRAME, str(WalkLoc(root, claim.va)),
-                f"claim for va {claim.va:#x} is framed, untouched, across an "
-                "address-space switch; wrap it in the other-space modality "
-                "for the old root"), switch_steps[0]))
-    return warnings
+    return [Violation(UNSOUND_FRAME, switch_steps[0],
+                      str(WalkLoc(root, claim.va)),
+                      f"claim for va {claim.va:#x} is framed, untouched, "
+                      "across an address-space switch; wrap it in the "
+                      "other-space modality for the old root")
+            for claim in sorted(candidates, key=repr)
+            if claim.va not in touched]

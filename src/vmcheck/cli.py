@@ -54,9 +54,12 @@ class UsageError(ValueError):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise UsageError(f"cannot read {path}: byte {err.start} is not "
+                         "UTF-8 text") from None
 
 
 def _parse_word(text: str, what: str) -> int:
@@ -209,14 +212,18 @@ def cmd_case(args) -> int:
     except UnknownCase as err:
         raise UsageError(str(err)) from None
     outdir = Path(args.emit)
-    outdir.mkdir(parents=True, exist_ok=True)
     prog_path = outdir / f"{case.name}.prog"
     state_path = outdir / f"{case.name}.state.json"
     pre_path = outdir / f"{case.name}.pre"
-    prog_path.write_text(print_program(case.script))
-    state_path.write_text(dump_config(
-        StateConfig.of(case.state, case.registry, case.free_list)))
-    pre_path.write_text(print_assertion(case.pre) + "\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        prog_path.write_text(print_program(case.script))
+        state_path.write_text(dump_config(
+            StateConfig.of(case.state, case.registry, case.free_list)))
+        pre_path.write_text(print_assertion(case.pre) + "\n")
+    except OSError as err:
+        raise UsageError(f"cannot write {err.filename}: {err.strerror}") \
+            from None
     print(f"wrote {prog_path}")
     print(f"wrote {state_path}")
     print(f"wrote {pre_path}")

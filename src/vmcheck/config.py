@@ -122,7 +122,8 @@ def _frame_words(words: dict, frame: int) -> dict:
 def load_config(text: str) -> StateConfig:
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # a RecursionError: arrays or objects nested too deeply to decode
         raise ConfigError(f"not valid JSON: {err}") from None
     if not isinstance(body, dict):
         raise ConfigError("top level must be an object")

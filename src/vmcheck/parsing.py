@@ -30,7 +30,8 @@ Assertions:
 An absent FR means the full share, and a share must lie in (0, 1].
 Every number in an assertion must fit in 64 bits, and a value a claim
 refuses (a cr3 claim, a misaligned address or root) is a ParseError with
-its line and column.  Parsing and printing round-trip.
+its line and column.  Wrappers nest at most 64 deep (``MAX_NESTING``); a
+deeper one is refused at its ``[``.  Parsing and printing round-trip.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ class ParseError(ValueError):
 
 _REG_NAMES = {r.value: r for r in Reg}
 
+# the deepest nesting of other-space wrappers an assertion may have
+MAX_NESTING = 64
+
 
 # the one number grammar of program and assertion text, state files and
 # command-line arguments
@@ -155,6 +159,7 @@ class _AssertionParser:
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.depth = 0  # the wrappers open around the current position
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -245,10 +250,15 @@ class _AssertionParser:
             val = self.number()
             return RegPt(reg, q, val)
         if kind == "sym" and text == "[":
+            if self.depth == MAX_NESTING:
+                raise ParseError(self.line, col, "wrappers nested more than "
+                                 f"{MAX_NESTING} deep")
             root = self.number()
             self.expect_sym("]")
             self.expect_sym("(")
+            self.depth += 1
             body = self.parse()
+            self.depth -= 1
             self.expect_sym(")")
             return OtherSpace(root, body)
         if kind == "num":

@@ -6,7 +6,6 @@ the oracle: both must give byte-identical reports, passing or failing.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from vmcheck import checker
@@ -326,13 +325,14 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0),
               RegPt(Reg.RDI, FULL, ALIAS_VA + 8),
               VirtPt(ALIAS_VA + 8, FULL, entry))
-    real_rule = checker._apply_instr
+    real_rule = checker._RULES[InstrStep]
 
-    def forgetful(ctx, instr):
-        real_rule(ctx, instr)  # a refusal raises through
-        return ctx, "nop", ()
+    def forgetful(ctx, _draft, step):
+        # a refusal raises through; the change lands on a draft dropped here
+        real_rule(ctx, ctx.ledger.edit(), step)
+        return ctx, "nop"
 
-    monkeypatch.setattr(checker, "_apply_instr", forgetful)
+    monkeypatch.setitem(checker._RULES, InstrStep, forgetful)
     report = check_double(pre, root, [InstrStep(MovRegImm(Reg.RAX, 7))],
                           init=state, registry=registry)
     assert report.violation == Violation(
@@ -351,12 +351,12 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
     # claim for it: the entry the step changed is still re-walked
     state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
 
-    def trusting(ctx, step):
+    def trusting(ctx, _draft, step):
         theta = {**ctx.registry[ctx.root], step.va: step.pa}
-        return (replace(ctx, registry={**ctx.registry, ctx.root: theta}),
-                "ghost-insert-walk", ())
+        return (ctx._replace(registry={**ctx.registry, ctx.root: theta}),
+                "ghost-insert-walk")
 
-    monkeypatch.setattr(checker, "_apply_ghost_insert", trusting)
+    monkeypatch.setitem(checker._RULES, GhostInsertWalk, trusting)
     report = check_double(sep(IASpace()), root,
                           [GhostInsertWalk(DATA_VA + 8, 0x9008)],
                           init=state, registry=registry)

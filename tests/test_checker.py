@@ -674,7 +674,7 @@ def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
     after = draft.done()
     changed = {loc for loc in before.claims.keys() | after.claims.keys()
                if before.claims.get(loc) != after.claims.get(loc)}
-    assert changed <= set(draft.journal)  # what the step audit checks
+    assert changed <= set(draft.journal)  # the journal names every change
     assert _step_claims(draft.journal, after) == \
         oracle.ledger_delta(before.claims, after.claims)
 

@@ -198,6 +198,50 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+_WRAPPERS_330_DEEP = b"[0x100000](" * 330 + b"emp" + b")" * 330
+_CHECK = ("check", "prog.s", "--state", "state.json", "--pre", "pre.txt",
+          "--root", "0x100000")
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    # a file that is not UTF-8 text
+    ({"pre.txt": b"\xff\xfe bad"}, _CHECK,
+     "cannot read pre.txt: byte 0 is not UTF-8 text"),
+    ({"prog.s": b"\xff\xfe bad"}, _CHECK,
+     "cannot read prog.s: byte 0 is not UTF-8 text"),
+    # an --emit directory that is a file, or lies under one
+    ({"out": b""}, ("case", "swtch", "--emit", "out"),
+     "cannot write out: "),
+    ({"out": b""}, ("case", "swtch", "--emit", "out/sub"),
+     "cannot write out/sub: "),
+    # a state file nested deeper than the JSON decoder recurses
+    ({"state.json": b'{"registers": ' + b"[" * 1000 + b"]" * 1000 + b"}"},
+     ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0"),
+     "state.json: not valid JSON: "),
+    # other-space wrappers nested deeper than the grammar's bound, refused
+    # at the first wrapper past it
+    ({"pre.txt": _WRAPPERS_330_DEEP}, _CHECK,
+     "line 1, column 705: wrappers nested more than 64 deep\n"),
+    ({"prog.s": b"skip\n@assert {" + _WRAPPERS_330_DEEP + b"}\n"}, _CHECK,
+     "line 2, column 705: wrappers nested more than 64 deep\n"),
+], ids=["pre-not-utf8", "prog-not-utf8", "emit-onto-a-file",
+        "emit-under-a-file", "state-nested-1000-deep", "pre-wrappers-330-deep",
+        "assert-wrappers-330-deep"])
+def test_hostile_input_ends_in_one_error_line(capsys, workdir, monkeypatch,
+                                              files, argv, message):
+    # an exception escaping main() fails the test, as a traceback would
+    tmp, _state_path, _roots = workdir
+    monkeypatch.chdir(tmp)
+    (tmp / "prog.s").write_text("skip\n")
+    (tmp / "pre.txt").write_text("emp\n")
+    for name, data in files.items():
+        (tmp / name).write_bytes(data)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_add_with_a_negative_immediate_is_a_parse_error(capsys, workdir):
     tmp, state_path, roots = workdir
     prog = tmp / "prog.s"

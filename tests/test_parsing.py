@@ -51,6 +51,7 @@ from vmcheck.checker import (
 from vmcheck.parsing import (
     _FORMS,
     _GHOST_FORMS,
+    MAX_NESTING,
     ParseError,
     parse_assertion,
     parse_program,
@@ -272,6 +273,20 @@ def test_parse_assertion_sep_and_nesting():
                OtherSpace(0x140000, sep(IASpace(),
                                         VirtPt(0x200000, FULL, 0x3333))))
     assert got == want
+
+
+def test_wrappers_nest_at_most_max_nesting_deep():
+    def nested(depth):
+        return "[0x140000](" * depth + "emp" + ")" * depth
+
+    want = Emp()
+    for _ in range(MAX_NESTING):
+        want = OtherSpace(0x140000, want)
+    assert parse_assertion(nested(MAX_NESTING)) == want
+    with pytest.raises(ParseError) as err:
+        parse_assertion(nested(MAX_NESTING + 1), line=7)
+    assert str(err.value) == (f"line 7, column {MAX_NESTING * 11 + 1}: "
+                              f"wrappers nested more than {MAX_NESTING} deep")
 
 
 def test_parse_assertion_errors():
