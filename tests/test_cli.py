@@ -218,6 +218,11 @@ _CHECK = ("check", "prog.s", "--state", "state.json", "--pre", "pre.txt",
     ({"state.json": b'{"registers": ' + b"[" * 1000 + b"]" * 1000 + b"}"},
      ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0"),
      "state.json: not valid JSON: "),
+    # one memory frame spelled two ways, which would drop a frame's words
+    ({"state.json": b'{"memory": {"0x5": {"0x0": "0x1"}, '
+                    b'"5": {"0x8": "0x2"}}}'},
+     ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0"),
+     "state.json: memory frame 0x5 spelled '0x5' and '5'\n"),
     # other-space wrappers nested deeper than the grammar's bound, refused
     # at the first wrapper past it
     ({"pre.txt": _WRAPPERS_330_DEEP}, _CHECK,
@@ -225,7 +230,8 @@ _CHECK = ("check", "prog.s", "--state", "state.json", "--pre", "pre.txt",
     ({"prog.s": b"skip\n@assert {" + _WRAPPERS_330_DEEP + b"}\n"}, _CHECK,
      "line 2, column 705: wrappers nested more than 64 deep\n"),
 ], ids=["pre-not-utf8", "prog-not-utf8", "emit-onto-a-file",
-        "emit-under-a-file", "state-nested-1000-deep", "pre-wrappers-330-deep",
+        "emit-under-a-file", "state-nested-1000-deep",
+        "state-frame-spelled-twice", "pre-wrappers-330-deep",
         "assert-wrappers-330-deep"])
 def test_hostile_input_ends_in_one_error_line(capsys, workdir, monkeypatch,
                                               files, argv, message):

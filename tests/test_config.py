@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings
@@ -80,10 +82,29 @@ def test_to_machine_state():
     '{"registers": {"rax": "0X10"}}',
     '{"registers": {"rax": " 0x10"}}',
     '{"registers": {"rax": "-0"}}',
+    # one key spelled two ways: the later spelling must not drop state
+    '{"memory": {"0x5": {"0x0": "0x1"}, "5": {"0x8": "0x2"}}}',
+    '{"registry": {"0x100000": {"0x1000": "0x2000"}, "1048576": {}}}',
 ])
 def test_rejects_malformed(text):
     with pytest.raises(ConfigError):
         load_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"memory": {"0x5": {"0x0": "0x1"}, "5": {"0x8": "0x2"}}}',
+     "memory frame 0x5 spelled '0x5' and '5'"),
+    ('{"memory": {"0x5": {"0x0": "0x1", "0x8": "0x2", "0": "0x3"}}}',
+     "memory frame 0x5 offset 0x0 spelled '0x0' and '0'"),
+    ('{"registry": {"0x100000": {"0x1000": "0x2000"}, "1048576": {}}}',
+     "space root 0x100000 spelled '0x100000' and '1048576'"),
+    ('{"registry": {"0x1000": {"0x8": "0x5000", "8": "0x6000"}}}',
+     "walk map 0x1000 key 0x8 spelled '0x8' and '8'"),
+])
+def test_a_key_spelled_two_ways_names_both_spellings(text, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(text)
+    assert str(err.value) == message
 
 
 def test_to_machine_state_shares_frames_until_a_write():
@@ -145,16 +166,44 @@ _HOSTILE_WORDS = st.one_of(
                                                    max_size=2)))
 
 
+# a pool of at most four value spellings, mostly the dumper's, so that the
+# words of a frame drawn from it repeat as page-table words do
+_POOLS = st.lists(st.one_of(st.just("0x0"), _CANONICAL_WORDS,
+                            _CANONICAL_WORDS, _HOSTILE_WORDS),
+                  min_size=1, max_size=4)
+_CLEAN_POOLS = st.lists(st.one_of(st.just("0x0"), _CANONICAL_WORDS),
+                        min_size=1, max_size=4)
+_ALL_SLOTS = [f"{off:#x}" for off in range(0, 4096, 8)]
+
+
+@st.composite
+def _full_frame(draw, shuffled: bool):
+    """All 512 slots, in the dumper's order or shuffled, each holding a
+    word of one pool; a drawn seed picks them, so that a failure shrinks
+    quickly."""
+    pool = draw(st.one_of(_CLEAN_POOLS, _POOLS))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    slots = list(_ALL_SLOTS)
+    if shuffled:
+        rng.shuffle(slots)
+    return {slot: rng.choice(pool) for slot in slots}
+
+
 def _frames():
-    """Up to four frames of canonical words, some with a few hostile
-    entries mixed in."""
+    """Up to four frames: canonical words, some with a few hostile
+    entries mixed in, or words that repeat, drawn from a small pool, over
+    a few slots or over all 512 (in the dumper's order or shuffled)."""
     clean = st.dictionaries(_CANONICAL_SLOTS, _CANONICAL_WORDS, max_size=16)
     hostile = st.dictionaries(
         st.one_of(_CANONICAL_SLOTS, _CANONICAL_SLOTS, _HOSTILE_SLOTS),
         _HOSTILE_WORDS, min_size=1, max_size=2)
     mixed = st.tuples(clean, hostile).map(lambda p: {**p[0], **p[1]})
+    pooled = _POOLS.flatmap(lambda pool: st.dictionaries(
+        st.one_of(_CANONICAL_SLOTS, _CANONICAL_SLOTS, _HOSTILE_SLOTS),
+        st.sampled_from(pool), min_size=1, max_size=32))
     return st.dictionaries(st.integers(0, 64).map(hex),
-                           st.one_of(clean, mixed), max_size=4)
+                           st.one_of(clean, mixed, pooled, _full_frame(False),
+                                     _full_frame(True)), max_size=4)
 
 
 def _outcome(text: str):
@@ -171,9 +220,27 @@ def test_bulk_frame_decode_matches_the_word_by_word_path(memory):
     text = json.dumps({"memory": memory})
     got = _outcome(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(config, "_SLOTS", {})  # every frame word by word
+        # every frame word by word: no offset is a slot, no value a word
+        patch.setattr(config, "_SLOTS", {})
+        patch.setattr(config, "_HEX_WORDS", re.compile(r"(?!)"))
         want = _outcome(text)
     assert got == want
+
+
+@pytest.mark.parametrize("words, message", [
+    # one value that holds two words, at two offsets: the distinct values
+    # hold one newline, which the word count alone would let through
+    ({"0x0": "0x1\n0x2", "0x8": "0x1\n0x2"},
+     "bad number '0x1\\n0x2' for memory word 0x5:0x0"),
+    # values that set() cannot hash
+    ({"0x0": ["0x1"], "0x8": ["0x1"]},
+     "memory word 0x5:0x0 must be a 0x-hex string, got ['0x1']"),
+])
+def test_frames_the_bulk_path_refuses_keep_their_word_by_word_error(
+        words, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(json.dumps({"memory": {"0x5": words}}))
+    assert str(err.value) == message
 
 
 def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
@@ -181,8 +248,10 @@ def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
     # loses the match sends every word back through _word
     words = {off: (off * 0x9E3779B97F4A7C15) % (1 << 64)
              for off in range(0, 4096, 8)}
+    assert len(set(words.values())) == 512
     cfg = StateConfig(registers={Reg.RAX: 1},
-                      memory={0x5: words, 0x6: {0: 0, 8: (1 << 64) - 1}})
+                      memory={0x5: words, 0x6: {0: 0, 8: (1 << 64) - 1},
+                              0x7: dict.fromkeys(range(0, 4096, 8), 0)})
     fields = []
     real_word = config._word
 
