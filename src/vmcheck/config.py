@@ -102,15 +102,13 @@ def _once(what: str, number: int, done: dict, keys, text: str) -> None:
 
 
 _SLOTS = {f"{off:#x}": off for off in range(0, PAGE_SIZE, WORD_BYTES)}
-_SLOT_KEYS = list(_SLOTS)
 _HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
 
 
 def _frame_words(words: dict, frame: int) -> dict:
     """The {offset: word} map of one memory frame's JSON object."""
     try:
-        offs = (_SLOTS.values() if list(words) == _SLOT_KEYS
-                else list(map(_SLOTS.__getitem__, words)))
+        offs = list(map(_SLOTS.__getitem__, words))
         values = list(words.values())
         distinct = set(values)
         joined = "\n".join(distinct)
