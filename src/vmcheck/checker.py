@@ -39,7 +39,7 @@ rule; the ledger is the one global precondition threaded through.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -751,12 +751,8 @@ class Report:
             "final_claims": None if self.final_ledger is None else [
                 {"location": str(loc), "share": str(q), "value": f"{v:#x}"}
                 for loc, q, v in self.final_ledger.sorted_claims()],
-            "violation": None if self.violation is None else {
-                "kind": self.violation.kind,
-                "step": self.violation.step,
-                "location": self.violation.location,
-                "narrative": self.violation.narrative,
-            },
+            "violation": None if self.violation is None
+            else asdict(self.violation),
         }
 
     def to_json(self) -> str:

@@ -17,11 +17,13 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .machine import (
     Fault,
     MachineState,
+    PAGE_SIZE,
     Reg,
     StepOpts,
     step as machine_step,
@@ -62,13 +64,16 @@ def _read(path: str) -> str:
                          "UTF-8 text") from None
 
 
-def _parse_word(text: str, what: str) -> int:
-    """A 64-bit word given as 0x-hex or decimal on the command line."""
+def _parse_word(text: str, what: str, align: int = 1) -> int:
+    """A 64-bit word given as 0x-hex or decimal on the command line, which
+    `align` (1 or PAGE_SIZE) divides."""
     value = signed_number(text)
     if value is None:
         raise UsageError(f"bad {what}: {text!r}")
     if not (0 <= value < (1 << 64)):
         raise UsageError(f"{what} {value:#x} is not a 64-bit word")
+    if value % align:
+        raise UsageError(f"{what} {value:#x} is not page aligned")
     return value
 
 
@@ -172,9 +177,7 @@ def cmd_check(args) -> int:
     warnings = frame_audit(pre, root, script)
     if args.report == "json":
         payload = report.payload()
-        payload["frame_audit"] = [
-            {"kind": w.kind, "step": w.step, "location": w.location,
-             "narrative": w.narrative} for w in warnings]
+        payload["frame_audit"] = [asdict(w) for w in warnings]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(report.to_text())
@@ -189,12 +192,9 @@ def cmd_check(args) -> int:
 
 def cmd_walk(args) -> int:
     cfg = _load_state(args.state)
-    root = _parse_word(args.root, "--root")
+    root = _parse_word(args.root, "--root", PAGE_SIZE)
     va = _parse_word(args.va, "--va")
-    state = cfg.to_machine_state()
-    if root % 4096:
-        raise UsageError(f"--root {root:#x} is not page aligned")
-    steps, result = walk(root, state.mem, va)
+    steps, result = walk(root, cfg.memory, va)
     *lines, outcome = walk_text(result, steps)
     ok = isinstance(result, int)
     lines.append(f"pa {outcome}" if ok else f"fault: {outcome}")

@@ -4,10 +4,11 @@ numbers as 0x-hex strings; dumping is canonical (numeric key order), so
 load-then-dump is byte-stable.  Loading rejects, with a ConfigError
 naming the field, any section or inner map that is not an object, a
 free list that is not a list, a number outside the grammar program text
-uses (``parsing.signed_number``: 0x-hex or decimal ASCII digits), a word
-outside [0, 2^64), a walk-map key or value that is not word aligned, a
-space root or free-list entry that is not page aligned, and a frame,
-offset, space root or walk-map key spelled two ways in one object.
+uses (``parsing.signed_number``: 0x-hex or decimal ASCII digits), and a
+frame, offset, space root or walk-map key spelled two ways in one object.
+One reader, ``_word``, checks a word's width and alignment where it is
+read: every word in [0, 2^64), walk-map keys and values word aligned,
+space roots and free-list entries page aligned.
 
 A memory frame is decoded in bulk, each distinct word once, when every
 offset is spelled as the dumper spells it (``0x0`` .. ``0xff8``) and
@@ -65,24 +66,14 @@ def _num(value, what: str) -> int:
     return number
 
 
-def _word(value, what: str) -> int:
+def _word(value, what: str, align: int = 1) -> int:
+    """A 64-bit word that `align` (1, WORD_BYTES or PAGE_SIZE) divides."""
     word = _num(value, what)
     if not (0 <= word < (1 << 64)):
         raise ConfigError(f"{what} {word:#x} is not a 64-bit word")
-    return word
-
-
-def _aligned_word(value, what: str) -> int:
-    word = _word(value, what)
-    if word % WORD_BYTES:
-        raise ConfigError(f"{what} {word:#x} is not word aligned")
-    return word
-
-
-def _page_address(value, what: str) -> int:
-    word = _word(value, what)
-    if word % PAGE_SIZE:
-        raise ConfigError(f"{what} {word:#x} is not page aligned")
+    if word % align:
+        unit = "page" if align == PAGE_SIZE else "word"
+        raise ConfigError(f"{what} {word:#x} is not {unit} aligned")
     return word
 
 
@@ -160,17 +151,17 @@ def load_config(text: str) -> StateConfig:
     registry = {}
     for root_text, walks in _shaped(body.get("registry", {}), dict,
                                     "registry").items():
-        root = _page_address(root_text, "space root")
+        root = _word(root_text, "space root", PAGE_SIZE)
         _once("space root", root, registry, body["registry"], root_text)
         theta = registry[root] = {}
         for va_text, pa_text in _shaped(walks, dict,
                                         f"walk map {root:#x}").items():
-            va = _aligned_word(va_text, f"walk map {root:#x} key")
+            va = _word(va_text, f"walk map {root:#x} key", WORD_BYTES)
             _once(f"walk map {root:#x} key", va, theta, walks, va_text)
-            theta[va] = _aligned_word(
-                pa_text, f"walk map {root:#x} entry {va:#x} ->")
+            theta[va] = _word(pa_text, f"walk map {root:#x} entry {va:#x} ->",
+                              WORD_BYTES)
 
-    free_list = tuple(_page_address(x, "free-list entry") for x in
+    free_list = tuple(_word(x, "free-list entry", PAGE_SIZE) for x in
                       _shaped(body.get("free_list", []), list, "free_list"))
     return StateConfig(registers=registers, memory=memory,
                        registry=registry, free_list=free_list)

@@ -454,9 +454,6 @@ def _parse_ghost(rest: str, line: int) -> ScriptStep:
         if key in args:
             raise ParseError(line, 1, f"ghost {op} repeats {key}=")
         args[key] = _parse_int(val, line, 1)
-        if args[key] >= 1 << 64:
-            raise ParseError(line, 1,
-                             f"ghost {key}={val} is not a 64-bit word")
     for name in fields:
         if name not in args:
             raise ParseError(line, 1, f"ghost {op} is missing {name}=")

@@ -71,7 +71,8 @@ from vmcheck.checker import (
     check_double,
     frame_audit,
 )
-from vmcheck.cases import CASE_NAMES, case_study, map_page_case
+from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
+from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
 from gen import multi_space_fixture
@@ -269,6 +270,19 @@ def test_frame_audit_forgets_registers_at_a_call():
               InstrStep(MovToCr3FromReg(Reg.RBX))]
     warnings = frame_audit(pre, roots[0], script)
     assert [(w.kind, w.step) for w in warnings] == [(UNSOUND_FRAME, 2)]
+
+
+@pytest.mark.parametrize("first", ["mov rax, rcx", "mov rax, [rdi]",
+                                   "mov rax, cr3"])
+def test_frame_audit_forgets_a_register_it_cannot_follow(first):
+    # rcx, [rdi] and cr3 are unknown, so after the first instruction rax
+    # is too, and the load through it touches no claim
+    pre = parse_assertion("rax |->r 0x600000 * rsi |->r 0x140000 "
+                          "* 0x600000 |->v 0x0")
+    script = parse_program(f"{first}\nmov rbx, [rax]\nmov cr3, rsi\n")
+    warnings = frame_audit(pre, 0x10_0000, script)
+    assert [(w.kind, w.step, w.location) for w in warnings] == \
+        [(UNSOUND_FRAME, 2, "walk:0x100000:0x600000")]
 
 
 @pytest.mark.parametrize("form, args, message", [
@@ -517,6 +531,54 @@ def test_stub_false_pure_predicate_is_rejected(mode):
     assert report.violation == Violation(
         STUB_PRE_FAILED, 0, "liar",
         "stub liar promised a false pure predicate: unmapped 0x200000")
+
+
+def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
+    # the effect loads cr3 with the other registered root and promises
+    # nothing, so only the audit's cr3 comparison can see it
+    def apply(env: StubEnv) -> StubResult:
+        machine = env.machine.copy()
+        machine.regs[Reg.CR3] = 0x14_0000
+        return StubResult(produces=sep(), machine=machine,
+                          free_cursor=env.free_cursor)
+
+    case = swtch_case()
+    stub = StubSpec(name="hop", consumes=(), apply=apply)
+    report = check_double(case.pre, case.root, [CallStep("hop")],
+                          stubs={"hop": stub}, init=case.state,
+                          registry=case.registry)
+    assert report.violation == Violation(
+        STUB_PRE_FAILED, 0, "hop", "stub hop promised claims the machine "
+        "does not satisfy: machine cr3 0x140000 differs from checker root "
+        "0x100000")
+
+
+def test_a_stub_that_hands_back_half_a_claim_records_the_net_loss():
+    def apply(env: StubEnv) -> StubResult:
+        return StubResult(produces=PhysPt(0x210, 0, Fraction(1, 2), 0),
+                          machine=env.machine, free_cursor=env.free_cursor)
+
+    case = swtch_case()
+    stub = StubSpec(name="half", consumes=(PhysPt(0x210, 0, FULL, 0),),
+                    apply=apply)
+    report = check_double(case.pre, case.root, [CallStep("half")],
+                          stubs={"half": stub}, init=case.state,
+                          registry=case.registry)
+    assert report.ok
+    (record,) = report.records
+    assert (record.consumed, record.produced) == \
+        (("phys:0x210:0x0 1/2 0x0",), ())
+
+
+def test_the_alloc_stub_refuses_a_free_list_entry_off_a_page():
+    # load_config refuses this list; only the Python API can pass it
+    case = map_page_case()
+    report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
+                          init=case.state, registry=case.registry,
+                          free_list=(0x20_0008,))
+    assert str(report.violation) == (
+        "step 2: StubPreFailed at alloc_phys_page_or_panic: free-list entry "
+        "0x200008 is not page aligned")
 
 
 def test_rule_locality_in_step_records():

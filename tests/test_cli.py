@@ -91,6 +91,15 @@ def test_walk_reports_fault_level(capsys, workdir):
     assert "NotPresent" in out
 
 
+def test_walk_refuses_a_root_off_a_page_as_it_reads_it(capsys, workdir):
+    # the root is refused before --va is read
+    tmp, state_path, roots = workdir
+    code, out, err = invoke(capsys, "walk", "--state", str(state_path),
+                            "--root", "0x100008", "--va", "junk")
+    assert (code, out, err) == \
+        (2, "", "error: --root 0x100008 is not page aligned\n")
+
+
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_case_emit_then_check(capsys, tmp_path, name):
     code, out, _ = invoke(capsys, "case", name, "--emit", str(tmp_path))

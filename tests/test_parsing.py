@@ -322,6 +322,21 @@ def test_parse_rejects_ghost_arguments_wider_than_64_bits():
 
 
 @pytest.mark.parametrize("args, message", [
+    ("va=18446744073709551616 pa=0x5000",
+     "ghost va=0x10000000000000000 is not a 64-bit word"),
+    ("va=0x0010000000000000000 pa=0x5000",
+     "ghost va=0x10000000000000000 is not a 64-bit word"),
+    # the step's constructor checks the width, after every key is read
+    ("va=0x10000000000000000", "ghost insert_walk is missing pa="),
+])
+def test_a_ghost_argument_wider_than_64_bits_is_refused_by_the_step(
+        args, message):
+    with pytest.raises(ParseError) as info:
+        parse_program(f"@ghost insert_walk {args}")
+    assert str(info.value) == f"line 1, column 1: {message}"
+
+
+@pytest.mark.parametrize("args, message", [
     ("va=0x1000 va=0x2000 pa=0x7 junk!! xx=1", "ghost remove_walk repeats va="),
     ("va=0x1000 pa=0x7", "ghost remove_walk takes no argument 'pa' "
                          "(expected va=)"),

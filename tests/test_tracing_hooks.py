@@ -1,12 +1,15 @@
-"""The opt-in benchmark tracer wraps vmcheck functions by name from
-outside the package, so a rename here must not leave one of its hooks
-pointing at nothing (``perfbench/run.py --trace 1`` would fail)."""
+"""The benchmark imports vmcheck modules and its opt-in tracer wraps
+vmcheck functions, both by name from outside the package, so a rename here
+must not leave a module or a hook of theirs pointing at nothing
+(``perfbench/run.py`` would fail)."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -31,3 +34,14 @@ def test_every_tracer_hook_names_a_vmcheck_function():
         if not callable(target):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_every_module_the_benchmark_imports_exists():
+    # read with ast, so that none of run.py runs
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (modules,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "MODULES"]
+    assert modules
+    for name in modules:
+        importlib.import_module(f"vmcheck.{name}")
