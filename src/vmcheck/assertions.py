@@ -21,21 +21,22 @@ Two complementary readings are provided:
 
 Ledgers are persistent.  A change is made on a draft (``Ledger.edit``),
 one copy of the dict changed in place, whose journal step records are
-read from.  Locations are tuples that are their own sort key; claims are
-sorted only where order is visible, by ``sorted_claims``.  A refusal is
-a ``Reject``: a failed ledger operation raises a ``LedgerError`` of its
-kind, and ``contains`` returns the one for its first uncovered claim.
+read from.  Locations are tuples that are their own sort key.  A refusal
+is a ``Reject``: a failed ledger operation raises a ``LedgerError`` of
+its kind, and ``contains`` returns the one for its first uncovered claim.
 
-Shares are exact rationals in (0, 1], checked where they enter, by
-``check_share``; ledger operations compare only their int parts.  ``add``
-is the one place shares are added: it requires equal values and can never
-silently exceed the full share.
+Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
+(checked by ``check_share``), and inside a ledger int numerators over
+its one denominator ``den``, which a share it does not divide widens to
+the lcm.  ``add`` is the one place shares are added: it requires equal
+values and never exceeds the full share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Mapping, Optional
 
@@ -61,6 +62,7 @@ L2_SHARE = Fraction(1, 512 ** 2)
 L3_SHARE = Fraction(1, 512 ** 3)
 L4_SHARE = Fraction(1, 512 ** 4)
 CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
+DEN = 512 ** 4  # first denominator of every ledger: the chain shares divide it
 
 
 # The kinds of refusal a ledger error stands for (see Reject).
@@ -130,9 +132,10 @@ def check_share(q: Fraction) -> Fraction:
     return q
 
 
-def _positive(q: Fraction) -> None:
-    if q.numerator <= 0:
-        raise ValueError(f"share {q} outside (0, 1]")
+def share_text(n: int, den: int) -> str:
+    """The text of the share n/den, as ``str(Fraction(n, den))`` gives it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 # --------------------------------------------------------------------------
@@ -401,30 +404,40 @@ class Ledger:
     """Concrete multiset of fractional ownership claims, relative to one
     evaluation root (the cr3 value claims were lowered under).
 
-    ``claims`` maps each location to its (share, value) claim.  The dict
-    is never mutated once a ledger holds it: each operation is a draft of
-    one operation, returning a new ledger and leaving the receiver as is."""
+    ``claims`` maps each location to its (n, value) claim, a share of
+    n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).  The
+    dict is never mutated once a ledger holds it: each operation returns
+    a new ledger.  Equality compares shares, whatever their ``den``."""
 
     root: int
     claims: dict = field(default_factory=dict, hash=False)
     pures: frozenset = frozenset()  # {(governing_root, Pred)}
+    den: int = field(default=DEN, compare=False)
 
     @classmethod
     def build(cls, root: int, claims: Mapping, pures=frozenset()) -> "Ledger":
-        return cls(root, {loc: (check_share(q), v)
-                          for loc, (q, v) in claims.items()}, frozenset(pures))
+        draft = LedgerDraft(root, {}, frozenset(pures), journal=None)
+        for loc, (q, v) in claims.items():
+            draft.claims[loc] = (draft.share(check_share(q)), v)
+        return draft.done()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Ledger) and (
+            (self.root, self.pures, self.sorted_claims())
+            == (other.root, other.pures, other.sorted_claims()))
 
     def edit(self) -> "LedgerDraft":
         """A draft holding its own copy of the claims dict, with a journal."""
-        return LedgerDraft(self.root, self.claims.copy(), self.pures, {})
+        return LedgerDraft(self.root, self.claims.copy(), self.pures, self.den)
 
     def sorted_claims(self) -> tuple:
         """((Location, share, value), ...) in location order."""
-        return tuple((loc, q, v)
-                     for loc, (q, v) in sorted(self.claims.items()))
+        return tuple((loc, Fraction(n, self.den), v)
+                     for loc, (n, v) in sorted(self.claims.items()))
 
     def get(self, loc: Location) -> Optional[tuple]:
-        return self.claims.get(loc)
+        held = self.claims.get(loc)
+        return held and (Fraction(held[0], self.den), held[1])
 
     def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
         return self.edit().add(loc, q, val).done()
@@ -437,13 +450,13 @@ class Ledger:
         return self.edit().set_value(loc, val).done()
 
     def with_root(self, root: int) -> "Ledger":
-        return Ledger(root, self.claims, self.pures)
+        return Ledger(root, self.claims, self.pures, self.den)
 
     def contains(self, sub: "Ledger") -> Optional[Reject]:
         """Sub-ledger inclusion check: None when every claim of `sub` is
         covered, else the refusal of an assertion of `sub` at the first
         uncovered location in location order."""
-        for loc, q, v in sub.sorted_claims():
+        for loc, (n, v) in sorted(sub.claims.items()):
             held = self.claims.get(loc)
             if held is None:
                 return Reject(MISSING_RESOURCE, str(loc),
@@ -451,9 +464,9 @@ class Ledger:
             if held[1] != v:
                 return Reject(VALUE_DISAGREEMENT, str(loc),
                               f"ledger holds value {held[1]:#x}")
-            if (held[0] - q).numerator < 0:
-                return Reject(INSUFFICIENT_FRACTION, str(loc),
-                              f"ledger holds only {held[0]}")
+            if held[0] * sub.den < n * self.den:
+                return Reject(INSUFFICIENT_FRACTION, str(loc), "ledger holds "
+                              f"only {share_text(held[0], self.den)}")
         return None
 
 
@@ -461,78 +474,87 @@ class Ledger:
 class LedgerDraft:
     """A ledger being changed: its own copy of the claims dict, changed in
     place.  ``add``, ``consume`` and ``set_value`` check all before they
-    change anything; ``done`` hands the dict to a new ledger, after which
-    the draft is not used.  A share added has entered through
-    ``check_share`` or is a constant, so only its sign is checked here.
-    ``journal``, which step records are rendered from, maps each location
-    changed to (its claim before the first change or None, the (consumed,
-    produced) claims of that change, or None once another followed); a
-    draft built without one, as ``lower``'s, keeps none."""
+    change anything but ``den``; ``done`` hands the dict to a new ledger,
+    after which the draft is not used.  ``journal``, which step records
+    are rendered from, maps each location changed to its claim before the
+    first change (or None); ``lower``'s draft keeps none."""
 
     root: int
     claims: dict
     pures: frozenset
-    journal: Optional[dict] = None
+    den: int = DEN
+    journal: Optional[dict] = field(default_factory=dict)
 
     def done(self) -> Ledger:
-        return Ledger(self.root, self.claims, self.pures)
+        return Ledger(self.root, self.claims, self.pures, self.den)
 
-    def _note(self, loc: Location, held, out, into) -> None:
-        """Journal a change at `loc`, which held `held` before it."""
-        if self.journal is None:
-            return
-        first = self.journal.get(loc)
-        self.journal[loc] = ((held, (out, into)) if first is None
-                             else (first[0], None))
+    def share(self, q: Fraction) -> int:
+        """q's numerator over ``den``, widened to fit; q must be positive."""
+        n, d = q.as_integer_ratio()
+        if n <= 0:
+            raise ValueError(f"share {q} outside (0, 1]")
+        return n * self.widen(d)
+
+    def widen(self, d: int) -> int:
+        """den // d, after ``den`` grows to lcm(den, d), every claim and
+        journal entry scaled with it."""
+        if self.den % d:
+            k = d // gcd(self.den, d)
+            self.den *= k
+            for claims in (self.claims, self.journal or {}):
+                for loc, claim in claims.items():
+                    claims[loc] = claim and (claim[0] * k, claim[1])
+        return self.den // d
 
     def add(self, loc: Location, q: Fraction, val: int) -> "LedgerDraft":
-        _positive(q)
+        return self._add(loc, self.share(q), val)
+
+    def _add(self, loc: Location, n: int, val: int) -> "LedgerDraft":
         held = self.claims.get(loc)
-        if held is not None and held[1] != val:
+        held_n, held_v = held or (0, val)
+        if held_v != val:
             raise ValueDisagreement(loc)
-        total = q if held is None else held[0] + q
-        if total.numerator > total.denominator:
+        if held_n + n > self.den:
             raise SumExceedsOne(loc)
-        self._note(loc, held, None, (q, val))
-        self.claims[loc] = (total, val)
+        if self.journal is not None:
+            self.journal.setdefault(loc, held)
+        self.claims[loc] = (held_n + n, val)
         return self
 
     def consume(self, loc: Location, q: Fraction,
                 val: Optional[int] = None) -> "LedgerDraft":
-        _positive(q)
+        n = self.share(q)
         held = self.claims.get(loc)
-        if held is None:
-            raise InsufficientFraction(loc, q, Fraction(0))
-        held_q, held_v = held
+        held_n, held_v = held or (0, val)
         if val is not None and held_v != val:
             raise ValueDisagreement(loc)
-        rest = held_q - q
-        if rest.numerator < 0:
-            raise InsufficientFraction(loc, q, held_q)
-        self._note(loc, held, (q, held_v), None)
-        if rest.numerator == 0:
+        if held_n < n:
+            raise InsufficientFraction(loc, q, share_text(held_n, self.den))
+        if self.journal is not None:
+            self.journal.setdefault(loc, held)
+        self.claims[loc] = (held_n - n, held_v)
+        if held_n == n:
             del self.claims[loc]
-        else:
-            self.claims[loc] = (rest, held_v)
         return self
 
     def set_value(self, loc: Location, val: int) -> "LedgerDraft":
         held = self.claims.get(loc)
-        if held is None:
-            raise InsufficientFraction(loc, FULL, Fraction(0))
-        if held[0].numerator != held[0].denominator:
-            raise InsufficientFraction(loc, FULL, held[0])
+        if held is None or held[0] != self.den:
+            n = 0 if held is None else held[0]
+            raise InsufficientFraction(loc, FULL, share_text(n, self.den))
         if held[1] != val:
-            self._note(loc, held, held, (FULL, val))
-            self.claims[loc] = (FULL, val)
+            if self.journal is not None:
+                self.journal.setdefault(loc, held)
+            self.claims[loc] = (self.den, val)
         return self
 
     def join(self, other: Ledger) -> "LedgerDraft":
         """Add every claim of `other` (see :func:`ledger_join`)."""
         if self.root != other.root:
             raise ValueError("ledgers joined under different evaluation roots")
-        for loc, q, v in other.sorted_claims():
-            self.add(loc, q, v)
+        k = self.widen(other.den)
+        for loc, (n, v) in sorted(other.claims.items()):
+            self._add(loc, n * k, v)
         self.pures = self.pures | other.pures
         return self
 
@@ -573,7 +595,7 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
     governing space's walk map (from `registry`) to name its backing
     physical word.
     """
-    acc = LedgerDraft(root, {}, frozenset())
+    acc = LedgerDraft(root, {}, frozenset(), journal=None)
     _lower_into(acc, a, root, registry or {})
     return acc.done()
 

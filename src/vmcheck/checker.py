@@ -12,13 +12,9 @@ only comparison of claims with the machine; resource mode skips it.
 
 The checker takes the instruction forms from the machine (the memory
 forms are ``MEM_FORMS``) and reads page tables only through its walk
-kernel, ``translate``.  A ghost step names word addresses only (its
-constructor refuses any other value, as for a walk-map key), takes its
-walk chain from the current machine (which co-execution's audit has
-proved equal to every held claim) and keeps the space's walk map in the
-registry itself.  The audit walks each (root, va) once per pass, for a
-walk claim and the same walk-map entry alike, and notes the table
-frames the walk read.
+kernel, ``translate``.  A ghost step takes its walk chain from the
+current machine (which co-execution's audit has proved equal to every
+held claim) and keeps the space's walk map in the registry itself.
 
 ``apply_rule`` is a step's one transaction: it opens the one ledger draft
 the step's rule (from ``_RULES``) works on, commits it only when the
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 from .machine import (
@@ -95,6 +90,7 @@ from .assertions import (
     normalize,
     phys_loc,
     pure_holds,
+    share_text,
 )
 
 COEXEC = "coexec"
@@ -256,35 +252,26 @@ class StepRecord:
     root_after: int
 
 
-def _claim_text(loc: Union[Location, str], q: Fraction, v: int) -> str:
-    return f"{loc} {q} {v:#x}"
-
-
-def _net(before: Optional[tuple], after: Optional[tuple]) -> tuple:
-    """The (consumed, produced) claims from claim `before` to `after` (or
-    None): the share moved if the value stayed, else both whole claims."""
-    if before is None or after is None or before[1] != after[1]:
-        return before, after
-    gain = after[0] - before[0]
-    if gain.numerator > 0:
-        return None, (gain, after[1])
-    if gain.numerator < 0:
-        return (-gain, before[1]), None
-    return None, None
+def _claim_text(loc: Union[Location, str], claim: tuple, den: int) -> str:
+    """The text of the (n, value) claim at `loc`, a share of n/den."""
+    return f"{loc} {share_text(claim[0], den)} {claim[1]:#x}"
 
 
 def _step_claims(journal: dict, after: Ledger) -> tuple:
-    """(consumed, produced) rendered claims of a step from its draft's
-    journal (see ``LedgerDraft``), in location text order: one operation's
-    own claims, or the net change where several changed a location."""
+    """(consumed, produced) claim texts of a step from its draft's journal,
+    in location text order: the share a location lost or gained if it
+    kept its value, else its whole claims before and after."""
     consumed, produced = [], []
     for text, loc in sorted((str(loc), loc) for loc in journal):
-        before, moved = journal[loc]
-        out, into = moved or _net(before, after.claims.get(loc))
-        if out is not None:
-            consumed.append(_claim_text(text, *out))
-        if into is not None:
-            produced.append(_claim_text(text, *into))
+        before, now = journal[loc], after.claims.get(loc)
+        if before and now and before[1] == now[1]:
+            gain = now[0] - before[0]
+            before = (-gain, before[1]) if gain < 0 else None
+            now = (gain, now[1]) if gain > 0 else None
+        if before:
+            consumed.append(_claim_text(text, before, after.den))
+        if now:
+            produced.append(_claim_text(text, now, after.den))
     return tuple(consumed), tuple(produced)
 
 
@@ -301,7 +288,7 @@ def _walk_claim(ctx: CheckerCtx, va: int) -> int:
     """The pa of the current space's walk claim for va; its absence is
     refused, naming a claim stranded under another root."""
     loc = WalkLoc(ctx.root, va)
-    claim = ctx.ledger.get(loc)
+    claim = ctx.ledger.claims.get(loc)
     if claim is not None:
         return claim[1]
     other = _stranded_root(ctx.ledger, va, ctx.root)
@@ -315,7 +302,7 @@ def _walk_claim(ctx: CheckerCtx, va: int) -> int:
 
 
 def _reg_value(ctx: CheckerCtx, reg: Reg) -> int:
-    claim = ctx.ledger.get(RegLoc(reg))
+    claim = ctx.ledger.claims.get(RegLoc(reg))
     if claim is None:
         raise Reject(MISSING_RESOURCE, str(RegLoc(reg)),
                      f"no claim on register {reg.value}")
@@ -354,7 +341,7 @@ def _walk_map(ctx: CheckerCtx) -> dict:
 
 
 def _space_witness(ctx: CheckerCtx, root: int) -> None:
-    if ctx.ledger.get(SpaceLoc(root)) is None:
+    if SpaceLoc(root) not in ctx.ledger.claims:
         raise Reject(MISSING_RESOURCE, str(SpaceLoc(root)),
                      f"no invariant witness for space {root:#x}")
 
@@ -417,7 +404,7 @@ def _apply_instr(ctx: CheckerCtx, draft: LedgerDraft, step: InstrStep):
         return _set_value(ctx, draft, data_loc, stored, "store-virt")
     if isinstance(instr, MovMemFromCr3):
         return _set_value(ctx, draft, data_loc, ctx.root, "cr3-store")
-    data = ctx.ledger.get(data_loc)
+    data = ctx.ledger.claims.get(data_loc)
     if data is None:
         raise Reject(MISSING_RESOURCE, str(data_loc),
                      f"no data claim behind va {va:#x}")
@@ -448,7 +435,7 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
 def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
                         step: GhostRemoveWalk):
     loc = WalkLoc(ctx.root, step.va)
-    if ctx.ledger.get(loc) is None:
+    if loc not in ctx.ledger.claims:
         raise Reject(INSUFFICIENT_FRACTION, str(loc),
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(ctx)
@@ -533,7 +520,7 @@ def _apply_assert(ctx: CheckerCtx, draft: LedgerDraft, step: AssertStep):
     if problem is not None:
         # before naming the first gap, see whether the root cause is a
         # walk claim stranded under a different governing root
-        for loc, _q, _v in wanted.sorted_claims():
+        for loc in sorted(wanted.claims):
             if isinstance(loc, WalkLoc) and loc not in ctx.ledger.claims:
                 other = _stranded_root(ctx.ledger, loc.va, loc.root)
                 if other is not None:
@@ -673,10 +660,8 @@ def _audit_step(ctx: CheckerCtx, reg: Optional[Reg], frames,
 
 def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                index: int) -> Union[tuple, Violation]:
-    """Apply one script step to the context.  Returns (ctx', StepRecord)
-    or the Violation that stops the check.  The rule's draft becomes the
-    next ledger only when the rule, the machine step and the audit pass;
-    a refusal by any of them is stamped with the step's index."""
+    """Apply one script step to the context, as one transaction (see the
+    module docstring): (ctx', StepRecord), or the stopping Violation."""
     rule = _RULES.get(type(script_step))
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
@@ -696,7 +681,7 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
         elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
             walk = (ctx.root, script_step.va)
         new_ctx = new_ctx._replace(machine=machine, ledger=Ledger(
-            new_ctx.root, draft.claims, draft.pures))
+            new_ctx.root, draft.claims, draft.pures, draft.den))
         if new_ctx.mode == COEXEC:
             if new_ctx.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh
@@ -749,8 +734,10 @@ class Report:
                 for r in self.records
             ],
             "final_claims": None if self.final_ledger is None else [
-                {"location": str(loc), "share": str(q), "value": f"{v:#x}"}
-                for loc, q, v in self.final_ledger.sorted_claims()],
+                {"location": str(loc),
+                 "share": share_text(n, self.final_ledger.den),
+                 "value": f"{v:#x}"}
+                for loc, (n, v) in sorted(self.final_ledger.claims.items())],
             "violation": None if self.violation is None
             else asdict(self.violation),
         }
@@ -771,8 +758,9 @@ class Report:
         if self.violation is None:
             lines.append(f"final root: {self.final_root:#x}")
             lines.append("final claims:")
-            for loc, q, v in self.final_ledger.sorted_claims():
-                lines.append(f"  {_claim_text(loc, q, v)}")
+            ledger = self.final_ledger
+            for loc, claim in sorted(ledger.claims.items()):
+                lines.append(f"  {_claim_text(loc, claim, ledger.den)}")
             lines.append("result: ok")
         else:
             lines.append(f"result: FAIL {self.violation}")
@@ -867,31 +855,21 @@ def frame_audit(pre: Assertion, root: int, script: Script) -> list:
     for s in script:
         if isinstance(s, GhostStep):
             touched.add(s.va)
-            continue
-        if isinstance(s, CallStep):
-            # a stub may write any register
-            reg_vals.clear()
-            continue
-        if not isinstance(s, InstrStep):
-            continue
-        instr = s.instr
-        if isinstance(instr, MEM_FORMS):
-            base = instr.base
-            if base in reg_vals:
-                touched.add((reg_vals[base] + instr.disp) % (1 << 64))
-        if isinstance(instr, MovRegImm):
-            reg_vals[instr.dst] = instr.imm
-        elif isinstance(instr, AddRegImm):
-            if instr.dst in reg_vals:
-                reg_vals[instr.dst] = (reg_vals[instr.dst] + instr.imm) \
-                    % (1 << 64)
-        elif isinstance(instr, MovRegReg):
-            if instr.src in reg_vals:
-                reg_vals[instr.dst] = reg_vals[instr.src]
-            else:
-                reg_vals.pop(instr.dst, None)
-        elif isinstance(instr, (MovRegFromMem, MovRegFromCr3)):
-            reg_vals.pop(instr.dst, None)
+        elif isinstance(s, CallStep):
+            reg_vals.clear()  # a stub may write any register
+        elif isinstance(s, InstrStep):
+            instr, dst = s.instr, getattr(s.instr, "dst", None)
+            if isinstance(instr, MEM_FORMS) and instr.base in reg_vals:
+                touched.add((reg_vals[instr.base] + instr.disp) % (1 << 64))
+            if isinstance(instr, MovRegImm):
+                reg_vals[dst] = instr.imm
+            elif isinstance(instr, AddRegImm) and dst in reg_vals:
+                reg_vals[dst] = (reg_vals[dst] + instr.imm) % (1 << 64)
+            elif isinstance(instr, MovRegReg) and instr.src in reg_vals:
+                reg_vals[dst] = reg_vals[instr.src]
+            elif dst is not None:
+                # a load, or a copy of an unknown register: dst is unknown
+                reg_vals.pop(dst, None)
 
     return [Violation(UNSOUND_FRAME, switch_steps[0],
                       str(WalkLoc(root, claim.va)),

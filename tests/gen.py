@@ -20,6 +20,19 @@ from vmcheck.assertions import (
 
 DATA_REGS = [r for r in Reg if r.is_data]
 
+# The shares a ledger property draws: 1, 1/2, the four chain shares, and
+# three whose denominators (3 and 7) do not divide a ledger's starting
+# one, so that drawing one rescales a draft, often after its journal has
+# entries.
+MIXED_SHARES = (Fraction(1), Fraction(1, 2),
+                *(Fraction(1, 512 ** k) for k in range(1, 5)),
+                Fraction(1, 3), Fraction(2, 7), Fraction(5, 6))
+
+
+def fraction_claims(ledger):
+    """{location: (share, value)}: a ledger's claims, shares as Fractions."""
+    return {loc: (q, v) for loc, q, v in ledger.sorted_claims()}
+
 
 def multi_space_fixture():
     """Three address spaces over one physical memory.

@@ -11,8 +11,10 @@ Outcome encoding:
     ("frame-unmapped", byte_addr) the table frame (or word) was absent
 
 ``ledger_delta`` is the reference for the checker's step records: it
-diffs two whole claim maps where the checker reads its draft's journal.  ``naive_step`` is the reference for the memory forms of
-``step``, built on ``naive_walk``.
+diffs two whole claim maps where the checker reads its draft's journal.
+``FractionLedger`` is the reference for the claim ledger: plain
+``Fraction`` shares, added and compared as such.  ``naive_step`` is the
+reference for the memory forms of ``step``, built on ``naive_walk``.
 """
 
 from fractions import Fraction
@@ -184,6 +186,88 @@ def ledger_delta(old, new):
             if nv is not None:
                 produced.append(f"{loc} {nq} {nv:#x}")
     return tuple(consumed), tuple(produced)
+
+
+class Refusal(Exception):
+    """A refused ledger operation: its violation kind and narrative."""
+
+    def __init__(self, kind, narrative):
+        super().__init__(narrative)
+        self.kind, self.narrative = kind, narrative
+
+
+def _positive(q):
+    if q <= 0:
+        raise ValueError(f"share {q} outside (0, 1]")
+
+
+class FractionLedger:
+    """Claims {location: (Fraction share, value)}, with the ledger's
+    operations and refusals (as ``Refusal``, or ValueError for a share
+    that is not positive).  Every operation returns a new ledger; a
+    refused one leaves the receiver as it was.  Locations are opaque:
+    only sorted and formatted."""
+
+    def __init__(self, claims=()):
+        self.claims = dict(claims)
+
+    def add(self, loc, q, val):
+        _positive(q)
+        held_q, held_v = self.claims.get(loc, (0, val))
+        if held_v != val:
+            raise Refusal("ValueDisagreement",
+                          f"claims disagree on the value at {loc}")
+        if held_q + q > 1:
+            raise Refusal("InsufficientFraction",
+                          f"share sum exceeds 1 at {loc}")
+        return FractionLedger({**self.claims, loc: (held_q + q, val)})
+
+    def consume(self, loc, q, val=None):
+        _positive(q)
+        held_q, held_v = self.claims.get(loc, (Fraction(0), val))
+        if loc in self.claims and val is not None and held_v != val:
+            raise Refusal("ValueDisagreement",
+                          f"claims disagree on the value at {loc}")
+        if held_q < q:
+            raise Refusal("InsufficientFraction",
+                          f"need {q} of {loc}, hold {held_q}")
+        rest = dict(self.claims)
+        if held_q == q:
+            del rest[loc]
+        else:
+            rest[loc] = (held_q - q, held_v)
+        return FractionLedger(rest)
+
+    def set_value(self, loc, val):
+        held_q, _held_v = self.claims.get(loc, (Fraction(0), None))
+        if held_q != 1:
+            raise Refusal("InsufficientFraction",
+                          f"need 1 of {loc}, hold {held_q}")
+        return FractionLedger({**self.claims, loc: (Fraction(1), val)})
+
+    def join(self, other):
+        """Add other's claims one by one in location order."""
+        out = self
+        for loc in sorted(other.claims):
+            out = out.add(loc, *other.claims[loc])
+        return out
+
+    def contains(self, sub):
+        """None when every claim of `sub` is held, else (kind, location
+        text, narrative) for the first one not held in location order."""
+        for loc in sorted(sub.claims):
+            q, v = sub.claims[loc]
+            if loc not in self.claims:
+                return ("MissingResource", str(loc),
+                        "asserted claim is not in the ledger")
+            held_q, held_v = self.claims[loc]
+            if held_v != v:
+                return ("ValueDisagreement", str(loc),
+                        f"ledger holds value {held_v:#x}")
+            if held_q < q:
+                return ("InsufficientFraction", str(loc),
+                        f"ledger holds only {held_q}")
+        return None
 
 
 # The four memory forms of the mov family: whether each loads or stores,

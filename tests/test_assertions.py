@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmcheck.machine import NotPresent, Reg, walk
@@ -16,6 +16,7 @@ from vmcheck.assertions import (
     Emp,
     Location,
     Ledger,
+    LedgerError,
     OtherSpace,
     PhysLoc,
     PhysPt,
@@ -39,7 +40,9 @@ from vmcheck.assertions import (
     sep,
 )
 
-from gen import leaf_pool, multi_space_fixture, random_assertion
+import oracle
+from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
+                 random_assertion)
 
 
 # --------------------------------------------------------------------------
@@ -192,6 +195,72 @@ def test_join_commutative_associative():
 
 
 # --------------------------------------------------------------------------
+# The ledger against its Fraction reference (oracle.FractionLedger)
+
+
+_REF_LOCS = (RegLoc(Reg.RAX), PhysLoc(1, 0), PhysLoc(1, 8),
+             WalkLoc(0x1000, 0x20_0000))
+_some_locs = st.sampled_from(_REF_LOCS)
+# the shares an operation is given: refused ones (not positive) too
+_op_shares = st.sampled_from((Fraction(-1, 3), Fraction(0), *MIXED_SHARES))
+_claim_sets = st.dictionaries(
+    _some_locs,
+    st.tuples(st.sampled_from(MIXED_SHARES), st.sampled_from((0, 1))),
+    max_size=3)
+_ref_ops = st.one_of(
+    st.tuples(st.just("add"), _some_locs, _op_shares, st.sampled_from((0, 1))),
+    st.tuples(st.just("consume"), _some_locs, _op_shares,
+              st.sampled_from((0, 1, None))),
+    st.tuples(st.just("set_value"), _some_locs, st.sampled_from((0, 1))),
+    st.tuples(st.just("join"), _claim_sets),
+    st.tuples(st.just("contains"), _claim_sets))
+
+
+def _said(apply):
+    """(what `apply` returned or None, and None or its refusal's kind and
+    narrative; the kind is ValueError for a share that is not positive)."""
+    try:
+        return apply(), None
+    except (LedgerError, oracle.Refusal) as err:
+        return None, (err.kind, err.narrative)
+    except ValueError as err:
+        return None, ("ValueError", str(err))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ref_ops, max_size=8), max_size=6))
+def test_the_ledger_agrees_with_its_fraction_reference(steps):
+    # each inner list is one step's draft; a 1/3, 2/7 or 5/6 share
+    # rescales it, often after its journal has entries
+    ledger, ref = Ledger(0x1000), oracle.FractionLedger()
+    for ops in steps:
+        draft, step_ref = ledger.edit(), ref
+        for kind, *args in ops:
+            if kind == "contains":
+                got = draft.done().contains(Ledger.build(0x1000, args[0]))
+                assert step_ref.contains(oracle.FractionLedger(args[0])) == (
+                    got and (got.kind, got.location, got.narrative))
+                continue
+            before = draft.done().sorted_claims()
+            ref_args = args
+            if kind == "join":
+                args = [Ledger.build(0x1000, args[0])]
+                ref_args = [oracle.FractionLedger(ref_args[0])]
+            new_ref, want = _said(lambda: getattr(step_ref, kind)(*ref_args))
+            assert _said(lambda: getattr(draft, kind)(*args))[1] == want
+            if want is None:
+                step_ref = new_ref
+            elif kind == "join":
+                break  # a join refused partway drops the step's draft
+            else:
+                assert draft.done().sorted_claims() == before
+            assert fraction_claims(draft.done()) == step_ref.claims
+        else:
+            ledger, ref = draft.done(), step_ref
+    assert ledger == Ledger.build(0x1000, ref.claims)
+
+
+# --------------------------------------------------------------------------
 # Lowering
 
 
@@ -260,7 +329,7 @@ def test_lower_l4l1_share_schedule():
     (l4, l3, l2, l1) = [entry for _slot, entry in steps]
     node = L4L1PointsTo(0x20_0000, l4, l3, l2, l1, 0x5000)
     led = lower(node, roots[0], registry)
-    fracs = sorted(q for q, _ in led.claims.values())
+    fracs = sorted(q for _loc, q, _v in led.sorted_claims())
     assert fracs == sorted([Fraction(1, 512 ** 4), Fraction(1, 512 ** 3),
                             Fraction(1, 512 ** 2), Fraction(1, 512)])
     assert machine_sat(node, roots[0], state, registry) is None

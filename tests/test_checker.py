@@ -75,7 +75,7 @@ from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
-from gen import multi_space_fixture
+from gen import MIXED_SHARES, fraction_claims, multi_space_fixture
 
 
 def fixture():
@@ -722,11 +722,18 @@ def test_a_draft_replays_ops_as_the_ledger_operations_do(setup, ops):
     assert start.claims == held
 
 
+mixed_ops = st.tuples(
+    st.sampled_from(("add", "consume", "set_value")), st.sampled_from(_LOCS),
+    st.sampled_from((Fraction(-1, 2), *MIXED_SHARES)),
+    st.sampled_from((0, 1, None)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(ledger_ops, max_size=8), st.lists(draft_ops, max_size=20))
+@given(st.lists(mixed_ops, max_size=8), st.lists(mixed_ops, max_size=20))
 def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
-    # ops repeat locations (8 of them) and include refused ones (negative
-    # shares, missing claims, disagreeing values)
+    # ops repeat locations (8 of them), include refused ones (negative
+    # shares, missing claims, disagreeing values), and draw 1/3, 2/7 and
+    # 5/6 shares, which rescale the draft, often after it has journaled
     before = Ledger(0x1000)
     for op in setup:
         before, _err = _outcome(_apply_op, before, op)
@@ -734,11 +741,11 @@ def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
     for op in ops:
         draft, _err = _outcome(_apply_op, draft, op)
     after = draft.done()
-    changed = {loc for loc in before.claims.keys() | after.claims.keys()
-               if before.claims.get(loc) != after.claims.get(loc)}
+    old, new = fraction_claims(before), fraction_claims(after)
+    changed = {loc for loc in old.keys() | new.keys()
+               if old.get(loc) != new.get(loc)}
     assert changed <= set(draft.journal)  # the journal names every change
-    assert _step_claims(draft.journal, after) == \
-        oracle.ledger_delta(before.claims, after.claims)
+    assert _step_claims(draft.journal, after) == oracle.ledger_delta(old, new)
 
 
 def test_a_location_changed_once_renders_its_operation_without_arithmetic(
