@@ -21,7 +21,7 @@ assert report.ok
 print(f"swtch: ok "
       f"(root {case.root:#x} -> {report.final_root:#x}, "
       f"{len(report.records)} steps)")
-for warning in frame_audit(case.pre, case.root, case.script):
+for warning in frame_audit(case.pre, report):
     print(f"  advisory: {warning.narrative}")
 print()
 

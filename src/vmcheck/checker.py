@@ -29,7 +29,8 @@ claims by their governing root, so the switch itself only has to move
 the evaluation root and demand the invariant witness for the target
 space; claims of the old space remain, reachable only through an
 other-space wrapper from now on.  There is deliberately no local frame
-rule; the ledger is the one global precondition threaded through.
+rule; the ledger is the one global precondition threaded through.  The
+``frame_audit`` lint reads the checked run for unwrapped claims left behind.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .machine import (
     MovRegFromMem,
     MovRegImm,
     MovRegReg,
-    MovToCr3FromMem,
     MovToCr3FromReg,
     PAGE_SIZE,
     Reg,
@@ -233,6 +233,9 @@ class CheckerCtx(NamedTuple):
     machine: MachineState
     mode: str
     stubs: dict
+    # the walk locations the run has read a claim at or changed an entry
+    # of, shared by successor contexts like ``reads``
+    touched: set
     free_list: tuple = ()
     free_cursor: int = 0
     # co-execution audit index, {table frame: {(root, va), ...}}: the walks
@@ -285,9 +288,11 @@ def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
 
 
 def _walk_claim(ctx: CheckerCtx, va: int) -> int:
-    """The pa of the current space's walk claim for va; its absence is
-    refused, naming a claim stranded under another root."""
+    """The pa of the current space's walk claim for va, noted in
+    ``ctx.touched`` found or not; its absence is refused, naming a claim
+    stranded under another root."""
     loc = WalkLoc(ctx.root, va)
+    ctx.touched.add(loc)
     claim = ctx.ledger.claims.get(loc)
     if claim is not None:
         return claim[1]
@@ -680,6 +685,7 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
             frames = machine.mem.owned
         elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
             walk = (ctx.root, script_step.va)
+            ctx.touched.add(WalkLoc(*walk))
         new_ctx = new_ctx._replace(machine=machine, ledger=Ledger(
             new_ctx.root, draft.claims, draft.pures, draft.den))
         if new_ctx.mode == COEXEC:
@@ -710,6 +716,7 @@ class Report:
     final_machine: Optional[MachineState]
     final_root: Optional[int]
     violation: Optional[Violation]
+    touched: frozenset = frozenset()  # CheckerCtx.touched; not rendered
 
     @property
     def ok(self) -> bool:
@@ -783,7 +790,7 @@ def check_double(pre: Assertion, root: int, script: Script,
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
-    records = []
+    records, touched = [], set()
     violation = None
     try:
         if root % PAGE_SIZE:
@@ -801,7 +808,8 @@ def check_double(pre: Assertion, root: int, script: Script,
         ctx = CheckerCtx(ledger=ledger, root=root,
                          registry={r: dict(t) for r, t in registry.items()},
                          machine=init.copy(), mode=mode,
-                         stubs=dict(stubs or {}), free_list=tuple(free_list),
+                         stubs=dict(stubs or {}), touched=touched,
+                         free_list=tuple(free_list),
                          reads={} if mode == COEXEC else None)
         complaint = audit_ledger(ctx) if mode == COEXEC else None
         if complaint is not None:
@@ -821,60 +829,32 @@ def check_double(pre: Assertion, root: int, script: Script,
     return Report(root=root, mode=mode, records=tuple(records),
                   final_ledger=ctx.ledger if ok else None,
                   final_machine=ctx.machine if ok else None,
-                  final_root=ctx.root if ok else None, violation=violation)
+                  final_root=ctx.root if ok else None, violation=violation,
+                  touched=frozenset(touched))
 
 
 # --------------------------------------------------------------------------
 # Frame audit
 
 
-def frame_audit(pre: Assertion, root: int, script: Script) -> list:
-    """Advisory lint: find root-relative claims in the precondition that
-    no step touches yet a cr3 write survives past, without an other-space
-    wrapper.  Such claims silently change meaning at the switch; each one
-    is reported as an UnsoundFrame.  check_double fails on its own if a
-    stranded claim is actually used.  Register values are known from the
-    precondition and followed through the register forms; a load forgets
-    its destination, a stub call (which may write any register) all."""
-    switch_steps = [i for i, s in enumerate(script)
-                    if isinstance(s, InstrStep)
-                    and isinstance(s.instr, (MovToCr3FromReg, MovToCr3FromMem))]
-    if not switch_steps:
+def frame_audit(pre: Assertion, report: Report) -> list:
+    """Advisory lint: each unwrapped root-relative claim of the precondition
+    whose walk the checked run never read or changed under the initial root
+    (``report.touched``) silently changes meaning at the run's first
+    accepted cr3 write, and is reported there once, as an UnsoundFrame, in
+    location order.  A refused run counts as far as it got: nothing before
+    step 0, no cr3 write after the refusing step, and the walks the
+    refusing step read or changed."""
+    switch = next((r.index for r in report.records
+                   if r.rule.startswith("cr3-switch")), None)
+    if switch is None:
         return []
-
     flat = normalize(pre)
     parts = flat.parts if isinstance(flat, Sep) else (flat,)
-    candidates = [p for p in parts if isinstance(p, (VirtPt, PtePt))]
-    if not candidates:
-        return []
-
-    # Forward-resolve register values from the precondition's claims to
-    # work out which virtual addresses the instructions touch.
-    reg_vals = {p.reg: p.val for p in parts if isinstance(p, RegPt)}
-    touched = set()
-    for s in script:
-        if isinstance(s, GhostStep):
-            touched.add(s.va)
-        elif isinstance(s, CallStep):
-            reg_vals.clear()  # a stub may write any register
-        elif isinstance(s, InstrStep):
-            instr, dst = s.instr, getattr(s.instr, "dst", None)
-            if isinstance(instr, MEM_FORMS) and instr.base in reg_vals:
-                touched.add((reg_vals[instr.base] + instr.disp) % (1 << 64))
-            if isinstance(instr, MovRegImm):
-                reg_vals[dst] = instr.imm
-            elif isinstance(instr, AddRegImm) and dst in reg_vals:
-                reg_vals[dst] = (reg_vals[dst] + instr.imm) % (1 << 64)
-            elif isinstance(instr, MovRegReg) and instr.src in reg_vals:
-                reg_vals[dst] = reg_vals[instr.src]
-            elif dst is not None:
-                # a load, or a copy of an unknown register: dst is unknown
-                reg_vals.pop(dst, None)
-
-    return [Violation(UNSOUND_FRAME, switch_steps[0],
-                      str(WalkLoc(root, claim.va)),
-                      f"claim for va {claim.va:#x} is framed, untouched, "
+    candidates = {WalkLoc(report.root, p.va) for p in parts
+                  if isinstance(p, (VirtPt, PtePt))}
+    return [Violation(UNSOUND_FRAME, switch, str(loc),
+                      f"claim for va {loc.va:#x} is framed, untouched, "
                       "across an address-space switch; wrap it in the "
                       "other-space modality for the old root")
-            for claim in sorted(candidates, key=repr)
-            if claim.va not in touched]
+            for loc in sorted(candidates - report.touched)]

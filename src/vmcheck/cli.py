@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
     report = check_double(pre, root, script, stubs=STUB_LIBRARY, mode=mode,
                           init=cfg.to_machine_state(), registry=cfg.registry,
                           free_list=cfg.free_list)
-    warnings = frame_audit(pre, root, script)
+    warnings = frame_audit(pre, report)
     if args.report == "json":
         payload = report.payload()
         payload["frame_audit"] = [asdict(w) for w in warnings]

@@ -284,7 +284,7 @@ def test_criterion_7_frame_rule_unsoundness():
                               registry=registry)
         assert not report.ok
         assert report.violation.kind == UNSOUND_FRAME
-        audit = frame_audit(bare_pre, roots[0], script)
+        audit = frame_audit(bare_pre, report)
         assert [w.kind for w in audit] == [UNSOUND_FRAME]
 
         wrapped_pre = sep(*base, OtherSpace(roots[0], framed))
@@ -293,7 +293,7 @@ def test_criterion_7_frame_rule_unsoundness():
         report = check_double(wrapped_pre, roots[0], wrapped_script,
                               init=state, registry=registry)
         assert report.ok, report.violation
-        assert frame_audit(wrapped_pre, roots[0], wrapped_script) == []
+        assert frame_audit(wrapped_pre, report) == []
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +399,8 @@ def _generate_script(rng, target_len=18):
     ledger = lower(pre, roots[0], registry)
     ctx = CheckerCtx(ledger=ledger, root=roots[0],
                      registry={r: dict(t) for r, t in registry.items()},
-                     machine=state.copy(), mode=COEXEC, stubs={})
+                     machine=state.copy(), mode=COEXEC, stubs={},
+                     touched=set())
     script = []
     attempts = 0
     while len(script) < target_len and attempts < 150:

@@ -215,7 +215,8 @@ def _alias_script(rng):
     pre = _alias_pre(rng, state, root_b, l1_a, l1_b)
     ctx = CheckerCtx(ledger=lower(pre, root, registry), root=root,
                      registry={r: dict(t) for r, t in registry.items()},
-                     machine=state.copy(), mode=COEXEC, stubs={})
+                     machine=state.copy(), mode=COEXEC, stubs={},
+                     touched=set())
     script = []
     for _attempt in range(60):
         for step in _alias_candidates(rng, (root, root_b), entries):

@@ -260,7 +260,7 @@ def test_swtch_audit_names_the_stack_contract():
     # the untouched stack-contract claim is the one the audit warns about:
     # it silently becomes old-space-relative at the switch
     case = case_study("swtch")
-    warnings = frame_audit(case.pre, case.root, case.script)
-    assert len(warnings) == 1
-    assert warnings[0].kind == UNSOUND_FRAME
+    warnings = frame_audit(case.pre, run_case(case))
+    assert [(w.kind, w.step, w.location) for w in warnings] == \
+        [(UNSOUND_FRAME, 15, f"walk:{case.root:#x}:{SWTCH_OLD_STACK_VA:#x}")]
     assert f"{SWTCH_OLD_STACK_VA:#x}" in warnings[0].narrative

@@ -223,7 +223,7 @@ def test_framed_virtpt_across_switch_is_unsound():
                           registry=registry)
     assert not report.ok
     assert report.violation.kind == UNSOUND_FRAME
-    warnings = frame_audit(pre, roots[0], script)
+    warnings = frame_audit(pre, report)
     assert len(warnings) == 1
     assert warnings[0].kind == UNSOUND_FRAME
     assert f"{0x20_0000:#x}" in warnings[0].narrative
@@ -239,50 +239,164 @@ def test_wrapped_claim_across_switch_passes():
     report = check_double(pre, roots[0], script, init=state,
                           registry=registry)
     assert report.ok
-    assert frame_audit(pre, roots[0], script) == []
+    assert frame_audit(pre, report) == []
+
+
+def audited(pre, script, stubs=None, root=None):
+    """(report, frame_audit warnings as (kind, step, location)) of a
+    co-execution check on the fixture, with rbx holding space B's root
+    and rsi space A's."""
+    state, registry, roots = fixture()
+    state.regs[Reg.RBX], state.regs[Reg.RSI] = roots[1], roots[0]
+    report = check_double(pre, roots[0] if root is None else root, script,
+                          stubs=stubs, init=state, registry=registry)
+    return report, [(w.kind, w.step, w.location)
+                    for w in frame_audit(pre, report)]
 
 
 def test_frame_audit_silent_without_switch():
-    state, registry, roots = fixture()
-    pre = basic_pre(roots)
-    assert frame_audit(pre, roots[0], [InstrStep(MovRegImm(Reg.RAX, 1))]) == []
+    _state, _registry, roots = fixture()
+    report, warnings = audited(basic_pre(roots),
+                               [InstrStep(MovRegImm(Reg.RAX, 1))])
+    assert report.ok and warnings == []
 
 
 def test_frame_audit_skips_touched_claims():
-    state, registry, roots = fixture()
+    _state, _registry, roots = fixture()
     claim = VirtPt(0x20_0000, FULL, 0x1111)
     pre = switch_pre(roots, (claim, RegPt(Reg.RDI, FULL, 0x20_0000),
                              RegPt(Reg.RAX, FULL, 0x7)))
     script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
               InstrStep(MovToCr3FromReg(Reg.RBX))]
-    assert frame_audit(pre, roots[0], script) == []
+    report, warnings = audited(pre, script)
+    assert report.ok and warnings == []
 
 
 def test_frame_audit_forgets_registers_at_a_call():
-    # ensure_L1_page writes rax; after the call rdi is unknown too, so the
-    # load does not count as touching the claim
-    state, registry, roots = fixture()
-    claim = VirtPt(0x20_0000, FULL, 0x1111)
-    pre = switch_pre(roots, (claim, RegPt(Reg.RDI, FULL, 0x20_0000),
+    # the lint reads the checked run, so at a call it knows what the
+    # checker knows: the stub consumes rdi and produces it at 0x201000, so
+    # the load after the call touches that claim and not the one at
+    # 0x200000
+    _state, _registry, roots = fixture()
+
+    def apply(env: StubEnv) -> StubResult:
+        machine = env.machine.copy()
+        machine.regs[Reg.RDI] = 0x20_1000
+        return StubResult(produces=RegPt(Reg.RDI, FULL, 0x20_1000),
+                          machine=machine, free_cursor=env.free_cursor)
+
+    stub = StubSpec(name="next_page",
+                    consumes=(RegPt(Reg.RDI, FULL, None),), apply=apply)
+    pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),
+                             VirtPt(0x20_1000, FULL, 0x3333),
+                             RegPt(Reg.RDI, FULL, 0x20_0000),
                              RegPt(Reg.RAX, FULL, 0x7)))
-    script = [CallStep("ensure_L1_page"),
+    script = [CallStep("next_page"),
               InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
               InstrStep(MovToCr3FromReg(Reg.RBX))]
-    warnings = frame_audit(pre, roots[0], script)
-    assert [(w.kind, w.step) for w in warnings] == [(UNSOUND_FRAME, 2)]
+    report, warnings = audited(pre, script, stubs={"next_page": stub})
+    assert report.ok, report.violation
+    assert warnings == [(UNSOUND_FRAME, 2, f"walk:{roots[0]:#x}:0x200000")]
 
 
-@pytest.mark.parametrize("first", ["mov rax, rcx", "mov rax, [rdi]",
-                                   "mov rax, cr3"])
-def test_frame_audit_forgets_a_register_it_cannot_follow(first):
-    # rcx, [rdi] and cr3 are unknown, so after the first instruction rax
-    # is too, and the load through it touches no claim
-    pre = parse_assertion("rax |->r 0x600000 * rsi |->r 0x140000 "
-                          "* 0x600000 |->v 0x0")
+@pytest.mark.parametrize("first, refused, untouched", [
+    pytest.param("mov rax, rcx", None, ["0x201000"], id="mov rax, rcx"),
+    pytest.param("mov rax, [rdi]", None, [], id="mov rax, [rdi]"),
+    # rax = cr3 = 0x100000, a va the script holds no walk claim for
+    pytest.param("mov rax, cr3", (MISSING_RESOURCE, 1), [],
+                 id="mov rax, cr3"),
+])
+def test_frame_audit_forgets_a_register_it_cannot_follow(first, refused,
+                                                         untouched):
+    # the checker follows every register it holds a claim on: the first
+    # instruction sets rax to 0x200000 (from rcx, or the word at 0x201000)
+    # or to the root, and the load through rax reads that va's walk claim.
+    # The cr3 row is refused at the load, so its switch is never taken.
+    state, registry, roots = fixture()
+    mem_set(state.mem, 0x6, 0x0, 0x20_0000)  # the word at 0x201000 in A
+    state.regs[Reg.RCX], state.regs[Reg.RDI] = 0x20_0000, 0x20_1000
+    state.regs[Reg.RSI] = roots[1]
+    pre = parse_assertion(
+        f"iaspace * [{roots[1]:#x}](iaspace) * rax |->r 0x7 * rbx |->r 0x0 "
+        f"* rcx |->r 0x200000 * rdi |->r 0x201000 * rsi |->r {roots[1]:#x} "
+        "* 0x200000 |->v 0x1111 * 0x201000 |->v 0x200000")
     script = parse_program(f"{first}\nmov rbx, [rax]\nmov cr3, rsi\n")
-    warnings = frame_audit(pre, 0x10_0000, script)
-    assert [(w.kind, w.step, w.location) for w in warnings] == \
-        [(UNSOUND_FRAME, 2, "walk:0x100000:0x600000")]
+    report = check_double(pre, roots[0], script, init=state,
+                          registry=registry)
+    assert (None if report.ok else
+            (report.violation.kind, report.violation.step)) == refused
+    assert [(w.kind, w.step, w.location)
+            for w in frame_audit(pre, report)] == \
+        [(UNSOUND_FRAME, 2, f"walk:{roots[0]:#x}:{va}") for va in untouched]
+
+
+@pytest.mark.parametrize("touch", ["mov rax, [rdi]",
+                                   "@ghost remove_walk va=0x200000"])
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_frame_audit_reads_each_walk_under_its_root(touch, order):
+    # A and B both map va 0x200000.  Reading or removing A's walk before
+    # the switch touches A's claim; doing so after the switch reads B's
+    # walk, which leaves A's claim framed, untouched, across the switch
+    _state, _registry, roots = fixture()
+    pre = switch_pre(roots, (
+        VirtPt(0x20_0000, FULL, 0x1111),
+        OtherSpace(roots[1], VirtPt(0x20_0000, FULL, 0x3333)),
+        RegPt(Reg.RDI, FULL, 0x20_0000), RegPt(Reg.RAX, FULL, 0x7)))
+    switch = "mov cr3, rbx"
+    lines = [touch, switch] if order == "before" else [switch, touch]
+    report, warnings = audited(pre, parse_program("\n".join(lines) + "\n"))
+    assert report.ok, report.violation
+    root = roots[0] if order == "before" else roots[1]
+    assert report.touched == {WalkLoc(root, 0x20_0000)}
+    assert warnings == ([] if order == "before" else
+                        [(UNSOUND_FRAME, 0, f"walk:{roots[0]:#x}:0x200000")])
+
+
+# what frame_audit reports of a refused run, which stops at the refusal
+
+
+def test_frame_audit_of_a_run_refused_before_its_first_step():
+    # the declared root is not page aligned: refused at step -1, with no
+    # records, so no cr3 write was taken
+    _state, _registry, roots = fixture()
+    pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),))
+    report, warnings = audited(pre, [InstrStep(MovToCr3FromReg(Reg.RBX))],
+                               root=roots[0] + 8)
+    assert (report.violation.kind, report.violation.step) == \
+        (UNKNOWN_ROOT, -1)
+    assert report.records == () and warnings == []
+
+
+def test_frame_audit_ignores_a_cr3_write_after_the_refused_step():
+    # the load has no claim on rcx, so the run stops at step 0 and the
+    # switch at step 1 is never taken
+    _state, _registry, roots = fixture()
+    pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),
+                             RegPt(Reg.RAX, FULL, 0x7)))
+    report, warnings = audited(pre, [
+        InstrStep(MovRegFromMem(Reg.RAX, Reg.RCX, 0)),
+        InstrStep(MovToCr3FromReg(Reg.RBX))])
+    assert (report.violation.kind, report.violation.step) == \
+        (MISSING_RESOURCE, 0)
+    assert warnings == []
+
+
+def test_frame_audit_counts_the_walk_a_refused_step_read():
+    # to B and back to A, then a view naming the wrong pa: the view reads
+    # A's walk claim for 0x200000 before it is refused, so that claim
+    # counts as touched.  Without the refused step it is untouched.
+    _state, _registry, roots = fixture()
+    pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),
+                             RegPt(Reg.RSI, FULL, roots[0])))
+    script = parse_program("mov cr3, rbx\nmov cr3, rsi\n"
+                           "@ghost virt_to_pte va=0x200000 pa=0x6000\n")
+    report, warnings = audited(pre, script)
+    assert (report.violation.kind, report.violation.step) == \
+        (VALUE_DISAGREEMENT, 2)
+    assert warnings == []
+    report, warnings = audited(pre, script[:2])
+    assert report.ok
+    assert warnings == [(UNSOUND_FRAME, 0, f"walk:{roots[0]:#x}:0x200000")]
 
 
 @pytest.mark.parametrize("form, args, message", [
@@ -756,11 +870,21 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
              .add(PhysLoc(1, 0), Fraction(1, 4), 5)
              .add(WalkLoc(0x1000, 0x20_0000), FULL, 0x3000))
     after = draft.done()
-    counts = _count_fraction_arithmetic(monkeypatch)
+    texts = []
+
+    def share_text(n, den):
+        texts.append((n, den))
+        return assertions.share_text(n, den)
+
+    monkeypatch.setattr(checker, "share_text", share_text)
     assert _step_claims(draft.journal, after) == (
         ("reg:rax 1/4 0x7",),
         ("phys:0x1:0x0 1/4 0x5", "walk:0x1000:0x200000 1 0x3000"))
-    assert counts == {}
+    # one share text per rendered claim, from its int numerator, in
+    # location order
+    quarter = after.den // 4
+    assert texts == [(quarter, after.den), (quarter, after.den),
+                     (after.den, after.den)]
 
 
 def test_a_location_changed_twice_renders_its_net_change():
@@ -775,40 +899,42 @@ def test_a_location_changed_twice_renders_its_net_change():
         ("reg:rax 1 0x0",), ("phys:0x1:0x0 1/256 0x5", "reg:rax 1 0x9003"))
 
 
-def _count_fraction_arithmetic(monkeypatch) -> dict:
-    """Count calls of Fraction.__sub__ and Fraction.__neg__ from here on,
-    into the dict returned."""
-    counts = {}
-    for name in ("__sub__", "__neg__"):
-        real = getattr(Fraction, name)
+def _count_rescales(monkeypatch) -> list:
+    """Note, from here on, each ``LedgerDraft.widen`` call that grows its
+    draft's ``den`` (a rescale of every claim), as (old den, d)."""
+    rescales = []
+    real = assertions.LedgerDraft.widen
 
-        def counted(*args, name=name, real=real):
-            counts[name] = counts.get(name, 0) + 1
-            return real(*args)
+    def widen(draft, d):
+        before = draft.den
+        k = real(draft, d)
+        if draft.den != before:
+            rescales.append((before, d))
+        return k
 
-        monkeypatch.setattr(Fraction, name, counted)
-    return counts
+    monkeypatch.setattr(assertions.LedgerDraft, "widen", widen)
+    return rescales
 
 
 def test_a_ghost_insert_step_pays_only_for_its_consumes(monkeypatch):
     case = map_page_case(128)
     first = next(i for i, s in enumerate(case.script)
                  if isinstance(s, GhostInsertWalk))
+    rescales = _count_rescales(monkeypatch)
     ctx = checker.CheckerCtx(
         ledger=lower(case.pre, case.root, case.registry), root=case.root,
         registry={r: dict(t) for r, t in case.registry.items()},
         machine=case.state.copy(), mode=RESOURCE_ONLY, stubs=case.stubs,
-        free_list=case.free_list)
+        touched=set(), free_list=case.free_list)
     for index, step in enumerate(case.script[:first]):
         ctx, _record = checker.apply_rule(ctx, step, index)
-    counts = _count_fraction_arithmetic(monkeypatch)
     for index in range(first, first + 3):
-        before = dict(counts)
         ctx, record = checker.apply_rule(ctx, case.script[index], index)
         assert record.rule == "ghost-insert-walk"
         assert len(record.consumed) == 4 and len(record.produced) == 1
-        assert counts.get("__sub__", 0) - before.get("__sub__", 0) <= 4
-        assert counts.get("__neg__", 0) == 0
+    # the chain shares divide the first denominator: no claim is rescaled,
+    # from the lowered precondition on
+    assert rescales == []
 
 
 def _refused_leaving_the_ledger(ctx, script_step):
@@ -834,7 +960,8 @@ def test_an_insert_refused_partway_leaves_the_ledger_before_it():
     ledger = Ledger.build(root, {SpaceLoc(root): (FULL, root),
                                  **{loc: (q, v) for loc, q, v in held}})
     ctx = checker.CheckerCtx(ledger=ledger, root=root, registry=registry,
-                             machine=state, mode=RESOURCE_ONLY, stubs={})
+                             machine=state, mode=RESOURCE_ONLY, stubs={},
+                             touched=set())
     violation = _refused_leaving_the_ledger(
         ctx, GhostInsertWalk(0x20_1000, 0x6000))
     assert (violation.kind, violation.location) == \
@@ -851,7 +978,7 @@ def test_a_call_refused_partway_leaves_the_ledger_before_it():
         ledger=lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0],
                      registry),
         root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
-        stubs={"two": stub})
+        stubs={"two": stub}, touched=set())
     violation = _refused_leaving_the_ledger(ctx, CallStep("two"))
     assert (violation.kind, violation.location) == \
         (STUB_PRE_FAILED, "phys:0x300:0x0")
