@@ -19,11 +19,12 @@ Two complementary readings are provided:
   claim that is false on its own entries (``chain_fault``) does not
   lower.
 
-Ledgers are persistent.  A change is made on a draft (``Ledger.edit``),
-one copy of the dict changed in place, whose journal step records are
-read from.  Locations are tuples that are their own sort key.  A refusal
-is a ``Reject``: a failed ledger operation raises a ``LedgerError`` of
-its kind, and ``contains`` returns the one for its first uncovered claim.
+A draft changes a claims dict in place (a copy from ``Ledger.edit``, or
+the checker's one ledger) and journals each changed location's claim,
+for step records and undo.  Locations are tuples that are their own sort
+key.  A refusal is a ``Reject``: a failed ledger operation raises a
+``LedgerError`` of its kind, and ``contains`` returns the one for its
+first uncovered claim.
 
 Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
 (checked by ``check_share``), and inside a ledger int numerators over
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 from typing import Mapping, Optional
@@ -356,7 +358,8 @@ class Location(tuple):
     kind, whose constructor's parameters name its fields.  Hashing,
     equality and ordering are the tuple's, in C, so a location is its own
     sort key: registers, physical words, walks, spaces (kinds 0 to 3),
-    each kind in field order.  Its text is its class's ``text`` format."""
+    each kind in field order.  Its text is its class's ``text`` format,
+    built once per location (kinds differ in their first field)."""
 
     def __init_subclass__(cls, text: str) -> None:
         code = cls.__new__.__code__
@@ -367,6 +370,7 @@ class Location(tuple):
     def __getnewargs__(self) -> tuple:
         return self[1:]
 
+    @lru_cache(maxsize=1 << 14)
     def __str__(self) -> str:
         return self._text.format(*self)
 
@@ -405,9 +409,9 @@ class Ledger:
     evaluation root (the cr3 value claims were lowered under).
 
     ``claims`` maps each location to its (n, value) claim, a share of
-    n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).  The
-    dict is never mutated once a ledger holds it: each operation returns
-    a new ledger.  Equality compares shares, whatever their ``den``."""
+    n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).  Each
+    operation returns a new ledger; only a check writes its own in place.
+    Equality compares shares, whatever their ``den``."""
 
     root: int
     claims: dict = field(default_factory=dict, hash=False)
@@ -472,12 +476,12 @@ class Ledger:
 
 @dataclass
 class LedgerDraft:
-    """A ledger being changed: its own copy of the claims dict, changed in
-    place.  ``add``, ``consume`` and ``set_value`` check all before they
-    change anything but ``den``; ``done`` hands the dict to a new ledger,
-    after which the draft is not used.  ``journal``, which step records
-    are rendered from, maps each location changed to its claim before the
-    first change (or None); ``lower``'s draft keeps none."""
+    """A ledger's claims dict being changed in place.  ``add``, ``consume``
+    and ``set_value`` check all before they change anything but ``den``;
+    ``done`` hands the dict to a new ledger.  ``journal``, which step
+    records are rendered from and ``undo`` puts back, maps each location
+    changed to its claim before the first change (or None); ``lower``'s
+    draft keeps none."""
 
     root: int
     claims: dict
@@ -487,6 +491,18 @@ class LedgerDraft:
 
     def done(self) -> Ledger:
         return Ledger(self.root, self.claims, self.pures, self.den)
+
+    def undo(self, den: int) -> None:
+        """Put the dict back as before the first change, over ``den``."""
+        for loc, held in self.journal.items():
+            if held is None:
+                self.claims.pop(loc, None)
+            else:
+                self.claims[loc] = held
+        if self.den != den:
+            k, self.den = self.den // den, den
+            for loc, (n, v) in self.claims.items():
+                self.claims[loc] = (n // k, v)
 
     def share(self, q: Fraction) -> int:
         """q's numerator over ``den``, widened to fit; q must be positive."""

@@ -16,12 +16,13 @@ kernel, ``translate``.  A ghost step takes its walk chain from the
 current machine (which co-execution's audit has proved equal to every
 held claim) and keeps the space's walk map in the registry itself.
 
-``apply_rule`` is a step's one transaction: it opens the one ledger draft
-the step's rule (from ``_RULES``) works on, commits it only when the
-rule, the machine step and the audit all pass, and renders the step's
-record from the draft's journal.  A refusal is a raised ``Reject`` (a
-failed ledger operation's ``LedgerError`` is one), which ``apply_rule``
-stamps with the step's index, as ``check_double`` does at step -1.
+``apply_rule`` is a step's one transaction: the step's rule (from
+``_RULES``) writes the check's one ledger and walk map in place, through
+a draft whose journal the step's record is rendered from.  A refusal by
+the rule, the machine step or the audit is a raised ``Reject`` (a failed
+ledger operation's ``LedgerError`` is one), which ``apply_rule`` undoes
+from the journal and stamps with the step's index, as ``check_double``
+does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -87,7 +88,6 @@ from .assertions import (
     WitnessUnavailable,
     chain_fault,
     lower,
-    normalize,
     phys_loc,
     pure_holds,
     share_text,
@@ -224,8 +224,9 @@ class StubSpec:
 
 
 class CheckerCtx(NamedTuple):
-    """The checker's state between steps: a named tuple, whose cheap
-    ``_replace`` a step calls twice (in its rule and its commit)."""
+    """The checker's state between steps: a named tuple whose fields a step
+    replaces only when they change.  Its ledger's claims and walk maps are
+    written in place: an accepted step spends it, a refused one does not."""
 
     ledger: Ledger
     root: int
@@ -341,8 +342,9 @@ def _walk_map(ctx: CheckerCtx) -> dict:
 
 # --------------------------------------------------------------------------
 # Per-step rules: each takes the step's ledger draft, which apply_rule
-# opens and commits, and returns (ctx', rule name), or refuses the step by
-# raising a Reject (a failed ledger operation's LedgerError is one).
+# opens and undoes on a refusal, and returns (ctx', rule name), or refuses
+# the step by raising a Reject (a failed ledger operation's LedgerError
+# is one).
 
 
 def _space_witness(ctx: CheckerCtx, root: int) -> None:
@@ -433,8 +435,8 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
     for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
         draft.consume(loc, share, entry)
     draft.add(WalkLoc(ctx.root, step.va), FULL, step.pa)
-    registry = {**ctx.registry, ctx.root: {**theta, step.va: step.pa}}
-    return ctx._replace(registry=registry), "ghost-insert-walk"
+    theta[step.va] = step.pa
+    return ctx, "ghost-insert-walk"
 
 
 def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
@@ -449,14 +451,12 @@ def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
-    theta = dict(theta)
-    del theta[step.va]
     slots, entries = _chain_entries(ctx, step.va)
     # the chain shares held inside the invariant come back out
     for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
         draft.add(slot, share, entry)
-    registry = {**ctx.registry, ctx.root: theta}
-    return ctx._replace(registry=registry), "ghost-remove-walk"
+    del theta[step.va]
+    return ctx, "ghost-remove-walk"
 
 
 def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
@@ -501,8 +501,7 @@ def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
     new_ctx = ctx._replace(machine=result.machine,
                            free_cursor=result.free_cursor)
     if ctx.mode == COEXEC:
-        complaint = _audit(new_ctx._replace(ledger=draft.done()),
-                           produced.claims)
+        complaint = _audit(new_ctx, produced.claims)
         if complaint is not None:
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised claims the machine "
@@ -666,16 +665,22 @@ def _audit_step(ctx: CheckerCtx, reg: Optional[Reg], frames,
 def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                index: int) -> Union[tuple, Violation]:
     """Apply one script step to the context, as one transaction (see the
-    module docstring): (ctx', StepRecord), or the stopping Violation."""
+    module docstring): (ctx', StepRecord), `ctx` spent, or the stopping
+    Violation, `ctx` as it was."""
     rule = _RULES.get(type(script_step))
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
-    draft = ctx.ledger.edit()
+    ledger, reg, frames, walk = ctx.ledger, None, None, None
+    draft = LedgerDraft(ledger.root, ledger.claims, ledger.pures, ledger.den)
+    if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
+        # the walk-map entry the step writes, as it was
+        walk = (ctx.root, script_step.va)
+        theta = ctx.registry.get(ctx.root, {})
+        entry = theta.get(script_step.va)
     try:
         new_ctx, name = rule(ctx, draft, script_step)
-        machine, reg, frames, walk = new_ctx.machine, None, None, None
         if isinstance(script_step, InstrStep):
-            machine = machine_step(machine, script_step.instr, CHECK_OPTS)
+            machine = machine_step(ctx.machine, script_step.instr, CHECK_OPTS)
             if isinstance(machine, Fault):
                 raise Reject(MACHINE_DISAGREE, None,
                              f"ledger accepts pc {ctx.machine.pc} but the "
@@ -683,11 +688,13 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
             # the one data register an instruction writes is its dst
             reg = getattr(script_step.instr, "dst", None)
             frames = machine.mem.owned
-        elif isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
-            walk = (ctx.root, script_step.va)
+            new_ctx = new_ctx._replace(machine=machine)
+        elif walk is not None:
             ctx.touched.add(WalkLoc(*walk))
-        new_ctx = new_ctx._replace(machine=machine, ledger=Ledger(
-            new_ctx.root, draft.claims, draft.pures, draft.den))
+        if (new_ctx.root, draft.pures, draft.den) != \
+                (ledger.root, ledger.pures, ledger.den):
+            new_ctx = new_ctx._replace(ledger=Ledger(
+                new_ctx.root, draft.claims, draft.pures, draft.den))
         if new_ctx.mode == COEXEC:
             if new_ctx.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh
@@ -697,7 +704,15 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                 complaint = _audit_step(new_ctx, reg, frames, walk)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
-    except Reject as err:
+    except BaseException as err:
+        # a refusal, or an error raised through the step, is undone
+        draft.undo(ledger.den)
+        if walk is not None:
+            theta.pop(walk[1], None)
+            if entry is not None:
+                theta[walk[1]] = entry
+        if not isinstance(err, Reject):
+            raise
         return Violation(err.kind, index, err.location, err.narrative)
 
     consumed, produced = _step_claims(draft.journal, new_ctx.ledger)
@@ -781,12 +796,12 @@ def check_double(pre: Assertion, root: int, script: Script,
                  free_list: tuple = ()) -> Report:
     """Check a script against a precondition under an initial root.
 
-    The precondition is lowered into the starting ledger; each step is
-    then checked by :func:`apply_rule`, which steps a copy of `init`
-    alongside, so `init`'s cr3 must be `root` in both modes.  The mode
-    only switches the audit: in co-execution mode every claim is audited
-    against the machine before the first step and kept in agreement with
-    it after each step.
+    The precondition is lowered into the check's one ledger; each step is
+    then checked by :func:`apply_rule` on it and on a copy of `registry`,
+    stepping a copy of `init` alongside, so `init`'s cr3 must be `root` in
+    both modes; no argument is written.  The mode only switches the audit:
+    in co-execution mode every claim is audited against the machine
+    before the first step and kept in agreement with it after each step.
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
@@ -849,10 +864,14 @@ def frame_audit(pre: Assertion, report: Report) -> list:
                    if r.rule.startswith("cr3-switch")), None)
     if switch is None:
         return []
-    flat = normalize(pre)
-    parts = flat.parts if isinstance(flat, Sep) else (flat,)
-    candidates = {WalkLoc(report.root, p.va) for p in parts
-                  if isinstance(p, (VirtPt, PtePt))}
+    # the |->v and |->pte claims reached through * alone, no wrapper
+    candidates, todo = set(), [pre]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Sep):
+            todo.extend(node.parts)
+        elif isinstance(node, (VirtPt, PtePt)):
+            candidates.add(WalkLoc(report.root, node.va))
     return [Violation(UNSOUND_FRAME, switch, str(loc),
                       f"claim for va {loc.va:#x} is framed, untouched, "
                       "across an address-space switch; wrap it in the "

@@ -39,6 +39,8 @@ from vmcheck.assertions import (
     normalize,
     sep,
 )
+from vmcheck.cases import map_page_case
+from vmcheck.checker import RESOURCE_ONLY, check_double
 
 import oracle
 from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
@@ -583,3 +585,59 @@ def test_each_location_kind_keeps_its_text_repr_and_fields(loc, text, shown,
     assert pickle.loads(pickle.dumps(loc)) == loc
     with pytest.raises(TypeError):
         type(loc)(*fields.values(), 0)
+
+
+_WORDS = st.integers(0, (1 << 64) - 1)
+locations = st.one_of(
+    st.builds(RegLoc, st.sampled_from([r for r in Reg if r is not Reg.CR3])),
+    st.builds(PhysLoc, st.integers(0, (1 << 52) - 1),
+              st.integers(0, 511).map(lambda i: 8 * i)),
+    st.builds(WalkLoc, _WORDS, _WORDS), st.builds(SpaceLoc, _WORDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(locations)
+def test_a_location_text_is_built_once_and_kept_for_its_kind(loc):
+    texts = Location.__str__
+    texts.cache_clear()
+    want = loc._text.format(*loc)
+    assert str(loc) == want and texts.cache_info()[:2] == (0, 1)
+    assert str(loc) == want and texts.cache_info()[:2] == (1, 1)
+    # an equal location built apart finds the same text
+    twin = type(loc)(*loc[1:])
+    assert twin is not loc and str(twin) == want
+    # kinds differ in their first field: a physical word and a walk with
+    # the same fields keep their own texts, and a plain tuple equal to
+    # the location is not a location
+    if isinstance(loc, (PhysLoc, WalkLoc)):
+        other = (WalkLoc if isinstance(loc, PhysLoc) else PhysLoc)(*loc[1:])
+        assert other != loc
+        assert str(other) == other._text.format(*other) != want
+    assert str(tuple(loc)) == repr(tuple(loc)) != want
+    assert str(loc) == want
+
+
+def test_a_check_formats_each_location_text_once(monkeypatch):
+    case = map_page_case(16)
+    formats = []
+
+    class Counted(str):
+        def format(self, *fields):
+            formats.append(str.format(self, *fields))
+            return formats[-1]
+
+    Location.__str__.cache_clear()
+    for kind in (RegLoc, PhysLoc, WalkLoc, SpaceLoc):
+        monkeypatch.setattr(kind, "_text", Counted(kind._text))
+    report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
+                          mode=RESOURCE_ONLY, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    assert report.ok, report.violation
+    text = report.to_text() + report.to_json()
+    # one format per distinct location, and every location the report
+    # names was formatted
+    assert len(formats) == len(set(formats))
+    named = {claim.split()[0] for record in report.records
+             for claim in record.consumed + record.produced}
+    named |= {str(loc) for loc in report.final_ledger.claims}
+    assert named <= set(formats) and all(t in text for t in named)

@@ -1,5 +1,6 @@
 import ast
 import gc
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from vmcheck.machine import (
 )
 from vmcheck import assertions, checker
 from vmcheck.assertions import (
+    Emp,
     FULL,
     IASpace,
     L1_SHARE,
@@ -36,13 +38,16 @@ from vmcheck.assertions import (
     PhysLoc,
     PhysPt,
     PredUnmapped,
+    PtePt,
     Pure,
     RegLoc,
     RegPt,
+    Sep,
     SpaceLoc,
     VirtPt,
     WalkLoc,
     lower,
+    normalize,
     sep,
 )
 from vmcheck.checker import (
@@ -66,6 +71,7 @@ from vmcheck.checker import (
     UNSOUND_FRAME,
     VALUE_DISAGREEMENT,
     Report,
+    StepRecord,
     Violation,
     _step_claims,
     check_double,
@@ -75,7 +81,8 @@ from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
-from gen import MIXED_SHARES, fraction_claims, multi_space_fixture
+from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
+                 random_assertion)
 
 
 def fixture():
@@ -350,6 +357,27 @@ def test_frame_audit_reads_each_walk_under_its_root(touch, order):
     assert report.touched == {WalkLoc(root, 0x20_0000)}
     assert warnings == ([] if order == "before" else
                         [(UNSOUND_FRAME, 0, f"walk:{roots[0]:#x}:0x200000")])
+
+
+def test_frame_audit_takes_the_claims_normalize_leaves_unwrapped():
+    # the candidates are the |->v and |->pte claims reached through * with
+    # no other-space wrapper on the way: what normalize leaves at the top
+    state, registry, roots = fixture()
+    pool = leaf_pool(state, registry, roots)
+    rng = random.Random(12)
+    switch = StepRecord(0, "cr3-switch-reg", (), (), roots[0], roots[1])
+    report = Report(root=roots[0], mode=COEXEC, records=(switch,),
+                    final_ledger=None, final_machine=None, final_root=None,
+                    violation=None)
+    for _ in range(300):
+        pre = sep(*(random_assertion(rng, pool, roots)
+                    for _ in range(rng.randrange(5))))
+        flat = normalize(pre)
+        parts = flat.parts if isinstance(flat, Sep) else (flat,)
+        want = sorted({WalkLoc(roots[0], p.va) for p in parts
+                       if isinstance(p, (VirtPt, PtePt))})
+        assert [w.location for w in frame_audit(pre, report)] == \
+            [str(loc) for loc in want]
 
 
 # what frame_audit reports of a refused run, which stops at the refusal
@@ -938,11 +966,30 @@ def test_a_ghost_insert_step_pays_only_for_its_consumes(monkeypatch):
 
 
 def _refused_leaving_the_ledger(ctx, script_step):
-    held = dict(ctx.ledger.claims)
+    claims, den = dict(ctx.ledger.claims), ctx.ledger.den
+    held = fraction_claims(ctx.ledger)
+    walk_maps = {root: dict(theta) for root, theta in ctx.registry.items()}
     outcome = checker.apply_rule(ctx, script_step, 0)
     assert isinstance(outcome, Violation)
-    assert ctx.ledger.claims == held
+    assert fraction_claims(ctx.ledger) == held
+    assert (ctx.ledger.claims, ctx.ledger.den) == (claims, den)
+    assert ctx.registry == walk_maps
     return outcome
+
+
+def _takes_the_next_step_after_refusing(make_ctx, refused, accepted):
+    """The refusal of `refused` on a context from `make_ctx`, after which
+    that context takes `accepted` as a fresh one does: the same record and
+    the same claims, walk maps and root after it."""
+    want_ctx, want = checker.apply_rule(make_ctx(), accepted, 1)
+    ctx = make_ctx()
+    violation = _refused_leaving_the_ledger(ctx, refused)
+    got_ctx, got = checker.apply_rule(ctx, accepted, 1)
+    assert got == want
+    assert fraction_claims(got_ctx.ledger) == fraction_claims(want_ctx.ledger)
+    assert (got_ctx.registry, got_ctx.root) == \
+        (want_ctx.registry, want_ctx.root)
+    return violation, got
 
 
 def test_an_insert_refused_partway_leaves_the_ledger_before_it():
@@ -968,6 +1015,155 @@ def test_an_insert_refused_partway_leaves_the_ledger_before_it():
         (INSUFFICIENT_FRACTION, str(slots[3]))
 
 
+@pytest.mark.parametrize("inserted", (True, False), ids=("insert", "remove"))
+def test_a_ghost_step_refused_by_the_audit_is_undone(inserted):
+    # before the first full audit (reads is None) the ledger's rax claim
+    # disagrees with the machine: the ghost step passes its rule, writes
+    # the walk map, and the full audit after it refuses the step
+    state, registry, roots = fixture()
+    root, va = roots[0], 0x20_1000
+    if inserted:
+        step, claim = GhostInsertWalk(va, 0x6000), chain_claim(
+            state, root, va, 0x6000)
+    else:
+        step, claim = GhostRemoveWalk(va), VirtPt(va, FULL, 0x3333)
+
+    def make_ctx():
+        walk_maps = {r: dict(t) for r, t in registry.items()}
+        if inserted:
+            del walk_maps[root][va]
+        return checker.CheckerCtx(
+            ledger=lower(sep(IASpace(), claim, RegPt(Reg.RAX, FULL, 0x99)),
+                         root, walk_maps),
+            root=root, registry=walk_maps, machine=state.copy(), mode=COEXEC,
+            stubs={}, touched=set())
+
+    violation, record = _takes_the_next_step_after_refusing(
+        make_ctx, step, InstrStep(MovRegImm(Reg.RAX, 7)))
+    assert violation == Violation(MACHINE_DISAGREE, 0, None,
+                                  "reg:rax: ledger 0x99, machine 0x7")
+    assert (record.rule, record.consumed, record.produced) == \
+        ("reg-imm", ("reg:rax 1 0x99",), ("reg:rax 1 0x7",))
+
+
+def test_a_remove_refused_after_its_consume_is_undone():
+    # the walk token comes from a |->pte claim; the walk map lacks the
+    # entry, which remove finds only after consuming the token
+    state, registry, roots = fixture()
+    root, va = roots[0], 0x20_1000
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 7), RegPt(Reg.RDI, FULL, va),
+              PtePt(va, FULL, 0x6000, 0x3333))
+
+    def make_ctx():
+        walk_maps = {r: dict(t) for r, t in registry.items()}
+        del walk_maps[root][va]
+        return checker.CheckerCtx(
+            ledger=lower(pre, root, walk_maps), root=root, registry=walk_maps,
+            machine=state.copy(), mode=RESOURCE_ONLY, stubs={}, touched=set())
+
+    violation, record = _takes_the_next_step_after_refusing(
+        make_ctx, GhostRemoveWalk(va),
+        InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX)))
+    assert violation == Violation(VALUE_DISAGREEMENT, 0, None,
+                                  "walk map has no entry for 0x201000")
+    assert (record.rule, record.consumed, record.produced) == \
+        ("store-virt", ("phys:0x6:0x0 1 0x3333",), ("phys:0x6:0x0 1 0x7",))
+
+
+def test_a_step_refused_after_a_rescale_is_undone():
+    # the stub's first consume takes a third, which rescales the ledger;
+    # its second finds nothing
+    state, registry, roots = fixture()
+    third = Fraction(1, 3)
+    stubs = {
+        "two": StubSpec(name="two", consumes=(PhysPt(0x5, 0, third, 0x1111),
+                                              PhysPt(0x300, 0, FULL, 0)),
+                        apply=lambda env: pytest.fail("the stub ran")),
+        "one": StubSpec(name="one", consumes=(PhysPt(0x5, 0, third, 0x1111),),
+                        apply=lambda env: StubResult(Emp(), env.machine, 0)),
+    }
+
+    def make_ctx():
+        return checker.CheckerCtx(
+            ledger=lower(sep(IASpace(), PhysPt(0x5, 0, FULL, 0x1111)),
+                         roots[0], registry),
+            root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
+            stubs=stubs, touched=set())
+
+    violation, record = _takes_the_next_step_after_refusing(
+        make_ctx, CallStep("two"), CallStep("one"))
+    assert (violation.kind, violation.location) == \
+        (STUB_PRE_FAILED, "phys:0x300:0x0")
+    assert (record.rule, record.consumed, record.produced) == \
+        ("call:one", ("phys:0x5:0x0 1/3 0x1111",), ())
+
+
+def test_an_error_raised_through_a_step_is_undone():
+    # a stub effect that fails with something other than a StubError is
+    # not a refusal: the error propagates, and the ledger is as it was
+    state, registry, roots = fixture()
+
+    def broken(env):
+        raise KeyError("effect")
+
+    stub = StubSpec(name="broken", consumes=(RegPt(Reg.RAX, FULL, None),),
+                    apply=broken)
+    ctx = checker.CheckerCtx(
+        ledger=lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0],
+                     registry),
+        root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
+        stubs={"broken": stub}, touched=set())
+    held = dict(ctx.ledger.claims)
+    with pytest.raises(KeyError, match="effect"):
+        checker.apply_rule(ctx, CallStep("broken"), 0)
+    assert ctx.ledger.claims == held
+
+
+def test_an_accepted_insert_writes_the_claims_and_walk_map_in_place():
+    state, registry, roots = fixture()
+    root = roots[0]
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][0x20_1000]
+    node = chain_claim(state, root, 0x20_1000, 0x6000)
+    ctx = checker.CheckerCtx(
+        ledger=lower(sep(IASpace(), node), root, registry), root=root,
+        registry=registry, machine=state, mode=RESOURCE_ONLY, stubs={},
+        touched=set())
+    claims, theta = ctx.ledger.claims, ctx.registry[root]
+    new_ctx, record = checker.apply_rule(
+        ctx, GhostInsertWalk(0x20_1000, 0x6000), 0)
+    assert record.rule == "ghost-insert-walk"
+    assert new_ctx.ledger.claims is claims
+    assert new_ctx.registry[root] is theta
+    assert theta[0x20_1000] == 0x6000
+    assert claims[WalkLoc(root, 0x20_1000)][1] == 0x6000
+
+
+def _case_inputs(case):
+    """What a check of `case` must leave as it found: its walk maps, its
+    machine's registers and memory, and its lowered precondition."""
+    return ({r: dict(t) for r, t in case.registry.items()},
+            dict(case.state.regs), {f: dict(w) for f, w in case.state.mem.items()},
+            fraction_claims(lower(case.pre, case.root, case.registry)))
+
+
+@pytest.mark.parametrize("mode", (COEXEC, RESOURCE_ONLY))
+@pytest.mark.parametrize("make", (lambda: map_page_case(16), swtch_case,
+                                  lambda: case_study("unmap_page")),
+                         ids=("map_page_16", "swtch", "unmap_page"))
+def test_a_check_writes_none_of_its_arguments(make, mode):
+    case = make()
+    before = _case_inputs(case)
+    reports = [check_double(case.pre, case.root, case.script,
+                            stubs=case.stubs, mode=mode, init=case.state,
+                            registry=case.registry, free_list=case.free_list)
+               for _ in range(2)]
+    assert reports[0].ok, reports[0].violation
+    assert _case_inputs(case) == before
+    assert reports[0].to_text() == reports[1].to_text()
+    assert reports[0].to_json() == reports[1].to_json()
+
+
 def test_a_call_refused_partway_leaves_the_ledger_before_it():
     state, registry, roots = fixture()
     # the stub's first consumed claim is held, its second is missing
@@ -984,26 +1180,22 @@ def test_a_call_refused_partway_leaves_the_ledger_before_it():
         (STUB_PRE_FAILED, "phys:0x300:0x0")
 
 
-def test_a_check_copies_the_claims_once_per_step_and_per_lower(monkeypatch):
+def test_a_check_copies_no_claims_dict(monkeypatch):
+    # every step writes the check's one ledger in place
     case = map_page_case(64)
-    edits, lowers = [], []
-    real_edit, real_lower = Ledger.edit, checker.lower
+    edits = []
+    real_edit = Ledger.edit
 
     def edit(ledger):
         edits.append(ledger)
         return real_edit(ledger)
 
-    def counted_lower(*args):
-        lowers.append(args)
-        return real_lower(*args)
-
     monkeypatch.setattr(Ledger, "edit", edit)
-    monkeypatch.setattr(checker, "lower", counted_lower)
     report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
                           mode=RESOURCE_ONLY, init=case.state,
                           registry=case.registry, free_list=case.free_list)
     assert report.ok
-    assert len(edits) <= len(case.script) + len(lowers)
+    assert edits == []
 
 
 def test_equal_ledgers_render_alike_whatever_the_insertion_order():
