@@ -29,8 +29,10 @@ first uncovered claim.
 Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
 (checked by ``check_share``), and inside a ledger int numerators over
 its one denominator ``den``, which a share it does not divide widens to
-the lcm.  ``add`` is the one place shares are added: it requires equal
-values and never exceeds the full share.
+the lcm.  ``FULL`` and the chain shares enter as numerators over ``DEN``
+computed once (``den`` and ``CHAIN_NS``), scaled by ``den // DEN``.
+``_add`` is the one place shares are added: it requires equal values and
+never exceeds the full share.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ L3_SHARE = Fraction(1, 512 ** 3)
 L4_SHARE = Fraction(1, 512 ** 4)
 CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
 DEN = 512 ** 4  # first denominator of every ledger: the chain shares divide it
+# the chain shares' numerators over DEN; a draft scales them by widen(DEN),
+# its den // DEN (exact: den only grows from DEN, by lcm)
+CHAIN_NS = tuple(DEN // share.denominator for share in CHAIN_SHARES)
 
 
 # The kinds of refusal a ledger error stands for (see Reject).
@@ -134,6 +139,7 @@ def check_share(q: Fraction) -> Fraction:
     return q
 
 
+@lru_cache(maxsize=1 << 10)
 def share_text(n: int, den: int) -> str:
     """The text of the share n/den, as ``str(Fraction(n, den))`` gives it."""
     g = gcd(n, den)
@@ -286,9 +292,50 @@ class Sep(Assertion):
         return " * ".join(repr(p) for p in self.parts)
 
 
+def _share_repr(q: Fraction) -> str:
+    return "Fraction(%d, %d)" % q.as_integer_ratio()
+
+
+def _parts_repr(parts: tuple) -> str:
+    texts = [repr_text(p) for p in parts]
+    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
+
+
+_REG_REPR = {reg: repr(reg) for reg in Reg}
+# one format per class, each the dataclass repr, without calling a
+# dataclass, Fraction or Enum __repr__
+_REPRS = {
+    PredEq: lambda a: f"PredEq(lhs={a.lhs!r}, rhs={a.rhs!r})",
+    PredAligned: lambda a: f"PredAligned(addr={a.addr!r})",
+    PredUnmapped: lambda a: f"PredUnmapped(va={a.va!r})",
+    Emp: lambda a: "Emp()",
+    Pure: lambda a: f"Pure(pred={repr_text(a.pred)})",
+    RegPt: lambda a: (f"RegPt(reg={_REG_REPR[a.reg]}, q={_share_repr(a.q)}, "
+                      f"val={a.val!r})"),
+    PhysPt: lambda a: (f"PhysPt(frame={a.frame!r}, off={a.off!r}, "
+                       f"q={_share_repr(a.q)}, val={a.val!r})"),
+    VirtPt: lambda a: f"VirtPt(va={a.va!r}, q={_share_repr(a.q)}, val={a.val!r})",
+    PtePt: lambda a: (f"PtePt(va={a.va!r}, q={_share_repr(a.q)}, "
+                      f"pa={a.pa!r}, val={a.val!r})"),
+    L4L1PointsTo: lambda a: (f"L4L1PointsTo(va={a.va!r}, l4e={a.l4e!r}, "
+                             f"l3e={a.l3e!r}, l2e={a.l2e!r}, l1e={a.l1e!r}, "
+                             f"pa={a.pa!r})"),
+    IASpace: lambda a: "IASpace()",
+    OtherSpace: lambda a: (f"OtherSpace(root={a.root!r}, "
+                           f"body={repr_text(a.body)})"),
+    Sep: lambda a: f"Sep(parts={_parts_repr(a.parts)})",
+}
+
+
+def repr_text(a) -> str:
+    """``repr(a)`` of an assertion or predicate, built from its class's
+    format in ``_REPRS`` (``repr`` itself for any other class)."""
+    return _REPRS.get(type(a), repr)(a)
+
+
 def sep(*parts: Assertion) -> Assertion:
     """Canonical separating conjunction: flattened, Emp-free, sorted by
-    repr (built once per distinct part object)."""
+    repr (``repr_text``, built once per distinct part object)."""
     flat = []
     todo = list(reversed(parts))
     while todo:
@@ -297,7 +344,7 @@ def sep(*parts: Assertion) -> Assertion:
             todo.extend(reversed(a.parts))
         elif not isinstance(a, Emp):
             flat.append(a)
-    texts = {id(a): repr(a) for a in {id(a): a for a in flat}.values()}
+    texts = {id(a): repr_text(a) for a in {id(a): a for a in flat}.values()}
     flat.sort(key=lambda a: texts[id(a)])
     if not flat:
         return Emp()
@@ -509,7 +556,9 @@ class LedgerDraft:
         n, d = q.as_integer_ratio()
         if n <= 0:
             raise ValueError(f"share {q} outside (0, 1]")
-        return n * self.widen(d)
+        if self.den % d:
+            return n * self.widen(d)
+        return n * (self.den // d)
 
     def widen(self, d: int) -> int:
         """den // d, after ``den`` grows to lcm(den, d), every claim and
@@ -539,13 +588,17 @@ class LedgerDraft:
 
     def consume(self, loc: Location, q: Fraction,
                 val: Optional[int] = None) -> "LedgerDraft":
-        n = self.share(q)
+        return self._consume(loc, self.share(q), val)
+
+    def _consume(self, loc: Location, n: int,
+                 val: Optional[int] = None) -> "LedgerDraft":
         held = self.claims.get(loc)
         held_n, held_v = held or (0, val)
         if val is not None and held_v != val:
             raise ValueDisagreement(loc)
         if held_n < n:
-            raise InsufficientFraction(loc, q, share_text(held_n, self.den))
+            raise InsufficientFraction(loc, share_text(n, self.den),
+                                       share_text(held_n, self.den))
         if self.journal is not None:
             self.journal.setdefault(loc, held)
         self.claims[loc] = (held_n - n, held_v)
@@ -645,10 +698,11 @@ def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
             raise BrokenChain(None, fault)
         slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
         entries = (node.l4e, node.l3e, node.l2e, node.l1e)
-        for (frame, off), share, entry in zip(slots, CHAIN_SHARES, entries):
-            acc.add(PhysLoc(frame, off), share, entry)
+        k = acc.widen(DEN)
+        for (frame, off), n, entry in zip(slots, CHAIN_NS, entries):
+            acc._add(PhysLoc(frame, off), n * k, entry)
     elif isinstance(node, IASpace):
-        acc.add(SpaceLoc(g), FULL, g)
+        acc._add(SpaceLoc(g), acc.den, g)
     elif isinstance(node, OtherSpace):
         _lower_into(acc, node.body, node.root, registry)
     elif isinstance(node, Sep):

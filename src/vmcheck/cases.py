@@ -84,8 +84,9 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
     of the three interior entries plus a full PTE points-to for the L1
     slot, whose own virtual address lands in rax.  The fixture must have
     built the interior tables and mapped the L1 table page somewhere.
-    Hands out one set of interior shares for each of the `words` walks
-    to be published (each published walk consumes one set)."""
+    Each interior entry's share is stated once, as `words` times one
+    walk's share: each of the `words` walks to be published consumes one
+    walk's share (p |->{q} v * p |->{q} v is p |->{2q} v)."""
 
     def apply(env: StubEnv) -> StubResult:
         va = env.machine.reg(Reg.RDI)
@@ -105,7 +106,7 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
         produces = sep(
             RegPt(Reg.RAX, FULL, pte_addr),
             PtePt(pte_addr, FULL, slot_pa, l1e),
-            *_interior_shares(steps) * words,
+            *_interior_shares(steps, words),
         )
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor)
@@ -114,9 +115,10 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
                     consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
 
 
-def _interior_shares(steps: tuple) -> tuple:
-    """One mapped word's shares of the L4, L3 and L2 entries of a walk."""
-    return tuple(PhysPt(slot >> 12, slot & (PAGE - 1), share, entry)
+def _interior_shares(steps: tuple, words: int) -> tuple:
+    """`words` mapped words' shares of the L4, L3 and L2 entries of a
+    walk, one claim per entry."""
+    return tuple(PhysPt(slot >> 12, slot & (PAGE - 1), share * words, entry)
                  for (slot, entry), share in zip(steps[:3], CHAIN_SHARES))
 
 

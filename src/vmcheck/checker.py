@@ -65,8 +65,8 @@ from .machine import (
 )
 from .assertions import (
     Assertion,
-    CHAIN_SHARES,
-    FULL,
+    CHAIN_NS,
+    DEN,
     INSUFFICIENT_FRACTION,
     L4L1PointsTo,
     Ledger,
@@ -432,9 +432,10 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
     fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
-    for loc, share, entry in zip(slots, CHAIN_SHARES, entries):
-        draft.consume(loc, share, entry)
-    draft.add(WalkLoc(ctx.root, step.va), FULL, step.pa)
+    k = draft.widen(DEN)
+    for loc, n, entry in zip(slots, CHAIN_NS, entries):
+        draft._consume(loc, n * k, entry)
+    draft._add(WalkLoc(ctx.root, step.va), draft.den, step.pa)
     theta[step.va] = step.pa
     return ctx, "ghost-insert-walk"
 
@@ -447,14 +448,15 @@ def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(ctx)
     # the walk claim is the entry's token: only the full claim retires it
-    draft.consume(loc, FULL)
+    draft._consume(loc, draft.den)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
     slots, entries = _chain_entries(ctx, step.va)
     # the chain shares held inside the invariant come back out
-    for slot, share, entry in zip(slots, CHAIN_SHARES, entries):
-        draft.add(slot, share, entry)
+    k = draft.widen(DEN)
+    for slot, n, entry in zip(slots, CHAIN_NS, entries):
+        draft._add(slot, n * k, entry)
     del theta[step.va]
     return ctx, "ghost-remove-walk"
 

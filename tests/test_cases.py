@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from vmcheck.checker import (
     AssertStep,
     COEXEC,
     RESOURCE_ONLY,
+    StubEnv,
     UNSOUND_FRAME,
     check_double,
     frame_audit,
@@ -35,6 +37,8 @@ from vmcheck.cases import (
     case_study,
     map_page_case,
 )
+from gen import fraction_claims
+import oracle
 
 
 def run_case(case, mode=COEXEC):
@@ -104,6 +108,42 @@ def test_map_page_case_sizes_are_bounded_by_a_page():
     for words in (0, 513):
         with pytest.raises(ValueError, match="1 to 512 words"):
             map_page_case(words)
+
+
+def _walk_slots(root, mem, va):
+    """((slot byte address, entry), ...) of the four levels of va's walk,
+    by the oracle's field decoding."""
+    fields, table, slots = oracle.va_fields(va), root // 4096, []
+    for index in ("i4", "i3", "i2", "i1"):
+        slot = table * 4096 + fields[index] * 8
+        slots.append((slot, mem[table][fields[index] * 8]))
+        table = oracle.entry_fields(slots[-1][1])["frame"]
+    return slots
+
+
+@pytest.mark.parametrize("words", (1, 2, 128, 512))
+def test_the_l1_stub_hands_over_words_walks_of_interior_shares(words):
+    # the stub states each interior entry's share once, summed over the
+    # `words` walks; it lowers to the ledger of `words` separate copies
+    case = map_page_case(words)
+    state, root = case.state, case.root
+    result = case.stubs["ensure_L1_page"].apply(StubEnv(
+        machine=state, root=root, registry=case.registry,
+        free_list=case.free_list, free_cursor=0))
+    slots = _walk_slots(root, state.mem, MAP_VA)
+    l1_slot, l1e = slots[3]
+    pte_addr = min(va for va, pa in case.registry[root].items()
+                   if pa == l1_slot)
+    want = (oracle.FractionLedger()
+            .add(RegLoc(Reg.RAX), Fraction(1), pte_addr)
+            .add(WalkLoc(root, pte_addr), Fraction(1), l1_slot)
+            .add(PhysLoc(l1_slot >> 12, l1_slot & 0xFFF), Fraction(1), l1e))
+    for _ in range(words):
+        for (slot, entry), level in zip(slots[:3], (4, 3, 2)):
+            want = want.add(PhysLoc(slot >> 12, slot & 0xFFF),
+                            Fraction(1, 512 ** level), entry)
+    assert fraction_claims(lower(result.produces, root, case.registry)) == \
+        want.claims
 
 
 def test_map_page_iterated_variant_resource():

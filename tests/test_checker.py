@@ -965,6 +965,116 @@ def test_a_ghost_insert_step_pays_only_for_its_consumes(monkeypatch):
     assert rescales == []
 
 
+THIRD = Fraction(1, 3)
+
+
+def _widened_ctx(state, registry, root, *claims):
+    """A resource-mode context whose ledger is lowered from `claims` after
+    a third of an unrelated word, so each of them enters a ledger whose
+    den was widened to 3 * 512**4; and the oracle's ledger of the same."""
+    ledger = lower(Sep((PhysPt(0x5, 0, THIRD, 0x1111), *claims)), root,
+                   registry)
+    assert ledger.den == 3 * 512 ** 4
+    ctx = checker.CheckerCtx(ledger=ledger, root=root, registry=registry,
+                             machine=state, mode=RESOURCE_ONLY, stubs={},
+                             touched=set())
+    return ctx, oracle.FractionLedger().add(PhysLoc(0x5, 0), THIRD, 0x1111)
+
+
+def _chain_of(state, root, va, pa):
+    """The walk-chain claim of va and its four (location, share, entry)."""
+    node = chain_claim(state, root, va, pa)
+    slots = chain_slots(root, va, node.l4e, node.l3e, node.l2e)
+    return node, list(zip(
+        (PhysLoc(*slot) for slot in slots),
+        (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE),
+        (node.l4e, node.l3e, node.l2e, node.l1e)))
+
+
+def test_ghost_insert_and_remove_after_a_third_widened_the_ledger():
+    # lower, insert and remove state the chain shares as numerators over
+    # the first den; each must scale them to the widened one
+    state, registry, roots = fixture()
+    root, va, pa = roots[0], 0x20_1000, 0x6000
+    registry = {r: dict(t) for r, t in registry.items()}
+    del registry[root][va]
+    node, chain = _chain_of(state, root, va, pa)
+    ctx, want = _widened_ctx(state, registry, root, IASpace(), node)
+    want = want.add(SpaceLoc(root), FULL, root)
+    for loc, q, entry in chain:
+        want = want.add(loc, q, entry)
+    assert fraction_claims(ctx.ledger) == want.claims
+    ctx, record = checker.apply_rule(ctx, GhostInsertWalk(va, pa), 0)
+    for loc, q, entry in chain:
+        want = want.consume(loc, q, entry)
+    want = want.add(WalkLoc(root, va), FULL, pa)
+    assert fraction_claims(ctx.ledger) == want.claims
+    assert record.produced == (f"walk:{root:#x}:{va:#x} 1 {pa:#x}",)
+    ctx, record = checker.apply_rule(ctx, GhostRemoveWalk(va), 1)
+    want = want.consume(WalkLoc(root, va), FULL)
+    for loc, q, entry in chain:
+        want = want.add(loc, q, entry)
+    assert fraction_claims(ctx.ledger) == want.claims
+    assert va not in ctx.registry[root]
+
+
+def test_ghost_refusals_after_a_third_widened_the_ledger_are_the_oracles():
+    state, registry, roots = fixture()
+    root, va, pa = roots[0], 0x20_1000, 0x6000
+    walk_maps = {r: dict(t) for r, t in registry.items()}
+    del walk_maps[root][va]
+    node, chain = _chain_of(state, root, va, pa)
+    # insert: half the L1 entry's share is held
+    (l1, l1_share, l1e) = chain[3]
+    held = [PhysPt(loc[1], loc[2], q, entry) for loc, q, entry in chain[:3]]
+    ctx, want = _widened_ctx(state, walk_maps, root, IASpace(), *held,
+                             PhysPt(l1[1], l1[2], l1_share / 2, l1e))
+    want = want.add(l1, l1_share / 2, l1e)
+    for loc, q, entry in chain[:3]:
+        want = want.add(loc, q, entry)
+    with pytest.raises(oracle.Refusal) as refusal:
+        for loc, q, entry in chain:
+            want = want.consume(loc, q, entry)
+    violation = _refused_leaving_the_ledger(ctx, GhostInsertWalk(va, pa))
+    assert (violation.kind, violation.narrative) == \
+        (refusal.value.kind, refusal.value.narrative) == \
+        (INSUFFICIENT_FRACTION, f"need 1/512 of {l1}, hold 1/1024")
+    # remove: a third of the walk token is held
+    ctx, want = _widened_ctx(state, registry, root, IASpace(),
+                             PtePt(va, THIRD, pa, 0x3333))
+    want = want.add(WalkLoc(root, va), THIRD, pa)
+    with pytest.raises(oracle.Refusal) as refusal:
+        want.consume(WalkLoc(root, va), FULL)
+    violation = _refused_leaving_the_ledger(ctx, GhostRemoveWalk(va))
+    assert (violation.kind, violation.narrative) == \
+        (refusal.value.kind, refusal.value.narrative) == \
+        (INSUFFICIENT_FRACTION, f"need 1 of walk:{root:#x}:{va:#x}, hold 1/3")
+
+
+def test_the_ghost_rules_turn_no_share_into_a_numerator(monkeypatch):
+    # insert and remove take FULL and the chain shares as numerators
+    # computed once, not through LedgerDraft.share at each step
+    calls = []
+    real = assertions.LedgerDraft.share
+    monkeypatch.setattr(assertions.LedgerDraft, "share",
+                        lambda draft, q: calls.append(q) or real(draft, q))
+    ghost_steps = 0
+    for case in (map_page_case(16), case_study("unmap_page")):
+        ctx = checker.CheckerCtx(
+            ledger=lower(case.pre, case.root, case.registry), root=case.root,
+            registry={r: dict(t) for r, t in case.registry.items()},
+            machine=case.state.copy(), mode=RESOURCE_ONLY, stubs=case.stubs,
+            touched=set(), free_list=case.free_list)
+        for index, step in enumerate(case.script):
+            calls.clear()
+            ctx, _record = checker.apply_rule(ctx, step, index)
+            if isinstance(step, (GhostInsertWalk, GhostRemoveWalk)):
+                assert calls == [], step
+                ghost_steps += 1
+    assert ghost_steps == 17
+    assert calls  # the final assertion's shares still go through share
+
+
 def _refused_leaving_the_ledger(ctx, script_step):
     claims, den = dict(ctx.ledger.claims), ctx.ledger.den
     held = fraction_claims(ctx.ledger)
