@@ -29,10 +29,10 @@ first uncovered claim.
 Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
 (checked by ``check_share``), and inside a ledger int numerators over
 its one denominator ``den``, which a share it does not divide widens to
-the lcm.  ``FULL`` and the chain shares enter as numerators over ``DEN``
-computed once (``den`` and ``CHAIN_NS``), scaled by ``den // DEN``.
-``_add`` is the one place shares are added: it requires equal values and
-never exceeds the full share.
+the lcm.  A draft's ``chain``, ``add_full`` and ``consume_full`` take the
+chain shares and ``FULL`` as numerators computed once, with no
+``Fraction`` in the way.  ``_add`` is the one place shares are added: it
+requires equal values and never exceeds the full share.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ L3_SHARE = Fraction(1, 512 ** 3)
 L4_SHARE = Fraction(1, 512 ** 4)
 CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
 DEN = 512 ** 4  # first denominator of every ledger: the chain shares divide it
-# the chain shares' numerators over DEN; a draft scales them by widen(DEN),
-# its den // DEN (exact: den only grows from DEN, by lcm)
-CHAIN_NS = tuple(DEN // share.denominator for share in CHAIN_SHARES)
+# the chain shares' numerators over DEN; LedgerDraft.chain scales them by
+# widen(DEN), its den // DEN (exact: den only grows from DEN, by lcm)
+_CHAIN_NS = tuple(DEN // share.denominator for share in CHAIN_SHARES)
 
 
 # The kinds of refusal a ledger error stands for (see Reject).
@@ -292,50 +292,9 @@ class Sep(Assertion):
         return " * ".join(repr(p) for p in self.parts)
 
 
-def _share_repr(q: Fraction) -> str:
-    return "Fraction(%d, %d)" % q.as_integer_ratio()
-
-
-def _parts_repr(parts: tuple) -> str:
-    texts = [repr_text(p) for p in parts]
-    return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
-
-
-_REG_REPR = {reg: repr(reg) for reg in Reg}
-# one format per class, each the dataclass repr, without calling a
-# dataclass, Fraction or Enum __repr__
-_REPRS = {
-    PredEq: lambda a: f"PredEq(lhs={a.lhs!r}, rhs={a.rhs!r})",
-    PredAligned: lambda a: f"PredAligned(addr={a.addr!r})",
-    PredUnmapped: lambda a: f"PredUnmapped(va={a.va!r})",
-    Emp: lambda a: "Emp()",
-    Pure: lambda a: f"Pure(pred={repr_text(a.pred)})",
-    RegPt: lambda a: (f"RegPt(reg={_REG_REPR[a.reg]}, q={_share_repr(a.q)}, "
-                      f"val={a.val!r})"),
-    PhysPt: lambda a: (f"PhysPt(frame={a.frame!r}, off={a.off!r}, "
-                       f"q={_share_repr(a.q)}, val={a.val!r})"),
-    VirtPt: lambda a: f"VirtPt(va={a.va!r}, q={_share_repr(a.q)}, val={a.val!r})",
-    PtePt: lambda a: (f"PtePt(va={a.va!r}, q={_share_repr(a.q)}, "
-                      f"pa={a.pa!r}, val={a.val!r})"),
-    L4L1PointsTo: lambda a: (f"L4L1PointsTo(va={a.va!r}, l4e={a.l4e!r}, "
-                             f"l3e={a.l3e!r}, l2e={a.l2e!r}, l1e={a.l1e!r}, "
-                             f"pa={a.pa!r})"),
-    IASpace: lambda a: "IASpace()",
-    OtherSpace: lambda a: (f"OtherSpace(root={a.root!r}, "
-                           f"body={repr_text(a.body)})"),
-    Sep: lambda a: f"Sep(parts={_parts_repr(a.parts)})",
-}
-
-
-def repr_text(a) -> str:
-    """``repr(a)`` of an assertion or predicate, built from its class's
-    format in ``_REPRS`` (``repr`` itself for any other class)."""
-    return _REPRS.get(type(a), repr)(a)
-
-
 def sep(*parts: Assertion) -> Assertion:
     """Canonical separating conjunction: flattened, Emp-free, sorted by
-    repr (``repr_text``, built once per distinct part object)."""
+    repr (built once per distinct part object)."""
     flat = []
     todo = list(reversed(parts))
     while todo:
@@ -344,7 +303,7 @@ def sep(*parts: Assertion) -> Assertion:
             todo.extend(reversed(a.parts))
         elif not isinstance(a, Emp):
             flat.append(a)
-    texts = {id(a): repr_text(a) for a in {id(a): a for a in flat}.values()}
+    texts = {id(a): repr(a) for a in {id(a): a for a in flat}.values()}
     flat.sort(key=lambda a: texts[id(a)])
     if not flat:
         return Emp()
@@ -556,9 +515,7 @@ class LedgerDraft:
         n, d = q.as_integer_ratio()
         if n <= 0:
             raise ValueError(f"share {q} outside (0, 1]")
-        if self.den % d:
-            return n * self.widen(d)
-        return n * (self.den // d)
+        return n * self.widen(d)
 
     def widen(self, d: int) -> int:
         """den // d, after ``den`` grows to lcm(den, d), every claim and
@@ -573,6 +530,9 @@ class LedgerDraft:
 
     def add(self, loc: Location, q: Fraction, val: int) -> "LedgerDraft":
         return self._add(loc, self.share(q), val)
+
+    def add_full(self, loc: Location, val: int) -> "LedgerDraft":
+        return self._add(loc, self.den, val)
 
     def _add(self, loc: Location, n: int, val: int) -> "LedgerDraft":
         held = self.claims.get(loc)
@@ -590,6 +550,10 @@ class LedgerDraft:
                 val: Optional[int] = None) -> "LedgerDraft":
         return self._consume(loc, self.share(q), val)
 
+    def consume_full(self, loc: Location,
+                     val: Optional[int] = None) -> "LedgerDraft":
+        return self._consume(loc, self.den, val)
+
     def _consume(self, loc: Location, n: int,
                  val: Optional[int] = None) -> "LedgerDraft":
         held = self.claims.get(loc)
@@ -604,6 +568,15 @@ class LedgerDraft:
         self.claims[loc] = (held_n - n, held_v)
         if held_n == n:
             del self.claims[loc]
+        return self
+
+    def chain(self, locs, entries, take: bool = False) -> "LedgerDraft":
+        """Add (or with ``take`` consume) one walk's ``CHAIN_SHARES`` of
+        the four table entries at ``locs``, in walk order."""
+        k = self.widen(DEN)
+        step = self._consume if take else self._add
+        for loc, n, entry in zip(locs, _CHAIN_NS, entries):
+            step(loc, n * k, entry)
         return self
 
     def set_value(self, loc: Location, val: int) -> "LedgerDraft":
@@ -697,12 +670,10 @@ def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
         if fault is not None:
             raise BrokenChain(None, fault)
         slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
-        entries = (node.l4e, node.l3e, node.l2e, node.l1e)
-        k = acc.widen(DEN)
-        for (frame, off), n, entry in zip(slots, CHAIN_NS, entries):
-            acc._add(PhysLoc(frame, off), n * k, entry)
+        acc.chain([PhysLoc(frame, off) for frame, off in slots],
+                  (node.l4e, node.l3e, node.l2e, node.l1e))
     elif isinstance(node, IASpace):
-        acc._add(SpaceLoc(g), acc.den, g)
+        acc.add_full(SpaceLoc(g), g)
     elif isinstance(node, OtherSpace):
         _lower_into(acc, node.body, node.root, registry)
     elif isinstance(node, Sep):

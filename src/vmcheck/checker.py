@@ -65,8 +65,6 @@ from .machine import (
 )
 from .assertions import (
     Assertion,
-    CHAIN_NS,
-    DEN,
     INSUFFICIENT_FRACTION,
     L4L1PointsTo,
     Ledger,
@@ -432,10 +430,8 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
     fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
-    k = draft.widen(DEN)
-    for loc, n, entry in zip(slots, CHAIN_NS, entries):
-        draft._consume(loc, n * k, entry)
-    draft._add(WalkLoc(ctx.root, step.va), draft.den, step.pa)
+    draft.chain(slots, entries, take=True)
+    draft.add_full(WalkLoc(ctx.root, step.va), step.pa)
     theta[step.va] = step.pa
     return ctx, "ghost-insert-walk"
 
@@ -448,15 +444,13 @@ def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(ctx)
     # the walk claim is the entry's token: only the full claim retires it
-    draft._consume(loc, draft.den)
+    draft.consume_full(loc)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
     slots, entries = _chain_entries(ctx, step.va)
     # the chain shares held inside the invariant come back out
-    k = draft.widen(DEN)
-    for slot, n, entry in zip(slots, CHAIN_NS, entries):
-        draft._add(slot, n * k, entry)
+    draft.chain(slots, entries)
     del theta[step.va]
     return ctx, "ghost-remove-walk"
 

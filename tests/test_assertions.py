@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from vmcheck.machine import NotPresent, Reg, walk
 from vmcheck.assertions import (
-    Assertion,
     DEN,
     FULL,
     IASpace,
@@ -22,9 +21,6 @@ from vmcheck.assertions import (
     OtherSpace,
     PhysLoc,
     PhysPt,
-    Pred,
-    PredAligned,
-    PredEq,
     PredUnmapped,
     PtePt,
     Pure,
@@ -42,7 +38,6 @@ from vmcheck.assertions import (
     lower,
     machine_sat,
     normalize,
-    repr_text,
     sep,
     share_text,
 )
@@ -528,31 +523,6 @@ def test_sep_orders_parts_by_repr_on_random_trees():
             assert got is want[0]
         else:
             assert isinstance(got, Sep) and list(got.parts) == want
-
-
-def test_the_sep_key_is_the_repr_of_every_assertion_and_predicate():
-    preds = [PredEq(1, 0x20), PredAligned(0x1000), PredUnmapped(0x20_0000)]
-    leaves = [Emp(), IASpace(), *(Pure(pred) for pred in preds),
-              *(RegPt(reg, Fraction(1, 3), 0x10) for reg in Reg
-                if reg is not Reg.CR3),
-              RegPt(Reg.RAX, FULL, None), PhysPt(0x5, 8, L1_SHARE, 0),
-              VirtPt(0x20_0000, FULL, 7), PtePt(0x20_0000, 1, 0x6000, 3),
-              L4L1PointsTo(0x20_0000, 0x1003, 0x2003, 0x3003, 0x6003, 0x6000)]
-    nested = [*(OtherSpace(0x2000, leaf) for leaf in leaves),
-              Sep(()), Sep((IASpace(),)), Sep(tuple(leaves)),
-              OtherSpace(0x1000, Sep((
-                  OtherSpace(0x2000, Sep((VirtPt(0, FULL, 1), Emp()))),
-                  Sep((RegPt(Reg.R8, FULL, 2),)))))]
-    # every class of assertion and predicate is among them
-    assert {type(a) for a in preds + leaves + nested} == \
-        set(Assertion.__subclasses__()) | set(Pred.__subclasses__())
-    for a in preds + leaves + nested:
-        assert repr_text(a) == repr(a)
-    # r10 sorts before r8 (by text, not register number), as repr has it
-    regs = [RegPt(reg, FULL, 0) for reg in (Reg.R9, Reg.R8, Reg.R10, Reg.RAX)]
-    assert sep(*regs).parts == tuple(sorted(regs, key=repr))
-    assert [p.reg for p in sep(*regs).parts] == \
-        [Reg.R10, Reg.R8, Reg.R9, Reg.RAX]
 
 
 @settings(max_examples=300, deadline=None)
