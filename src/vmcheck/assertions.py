@@ -465,19 +465,24 @@ class Ledger:
     def contains(self, sub: "Ledger") -> Optional[Reject]:
         """Sub-ledger inclusion check: None when every claim of `sub` is
         covered, else the refusal of an assertion of `sub` at the first
-        uncovered location in location order."""
-        for loc, (n, v) in sorted(sub.claims.items()):
-            held = self.claims.get(loc)
-            if held is None:
-                return Reject(MISSING_RESOURCE, str(loc),
-                              "asserted claim is not in the ledger")
-            if held[1] != v:
-                return Reject(VALUE_DISAGREEMENT, str(loc),
-                              f"ledger holds value {held[1]:#x}")
-            if held[0] * sub.den < n * self.den:
-                return Reject(INSUFFICIENT_FRACTION, str(loc), "ledger holds "
-                              f"only {share_text(held[0], self.den)}")
-        return None
+        uncovered location in location order (one unsorted pass finds the
+        uncovered ones; only a refusal picks the least)."""
+        claims, den, sub_den = self.claims, self.den, sub.den
+        gaps = [loc for loc, (n, v) in sub.claims.items()
+                if (held := claims.get(loc)) is None or held[1] != v
+                or held[0] * sub_den < n * den]
+        if not gaps:
+            return None
+        loc = min(gaps)
+        held = claims.get(loc)
+        if held is None:
+            return Reject(MISSING_RESOURCE, str(loc),
+                          "asserted claim is not in the ledger")
+        if held[1] != sub.claims[loc][1]:
+            return Reject(VALUE_DISAGREEMENT, str(loc),
+                          f"ledger holds value {held[1]:#x}")
+        return Reject(INSUFFICIENT_FRACTION, str(loc),
+                      f"ledger holds only {share_text(held[0], den)}")
 
 
 @dataclass
@@ -611,17 +616,17 @@ def ledger_join(a: Ledger, b: Ledger) -> Ledger:
 # Lowering assertions to ledgers
 
 
-def chain_fault(chain: L4L1PointsTo) -> Optional[str]:
-    """Why a walk-chain claim is false whatever the machine holds, or
-    None: its L1 entry must resolve its va to its pa, and each of its
-    four entries must be present."""
-    resolved = (pte_frame(chain.l1e) << 12) | (chain.va & (PAGE_SIZE - 1))
-    if resolved != chain.pa:
-        return f"chain for {chain.va:#x} does not resolve to {chain.pa:#x}"
-    for entry in (chain.l4e, chain.l3e, chain.l2e, chain.l1e):
+def chain_fault(va: int, entries, pa: int) -> Optional[str]:
+    """Why the walk chain of `va` through the four table `entries` (L4
+    first) to `pa` is false whatever the machine holds, or None: its L1
+    entry must resolve va to pa, and each entry must be present."""
+    resolved = (pte_frame(entries[3]) << 12) | (va & (PAGE_SIZE - 1))
+    if resolved != pa:
+        return f"chain for {va:#x} does not resolve to {pa:#x}"
+    for entry in entries:
         if not entry & PTE_PRESENT:
-            return (f"table entry is not present for {chain!r} "
-                    f"(observed {entry!r})")
+            return (f"table entry is not present for "
+                    f"{L4L1PointsTo(va, *entries, pa)!r} (observed {entry!r})")
     return None
 
 
@@ -647,7 +652,17 @@ def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
     """Add the claims of `node`, governed by `g`, to the draft.  (A module
     function, not a closure over `acc`: a recursive closure is a cycle,
     which would keep the draft and its claims alive until a collection.)"""
-    if isinstance(node, Emp):
+    if isinstance(node, Sep):
+        for part in node.parts:
+            _lower_into(acc, part, g, registry)
+    elif isinstance(node, VirtPt):
+        theta = registry.get(g)
+        if theta is None or node.va not in theta:
+            raise WitnessUnavailable(g, node.va)
+        pa, n = theta[node.va], acc.share(node.q)
+        acc._add(WalkLoc(g, node.va), n, pa)
+        acc._add(phys_loc(pa), n, node.val)
+    elif isinstance(node, Emp):
         pass
     elif isinstance(node, Pure):
         acc.pures = acc.pures | {(g, node.pred)}
@@ -655,30 +670,20 @@ def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
         acc.add(RegLoc(node.reg), node.q, node.val)
     elif isinstance(node, PhysPt):
         acc.add(PhysLoc(node.frame, node.off), node.q, node.val)
-    elif isinstance(node, VirtPt):
-        theta = registry.get(g)
-        if theta is None or node.va not in theta:
-            raise WitnessUnavailable(g, node.va)
-        pa = theta[node.va]
-        acc.add(WalkLoc(g, node.va), node.q, pa)
-        acc.add(phys_loc(pa), node.q, node.val)
     elif isinstance(node, PtePt):
         acc.add(WalkLoc(g, node.va), node.q, node.pa)
         acc.add(phys_loc(node.pa), node.q, node.val)
     elif isinstance(node, L4L1PointsTo):
-        fault = chain_fault(node)
+        entries = (node.l4e, node.l3e, node.l2e, node.l1e)
+        fault = chain_fault(node.va, entries, node.pa)
         if fault is not None:
             raise BrokenChain(None, fault)
         slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
-        acc.chain([PhysLoc(frame, off) for frame, off in slots],
-                  (node.l4e, node.l3e, node.l2e, node.l1e))
+        acc.chain([PhysLoc(frame, off) for frame, off in slots], entries)
     elif isinstance(node, IASpace):
         acc.add_full(SpaceLoc(g), g)
     elif isinstance(node, OtherSpace):
         _lower_into(acc, node.body, node.root, registry)
-    elif isinstance(node, Sep):
-        for part in node.parts:
-            _lower_into(acc, part, g, registry)
     else:
         raise TypeError(f"unknown assertion {node!r}")
 
@@ -749,7 +754,7 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
             got = state.read_word(frame, off)
             if got != entry:
                 return MismatchReport(a, "table slot differs", got)
-        fault = chain_fault(a)
+        fault = chain_fault(a.va, entries, a.pa)
         return None if fault is None else MismatchReport(a, fault)
     if isinstance(a, IASpace):
         from .ghost import UnknownRoot, ias_check

@@ -37,6 +37,7 @@ from .assertions import (
     Pure,
     RegPt,
     Registry,
+    Sep,
     VirtPt,
     sep,
 )
@@ -103,11 +104,11 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
         pte_addr = candidates[0]
         machine = env.machine.copy()
         machine.regs[Reg.RAX] = pte_addr
-        produces = sep(
+        produces = Sep((
             RegPt(Reg.RAX, FULL, pte_addr),
             PtePt(pte_addr, FULL, slot_pa, l1e),
             *_interior_shares(steps, words),
-        )
+        ))
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor)
 
@@ -138,11 +139,11 @@ def _alloc_page_stub(words: int = 1) -> StubSpec:
         page = own_frame(machine.mem, frame)
         page.update(dict.fromkeys(range(0, PAGE, 8), 0))
         machine.regs[Reg.RAX] = fpaddr + 3
-        produces = sep(
+        produces = Sep((
             RegPt(Reg.RAX, FULL, fpaddr + 3),
             Pure(PredAligned(fpaddr)),
             *(PhysPt(frame, 8 * w, FULL, 0) for w in range(words)),
-        )
+        ))
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor + 1)
 

@@ -66,7 +66,6 @@ from .machine import (
 from .assertions import (
     Assertion,
     INSUFFICIENT_FRACTION,
-    L4L1PointsTo,
     Ledger,
     LedgerDraft,
     LedgerError,
@@ -210,7 +209,10 @@ class StubSpec:
     the machine after the effect runs).  A RegPt pattern with val=None consumes the
     register claim whatever its value.  The effect must write memory only
     through ``write_word``/``mem_set``/``own_frame`` on a copy: frames are
-    shared copy-on-write with the checker's machine."""
+    shared copy-on-write with the checker's machine.  A result's
+    ``produces`` is only lowered (and joined in location order), so its
+    part order is never seen: a stub may join its parts with ``Sep`` in
+    its own order rather than canonicalize them with ``sep``."""
 
     name: str
     consumes: tuple
@@ -244,8 +246,7 @@ class CheckerCtx(NamedTuple):
     reads: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     index: int
     rule: str
     consumed: tuple
@@ -427,7 +428,7 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map already holds {step.va:#x}")
     # the chain must hold on its own: resolve va to pa, every entry present
-    fault = chain_fault(L4L1PointsTo(step.va, *entries, step.pa))
+    fault = chain_fault(step.va, entries, step.pa)
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
     draft.chain(slots, entries, take=True)
@@ -712,10 +713,8 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
         return Violation(err.kind, index, err.location, err.narrative)
 
     consumed, produced = _step_claims(draft.journal, new_ctx.ledger)
-    record = StepRecord(index=index, rule=name, consumed=consumed,
-                        produced=produced, root_before=ctx.root,
-                        root_after=new_ctx.root)
-    return new_ctx, record
+    return new_ctx, StepRecord(index, name, consumed, produced, ctx.root,
+                               new_ctx.root)
 
 
 @dataclass(frozen=True)

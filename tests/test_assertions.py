@@ -33,6 +33,7 @@ from vmcheck.assertions import (
     VirtPt,
     WalkLoc,
     WitnessUnavailable,
+    chain_fault,
     is_fact,
     ledger_join,
     lower,
@@ -264,6 +265,41 @@ def test_the_ledger_agrees_with_its_fraction_reference(steps):
     assert ledger == Ledger.build(0x1000, ref.claims)
 
 
+_GAP_LOCS = (RegLoc(Reg.RAX), RegLoc(Reg.RBX), PhysLoc(1, 0), PhysLoc(1, 8),
+             PhysLoc(2, 0), WalkLoc(0x1000, 0x20_0000),
+             WalkLoc(0x1000, 0x20_1000), WalkLoc(0x2000, 0x20_0000),
+             SpaceLoc(0x1000), SpaceLoc(0x2000))
+_GAP_KINDS = ("missing", "value", "short")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(_GAP_LOCS),
+       st.lists(st.sampled_from(_GAP_KINDS), min_size=2, max_size=6)
+       .filter(lambda kinds: len(set(kinds)) > 1),
+       st.integers(0, 4), st.data())
+def test_contains_names_the_least_gap_as_a_sorted_scan_does(locs, gaps,
+                                                             covered, data):
+    # a sub-ledger with `covered` claims the ledger covers and two or more
+    # gaps of mixed kinds, its claims in a random order: contains names the
+    # same kind, location and narrative as the reference's sorted scan
+    shares = st.sampled_from(MIXED_SHARES)
+    held, wanted = {}, {}
+    for loc, kind in zip(locs, ["covered"] * covered + gaps):
+        share = data.draw(shares)
+        if kind == "short":
+            share = data.draw(shares.filter(lambda q: q < 1))
+            need = data.draw(shares.filter(lambda q, held=share: q > held))
+        else:
+            need = data.draw(shares.filter(lambda q, held=share: q <= held))
+        if kind != "missing":
+            held[loc] = (share, 1)
+        wanted[loc] = (need, 2 if kind == "value" else 1)
+    got = Ledger.build(0x1000, held).contains(Ledger.build(0x1000, wanted))
+    want = oracle.FractionLedger(held).contains(oracle.FractionLedger(wanted))
+    assert want is not None
+    assert (got.kind, got.location, got.narrative) == want
+
+
 # --------------------------------------------------------------------------
 # Lowering
 
@@ -358,6 +394,26 @@ def test_lower_512_words_reassembles_l1_slot():
     extra = L(roots[0], {PhysLoc(l1_frame, l1_off): (L1_SHARE, l1)})
     with pytest.raises(SumExceedsOne):
         ledger_join(led, extra)
+
+
+def test_chain_fault_reads_the_entries_as_ints():
+    state, registry, roots = multi_space_fixture()
+    steps, pa = walk(roots[0], state.mem, 0x20_0008)
+    entries = [entry for _slot, entry in steps]
+    # it resolves: the L1 entry's frame plus the va's page offset
+    assert chain_fault(0x20_0008, entries, pa) is None
+    # it resolves elsewhere
+    assert chain_fault(0x20_0008, entries, pa + 8) == \
+        f"chain for 0x200008 does not resolve to {pa + 8:#x}"
+    # an entry is not present: the narrative names the chain as the
+    # walk-chain claim it stands for, with the first such entry
+    for level in range(4):
+        gone = list(entries)
+        gone[level] &= ~1
+        assert chain_fault(0x20_0008, gone, pa) == (
+            f"table entry is not present for "
+            f"{L4L1PointsTo(0x20_0008, *gone, pa)!r} "
+            f"(observed {gone[level]!r})")
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from vmcheck.assertions import (
     WalkLoc,
     lower,
     machine_sat,
+    sep,
 )
 from vmcheck.checker import (
     AssertStep,
@@ -144,6 +145,25 @@ def test_the_l1_stub_hands_over_words_walks_of_interior_shares(words):
                             Fraction(1, 512 ** level), entry)
     assert fraction_claims(lower(result.produces, root, case.registry)) == \
         want.claims
+
+
+@pytest.mark.parametrize("words", (1, 2, 128, 512))
+def test_the_alloc_stub_product_lowers_as_its_canonical_sep(words):
+    # the stub joins its parts with Sep in its own order, not through sep;
+    # its product is only lowered, to the ledger the canonical form gives
+    case = map_page_case(words)
+    result = case.stubs["alloc_phys_page_or_panic"].apply(StubEnv(
+        machine=case.state, root=case.root, registry=case.registry,
+        free_list=case.free_list, free_cursor=0))
+    product = result.produces
+    canonical = sep(*product.parts)
+    assert len(product.parts) == words + 2
+    assert product.parts != canonical.parts
+    lowered = lower(product, case.root, case.registry)
+    assert lowered == lower(canonical, case.root, case.registry)
+    assert fraction_claims(lowered) == {
+        RegLoc(Reg.RAX): (FULL, MAP_FPADDR + 3),
+        **{PhysLoc(MAP_FPADDR >> 12, 8 * w): (FULL, 0) for w in range(words)}}
 
 
 def test_map_page_iterated_variant_resource():

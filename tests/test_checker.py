@@ -1075,6 +1075,26 @@ def test_the_ghost_rules_turn_no_share_into_a_numerator(monkeypatch):
     assert calls  # the final assertion's shares still go through share
 
 
+def test_an_accepted_map_page_check_builds_no_walk_chain_claim(monkeypatch):
+    # ghost insert checks the chain's ints; an L4L1PointsTo is built only
+    # to word a not-present refusal
+    built = []
+    real = L4L1PointsTo.__init__
+    monkeypatch.setattr(L4L1PointsTo, "__init__",
+                        lambda node, *args: built.append(args)
+                        or real(node, *args))
+    case = map_page_case(16)
+    for mode in (RESOURCE_ONLY, COEXEC):
+        report = check_double(case.pre, case.root, case.script, case.stubs,
+                              mode=mode, init=case.state,
+                              registry=case.registry,
+                              free_list=case.free_list)
+        assert report.ok, report.violation
+    assert built == []
+    L4L1PointsTo(0x40_0000, 1, 1, 1, 1, 0)  # the counter counts
+    assert len(built) == 1
+
+
 def _refused_leaving_the_ledger(ctx, script_step):
     claims, den = dict(ctx.ledger.claims), ctx.ledger.den
     held = fraction_claims(ctx.ledger)
