@@ -630,6 +630,7 @@ def chain_fault(va: int, entries, pa: int) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=1 << 14)
 def phys_loc(byte_addr: int) -> PhysLoc:
     return PhysLoc(byte_addr >> 12, byte_addr & (PAGE_SIZE - 1))
 

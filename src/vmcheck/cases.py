@@ -29,6 +29,7 @@ from .assertions import (
     CHAIN_SHARES,
     FULL,
     IASpace,
+    LedgerDraft,
     OtherSpace,
     PhysPt,
     PredAligned,
@@ -39,6 +40,8 @@ from .assertions import (
     Registry,
     Sep,
     VirtPt,
+    lower,
+    phys_loc,
     sep,
 )
 from .checker import (
@@ -80,6 +83,14 @@ class CaseStudy:
 # Stub library (resolvable by name, including from the command line)
 
 
+def _draft(env: StubEnv, *kept: Assertion) -> LedgerDraft:
+    """A draft of a stub's product: the `kept` parts lowered under the
+    env's root and walk maps, with no journal."""
+    ledger = lower(Sep(kept), env.root, env.registry)
+    return LedgerDraft(ledger.root, ledger.claims, ledger.pures, ledger.den,
+                       journal=None)
+
+
 def _ensure_l1_stub(words: int = 1) -> StubSpec:
     """Hands over the page-table plumbing for the address in rdi: shares
     of the three interior entries plus a full PTE points-to for the L1
@@ -104,23 +115,16 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
         pte_addr = candidates[0]
         machine = env.machine.copy()
         machine.regs[Reg.RAX] = pte_addr
-        produces = Sep((
-            RegPt(Reg.RAX, FULL, pte_addr),
-            PtePt(pte_addr, FULL, slot_pa, l1e),
-            *_interior_shares(steps, words),
-        ))
-        return StubResult(produces=produces, machine=machine,
+        draft = _draft(env, RegPt(Reg.RAX, FULL, pte_addr),
+                       PtePt(pte_addr, FULL, slot_pa, l1e))
+        # `words` mapped words' shares of the L4, L3 and L2 entries
+        for (slot, entry), share in zip(steps[:3], CHAIN_SHARES):
+            draft.add(phys_loc(slot), share * words, entry)
+        return StubResult(produces=draft.done(), machine=machine,
                           free_cursor=env.free_cursor)
 
     return StubSpec(name="ensure_L1_page",
                     consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
-
-
-def _interior_shares(steps: tuple, words: int) -> tuple:
-    """`words` mapped words' shares of the L4, L3 and L2 entries of a
-    walk, one claim per entry."""
-    return tuple(PhysPt(slot >> 12, slot & (PAGE - 1), share * words, entry)
-                 for (slot, entry), share in zip(steps[:3], CHAIN_SHARES))
 
 
 def _alloc_page_stub(words: int = 1) -> StubSpec:
@@ -139,12 +143,11 @@ def _alloc_page_stub(words: int = 1) -> StubSpec:
         page = own_frame(machine.mem, frame)
         page.update(dict.fromkeys(range(0, PAGE, 8), 0))
         machine.regs[Reg.RAX] = fpaddr + 3
-        produces = Sep((
-            RegPt(Reg.RAX, FULL, fpaddr + 3),
-            Pure(PredAligned(fpaddr)),
-            *(PhysPt(frame, 8 * w, FULL, 0) for w in range(words)),
-        ))
-        return StubResult(produces=produces, machine=machine,
+        draft = _draft(env, RegPt(Reg.RAX, FULL, fpaddr + 3),
+                       Pure(PredAligned(fpaddr)))
+        for w in range(words):
+            draft.add_full(phys_loc(fpaddr + 8 * w), 0)
+        return StubResult(produces=draft.done(), machine=machine,
                           free_cursor=env.free_cursor + 1)
 
     return StubSpec(name="alloc_phys_page_or_panic",

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .machine import (
@@ -197,7 +198,7 @@ class StubEnv:
 
 @dataclass(frozen=True)
 class StubResult:
-    produces: Assertion
+    produces: Ledger
     machine: MachineState
     free_cursor: int
 
@@ -210,9 +211,9 @@ class StubSpec:
     register claim whatever its value.  The effect must write memory only
     through ``write_word``/``mem_set``/``own_frame`` on a copy: frames are
     shared copy-on-write with the checker's machine.  A result's
-    ``produces`` is only lowered (and joined in location order), so its
-    part order is never seen: a stub may join its parts with ``Sep`` in
-    its own order rather than canonicalize them with ``sep``."""
+    ``produces`` is the ledger of the claims it hands over, under the
+    env's root (an assertion lowered under ``env.root``/``env.registry``,
+    or claims added on a draft), which the call joins in location order."""
 
     name: str
     consumes: tuple
@@ -255,9 +256,10 @@ class StepRecord(NamedTuple):
     root_after: int
 
 
-def _claim_text(loc: Union[Location, str], claim: tuple, den: int) -> str:
-    """The text of the (n, value) claim at `loc`, a share of n/den."""
-    return f"{loc} {share_text(claim[0], den)} {claim[1]:#x}"
+@lru_cache(maxsize=1 << 13)
+def _claim_text(loc: Location, n: int, value: int, den: int) -> str:
+    """The text of the claim of n/den at `loc` on `value`, built once."""
+    return f"{loc} {share_text(n, den)} {value:#x}"
 
 
 def _step_claims(journal: dict, after: Ledger) -> tuple:
@@ -265,16 +267,17 @@ def _step_claims(journal: dict, after: Ledger) -> tuple:
     in location text order: the share a location lost or gained if it
     kept its value, else its whole claims before and after."""
     consumed, produced = [], []
-    for text, loc in sorted((str(loc), loc) for loc in journal):
-        before, now = journal[loc], after.claims.get(loc)
+    claims, den = after.claims, after.den
+    for loc in sorted(journal, key=str):
+        before, now = journal[loc], claims.get(loc)
         if before and now and before[1] == now[1]:
             gain = now[0] - before[0]
             before = (-gain, before[1]) if gain < 0 else None
             now = (gain, now[1]) if gain > 0 else None
         if before:
-            consumed.append(_claim_text(text, before, after.den))
+            consumed.append(_claim_text(loc, *before, den))
         if now:
-            produced.append(_claim_text(text, now, after.den))
+            produced.append(_claim_text(loc, *now, den))
     return tuple(consumed), tuple(produced)
 
 
@@ -432,8 +435,10 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
     draft.chain(slots, entries, take=True)
-    draft.add_full(WalkLoc(ctx.root, step.va), step.pa)
+    loc = WalkLoc(ctx.root, step.va)
+    draft.add_full(loc, step.pa)
     theta[step.va] = step.pa
+    ctx.touched.add(loc)
     return ctx, "ghost-insert-walk"
 
 
@@ -453,6 +458,7 @@ def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
     # the chain shares held inside the invariant come back out
     draft.chain(slots, entries)
     del theta[step.va]
+    ctx.touched.add(loc)
     return ctx, "ghost-remove-walk"
 
 
@@ -488,7 +494,7 @@ def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
         result = stub.apply(env)
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, step.name, str(err))
-    produced = lower(result.produces, ctx.root, ctx.registry)
+    produced = result.produces
     draft.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, ctx.registry):
@@ -686,8 +692,6 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
             reg = getattr(script_step.instr, "dst", None)
             frames = machine.mem.owned
             new_ctx = new_ctx._replace(machine=machine)
-        elif walk is not None:
-            ctx.touched.add(WalkLoc(*walk))
         if (new_ctx.root, draft.pures, draft.den) != \
                 (ledger.root, ledger.pures, ledger.den):
             new_ctx = new_ctx._replace(ledger=Ledger(
@@ -776,8 +780,8 @@ class Report:
             lines.append(f"final root: {self.final_root:#x}")
             lines.append("final claims:")
             ledger = self.final_ledger
-            for loc, claim in sorted(ledger.claims.items()):
-                lines.append(f"  {_claim_text(loc, claim, ledger.den)}")
+            for loc, (n, v) in sorted(ledger.claims.items()):
+                lines.append(f"  {_claim_text(loc, n, v, ledger.den)}")
             lines.append("result: ok")
         else:
             lines.append(f"result: FAIL {self.violation}")

@@ -235,7 +235,7 @@ def cmd_case(args) -> int:
 # --------------------------------------------------------------------------
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `main` only reads it."""
     parser = argparse.ArgumentParser(

@@ -12,11 +12,14 @@ Outcome encoding:
 
 ``ledger_delta`` is the reference for the checker's step records: it
 diffs two whole claim maps where the checker reads its draft's journal.
+``replay_report`` reads a rendered report back and replays its records
+from the precondition's claims to the report's final claims.
 ``FractionLedger`` is the reference for the claim ledger: plain
 ``Fraction`` shares, added and compared as such.  ``naive_step`` is the
 reference for the memory forms of ``step``, built on ``naive_walk``.
 """
 
+import json
 from fractions import Fraction
 
 PAGE = 4096
@@ -186,6 +189,69 @@ def ledger_delta(old, new):
             if nv is not None:
                 produced.append(f"{loc} {nq} {nv:#x}")
     return tuple(consumed), tuple(produced)
+
+
+def _claim(text):
+    """(location text, share, value) of a claim text: `loc share value`."""
+    loc, share, value = text.split(" ")
+    return loc, Fraction(share), int(value, 16)
+
+
+def _records(report):
+    """([(consumed texts, produced texts), ...], final claims or None) of a
+    text or JSON report."""
+    if report.startswith("{"):
+        data = json.loads(report)
+        final = data["final_claims"]
+        return ([(step["consumed"], step["produced"]) for step in data["steps"]],
+                None if final is None else
+                [(c["location"], Fraction(c["share"]), int(c["value"], 16))
+                 for c in final])
+    records, final = [], None
+    for line in report.splitlines():
+        if line.startswith("["):
+            records.append(([], []))
+        elif line.startswith("      - "):
+            records[-1][0].append(line[8:])
+        elif line.startswith("      + "):
+            records[-1][1].append(line[8:])
+        elif line == "final claims:":
+            final = []
+        elif final is not None and line.startswith("  "):
+            final.append(_claim(line[2:]))
+    return records, final
+
+
+def replay_report(report, start):
+    """Replay a text or JSON report's step records from the claims `start`
+    ({location text: (Fraction share, value)}, the lowered precondition):
+    each record gives up its consumed claims, then takes its produced
+    ones.  A share that would fall below 0 or rise above 1, or a value that
+    disagrees with the one held, fails an assertion, and so does a report
+    with final claims that the replay does not end at exactly.  Returns
+    the claims reached."""
+    records, final = _records(report)
+    claims = dict(start)
+    for index, (consumed, produced) in enumerate(records):
+        for text in consumed:
+            loc, q, v = _claim(text)
+            held_q, held_v = claims.get(loc, (Fraction(0), v))
+            assert 0 < q <= held_q and held_v == v, \
+                f"record {index} gives up {text}, holding {held_q} of {held_v:#x}"
+            if held_q == q:
+                del claims[loc]
+            else:
+                claims[loc] = (held_q - q, v)
+        for text in produced:
+            loc, q, v = _claim(text)
+            held_q, held_v = claims.get(loc, (Fraction(0), v))
+            assert 0 < q and held_q + q <= 1 and held_v == v, \
+                f"record {index} takes {text}, holding {held_q} of {held_v:#x}"
+            claims[loc] = (held_q + q, v)
+    if final is not None:
+        assert claims == {loc: (q, v) for loc, q, v in final}, \
+            "the records do not end at the final claims"
+    return claims
 
 
 class Refusal(Exception):

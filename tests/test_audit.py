@@ -303,7 +303,8 @@ def test_call_steps_get_the_full_audit():
     def apply(env):
         machine = env.machine.copy()
         assert machine.write_word(l1_a >> 12, 8, 0) is None
-        return checker.StubResult(produces=sep(), machine=machine,
+        return checker.StubResult(produces=lower(sep(), env.root),
+                                  machine=machine,
                                   free_cursor=env.free_cursor)
 
     stub = checker.StubSpec(name="wipe", consumes=(), apply=apply)

@@ -81,6 +81,7 @@ from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
+from test_caches import _caches
 from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
                  random_assertion)
 
@@ -289,7 +290,8 @@ def test_frame_audit_forgets_registers_at_a_call():
     def apply(env: StubEnv) -> StubResult:
         machine = env.machine.copy()
         machine.regs[Reg.RDI] = 0x20_1000
-        return StubResult(produces=RegPt(Reg.RDI, FULL, 0x20_1000),
+        return StubResult(produces=lower(RegPt(Reg.RDI, FULL, 0x20_1000),
+                                         env.root, env.registry),
                           machine=machine, free_cursor=env.free_cursor)
 
     stub = StubSpec(name="next_page",
@@ -591,8 +593,9 @@ def make_alloc_stub():
         for off in range(0, 4096, 8):
             machine.mem.setdefault(frame_base >> 12, {})[off] = 0
         machine.regs[Reg.RAX] = frame_base + 3
-        produces = sep(RegPt(Reg.RAX, FULL, frame_base + 3),
-                       PhysPt(frame_base >> 12, 0, FULL, 0))
+        produces = lower(sep(RegPt(Reg.RAX, FULL, frame_base + 3),
+                             PhysPt(frame_base >> 12, 0, FULL, 0)),
+                         env.root, env.registry)
         return StubResult(produces=produces, machine=machine,
                           free_cursor=env.free_cursor + 1)
 
@@ -626,7 +629,7 @@ def test_lying_stub_is_caught_by_audit():
     def apply(env: StubEnv) -> StubResult:
         machine = env.machine.copy()
         assert machine.write_word(0x5, 0x0, 0xBAD) is None
-        return StubResult(produces=sep(), machine=machine,
+        return StubResult(produces=lower(sep(), env.root), machine=machine,
                           free_cursor=env.free_cursor)
 
     stub = StubSpec(name="evil", consumes=(), apply=apply)
@@ -643,7 +646,8 @@ def test_stub_promise_is_audited():
     # a stub that promises a register value its effect did not set: the
     # audit of just the produced claims names the broken one
     def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=RegPt(Reg.RAX, FULL, 0x42),
+        return StubResult(produces=lower(RegPt(Reg.RAX, FULL, 0x42),
+                                         env.root, env.registry),
                           machine=env.machine, free_cursor=env.free_cursor)
 
     stub = StubSpec(name="liar", consumes=(RegPt(Reg.RAX, FULL, None),),
@@ -662,7 +666,8 @@ def test_stub_false_pure_predicate_is_rejected(mode):
     # a stub that promises a mapped va is unmapped: the claim is not about
     # the machine, so only the pure check can catch it
     def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=Pure(PredUnmapped(0x20_0000)),
+        return StubResult(produces=lower(Pure(PredUnmapped(0x20_0000)),
+                                         env.root, env.registry),
                           machine=env.machine, free_cursor=env.free_cursor)
 
     stub = StubSpec(name="liar", consumes=(), apply=apply)
@@ -681,7 +686,7 @@ def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
     def apply(env: StubEnv) -> StubResult:
         machine = env.machine.copy()
         machine.regs[Reg.CR3] = 0x14_0000
-        return StubResult(produces=sep(), machine=machine,
+        return StubResult(produces=lower(sep(), env.root), machine=machine,
                           free_cursor=env.free_cursor)
 
     case = swtch_case()
@@ -697,7 +702,8 @@ def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
 
 def test_a_stub_that_hands_back_half_a_claim_records_the_net_loss():
     def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=PhysPt(0x210, 0, Fraction(1, 2), 0),
+        return StubResult(produces=lower(PhysPt(0x210, 0, Fraction(1, 2), 0),
+                                         env.root, env.registry),
                           machine=env.machine, free_cursor=env.free_cursor)
 
     case = swtch_case()
@@ -1095,6 +1101,59 @@ def test_an_accepted_map_page_check_builds_no_walk_chain_claim(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("mode", (RESOURCE_ONLY, COEXEC))
+def test_an_accepted_map_page_check_builds_no_physical_points_to(
+        monkeypatch, mode):
+    # the stubs hand over ledgers: no PhysPt is built once the case is
+    case = map_page_case(64)
+    built = []
+    real = PhysPt.__init__
+    monkeypatch.setattr(PhysPt, "__init__", lambda node, *args:
+                        built.append(args) or real(node, *args))
+    report = check_double(case.pre, case.root, case.script, case.stubs,
+                          mode=mode, init=case.state, registry=case.registry,
+                          free_list=case.free_list)
+    assert report.ok, report.violation
+    assert built == []
+    PhysPt(0x300, 0, FULL, 0)  # the counter counts
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("mode", (RESOURCE_ONLY, COEXEC))
+def test_the_ghost_inserts_build_each_chain_slot_location_once(
+        monkeypatch, mode):
+    # with the caches cleared before the check, the 64 inserts of one page
+    # share their four chain slots' locations (built at most once in the
+    # check), and each insert builds its walk location once (co-execution's
+    # audit then names that walk claim on its own)
+    case = map_page_case(64)
+    built, inside = {PhysLoc: 0, WalkLoc: 0}, [False]
+    for cls in built:
+        def counted(kind, *args, real=cls.__new__):
+            built[kind] += inside[0]
+            return real(kind, *args)
+        monkeypatch.setattr(cls, "__new__", counted)
+    apply_rule = checker.apply_rule
+
+    def applying(ctx, script_step, index):
+        inside[0] = isinstance(script_step, GhostInsertWalk)
+        try:
+            return apply_rule(ctx, script_step, index)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(checker, "apply_rule", applying)
+    for cache in _caches():
+        cache.cache_clear()
+    report = check_double(case.pre, case.root, case.script, case.stubs,
+                          mode=mode, init=case.state, registry=case.registry,
+                          free_list=case.free_list)
+    assert report.ok, report.violation
+    assert built[PhysLoc] <= 4
+    if mode == RESOURCE_ONLY:
+        assert built[WalkLoc] == 64
+
+
 def _refused_leaving_the_ledger(ctx, script_step):
     claims, den = dict(ctx.ledger.claims), ctx.ledger.den
     held = fraction_claims(ctx.ledger)
@@ -1210,7 +1269,8 @@ def test_a_step_refused_after_a_rescale_is_undone():
                                               PhysPt(0x300, 0, FULL, 0)),
                         apply=lambda env: pytest.fail("the stub ran")),
         "one": StubSpec(name="one", consumes=(PhysPt(0x5, 0, third, 0x1111),),
-                        apply=lambda env: StubResult(Emp(), env.machine, 0)),
+                        apply=lambda env: StubResult(
+                            lower(Emp(), env.root), env.machine, 0)),
     }
 
     def make_ctx():
@@ -1381,9 +1441,11 @@ def test_a_coexec_check_leaves_no_cyclic_garbage(name):
 
 def _ordering_calls(monkeypatch, words):
     """(location comparisons, location renderings) while checking
-    map_page_case(words) in resource mode."""
+    map_page_case(words) in resource mode, on cleared caches."""
     case = map_page_case(words)
     calls = {"__lt__": 0, "__str__": 0}
+    for cache in _caches():
+        cache.cache_clear()
 
     def counted(name, fn):
         def wrapper(*args):

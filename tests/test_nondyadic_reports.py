@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from vmcheck.machine import MachineState, Reg
-from vmcheck.assertions import FULL, PhysPt, RegPt, sep
+from vmcheck.assertions import FULL, PhysPt, RegPt, lower, sep
 from vmcheck.checker import (
     AssertStep,
     CallStep,
@@ -42,8 +42,9 @@ def _stub(name, consumes=(), produces=()):
     the machine as it is."""
 
     def apply(env):
-        return StubResult(produces=sep(*produces), machine=env.machine,
-                          free_cursor=env.free_cursor)
+        return StubResult(produces=lower(sep(*produces), env.root,
+                                         env.registry),
+                          machine=env.machine, free_cursor=env.free_cursor)
 
     return name, StubSpec(name=name, consumes=consumes, apply=apply)
 

@@ -44,6 +44,7 @@ from vmcheck.assertions import (
     Pure,
     RegPt,
     VirtPt,
+    lower,
     sep,
 )
 from vmcheck.checker import (
@@ -117,8 +118,9 @@ def _stub(name, consumes=(), produces=None, write=None, fail=None):
         machine = env.machine.copy()
         if write is not None:
             machine.write_word(*write)
-        return StubResult(produces=produces or sep(), machine=machine,
-                          free_cursor=env.free_cursor)
+        return StubResult(produces=lower(produces or sep(), env.root,
+                                         env.registry),
+                          machine=machine, free_cursor=env.free_cursor)
 
     return {name: StubSpec(name=name, consumes=consumes, apply=apply)}
 
