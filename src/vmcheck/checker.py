@@ -574,20 +574,21 @@ _RULES = {
 
 def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
     """Validate the held claims at `locs` against the machine, plus, for
-    each (root, va) in `walks`, its walk claim and, if the root's space
-    claim is held, its walk-map entry (a space claim in `locs` checks
-    every entry).  Each (root, va) is walked once, and with ``ctx.reads``
-    each walk is noted there under every table frame it read.  The first
-    complaint in location order is returned, None when clean."""
+    each (root, va) in `walks` whose root's space claim is held, its
+    walk-map entry (a space claim in `locs` checks every entry).  Each
+    (root, va) is walked once, and with ``ctx.reads`` each walk is noted
+    there under every table frame it read.  The first complaint in
+    location order is returned, None when clean."""
     machine = ctx.machine
     if machine.reg(Reg.CR3) != ctx.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
                 f"checker root {ctx.root:#x}")
     claims = ctx.ledger.claims
     todo = {loc for loc in locs if loc in claims}
-    for root, va in walks:
-        todo.update(loc for loc in (WalkLoc(root, va), SpaceLoc(root))
-                    if loc in claims)
+    for root, _va in walks:
+        space = SpaceLoc(root)
+        if space in claims:
+            todo.add(space)
     reads = ctx.reads
     walked = {}
 
@@ -642,22 +643,28 @@ def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
 
 
 def _audit_step(ctx: CheckerCtx, reg: Optional[Reg], frames,
-                walk: Optional[tuple]) -> Optional[str]:
+                walk: Optional[tuple], journal) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the data
     register `reg` and the memory `frames` the machine wrote, every walk
     that read a written frame (``ctx.reads``), and the walk-map entry
-    `walk` = (root, va) a ghost step inserted or removed; cr3 is always
-    compared.  Rules change no claim outside these, since they take chain
-    and data values from the machine audited before the step.  So the
-    first complaint is the one the full audit would give."""
+    `walk` = (root, va) a ghost step inserted or removed, with the walk
+    claim the step changed there: its rule's own location, found in the
+    step's `journal`.  cr3 is always compared.  Rules change no claim
+    outside these, since they take chain and data values from the
+    machine audited before the step.  So the first complaint is the one
+    the full audit would give."""
     locs = set() if reg is None else {RegLoc(reg)}
-    walks = set() if walk is None else {walk}
+    if walk is not None:
+        locs.update(loc for loc in journal if type(loc) is WalkLoc)
+        return _audit(ctx, locs, (walk,))
+    walks = set()
     if frames:
         locs.update(loc for loc in ctx.ledger.claims
                     if isinstance(loc, PhysLoc) and loc.frame in frames)
         for frame in frames:
             walks.update(ctx.reads.get(frame, ()))
+        locs.update(WalkLoc(root, va) for root, va in walks)
     return _audit(ctx, locs, walks)
 
 
@@ -702,7 +709,8 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
                 new_ctx = new_ctx._replace(reads={})
                 complaint = audit_ledger(new_ctx)
             else:
-                complaint = _audit_step(new_ctx, reg, frames, walk)
+                complaint = _audit_step(new_ctx, reg, frames, walk,
+                                        draft.journal)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
     except BaseException as err:

@@ -10,14 +10,15 @@ One reader, ``_word``, checks a word's width and alignment where it is
 read: every word in [0, 2^64), walk-map keys and values word aligned,
 space roots and free-list entries page aligned.
 
-A memory frame is decoded in bulk, each distinct word once, when every
-offset is spelled as the dumper spells it (``0x0`` .. ``0xff8``) and
-every distinct value is ``0x`` and 1 to 16 lower-case hex digits (one
-pattern over the newline-joined distinct values, with one newline fewer
-than values, so ``"0x1\\n0x2"`` cannot pass as two).  That pays because
-page tables are sparse: every shipped and benchmark state is at least
-99.5% ``0x0`` words.  Other frames are decoded word by word: any grammar
-spelling loads, and every error names the first bad field as before."""
+Words spelled as the dumper spells them (``0x`` and 1 to 16 lower-case
+hex digits) are read in bulk, with one pattern over the newline-joined
+texts (one newline fewer than texts, so ``"0x1\\n0x2"`` cannot pass as
+two): a walk map whose keys are distinct and all its words aligned, and
+a frame whose offsets are ``0x0`` .. ``0xff8``, each distinct word once.
+A frame of all 512 offsets starts as a copy of one all-zero frame, and
+only its other words are read: every shipped and benchmark state is at
+least 99.5% ``0x0`` words.  Anything else is read word by word, so any
+grammar spelling loads, and every error names the first bad field."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import Optional
 
 from .machine import MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES
 from .assertions import Registry
@@ -93,23 +95,43 @@ def _once(what: str, number: int, done: dict, keys, text: str) -> None:
 
 
 _SLOTS = {f"{off:#x}": off for off in range(0, PAGE_SIZE, WORD_BYTES)}
+_ZERO_FRAME = dict.fromkeys(_SLOTS.values(), 0)
 _HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
+
+
+def _bulk(texts, align: int = 1) -> Optional[list]:
+    """The words of `texts` (a sized iterable) when each is spelled as
+    the dumper spells a word and `align` divides each, else None."""
+    try:
+        joined = "\n".join(texts)
+    except TypeError:
+        return None
+    if not texts or (_HEX_WORDS.fullmatch(joined)
+                     and joined.count("\n") == len(texts) - 1):
+        words = list(map(int, texts, repeat(16)))
+        if not any(word % align for word in words):
+            return words
+    return None
 
 
 def _frame_words(words: dict, frame: int) -> dict:
     """The {offset: word} map of one memory frame's JSON object."""
-    try:
-        offs = list(map(_SLOTS.__getitem__, words))
-        values = list(words.values())
-        distinct = set(values)
-        joined = "\n".join(distinct)
-    except (KeyError, TypeError):
-        pass
-    else:
-        if (_HEX_WORDS.fullmatch(joined)
-                and joined.count("\n") == len(distinct) - 1):
-            table = dict(zip(distinct, map(int, distinct, repeat(16))))
-            return dict(zip(offs, map(table.__getitem__, values)))
+    if words.keys() <= _SLOTS.keys():
+        # a frame of every slot is the zero frame with its other words
+        full = len(words) == len(_ZERO_FRAME)
+        inner = _ZERO_FRAME.copy() if full else {}
+        spelled = {text: value for text, value in words.items()
+                   if value != "0x0"} if full else words
+        try:
+            distinct = set(spelled.values())
+        except TypeError:  # an unhashable value, which _bulk refuses
+            distinct = [None]
+        numbers = _bulk(distinct)
+        if numbers is not None:
+            table = dict(zip(distinct, numbers))
+            inner.update(zip(map(_SLOTS.__getitem__, spelled),
+                             map(table.__getitem__, spelled.values())))
+            return inner
     inner = {}
     for off_text, val in words.items():
         off = _num(off_text, "memory offset")
@@ -153,9 +175,13 @@ def load_config(text: str) -> StateConfig:
                                     "registry").items():
         root = _word(root_text, "space root", PAGE_SIZE)
         _once("space root", root, registry, body["registry"], root_text)
+        vas = _bulk(_shaped(walks, dict, f"walk map {root:#x}"), WORD_BYTES)
+        pas = _bulk(walks.values(), WORD_BYTES)
+        if vas is not None and pas is not None and len(set(vas)) == len(vas):
+            registry[root] = dict(zip(vas, pas))
+            continue
         theta = registry[root] = {}
-        for va_text, pa_text in _shaped(walks, dict,
-                                        f"walk map {root:#x}").items():
+        for va_text, pa_text in walks.items():
             va = _word(va_text, f"walk map {root:#x} key", WORD_BYTES)
             _once(f"walk map {root:#x} key", va, theta, walks, va_text)
             theta[va] = _word(pa_text, f"walk map {root:#x} entry {va:#x} ->",

@@ -32,6 +32,8 @@ Every number in an assertion must fit in 64 bits, and a value a claim
 refuses (a cr3 claim, a misaligned address or root) is a ParseError with
 its line and column.  Wrappers nest at most 64 deep (``MAX_NESTING``); a
 deeper one is refused at its ``[``.  Parsing and printing round-trip.
+Each number is matched once, its value read by ``int``; a character no
+token starts with is refused at the end of the token before it.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ _NUM = r"0x[0-9a-fA-F]+|[0-9]+"
 _NUM_RE = re.compile(_NUM)
 
 
+def _value(digits: str) -> int:
+    """The value of text that ``_NUM`` matched."""
+    return int(digits, 16 if "x" in digits else 10)
+
+
 def signed_number(text: str) -> Optional[int]:
     """`text` read as an optional `-` and a number, or None.  No reader
     takes a negative number: the sign is read only so that a reader can
@@ -122,10 +129,9 @@ def _bad_number(text: str, line: int, col: int) -> ParseError:
 
 
 def _parse_int(text: str, line: int, col: int) -> int:
-    value = None if text.startswith("-") else signed_number(text)
-    if value is None:
+    if not _NUM_RE.fullmatch(text):
         raise _bad_number(text, line, col)
-    return value
+    return _value(text)
 
 
 # --------------------------------------------------------------------------
@@ -134,23 +140,29 @@ def _parse_int(text: str, line: int, col: int) -> int:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sym>\|->vpte|\|->r|\|->a|\|->v|==|[{}()\[\]*:/])"
     rf"|(?P<num>{_NUM})"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))")
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?=\S))")
+
+# the token after the last one
+_END = (None, None, 0, None)
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, line: int) -> list:
+    """The tokens of `text`, each (kind, text, column, number or None),
+    then _END.  One pass: every match starts where the last one ended,
+    and a match of the empty alternative marks a character no token
+    starts with, refused at the end of the token before it."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(line, pos + 1, f"cannot read {rest[:10]!r}")
-        # each alternative is one named group that matches non-empty text
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
+        if kind is None:
+            pos = m.start()
+            raise ParseError(line, pos + 1,
+                             f"cannot read {text[pos:].strip()[:10]!r}")
+        token = m.group(kind)
+        tokens.append((kind, token, m.start(kind) + 1,
+                       _value(token) if kind == "num" else None))
+    tokens.append(_END)
     return tokens
 
 
@@ -161,52 +173,50 @@ class _AssertionParser:
         self.pos = 0
         self.depth = 0  # the wrappers open around the current position
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.line, 0, "unexpected end of assertion",
-                             (expect,) if expect else ())
-        self.pos += 1
-        return tok
+    def refusal(self, token, expected, summary=None) -> ParseError:
+        """The error for a `token` the parser cannot take: at _END, it
+        names `summary`, else `expected`, as what was expected."""
+        if token is _END:
+            return ParseError(self.line, 0, "unexpected end of assertion",
+                              (summary,) if summary else expected)
+        return ParseError(self.line, token[2], f"got {token[1]!r}", expected)
 
     def expect_sym(self, sym):
-        kind, text, col = self.next(expect=sym)
-        if kind != "sym" or text != sym:
-            raise ParseError(self.line, col, f"got {text!r}", (sym,))
+        token = self.tokens[self.pos]
+        if token[1] != sym:
+            raise self.refusal(token, (sym,))
+        self.pos += 1
 
-    def word(self, text, col):
-        value = _parse_int(text, self.line, col)
-        if value >= 1 << 64:
-            raise ParseError(self.line, col, f"{text} is not a 64-bit word")
-        return value
+    def word(self, token):
+        if token[3] >= 1 << 64:
+            raise ParseError(self.line, token[2],
+                             f"{token[1]} is not a 64-bit word")
+        return token[3]
 
     def number(self):
-        kind, text, col = self.next(expect="number")
-        if kind != "num":
-            raise ParseError(self.line, col, f"got {text!r}", ("number",))
-        return self.word(text, col)
+        token = self.tokens[self.pos]
+        if token[0] != "num":
+            raise self.refusal(token, ("number",))
+        self.pos += 1
+        return self.word(token)
 
     def fraction(self) -> Fraction:
-        tok = self.peek()
-        if tok is None or tok[1] != "{":
+        token = self.tokens[self.pos]
+        if token[1] != "{":
             return FULL
-        self.expect_sym("{")
+        self.pos += 1
         num = self.number()
         self.expect_sym("/")
         den = self.number()
         self.expect_sym("}")
         if den == 0:
-            raise ParseError(self.line, tok[2], "share has denominator 0")
+            raise ParseError(self.line, token[2], "share has denominator 0")
         return Fraction(num, den)
 
     def parse(self) -> Assertion:
-        node = self.parse_one()
-        parts = [node]
-        while self.peek() is not None and self.peek()[1] == "*":
-            self.expect_sym("*")
+        parts = [self.parse_one()]
+        while self.tokens[self.pos][1] == "*":
+            self.pos += 1
             parts.append(self.parse_one())
         if len(parts) == 1:
             return parts[0]
@@ -216,43 +226,36 @@ class _AssertionParser:
         """One leaf or wrapper; a value its constructor refuses (a cr3
         claim, a misaligned address, a share outside (0, 1]) is a
         ParseError at the leaf's first token."""
-        tok = self.peek()
+        token = self.tokens[self.pos]
         try:
             return self.parse_leaf()
         except ParseError:
             raise
         except ValueError as err:
-            raise ParseError(self.line, tok[2], str(err)) from None
+            raise ParseError(self.line, token[2], str(err)) from None
 
     def parse_leaf(self) -> Assertion:
-        kind, text, col = self.next(expect="assertion")
-        if kind == "word" and text == "emp":
-            return Emp()
-        if kind == "word" and text == "iaspace":
-            return IASpace()
-        if kind == "word" and text == "pure":
-            self.expect_sym("(")
-            pred = self.parse_pred()
-            self.expect_sym(")")
-            return Pure(pred)
-        if kind == "word" and text == "phys":
-            frame = self.number()
-            self.expect_sym(":")
-            off = self.number()
-            self.expect_sym("|->a")
-            q = self.fraction()
-            val = self.number()
-            return PhysPt(frame, off, q, val)
-        if kind == "word" and text in _REG_NAMES:
-            reg = _REG_NAMES[text]
+        # but for a number, a token's text tells its kind
+        token = self.tokens[self.pos]
+        text = token[1]
+        self.pos += 1
+        if token[0] == "num":
+            va = self.word(token)
+            after = self.tokens[self.pos]
+            self.pos += 1
+            # arguments are read left to right, as they are written
+            if after[1] == "|->v":
+                return VirtPt(va, self.fraction(), self.number())
+            if after[1] == "|->vpte":
+                return PtePt(va, self.fraction(), self.number(), self.number())
+            raise self.refusal(after, ("|->v", "|->vpte"), "|->v or |->vpte")
+        if text in _REG_NAMES:
             self.expect_sym("|->r")
-            q = self.fraction()
-            val = self.number()
-            return RegPt(reg, q, val)
-        if kind == "sym" and text == "[":
+            return RegPt(_REG_NAMES[text], self.fraction(), self.number())
+        if text == "[":
             if self.depth == MAX_NESTING:
-                raise ParseError(self.line, col, "wrappers nested more than "
-                                 f"{MAX_NESTING} deep")
+                raise ParseError(self.line, token[2], "wrappers nested more "
+                                 f"than {MAX_NESTING} deep")
             root = self.number()
             self.expect_sym("]")
             self.expect_sym("(")
@@ -261,43 +264,44 @@ class _AssertionParser:
             self.depth -= 1
             self.expect_sym(")")
             return OtherSpace(root, body)
-        if kind == "num":
-            va = self.word(text, col)
-            nkind, ntext, ncol = self.next(expect="|->v or |->vpte")
-            if nkind == "sym" and ntext == "|->v":
-                q = self.fraction()
-                val = self.number()
-                return VirtPt(va, q, val)
-            if nkind == "sym" and ntext == "|->vpte":
-                q = self.fraction()
-                pa = self.number()
-                val = self.number()
-                return PtePt(va, q, pa, val)
-            raise ParseError(self.line, ncol, f"got {ntext!r}",
-                             ("|->v", "|->vpte"))
-        raise ParseError(self.line, col, f"got {text!r}",
-                         ("emp", "iaspace", "pure", "phys", "REG", "WORD",
-                          "["))
+        if text == "iaspace":
+            return IASpace()
+        if text == "emp":
+            return Emp()
+        if text == "pure":
+            self.expect_sym("(")
+            pred = self.parse_pred()
+            self.expect_sym(")")
+            return Pure(pred)
+        if text == "phys":
+            frame = self.number()
+            self.expect_sym(":")
+            off = self.number()
+            self.expect_sym("|->a")
+            return PhysPt(frame, off, self.fraction(), self.number())
+        raise self.refusal(token, ("emp", "iaspace", "pure", "phys", "REG",
+                                   "WORD", "["), "assertion")
 
     def parse_pred(self):
-        kind, text, col = self.next(expect="predicate")
-        if kind == "word" and text == "aligned":
+        token = self.tokens[self.pos]
+        self.pos += 1
+        if token[1] == "aligned":
             return PredAligned(self.number())
-        if kind == "word" and text == "unmapped":
+        if token[1] == "unmapped":
             return PredUnmapped(self.number())
-        if kind == "num":
-            lhs = self.word(text, col)
+        if token[0] == "num":
+            lhs = self.word(token)
             self.expect_sym("==")
             return PredEq(lhs, self.number())
-        raise ParseError(self.line, col, f"got {text!r}",
-                         ("aligned", "unmapped", "WORD == WORD"))
+        raise self.refusal(token, ("aligned", "unmapped", "WORD == WORD"),
+                           "predicate")
 
 
 def parse_assertion(text: str, line: int = 1) -> Assertion:
     parser = _AssertionParser(_tokenize(text, line), line)
     node = parser.parse()
-    leftover = parser.peek()
-    if leftover is not None:
+    leftover = parser.tokens[parser.pos]
+    if leftover is not _END:
         raise ParseError(line, leftover[2], f"trailing {leftover[1]!r}")
     return node
 
@@ -387,28 +391,23 @@ def _split_operands(rest: str, line: int):
 
 def _operand(text: str, line: int):
     """Classify an operand: its kind and its values (see ``_FORMS``)."""
-    m = _MEM_OPERAND_RE.match(text)
-    if m:
-        name = m.group("reg")
-        if name == "cr3":
-            raise ParseError(line, 1,
-                             "cr3 cannot be used as an address base")
-        if name not in _REG_NAMES:
-            raise ParseError(line, 1, f"unknown register {name!r}")
-        disp = 0
-        if m.group("disp"):
-            disp = _parse_int(m.group("disp"), line, 1)
-            if m.group("sign") == "-":
-                disp = -disp
-        return "mem", (_REG_NAMES[name], disp)
     if text in _REG_NAMES:
         reg = _REG_NAMES[text]
         return "reg" if reg.is_data else "cr3", (reg,)
-    # the sign is read so that the form can refuse a negative immediate
-    value = signed_number(text)
-    if value is None:
-        raise _bad_number(text, line, 1)
-    return "imm", (value,)
+    m = _MEM_OPERAND_RE.match(text) if text.startswith("[") else None
+    if m is None:
+        # the sign is read so that the form can refuse a negative immediate
+        value = signed_number(text)
+        if value is None:
+            raise _bad_number(text, line, 1)
+        return "imm", (value,)
+    name, disp = m.group("reg", "disp")
+    if name == "cr3":
+        raise ParseError(line, 1, "cr3 cannot be used as an address base")
+    if name not in _REG_NAMES:
+        raise ParseError(line, 1, f"unknown register {name!r}")
+    disp = 0 if disp is None else _value(disp)
+    return "mem", (_REG_NAMES[name], -disp if m["sign"] == "-" else disp)
 
 
 def _build(form, fields, values, line: int) -> ScriptStep:

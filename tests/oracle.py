@@ -17,9 +17,12 @@ from the precondition's claims to the report's final claims.
 ``FractionLedger`` is the reference for the claim ledger: plain
 ``Fraction`` shares, added and compared as such.  ``naive_step`` is the
 reference for the memory forms of ``step``, built on ``naive_walk``.
+``tokenize`` is the reference for the assertion tokenizer: one anchored
+match per token, and a refusal where no token matches.
 """
 
 import json
+import re
 from fractions import Fraction
 
 PAGE = 4096
@@ -396,3 +399,37 @@ def naive_step(regs, mem, form, ops, enforce_rw=True, set_accessed=True):
     else:
         new_mem[frame][off] = regs.get(ops.get("src", "cr3"), 0)
     return ("ok", new_regs, new_mem)
+
+
+# --------------------------------------------------------------------------
+# Assertion tokens
+
+
+class TokenRefusal(Exception):
+    """A character no token starts with: (line, column, message)."""
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sym>\|->vpte|\|->r|\|->a|\|->v|==|[{}()\[\]*:/])"
+    r"|(?P<num>0x[0-9a-fA-F]+|[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))")
+
+
+def tokenize(text, line):
+    """[(kind, text, column)] of assertion text, matching one token at a
+    time from where the last one ended; TokenRefusal(line, column,
+    message) names the end of the last token before a character no token
+    starts with."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise TokenRefusal(line, pos + 1, f"cannot read {rest[:10]!r}")
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+        pos = m.end()
+    return tokens

@@ -25,6 +25,7 @@ from vmcheck.machine import (
 from vmcheck.assertions import (
     FULL,
     IASpace,
+    WalkLoc,
     OtherSpace,
     PhysPt,
     RegPt,
@@ -365,3 +366,22 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None,
         f"space:{root:#x}: walk-map entry {DATA_VA + 8:#x} broken: 0x5008")
+
+
+def test_a_ghost_steps_walk_claim_is_audited(monkeypatch):
+    # an insert rule that records the walk-map entry the machine agrees
+    # with but claims another pa: no space claim is held, so only the
+    # audit of the walk claim the step changed can object
+    state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
+
+    def misclaiming(ctx, draft, step):
+        ctx.registry[ctx.root][step.va] = step.pa
+        draft.add_full(WalkLoc(ctx.root, step.va), step.pa + 8)
+        return ctx, "ghost-insert-walk"
+
+    monkeypatch.setitem(checker._RULES, GhostInsertWalk, misclaiming)
+    report = check_double(sep(), root, [GhostInsertWalk(DATA_VA + 8, 0x5008)],
+                          init=state, registry=registry)
+    assert report.violation == Violation(
+        MACHINE_DISAGREE, 0, None,
+        f"walk:{root:#x}:{DATA_VA + 8:#x}: ledger 0x5010, machine walk 0x5008")

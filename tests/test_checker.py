@@ -1124,8 +1124,8 @@ def test_the_ghost_inserts_build_each_chain_slot_location_once(
         monkeypatch, mode):
     # with the caches cleared before the check, the 64 inserts of one page
     # share their four chain slots' locations (built at most once in the
-    # check), and each insert builds its walk location once (co-execution's
-    # audit then names that walk claim on its own)
+    # check), and each insert builds its walk location once, which
+    # co-execution's audit then takes from the step's journal
     case = map_page_case(64)
     built, inside = {PhysLoc: 0, WalkLoc: 0}, [False]
     for cls in built:
@@ -1150,8 +1150,7 @@ def test_the_ghost_inserts_build_each_chain_slot_location_once(
                           free_list=case.free_list)
     assert report.ok, report.violation
     assert built[PhysLoc] <= 4
-    if mode == RESOURCE_ONLY:
-        assert built[WalkLoc] == 64
+    assert built[WalkLoc] == 64
 
 
 def _refused_leaving_the_ledger(ctx, script_step):

@@ -100,6 +100,9 @@ def test_rejects_malformed(text):
      "space root 0x100000 spelled '0x100000' and '1048576'"),
     ('{"registry": {"0x1000": {"0x8": "0x5000", "8": "0x6000"}}}',
      "walk map 0x1000 key 0x8 spelled '0x8' and '8'"),
+    # both spellings in the dumper's alphabet, which the bulk read takes
+    ('{"registry": {"0x1000": {"0x8": "0x5000", "0x08": "0x6000"}}}',
+     "walk map 0x1000 key 0x8 spelled '0x8' and '0x08'"),
 ])
 def test_a_key_spelled_two_ways_names_both_spellings(text, message):
     with pytest.raises(ConfigError) as err:
@@ -262,6 +265,55 @@ def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
     monkeypatch.setattr(config, "_word", counted)
     assert load_config(dump_config(cfg)) == cfg
     assert fields == ["register rax"]
+
+
+def _full_frame_state() -> str:
+    """A state of one full frame, 0x5, holding three words other than 0,
+    and one partial frame, 0x6."""
+    words = dict.fromkeys(range(0, 4096, 8), 0)
+    words[0x8], words[0x10], words[0xff8] = 0x1, 0x1234, 0x6007
+    return dump_config(StateConfig(memory={0x5: words, 0x6: {0: 7}}))
+
+
+class _CountedFrame(dict):
+    copies = 0
+
+    def copy(self):
+        _CountedFrame.copies += 1
+        return dict(self)
+
+
+def test_a_full_frame_starts_as_a_copy_of_the_zero_frame(monkeypatch):
+    monkeypatch.setattr(config, "_ZERO_FRAME",
+                        _CountedFrame(config._ZERO_FRAME))
+    monkeypatch.setattr(_CountedFrame, "copies", 0)
+    memory = load_config(_full_frame_state()).memory
+    assert _CountedFrame.copies == 1
+    assert memory[0x6] == {0: 7}
+    assert memory[0x5] == {**dict.fromkeys(range(0, 4096, 8), 0),
+                           0x8: 0x1, 0x10: 0x1234, 0xff8: 0x6007}
+    assert list(memory[0x5]) == list(range(0, 4096, 8))
+
+
+def test_loaded_frames_share_no_dict_with_each_other_or_the_zero_frame():
+    text = _full_frame_state()
+    first, second = load_config(text), load_config(text)
+    for frame in (0x5, 0x6):
+        assert first.memory[frame] is not second.memory[frame]
+        assert first.memory[frame] is not config._ZERO_FRAME
+    first.memory[0x5][0] = 0xdead
+    assert second.memory[0x5][0] == config._ZERO_FRAME[0] == 0
+    assert set(config._ZERO_FRAME.values()) == {0}
+
+
+def test_a_machine_write_changes_neither_the_config_nor_the_zero_frame():
+    cfg = load_config(_full_frame_state())
+    loaded = {frame: dict(words) for frame, words in cfg.memory.items()}
+    state = cfg.to_machine_state()
+    assert state.write_word(0x5, 0x18, 0xbeef) is None
+    assert state.read_word(0x5, 0x18) == 0xbeef
+    assert cfg.memory == loaded
+    assert set(config._ZERO_FRAME.values()) == {0}
 
 
 def test_the_shared_parser_gives_identical_runs(capsys, tmp_path):

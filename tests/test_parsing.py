@@ -53,12 +53,14 @@ from vmcheck.parsing import (
     _GHOST_FORMS,
     MAX_NESTING,
     ParseError,
+    _tokenize,
     parse_assertion,
     parse_program,
     print_assertion,
     print_program,
 )
 
+import oracle
 from gen import leaf_pool, multi_space_fixture, random_assertion
 
 
@@ -386,3 +388,71 @@ def test_program_numbers_read_as_before():
         MovRegFromMem(Reg.RCX, Reg.RDI, -8), MovRegImm(Reg.RDX, 0xAB)]
     with pytest.raises(ParseError, match="immediate -0x1 is not a 64-bit"):
         parse_program("mov rax, -1")
+
+
+# pieces of assertion text: every token, near-numbers the grammar splits
+# (0X1, 1_0, 0x), characters no token starts with, and whitespace that
+# str.strip and the tokenizer's \s both skip, ASCII or not
+_TOKEN_PIECES = st.sampled_from([
+    "|->vpte", "|->v", "|->r", "|->a", "==", "{", "}", "(", ")", "[", "]",
+    "*", ":", "/", "0x1f", "0xAb", "0x", "0X1", "1_0", "007", str(1 << 64),
+    "rax", "emp", "iaspace", "_w1", "x", " ", "  ", "\t", "\n", "\u00a0",
+    "\x1c", "\u3000", "!", "@", "-", "|", "|-", "->", "\u0663", "\uff18",
+    "\u00e9"])
+
+
+def _tokens_or_refusal(text: str):
+    """(kind, text, column) of each token, or the refusal's (line,
+    column, text), from the tokenizer; each number is checked against
+    its text on the way."""
+    try:
+        tokens = _tokenize(text, 7)
+    except ParseError as err:
+        return ("refused", err.line, err.col, str(err))
+    assert tokens[-1][0] is None
+    for kind, word, _col, value in tokens[:-1]:
+        assert value == (None if kind != "num" else
+                         int(word, 16) if word.startswith("0x") else
+                         int(word))
+    return [token[:3] for token in tokens[:-1]]
+
+
+def _reference_tokens(text: str):
+    try:
+        return oracle.tokenize(text, 7)
+    except oracle.TokenRefusal as err:
+        line, col, message = err.args
+        return ("refused", line, col, f"line {line}, column {col}: {message}")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.lists(_TOKEN_PIECES, max_size=12).map("".join),
+                 st.text(max_size=24)))
+def test_the_tokenizer_matches_the_reference(text):
+    assert _tokens_or_refusal(text) == _reference_tokens(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "emp  \t\n", "0x8 |->v 0x1   ", "emp   !x", "rax |->r  @",
+    "0X1 |->v 0x0", "1_0 |->v 0x0", "rax |->r 0x\u0663", "[0x1000](emp) \u00a0!",
+    "emp\x1c"])
+def test_the_tokenizer_matches_the_reference_at_its_edges(text):
+    assert _tokens_or_refusal(text) == _reference_tokens(text)
+
+
+def test_a_refusal_names_the_end_of_the_token_before_it():
+    with pytest.raises(ParseError) as info:
+        _tokenize("emp    !x", 3)
+    assert (info.value.line, info.value.col) == (3, 4)
+    assert str(info.value) == "line 3, column 4: cannot read '!x'"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", "assertion"), ("emp *", "assertion"), ("0x8", "|->v or |->vpte"),
+    ("0x8 |->v", "number"), ("0x8 |->v {1/", "number"), ("pure(", "predicate"),
+    ("phys 0x5:", "number"), ("[0x1000](emp", ")")])
+def test_an_assertion_that_ends_early_names_what_was_expected(text, expected):
+    with pytest.raises(ParseError) as info:
+        parse_assertion(text)
+    assert str(info.value) == ("line 1, column 0: unexpected end of assertion "
+                               f"(expected {expected})")
