@@ -490,9 +490,9 @@ class LedgerDraft:
     """A ledger's claims dict being changed in place.  ``add``, ``consume``
     and ``set_value`` check all before they change anything but ``den``;
     ``done`` hands the dict to a new ledger.  ``journal``, which step
-    records are rendered from and ``undo`` puts back, maps each location
-    changed to its claim before the first change (or None); ``lower``'s
-    draft keeps none."""
+    records are rendered from and a check's undo puts back, maps each
+    location changed to its claim before the first change (or None);
+    ``lower``'s draft keeps none."""
 
     root: int
     claims: dict
@@ -502,18 +502,6 @@ class LedgerDraft:
 
     def done(self) -> Ledger:
         return Ledger(self.root, self.claims, self.pures, self.den)
-
-    def undo(self, den: int) -> None:
-        """Put the dict back as before the first change, over ``den``."""
-        for loc, held in self.journal.items():
-            if held is None:
-                self.claims.pop(loc, None)
-            else:
-                self.claims[loc] = held
-        if self.den != den:
-            k, self.den = self.den // den, den
-            for loc, (n, v) in self.claims.items():
-                self.claims[loc] = (n // k, v)
 
     def share(self, q: Fraction) -> int:
         """q's numerator over ``den``, widened to fit; q must be positive."""

@@ -16,13 +16,14 @@ kernel, ``translate``.  A ghost step takes its walk chain from the
 current machine (which co-execution's audit has proved equal to every
 held claim) and keeps the space's walk map in the registry itself.
 
-``apply_rule`` is a step's one transaction: the step's rule (from
-``_RULES``) writes the check's one ledger and walk map in place, through
-a draft whose journal the step's record is rendered from.  A refusal by
-the rule, the machine step or the audit is a raised ``Reject`` (a failed
-ledger operation's ``LedgerError`` is one), which ``apply_rule`` undoes
-from the journal and stamps with the step's index, as ``check_double``
-does at step -1.
+``apply_rule`` is a step's one transaction on the check's one mutable
+``CheckState``: the step's rule (from ``_RULES``) changes its claims and
+walk map in place, journaling each claim, and an instruction then runs
+on its machine in place, listing each word written with the old word.
+A refusal by the rule, the machine or the audit is a raised ``Reject``
+(a failed ledger operation's ``LedgerError`` is one), which
+``apply_rule`` undoes from those logs and stamps with the step's index,
+as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -43,7 +44,6 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .machine import (
     AddRegImm,
-    Fault,
     FrameUnmapped,
     Instr,
     MEM_FORMS,
@@ -60,7 +60,8 @@ from .machine import (
     Skip,
     StepOpts,
     WORD_BYTES,
-    step as machine_step,
+    execute,
+    own_frame,
     translate,
     walk_text,
 )
@@ -221,30 +222,45 @@ class StubSpec:
 
 
 # --------------------------------------------------------------------------
-# Checker context
+# Check state
 
 
-class CheckerCtx(NamedTuple):
-    """The checker's state between steps: a named tuple whose fields a step
-    replaces only when they change.  Its ledger's claims and walk maps are
-    written in place: an accepted step spends it, a refused one does not."""
+class CheckState(LedgerDraft):
+    """A check's one mutable state, owning `ledger`'s claims, `registry`
+    and `machine`: a draft of its ledger under the root (cr3), whose
+    ``journal`` is the current step's, the machine, walk maps, stubs and
+    free list.  ``touched`` (the walk locations the run has read a claim
+    at or changed an entry of) and ``reads`` (co-execution's audit index
+    {table frame: {(root, va), ...}} of the walk claims and walk-map
+    entries read there, from the first full audit on) only grow."""
 
-    ledger: Ledger
-    root: int
-    registry: Registry
-    machine: MachineState
-    mode: str
-    stubs: dict
-    # the walk locations the run has read a claim at or changed an entry
-    # of, shared by successor contexts like ``reads``
-    touched: set
-    free_list: tuple = ()
-    free_cursor: int = 0
-    # co-execution audit index, {table frame: {(root, va), ...}}: the walks
-    # (walk claims and walk-map entries) a check has read that frame for.
-    # None until a full audit has passed; then it only grows, so successor
-    # contexts share it (stale entries cost a re-check, never a miss).
-    reads: Optional[dict] = None
+    def __init__(self, ledger: Ledger, registry: Registry,
+                 machine: MachineState, mode: str = COEXEC,
+                 stubs: Optional[dict] = None, free_list: tuple = ()):
+        super().__init__(ledger.root, ledger.claims, ledger.pures, ledger.den)
+        self.registry, self.machine, self.mode = registry, machine, mode
+        self.stubs, self.free_list = stubs or {}, tuple(free_list)
+        self.free_cursor, self.touched, self.reads = 0, set(), None
+
+    @property
+    def ledger(self) -> Ledger:
+        """The claims as a frozen ledger, sharing the state's dict."""
+        return self.done()
+
+    def undo(self, saved: tuple) -> None:
+        """Put back what `saved` holds from the step's start, and the
+        claims from the journal, over the ``den`` saved."""
+        (self.root, self.pures, den, self.machine, self.free_cursor,
+         self.reads) = saved
+        for loc, held in self.journal.items():
+            if held is None:
+                self.claims.pop(loc, None)
+            else:
+                self.claims[loc] = held
+        if self.den != den:
+            k, self.den = self.den // den, den
+            for loc, (n, v) in self.claims.items():
+                self.claims[loc] = (n // k, v)
 
 
 class StepRecord(NamedTuple):
@@ -262,10 +278,10 @@ def _claim_text(loc: Location, n: int, value: int, den: int) -> str:
     return f"{loc} {share_text(n, den)} {value:#x}"
 
 
-def _step_claims(journal: dict, after: Ledger) -> tuple:
-    """(consumed, produced) claim texts of a step from its draft's journal,
-    in location text order: the share a location lost or gained if it
-    kept its value, else its whole claims before and after."""
+def _step_claims(journal: dict, after) -> tuple:
+    """(consumed, produced) claim texts of a step from its journal and the
+    ledger or draft after it, in location text order: the share a location
+    lost or gained if it kept its value, else its whole claims both ways."""
     consumed, produced = [], []
     claims, den = after.claims, after.den
     for loc in sorted(journal, key=str):
@@ -281,25 +297,25 @@ def _step_claims(journal: dict, after: Ledger) -> tuple:
     return tuple(consumed), tuple(produced)
 
 
-def _stranded_root(ledger: Ledger, va: int, root: int) -> Optional[int]:
-    """The lowest root other than `root` under which the ledger holds a
+def _stranded_root(claims: dict, va: int, root: int) -> Optional[int]:
+    """The lowest root other than `root` under which `claims` holds a
     walk claim for `va` (a claim stranded there by an address-space
     switch), or None."""
-    return min((loc.root for loc in ledger.claims
+    return min((loc.root for loc in claims
                 if isinstance(loc, WalkLoc) and loc.va == va
                 and loc.root != root), default=None)
 
 
-def _walk_claim(ctx: CheckerCtx, va: int) -> int:
+def _walk_claim(state: CheckState, va: int) -> int:
     """The pa of the current space's walk claim for va, noted in
-    ``ctx.touched`` found or not; its absence is refused, naming a claim
-    stranded under another root."""
-    loc = WalkLoc(ctx.root, va)
-    ctx.touched.add(loc)
-    claim = ctx.ledger.claims.get(loc)
+    ``state.touched`` found or not; its absence is refused, naming a
+    claim stranded under another root."""
+    loc = WalkLoc(state.root, va)
+    state.touched.add(loc)
+    claim = state.claims.get(loc)
     if claim is not None:
         return claim[1]
-    other = _stranded_root(ctx.ledger, va, ctx.root)
+    other = _stranded_root(state.claims, va, state.root)
     if other is not None:
         raise Reject(UNSOUND_FRAME, str(loc),
                      f"claim for va {va:#x} is governed by space "
@@ -309,21 +325,21 @@ def _walk_claim(ctx: CheckerCtx, va: int) -> int:
                  f"no walk claim for va {va:#x} in the current space")
 
 
-def _reg_value(ctx: CheckerCtx, reg: Reg) -> int:
-    claim = ctx.ledger.claims.get(RegLoc(reg))
+def _reg_value(state: CheckState, reg: Reg) -> int:
+    claim = state.claims.get(RegLoc(reg))
     if claim is None:
         raise Reject(MISSING_RESOURCE, str(RegLoc(reg)),
                      f"no claim on register {reg.value}")
     return claim[1]
 
 
-def _chain_entries(ctx: CheckerCtx, va: int):
+def _chain_entries(state: CheckState, va: int):
     """The four table slots and entry values the current machine's walk
     of `va` under the current root reads.  A walk that stops before the
     L1 entry is refused at the slot where it stopped."""
-    mem = ctx.machine.mem
+    mem = state.machine.mem
     slots = []
-    got = translate(ctx.root, mem, va, slots=slots)
+    got = translate(state.root, mem, va, slots=slots)
     if len(slots) < 4:
         stop = got.phys if isinstance(got, FrameUnmapped) else slots[-1]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
@@ -333,100 +349,99 @@ def _chain_entries(ctx: CheckerCtx, va: int):
             [mem[slot >> 12][slot & (PAGE_SIZE - 1)] for slot in slots])
 
 
-def _walk_map(ctx: CheckerCtx) -> dict:
+def _walk_map(state: CheckState) -> dict:
     """The current space's walk map."""
-    theta = ctx.registry.get(ctx.root)
+    theta = state.registry.get(state.root)
     if theta is None:
-        raise Reject(UNKNOWN_ROOT, f"{ctx.root:#x}",
+        raise Reject(UNKNOWN_ROOT, f"{state.root:#x}",
                      "current root is not a registered space")
     return theta
 
 
 # --------------------------------------------------------------------------
-# Per-step rules: each takes the step's ledger draft, which apply_rule
-# opens and undoes on a refusal, and returns (ctx', rule name), or refuses
-# the step by raising a Reject (a failed ledger operation's LedgerError
-# is one).
+# Per-step rules: each takes the check state and the draft its ledger
+# changes go to (in a check, the state itself), changes them in place and
+# returns the rule's name, or refuses the step by raising a Reject (a
+# failed ledger operation's LedgerError is one), which apply_rule undoes.
 
 
-def _space_witness(ctx: CheckerCtx, root: int) -> None:
-    if SpaceLoc(root) not in ctx.ledger.claims:
+def _space_witness(state: CheckState, root: int) -> None:
+    if SpaceLoc(root) not in state.claims:
         raise Reject(MISSING_RESOURCE, str(SpaceLoc(root)),
                      f"no invariant witness for space {root:#x}")
 
 
-def _switch_root(ctx: CheckerCtx, new_root: int) -> CheckerCtx:
+def _switch_root(state: CheckState, new_root: int, rule: str) -> str:
     """The address-space switch: keeps facts, turns the target space's
     wrapped claims into current ones, and leaves the old space's claims
     reachable only through the other-space wrapper (all by moving the
     evaluation root; claims are already tagged with their governing
-    space)."""
+    space).  A rule's outcome."""
     if new_root % PAGE_SIZE:
         raise Reject(UNKNOWN_ROOT, f"{new_root:#x}",
                      "target root is not page aligned")
-    if new_root not in ctx.registry:
+    if new_root not in state.registry:
         raise Reject(UNKNOWN_ROOT, f"{new_root:#x}",
                      "target root is not a registered space")
-    _space_witness(ctx, ctx.root)
-    _space_witness(ctx, new_root)
-    return ctx._replace(root=new_root)
+    _space_witness(state, state.root)
+    _space_witness(state, new_root)
+    state.root = new_root
+    return rule
 
 
-def _set_value(ctx: CheckerCtx, draft: LedgerDraft, loc: Location,
-               value: int, rule: str):
+def _set_value(draft: LedgerDraft, loc: Location, value: int,
+               rule: str) -> str:
     """Overwrite a fully held claim: a rule's outcome."""
     draft.set_value(loc, value)
-    return ctx, rule
+    return rule
 
 
-def _apply_instr(ctx: CheckerCtx, draft: LedgerDraft, step: InstrStep):
+def _apply_instr(state: CheckState, draft: LedgerDraft, step: InstrStep):
     instr = step.instr
     if isinstance(instr, Skip):
-        return ctx, "skip"
+        return "skip"
     if isinstance(instr, MovRegReg):
-        return _set_value(ctx, draft, RegLoc(instr.dst),
-                          _reg_value(ctx, instr.src), "reg-from-reg")
+        return _set_value(draft, RegLoc(instr.dst),
+                          _reg_value(state, instr.src), "reg-from-reg")
     if isinstance(instr, MovRegImm):
-        return _set_value(ctx, draft, RegLoc(instr.dst), instr.imm,
-                          "reg-imm")
+        return _set_value(draft, RegLoc(instr.dst), instr.imm, "reg-imm")
     if isinstance(instr, AddRegImm):
-        return _set_value(ctx, draft, RegLoc(instr.dst),
-                          (_reg_value(ctx, instr.dst) + instr.imm) % (1 << 64),
-                          "reg-add")
+        return _set_value(draft, RegLoc(instr.dst),
+                          (_reg_value(state, instr.dst) + instr.imm)
+                          % (1 << 64), "reg-add")
     if isinstance(instr, MovRegFromCr3):
-        return _set_value(ctx, draft, RegLoc(instr.dst), ctx.root,
-                          "cr3-read")
+        return _set_value(draft, RegLoc(instr.dst), state.root, "cr3-read")
     if isinstance(instr, MovToCr3FromReg):
-        return _switch_root(ctx, _reg_value(ctx, instr.src)), "cr3-switch-reg"
+        return _switch_root(state, _reg_value(state, instr.src),
+                            "cr3-switch-reg")
     if not isinstance(instr, MEM_FORMS):
         raise TypeError(f"unknown instruction {instr!r}")
 
     # the memory forms, checked as machine._access_memory checks them: the
     # space witness, the base register, the stored register and the walk
     # claim; then the load, store or switch itself
-    _space_witness(ctx, ctx.root)
-    va = (_reg_value(ctx, instr.base) + instr.disp) % (1 << 64)
+    _space_witness(state, state.root)
+    va = (_reg_value(state, instr.base) + instr.disp) % (1 << 64)
     if isinstance(instr, MovMemFromReg):
-        stored = _reg_value(ctx, instr.src)
-    data_loc = phys_loc(_walk_claim(ctx, va))
+        stored = _reg_value(state, instr.src)
+    data_loc = phys_loc(_walk_claim(state, va))
     if isinstance(instr, MovMemFromReg):
-        return _set_value(ctx, draft, data_loc, stored, "store-virt")
+        return _set_value(draft, data_loc, stored, "store-virt")
     if isinstance(instr, MovMemFromCr3):
-        return _set_value(ctx, draft, data_loc, ctx.root, "cr3-store")
-    data = ctx.ledger.claims.get(data_loc)
+        return _set_value(draft, data_loc, state.root, "cr3-store")
+    data = state.claims.get(data_loc)
     if data is None:
         raise Reject(MISSING_RESOURCE, str(data_loc),
                      f"no data claim behind va {va:#x}")
     if isinstance(instr, MovRegFromMem):
-        return _set_value(ctx, draft, RegLoc(instr.dst), data[1],
-                          "load-virt")
-    return _switch_root(ctx, data[1]), "cr3-switch-mem"
+        return _set_value(draft, RegLoc(instr.dst), data[1], "load-virt")
+    return _switch_root(state, data[1], "cr3-switch-mem")
 
 
-def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
+def _apply_ghost_insert(state: CheckState, draft: LedgerDraft,
                         step: GhostInsertWalk):
-    slots, entries = _chain_entries(ctx, step.va)
-    theta = _walk_map(ctx)
+    slots, entries = _chain_entries(state, step.va)
+    theta = _walk_map(state)
     if step.va in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map already holds {step.va:#x}")
@@ -435,35 +450,35 @@ def _apply_ghost_insert(ctx: CheckerCtx, draft: LedgerDraft,
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
     draft.chain(slots, entries, take=True)
-    loc = WalkLoc(ctx.root, step.va)
+    loc = WalkLoc(state.root, step.va)
     draft.add_full(loc, step.pa)
     theta[step.va] = step.pa
-    ctx.touched.add(loc)
-    return ctx, "ghost-insert-walk"
+    state.touched.add(loc)
+    return "ghost-insert-walk"
 
 
-def _apply_ghost_remove(ctx: CheckerCtx, draft: LedgerDraft,
+def _apply_ghost_remove(state: CheckState, draft: LedgerDraft,
                         step: GhostRemoveWalk):
-    loc = WalkLoc(ctx.root, step.va)
-    if loc not in ctx.ledger.claims:
+    loc = WalkLoc(state.root, step.va)
+    if loc not in state.claims:
         raise Reject(INSUFFICIENT_FRACTION, str(loc),
                      f"no walk token held for va {step.va:#x}")
-    theta = _walk_map(ctx)
+    theta = _walk_map(state)
     # the walk claim is the entry's token: only the full claim retires it
     draft.consume_full(loc)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
-    slots, entries = _chain_entries(ctx, step.va)
+    slots, entries = _chain_entries(state, step.va)
     # the chain shares held inside the invariant come back out
     draft.chain(slots, entries)
     del theta[step.va]
-    ctx.touched.add(loc)
-    return ctx, "ghost-remove-walk"
+    state.touched.add(loc)
+    return "ghost-remove-walk"
 
 
-def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
-    stub = ctx.stubs.get(step.name)
+def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
+    stub = state.stubs.get(step.name)
     if stub is None:
         raise Reject(STUB_PRE_FAILED, step.name,
                      f"no stub named {step.name!r}")
@@ -483,13 +498,14 @@ def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
                                  f"ledger holds {claim[1]:#x}")
                 draft.consume(loc, pattern.q)
             else:
-                needed = lower(pattern, ctx.root, ctx.registry)
+                needed = lower(pattern, state.root, state.registry)
                 for loc, q, v in needed.sorted_claims():
                     draft.consume(loc, q, v)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    env = StubEnv(machine=ctx.machine, root=ctx.root, registry=ctx.registry,
-                  free_list=ctx.free_list, free_cursor=ctx.free_cursor)
+    env = StubEnv(machine=state.machine, root=state.root,
+                  registry=state.registry, free_list=state.free_list,
+                  free_cursor=state.free_cursor)
     try:
         result = stub.apply(env)
     except StubError as err:
@@ -497,39 +513,38 @@ def _apply_call(ctx: CheckerCtx, draft: LedgerDraft, step: CallStep):
     produced = result.produces
     draft.join(produced)
     for g, pred in produced.pures:
-        if not pure_holds(pred, g, ctx.registry):
+        if not pure_holds(pred, g, state.registry):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised a false pure "
                          f"predicate: {pred}")
-    new_ctx = ctx._replace(machine=result.machine,
-                           free_cursor=result.free_cursor)
-    if ctx.mode == COEXEC:
-        complaint = _audit(new_ctx, produced.claims)
+    state.machine, state.free_cursor = result.machine, result.free_cursor
+    if state.mode == COEXEC:
+        complaint = _audit(state, produced.claims)
         if complaint is not None:
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised claims the machine "
                          f"does not satisfy: {complaint}")
-    return new_ctx, f"call:{step.name}"
+    return f"call:{step.name}"
 
 
-def _apply_assert(ctx: CheckerCtx, draft: LedgerDraft, step: AssertStep):
+def _apply_assert(state: CheckState, draft: LedgerDraft, step: AssertStep):
     try:
-        wanted = lower(step.assertion, ctx.root, ctx.registry)
+        wanted = lower(step.assertion, state.root, state.registry)
     except WitnessUnavailable as err:
-        other = _stranded_root(ctx.ledger, err.va, err.root)
+        other = _stranded_root(state.claims, err.va, err.root)
         if other is None:
             raise
         raise Reject(UNSOUND_FRAME, str(WalkLoc(err.root, err.va)),
                      f"asserted claim for va {err.va:#x} only holds in space "
                      f"{other:#x}; wrap it in the other-space "
                      "modality instead of framing it")
-    problem = ctx.ledger.contains(wanted)
+    problem = state.ledger.contains(wanted)
     if problem is not None:
         # before naming the first gap, see whether the root cause is a
         # walk claim stranded under a different governing root
         for loc in sorted(wanted.claims):
-            if isinstance(loc, WalkLoc) and loc not in ctx.ledger.claims:
-                other = _stranded_root(ctx.ledger, loc.va, loc.root)
+            if isinstance(loc, WalkLoc) and loc not in state.claims:
+                other = _stranded_root(state.claims, loc.va, loc.root)
                 if other is not None:
                     raise Reject(UNSOUND_FRAME, str(loc),
                                  f"asserted claim for va {loc.va:#x} is "
@@ -537,23 +552,23 @@ def _apply_assert(ctx: CheckerCtx, draft: LedgerDraft, step: AssertStep):
                                  "framed across an address-space switch")
         raise problem
     for g, pred in wanted.pures:
-        if not pure_holds(pred, g, ctx.registry):
+        if not pure_holds(pred, g, state.registry):
             raise Reject(VALUE_DISAGREEMENT, str(pred),
                          "pure predicate is false")
-    return ctx, "assert"
+    return "assert"
 
 
-def _apply_view(ctx: CheckerCtx, draft: LedgerDraft,
+def _apply_view(state: CheckState, draft: LedgerDraft,
                 step: Union[GhostPteToVirt, GhostVirtToPte]):
     """Moving between the virtual and the PTE view of a mapping needs the
     current space's walk claim; the ledger does not change."""
-    pa = _walk_claim(ctx, step.va)
+    pa = _walk_claim(state, step.va)
     if isinstance(step, GhostPteToVirt):
-        return ctx, "ghost-pte-to-virt"
+        return "ghost-pte-to-virt"
     if pa != step.pa:
-        raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(ctx.root, step.va)),
+        raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(state.root, step.va)),
                      f"walk resolves to {pa:#x}, not {step.pa:#x}")
-    return ctx, "ghost-virt-to-pte"
+    return "ghost-virt-to-pte"
 
 
 # the rule of each kind of script step
@@ -572,24 +587,24 @@ _RULES = {
 # Co-execution audit
 
 
-def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
+def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
     """Validate the held claims at `locs` against the machine, plus, for
     each (root, va) in `walks` whose root's space claim is held, its
     walk-map entry (a space claim in `locs` checks every entry).  Each
-    (root, va) is walked once, and with ``ctx.reads`` each walk is noted
+    (root, va) is walked once, and with ``state.reads`` each walk is noted
     there under every table frame it read.  The first complaint in
     location order is returned, None when clean."""
-    machine = ctx.machine
-    if machine.reg(Reg.CR3) != ctx.root:
+    machine = state.machine
+    if machine.reg(Reg.CR3) != state.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
-                f"checker root {ctx.root:#x}")
-    claims = ctx.ledger.claims
+                f"checker root {state.root:#x}")
+    claims = state.claims
     todo = {loc for loc in locs if loc in claims}
     for root, _va in walks:
         space = SpaceLoc(root)
         if space in claims:
             todo.add(space)
-    reads = ctx.reads
+    reads = state.reads
     walked = {}
 
     def translated(root: int, va: int):
@@ -617,11 +632,11 @@ def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
             if got != v:
                 return (f"{loc}: ledger {v:#x}, machine walk "
                         f"{walk_text(got)[0]}")
-            theta = ctx.registry.get(loc.root)
+            theta = state.registry.get(loc.root)
             if theta is None or theta.get(loc.va) != v:
                 return f"{loc}: walk map does not record {v:#x}"
         else:
-            theta = ctx.registry.get(loc.root)
+            theta = state.registry.get(loc.root)
             if theta is None:
                 return (f"{loc}: address space {loc.root:#x} is not "
                         "registered")
@@ -635,87 +650,85 @@ def _audit(ctx: CheckerCtx, locs, walks=()) -> Optional[str]:
     return None
 
 
-def audit_ledger(ctx: CheckerCtx) -> Optional[str]:
+def audit_ledger(state: CheckState) -> Optional[str]:
     """Validate every ledger claim against the machine; None when clean.
     This full audit runs before the first step and after every stub call;
     it is also the oracle the per-step audit is tested against."""
-    return _audit(ctx, ctx.ledger.claims)
+    return _audit(state, state.claims)
 
 
-def _audit_step(ctx: CheckerCtx, reg: Optional[Reg], frames,
-                walk: Optional[tuple], journal) -> Optional[str]:
+def _audit_step(state: CheckState, reg: Optional[Reg], writes,
+                walk: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the data
-    register `reg` and the memory `frames` the machine wrote, every walk
-    that read a written frame (``ctx.reads``), and the walk-map entry
-    `walk` = (root, va) a ghost step inserted or removed, with the walk
-    claim the step changed there: its rule's own location, found in the
-    step's `journal`.  cr3 is always compared.  Rules change no claim
-    outside these, since they take chain and data values from the
-    machine audited before the step.  So the first complaint is the one
-    the full audit would give."""
+    register `reg` and the words the machine wrote (`writes`), every walk
+    that read a written word's frame (``state.reads``), and the walk-map
+    entry `walk` = (root, va) a ghost step inserted or removed, with the
+    walk claim the step changed there: its rule's own location, found in
+    the step's journal.  cr3 is always compared.  Rules change no claim
+    outside these, since they take chain and data values from the machine
+    audited before the step.  So the first complaint is the one the full
+    audit would give."""
     locs = set() if reg is None else {RegLoc(reg)}
     if walk is not None:
-        locs.update(loc for loc in journal if type(loc) is WalkLoc)
-        return _audit(ctx, locs, (walk,))
+        locs.update(loc for loc in state.journal if type(loc) is WalkLoc)
+        return _audit(state, locs, (walk,))
     walks = set()
-    if frames:
-        locs.update(loc for loc in ctx.ledger.claims
-                    if isinstance(loc, PhysLoc) and loc.frame in frames)
-        for frame in frames:
-            walks.update(ctx.reads.get(frame, ()))
-        locs.update(WalkLoc(root, va) for root, va in walks)
-    return _audit(ctx, locs, walks)
+    for frame, off, _old in writes or ():
+        locs.add(PhysLoc(frame, off))
+        walks.update(state.reads.get(frame, ()))
+    locs.update(WalkLoc(root, va) for root, va in walks)
+    return _audit(state, locs, walks)
 
 
 # --------------------------------------------------------------------------
 # apply_rule / check_double
 
 
-def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
-               index: int) -> Union[tuple, Violation]:
-    """Apply one script step to the context, as one transaction (see the
-    module docstring): (ctx', StepRecord), `ctx` spent, or the stopping
-    Violation, `ctx` as it was."""
+def apply_rule(state: CheckState, script_step: ScriptStep,
+               index: int) -> Union[StepRecord, Violation]:
+    """Apply one script step to the check state in place, as one
+    transaction (see the module docstring): the step's record, or the
+    stopping Violation with `state` as it was before the step."""
     rule = _RULES.get(type(script_step))
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
-    ledger, reg, frames, walk = ctx.ledger, None, None, None
-    draft = LedgerDraft(ledger.root, ledger.claims, ledger.pures, ledger.den)
+    machine, root = state.machine, state.root
+    saved = (root, state.pures, state.den, machine, state.free_cursor,
+             state.reads)
+    state.journal, reg, regs, writes, walk = {}, None, None, None, None
     if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
         # the walk-map entry the step writes, as it was
-        walk = (ctx.root, script_step.va)
-        theta = ctx.registry.get(ctx.root, {})
+        walk = (root, script_step.va)
+        theta = state.registry.get(root, {})
         entry = theta.get(script_step.va)
     try:
-        new_ctx, name = rule(ctx, draft, script_step)
+        name = rule(state, state, script_step)
         if isinstance(script_step, InstrStep):
-            machine = machine_step(ctx.machine, script_step.instr, CHECK_OPTS)
-            if isinstance(machine, Fault):
+            regs, pc, writes = dict(machine.regs), machine.pc, []
+            fault = execute(machine, script_step.instr, CHECK_OPTS, writes)
+            if fault is not None:
                 raise Reject(MACHINE_DISAGREE, None,
-                             f"ledger accepts pc {ctx.machine.pc} but the "
-                             f"machine faults: {machine!r}")
+                             f"ledger accepts pc {pc} but the machine "
+                             f"faults: {fault!r}")
             # the one data register an instruction writes is its dst
             reg = getattr(script_step.instr, "dst", None)
-            frames = machine.mem.owned
-            new_ctx = new_ctx._replace(machine=machine)
-        if (new_ctx.root, draft.pures, draft.den) != \
-                (ledger.root, ledger.pures, ledger.den):
-            new_ctx = new_ctx._replace(ledger=Ledger(
-                new_ctx.root, draft.claims, draft.pures, draft.den))
-        if new_ctx.mode == COEXEC:
-            if new_ctx.reads is None or isinstance(script_step, CallStep):
+        if state.mode == COEXEC:
+            if state.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh
-                new_ctx = new_ctx._replace(reads={})
-                complaint = audit_ledger(new_ctx)
+                state.reads = {}
+                complaint = audit_ledger(state)
             else:
-                complaint = _audit_step(new_ctx, reg, frames, walk,
-                                        draft.journal)
+                complaint = _audit_step(state, reg, writes, walk)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
     except BaseException as err:
         # a refusal, or an error raised through the step, is undone
-        draft.undo(ledger.den)
+        state.undo(saved)
+        if regs is not None:
+            machine.regs, machine.pc = regs, pc
+            for frame, off, old in reversed(writes):
+                own_frame(machine.mem, frame)[off] = old
         if walk is not None:
             theta.pop(walk[1], None)
             if entry is not None:
@@ -724,9 +737,8 @@ def apply_rule(ctx: CheckerCtx, script_step: ScriptStep,
             raise
         return Violation(err.kind, index, err.location, err.narrative)
 
-    consumed, produced = _step_claims(draft.journal, new_ctx.ledger)
-    return new_ctx, StepRecord(index, name, consumed, produced, ctx.root,
-                               new_ctx.root)
+    consumed, produced = _step_claims(state.journal, state)
+    return StepRecord(index, name, consumed, produced, root, state.root)
 
 
 @dataclass(frozen=True)
@@ -738,7 +750,7 @@ class Report:
     final_machine: Optional[MachineState]
     final_root: Optional[int]
     violation: Optional[Violation]
-    touched: frozenset = frozenset()  # CheckerCtx.touched; not rendered
+    touched: frozenset = frozenset()  # CheckState.touched; not rendered
 
     @property
     def ok(self) -> bool:
@@ -812,8 +824,7 @@ def check_double(pre: Assertion, root: int, script: Script,
     """
     registry = registry or {}
     init = init if init is not None else MachineState()
-    records, touched = [], set()
-    violation = None
+    records, state, violation = [], None, None
     try:
         if root % PAGE_SIZE:
             raise Reject(UNKNOWN_ROOT, f"{root:#x}",
@@ -827,32 +838,29 @@ def check_double(pre: Assertion, root: int, script: Script,
             raise Reject(MACHINE_DISAGREE, None,
                          f"initial machine cr3 {init.reg(Reg.CR3):#x} "
                          f"differs from declared root {root:#x}")
-        ctx = CheckerCtx(ledger=ledger, root=root,
-                         registry={r: dict(t) for r, t in registry.items()},
-                         machine=init.copy(), mode=mode,
-                         stubs=dict(stubs or {}), touched=touched,
-                         free_list=tuple(free_list),
-                         reads={} if mode == COEXEC else None)
-        complaint = audit_ledger(ctx) if mode == COEXEC else None
-        if complaint is not None:
-            raise Reject(MACHINE_DISAGREE, None, complaint)
+        state = CheckState(ledger, {r: dict(t) for r, t in registry.items()},
+                           init.copy(), mode, dict(stubs or {}), free_list)
+        if mode == COEXEC:
+            state.reads = {}
+            complaint = audit_ledger(state)
+            if complaint is not None:
+                raise Reject(MACHINE_DISAGREE, None, complaint)
     except Reject as err:
         violation = Violation(err.kind, -1, err.location, err.narrative)
     else:
         for index, script_step in enumerate(script):
-            outcome = apply_rule(ctx, script_step, index)
+            outcome = apply_rule(state, script_step, index)
             if isinstance(outcome, Violation):
                 violation = outcome
                 break
-            ctx, record = outcome
-            records.append(record)
+            records.append(outcome)
 
     ok = violation is None
     return Report(root=root, mode=mode, records=tuple(records),
-                  final_ledger=ctx.ledger if ok else None,
-                  final_machine=ctx.machine if ok else None,
-                  final_root=ctx.root if ok else None, violation=violation,
-                  touched=frozenset(touched))
+                  final_ledger=state.ledger if ok else None,
+                  final_machine=state.machine if ok else None,
+                  final_root=state.root if ok else None, violation=violation,
+                  touched=frozenset(state.touched if state else ()))
 
 
 # --------------------------------------------------------------------------

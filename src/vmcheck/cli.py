@@ -21,12 +21,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .machine import (
-    Fault,
     MachineState,
     PAGE_SIZE,
     Reg,
     StepOpts,
-    step as machine_step,
+    execute,
     walk,
     walk_text,
 )
@@ -101,30 +100,21 @@ def cmd_run(args) -> int:
 
     opts = StepOpts(enforce_rw=not args.no_rw,
                     set_accessed=not args.no_accessed)
-    initial = cfg.to_machine_state()
-    state = initial
-    out = []
-    fault = None
+    state, out, written = cfg.to_machine_state(), [], []
     while state.pc < len(instrs):
-        instr = instrs[state.pc]
-        result = machine_step(state, instr, opts)
-        if isinstance(result, Fault):
-            if args.trace:
-                out.append(f"{state.pc:4d} | {print_instr(instr):<24} | "
-                           f"{state.reg(Reg.CR3):#x} | "
-                           f"fault: {result!r}")
-            fault = (state.pc, result)
-            break
+        pc, instr, writes = state.pc, instrs[state.pc], []
+        regs = dict(state.regs)
+        fault = execute(state, instr, opts, writes)
+        written += writes
         if args.trace:
-            out.append(f"{state.pc:4d} | {print_instr(instr):<24} | "
-                       f"{result.reg(Reg.CR3):#x} | "
-                       f"{_delta_text(state, result)}")
-        state = result
-
-    if fault is not None:
-        out.append(f"fault at pc {fault[0]}: {fault[1]!r}")
-        print("\n".join(out))
-        return 1
+            out.append(f"{pc:4d} | {print_instr(instr):<24} | "
+                       f"{state.reg(Reg.CR3):#x} | " +
+                       (f"fault: {fault!r}" if fault is not None
+                        else _delta_text(regs, state, writes)))
+        if fault is not None:
+            out.append(f"fault at pc {pc}: {fault!r}")
+            print("\n".join(out))
+            return 1
 
     out.append("registers:")
     for reg in sorted(state.regs, key=lambda r: r.value):
@@ -133,30 +123,29 @@ def cmd_run(args) -> int:
             out.append(f"  {reg.value}={val:#x}")
     out.append("memory:")
     out.extend(f"  {frame:#x}:{off:#x}={word:#x}"
-               for frame, off, word in _memory_diff(initial, state))
+               for frame, off, word in _changed_words(state, written))
     print("\n".join(out))
     return 0
 
 
-def _memory_diff(before: MachineState, after: MachineState):
-    """(frame, offset, word after) for each memory word that differs, in
-    address order; a word missing after reads as 0."""
-    for frame in sorted(set(before.mem) | set(after.mem)):
-        b = before.mem.get(frame, {})
-        a = after.mem.get(frame, {})
-        for off in sorted(set(b) | set(a)):
-            if b.get(off) != a.get(off):
-                yield frame, off, a.get(off, 0)
+def _changed_words(state: MachineState, writes: list) -> list:
+    """(frame, offset, word now) for each word of `writes` (as ``execute``
+    lists them) that differs from the first word it replaced there, in
+    address order."""
+    old = {(frame, off): word for frame, off, word in reversed(writes)}
+    return [(frame, off, state.mem[frame][off])
+            for (frame, off), word in sorted(old.items())
+            if state.mem[frame][off] != word]
 
 
-def _delta_text(before: MachineState, after: MachineState) -> str:
-    deltas = []
-    for reg in sorted(set(before.regs) | set(after.regs),
-                      key=lambda r: r.value):
-        if before.reg(reg) != after.reg(reg):
-            deltas.append(f"{reg.value}={after.reg(reg):#x}")
+def _delta_text(regs: dict, state: MachineState, writes: list) -> str:
+    """What one step changed: each register that differs from `regs`, as
+    they were before it, then each word it wrote that changed."""
+    deltas = [f"{reg.value}={state.reg(reg):#x}" for reg in
+              sorted(set(regs) | set(state.regs), key=lambda r: r.value)
+              if regs.get(reg, 0) != state.reg(reg)]
     deltas.extend(f"mem[{frame:#x}:{off:#x}]={word:#x}"
-                  for frame, off, word in _memory_diff(before, after))
+                  for frame, off, word in _changed_words(state, writes))
     return " ".join(deltas) if deltas else "-"
 
 

@@ -114,9 +114,12 @@ def _bulk(texts, align: int = 1) -> Optional[list]:
     return None
 
 
-def _frame_words(words: dict, frame: int) -> dict:
-    """The {offset: word} map of one memory frame's JSON object."""
-    if words.keys() <= _SLOTS.keys():
+def _frame_words(words: dict, frame: int, checked: set) -> dict:
+    """The {offset: word} map of one memory frame's JSON object.  `checked`
+    holds the key tuples this load found to be slots: a dump repeats one."""
+    keys = tuple(words)
+    if keys in checked or words.keys() <= _SLOTS.keys():
+        checked.add(keys)
         # a frame of every slot is the zero frame with its other words
         full = len(words) == len(_ZERO_FRAME)
         inner = _ZERO_FRAME.copy() if full else {}
@@ -160,7 +163,7 @@ def load_config(text: str) -> StateConfig:
             raise ConfigError(f"unknown register {name!r}") from None
         registers[reg] = _word(value, f"register {name}")
 
-    memory = {}
+    memory, checked = {}, set()
     for frame_text, words in _shaped(body.get("memory", {}), dict,
                                      "memory").items():
         frame = _num(frame_text, "memory frame")
@@ -168,7 +171,7 @@ def load_config(text: str) -> StateConfig:
             raise ConfigError(f"frame {frame:#x} out of range")
         _once("memory frame", frame, memory, body["memory"], frame_text)
         memory[frame] = _frame_words(
-            _shaped(words, dict, f"memory frame {frame:#x}"), frame)
+            _shaped(words, dict, f"memory frame {frame:#x}"), frame, checked)
 
     registry = {}
     for root_text, walks in _shaped(body.get("registry", {}), dict,

@@ -19,14 +19,14 @@ values enter (instruction constructors, the parser, the state loader).
 call too, but only to refuse misuse of the Python API: values from
 those entry points always pass.
 
-All operations are pure over value-semantics state: ``step``/``run``
-return fresh states and never mutate their input.  Copies share memory
-frames: ``MachineState.copy`` is copy-on-write per frame, and every
-in-place memory write (``write_word``, ``mem_set``, accessed-bit updates
-by ``translate`` with ``set_accessed=True``) goes through ``own_frame``,
-which copies a shared frame before its first write.  So a write never
-reaches a sibling copy, and the frames a state replaced since it was
-copied (``mem.owned``) are exactly the frames it wrote.  Code that writes
+The one in-place operation is the core, ``execute``: it runs an
+instruction on the given state and can list each word it writes with
+the word it replaced.  ``step`` and ``run`` are a copy plus the core, so
+they never mutate their input.  ``MachineState.copy`` is copy-on-write
+per frame: every in-place memory write goes through ``own_frame``, which
+copies a shared frame before its first write, so a write never reaches a
+sibling copy.  ``mem.owned`` is the frames a state has written since its
+last copy, over all its steps, not one step's writes.  Code that writes
 a frame's word map directly, bypassing ``own_frame``, breaks this.
 """
 
@@ -147,8 +147,8 @@ class PcOutOfRange(Fault):
 class Mem(dict):
     """Physical memory ``{frame: {offset: word}}`` whose word maps may be
     shared with copies.  ``owned`` holds the frames this map may write in
-    place, or is None when it shares none; any other frame is copied by
-    :func:`own_frame` before its first write."""
+    place (its copies), or is None when it shares none; any other frame
+    is copied by :func:`own_frame` before its first write."""
 
     __slots__ = ("owned",)
 
@@ -324,13 +324,15 @@ _LEVEL_SHIFTS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
 
 def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
-              slots: Optional[list] = None) -> Union[int, Fault]:
+              slots: Optional[list] = None,
+              writes: Optional[list] = None) -> Union[int, Fault]:
     """The walk kernel: the physical byte address `va` translates to under
     the tables rooted at `root`, or the walk's fault.
 
     With ``slots`` (a list), the byte address of each table slot read is
     appended to it, level 4 first.  With ``set_accessed`` each entry that
-    passes its present check gets its accessed bit, through ``own_frame``.
+    passes its present check gets its accessed bit, through ``own_frame``,
+    listed in ``writes`` (a list) as (frame, off, old entry).
     """
     if root % PAGE_SIZE:
         raise ValueError(f"table root {root:#x} is not page aligned")
@@ -348,6 +350,8 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
         if not entry & PTE_PRESENT:
             return NotPresent(level, va)
         if set_accessed and not entry & PTE_ACCESSED:
+            if writes is not None:
+                writes.append((frame, off, entry))
             own_frame(mem, frame)[off] = entry | PTE_ACCESSED
         frame = (entry >> 12) & _FRAME_MASK
     return (frame << 12) | (va & 0xFFF)
@@ -410,11 +414,11 @@ DEFAULT_OPTS = StepOpts()
 MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
 
 
-def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
-                   opts: StepOpts) -> Union[MachineState, Fault]:
-    """The one path of the memory forms: translate base + disp under cr3
-    (accessed bits land in `nxt`), then load the word into a register or
-    store a register's value.  Faults, in the order they are checked: a
+def _access_memory(state: MachineState, instr: Instr, opts: StepOpts,
+                   writes: Optional[list]) -> Optional[Fault]:
+    """The one path of the memory forms: translate base + disp under cr3,
+    load the word into a register or store a register's value, and
+    advance pc, in place.  Faults, in the order they are checked: a
     misaligned va, a misaligned root, the walk's own fault, a read-only
     entry on a store, an absent word."""
     if isinstance(instr, (MovRegFromMem, MovToCr3FromMem)):
@@ -427,72 +431,87 @@ def _access_memory(state: MachineState, nxt: MachineState, instr: Instr,
     root = state.reg(Reg.CR3)
     if root % PAGE_SIZE:
         return Misaligned(root)
+    mem = state.mem
     check_rw = store is not None and opts.enforce_rw
     slots = [] if check_rw else None
-    pa = translate(root, nxt.mem, va, opts.set_accessed, slots)
+    pa = translate(root, mem, va, opts.set_accessed, slots, writes)
     if not isinstance(pa, int):
         return pa
     if check_rw:
         for level, slot in zip((4, 3, 2, 1), slots):
-            if not nxt.mem[slot >> 12][slot & 0xFFF] & PTE_WRITABLE:
+            if not mem[slot >> 12][slot & 0xFFF] & PTE_WRITABLE:
                 return ReadOnly(level, va)
-    if store is not None:
-        fail = nxt.write_word(pa >> 12, pa & 0xFFF, state.reg(store))
-        return nxt if fail is None else fail
-    value = nxt.read_word(pa >> 12, pa & 0xFFF)
-    if isinstance(value, Fault):
-        return value
-    nxt.regs[load] = value
-    return nxt
+    frame, off = pa >> 12, pa & 0xFFF
+    word = state.read_word(frame, off)
+    if isinstance(word, Fault):
+        return word
+    if store is None:
+        state.regs[load] = word
+    else:
+        if writes is not None:
+            writes.append((frame, off, word))
+        own_frame(mem, frame)[off] = state.reg(store)
+    state.pc += 1
+    return None
 
 
-def step(state: MachineState, instr: Instr,
-         opts: StepOpts = DEFAULT_OPTS) -> Union[MachineState, Fault]:
-    """Execute one instruction, returning the successor state or the fault.
+def execute(state: MachineState, instr: Instr, opts: StepOpts = DEFAULT_OPTS,
+            writes: Optional[list] = None) -> Optional[Fault]:
+    """Execute one instruction on `state` itself; None, or the fault.
 
     A control register in a data operand (``dst``, ``src`` or ``base``,
-    checked in that order) faults before anything else.  The input state
-    is never modified; at most one memory word changes in the result
-    (plus accessed bits when enabled).
+    checked in that order) faults before anything else.  At most one
+    memory word changes, plus accessed bits when enabled, each listed in
+    ``writes`` (a list) as (frame, off, old word).  A fault changes no
+    register or pc, only the accessed bits its walk set.
     """
     for operand in (getattr(instr, "dst", None), getattr(instr, "src", None),
                     getattr(instr, "base", None)):
         if operand is not None and not operand.is_data:
             return BadRegister(operand)
-    nxt = state.copy()
-    nxt.pc = state.pc + 1
+    regs = state.regs
     if isinstance(instr, MovRegReg):
-        nxt.regs[instr.dst] = state.reg(instr.src)
+        regs[instr.dst] = state.reg(instr.src)
     elif isinstance(instr, MovRegImm):
-        nxt.regs[instr.dst] = instr.imm
+        regs[instr.dst] = instr.imm
     elif isinstance(instr, AddRegImm):
-        nxt.regs[instr.dst] = (state.reg(instr.dst) + instr.imm) % (1 << 64)
+        regs[instr.dst] = (state.reg(instr.dst) + instr.imm) % (1 << 64)
     elif isinstance(instr, MovToCr3FromReg):
-        nxt.regs[Reg.CR3] = state.reg(instr.src)
+        regs[Reg.CR3] = state.reg(instr.src)
     elif isinstance(instr, MovRegFromCr3):
-        nxt.regs[instr.dst] = state.reg(Reg.CR3)
+        regs[instr.dst] = state.reg(Reg.CR3)
     elif isinstance(instr, MEM_FORMS):
-        return _access_memory(state, nxt, instr, opts)
+        return _access_memory(state, instr, opts, writes)
     elif not isinstance(instr, Skip):
         raise TypeError(f"unknown instruction {instr!r}")
-    return nxt
+    state.pc += 1
+    return None
+
+
+def step(state: MachineState, instr: Instr,
+         opts: StepOpts = DEFAULT_OPTS) -> Union[MachineState, Fault]:
+    """The successor state of one instruction, or the fault: `execute` on
+    a copy, so the input state is never modified."""
+    nxt = state.copy()
+    fault = execute(nxt, instr, opts)
+    return nxt if fault is None else fault
 
 
 def run(state: MachineState, program: Iterable[Instr],
         opts: StepOpts = DEFAULT_OPTS) -> Union[MachineState, tuple]:
-    """Fold `step` over the program, halting at the end of the list.
+    """Execute the program on a copy of `state`, halting at the end of the
+    list.
 
     Returns the final state, or (pc, fault) for the first fault.
     """
     program = list(program)
-    current = state
-    if not (0 <= current.pc <= len(program)):
-        return (current.pc, PcOutOfRange(current.pc))
+    if not (0 <= state.pc <= len(program)):
+        return (state.pc, PcOutOfRange(state.pc))
+    current = state.copy()
     while current.pc < len(program):
-        result = step(current, program[current.pc], opts)
-        if isinstance(result, Fault):
-            return (current.pc, result)
-        current = result
+        fault = execute(current, program[current.pc], opts)
+        if fault is not None:
+            return (current.pc, fault)
     return current
 
 

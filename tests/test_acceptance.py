@@ -57,11 +57,12 @@ from vmcheck.assertions import (
 from vmcheck.ghost import ias_check
 from vmcheck.checker import (
     AssertStep,
-    CheckerCtx,
     COEXEC,
+    CheckState,
     GhostRemoveWalk,
     InstrStep,
     UNSOUND_FRAME,
+    Violation,
     apply_rule,
     check_double,
     frame_audit,
@@ -397,21 +398,16 @@ def _candidate_steps(rng, ctx, roots):
 def _generate_script(rng, target_len=18):
     state, registry, roots, pre = _coexec_fixture()
     ledger = lower(pre, roots[0], registry)
-    ctx = CheckerCtx(ledger=ledger, root=roots[0],
-                     registry={r: dict(t) for r, t in registry.items()},
-                     machine=state.copy(), mode=COEXEC, stubs={},
-                     touched=set())
+    ctx = CheckState(ledger, {r: dict(t) for r, t in registry.items()},
+                     state.copy(), COEXEC)
     script = []
     attempts = 0
     while len(script) < target_len and attempts < 150:
         attempts += 1
         for step in _candidate_steps(rng, ctx, roots):
-            outcome = apply_rule(ctx, step, len(script))
-            if isinstance(outcome, tuple):
-                ctx, _record = outcome
-                script.append(step)
-            else:
+            if isinstance(apply_rule(ctx, step, len(script)), Violation):
                 break
+            script.append(step)
     return state, registry, roots, pre, script, ctx
 
 

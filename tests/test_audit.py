@@ -36,8 +36,8 @@ from vmcheck.assertions import (
 from vmcheck.checker import (
     AssertStep,
     CallStep,
-    CheckerCtx,
     COEXEC,
+    CheckState,
     GhostInsertWalk,
     GhostRemoveWalk,
     InstrStep,
@@ -214,20 +214,18 @@ def _alias_script(rng):
     state, registry, root, root_b, l1_a, l1_b = _alias_fixture()
     entries = [_word(state, pa) for pa in (l1_a, l1_a + 8, l1_a + 16, l1_b)]
     pre = _alias_pre(rng, state, root_b, l1_a, l1_b)
-    ctx = CheckerCtx(ledger=lower(pre, root, registry), root=root,
-                     registry={r: dict(t) for r, t in registry.items()},
-                     machine=state.copy(), mode=COEXEC, stubs={},
-                     touched=set())
+    check = CheckState(lower(pre, root, registry),
+                       {r: dict(t) for r, t in registry.items()},
+                       state.copy(), COEXEC)
     script = []
     for _attempt in range(60):
         for step in _alias_candidates(rng, (root, root_b), entries):
-            outcome = apply_rule(ctx, step, len(script))
+            outcome = apply_rule(check, step, len(script))
             if isinstance(outcome, Violation):
                 if outcome.kind == MACHINE_DISAGREE:
                     script.append(step)
                     return state, registry, root, pre, script
                 break
-            ctx, _record = outcome
             script.append(step)
     return state, registry, root, pre, script
 
@@ -354,10 +352,9 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
     # claim for it: the entry the step changed is still re-walked
     state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
 
-    def trusting(ctx, _draft, step):
-        theta = {**ctx.registry[ctx.root], step.va: step.pa}
-        return (ctx._replace(registry={**ctx.registry, ctx.root: theta}),
-                "ghost-insert-walk")
+    def trusting(check, _draft, step):
+        check.registry[check.root][step.va] = step.pa
+        return "ghost-insert-walk"
 
     monkeypatch.setitem(checker._RULES, GhostInsertWalk, trusting)
     report = check_double(sep(IASpace()), root,

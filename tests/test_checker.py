@@ -23,6 +23,7 @@ from vmcheck.machine import (
     walk,
 )
 from vmcheck import assertions, checker
+from vmcheck import machine as machine_module
 from vmcheck.assertions import (
     Emp,
     FULL,
@@ -81,6 +82,7 @@ from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
+from test_audit import ALIAS_B_VA, DATA_VA, _alias_fixture
 from test_caches import _caches
 from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
                  random_assertion)
@@ -955,15 +957,11 @@ def test_a_ghost_insert_step_pays_only_for_its_consumes(monkeypatch):
     first = next(i for i, s in enumerate(case.script)
                  if isinstance(s, GhostInsertWalk))
     rescales = _count_rescales(monkeypatch)
-    ctx = checker.CheckerCtx(
-        ledger=lower(case.pre, case.root, case.registry), root=case.root,
-        registry={r: dict(t) for r, t in case.registry.items()},
-        machine=case.state.copy(), mode=RESOURCE_ONLY, stubs=case.stubs,
-        touched=set(), free_list=case.free_list)
+    check = _case_state(case, RESOURCE_ONLY)
     for index, step in enumerate(case.script[:first]):
-        ctx, _record = checker.apply_rule(ctx, step, index)
+        checker.apply_rule(check, step, index)
     for index in range(first, first + 3):
-        ctx, record = checker.apply_rule(ctx, case.script[index], index)
+        record = checker.apply_rule(check, case.script[index], index)
         assert record.rule == "ghost-insert-walk"
         assert len(record.consumed) == 4 and len(record.produced) == 1
     # the chain shares divide the first denominator: no claim is rescaled,
@@ -974,6 +972,14 @@ def test_a_ghost_insert_step_pays_only_for_its_consumes(monkeypatch):
 THIRD = Fraction(1, 3)
 
 
+def _case_state(case, mode):
+    """A check state at the start of `case`, on copies of its fixture."""
+    return checker.CheckState(
+        lower(case.pre, case.root, case.registry),
+        {r: dict(t) for r, t in case.registry.items()}, case.state.copy(),
+        mode, case.stubs, case.free_list)
+
+
 def _widened_ctx(state, registry, root, *claims):
     """A resource-mode context whose ledger is lowered from `claims` after
     a third of an unrelated word, so each of them enters a ledger whose
@@ -981,10 +987,8 @@ def _widened_ctx(state, registry, root, *claims):
     ledger = lower(Sep((PhysPt(0x5, 0, THIRD, 0x1111), *claims)), root,
                    registry)
     assert ledger.den == 3 * 512 ** 4
-    ctx = checker.CheckerCtx(ledger=ledger, root=root, registry=registry,
-                             machine=state, mode=RESOURCE_ONLY, stubs={},
-                             touched=set())
-    return ctx, oracle.FractionLedger().add(PhysLoc(0x5, 0), THIRD, 0x1111)
+    check = checker.CheckState(ledger, registry, state.copy(), RESOURCE_ONLY)
+    return check, oracle.FractionLedger().add(PhysLoc(0x5, 0), THIRD, 0x1111)
 
 
 def _chain_of(state, root, va, pa):
@@ -1010,13 +1014,13 @@ def test_ghost_insert_and_remove_after_a_third_widened_the_ledger():
     for loc, q, entry in chain:
         want = want.add(loc, q, entry)
     assert fraction_claims(ctx.ledger) == want.claims
-    ctx, record = checker.apply_rule(ctx, GhostInsertWalk(va, pa), 0)
+    record = checker.apply_rule(ctx, GhostInsertWalk(va, pa), 0)
     for loc, q, entry in chain:
         want = want.consume(loc, q, entry)
     want = want.add(WalkLoc(root, va), FULL, pa)
     assert fraction_claims(ctx.ledger) == want.claims
     assert record.produced == (f"walk:{root:#x}:{va:#x} 1 {pa:#x}",)
-    ctx, record = checker.apply_rule(ctx, GhostRemoveWalk(va), 1)
+    record = checker.apply_rule(ctx, GhostRemoveWalk(va), 1)
     want = want.consume(WalkLoc(root, va), FULL)
     for loc, q, entry in chain:
         want = want.add(loc, q, entry)
@@ -1066,14 +1070,10 @@ def test_the_ghost_rules_turn_no_share_into_a_numerator(monkeypatch):
                         lambda draft, q: calls.append(q) or real(draft, q))
     ghost_steps = 0
     for case in (map_page_case(16), case_study("unmap_page")):
-        ctx = checker.CheckerCtx(
-            ledger=lower(case.pre, case.root, case.registry), root=case.root,
-            registry={r: dict(t) for r, t in case.registry.items()},
-            machine=case.state.copy(), mode=RESOURCE_ONLY, stubs=case.stubs,
-            touched=set(), free_list=case.free_list)
+        check = _case_state(case, RESOURCE_ONLY)
         for index, step in enumerate(case.script):
             calls.clear()
-            ctx, _record = checker.apply_rule(ctx, step, index)
+            checker.apply_rule(check, step, index)
             if isinstance(step, (GhostInsertWalk, GhostRemoveWalk)):
                 assert calls == [], step
                 ghost_steps += 1
@@ -1153,30 +1153,45 @@ def test_the_ghost_inserts_build_each_chain_slot_location_once(
     assert built[WalkLoc] == 64
 
 
-def _refused_leaving_the_ledger(ctx, script_step):
-    claims, den = dict(ctx.ledger.claims), ctx.ledger.den
-    held = fraction_claims(ctx.ledger)
-    walk_maps = {root: dict(theta) for root, theta in ctx.registry.items()}
-    outcome = checker.apply_rule(ctx, script_step, 0)
+def _machine_words(machine):
+    """A machine's registers, pc and every memory word, as plain values."""
+    return (dict(machine.regs), machine.pc,
+            {frame: dict(words) for frame, words in machine.mem.items()})
+
+
+def _refused_leaving_the_ledger(check, script_step):
+    """The refusal of `script_step`, which must leave the state as it was:
+    claims, den, walk maps, root, and the same machine with the same
+    registers, pc and memory words."""
+    claims, den = dict(check.ledger.claims), check.ledger.den
+    held = fraction_claims(check.ledger)
+    walk_maps = {root: dict(theta) for root, theta in check.registry.items()}
+    root, machine = check.root, check.machine
+    words = _machine_words(machine)
+    outcome = checker.apply_rule(check, script_step, 0)
     assert isinstance(outcome, Violation)
-    assert fraction_claims(ctx.ledger) == held
-    assert (ctx.ledger.claims, ctx.ledger.den) == (claims, den)
-    assert ctx.registry == walk_maps
+    assert fraction_claims(check.ledger) == held
+    assert (check.ledger.claims, check.ledger.den) == (claims, den)
+    assert (check.registry, check.root) == (walk_maps, root)
+    assert check.machine is machine
+    assert _machine_words(machine) == words
     return outcome
 
 
-def _takes_the_next_step_after_refusing(make_ctx, refused, accepted):
-    """The refusal of `refused` on a context from `make_ctx`, after which
-    that context takes `accepted` as a fresh one does: the same record and
-    the same claims, walk maps and root after it."""
-    want_ctx, want = checker.apply_rule(make_ctx(), accepted, 1)
-    ctx = make_ctx()
-    violation = _refused_leaving_the_ledger(ctx, refused)
-    got_ctx, got = checker.apply_rule(ctx, accepted, 1)
+def _takes_the_next_step_after_refusing(make_state, refused, accepted):
+    """The refusal of `refused` on a state from `make_state`, after which
+    that state takes `accepted` as a fresh one does: the same record and
+    the same claims, walk maps, root and machine after it."""
+    want_state = make_state()
+    want = checker.apply_rule(want_state, accepted, 1)
+    check = make_state()
+    violation = _refused_leaving_the_ledger(check, refused)
+    got = checker.apply_rule(check, accepted, 1)
     assert got == want
-    assert fraction_claims(got_ctx.ledger) == fraction_claims(want_ctx.ledger)
-    assert (got_ctx.registry, got_ctx.root) == \
-        (want_ctx.registry, want_ctx.root)
+    assert fraction_claims(check.ledger) == fraction_claims(want_state.ledger)
+    assert (check.registry, check.root) == \
+        (want_state.registry, want_state.root)
+    assert _machine_words(check.machine) == _machine_words(want_state.machine)
     return violation, got
 
 
@@ -1194,11 +1209,9 @@ def test_an_insert_refused_partway_leaves_the_ledger_before_it():
                (node.l4e, node.l3e, node.l2e))
     ledger = Ledger.build(root, {SpaceLoc(root): (FULL, root),
                                  **{loc: (q, v) for loc, q, v in held}})
-    ctx = checker.CheckerCtx(ledger=ledger, root=root, registry=registry,
-                             machine=state, mode=RESOURCE_ONLY, stubs={},
-                             touched=set())
+    check = checker.CheckState(ledger, registry, state.copy(), RESOURCE_ONLY)
     violation = _refused_leaving_the_ledger(
-        ctx, GhostInsertWalk(0x20_1000, 0x6000))
+        check, GhostInsertWalk(0x20_1000, 0x6000))
     assert (violation.kind, violation.location) == \
         (INSUFFICIENT_FRACTION, str(slots[3]))
 
@@ -1220,11 +1233,9 @@ def test_a_ghost_step_refused_by_the_audit_is_undone(inserted):
         walk_maps = {r: dict(t) for r, t in registry.items()}
         if inserted:
             del walk_maps[root][va]
-        return checker.CheckerCtx(
-            ledger=lower(sep(IASpace(), claim, RegPt(Reg.RAX, FULL, 0x99)),
-                         root, walk_maps),
-            root=root, registry=walk_maps, machine=state.copy(), mode=COEXEC,
-            stubs={}, touched=set())
+        return checker.CheckState(
+            lower(sep(IASpace(), claim, RegPt(Reg.RAX, FULL, 0x99)), root,
+                  walk_maps), walk_maps, state.copy(), COEXEC)
 
     violation, record = _takes_the_next_step_after_refusing(
         make_ctx, step, InstrStep(MovRegImm(Reg.RAX, 7)))
@@ -1245,9 +1256,8 @@ def test_a_remove_refused_after_its_consume_is_undone():
     def make_ctx():
         walk_maps = {r: dict(t) for r, t in registry.items()}
         del walk_maps[root][va]
-        return checker.CheckerCtx(
-            ledger=lower(pre, root, walk_maps), root=root, registry=walk_maps,
-            machine=state.copy(), mode=RESOURCE_ONLY, stubs={}, touched=set())
+        return checker.CheckState(lower(pre, root, walk_maps), walk_maps,
+                                  state.copy(), RESOURCE_ONLY)
 
     violation, record = _takes_the_next_step_after_refusing(
         make_ctx, GhostRemoveWalk(va),
@@ -1273,11 +1283,9 @@ def test_a_step_refused_after_a_rescale_is_undone():
     }
 
     def make_ctx():
-        return checker.CheckerCtx(
-            ledger=lower(sep(IASpace(), PhysPt(0x5, 0, FULL, 0x1111)),
-                         roots[0], registry),
-            root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
-            stubs=stubs, touched=set())
+        return checker.CheckState(
+            lower(sep(IASpace(), PhysPt(0x5, 0, FULL, 0x1111)), roots[0],
+                  registry), registry, state.copy(), RESOURCE_ONLY, stubs)
 
     violation, record = _takes_the_next_step_after_refusing(
         make_ctx, CallStep("two"), CallStep("one"))
@@ -1297,15 +1305,13 @@ def test_an_error_raised_through_a_step_is_undone():
 
     stub = StubSpec(name="broken", consumes=(RegPt(Reg.RAX, FULL, None),),
                     apply=broken)
-    ctx = checker.CheckerCtx(
-        ledger=lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0],
-                     registry),
-        root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
-        stubs={"broken": stub}, touched=set())
-    held = dict(ctx.ledger.claims)
+    check = checker.CheckState(
+        lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0], registry),
+        registry, state.copy(), RESOURCE_ONLY, {"broken": stub})
+    held = dict(check.ledger.claims)
     with pytest.raises(KeyError, match="effect"):
-        checker.apply_rule(ctx, CallStep("broken"), 0)
-    assert ctx.ledger.claims == held
+        checker.apply_rule(check, CallStep("broken"), 0)
+    assert check.ledger.claims == held
 
 
 def test_an_accepted_insert_writes_the_claims_and_walk_map_in_place():
@@ -1314,16 +1320,13 @@ def test_an_accepted_insert_writes_the_claims_and_walk_map_in_place():
     registry = {r: dict(t) for r, t in registry.items()}
     del registry[root][0x20_1000]
     node = chain_claim(state, root, 0x20_1000, 0x6000)
-    ctx = checker.CheckerCtx(
-        ledger=lower(sep(IASpace(), node), root, registry), root=root,
-        registry=registry, machine=state, mode=RESOURCE_ONLY, stubs={},
-        touched=set())
-    claims, theta = ctx.ledger.claims, ctx.registry[root]
-    new_ctx, record = checker.apply_rule(
-        ctx, GhostInsertWalk(0x20_1000, 0x6000), 0)
+    check = checker.CheckState(lower(sep(IASpace(), node), root, registry),
+                               registry, state.copy(), RESOURCE_ONLY)
+    claims, theta = check.claims, check.registry[root]
+    record = checker.apply_rule(check, GhostInsertWalk(0x20_1000, 0x6000), 0)
     assert record.rule == "ghost-insert-walk"
-    assert new_ctx.ledger.claims is claims
-    assert new_ctx.registry[root] is theta
+    assert check.ledger.claims is claims
+    assert check.registry[root] is theta
     assert theta[0x20_1000] == 0x6000
     assert claims[WalkLoc(root, 0x20_1000)][1] == 0x6000
 
@@ -1359,14 +1362,171 @@ def test_a_call_refused_partway_leaves_the_ledger_before_it():
     stub = StubSpec(name="two", consumes=(RegPt(Reg.RAX, FULL, None),
                                           PhysPt(0x300, 0, FULL, 0)),
                     apply=lambda env: pytest.fail("the stub ran"))
-    ctx = checker.CheckerCtx(
-        ledger=lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0],
-                     registry),
-        root=roots[0], registry=registry, machine=state, mode=RESOURCE_ONLY,
-        stubs={"two": stub}, touched=set())
-    violation = _refused_leaving_the_ledger(ctx, CallStep("two"))
+    check = checker.CheckState(
+        lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0], registry),
+        registry, state.copy(), RESOURCE_ONLY, {"two": stub})
+    violation = _refused_leaving_the_ledger(check, CallStep("two"))
     assert (violation.kind, violation.location) == \
         (STUB_PRE_FAILED, "phys:0x300:0x0")
+
+
+def _audited(check):
+    """`check` after the full audit that starts a co-execution check."""
+    check.reads = {}
+    assert checker.audit_ledger(check) is None
+    return check
+
+
+def _swtch_refusal(read_only):
+    """A swtch start, with the save page's L1 entry read-only if asked."""
+    case = swtch_case()
+
+    def make_state():
+        check = _audited(_case_state(case, COEXEC))
+        if read_only:
+            mem_set(check.machine.mem, 0x103, 0x0, 0x21_0001)
+        return check
+
+    return make_state, case.script
+
+
+def _alias_store_refusal():
+    """A store through an alias into space B's L1 table, which breaks the
+    held walk claim of DATA_VA in space B."""
+    state, registry, root, root_b, _l1_a, l1_b = _alias_fixture()
+    state.regs[Reg.RDI] = ALIAS_B_VA
+    entry = state.mem[l1_b >> 12][l1_b & 0xFFF]
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0),
+              RegPt(Reg.RDI, FULL, ALIAS_B_VA),
+              VirtPt(ALIAS_B_VA, FULL, entry),
+              OtherSpace(root_b, VirtPt(DATA_VA, FULL, 0x3333)))
+
+    def make_state():
+        walk_maps = {r: dict(t) for r, t in registry.items()}
+        return _audited(checker.CheckState(lower(pre, root, walk_maps),
+                                           walk_maps, state.copy(), COEXEC))
+
+    return make_state, root_b
+
+
+def _lying_call_refusal():
+    """A stub whose machine holds rax = 9 but which promises rax = 8: the
+    call is refused after the check took the stub's machine."""
+    state, registry, roots = fixture()
+
+    def apply(env):
+        machine = env.machine.copy()
+        machine.regs[Reg.RAX] = 9
+        return StubResult(lower(RegPt(Reg.RAX, FULL, 8), env.root), machine,
+                          env.free_cursor)
+
+    stub = StubSpec(name="lie", consumes=(RegPt(Reg.RAX, FULL, None),),
+                    apply=apply)
+
+    def make_state():
+        walk_maps = {r: dict(t) for r, t in registry.items()}
+        return _audited(checker.CheckState(
+            lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
+                      RegPt(Reg.RBX, FULL, 0)), roots[0], walk_maps),
+            walk_maps, state.copy(), COEXEC, {"lie": stub}))
+
+    return make_state
+
+
+@pytest.mark.parametrize("by", ("ledger", "machine", "audit", "call"))
+def test_a_refused_step_leaves_the_state_and_machine_as_they_were(by):
+    # an instruction refused by the ledger, by a machine fault or by the
+    # audit after it wrote a word, and a call refused after its stub
+    # handed over a machine: each leaves the registers, pc, every memory
+    # word, the machine reference, claims, den and walk maps as they were,
+    # and the state then takes its next step as a fresh one does
+    if by == "ledger":
+        make_state, script = _swtch_refusal(read_only=False)
+        refused, accepted = InstrStep(MovMemFromReg(Reg.RDI, 64, Reg.RBX)), \
+            script[8]
+        want = Violation(MISSING_RESOURCE, 0, "walk:0x100000:0x600040",
+                         "no walk claim for va 0x600040 in the current space")
+    elif by == "machine":
+        make_state, script = _swtch_refusal(read_only=True)
+        refused, accepted = script[0], script[8]
+        want = Violation(MACHINE_DISAGREE, 0, None,
+                         "ledger accepts pc 0 but the machine faults: "
+                         "ReadOnly(level=1, va=6291456)")
+    elif by == "audit":
+        # the audit sees the broken walk: the store wrote the word first
+        make_state, root_b = _alias_store_refusal()
+        refused = InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))
+        accepted = InstrStep(MovRegImm(Reg.RAX, 5))
+        want = Violation(MACHINE_DISAGREE, 0, None,
+                         f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, "
+                         f"machine walk NotPresent(level=1, va={DATA_VA})")
+    else:
+        make_state, refused = _lying_call_refusal(), CallStep("lie")
+        accepted = InstrStep(MovRegImm(Reg.RBX, 5))
+        want = Violation(STUB_PRE_FAILED, 0, "lie",
+                         "stub lie promised claims the machine does not "
+                         "satisfy: reg:rax: ledger 0x8, machine 0x9")
+    violation, record = _takes_the_next_step_after_refusing(
+        make_state, refused, accepted)
+    assert violation == want
+    assert record.rule == ("load-virt" if by in ("ledger", "machine")
+                           else "reg-imm")
+
+
+def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
+    # the full audit after a call indexes the walks afresh and stops at
+    # its first complaint, here before any walk: the refusal puts the
+    # index from before the call back, and a store that breaks a walk is
+    # still caught by the per-step audit after it
+    make_state, root_b = _alias_store_refusal()
+
+    def apply(env):
+        machine = env.machine.copy()
+        machine.regs[Reg.RAX] = 1
+        return StubResult(lower(Emp(), env.root), machine, env.free_cursor)
+
+    check = make_state()
+    check.stubs["clobber"] = StubSpec(name="clobber", consumes=(),
+                                      apply=apply)
+    violation = _refused_leaving_the_ledger(check, CallStep("clobber"))
+    assert violation.narrative == "reg:rax: ledger 0x0, machine 0x1"
+    assert checker.apply_rule(
+        check, InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX)), 1) == \
+        Violation(MACHINE_DISAGREE, 1, None,
+                  f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, machine "
+                  f"walk NotPresent(level=1, va={DATA_VA})")
+
+
+def test_an_accepted_coexec_swtch_check_copies_init_once_and_a_frame_once(
+        monkeypatch):
+    # the check steps one machine in place: the only machine copy is of
+    # init, and each frame the stores write is copied once, on its first
+    # write, away from the frames init shares
+    case = swtch_case()
+    copies, frames = [], []
+    real_copy, real_own = MachineState.copy, machine_module.own_frame
+
+    def own_frame(mem, frame):
+        words = real_own(mem, frame)
+        if mem is not case.state.mem and words is case.state.mem.get(frame):
+            pytest.fail("a write reached a frame init holds")
+        frames.append((id(mem), frame, id(words)))
+        return words
+
+    monkeypatch.setattr(MachineState, "copy",
+                        lambda machine: copies.append(machine)
+                        or real_copy(machine))
+    monkeypatch.setattr(machine_module, "own_frame", own_frame)
+    report = check_double(case.pre, case.root, case.script, case.stubs,
+                          mode=COEXEC, init=case.state, registry=case.registry)
+    assert report.ok, report.violation
+    assert len(copies) == 1 and copies[0] is case.state
+    # eight stores into the save page, all into one copy of its frame
+    assert len(frames) == 8
+    assert {(mem, frame) for mem, frame, _words in frames} == \
+        {(id(report.final_machine.mem), 0x210)}
+    assert len({words for _mem, _frame, words in frames}) == 1
+    assert report.final_machine.mem[0x210] is not case.state.mem[0x210]
 
 
 def test_a_check_copies_no_claims_dict(monkeypatch):

@@ -246,6 +246,22 @@ def test_frames_the_bulk_path_refuses_keep_their_word_by_word_error(
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("0x1000", "offset 0x1000 is not a word slot"),
+    ("0x4", "offset 0x4 is not a word slot"),
+    ("0x08", "memory frame 0x6 offset 0x8 spelled '0x8' and '0x08'"),
+])
+def test_a_bad_offset_after_a_good_full_frame_keeps_its_error(bad, message):
+    # a load checks a full frame's keys once: a later frame whose keys
+    # differ in one offset is still checked, and read word by word
+    good = {f"{off:#x}": "0x0" for off in range(0, 4096, 8)}
+    later = {(bad if key == "0xff8" else key): word
+             for key, word in good.items()}
+    with pytest.raises(ConfigError) as err:
+        load_config(json.dumps({"memory": {"0x5": good, "0x6": later}}))
+    assert str(err.value) == message
+
+
 def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
     # the dumper's spelling is the bulk path's: a change to either that
     # loses the match sends every word back through _word
