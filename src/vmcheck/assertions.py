@@ -14,14 +14,15 @@ Two complementary readings are provided:
   audits lowered claims instead; this is the reference the tests use.
 * ``lower`` turns an assertion into a :class:`Ledger`: a dict from
   concrete locations to (share, value) claims.  Root-relative claims are
-  keyed by the root that governs them, so wrapping and unwrapping the
-  other-space modality is reflected purely in the keys.  A walk-chain
-  claim that is false on its own entries (``chain_fault``) does not
-  lower.
+  keyed by the root that governs them, the innermost wrapper's, so the
+  wrapper laws hold in the keys alone: a wrapper distributes over ``*``
+  and vanishes around ``emp`` and facts (a pure fact keeps a root that
+  only ``unmapped`` reads).  A walk-chain claim that is false on its own
+  entries (``chain_fault``) does not lower.
 
-A draft changes a claims dict in place (a copy from ``Ledger.edit``, or
-the checker's one ledger) and journals each changed location's claim,
-for step records and undo.  Locations are tuples that are their own sort
+A draft changes a claims dict in place (``lower``'s own, or the
+checker's one ledger) and journals each changed location's claim, for
+step records and undo.  Locations are tuples that are their own sort
 key.  A refusal is a ``Reject``: a failed ledger operation raises a
 ``LedgerError`` of its kind, and ``contains`` returns the one for its
 first uncovered claim.
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import Optional
 
 from .machine import (
     MachineState,
@@ -313,49 +314,6 @@ def sep(*parts: Assertion) -> Assertion:
 
 
 # --------------------------------------------------------------------------
-# Facts and normalization
-
-
-def is_fact(a: Assertion) -> bool:
-    """True when the assertion's verdict cannot depend on the evaluation
-    root: register, physical and arithmetic claims, and anything fully
-    wrapped in an other-space modality.  Virtual/PTE points-to, the space
-    invariant, walk-chain claims and walk-map absence are root-relative.
-    """
-    if isinstance(a, (Emp, RegPt, PhysPt)):
-        return True
-    if isinstance(a, Pure):
-        return not isinstance(a.pred, PredUnmapped)
-    if isinstance(a, (VirtPt, PtePt, IASpace, L4L1PointsTo)):
-        return False
-    if isinstance(a, OtherSpace):
-        return True
-    if isinstance(a, Sep):
-        return all(is_fact(p) for p in a.parts)
-    raise TypeError(f"unknown assertion {a!r}")
-
-
-def normalize(a: Assertion) -> Assertion:
-    """Push other-space wrappers through separating conjunction, collapse
-    nested wrappers to the innermost, erase wrappers around facts, drop
-    Emp units, and canonicalize Sep ordering.  Idempotent."""
-    if isinstance(a, Sep):
-        return sep(*(normalize(p) for p in a.parts))
-    if isinstance(a, OtherSpace):
-        body = normalize(a.body)
-        if isinstance(body, Sep):
-            return sep(*(normalize(OtherSpace(a.root, p)) for p in body.parts))
-        if isinstance(body, Emp):
-            return Emp()
-        if isinstance(body, OtherSpace):
-            return body  # inner wrapper pins the evaluation root
-        if is_fact(body):
-            return body
-        return OtherSpace(a.root, body)
-    return a
-
-
-# --------------------------------------------------------------------------
 # Ledger locations
 
 
@@ -423,13 +381,6 @@ class Ledger:
     claims: dict = field(default_factory=dict, hash=False)
     pures: frozenset = frozenset()  # {(governing_root, Pred)}
     den: int = field(default=DEN, compare=False)
-
-    @classmethod
-    def build(cls, root: int, claims: Mapping, pures=frozenset()) -> "Ledger":
-        draft = LedgerDraft(root, {}, frozenset(pures), journal=None)
-        for loc, (q, v) in claims.items():
-            draft.claims[loc] = (draft.share(check_share(q)), v)
-        return draft.done()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ledger) and (
@@ -584,7 +535,8 @@ class LedgerDraft:
         return self
 
     def join(self, other: Ledger) -> "LedgerDraft":
-        """Add every claim of `other` (see :func:`ledger_join`)."""
+        """Disjoint composition: add every claim of `other`, a ledger under
+        the same root, in location order (the first failing one raises)."""
         if self.root != other.root:
             raise ValueError("ledgers joined under different evaluation roots")
         k = self.widen(other.den)
@@ -592,12 +544,6 @@ class LedgerDraft:
             self._add(loc, n * k, v)
         self.pures = self.pures | other.pures
         return self
-
-
-def ledger_join(a: Ledger, b: Ledger) -> Ledger:
-    """Disjoint composition: shares add per location, values must agree.
-    The first failing location in location order is reported."""
-    return a.edit().join(b).done()
 
 
 # --------------------------------------------------------------------------

@@ -359,10 +359,10 @@ def _walk_map(state: CheckState) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Per-step rules: each takes the check state and the draft its ledger
-# changes go to (in a check, the state itself), changes them in place and
-# returns the rule's name, or refuses the step by raising a Reject (a
-# failed ledger operation's LedgerError is one), which apply_rule undoes.
+# Per-step rules: each takes the check state and the step, changes the
+# state in place and returns the rule's name, or refuses the step by
+# raising a Reject (a failed ledger operation's LedgerError is one), which
+# apply_rule undoes.
 
 
 def _space_witness(state: CheckState, root: int) -> None:
@@ -389,28 +389,28 @@ def _switch_root(state: CheckState, new_root: int, rule: str) -> str:
     return rule
 
 
-def _set_value(draft: LedgerDraft, loc: Location, value: int,
+def _set_value(state: CheckState, loc: Location, value: int,
                rule: str) -> str:
     """Overwrite a fully held claim: a rule's outcome."""
-    draft.set_value(loc, value)
+    state.set_value(loc, value)
     return rule
 
 
-def _apply_instr(state: CheckState, draft: LedgerDraft, step: InstrStep):
+def _apply_instr(state: CheckState, step: InstrStep):
     instr = step.instr
     if isinstance(instr, Skip):
         return "skip"
     if isinstance(instr, MovRegReg):
-        return _set_value(draft, RegLoc(instr.dst),
+        return _set_value(state, RegLoc(instr.dst),
                           _reg_value(state, instr.src), "reg-from-reg")
     if isinstance(instr, MovRegImm):
-        return _set_value(draft, RegLoc(instr.dst), instr.imm, "reg-imm")
+        return _set_value(state, RegLoc(instr.dst), instr.imm, "reg-imm")
     if isinstance(instr, AddRegImm):
-        return _set_value(draft, RegLoc(instr.dst),
+        return _set_value(state, RegLoc(instr.dst),
                           (_reg_value(state, instr.dst) + instr.imm)
                           % (1 << 64), "reg-add")
     if isinstance(instr, MovRegFromCr3):
-        return _set_value(draft, RegLoc(instr.dst), state.root, "cr3-read")
+        return _set_value(state, RegLoc(instr.dst), state.root, "cr3-read")
     if isinstance(instr, MovToCr3FromReg):
         return _switch_root(state, _reg_value(state, instr.src),
                             "cr3-switch-reg")
@@ -426,20 +426,19 @@ def _apply_instr(state: CheckState, draft: LedgerDraft, step: InstrStep):
         stored = _reg_value(state, instr.src)
     data_loc = phys_loc(_walk_claim(state, va))
     if isinstance(instr, MovMemFromReg):
-        return _set_value(draft, data_loc, stored, "store-virt")
+        return _set_value(state, data_loc, stored, "store-virt")
     if isinstance(instr, MovMemFromCr3):
-        return _set_value(draft, data_loc, state.root, "cr3-store")
+        return _set_value(state, data_loc, state.root, "cr3-store")
     data = state.claims.get(data_loc)
     if data is None:
         raise Reject(MISSING_RESOURCE, str(data_loc),
                      f"no data claim behind va {va:#x}")
     if isinstance(instr, MovRegFromMem):
-        return _set_value(draft, RegLoc(instr.dst), data[1], "load-virt")
+        return _set_value(state, RegLoc(instr.dst), data[1], "load-virt")
     return _switch_root(state, data[1], "cr3-switch-mem")
 
 
-def _apply_ghost_insert(state: CheckState, draft: LedgerDraft,
-                        step: GhostInsertWalk):
+def _apply_ghost_insert(state: CheckState, step: GhostInsertWalk):
     slots, entries = _chain_entries(state, step.va)
     theta = _walk_map(state)
     if step.va in theta:
@@ -449,35 +448,34 @@ def _apply_ghost_insert(state: CheckState, draft: LedgerDraft,
     fault = chain_fault(step.va, entries, step.pa)
     if fault is not None:
         raise Reject(VALUE_DISAGREEMENT, None, fault)
-    draft.chain(slots, entries, take=True)
+    state.chain(slots, entries, take=True)
     loc = WalkLoc(state.root, step.va)
-    draft.add_full(loc, step.pa)
+    state.add_full(loc, step.pa)
     theta[step.va] = step.pa
     state.touched.add(loc)
     return "ghost-insert-walk"
 
 
-def _apply_ghost_remove(state: CheckState, draft: LedgerDraft,
-                        step: GhostRemoveWalk):
+def _apply_ghost_remove(state: CheckState, step: GhostRemoveWalk):
     loc = WalkLoc(state.root, step.va)
     if loc not in state.claims:
         raise Reject(INSUFFICIENT_FRACTION, str(loc),
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(state)
     # the walk claim is the entry's token: only the full claim retires it
-    draft.consume_full(loc)
+    state.consume_full(loc)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
     slots, entries = _chain_entries(state, step.va)
     # the chain shares held inside the invariant come back out
-    draft.chain(slots, entries)
+    state.chain(slots, entries)
     del theta[step.va]
     state.touched.add(loc)
     return "ghost-remove-walk"
 
 
-def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
+def _apply_call(state: CheckState, step: CallStep):
     stub = state.stubs.get(step.name)
     if stub is None:
         raise Reject(STUB_PRE_FAILED, step.name,
@@ -486,7 +484,7 @@ def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
         for pattern in stub.consumes:
             if isinstance(pattern, RegPt):
                 loc = RegLoc(pattern.reg)
-                claim = draft.claims.get(loc)
+                claim = state.claims.get(loc)
                 if claim is None:
                     raise Reject(STUB_PRE_FAILED, str(loc),
                                  f"stub {step.name} needs a claim on "
@@ -496,11 +494,11 @@ def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
                                  f"stub {step.name} needs "
                                  f"{pattern.reg.value} = {pattern.val:#x}, "
                                  f"ledger holds {claim[1]:#x}")
-                draft.consume(loc, pattern.q)
+                state.consume(loc, pattern.q)
             else:
                 needed = lower(pattern, state.root, state.registry)
                 for loc, q, v in needed.sorted_claims():
-                    draft.consume(loc, q, v)
+                    state.consume(loc, q, v)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
     env = StubEnv(machine=state.machine, root=state.root,
@@ -511,7 +509,7 @@ def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, step.name, str(err))
     produced = result.produces
-    draft.join(produced)
+    state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
             raise Reject(STUB_PRE_FAILED, step.name,
@@ -527,7 +525,7 @@ def _apply_call(state: CheckState, draft: LedgerDraft, step: CallStep):
     return f"call:{step.name}"
 
 
-def _apply_assert(state: CheckState, draft: LedgerDraft, step: AssertStep):
+def _apply_assert(state: CheckState, step: AssertStep):
     try:
         wanted = lower(step.assertion, state.root, state.registry)
     except WitnessUnavailable as err:
@@ -558,7 +556,7 @@ def _apply_assert(state: CheckState, draft: LedgerDraft, step: AssertStep):
     return "assert"
 
 
-def _apply_view(state: CheckState, draft: LedgerDraft,
+def _apply_view(state: CheckState,
                 step: Union[GhostPteToVirt, GhostVirtToPte]):
     """Moving between the virtual and the PTE view of a mapping needs the
     current space's walk claim; the ledger does not change."""
@@ -703,7 +701,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         theta = state.registry.get(root, {})
         entry = theta.get(script_step.va)
     try:
-        name = rule(state, state, script_step)
+        name = rule(state, script_step)
         if isinstance(script_step, InstrStep):
             regs, pc, writes = dict(machine.regs), machine.pc, []
             fault = execute(machine, script_step.instr, CHECK_OPTS, writes)

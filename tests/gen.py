@@ -6,6 +6,7 @@ from vmcheck.machine import MachineState, Reg, mem_set, synth_tables
 from vmcheck.assertions import (
     Emp,
     IASpace,
+    LedgerDraft,
     OtherSpace,
     PhysPt,
     PredAligned,
@@ -16,6 +17,7 @@ from vmcheck.assertions import (
     RegPt,
     Sep,
     VirtPt,
+    check_share,
 )
 
 DATA_REGS = [r for r in Reg if r.is_data]
@@ -32,6 +34,21 @@ MIXED_SHARES = (Fraction(1), Fraction(1, 2),
 def fraction_claims(ledger):
     """{location: (share, value)}: a ledger's claims, shares as Fractions."""
     return {loc: (q, v) for loc, q, v in ledger.sorted_claims()}
+
+
+def build(root, claims, pures=frozenset()):
+    """The ledger under `root` of {location: (share, value)} claims, each
+    share checked as it enters (``check_share``)."""
+    draft = LedgerDraft(root, {}, frozenset(pures), journal=None)
+    for loc, (q, v) in claims.items():
+        draft.claims[loc] = (draft.share(check_share(q)), v)
+    return draft.done()
+
+
+def join(a, b):
+    """Disjoint composition of two ledgers under one root: ``a``'s claims,
+    copied, with ``b``'s added by ``LedgerDraft.join``."""
+    return LedgerDraft(a.root, dict(a.claims), a.pures, a.den).join(b).done()
 
 
 def multi_space_fixture():

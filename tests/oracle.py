@@ -19,11 +19,21 @@ from the precondition's claims to the report's final claims.
 reference for the memory forms of ``step``, built on ``naive_walk``.
 ``tokenize`` is the reference for the assertion tokenizer: one anchored
 match per token, and a refusal where no token matches.
+
+``normalize`` and ``is_fact`` are the one exception to the rule above:
+they rewrite the package's own assertion trees, so they take its AST
+classes and ``sep``.  They state the wrapper laws syntactically, the
+reference that ``lower``'s keys are tested against.
 """
 
 import json
 import re
 from fractions import Fraction
+
+from vmcheck.assertions import (
+    Emp, IASpace, L4L1PointsTo, OtherSpace, PhysPt, PredUnmapped, PtePt,
+    Pure, RegPt, Sep, VirtPt, sep,
+)
 
 PAGE = 4096
 
@@ -433,3 +443,46 @@ def tokenize(text, line):
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
+
+
+# --------------------------------------------------------------------------
+# The wrapper laws as a rewrite of assertion trees
+
+
+def is_fact(a):
+    """True when the assertion's verdict cannot depend on the evaluation
+    root: register, physical and arithmetic claims, and anything fully
+    wrapped in an other-space modality.  Virtual/PTE points-to, the space
+    invariant, walk-chain claims and walk-map absence are root-relative.
+    """
+    if isinstance(a, (Emp, RegPt, PhysPt)):
+        return True
+    if isinstance(a, Pure):
+        return not isinstance(a.pred, PredUnmapped)
+    if isinstance(a, (VirtPt, PtePt, IASpace, L4L1PointsTo)):
+        return False
+    if isinstance(a, OtherSpace):
+        return True
+    if isinstance(a, Sep):
+        return all(is_fact(p) for p in a.parts)
+    raise TypeError(f"unknown assertion {a!r}")
+
+
+def normalize(a):
+    """Push other-space wrappers through separating conjunction, collapse
+    nested wrappers to the innermost, erase wrappers around facts, drop
+    Emp units, and canonicalize Sep ordering.  Idempotent."""
+    if isinstance(a, Sep):
+        return sep(*(normalize(p) for p in a.parts))
+    if isinstance(a, OtherSpace):
+        body = normalize(a.body)
+        if isinstance(body, Sep):
+            return sep(*(normalize(OtherSpace(a.root, p)) for p in body.parts))
+        if isinstance(body, Emp):
+            return Emp()
+        if isinstance(body, OtherSpace):
+            return body  # inner wrapper pins the evaluation root
+        if is_fact(body):
+            return body
+        return OtherSpace(a.root, body)
+    return a

@@ -47,11 +47,8 @@ from vmcheck.assertions import (
     SumExceedsOne,
     VirtPt,
     WalkLoc,
-    is_fact,
-    ledger_join,
     lower,
     machine_sat,
-    normalize,
     sep,
 )
 from vmcheck.ghost import ias_check
@@ -73,7 +70,8 @@ from vmcheck.config import dump_config, load_config
 from vmcheck.parsing import parse_assertion, parse_program, print_assertion, print_program
 
 import oracle
-from gen import leaf_pool, multi_space_fixture, random_assertion
+from gen import build, join, leaf_pool, multi_space_fixture, random_assertion
+from oracle import is_fact, normalize
 
 CHECK_OPTS = StepOpts(enforce_rw=True, set_accessed=False)
 
@@ -123,18 +121,18 @@ def test_criterion_2_fraction_conservation():
     with criterion(2, "fraction-conservation"):
         root = 0x1000
         slot = PhysLoc(0x103, 0x0)
-        slice_ledger = Ledger.build(root, {slot: (Fraction(1, 512), 0x5003)})
+        slice_ledger = build(root, {slot: (Fraction(1, 512), 0x5003)})
         total = Ledger(root)
         for _ in range(512):
-            total = ledger_join(total, slice_ledger)
+            total = join(total, slice_ledger)
         assert total.get(slot) == (Fraction(1), 0x5003)
         with pytest.raises(SumExceedsOne):
-            ledger_join(total, slice_ledger)
+            join(total, slice_ledger)
         # randomized split/join stress never exceeds the full share
         rng = random.Random(99)
         walk = WalkLoc(root, 0x20_0000)
         for _ in range(300):
-            ledger = Ledger.build(root, {walk: (FULL, 0x5000)})
+            ledger = build(root, {walk: (FULL, 0x5000)})
             outstanding = []
             for _ in range(rng.randrange(1, 40)):
                 if outstanding and rng.random() < 0.5:

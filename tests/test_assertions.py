@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vmcheck.machine import NotPresent, Reg, walk
@@ -34,11 +34,8 @@ from vmcheck.assertions import (
     WalkLoc,
     WitnessUnavailable,
     chain_fault,
-    is_fact,
-    ledger_join,
     lower,
     machine_sat,
-    normalize,
     sep,
     share_text,
 )
@@ -46,8 +43,9 @@ from vmcheck.cases import map_page_case
 from vmcheck.checker import RESOURCE_ONLY, check_double
 
 import oracle
-from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
-                 random_assertion)
+from gen import (MIXED_SHARES, build, fraction_claims, join, leaf_pool,
+                 multi_space_fixture, random_assertion)
+from oracle import is_fact, normalize
 
 
 # --------------------------------------------------------------------------
@@ -113,8 +111,7 @@ def test_a_share_that_enters_is_a_fraction(share, held):
                                    Fraction(-1, 2), "1/2", True])
 def test_ledger_build_checks_every_share(share):
     with pytest.raises(ValueError):
-        Ledger.build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
-                              PhysLoc(1, 0): (share, 0)})
+        build(0x1000, {RegLoc(Reg.RAX): (FULL, 0), PhysLoc(1, 0): (share, 0)})
 
 
 def test_ledger_operations_refuse_a_share_that_is_not_positive():
@@ -138,39 +135,35 @@ def test_ledger_operations_refuse_a_share_that_is_not_positive():
 # Ledger join
 
 
-def L(root, claims, pures=frozenset()):
-    return Ledger.build(root, claims, pures)
-
-
 def test_join_with_empty_is_identity():
-    a = L(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
-    assert ledger_join(a, Ledger(0x1000)) == a
-    assert ledger_join(Ledger(0x1000), a) == a
+    a = build(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
+    assert join(a, Ledger(0x1000)) == a
+    assert join(Ledger(0x1000), a) == a
 
 
 def test_join_adds_matching_claims():
-    a = L(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
-    joined = ledger_join(a, a)
+    a = build(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
+    joined = join(a, a)
     assert joined.get(RegLoc(Reg.RAX)) == (FULL, 7)
 
 
 def test_join_rejects_disagreeing_values():
-    a = L(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
-    b = L(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 8)})
+    a = build(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 7)})
+    b = build(0x1000, {RegLoc(Reg.RAX): (Fraction(1, 2), 8)})
     with pytest.raises(ValueDisagreement):
-        ledger_join(a, b)
+        join(a, b)
 
 
 def test_join_rejects_overflow():
-    a = L(0x1000, {PhysLoc(1, 0): (FULL, 7)})
-    b = L(0x1000, {PhysLoc(1, 0): (L1_SHARE, 7)})
+    a = build(0x1000, {PhysLoc(1, 0): (FULL, 7)})
+    b = build(0x1000, {PhysLoc(1, 0): (L1_SHARE, 7)})
     with pytest.raises(SumExceedsOne):
-        ledger_join(a, b)
+        join(a, b)
 
 
 def test_join_requires_same_root():
     with pytest.raises(ValueError):
-        ledger_join(Ledger(0x1000), Ledger(0x2000))
+        join(Ledger(0x1000), Ledger(0x2000))
 
 
 def test_join_commutative_associative():
@@ -182,13 +175,13 @@ def test_join_commutative_associative():
             claims = {}
             for loc in rng.sample(locs, rng.randrange(1, 3)):
                 claims[loc] = (Fraction(1, rng.choice([4, 8, 16])), 5)
-            parts.append(L(0x1000, claims))
+            parts.append(build(0x1000, claims))
         a, b, c = parts
 
         def join_all(order):
             out = Ledger(0x1000)
             for x in order:
-                out = ledger_join(out, x)
+                out = join(out, x)
             return out
 
         try:
@@ -196,7 +189,7 @@ def test_join_commutative_associative():
         except SumExceedsOne:
             continue
         assert ab_c == join_all([c, b, a])
-        assert ab_c == ledger_join(a, ledger_join(b, c))
+        assert ab_c == join(a, join(b, c))
 
 
 # --------------------------------------------------------------------------
@@ -242,14 +235,14 @@ def test_the_ledger_agrees_with_its_fraction_reference(steps):
         draft, step_ref = ledger.edit(), ref
         for kind, *args in ops:
             if kind == "contains":
-                got = draft.done().contains(Ledger.build(0x1000, args[0]))
+                got = draft.done().contains(build(0x1000, args[0]))
                 assert step_ref.contains(oracle.FractionLedger(args[0])) == (
                     got and (got.kind, got.location, got.narrative))
                 continue
             before = draft.done().sorted_claims()
             ref_args = args
             if kind == "join":
-                args = [Ledger.build(0x1000, args[0])]
+                args = [build(0x1000, args[0])]
                 ref_args = [oracle.FractionLedger(ref_args[0])]
             new_ref, want = _said(lambda: getattr(step_ref, kind)(*ref_args))
             assert _said(lambda: getattr(draft, kind)(*args))[1] == want
@@ -262,7 +255,7 @@ def test_the_ledger_agrees_with_its_fraction_reference(steps):
             assert fraction_claims(draft.done()) == step_ref.claims
         else:
             ledger, ref = draft.done(), step_ref
-    assert ledger == Ledger.build(0x1000, ref.claims)
+    assert ledger == build(0x1000, ref.claims)
 
 
 _GAP_LOCS = (RegLoc(Reg.RAX), RegLoc(Reg.RBX), PhysLoc(1, 0), PhysLoc(1, 8),
@@ -294,7 +287,7 @@ def test_contains_names_the_least_gap_as_a_sorted_scan_does(locs, gaps,
         if kind != "missing":
             held[loc] = (share, 1)
         wanted[loc] = (need, 2 if kind == "value" else 1)
-    got = Ledger.build(0x1000, held).contains(Ledger.build(0x1000, wanted))
+    got = build(0x1000, held).contains(build(0x1000, wanted))
     want = oracle.FractionLedger(held).contains(oracle.FractionLedger(wanted))
     assert want is not None
     assert (got.kind, got.location, got.narrative) == want
@@ -317,8 +310,8 @@ def test_lower_distributes_over_sep():
     q = RegPt(Reg.RBX, FULL, 0)
     r0, rb = roots[0], roots[1]
     lhs = lower(OtherSpace(rb, Sep((p, q))), r0, registry)
-    rhs = ledger_join(lower(OtherSpace(rb, p), r0, registry),
-                      lower(OtherSpace(rb, q), r0, registry))
+    rhs = join(lower(OtherSpace(rb, p), r0, registry),
+               lower(OtherSpace(rb, q), r0, registry))
     assert lhs == rhs
 
 
@@ -327,8 +320,92 @@ def test_lower_sep_is_join():
     p = VirtPt(0x20_0000, Fraction(1, 2), 0x1111)
     q = PhysPt(0x6, 0x0, FULL, 0x3333)
     both = lower(Sep((p, q)), roots[0], registry)
-    assert both == ledger_join(lower(p, roots[0], registry),
-                               lower(q, roots[0], registry))
+    assert both == join(lower(p, roots[0], registry),
+                        lower(q, roots[0], registry))
+
+
+# The wrapper laws, as properties of lower: both sides of a law lower to
+# the same ledger under every root of the fixture, or both refuse alike.
+
+_STATE, _REGISTRY, _ROOTS = multi_space_fixture()
+_POOL = leaf_pool(_STATE, _REGISTRY, _ROOTS)
+_trees = st.randoms(use_true_random=False).map(
+    lambda rng: random_assertion(rng, _POOL, _ROOTS))
+_laws = settings(max_examples=200, deadline=None)
+
+
+def _lowered(tree, g):
+    """What lower makes of `tree` under `g`: its ledger, or its refusal's
+    class, location and narrative."""
+    try:
+        return lower(tree, g, _REGISTRY)
+    except LedgerError as err:
+        return type(err), err.location, err.narrative
+
+
+def _meaning(tree, g):
+    """`tree` lowered under `g` as its claims and pures, with the governing
+    root of each pure fact erased (``pure_holds`` reads it only for
+    ``unmapped``), or None when it refuses: which conflicting claim a
+    refusal meets first follows the order of the * parts."""
+    lowered = _lowered(tree, g)
+    if not isinstance(lowered, Ledger):
+        return None
+    return lowered.sorted_claims(), frozenset(
+        (r if isinstance(pred, PredUnmapped) else None, pred)
+        for r, pred in lowered.pures)
+
+
+@seed(2008)
+@_laws
+@given(_trees, _trees)
+def test_lower_law_a_wrapper_distributes_over_sep(p, q):
+    for r in _ROOTS:
+        for g in _ROOTS:
+            assert _lowered(OtherSpace(r, Sep((p, q))), g) == \
+                _lowered(Sep((OtherSpace(r, p), OtherSpace(r, q))), g)
+
+
+@seed(2008)
+@_laws
+@given(_trees)
+def test_lower_law_a_wrapper_drops_around_emp(p):
+    for r in _ROOTS:
+        for g in _ROOTS:
+            assert _lowered(OtherSpace(r, Emp()), g) == Ledger(g)
+            assert _lowered(Sep((OtherSpace(r, Emp()), p)), g) == \
+                _lowered(p, g)
+
+
+@seed(2008)
+@_laws
+@given(_trees.filter(is_fact))
+def test_lower_law_a_wrapper_vanishes_around_facts(p):
+    # and a fact means the same under every root
+    assert len({_meaning(tree, g)
+                for tree in (p, *(OtherSpace(r, p) for r in _ROOTS))
+                for g in _ROOTS}) == 1
+
+
+@seed(2008)
+@_laws
+@given(_trees)
+def test_lower_law_the_innermost_wrapper_wins(p):
+    for outer in _ROOTS:
+        for inner in _ROOTS:
+            for g in _ROOTS:
+                assert _lowered(OtherSpace(outer, OtherSpace(inner, p)), g) \
+                    == _lowered(OtherSpace(inner, p), g)
+
+
+@seed(2008)
+@_laws
+@given(_trees)
+def test_lower_keeps_the_meaning_of_the_normal_form(tree):
+    # oracle.normalize applies every law at once, and sorts the * parts
+    flat = normalize(tree)
+    for g in _ROOTS:
+        assert _meaning(tree, g) == _meaning(flat, g)
 
 
 def test_lower_virtpt_yields_walk_claim():
@@ -385,15 +462,15 @@ def test_lower_512_words_reassembles_l1_slot():
     for w in range(512):
         va = 0x20_0000 + 8 * w
         node = L4L1PointsTo(va, l4, l3, l2, l1, 0x5000 + 8 * w)
-        led = ledger_join(led, lower(node, roots[0], registry))
+        led = join(led, lower(node, roots[0], registry))
     l1_frame, l1_off = divmod(steps[3][0], 0x1000)
     assert led.get(PhysLoc(l1_frame, l1_off)) == (FULL, l1)
     l2_frame, l2_off = divmod(steps[2][0], 0x1000)
     assert led.get(PhysLoc(l2_frame, l2_off)) == (Fraction(1, 512), l2)
     # one more slice of the L1 entry cannot exist
-    extra = L(roots[0], {PhysLoc(l1_frame, l1_off): (L1_SHARE, l1)})
+    extra = build(roots[0], {PhysLoc(l1_frame, l1_off): (L1_SHARE, l1)})
     with pytest.raises(SumExceedsOne):
-        ledger_join(led, extra)
+        join(led, extra)
 
 
 def test_chain_fault_reads_the_entries_as_ints():
@@ -623,7 +700,7 @@ _LOCATIONS = st.one_of(
 @given(st.lists(_LOCATIONS, max_size=40))
 def test_locations_sort_as_the_dataclass_key_sorted_them(locs):
     assert sorted(locs) == sorted(locs, key=_dataclass_sort_key)
-    ledger = Ledger.build(0x1000, {loc: (FULL, 0) for loc in locs})
+    ledger = build(0x1000, {loc: (FULL, 0) for loc in locs})
     assert [loc for loc, _q, _v in ledger.sorted_claims()] == \
         sorted(set(locs), key=_dataclass_sort_key)
 

@@ -328,10 +328,16 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
               VirtPt(ALIAS_VA + 8, FULL, entry))
     real_rule = checker._RULES[InstrStep]
 
-    def forgetful(ctx, _draft, step):
-        # a refusal raises through; the change lands on a draft dropped here
-        real_rule(ctx, ctx.ledger.edit(), step)
-        return ctx, "nop"
+    def forgetful(state, step):
+        # a refusal raises through; the change lands on a copy of the
+        # claims, dropped here
+        claims = state.claims
+        state.claims = dict(claims)
+        try:
+            real_rule(state, step)
+        finally:
+            state.claims = claims
+        return "nop"
 
     monkeypatch.setitem(checker._RULES, InstrStep, forgetful)
     report = check_double(pre, root, [InstrStep(MovRegImm(Reg.RAX, 7))],
@@ -352,8 +358,8 @@ def test_a_ghost_steps_walk_map_change_is_audited(monkeypatch):
     # claim for it: the entry the step changed is still re-walked
     state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
 
-    def trusting(check, _draft, step):
-        check.registry[check.root][step.va] = step.pa
+    def trusting(state, step):
+        state.registry[state.root][step.va] = step.pa
         return "ghost-insert-walk"
 
     monkeypatch.setitem(checker._RULES, GhostInsertWalk, trusting)
@@ -371,10 +377,10 @@ def test_a_ghost_steps_walk_claim_is_audited(monkeypatch):
     # audit of the walk claim the step changed can object
     state, registry, root, _root_b, _l1_a, _l1_b = _alias_fixture()
 
-    def misclaiming(ctx, draft, step):
-        ctx.registry[ctx.root][step.va] = step.pa
-        draft.add_full(WalkLoc(ctx.root, step.va), step.pa + 8)
-        return ctx, "ghost-insert-walk"
+    def misclaiming(state, step):
+        state.registry[state.root][step.va] = step.pa
+        state.add_full(WalkLoc(state.root, step.va), step.pa + 8)
+        return "ghost-insert-walk"
 
     monkeypatch.setitem(checker._RULES, GhostInsertWalk, misclaiming)
     report = check_double(sep(), root, [GhostInsertWalk(DATA_VA + 8, 0x5008)],

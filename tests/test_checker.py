@@ -48,7 +48,6 @@ from vmcheck.assertions import (
     VirtPt,
     WalkLoc,
     lower,
-    normalize,
     sep,
 )
 from vmcheck.checker import (
@@ -84,8 +83,9 @@ from vmcheck.parsing import parse_assertion, parse_program
 import oracle
 from test_audit import ALIAS_B_VA, DATA_VA, _alias_fixture
 from test_caches import _caches
-from gen import (MIXED_SHARES, fraction_claims, leaf_pool, multi_space_fixture,
-                 random_assertion)
+from gen import (MIXED_SHARES, build, fraction_claims, leaf_pool,
+                 multi_space_fixture, random_assertion)
+from oracle import normalize
 
 
 def fixture():
@@ -900,8 +900,8 @@ def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
 
 def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         monkeypatch):
-    ledger = Ledger.build(0x1000, {RegLoc(Reg.RAX): (FULL, 7),
-                                   PhysLoc(1, 0): (Fraction(1, 2), 5)})
+    ledger = build(0x1000, {RegLoc(Reg.RAX): (FULL, 7),
+                            PhysLoc(1, 0): (Fraction(1, 2), 5)})
     draft = (ledger.edit().consume(RegLoc(Reg.RAX), Fraction(1, 4))
              .add(PhysLoc(1, 0), Fraction(1, 4), 5)
              .add(WalkLoc(0x1000, 0x20_0000), FULL, 0x3000))
@@ -926,8 +926,8 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
 def test_a_location_changed_twice_renders_its_net_change():
     # a stub consumes rax and produces it with a new value; a join adds
     # shares of one slot twice
-    ledger = Ledger.build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
-                                   PhysLoc(1, 0): (L1_SHARE, 5)})
+    ledger = build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
+                            PhysLoc(1, 0): (L1_SHARE, 5)})
     draft = (ledger.edit().consume(RegLoc(Reg.RAX), FULL)
              .add(RegLoc(Reg.RAX), FULL, 0x9003)
              .add(PhysLoc(1, 0), L1_SHARE, 5).add(PhysLoc(1, 0), L1_SHARE, 5))
@@ -1207,8 +1207,8 @@ def test_an_insert_refused_partway_leaves_the_ledger_before_it():
     # consumes succeed before the fourth fails
     held = zip(slots[:3], (L4_SHARE, L3_SHARE, L2_SHARE),
                (node.l4e, node.l3e, node.l2e))
-    ledger = Ledger.build(root, {SpaceLoc(root): (FULL, root),
-                                 **{loc: (q, v) for loc, q, v in held}})
+    ledger = build(root, {SpaceLoc(root): (FULL, root),
+                          **{loc: (q, v) for loc, q, v in held}})
     check = checker.CheckState(ledger, registry, state.copy(), RESOURCE_ONLY)
     violation = _refused_leaving_the_ledger(
         check, GhostInsertWalk(0x20_1000, 0x6000))

@@ -15,7 +15,6 @@ from vmcheck.assertions import (
     FULL,
     IASpace,
     L4L1PointsTo,
-    Ledger,
     PtePt,
     SumExceedsOne,
     VirtPt,
@@ -38,7 +37,7 @@ from vmcheck.checker import (
 )
 from vmcheck.ghost import UnknownRoot, ias_check
 
-from gen import multi_space_fixture
+from gen import build, multi_space_fixture
 
 
 def fixture():
@@ -260,7 +259,7 @@ def test_token_split_join_stress():
     rng = random.Random(9)
     loc = WalkLoc(0x1000, 0x20_0000)
     for _ in range(200):
-        ledger = Ledger.build(0x1000, {loc: (FULL, 0x5000)})
+        ledger = build(0x1000, {loc: (FULL, 0x5000)})
         outstanding = []
         for _ in range(rng.randrange(1, 30)):
             if outstanding and rng.random() < 0.5:

@@ -35,7 +35,6 @@ from vmcheck.assertions import (
     Pure,
     RegPt,
     VirtPt,
-    normalize,
     sep,
 )
 from vmcheck.checker import (
@@ -62,6 +61,7 @@ from vmcheck.parsing import (
 
 import oracle
 from gen import leaf_pool, multi_space_fixture, random_assertion
+from oracle import normalize
 
 
 # --------------------------------------------------------------------------
