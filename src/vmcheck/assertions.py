@@ -20,17 +20,17 @@ Two complementary readings are provided:
   only ``unmapped`` reads).  A walk-chain claim that is false on its own
   entries (``chain_fault``) does not lower.
 
-A draft changes a claims dict in place (``lower``'s own, or the
-checker's one ledger) and journals each changed location's claim, for
-step records and undo.  Locations are tuples that are their own sort
-key.  A refusal is a ``Reject``: a failed ledger operation raises a
-``LedgerError`` of its kind, and ``contains`` returns the one for its
-first uncovered claim.
+A ledger is changed in place (``lower``'s accumulator, a stub's product,
+or a check's one ledger) and, given a journal, journals each changed
+location's claim, for step records and undo.  Locations are tuples that
+are their own sort key.  A refusal is a ``Reject``: a failed ledger
+operation raises a ``LedgerError`` of its kind, and ``contains`` returns
+the one for its first uncovered claim.
 
 Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
 (checked by ``check_share``), and inside a ledger int numerators over
 its one denominator ``den``, which a share it does not divide widens to
-the lcm.  A draft's ``chain``, ``add_full`` and ``consume_full`` take the
+the lcm.  A ledger's ``chain``, ``add_full`` and ``consume_full`` take the
 chain shares and ``FULL`` as numerators computed once, with no
 ``Fraction`` in the way.  ``_add`` is the one place shares are added: it
 requires equal values and never exceeds the full share.
@@ -68,7 +68,7 @@ L3_SHARE = Fraction(1, 512 ** 3)
 L4_SHARE = Fraction(1, 512 ** 4)
 CHAIN_SHARES = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)  # in walk order
 DEN = 512 ** 4  # first denominator of every ledger: the chain shares divide it
-# the chain shares' numerators over DEN; LedgerDraft.chain scales them by
+# the chain shares' numerators over DEN; Ledger.chain scales them by
 # widen(DEN), its den // DEN (exact: den only grows from DEN, by lcm)
 _CHAIN_NS = tuple(DEN // share.denominator for share in CHAIN_SHARES)
 
@@ -367,29 +367,32 @@ class SpaceLoc(Location, text="space:{1:#x}"):
 # Resource ledger
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Ledger:
     """Concrete multiset of fractional ownership claims, relative to one
-    evaluation root (the cr3 value claims were lowered under).
+    evaluation root (the cr3 value claims were lowered under), changed in
+    place: ``lower``'s accumulator, a stub's product, or a check's one
+    ledger.
 
     ``claims`` maps each location to its (n, value) claim, a share of
-    n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).  Each
-    operation returns a new ledger; only a check writes its own in place.
-    Equality compares shares, whatever their ``den``."""
+    n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).
+    ``add``, ``consume`` and ``set_value`` check all before they change
+    anything but ``den``, and return the ledger.  ``journal``, which step
+    records are rendered from and a check's undo puts back, maps each
+    location changed to its claim before the first change (or None); a
+    ledger whose ``journal`` is None keeps none.  Equality compares
+    shares, whatever their ``den``."""
 
     root: int
-    claims: dict = field(default_factory=dict, hash=False)
+    claims: dict = field(default_factory=dict)
     pures: frozenset = frozenset()  # {(governing_root, Pred)}
-    den: int = field(default=DEN, compare=False)
+    den: int = DEN
+    journal: Optional[dict] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ledger) and (
             (self.root, self.pures, self.sorted_claims())
             == (other.root, other.pures, other.sorted_claims()))
-
-    def edit(self) -> "LedgerDraft":
-        """A draft holding its own copy of the claims dict, with a journal."""
-        return LedgerDraft(self.root, self.claims.copy(), self.pures, self.den)
 
     def sorted_claims(self) -> tuple:
         """((Location, share, value), ...) in location order."""
@@ -399,16 +402,6 @@ class Ledger:
     def get(self, loc: Location) -> Optional[tuple]:
         held = self.claims.get(loc)
         return held and (Fraction(held[0], self.den), held[1])
-
-    def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
-        return self.edit().add(loc, q, val).done()
-
-    def consume(self, loc: Location, q: Fraction,
-                val: Optional[int] = None) -> "Ledger":
-        return self.edit().consume(loc, q, val).done()
-
-    def set_value(self, loc: Location, val: int) -> "Ledger":
-        return self.edit().set_value(loc, val).done()
 
     def with_root(self, root: int) -> "Ledger":
         return Ledger(root, self.claims, self.pures, self.den)
@@ -435,25 +428,6 @@ class Ledger:
         return Reject(INSUFFICIENT_FRACTION, str(loc),
                       f"ledger holds only {share_text(held[0], den)}")
 
-
-@dataclass
-class LedgerDraft:
-    """A ledger's claims dict being changed in place.  ``add``, ``consume``
-    and ``set_value`` check all before they change anything but ``den``;
-    ``done`` hands the dict to a new ledger.  ``journal``, which step
-    records are rendered from and a check's undo puts back, maps each
-    location changed to its claim before the first change (or None);
-    ``lower``'s draft keeps none."""
-
-    root: int
-    claims: dict
-    pures: frozenset
-    den: int = DEN
-    journal: Optional[dict] = field(default_factory=dict)
-
-    def done(self) -> Ledger:
-        return Ledger(self.root, self.claims, self.pures, self.den)
-
     def share(self, q: Fraction) -> int:
         """q's numerator over ``den``, widened to fit; q must be positive."""
         n, d = q.as_integer_ratio()
@@ -472,13 +446,13 @@ class LedgerDraft:
                     claims[loc] = claim and (claim[0] * k, claim[1])
         return self.den // d
 
-    def add(self, loc: Location, q: Fraction, val: int) -> "LedgerDraft":
+    def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
         return self._add(loc, self.share(q), val)
 
-    def add_full(self, loc: Location, val: int) -> "LedgerDraft":
+    def add_full(self, loc: Location, val: int) -> "Ledger":
         return self._add(loc, self.den, val)
 
-    def _add(self, loc: Location, n: int, val: int) -> "LedgerDraft":
+    def _add(self, loc: Location, n: int, val: int) -> "Ledger":
         held = self.claims.get(loc)
         held_n, held_v = held or (0, val)
         if held_v != val:
@@ -491,15 +465,15 @@ class LedgerDraft:
         return self
 
     def consume(self, loc: Location, q: Fraction,
-                val: Optional[int] = None) -> "LedgerDraft":
+                val: Optional[int] = None) -> "Ledger":
         return self._consume(loc, self.share(q), val)
 
     def consume_full(self, loc: Location,
-                     val: Optional[int] = None) -> "LedgerDraft":
+                     val: Optional[int] = None) -> "Ledger":
         return self._consume(loc, self.den, val)
 
     def _consume(self, loc: Location, n: int,
-                 val: Optional[int] = None) -> "LedgerDraft":
+                 val: Optional[int] = None) -> "Ledger":
         held = self.claims.get(loc)
         held_n, held_v = held or (0, val)
         if val is not None and held_v != val:
@@ -514,7 +488,7 @@ class LedgerDraft:
             del self.claims[loc]
         return self
 
-    def chain(self, locs, entries, take: bool = False) -> "LedgerDraft":
+    def chain(self, locs, entries, take: bool = False) -> "Ledger":
         """Add (or with ``take`` consume) one walk's ``CHAIN_SHARES`` of
         the four table entries at ``locs``, in walk order."""
         k = self.widen(DEN)
@@ -523,7 +497,7 @@ class LedgerDraft:
             step(loc, n * k, entry)
         return self
 
-    def set_value(self, loc: Location, val: int) -> "LedgerDraft":
+    def set_value(self, loc: Location, val: int) -> "Ledger":
         held = self.claims.get(loc)
         if held is None or held[0] != self.den:
             n = 0 if held is None else held[0]
@@ -534,7 +508,7 @@ class LedgerDraft:
             self.claims[loc] = (self.den, val)
         return self
 
-    def join(self, other: Ledger) -> "LedgerDraft":
+    def join(self, other: Ledger) -> "Ledger":
         """Disjoint composition: add every claim of `other`, a ledger under
         the same root, in location order (the first failing one raises)."""
         if self.root != other.root:
@@ -577,16 +551,16 @@ def lower(a: Assertion, root: int, registry: Optional[Registry] = None) -> Ledge
     governing space's walk map (from `registry`) to name its backing
     physical word.
     """
-    acc = LedgerDraft(root, {}, frozenset(), journal=None)
+    acc = Ledger(root)
     _lower_into(acc, a, root, registry or {})
-    return acc.done()
+    return acc
 
 
-def _lower_into(acc: LedgerDraft, node: Assertion, g: int,
+def _lower_into(acc: Ledger, node: Assertion, g: int,
                 registry: Registry) -> None:
-    """Add the claims of `node`, governed by `g`, to the draft.  (A module
+    """Add the claims of `node`, governed by `g`, to the ledger.  (A module
     function, not a closure over `acc`: a recursive closure is a cycle,
-    which would keep the draft and its claims alive until a collection.)"""
+    which would keep the ledger and its claims alive until a collection.)"""
     if isinstance(node, Sep):
         for part in node.parts:
             _lower_into(acc, part, g, registry)

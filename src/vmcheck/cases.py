@@ -29,7 +29,7 @@ from .assertions import (
     CHAIN_SHARES,
     FULL,
     IASpace,
-    LedgerDraft,
+    Ledger,
     OtherSpace,
     PhysPt,
     PredAligned,
@@ -51,10 +51,9 @@ from .checker import (
     GhostPteToVirt,
     GhostRemoveWalk,
     InstrStep,
+    CheckState,
     Script,
-    StubEnv,
     StubError,
-    StubResult,
     StubSpec,
 )
 
@@ -83,14 +82,6 @@ class CaseStudy:
 # Stub library (resolvable by name, including from the command line)
 
 
-def _draft(env: StubEnv, *kept: Assertion) -> LedgerDraft:
-    """A draft of a stub's product: the `kept` parts lowered under the
-    env's root and walk maps, with no journal."""
-    ledger = lower(Sep(kept), env.root, env.registry)
-    return LedgerDraft(ledger.root, ledger.claims, ledger.pures, ledger.den,
-                       journal=None)
-
-
 def _ensure_l1_stub(words: int = 1) -> StubSpec:
     """Hands over the page-table plumbing for the address in rdi: shares
     of the three interior entries plus a full PTE points-to for the L1
@@ -100,28 +91,28 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
     walk's share: each of the `words` walks to be published consumes one
     walk's share (p |->{q} v * p |->{q} v is p |->{2q} v)."""
 
-    def apply(env: StubEnv) -> StubResult:
-        va = env.machine.reg(Reg.RDI)
-        steps, _ = walk(env.root, env.machine.mem, va)
+    def apply(state: CheckState) -> Ledger:
+        va = state.machine.reg(Reg.RDI)
+        steps, _ = walk(state.root, state.machine.mem, va)
         if len(steps) < 4:
             raise StubError(
                 f"interior tables for va {va:#x} are not all present")
         (slot_pa, l1e) = steps[3]
-        theta = env.registry.get(env.root, {})
+        theta = state.registry.get(state.root, {})
         candidates = sorted(v for v, p in theta.items() if p == slot_pa)
         if not candidates:
             raise StubError(
                 f"the L1 slot {slot_pa:#x} is not virtually mapped")
         pte_addr = candidates[0]
-        machine = env.machine.copy()
+        state.machine = machine = state.machine.copy()
         machine.regs[Reg.RAX] = pte_addr
-        draft = _draft(env, RegPt(Reg.RAX, FULL, pte_addr),
-                       PtePt(pte_addr, FULL, slot_pa, l1e))
+        product = lower(Sep((RegPt(Reg.RAX, FULL, pte_addr),
+                             PtePt(pte_addr, FULL, slot_pa, l1e))),
+                        state.root, state.registry)
         # `words` mapped words' shares of the L4, L3 and L2 entries
         for (slot, entry), share in zip(steps[:3], CHAIN_SHARES):
-            draft.add(phys_loc(slot), share * words, entry)
-        return StubResult(produces=draft.done(), machine=machine,
-                          free_cursor=env.free_cursor)
+            product.add(phys_loc(slot), share * words, entry)
+        return product
 
     return StubSpec(name="ensure_L1_page",
                     consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
@@ -132,23 +123,23 @@ def _alloc_page_stub(words: int = 1) -> StubSpec:
     returns its base address plus the present and writable bits in rax.
     Claims the first `words` zeroed words of the page."""
 
-    def apply(env: StubEnv) -> StubResult:
-        if env.free_cursor >= len(env.free_list):
+    def apply(state: CheckState) -> Ledger:
+        if state.free_cursor >= len(state.free_list):
             raise StubError("physical page free list is exhausted")
-        fpaddr = env.free_list[env.free_cursor]
+        fpaddr = state.free_list[state.free_cursor]
         if fpaddr % PAGE:
             raise StubError(f"free-list entry {fpaddr:#x} is not page aligned")
-        machine = env.machine.copy()
-        frame = fpaddr >> 12
-        page = own_frame(machine.mem, frame)
+        state.machine = machine = state.machine.copy()
+        state.free_cursor += 1
+        page = own_frame(machine.mem, fpaddr >> 12)
         page.update(dict.fromkeys(range(0, PAGE, 8), 0))
         machine.regs[Reg.RAX] = fpaddr + 3
-        draft = _draft(env, RegPt(Reg.RAX, FULL, fpaddr + 3),
-                       Pure(PredAligned(fpaddr)))
+        product = lower(Sep((RegPt(Reg.RAX, FULL, fpaddr + 3),
+                             Pure(PredAligned(fpaddr)))),
+                        state.root, state.registry)
         for w in range(words):
-            draft.add_full(phys_loc(fpaddr + 8 * w), 0)
-        return StubResult(produces=draft.done(), machine=machine,
-                          free_cursor=env.free_cursor + 1)
+            product.add_full(phys_loc(fpaddr + 8 * w), 0)
+        return product
 
     return StubSpec(name="alloc_phys_page_or_panic",
                     consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)

@@ -11,19 +11,22 @@ other step what that step could change.  That audit is the checker's
 only comparison of claims with the machine; resource mode skips it.
 
 The checker takes the instruction forms from the machine (the memory
-forms are ``MEM_FORMS``) and reads page tables only through its walk
-kernel, ``translate``.  A ghost step takes its walk chain from the
-current machine (which co-execution's audit has proved equal to every
-held claim) and keeps the space's walk map in the registry itself.
+forms are ``MEM_FORMS``) and reads page tables only through the
+machine's walk kernel: the audit calls ``translate``, and a ghost step
+reads its walk chain through ``walk``, from the current machine (which
+co-execution's audit has proved equal to every held claim); the ghost
+step keeps the space's walk map in the registry itself.
 
 ``apply_rule`` is a step's one transaction on the check's one mutable
-``CheckState``: the step's rule (from ``_RULES``) changes its claims and
-walk map in place, journaling each claim, and an instruction then runs
-on its machine in place, listing each word written with the old word.
-A refusal by the rule, the machine or the audit is a raised ``Reject``
-(a failed ledger operation's ``LedgerError`` is one), which
-``apply_rule`` undoes from those logs and stamps with the step's index,
-as ``check_double`` does at step -1.
+``CheckState``, a ``Ledger`` that also holds the machine, walk maps,
+stubs and free list: the step's rule (from ``_RULES``) changes its
+claims and walk map in place, journaling each claim, and an instruction
+then runs on its machine in place, listing each word written with the
+old word.  A stub runs on the same state and installs its machine copy
+there.  A refusal by the rule, the stub, the machine or the audit is a
+raised ``Reject`` (a failed ledger operation's ``LedgerError`` is one),
+which ``apply_rule`` undoes from those logs and stamps with the step's
+index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -63,13 +66,13 @@ from .machine import (
     execute,
     own_frame,
     translate,
+    walk,
     walk_text,
 )
 from .assertions import (
     Assertion,
     INSUFFICIENT_FRACTION,
     Ledger,
-    LedgerDraft,
     LedgerError,
     Location,
     MISSING_RESOURCE,
@@ -187,50 +190,36 @@ class StubError(Exception):
 
 
 @dataclass(frozen=True)
-class StubEnv:
-    """What a stub's effect may look at when it runs."""
-
-    machine: MachineState
-    root: int
-    registry: Registry
-    free_list: tuple
-    free_cursor: int
-
-
-@dataclass(frozen=True)
-class StubResult:
-    produces: Ledger
-    machine: MachineState
-    free_cursor: int
-
-
-@dataclass(frozen=True)
 class StubSpec:
     """Axiomatized procedure: claims it consumes, a deterministic state
     effect, and the claims it produces (in co-execution, audited against
-    the machine after the effect runs).  A RegPt pattern with val=None consumes the
-    register claim whatever its value.  The effect must write memory only
-    through ``write_word``/``mem_set``/``own_frame`` on a copy: frames are
-    shared copy-on-write with the checker's machine.  A result's
-    ``produces`` is the ledger of the claims it hands over, under the
-    env's root (an assertion lowered under ``env.root``/``env.registry``,
-    or claims added on a draft), which the call joins in location order."""
+    the machine after the effect runs).  A RegPt pattern with val=None
+    consumes the register claim whatever its value.  ``apply`` runs on
+    the check state after the consumes: it reads the state's ``machine``,
+    ``root``, ``registry``, ``free_list`` and ``free_cursor``, and changes
+    no claim.  Its effect writes memory only through
+    ``write_word``/``mem_set``/``own_frame`` on a copy of the machine
+    (frames are shared copy-on-write with the check's), which it installs
+    on the state, with its new cursor; a refused call puts both back.  It
+    returns its product: the ledger of the claims it hands over, under the
+    state's root (``lower`` of an assertion, plus any claims it adds),
+    which the call joins in location order."""
 
     name: str
     consumes: tuple
-    apply: Callable[[StubEnv], StubResult]
+    apply: Callable[["CheckState"], Ledger]
 
 
 # --------------------------------------------------------------------------
 # Check state
 
 
-class CheckState(LedgerDraft):
+class CheckState(Ledger):
     """A check's one mutable state, owning `ledger`'s claims, `registry`
-    and `machine`: a draft of its ledger under the root (cr3), whose
-    ``journal`` is the current step's, the machine, walk maps, stubs and
-    free list.  ``touched`` (the walk locations the run has read a claim
-    at or changed an entry of) and ``reads`` (co-execution's audit index
+    and `machine`: its ledger under the root (cr3), whose ``journal`` is
+    the current step's, the machine, walk maps, stubs and free list.
+    ``touched`` (the walk locations the run has read a claim at or
+    changed an entry of) and ``reads`` (co-execution's audit index
     {table frame: {(root, va), ...}} of the walk claims and walk-map
     entries read there, from the first full audit on) only grow."""
 
@@ -244,8 +233,8 @@ class CheckState(LedgerDraft):
 
     @property
     def ledger(self) -> Ledger:
-        """The claims as a frozen ledger, sharing the state's dict."""
-        return self.done()
+        """A ledger over the state's claims dict, root, pures and den."""
+        return Ledger(self.root, self.claims, self.pures, self.den)
 
     def undo(self, saved: tuple) -> None:
         """Put back what `saved` holds from the step's start, and the
@@ -280,7 +269,7 @@ def _claim_text(loc: Location, n: int, value: int, den: int) -> str:
 
 def _step_claims(journal: dict, after) -> tuple:
     """(consumed, produced) claim texts of a step from its journal and the
-    ledger or draft after it, in location text order: the share a location
+    ledger after it, in location text order: the share a location
     lost or gained if it kept its value, else its whole claims both ways."""
     consumed, produced = [], []
     claims, den = after.claims, after.den
@@ -337,16 +326,14 @@ def _chain_entries(state: CheckState, va: int):
     """The four table slots and entry values the current machine's walk
     of `va` under the current root reads.  A walk that stops before the
     L1 entry is refused at the slot where it stopped."""
-    mem = state.machine.mem
-    slots = []
-    got = translate(state.root, mem, va, slots=slots)
-    if len(slots) < 4:
-        stop = got.phys if isinstance(got, FrameUnmapped) else slots[-1]
+    steps, got = walk(state.root, state.machine.mem, va)
+    if len(steps) < 4:
+        stop = got.phys if isinstance(got, FrameUnmapped) else steps[-1][0]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
                      f"table slot for va {va:#x} holds no present entry "
                      "in the machine")
-    return ([phys_loc(slot) for slot in slots],
-            [mem[slot >> 12][slot & (PAGE_SIZE - 1)] for slot in slots])
+    return ([phys_loc(slot) for slot, _entry in steps],
+            [entry for _slot, entry in steps])
 
 
 def _walk_map(state: CheckState) -> dict:
@@ -501,21 +488,16 @@ def _apply_call(state: CheckState, step: CallStep):
                     state.consume(loc, q, v)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    env = StubEnv(machine=state.machine, root=state.root,
-                  registry=state.registry, free_list=state.free_list,
-                  free_cursor=state.free_cursor)
     try:
-        result = stub.apply(env)
+        produced = stub.apply(state)
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, step.name, str(err))
-    produced = result.produces
     state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
             raise Reject(STUB_PRE_FAILED, step.name,
                          f"stub {step.name} promised a false pure "
                          f"predicate: {pred}")
-    state.machine, state.free_cursor = result.machine, result.free_cursor
     if state.mode == COEXEC:
         complaint = _audit(state, produced.claims)
         if complaint is not None:
@@ -536,7 +518,7 @@ def _apply_assert(state: CheckState, step: AssertStep):
                      f"asserted claim for va {err.va:#x} only holds in space "
                      f"{other:#x}; wrap it in the other-space "
                      "modality instead of framing it")
-    problem = state.ledger.contains(wanted)
+    problem = state.contains(wanted)
     if problem is not None:
         # before naming the first gap, see whether the root cause is a
         # walk claim stranded under a different governing root

@@ -363,7 +363,7 @@ def walk(root: int, mem: Mem, va: int) -> tuple:
     :func:`translate` returns."""
     slots = []
     result = translate(root, mem, va, slots=slots)
-    return (tuple((slot, mem[slot >> 12][slot & 0xFFF]) for slot in slots),
+    return (tuple([(slot, mem[slot >> 12][slot & 0xFFF]) for slot in slots]),
             result)
 
 

@@ -6,7 +6,7 @@ from vmcheck.machine import MachineState, Reg, mem_set, synth_tables
 from vmcheck.assertions import (
     Emp,
     IASpace,
-    LedgerDraft,
+    Ledger,
     OtherSpace,
     PhysPt,
     PredAligned,
@@ -24,7 +24,7 @@ DATA_REGS = [r for r in Reg if r.is_data]
 
 # The shares a ledger property draws: 1, 1/2, the four chain shares, and
 # three whose denominators (3 and 7) do not divide a ledger's starting
-# one, so that drawing one rescales a draft, often after its journal has
+# one, so that drawing one rescales a ledger, often after its journal has
 # entries.
 MIXED_SHARES = (Fraction(1), Fraction(1, 2),
                 *(Fraction(1, 512 ** k) for k in range(1, 5)),
@@ -39,16 +39,23 @@ def fraction_claims(ledger):
 def build(root, claims, pures=frozenset()):
     """The ledger under `root` of {location: (share, value)} claims, each
     share checked as it enters (``check_share``)."""
-    draft = LedgerDraft(root, {}, frozenset(pures), journal=None)
+    ledger = Ledger(root, {}, frozenset(pures))
     for loc, (q, v) in claims.items():
-        draft.claims[loc] = (draft.share(check_share(q)), v)
-    return draft.done()
+        ledger.claims[loc] = (ledger.share(check_share(q)), v)
+    return ledger
+
+
+def edit(ledger):
+    """A copy of `ledger` with an empty journal: its operations change
+    neither `ledger` nor its claims dict."""
+    return Ledger(ledger.root, dict(ledger.claims), ledger.pures, ledger.den,
+                  {})
 
 
 def join(a, b):
-    """Disjoint composition of two ledgers under one root: ``a``'s claims,
-    copied, with ``b``'s added by ``LedgerDraft.join``."""
-    return LedgerDraft(a.root, dict(a.claims), a.pures, a.den).join(b).done()
+    """Disjoint composition of two ledgers under one root: a copy of
+    ``a``, with ``b``'s claims added by ``Ledger.join``."""
+    return edit(a).join(b)
 
 
 def multi_space_fixture():

@@ -43,8 +43,8 @@ from vmcheck.cases import map_page_case
 from vmcheck.checker import RESOURCE_ONLY, check_double
 
 import oracle
-from gen import (MIXED_SHARES, build, fraction_claims, join, leaf_pool,
-                 multi_space_fixture, random_assertion)
+from gen import (MIXED_SHARES, build, edit, fraction_claims, join,
+                 leaf_pool, multi_space_fixture, random_assertion)
 from oracle import is_fact, normalize
 
 
@@ -228,33 +228,33 @@ def _said(apply):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_ref_ops, max_size=8), max_size=6))
 def test_the_ledger_agrees_with_its_fraction_reference(steps):
-    # each inner list is one step's draft; a 1/3, 2/7 or 5/6 share
-    # rescales it, often after its journal has entries
+    # each inner list is one step's ops, on a copy of the ledger; a 1/3,
+    # 2/7 or 5/6 share rescales it, often after its journal has entries
     ledger, ref = Ledger(0x1000), oracle.FractionLedger()
     for ops in steps:
-        draft, step_ref = ledger.edit(), ref
+        work, step_ref = edit(ledger), ref
         for kind, *args in ops:
             if kind == "contains":
-                got = draft.done().contains(build(0x1000, args[0]))
+                got = work.contains(build(0x1000, args[0]))
                 assert step_ref.contains(oracle.FractionLedger(args[0])) == (
                     got and (got.kind, got.location, got.narrative))
                 continue
-            before = draft.done().sorted_claims()
+            before = work.sorted_claims()
             ref_args = args
             if kind == "join":
                 args = [build(0x1000, args[0])]
                 ref_args = [oracle.FractionLedger(ref_args[0])]
             new_ref, want = _said(lambda: getattr(step_ref, kind)(*ref_args))
-            assert _said(lambda: getattr(draft, kind)(*args))[1] == want
+            assert _said(lambda: getattr(work, kind)(*args))[1] == want
             if want is None:
                 step_ref = new_ref
             elif kind == "join":
-                break  # a join refused partway drops the step's draft
+                break  # a join refused partway drops the step's copy
             else:
-                assert draft.done().sorted_claims() == before
-            assert fraction_claims(draft.done()) == step_ref.claims
+                assert work.sorted_claims() == before
+            assert fraction_claims(work) == step_ref.claims
         else:
-            ledger, ref = draft.done(), step_ref
+            ledger, ref = work, step_ref
     assert ledger == build(0x1000, ref.claims)
 
 

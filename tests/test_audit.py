@@ -299,12 +299,10 @@ def test_call_steps_get_the_full_audit():
     # names, so the step after a call is audited in full
     state, registry, root, _root_b, l1_a, _l1_b = _alias_fixture()
 
-    def apply(env):
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         assert machine.write_word(l1_a >> 12, 8, 0) is None
-        return checker.StubResult(produces=lower(sep(), env.root),
-                                  machine=machine,
-                                  free_cursor=env.free_cursor)
+        return lower(sep(), state.root)
 
     stub = checker.StubSpec(name="wipe", consumes=(), apply=apply)
     pre = sep(IASpace(), PhysPt(0x6, 0x0, FULL, 0x3333))

@@ -7,6 +7,7 @@ from vmcheck import assertions, checker, ghost, machine
 from vmcheck.machine import Reg, translate
 from vmcheck.assertions import (
     FULL,
+    Ledger,
     PhysLoc,
     PhysPt,
     PredAligned,
@@ -22,8 +23,8 @@ from vmcheck.assertions import (
 from vmcheck.checker import (
     AssertStep,
     COEXEC,
+    CheckState,
     RESOURCE_ONLY,
-    StubEnv,
     UNSOUND_FRAME,
     check_double,
     frame_audit,
@@ -126,15 +127,19 @@ def _walk_slots(root, mem, va):
     return slots
 
 
+def _stub_state(case):
+    """A check state at the start of `case`, for a stub to run on."""
+    return CheckState(Ledger(case.root), case.registry, case.state,
+                      free_list=case.free_list)
+
+
 @pytest.mark.parametrize("words", (1, 2, 128, 512))
 def test_the_l1_stub_hands_over_words_walks_of_interior_shares(words):
     # the stub states each interior entry's share once, summed over the
     # `words` walks; it lowers to the ledger of `words` separate copies
     case = map_page_case(words)
     state, root = case.state, case.root
-    result = case.stubs["ensure_L1_page"].apply(StubEnv(
-        machine=state, root=root, registry=case.registry,
-        free_list=case.free_list, free_cursor=0))
+    product = case.stubs["ensure_L1_page"].apply(_stub_state(case))
     slots = _walk_slots(root, state.mem, MAP_VA)
     l1_slot, l1e = slots[3]
     pte_addr = min(va for va, pa in case.registry[root].items()
@@ -147,7 +152,7 @@ def test_the_l1_stub_hands_over_words_walks_of_interior_shares(words):
         for (slot, entry), level in zip(slots[:3], (4, 3, 2)):
             want = want.add(PhysLoc(slot >> 12, slot & 0xFFF),
                             Fraction(1, 512 ** level), entry)
-    assert fraction_claims(result.produces) == want.claims
+    assert fraction_claims(product) == want.claims
 
 
 @pytest.mark.parametrize("words", (1, 2, 128, 512))
@@ -156,10 +161,7 @@ def test_the_alloc_stub_product_lowers_as_its_canonical_sep(words):
     # the page's present and writable bits, the page's alignment and
     # `words` zeroed words, adding the words without building assertions
     case = map_page_case(words)
-    result = case.stubs["alloc_phys_page_or_panic"].apply(StubEnv(
-        machine=case.state, root=case.root, registry=case.registry,
-        free_list=case.free_list, free_cursor=0))
-    product = result.produces
+    product = case.stubs["alloc_phys_page_or_panic"].apply(_stub_state(case))
     assert product == lower(sep(
         RegPt(Reg.RAX, FULL, MAP_FPADDR + 3), Pure(PredAligned(MAP_FPADDR)),
         *(PhysPt(MAP_FPADDR >> 12, 8 * w, FULL, 0) for w in range(words))),

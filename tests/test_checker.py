@@ -64,8 +64,6 @@ from vmcheck.checker import (
     MISSING_RESOURCE,
     RESOURCE_ONLY,
     STUB_PRE_FAILED,
-    StubEnv,
-    StubResult,
     StubSpec,
     UNKNOWN_ROOT,
     UNSOUND_FRAME,
@@ -77,13 +75,14 @@ from vmcheck.checker import (
     check_double,
     frame_audit,
 )
-from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
+from vmcheck.cases import (CASE_NAMES, MAP_VA, _map_fixture, case_study,
+                           map_page_case, swtch_case)
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
 from test_audit import ALIAS_B_VA, DATA_VA, _alias_fixture
 from test_caches import _caches
-from gen import (MIXED_SHARES, build, fraction_claims, leaf_pool,
+from gen import (MIXED_SHARES, build, edit, fraction_claims, leaf_pool,
                  multi_space_fixture, random_assertion)
 from oracle import normalize
 
@@ -289,12 +288,11 @@ def test_frame_audit_forgets_registers_at_a_call():
     # 0x200000
     _state, _registry, roots = fixture()
 
-    def apply(env: StubEnv) -> StubResult:
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         machine.regs[Reg.RDI] = 0x20_1000
-        return StubResult(produces=lower(RegPt(Reg.RDI, FULL, 0x20_1000),
-                                         env.root, env.registry),
-                          machine=machine, free_cursor=env.free_cursor)
+        return lower(RegPt(Reg.RDI, FULL, 0x20_1000), state.root,
+                     state.registry)
 
     stub = StubSpec(name="next_page",
                     consumes=(RegPt(Reg.RDI, FULL, None),), apply=apply)
@@ -589,17 +587,16 @@ def test_ghost_remove_needs_full_token():
 
 
 def make_alloc_stub():
-    def apply(env: StubEnv) -> StubResult:
-        frame_base = env.free_list[env.free_cursor]
-        machine = env.machine.copy()
+    def apply(state):
+        frame_base = state.free_list[state.free_cursor]
+        state.free_cursor += 1
+        state.machine = machine = state.machine.copy()
         for off in range(0, 4096, 8):
             machine.mem.setdefault(frame_base >> 12, {})[off] = 0
         machine.regs[Reg.RAX] = frame_base + 3
-        produces = lower(sep(RegPt(Reg.RAX, FULL, frame_base + 3),
-                             PhysPt(frame_base >> 12, 0, FULL, 0)),
-                         env.root, env.registry)
-        return StubResult(produces=produces, machine=machine,
-                          free_cursor=env.free_cursor + 1)
+        return lower(sep(RegPt(Reg.RAX, FULL, frame_base + 3),
+                         PhysPt(frame_base >> 12, 0, FULL, 0)),
+                     state.root, state.registry)
 
     return StubSpec(name="alloc_page", consumes=(RegPt(Reg.RAX, FULL, None),),
                     apply=apply)
@@ -628,11 +625,10 @@ def test_call_unknown_stub():
 
 def test_lying_stub_is_caught_by_audit():
     # A stub that corrupts a claimed memory word without saying so.
-    def apply(env: StubEnv) -> StubResult:
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         assert machine.write_word(0x5, 0x0, 0xBAD) is None
-        return StubResult(produces=lower(sep(), env.root), machine=machine,
-                          free_cursor=env.free_cursor)
+        return lower(sep(), state.root)
 
     stub = StubSpec(name="evil", consumes=(), apply=apply)
     state, registry, roots = fixture()
@@ -647,10 +643,8 @@ def test_lying_stub_is_caught_by_audit():
 def test_stub_promise_is_audited():
     # a stub that promises a register value its effect did not set: the
     # audit of just the produced claims names the broken one
-    def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=lower(RegPt(Reg.RAX, FULL, 0x42),
-                                         env.root, env.registry),
-                          machine=env.machine, free_cursor=env.free_cursor)
+    def apply(state):
+        return lower(RegPt(Reg.RAX, FULL, 0x42), state.root, state.registry)
 
     stub = StubSpec(name="liar", consumes=(RegPt(Reg.RAX, FULL, None),),
                     apply=apply)
@@ -667,10 +661,9 @@ def test_stub_promise_is_audited():
 def test_stub_false_pure_predicate_is_rejected(mode):
     # a stub that promises a mapped va is unmapped: the claim is not about
     # the machine, so only the pure check can catch it
-    def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=lower(Pure(PredUnmapped(0x20_0000)),
-                                         env.root, env.registry),
-                          machine=env.machine, free_cursor=env.free_cursor)
+    def apply(state):
+        return lower(Pure(PredUnmapped(0x20_0000)), state.root,
+                     state.registry)
 
     stub = StubSpec(name="liar", consumes=(), apply=apply)
     state, registry, roots = fixture()
@@ -685,11 +678,10 @@ def test_stub_false_pure_predicate_is_rejected(mode):
 def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
     # the effect loads cr3 with the other registered root and promises
     # nothing, so only the audit's cr3 comparison can see it
-    def apply(env: StubEnv) -> StubResult:
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         machine.regs[Reg.CR3] = 0x14_0000
-        return StubResult(produces=lower(sep(), env.root), machine=machine,
-                          free_cursor=env.free_cursor)
+        return lower(sep(), state.root)
 
     case = swtch_case()
     stub = StubSpec(name="hop", consumes=(), apply=apply)
@@ -703,10 +695,9 @@ def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
 
 
 def test_a_stub_that_hands_back_half_a_claim_records_the_net_loss():
-    def apply(env: StubEnv) -> StubResult:
-        return StubResult(produces=lower(PhysPt(0x210, 0, Fraction(1, 2), 0),
-                                         env.root, env.registry),
-                          machine=env.machine, free_cursor=env.free_cursor)
+    def apply(state):
+        return lower(PhysPt(0x210, 0, Fraction(1, 2), 0), state.root,
+                     state.registry)
 
     case = swtch_case()
     stub = StubSpec(name="half", consumes=(PhysPt(0x210, 0, FULL, 0),),
@@ -718,6 +709,48 @@ def test_a_stub_that_hands_back_half_a_claim_records_the_net_loss():
     (record,) = report.records
     assert (record.consumed, record.produced) == \
         (("phys:0x210:0x0 1/2 0x0",), ())
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_stub_product_conflict_is_refused_at_its_least_location(mode):
+    # the precondition holds half of the PTE walk claim and of the L1 slot
+    # behind it, and ensure_L1_page hands over both in full: the call joins
+    # its product in location order, so the refusal names the slot, the
+    # least of the two, not the walk claim its product lowered first
+    case = map_page_case(1)
+    _state, _registry, _root, pte_addr, slot = _map_fixture()
+    pre = sep(case.pre, PtePt(pte_addr, Fraction(1, 2), slot, 0))
+    report = check_double(pre, case.root, [CallStep("ensure_L1_page")],
+                          stubs=case.stubs, mode=mode, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    assert str(report.violation) == (
+        "step 0: InsufficientFraction at phys:0x103:0x0: share sum exceeds "
+        "1 at phys:0x103:0x0")
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_stub_that_re_promises_a_held_pure_gone_false_is_refused(mode):
+    # the precondition's pure "unmapped MAP_VA" is still in the ledger
+    # after the ghost insert has mapped MAP_VA; a stub promising it again
+    # adds nothing to the ledger's pures, and is refused all the same
+    case = map_page_case(1)
+    assert (case.root, PredUnmapped(MAP_VA)) in \
+        lower(case.pre, case.root, case.registry).pures
+    view = next(index for index, step in enumerate(case.script)
+                if isinstance(step, GhostPteToVirt))
+
+    def apply(state):
+        return lower(Pure(PredUnmapped(MAP_VA)), state.root, state.registry)
+
+    stubs = dict(case.stubs,
+                 liar=StubSpec(name="liar", consumes=(), apply=apply))
+    report = check_double(case.pre, case.root,
+                          case.script[:view] + [CallStep("liar")],
+                          stubs=stubs, mode=mode, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    assert str(report.violation) == (
+        "step 5: StubPreFailed at liar: stub liar promised a false pure "
+        "predicate: unmapped 0x400000")
 
 
 def test_the_alloc_stub_refuses_a_free_list_entry_off_a_page():
@@ -803,73 +836,28 @@ def test_reports_are_deterministic():
 
 
 # --------------------------------------------------------------------------
-# The claim ledger: persistent operations, records from the draft's journal
+# The claim ledger: operations in place, records from its journal
 
 
 _LOCS = (RegLoc(Reg.RAX), RegLoc(Reg.RBX), PhysLoc(1, 0), PhysLoc(1, 8),
          WalkLoc(0x1000, 0x20_0000), WalkLoc(0x2000, 0x20_0000),
          SpaceLoc(0x1000), SpaceLoc(0x2000))
 
-ledger_ops = st.tuples(
-    st.sampled_from(("add", "consume", "set_value")), st.sampled_from(_LOCS),
-    st.sampled_from((Fraction(1, 512), Fraction(1, 4), Fraction(1, 2), FULL)),
-    st.sampled_from((0, 1, None)))
 
-
-def _apply_op(ledger, op):
+def _try(ledger, op):
+    """Apply op to the ledger in place: the type of error it raised, or
+    None."""
     kind, loc, q, val = op
-    if kind == "add":
-        return ledger.add(loc, q, val or 0)
-    if kind == "consume":
-        return ledger.consume(loc, q, val)
-    return ledger.set_value(loc, val or 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(ledger_ops, max_size=5), max_size=10))
-def test_ledger_operations_leave_the_receiver_unchanged(steps):
-    ledger = Ledger(0x1000)
-    for ops in steps:
-        for op in ops:
-            prior, prior_claims = ledger, dict(ledger.claims)
-            try:
-                ledger = _apply_op(ledger, op)
-            except LedgerError:
-                pass
-            assert prior.claims == prior_claims
-
-
-draft_ops = st.tuples(
-    st.sampled_from(("add", "consume", "set_value")), st.sampled_from(_LOCS),
-    st.sampled_from((Fraction(-1, 2), Fraction(1, 512), Fraction(1, 4),
-                     Fraction(1, 2), FULL)),
-    st.sampled_from((0, 1, None)))
-
-
-def _outcome(apply, target, op):
-    """(the target after op, the type of error op raised, or None)."""
     try:
-        return apply(target, op), None
+        if kind == "add":
+            ledger.add(loc, q, val or 0)
+        elif kind == "consume":
+            ledger.consume(loc, q, val)
+        else:
+            ledger.set_value(loc, val or 0)
     except (LedgerError, ValueError) as err:
-        return target, type(err)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(ledger_ops, max_size=8), st.lists(draft_ops, max_size=20))
-def test_a_draft_replays_ops_as_the_ledger_operations_do(setup, ops):
-    start = Ledger(0x1000)
-    for op in setup:
-        start, _err = _outcome(_apply_op, start, op)
-    held = dict(start.claims)
-    ledger, draft = start, start.edit()
-    for op in ops:
-        ledger, want = _outcome(_apply_op, ledger, op)
-        # an operation that raises leaves the draft as it was
-        draft, got = _outcome(_apply_op, draft, op)
-        assert got == want
-        assert draft.claims == ledger.claims
-    assert draft.done() == ledger
-    assert start.claims == held
+        return type(err)
+    return None
 
 
 mixed_ops = st.tuples(
@@ -878,34 +866,57 @@ mixed_ops = st.tuples(
     st.sampled_from((0, 1, None)))
 
 
+def _shares(ledger) -> tuple:
+    """A ledger's claims, pures and journal, shares as Fractions."""
+    journal = {loc: held and (Fraction(held[0], ledger.den), held[1])
+               for loc, held in ledger.journal.items()}
+    return fraction_claims(ledger), ledger.pures, journal
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_ops, max_size=8), st.lists(mixed_ops, max_size=20))
+def test_a_refused_ledger_operation_changes_nothing_but_den(setup, ops):
+    # refused ops (negative shares, missing claims, disagreeing values,
+    # sums past 1) among accepted ones; a 1/3, 2/7 or 5/6 share may grow
+    # den, and with it every numerator, but no share
+    ledger = Ledger(0x1000)
+    for op in setup:
+        _try(ledger, op)
+    ledger.journal = {}
+    for op in ops:
+        before = _shares(ledger)
+        if _try(ledger, op) is not None:
+            assert _shares(ledger) == before
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(mixed_ops, max_size=8), st.lists(mixed_ops, max_size=20))
 def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
     # ops repeat locations (8 of them), include refused ones (negative
     # shares, missing claims, disagreeing values), and draw 1/3, 2/7 and
-    # 5/6 shares, which rescale the draft, often after it has journaled
-    before = Ledger(0x1000)
+    # 5/6 shares, which rescale the ledger, often after it has journaled
+    ledger = Ledger(0x1000)
     for op in setup:
-        before, _err = _outcome(_apply_op, before, op)
-    draft = before.edit()
+        _try(ledger, op)
+    old = fraction_claims(ledger)
+    ledger.journal = {}
     for op in ops:
-        draft, _err = _outcome(_apply_op, draft, op)
-    after = draft.done()
-    old, new = fraction_claims(before), fraction_claims(after)
+        _try(ledger, op)
+    new = fraction_claims(ledger)
     changed = {loc for loc in old.keys() | new.keys()
                if old.get(loc) != new.get(loc)}
-    assert changed <= set(draft.journal)  # the journal names every change
-    assert _step_claims(draft.journal, after) == oracle.ledger_delta(old, new)
+    assert changed <= set(ledger.journal)  # the journal names every change
+    assert _step_claims(ledger.journal, ledger) == \
+        oracle.ledger_delta(old, new)
 
 
 def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         monkeypatch):
-    ledger = build(0x1000, {RegLoc(Reg.RAX): (FULL, 7),
-                            PhysLoc(1, 0): (Fraction(1, 2), 5)})
-    draft = (ledger.edit().consume(RegLoc(Reg.RAX), Fraction(1, 4))
-             .add(PhysLoc(1, 0), Fraction(1, 4), 5)
-             .add(WalkLoc(0x1000, 0x20_0000), FULL, 0x3000))
-    after = draft.done()
+    after = edit(build(0x1000, {RegLoc(Reg.RAX): (FULL, 7),
+                                PhysLoc(1, 0): (Fraction(1, 2), 5)}))
+    (after.consume(RegLoc(Reg.RAX), Fraction(1, 4))
+     .add(PhysLoc(1, 0), Fraction(1, 4), 5)
+     .add(WalkLoc(0x1000, 0x20_0000), FULL, 0x3000))
     texts = []
 
     def share_text(n, den):
@@ -913,7 +924,7 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         return assertions.share_text(n, den)
 
     monkeypatch.setattr(checker, "share_text", share_text)
-    assert _step_claims(draft.journal, after) == (
+    assert _step_claims(after.journal, after) == (
         ("reg:rax 1/4 0x7",),
         ("phys:0x1:0x0 1/4 0x5", "walk:0x1000:0x200000 1 0x3000"))
     # one share text per rendered claim, from its int numerator, in
@@ -926,29 +937,29 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
 def test_a_location_changed_twice_renders_its_net_change():
     # a stub consumes rax and produces it with a new value; a join adds
     # shares of one slot twice
-    ledger = build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
-                            PhysLoc(1, 0): (L1_SHARE, 5)})
-    draft = (ledger.edit().consume(RegLoc(Reg.RAX), FULL)
-             .add(RegLoc(Reg.RAX), FULL, 0x9003)
-             .add(PhysLoc(1, 0), L1_SHARE, 5).add(PhysLoc(1, 0), L1_SHARE, 5))
-    assert _step_claims(draft.journal, draft.done()) == (
+    after = edit(build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
+                                PhysLoc(1, 0): (L1_SHARE, 5)}))
+    (after.consume(RegLoc(Reg.RAX), FULL)
+     .add(RegLoc(Reg.RAX), FULL, 0x9003)
+     .add(PhysLoc(1, 0), L1_SHARE, 5).add(PhysLoc(1, 0), L1_SHARE, 5))
+    assert _step_claims(after.journal, after) == (
         ("reg:rax 1 0x0",), ("phys:0x1:0x0 1/256 0x5", "reg:rax 1 0x9003"))
 
 
 def _count_rescales(monkeypatch) -> list:
-    """Note, from here on, each ``LedgerDraft.widen`` call that grows its
-    draft's ``den`` (a rescale of every claim), as (old den, d)."""
+    """Note, from here on, each ``Ledger.widen`` call that grows its
+    ledger's ``den`` (a rescale of every claim), as (old den, d)."""
     rescales = []
-    real = assertions.LedgerDraft.widen
+    real = assertions.Ledger.widen
 
-    def widen(draft, d):
-        before = draft.den
-        k = real(draft, d)
-        if draft.den != before:
+    def widen(ledger, d):
+        before = ledger.den
+        k = real(ledger, d)
+        if ledger.den != before:
             rescales.append((before, d))
         return k
 
-    monkeypatch.setattr(assertions.LedgerDraft, "widen", widen)
+    monkeypatch.setattr(assertions.Ledger, "widen", widen)
     return rescales
 
 
@@ -1063,11 +1074,11 @@ def test_ghost_refusals_after_a_third_widened_the_ledger_are_the_oracles():
 
 def test_the_ghost_rules_turn_no_share_into_a_numerator(monkeypatch):
     # insert and remove take FULL and the chain shares as numerators
-    # computed once, not through LedgerDraft.share at each step
+    # computed once, not through Ledger.share at each step
     calls = []
-    real = assertions.LedgerDraft.share
-    monkeypatch.setattr(assertions.LedgerDraft, "share",
-                        lambda draft, q: calls.append(q) or real(draft, q))
+    real = assertions.Ledger.share
+    monkeypatch.setattr(assertions.Ledger, "share",
+                        lambda ledger, q: calls.append(q) or real(ledger, q))
     ghost_steps = 0
     for case in (map_page_case(16), case_study("unmap_page")):
         check = _case_state(case, RESOURCE_ONLY)
@@ -1276,10 +1287,9 @@ def test_a_step_refused_after_a_rescale_is_undone():
     stubs = {
         "two": StubSpec(name="two", consumes=(PhysPt(0x5, 0, third, 0x1111),
                                               PhysPt(0x300, 0, FULL, 0)),
-                        apply=lambda env: pytest.fail("the stub ran")),
+                        apply=lambda state: pytest.fail("the stub ran")),
         "one": StubSpec(name="one", consumes=(PhysPt(0x5, 0, third, 0x1111),),
-                        apply=lambda env: StubResult(
-                            lower(Emp(), env.root), env.machine, 0)),
+                        apply=lambda state: lower(Emp(), state.root)),
     }
 
     def make_ctx():
@@ -1414,11 +1424,10 @@ def _lying_call_refusal():
     call is refused after the check took the stub's machine."""
     state, registry, roots = fixture()
 
-    def apply(env):
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         machine.regs[Reg.RAX] = 9
-        return StubResult(lower(RegPt(Reg.RAX, FULL, 8), env.root), machine,
-                          env.free_cursor)
+        return lower(RegPt(Reg.RAX, FULL, 8), state.root)
 
     stub = StubSpec(name="lie", consumes=(RegPt(Reg.RAX, FULL, None),),
                     apply=apply)
@@ -1480,10 +1489,10 @@ def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
     # still caught by the per-step audit after it
     make_state, root_b = _alias_store_refusal()
 
-    def apply(env):
-        machine = env.machine.copy()
+    def apply(state):
+        state.machine = machine = state.machine.copy()
         machine.regs[Reg.RAX] = 1
-        return StubResult(lower(Emp(), env.root), machine, env.free_cursor)
+        return lower(Emp(), state.root)
 
     check = make_state()
     check.stubs["clobber"] = StubSpec(name="clobber", consumes=(),
@@ -1530,21 +1539,22 @@ def test_an_accepted_coexec_swtch_check_copies_init_once_and_a_frame_once(
 
 
 def test_a_check_copies_no_claims_dict(monkeypatch):
-    # every step writes the check's one ledger in place
+    # every step writes the check's one ledger in place: the final claims
+    # are the dict the precondition was lowered into
     case = map_page_case(64)
-    edits = []
-    real_edit = Ledger.edit
+    lowered = []
+    real_lower = checker.lower
 
-    def edit(ledger):
-        edits.append(ledger)
-        return real_edit(ledger)
+    def lower(*args):
+        lowered.append(real_lower(*args))
+        return lowered[-1]
 
-    monkeypatch.setattr(Ledger, "edit", edit)
+    monkeypatch.setattr(checker, "lower", lower)
     report = check_double(case.pre, case.root, case.script, stubs=case.stubs,
                           mode=RESOURCE_ONLY, init=case.state,
                           registry=case.registry, free_list=case.free_list)
     assert report.ok
-    assert edits == []
+    assert report.final_ledger.claims is lowered[0].claims
 
 
 def test_equal_ledgers_render_alike_whatever_the_insertion_order():

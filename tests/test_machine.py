@@ -577,25 +577,30 @@ def test_step_and_run_leave_input_and_sibling_unchanged(
        alloc_first=st.booleans())
 def test_library_stubs_leave_input_and_sibling_unchanged(words, rax,
                                                          alloc_first):
+    from vmcheck.assertions import Ledger
     from vmcheck.cases import MAP_FPADDR, map_page_case
-    from vmcheck.checker import StubEnv
+    from vmcheck.checker import CheckState
 
     case = map_page_case(words)
     state = case.state.copy()
     state.regs[Reg.RAX] = rax
     sibling = state.copy()
     snap = _snapshot(state)
-    env = StubEnv(machine=state, root=case.root, registry=case.registry,
-                  free_list=case.free_list, free_cursor=0)
+    check = CheckState(Ledger(case.root), case.registry, state,
+                       free_list=case.free_list)
     names = ["ensure_L1_page", "alloc_phys_page_or_panic"]
     for name in names[::-1] if alloc_first else names:
-        result = case.stubs[name].apply(env)
+        # each stub runs on `state`, and installs its own copy
+        check.machine, check.free_cursor = state, 0
+        case.stubs[name].apply(check)
+        assert check.machine is not state
         assert _snapshot(state) == snap
         assert _snapshot(sibling) == snap
         if name == "alloc_phys_page_or_panic":
             # it zeroed its page through the copy-before-write path
-            assert result.machine.mem.owned == {MAP_FPADDR >> 12}
-            assert result.machine.reg(Reg.RAX) == MAP_FPADDR + 3
+            assert check.machine.mem.owned == {MAP_FPADDR >> 12}
+            assert check.machine.reg(Reg.RAX) == MAP_FPADDR + 3
+            assert check.free_cursor == 1
 
 
 def test_walk_with_accessed_bits_copies_a_shared_frame():

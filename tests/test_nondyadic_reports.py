@@ -25,7 +25,6 @@ from vmcheck.checker import (
     CallStep,
     COEXEC,
     RESOURCE_ONLY,
-    StubResult,
     StubSpec,
     check_double,
 )
@@ -41,10 +40,8 @@ def _stub(name, consumes=(), produces=()):
     """A stub that consumes `consumes` and produces `produces`, leaving
     the machine as it is."""
 
-    def apply(env):
-        return StubResult(produces=lower(sep(*produces), env.root,
-                                         env.registry),
-                          machine=env.machine, free_cursor=env.free_cursor)
+    def apply(state):
+        return lower(sep(*produces), state.root, state.registry)
 
     return name, StubSpec(name=name, consumes=consumes, apply=apply)
 

@@ -62,7 +62,6 @@ from vmcheck.checker import (
     RESOURCE_ONLY,
     STUB_PRE_FAILED,
     StubError,
-    StubResult,
     StubSpec,
     UNKNOWN_ROOT,
     UNSOUND_FRAME,
@@ -112,15 +111,13 @@ def _stub(name, consumes=(), produces=None, write=None, fail=None):
     """A stub that consumes `consumes`, produces `produces`, and writes
     the (frame, offset, value) `write` to memory or raises `fail`."""
 
-    def apply(env):
+    def apply(state):
         if fail is not None:
             raise StubError(fail)
-        machine = env.machine.copy()
+        state.machine = machine = state.machine.copy()
         if write is not None:
             machine.write_word(*write)
-        return StubResult(produces=lower(produces or sep(), env.root,
-                                         env.registry),
-                          machine=machine, free_cursor=env.free_cursor)
+        return lower(produces or sep(), state.root, state.registry)
 
     return {name: StubSpec(name=name, consumes=consumes, apply=apply)}
 
