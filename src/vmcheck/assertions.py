@@ -295,7 +295,7 @@ class Sep(Assertion):
 
 def sep(*parts: Assertion) -> Assertion:
     """Canonical separating conjunction: flattened, Emp-free, sorted by
-    repr (built once per distinct part object)."""
+    repr (built once per part: ``sort`` calls its key once each)."""
     flat = []
     todo = list(reversed(parts))
     while todo:
@@ -304,8 +304,7 @@ def sep(*parts: Assertion) -> Assertion:
             todo.extend(reversed(a.parts))
         elif not isinstance(a, Emp):
             flat.append(a)
-    texts = {id(a): repr(a) for a in {id(a): a for a in flat}.values()}
-    flat.sort(key=lambda a: texts[id(a)])
+    flat.sort(key=repr)
     if not flat:
         return Emp()
     if len(flat) == 1:

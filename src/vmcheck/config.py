@@ -10,15 +10,15 @@ One reader, ``_word``, checks a word's width and alignment where it is
 read: every word in [0, 2^64), walk-map keys and values word aligned,
 space roots and free-list entries page aligned.
 
-Words spelled as the dumper spells them (``0x`` and 1 to 16 lower-case
-hex digits) are read in bulk, with one pattern over the newline-joined
-texts (one newline fewer than texts, so ``"0x1\\n0x2"`` cannot pass as
-two): a walk map whose keys are distinct and all its words aligned, and
-a frame whose offsets are ``0x0`` .. ``0xff8``, each distinct word once.
-A frame of all 512 offsets starts as a copy of one all-zero frame, and
+The words of a frame whose offsets are ``0x0`` .. ``0xff8`` are read in
+bulk when each is spelled as the dumper spells it (``0x`` and 1 to 16
+lower-case hex digits): one pattern over the newline-joined texts, with
+one newline fewer than texts, so ``"0x1\\n0x2"`` cannot pass as two.  A
+frame of all 512 offsets starts as a copy of one all-zero frame, and
 only its other words are read: every shipped and benchmark state is at
-least 99.5% ``0x0`` words.  Anything else is read word by word, so any
-grammar spelling loads, and every error names the first bad field."""
+least 99.5% ``0x0`` words.  Everything else, walk maps included, is read
+word by word, so any grammar spelling loads, and every error names the
+first bad field."""
 
 from __future__ import annotations
 
@@ -99,23 +99,22 @@ _ZERO_FRAME = dict.fromkeys(_SLOTS.values(), 0)
 _HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
 
 
-def _bulk(texts, align: int = 1) -> Optional[list]:
-    """The words of `texts` (a sized iterable) when each is spelled as
-    the dumper spells a word and `align` divides each, else None."""
+def _bulk(texts: list) -> Optional[list]:
+    """The words of `texts` when each is spelled as the dumper spells a
+    word, else None."""
     try:
         joined = "\n".join(texts)
     except TypeError:
         return None
     if not texts or (_HEX_WORDS.fullmatch(joined)
                      and joined.count("\n") == len(texts) - 1):
-        words = list(map(int, texts, repeat(16)))
-        if not any(word % align for word in words):
-            return words
+        return list(map(int, texts, repeat(16)))
     return None
 
 
 def _frame_words(words: dict, frame: int, checked: set) -> dict:
-    """The {offset: word} map of one memory frame's JSON object.  `checked`
+    """The {offset: word} map of one memory frame's JSON object: one
+    `_bulk` call when its offsets are slots, else word by word.  `checked`
     holds the key tuples this load found to be slots: a dump repeats one."""
     keys = tuple(words)
     if keys in checked or words.keys() <= _SLOTS.keys():
@@ -125,15 +124,9 @@ def _frame_words(words: dict, frame: int, checked: set) -> dict:
         inner = _ZERO_FRAME.copy() if full else {}
         spelled = {text: value for text, value in words.items()
                    if value != "0x0"} if full else words
-        try:
-            distinct = set(spelled.values())
-        except TypeError:  # an unhashable value, which _bulk refuses
-            distinct = [None]
-        numbers = _bulk(distinct)
+        numbers = _bulk(list(spelled.values()))
         if numbers is not None:
-            table = dict(zip(distinct, numbers))
-            inner.update(zip(map(_SLOTS.__getitem__, spelled),
-                             map(table.__getitem__, spelled.values())))
+            inner.update(zip(map(_SLOTS.__getitem__, spelled), numbers))
             return inner
     inner = {}
     for off_text, val in words.items():
@@ -178,13 +171,9 @@ def load_config(text: str) -> StateConfig:
                                     "registry").items():
         root = _word(root_text, "space root", PAGE_SIZE)
         _once("space root", root, registry, body["registry"], root_text)
-        vas = _bulk(_shaped(walks, dict, f"walk map {root:#x}"), WORD_BYTES)
-        pas = _bulk(walks.values(), WORD_BYTES)
-        if vas is not None and pas is not None and len(set(vas)) == len(vas):
-            registry[root] = dict(zip(vas, pas))
-            continue
         theta = registry[root] = {}
-        for va_text, pa_text in walks.items():
+        for va_text, pa_text in _shaped(walks, dict,
+                                        f"walk map {root:#x}").items():
             va = _word(va_text, f"walk map {root:#x} key", WORD_BYTES)
             _once(f"walk map {root:#x} key", va, theta, walks, va_text)
             theta[va] = _word(pa_text, f"walk map {root:#x} entry {va:#x} ->",

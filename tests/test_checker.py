@@ -38,6 +38,8 @@ from vmcheck.assertions import (
     OtherSpace,
     PhysLoc,
     PhysPt,
+    PredAligned,
+    PredEq,
     PredUnmapped,
     PtePt,
     Pure,
@@ -1170,23 +1172,64 @@ def _machine_words(machine):
             {frame: dict(words) for frame, words in machine.mem.items()})
 
 
-def _refused_leaving_the_ledger(check, script_step):
+def _refused_leaving_the_ledger(check, script_step, index=0):
     """The refusal of `script_step`, which must leave the state as it was:
-    claims, den, walk maps, root, and the same machine with the same
-    registers, pc and memory words."""
+    claims, den, pures, walk maps, root, free-list cursor, and the same
+    machine with the same registers, pc and memory words."""
     claims, den = dict(check.ledger.claims), check.ledger.den
     held = fraction_claims(check.ledger)
     walk_maps = {root: dict(theta) for root, theta in check.registry.items()}
     root, machine = check.root, check.machine
+    pures, cursor = check.pures, check.free_cursor
     words = _machine_words(machine)
-    outcome = checker.apply_rule(check, script_step, 0)
+    outcome = checker.apply_rule(check, script_step, index)
     assert isinstance(outcome, Violation)
     assert fraction_claims(check.ledger) == held
     assert (check.ledger.claims, check.ledger.den) == (claims, den)
     assert (check.registry, check.root) == (walk_maps, root)
+    assert (check.pures, check.free_cursor) == (pures, cursor)
     assert check.machine is machine
     assert _machine_words(machine) == words
     return outcome
+
+
+def test_a_refused_alloc_call_puts_the_free_list_cursor_back():
+    # the precondition holds the free page's first word in full, so the
+    # alloc stub's product conflicts with it after the stub has drawn the
+    # page: the refusal must hand the page back to the free list
+    case = map_page_case(1)
+    pre = sep(case.pre, PhysPt(0x200, 0, FULL, 0))
+    check = _case_state(replace(case, pre=pre), RESOURCE_ONLY)
+    for index in (0, 1):
+        assert isinstance(
+            checker.apply_rule(check, case.script[index], index), StepRecord)
+    assert isinstance(case.script[2], CallStep) and check.free_cursor == 0
+    violation = _refused_leaving_the_ledger(check, case.script[2], 2)
+    assert str(violation) == (
+        "step 2: InsufficientFraction at phys:0x200:0x0: share sum exceeds "
+        "1 at phys:0x200:0x0")
+    assert check.free_cursor == 0
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_stub_refused_for_a_false_pure_leaves_the_pures_as_they_were(mode):
+    # the call joins the stub's product, pure included, before it checks
+    # the product's pures: the refusal must take the false one back out
+    def apply(state):
+        return lower(Pure(PredEq(0x1, 0x2)), state.root, state.registry)
+
+    state, registry, roots = fixture()
+    root = roots[0]
+    ledger = lower(sep(IASpace(), Pure(PredAligned(0x20_0000))), root,
+                   registry)
+    check = checker.CheckState(
+        ledger, {r: dict(t) for r, t in registry.items()}, state.copy(), mode,
+        {"liar": StubSpec(name="liar", consumes=(), apply=apply)})
+    assert check.pures == {(root, PredAligned(0x20_0000))}
+    violation = _refused_leaving_the_ledger(check, CallStep("liar"))
+    assert str(violation) == ("step 0: StubPreFailed at liar: stub liar "
+                              "promised a false pure predicate: 0x1 == 0x2")
+    assert check.pures == {(root, PredAligned(0x20_0000))}
 
 
 def _takes_the_next_step_after_refusing(make_state, refused, accepted):

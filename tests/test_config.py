@@ -100,7 +100,7 @@ def test_rejects_malformed(text):
      "space root 0x100000 spelled '0x100000' and '1048576'"),
     ('{"registry": {"0x1000": {"0x8": "0x5000", "8": "0x6000"}}}',
      "walk map 0x1000 key 0x8 spelled '0x8' and '8'"),
-    # both spellings in the dumper's alphabet, which the bulk read takes
+    # both spellings 0x-hex in lower case, one of them zero-padded
     ('{"registry": {"0x1000": {"0x8": "0x5000", "0x08": "0x6000"}}}',
      "walk map 0x1000 key 0x8 spelled '0x8' and '0x08'"),
 ])
@@ -231,11 +231,11 @@ def test_bulk_frame_decode_matches_the_word_by_word_path(memory):
 
 
 @pytest.mark.parametrize("words, message", [
-    # one value that holds two words, at two offsets: the distinct values
-    # hold one newline, which the word count alone would let through
+    # one value that holds two words, at two offsets: the joined values
+    # match the pattern as four words, so the newline count refuses them
     ({"0x0": "0x1\n0x2", "0x8": "0x1\n0x2"},
      "bad number '0x1\\n0x2' for memory word 0x5:0x0"),
-    # values that set() cannot hash
+    # values that are not strings, which "\n".join refuses
     ({"0x0": ["0x1"], "0x8": ["0x1"]},
      "memory word 0x5:0x0 must be a 0x-hex string, got ['0x1']"),
 ])
@@ -281,6 +281,57 @@ def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
     monkeypatch.setattr(config, "_word", counted)
     assert load_config(dump_config(cfg)) == cfg
     assert fields == ["register rax"]
+
+
+_WORD64 = st.integers(0, (1 << 64) - 1)
+_ALIGNED = {align: _WORD64.map(lambda word, align=align: word - word % align)
+            for align in (8, 4096)}
+
+
+@st.composite
+def _loadable_frame(draw):
+    """A frame of a few slots or of all 512, whose words repeat (drawn
+    from a pool of up to four words and 0) or seldom do; a drawn seed
+    picks them, so that a failure shrinks quickly."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pool = draw(st.lists(_WORD64, min_size=1, max_size=4)) + [0]
+    slots = range(0, 4096, 8)
+    if not draw(st.booleans()):
+        slots = rng.sample(slots, draw(st.integers(0, 16)))
+    distinct = draw(st.booleans())
+    return {off: rng.getrandbits(64) if distinct else rng.choice(pool)
+            for off in slots}
+
+
+_CONFIGS = st.builds(
+    StateConfig,
+    registers=st.dictionaries(st.sampled_from(list(Reg)), _WORD64),
+    memory=st.dictionaries(st.integers(0, (1 << 52) - 1), _loadable_frame(),
+                           max_size=4),
+    registry=st.dictionaries(
+        _ALIGNED[4096], st.dictionaries(_ALIGNED[8], _ALIGNED[8], max_size=8),
+        max_size=3),
+    free_list=st.lists(_ALIGNED[4096], max_size=4).map(tuple))
+
+
+def _in_decimal(node):
+    """A decoded state file with every 0x-hex number spelled in decimal."""
+    if isinstance(node, dict):
+        return {_in_decimal(key): _in_decimal(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return list(map(_in_decimal, node))
+    return str(int(node, 16)) if node.startswith("0x") else node
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONFIGS)
+def test_a_dumped_state_loads_back_in_either_spelling(cfg):
+    # the dumper's spelling takes the bulk frame decode; decimal, which
+    # no bulk pattern matches, takes the word-by-word path
+    text = dump_config(cfg)
+    assert load_config(text) == cfg
+    assert load_config(json.dumps(_in_decimal(json.loads(text)))) == cfg
 
 
 def _full_frame_state() -> str:
