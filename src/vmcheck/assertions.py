@@ -289,9 +289,6 @@ class OtherSpace(Assertion):
 class Sep(Assertion):
     parts: tuple
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return " * ".join(repr(p) for p in self.parts)
-
 
 def sep(*parts: Assertion) -> Assertion:
     """Canonical separating conjunction: flattened, Emp-free, sorted by
@@ -509,13 +506,13 @@ class Ledger:
 
     def join(self, other: Ledger) -> "Ledger":
         """Disjoint composition: add every claim of `other`, a ledger under
-        the same root, in location order (the first failing one raises)."""
+        the same root, in location order (the first failing one raises).
+        Its pure facts are not merged: the caller checks them."""
         if self.root != other.root:
             raise ValueError("ledgers joined under different evaluation roots")
         k = self.widen(other.den)
         for loc, (n, v) in sorted(other.claims.items()):
             self._add(loc, n * k, v)
-        self.pures = self.pures | other.pures
         return self
 
 

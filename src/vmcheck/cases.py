@@ -82,16 +82,19 @@ class CaseStudy:
 # Stub library (resolvable by name, including from the command line)
 
 
-def _ensure_l1_stub(words: int = 1) -> StubSpec:
-    """Hands over the page-table plumbing for the address in rdi: shares
-    of the three interior entries plus a full PTE points-to for the L1
-    slot, whose own virtual address lands in rax.  The fixture must have
-    built the interior tables and mapped the L1 table page somewhere.
-    Each interior entry's share is stated once, as `words` times one
-    walk's share: each of the `words` walks to be published consumes one
-    walk's share (p |->{q} v * p |->{q} v is p |->{2q} v)."""
+def _library(words: int = 1) -> dict:
+    """The library stubs by name, for `words` mapped words (1 unless a
+    case maps more).  Each consumes rax, whatever its value."""
 
-    def apply(state: CheckState) -> Ledger:
+    def ensure_l1(state: CheckState) -> Ledger:
+        """Hands over the page-table plumbing for the address in rdi:
+        shares of the three interior entries plus a full PTE points-to for
+        the L1 slot, whose own virtual address lands in rax.  The fixture
+        must have built the interior tables and mapped the L1 table page
+        somewhere.  Each interior entry's share is stated once, as `words`
+        times one walk's share: each of the `words` walks to be published
+        consumes one walk's share (p |->{q} v * p |->{q} v is
+        p |->{2q} v)."""
         va = state.machine.reg(Reg.RDI)
         steps, _ = walk(state.root, state.machine.mem, va)
         if len(steps) < 4:
@@ -104,8 +107,7 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
             raise StubError(
                 f"the L1 slot {slot_pa:#x} is not virtually mapped")
         pte_addr = candidates[0]
-        state.machine = machine = state.machine.copy()
-        machine.regs[Reg.RAX] = pte_addr
+        state.machine.regs[Reg.RAX] = pte_addr
         product = lower(Sep((RegPt(Reg.RAX, FULL, pte_addr),
                              PtePt(pte_addr, FULL, slot_pa, l1e))),
                         state.root, state.registry)
@@ -114,23 +116,17 @@ def _ensure_l1_stub(words: int = 1) -> StubSpec:
             product.add(phys_loc(slot), share * words, entry)
         return product
 
-    return StubSpec(name="ensure_L1_page",
-                    consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
-
-
-def _alloc_page_stub(words: int = 1) -> StubSpec:
-    """Draws the next page off the configured free list, zeroes it, and
-    returns its base address plus the present and writable bits in rax.
-    Claims the first `words` zeroed words of the page."""
-
-    def apply(state: CheckState) -> Ledger:
+    def alloc(state: CheckState) -> Ledger:
+        """Draws the next page off the configured free list, zeroes it,
+        and returns its base address plus the present and writable bits
+        in rax.  Claims the first `words` zeroed words of the page."""
         if state.free_cursor >= len(state.free_list):
             raise StubError("physical page free list is exhausted")
         fpaddr = state.free_list[state.free_cursor]
         if fpaddr % PAGE:
             raise StubError(f"free-list entry {fpaddr:#x} is not page aligned")
-        state.machine = machine = state.machine.copy()
         state.free_cursor += 1
+        machine = state.machine
         page = own_frame(machine.mem, fpaddr >> 12)
         page.update(dict.fromkeys(range(0, PAGE, 8), 0))
         machine.regs[Reg.RAX] = fpaddr + 3
@@ -141,14 +137,12 @@ def _alloc_page_stub(words: int = 1) -> StubSpec:
             product.add_full(phys_loc(fpaddr + 8 * w), 0)
         return product
 
-    return StubSpec(name="alloc_phys_page_or_panic",
-                    consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
+    rax = (RegPt(Reg.RAX, FULL, None),)
+    return {"ensure_L1_page": StubSpec(rax, ensure_l1),
+            "alloc_phys_page_or_panic": StubSpec(rax, alloc)}
 
 
-STUB_LIBRARY = {
-    "ensure_L1_page": _ensure_l1_stub(),
-    "alloc_phys_page_or_panic": _alloc_page_stub(),
-}
+STUB_LIBRARY = _library()
 
 
 # --------------------------------------------------------------------------
@@ -212,14 +206,13 @@ def map_page_case(words: int = 1) -> CaseStudy:
     script.append(GhostPteToVirt(MAP_VA))
     post = sep(*(VirtPt(MAP_VA + 8 * w, FULL, 0) for w in range(words)))
     script.append(AssertStep(post))
-    stubs = {"ensure_L1_page": _ensure_l1_stub(words),
-             "alloc_phys_page_or_panic": _alloc_page_stub(words)}
     return CaseStudy(
         name="map_new_page",
         description="install a fresh page mapping by writing its L1 entry "
                     "through a virtual address, then publish the walk",
-        root=root, pre=pre, script=script, stubs=stubs, expected_post=post,
-        state=state, registry=registry, free_list=(MAP_FPADDR,))
+        root=root, pre=pre, script=script, stubs=_library(words),
+        expected_post=post, state=state, registry=registry,
+        free_list=(MAP_FPADDR,))
 
 
 # --------------------------------------------------------------------------

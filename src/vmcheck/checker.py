@@ -22,8 +22,8 @@ step keeps the space's walk map in the registry itself.
 stubs and free list: the step's rule (from ``_RULES``) changes its
 claims and walk map in place, journaling each claim, and an instruction
 then runs on its machine in place, listing each word written with the
-old word.  A stub runs on the same state and installs its machine copy
-there.  A refusal by the rule, the stub, the machine or the audit is a
+old word.  A call copies the machine once, and its stub writes that copy
+in place.  A refusal by the rule, the stub, the machine or the audit is a
 raised ``Reject`` (a failed ledger operation's ``LedgerError`` is one),
 which ``apply_rule`` undoes from those logs and stamps with the step's
 index, as ``check_double`` does at step -1.
@@ -191,21 +191,20 @@ class StubError(Exception):
 
 @dataclass(frozen=True)
 class StubSpec:
-    """Axiomatized procedure: claims it consumes, a deterministic state
-    effect, and the claims it produces (in co-execution, audited against
-    the machine after the effect runs).  A RegPt pattern with val=None
-    consumes the register claim whatever its value.  ``apply`` runs on
-    the check state after the consumes: it reads the state's ``machine``,
-    ``root``, ``registry``, ``free_list`` and ``free_cursor``, and changes
-    no claim.  Its effect writes memory only through
-    ``write_word``/``mem_set``/``own_frame`` on a copy of the machine
-    (frames are shared copy-on-write with the check's), which it installs
-    on the state, with its new cursor; a refused call puts both back.  It
-    returns its product: the ledger of the claims it hands over, under the
-    state's root (``lower`` of an assertion, plus any claims it adds),
-    which the call joins in location order."""
+    """Axiomatized procedure, named by its key in a check's stubs: claims
+    it consumes, a deterministic state effect, and the claims it produces
+    (in co-execution, audited against the machine after the effect runs).
+    A RegPt pattern with val=None consumes the register claim whatever
+    its value.  ``apply`` runs on the check state after the consumes and
+    the call's one machine copy: it reads the state's ``machine``,
+    ``root``, ``registry``, ``free_list`` and ``free_cursor``, writes the
+    machine (memory only through ``write_word``/``mem_set``/``own_frame``)
+    and the cursor in place, and changes no claim or walk map; a refused
+    call puts the machine and the cursor back.  It returns its product,
+    the ledger of the claims it hands over under the state's root
+    (``lower`` of an assertion, plus any claims it adds): the call joins
+    its claims in location order and checks its pure facts."""
 
-    name: str
     consumes: tuple
     apply: Callable[["CheckState"], Ledger]
 
@@ -217,30 +216,32 @@ class StubSpec:
 class CheckState(Ledger):
     """A check's one mutable state, owning `ledger`'s claims, `registry`
     and `machine`: its ledger under the root (cr3), whose ``journal`` is
-    the current step's, the machine, walk maps, stubs and free list.
-    ``touched`` (the walk locations the run has read a claim at or
-    changed an entry of) and ``reads`` (co-execution's audit index
-    {table frame: {(root, va), ...}} of the walk claims and walk-map
-    entries read there, from the first full audit on) only grow."""
+    the current step's, the machine, walk maps, stubs and free list.  It
+    keeps claims, not pure facts: each fact is checked where it enters
+    and dropped, since one such as ``unmapped va`` reads walk maps that
+    later steps change.  ``touched`` (the walk locations the run has read
+    a claim at or changed an entry of) and ``reads`` (co-execution's
+    audit index {table frame: {(root, va), ...}} of the walk claims and
+    walk-map entries read there, from the first full audit on) only
+    grow."""
 
     def __init__(self, ledger: Ledger, registry: Registry,
                  machine: MachineState, mode: str = COEXEC,
                  stubs: Optional[dict] = None, free_list: tuple = ()):
-        super().__init__(ledger.root, ledger.claims, ledger.pures, ledger.den)
+        super().__init__(ledger.root, ledger.claims, den=ledger.den)
         self.registry, self.machine, self.mode = registry, machine, mode
         self.stubs, self.free_list = stubs or {}, tuple(free_list)
         self.free_cursor, self.touched, self.reads = 0, set(), None
 
     @property
     def ledger(self) -> Ledger:
-        """A ledger over the state's claims dict, root, pures and den."""
-        return Ledger(self.root, self.claims, self.pures, self.den)
+        """A ledger over the state's claims dict, root and den."""
+        return Ledger(self.root, self.claims, den=self.den)
 
     def undo(self, saved: tuple) -> None:
         """Put back what `saved` holds from the step's start, and the
         claims from the journal, over the ``den`` saved."""
-        (self.root, self.pures, den, self.machine, self.free_cursor,
-         self.reads) = saved
+        self.root, den, self.machine, self.free_cursor, self.reads = saved
         for loc, held in self.journal.items():
             if held is None:
                 self.claims.pop(loc, None)
@@ -359,11 +360,11 @@ def _space_witness(state: CheckState, root: int) -> None:
 
 
 def _switch_root(state: CheckState, new_root: int, rule: str) -> str:
-    """The address-space switch: keeps facts, turns the target space's
-    wrapped claims into current ones, and leaves the old space's claims
-    reachable only through the other-space wrapper (all by moving the
-    evaluation root; claims are already tagged with their governing
-    space).  A rule's outcome."""
+    """The address-space switch: turns the target space's wrapped claims
+    into current ones, and leaves the old space's claims reachable only
+    through the other-space wrapper (all by moving the evaluation root;
+    claims are already tagged with their governing space).  A rule's
+    outcome."""
     if new_root % PAGE_SIZE:
         raise Reject(UNKNOWN_ROOT, f"{new_root:#x}",
                      "target root is not page aligned")
@@ -488,6 +489,8 @@ def _apply_call(state: CheckState, step: CallStep):
                     state.consume(loc, q, v)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
+    # the stub writes this copy in place; a refusal puts the old one back
+    state.machine = state.machine.copy()
     try:
         produced = stub.apply(state)
     except StubError as err:
@@ -674,8 +677,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
     machine, root = state.machine, state.root
-    saved = (root, state.pures, state.den, machine, state.free_cursor,
-             state.reads)
+    saved = root, state.den, machine, state.free_cursor, state.reads
     state.journal, reg, regs, writes, walk = {}, None, None, None, None
     if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
         # the walk-map entry the step writes, as it was

@@ -54,8 +54,11 @@ def edit(ledger):
 
 def join(a, b):
     """Disjoint composition of two ledgers under one root: a copy of
-    ``a``, with ``b``'s claims added by ``Ledger.join``."""
-    return edit(a).join(b)
+    ``a``, with ``b``'s claims added by ``Ledger.join``, and the pure
+    facts of both (``Ledger.join`` merges none)."""
+    joined = edit(a).join(b)
+    joined.pures = a.pures | b.pures
+    return joined
 
 
 def multi_space_fixture():

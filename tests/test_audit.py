@@ -300,11 +300,10 @@ def test_call_steps_get_the_full_audit():
     state, registry, root, _root_b, l1_a, _l1_b = _alias_fixture()
 
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        assert machine.write_word(l1_a >> 12, 8, 0) is None
+        assert state.machine.write_word(l1_a >> 12, 8, 0) is None
         return lower(sep(), state.root)
 
-    stub = checker.StubSpec(name="wipe", consumes=(), apply=apply)
+    stub = checker.StubSpec(consumes=(), apply=apply)
     pre = sep(IASpace(), PhysPt(0x6, 0x0, FULL, 0x3333))
     report = check_double(pre, root, [CallStep("wipe")],
                           stubs={"wipe": stub}, init=state,

@@ -128,8 +128,9 @@ def _walk_slots(root, mem, va):
 
 
 def _stub_state(case):
-    """A check state at the start of `case`, for a stub to run on."""
-    return CheckState(Ledger(case.root), case.registry, case.state,
+    """A check state at the start of `case`, for a stub to run on: a
+    stub writes the state's machine, so it gets a copy of the fixture's."""
+    return CheckState(Ledger(case.root), case.registry, case.state.copy(),
                       free_list=case.free_list)
 
 

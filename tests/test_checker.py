@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vmcheck.machine import (
@@ -66,6 +66,7 @@ from vmcheck.checker import (
     MISSING_RESOURCE,
     RESOURCE_ONLY,
     STUB_PRE_FAILED,
+    StubError,
     StubSpec,
     UNKNOWN_ROOT,
     UNSOUND_FRAME,
@@ -291,13 +292,11 @@ def test_frame_audit_forgets_registers_at_a_call():
     _state, _registry, roots = fixture()
 
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        machine.regs[Reg.RDI] = 0x20_1000
+        state.machine.regs[Reg.RDI] = 0x20_1000
         return lower(RegPt(Reg.RDI, FULL, 0x20_1000), state.root,
                      state.registry)
 
-    stub = StubSpec(name="next_page",
-                    consumes=(RegPt(Reg.RDI, FULL, None),), apply=apply)
+    stub = StubSpec(consumes=(RegPt(Reg.RDI, FULL, None),), apply=apply)
     pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),
                              VirtPt(0x20_1000, FULL, 0x3333),
                              RegPt(Reg.RDI, FULL, 0x20_0000),
@@ -592,16 +591,15 @@ def make_alloc_stub():
     def apply(state):
         frame_base = state.free_list[state.free_cursor]
         state.free_cursor += 1
-        state.machine = machine = state.machine.copy()
+        machine = state.machine
         for off in range(0, 4096, 8):
-            machine.mem.setdefault(frame_base >> 12, {})[off] = 0
+            mem_set(machine.mem, frame_base >> 12, off, 0)
         machine.regs[Reg.RAX] = frame_base + 3
         return lower(sep(RegPt(Reg.RAX, FULL, frame_base + 3),
                          PhysPt(frame_base >> 12, 0, FULL, 0)),
                      state.root, state.registry)
 
-    return StubSpec(name="alloc_page", consumes=(RegPt(Reg.RAX, FULL, None),),
-                    apply=apply)
+    return StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
 
 
 def test_call_consumes_and_produces():
@@ -628,11 +626,10 @@ def test_call_unknown_stub():
 def test_lying_stub_is_caught_by_audit():
     # A stub that corrupts a claimed memory word without saying so.
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        assert machine.write_word(0x5, 0x0, 0xBAD) is None
+        assert state.machine.write_word(0x5, 0x0, 0xBAD) is None
         return lower(sep(), state.root)
 
-    stub = StubSpec(name="evil", consumes=(), apply=apply)
+    stub = StubSpec(consumes=(), apply=apply)
     state, registry, roots = fixture()
     pre = sep(IASpace(), VirtPt(0x20_0000, FULL, 0x1111))
     report = check_double(pre, roots[0], [CallStep("evil")],
@@ -648,8 +645,7 @@ def test_stub_promise_is_audited():
     def apply(state):
         return lower(RegPt(Reg.RAX, FULL, 0x42), state.root, state.registry)
 
-    stub = StubSpec(name="liar", consumes=(RegPt(Reg.RAX, FULL, None),),
-                    apply=apply)
+    stub = StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
     state, registry, roots = fixture()
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7))
     report = check_double(pre, roots[0], [CallStep("liar")],
@@ -667,7 +663,7 @@ def test_stub_false_pure_predicate_is_rejected(mode):
         return lower(Pure(PredUnmapped(0x20_0000)), state.root,
                      state.registry)
 
-    stub = StubSpec(name="liar", consumes=(), apply=apply)
+    stub = StubSpec(consumes=(), apply=apply)
     state, registry, roots = fixture()
     report = check_double(sep(IASpace()), roots[0], [CallStep("liar")],
                           stubs={"liar": stub}, mode=mode, init=state,
@@ -681,12 +677,11 @@ def test_coexec_refuses_a_stub_that_moves_cr3_to_another_root():
     # the effect loads cr3 with the other registered root and promises
     # nothing, so only the audit's cr3 comparison can see it
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        machine.regs[Reg.CR3] = 0x14_0000
+        state.machine.regs[Reg.CR3] = 0x14_0000
         return lower(sep(), state.root)
 
     case = swtch_case()
-    stub = StubSpec(name="hop", consumes=(), apply=apply)
+    stub = StubSpec(consumes=(), apply=apply)
     report = check_double(case.pre, case.root, [CallStep("hop")],
                           stubs={"hop": stub}, init=case.state,
                           registry=case.registry)
@@ -702,8 +697,7 @@ def test_a_stub_that_hands_back_half_a_claim_records_the_net_loss():
                      state.registry)
 
     case = swtch_case()
-    stub = StubSpec(name="half", consumes=(PhysPt(0x210, 0, FULL, 0),),
-                    apply=apply)
+    stub = StubSpec(consumes=(PhysPt(0x210, 0, FULL, 0),), apply=apply)
     report = check_double(case.pre, case.root, [CallStep("half")],
                           stubs={"half": stub}, init=case.state,
                           registry=case.registry)
@@ -732,9 +726,9 @@ def test_a_stub_product_conflict_is_refused_at_its_least_location(mode):
 
 @pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
 def test_a_stub_that_re_promises_a_held_pure_gone_false_is_refused(mode):
-    # the precondition's pure "unmapped MAP_VA" is still in the ledger
-    # after the ghost insert has mapped MAP_VA; a stub promising it again
-    # adds nothing to the ledger's pures, and is refused all the same
+    # the precondition's pure "unmapped MAP_VA" held when it entered; the
+    # ghost insert has since mapped MAP_VA, so a stub promising it again
+    # is refused
     case = map_page_case(1)
     assert (case.root, PredUnmapped(MAP_VA)) in \
         lower(case.pre, case.root, case.registry).pures
@@ -745,7 +739,7 @@ def test_a_stub_that_re_promises_a_held_pure_gone_false_is_refused(mode):
         return lower(Pure(PredUnmapped(MAP_VA)), state.root, state.registry)
 
     stubs = dict(case.stubs,
-                 liar=StubSpec(name="liar", consumes=(), apply=apply))
+                 liar=StubSpec(consumes=(), apply=apply))
     report = check_double(case.pre, case.root,
                           case.script[:view] + [CallStep("liar")],
                           stubs=stubs, mode=mode, init=case.state,
@@ -1174,20 +1168,19 @@ def _machine_words(machine):
 
 def _refused_leaving_the_ledger(check, script_step, index=0):
     """The refusal of `script_step`, which must leave the state as it was:
-    claims, den, pures, walk maps, root, free-list cursor, and the same
-    machine with the same registers, pc and memory words."""
+    claims, den, walk maps, root, free-list cursor, and the same machine
+    with the same registers, pc and memory words."""
     claims, den = dict(check.ledger.claims), check.ledger.den
     held = fraction_claims(check.ledger)
     walk_maps = {root: dict(theta) for root, theta in check.registry.items()}
-    root, machine = check.root, check.machine
-    pures, cursor = check.pures, check.free_cursor
+    root, machine, cursor = check.root, check.machine, check.free_cursor
     words = _machine_words(machine)
     outcome = checker.apply_rule(check, script_step, index)
     assert isinstance(outcome, Violation)
     assert fraction_claims(check.ledger) == held
     assert (check.ledger.claims, check.ledger.den) == (claims, den)
     assert (check.registry, check.root) == (walk_maps, root)
-    assert (check.pures, check.free_cursor) == (pures, cursor)
+    assert check.free_cursor == cursor
     assert check.machine is machine
     assert _machine_words(machine) == words
     return outcome
@@ -1213,8 +1206,8 @@ def test_a_refused_alloc_call_puts_the_free_list_cursor_back():
 
 @pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
 def test_a_stub_refused_for_a_false_pure_leaves_the_pures_as_they_were(mode):
-    # the call joins the stub's product, pure included, before it checks
-    # the product's pures: the refusal must take the false one back out
+    # the check state keeps no pure fact: not the precondition's, which
+    # lowering hands over, nor the false one the stub's product promises
     def apply(state):
         return lower(Pure(PredEq(0x1, 0x2)), state.root, state.registry)
 
@@ -1222,14 +1215,85 @@ def test_a_stub_refused_for_a_false_pure_leaves_the_pures_as_they_were(mode):
     root = roots[0]
     ledger = lower(sep(IASpace(), Pure(PredAligned(0x20_0000))), root,
                    registry)
+    assert ledger.pures == {(root, PredAligned(0x20_0000))}
     check = checker.CheckState(
         ledger, {r: dict(t) for r, t in registry.items()}, state.copy(), mode,
-        {"liar": StubSpec(name="liar", consumes=(), apply=apply)})
-    assert check.pures == {(root, PredAligned(0x20_0000))}
+        {"liar": StubSpec(consumes=(), apply=apply)})
+    assert check.pures == frozenset()
     violation = _refused_leaving_the_ledger(check, CallStep("liar"))
     assert str(violation) == ("step 0: StubPreFailed at liar: stub liar "
                               "promised a false pure predicate: 0x1 == 0x2")
-    assert check.pures == {(root, PredAligned(0x20_0000))}
+    assert check.pures == frozenset()
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_an_accepted_map_page_check_keeps_no_pure_facts(mode):
+    # "unmapped MAP_VA" held when the precondition entered; the ghost
+    # insert maps MAP_VA, so a state that kept the fact would end false
+    case = map_page_case(1)
+    report = check_double(case.pre, case.root, case.script, case.stubs,
+                          mode=mode, init=case.state, registry=case.registry,
+                          free_list=case.free_list)
+    assert report.ok, report.violation
+    assert report.final_ledger.pures == frozenset()
+
+
+# the ways a call is refused after its stub wrote the machine; the last
+# two are co-execution's audits of the product and of every claim
+_STUB_REFUSALS = ("stub-error", "conflict", "false-pure", "product-audit",
+                  "full-audit")
+
+
+@settings(max_examples=25, deadline=None)
+@given(rax=st.integers(0, (1 << 64) - 1), held=st.booleans(),
+       value=st.integers(0, (1 << 64) - 1))
+@pytest.mark.parametrize("mode, way", [
+    (mode, way) for mode in (COEXEC, RESOURCE_ONLY) for way in _STUB_REFUSALS
+    if mode == COEXEC or not way.endswith("audit")])
+def test_a_call_refused_after_its_stub_wrote_in_place_is_undone(
+        mode, way, rax, held, value):
+    # the stub sets rax and one word, held (phys:0x5:0x0) or free (a
+    # fresh frame), in place on the machine the call handed it; each
+    # refusal leaves the check's machine object and every word as before
+    word = (0x5, 0x0) if held else (0x300, 0x0)
+    if way == "full-audit":
+        # only a changed held word is left for the full audit to see
+        assume(held and value != 0x1111)
+
+    def apply(state):
+        state.machine.regs[Reg.RAX] = rax
+        mem_set(state.machine.mem, *word, value)
+        if way == "stub-error":
+            raise StubError("gave up after writing")
+        promised = rax + (way == "product-audit")
+        parts = [RegPt(Reg.RAX, FULL, promised % (1 << 64))]
+        if way == "conflict":
+            parts.append(RegPt(Reg.RBX, FULL, 0))
+        if way == "false-pure":
+            parts.append(Pure(PredEq(0x1, 0x2)))
+        return lower(sep(*parts), state.root, state.registry)
+
+    state, registry, roots = fixture()
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7), RegPt(Reg.RBX, FULL, 0),
+              VirtPt(0x20_0000, FULL, 0x1111))
+    walk_maps = {r: dict(t) for r, t in registry.items()}
+    check = checker.CheckState(
+        lower(pre, roots[0], walk_maps), walk_maps, state.copy(), mode,
+        {"writer": StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),),
+                            apply=apply)})
+    if mode == COEXEC:
+        _audited(check)
+    violation = _refused_leaving_the_ledger(check, CallStep("writer"))
+    assert (violation.kind, violation.location) == {
+        "stub-error": (STUB_PRE_FAILED, "writer"),
+        "conflict": (INSUFFICIENT_FRACTION, "reg:rbx"),
+        "false-pure": (STUB_PRE_FAILED, "writer"),
+        "product-audit": (STUB_PRE_FAILED, "writer"),
+        "full-audit": (MACHINE_DISAGREE, None),
+    }[way]
+    assert check.machine.reg(Reg.RAX) == 0x7
+    assert check.machine.read_word(0x5, 0x0) == 0x1111
+    assert 0x300 not in check.machine.mem
 
 
 def _takes_the_next_step_after_refusing(make_state, refused, accepted):
@@ -1328,10 +1392,10 @@ def test_a_step_refused_after_a_rescale_is_undone():
     state, registry, roots = fixture()
     third = Fraction(1, 3)
     stubs = {
-        "two": StubSpec(name="two", consumes=(PhysPt(0x5, 0, third, 0x1111),
-                                              PhysPt(0x300, 0, FULL, 0)),
+        "two": StubSpec(consumes=(PhysPt(0x5, 0, third, 0x1111),
+                                  PhysPt(0x300, 0, FULL, 0)),
                         apply=lambda state: pytest.fail("the stub ran")),
-        "one": StubSpec(name="one", consumes=(PhysPt(0x5, 0, third, 0x1111),),
+        "one": StubSpec(consumes=(PhysPt(0x5, 0, third, 0x1111),),
                         apply=lambda state: lower(Emp(), state.root)),
     }
 
@@ -1356,8 +1420,7 @@ def test_an_error_raised_through_a_step_is_undone():
     def broken(env):
         raise KeyError("effect")
 
-    stub = StubSpec(name="broken", consumes=(RegPt(Reg.RAX, FULL, None),),
-                    apply=broken)
+    stub = StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),), apply=broken)
     check = checker.CheckState(
         lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0], registry),
         registry, state.copy(), RESOURCE_ONLY, {"broken": stub})
@@ -1412,8 +1475,8 @@ def test_a_check_writes_none_of_its_arguments(make, mode):
 def test_a_call_refused_partway_leaves_the_ledger_before_it():
     state, registry, roots = fixture()
     # the stub's first consumed claim is held, its second is missing
-    stub = StubSpec(name="two", consumes=(RegPt(Reg.RAX, FULL, None),
-                                          PhysPt(0x300, 0, FULL, 0)),
+    stub = StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),
+                              PhysPt(0x300, 0, FULL, 0)),
                     apply=lambda env: pytest.fail("the stub ran"))
     check = checker.CheckState(
         lower(sep(IASpace(), RegPt(Reg.RAX, FULL, 7)), roots[0], registry),
@@ -1463,17 +1526,15 @@ def _alias_store_refusal():
 
 
 def _lying_call_refusal():
-    """A stub whose machine holds rax = 9 but which promises rax = 8: the
-    call is refused after the check took the stub's machine."""
+    """A stub that sets rax = 9 but promises rax = 8: the call is refused
+    after the stub wrote the call's machine copy."""
     state, registry, roots = fixture()
 
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        machine.regs[Reg.RAX] = 9
+        state.machine.regs[Reg.RAX] = 9
         return lower(RegPt(Reg.RAX, FULL, 8), state.root)
 
-    stub = StubSpec(name="lie", consumes=(RegPt(Reg.RAX, FULL, None),),
-                    apply=apply)
+    stub = StubSpec(consumes=(RegPt(Reg.RAX, FULL, None),), apply=apply)
 
     def make_state():
         walk_maps = {r: dict(t) for r, t in registry.items()}
@@ -1489,7 +1550,7 @@ def _lying_call_refusal():
 def test_a_refused_step_leaves_the_state_and_machine_as_they_were(by):
     # an instruction refused by the ledger, by a machine fault or by the
     # audit after it wrote a word, and a call refused after its stub
-    # handed over a machine: each leaves the registers, pc, every memory
+    # wrote the machine: each leaves the registers, pc, every memory
     # word, the machine reference, claims, den and walk maps as they were,
     # and the state then takes its next step as a fresh one does
     if by == "ledger":
@@ -1533,13 +1594,11 @@ def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
     make_state, root_b = _alias_store_refusal()
 
     def apply(state):
-        state.machine = machine = state.machine.copy()
-        machine.regs[Reg.RAX] = 1
+        state.machine.regs[Reg.RAX] = 1
         return lower(Emp(), state.root)
 
     check = make_state()
-    check.stubs["clobber"] = StubSpec(name="clobber", consumes=(),
-                                      apply=apply)
+    check.stubs["clobber"] = StubSpec(consumes=(), apply=apply)
     violation = _refused_leaving_the_ledger(check, CallStep("clobber"))
     assert violation.narrative == "reg:rax: ledger 0x0, machine 0x1"
     assert checker.apply_rule(

@@ -577,22 +577,24 @@ def test_step_and_run_leave_input_and_sibling_unchanged(
        alloc_first=st.booleans())
 def test_library_stubs_leave_input_and_sibling_unchanged(words, rax,
                                                          alloc_first):
-    from vmcheck.assertions import Ledger
+    from vmcheck.assertions import FULL, RegPt, lower
     from vmcheck.cases import MAP_FPADDR, map_page_case
-    from vmcheck.checker import CheckState
+    from vmcheck.checker import (RESOURCE_ONLY, CallStep, CheckState,
+                                 StepRecord, apply_rule)
 
     case = map_page_case(words)
     state = case.state.copy()
     state.regs[Reg.RAX] = rax
     sibling = state.copy()
     snap = _snapshot(state)
-    check = CheckState(Ledger(case.root), case.registry, state,
-                       free_list=case.free_list)
     names = ["ensure_L1_page", "alloc_phys_page_or_panic"]
     for name in names[::-1] if alloc_first else names:
-        # each stub runs on `state`, and installs its own copy
-        check.machine, check.free_cursor = state, 0
-        case.stubs[name].apply(check)
+        # each call runs on `state`: it hands its stub a copy to write
+        check = CheckState(lower(RegPt(Reg.RAX, FULL, rax), case.root),
+                           case.registry, state, RESOURCE_ONLY, case.stubs,
+                           case.free_list)
+        record = apply_rule(check, CallStep(name), 0)
+        assert isinstance(record, StepRecord), record
         assert check.machine is not state
         assert _snapshot(state) == snap
         assert _snapshot(sibling) == snap

@@ -43,7 +43,7 @@ def _stub(name, consumes=(), produces=()):
     def apply(state):
         return lower(sep(*produces), state.root, state.registry)
 
-    return name, StubSpec(name=name, consumes=consumes, apply=apply)
+    return name, StubSpec(consumes=consumes, apply=apply)
 
 
 STUBS = dict((

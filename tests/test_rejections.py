@@ -114,12 +114,11 @@ def _stub(name, consumes=(), produces=None, write=None, fail=None):
     def apply(state):
         if fail is not None:
             raise StubError(fail)
-        state.machine = machine = state.machine.copy()
         if write is not None:
-            machine.write_word(*write)
+            state.machine.write_word(*write)
         return lower(produces or sep(), state.root, state.registry)
 
-    return {name: StubSpec(name=name, consumes=consumes, apply=apply)}
+    return {name: StubSpec(consumes=consumes, apply=apply)}
 
 
 # --------------------------------------------------------------------------
