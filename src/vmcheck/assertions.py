@@ -426,6 +426,8 @@ class Ledger:
 
     def share(self, q: Fraction) -> int:
         """q's numerator over ``den``, widened to fit; q must be positive."""
+        if q is FULL:
+            return self.den
         n, d = q.as_integer_ratio()
         if n <= 0:
             raise ValueError(f"share {q} outside (0, 1]")

@@ -133,8 +133,9 @@ def _library(words: int = 1) -> dict:
         product = lower(Sep((RegPt(Reg.RAX, FULL, fpaddr + 3),
                              Pure(PredAligned(fpaddr)))),
                         state.root, state.registry)
-        for w in range(words):
-            product.add_full(phys_loc(fpaddr + 8 * w), 0)
+        assert len(product.claims) == 1  # rax: no zero word can clash
+        product.claims.update(dict.fromkeys(map(
+            phys_loc, range(fpaddr, fpaddr + 8 * words, 8)), (product.den, 0)))
         return product
 
     rax = (RegPt(Reg.RAX, FULL, None),)

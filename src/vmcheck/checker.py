@@ -12,8 +12,8 @@ only comparison of claims with the machine; resource mode skips it.
 
 The checker takes the instruction forms from the machine (the memory
 forms are ``MEM_FORMS``) and reads page tables only through the
-machine's walk kernel: the audit calls ``translate``, and a ghost step
-reads its walk chain through ``walk``, from the current machine (which
+machine's walk kernel, ``translate``: the audit's walks, and a ghost
+step's one walk of its chain, read the current machine (which
 co-execution's audit has proved equal to every held claim); the ghost
 step keeps the space's walk map in the registry itself.
 
@@ -22,11 +22,11 @@ step keeps the space's walk map in the registry itself.
 stubs and free list: the step's rule (from ``_RULES``) changes its
 claims and walk map in place, journaling each claim, and an instruction
 then runs on its machine in place, listing each word written with the
-old word.  A call copies the machine once, and its stub writes that copy
-in place.  A refusal by the rule, the stub, the machine or the audit is a
-raised ``Reject`` (a failed ledger operation's ``LedgerError`` is one),
-which ``apply_rule`` undoes from those logs and stamps with the step's
-index, as ``check_double`` does at step -1.
+old word.  A call copies the machine and walk maps once, and its stub
+writes the machine's copy in place.  A refusal by the rule, the stub, the
+machine or the audit is a raised ``Reject`` (a failed ledger operation's
+``LedgerError`` is one), which ``apply_rule`` undoes from those logs and
+stamps with the step's index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -66,7 +66,6 @@ from .machine import (
     execute,
     own_frame,
     translate,
-    walk,
     walk_text,
 )
 from .assertions import (
@@ -196,14 +195,15 @@ class StubSpec:
     (in co-execution, audited against the machine after the effect runs).
     A RegPt pattern with val=None consumes the register claim whatever
     its value.  ``apply`` runs on the check state after the consumes and
-    the call's one machine copy: it reads the state's ``machine``,
-    ``root``, ``registry``, ``free_list`` and ``free_cursor``, writes the
-    machine (memory only through ``write_word``/``mem_set``/``own_frame``)
-    and the cursor in place, and changes no claim or walk map; a refused
-    call puts the machine and the cursor back.  It returns its product,
-    the ledger of the claims it hands over under the state's root
-    (``lower`` of an assertion, plus any claims it adds): the call joins
-    its claims in location order and checks its pure facts."""
+    the call's one copy of the machine and walk maps: it reads the state's
+    ``machine``, ``root``, ``registry``, ``free_list`` and ``free_cursor``,
+    writes the machine (memory only through ``write_word``/``mem_set``/
+    ``own_frame``) and the cursor in place, and changes no claim or walk
+    map (a call whose stub does is refused); a refused call puts the
+    machine, walk maps and cursor back.  It returns its product, the
+    ledger of the claims it hands over under the state's root (``lower``
+    of an assertion, plus any claims it adds): the call joins its claims
+    in location order and checks its pure facts."""
 
     consumes: tuple
     apply: Callable[["CheckState"], Ledger]
@@ -241,7 +241,8 @@ class CheckState(Ledger):
     def undo(self, saved: tuple) -> None:
         """Put back what `saved` holds from the step's start, and the
         claims from the journal, over the ``den`` saved."""
-        self.root, den, self.machine, self.free_cursor, self.reads = saved
+        (self.root, den, self.machine, self.free_cursor, self.reads,
+         self.registry) = saved
         for loc, held in self.journal.items():
             if held is None:
                 self.claims.pop(loc, None)
@@ -274,16 +275,17 @@ def _step_claims(journal: dict, after) -> tuple:
     lost or gained if it kept its value, else its whole claims both ways."""
     consumed, produced = [], []
     claims, den = after.claims, after.den
-    for loc in sorted(journal, key=str):
+    for loc in sorted(journal, key=str) if len(journal) > 1 else journal:
         before, now = journal[loc], claims.get(loc)
         if before and now and before[1] == now[1]:
-            gain = now[0] - before[0]
-            before = (-gain, before[1]) if gain < 0 else None
-            now = (gain, now[1]) if gain > 0 else None
+            if now[0] != before[0]:
+                (produced if now[0] > before[0] else consumed).append(
+                    _claim_text(loc, abs(now[0] - before[0]), now[1], den))
+            continue
         if before:
-            consumed.append(_claim_text(loc, *before, den))
+            consumed.append(_claim_text(loc, before[0], before[1], den))
         if now:
-            produced.append(_claim_text(loc, *now, den))
+            produced.append(_claim_text(loc, now[0], now[1], den))
     return tuple(consumed), tuple(produced)
 
 
@@ -324,17 +326,19 @@ def _reg_value(state: CheckState, reg: Reg) -> int:
 
 
 def _chain_entries(state: CheckState, va: int):
-    """The four table slots and entry values the current machine's walk
-    of `va` under the current root reads.  A walk that stops before the
-    L1 entry is refused at the slot where it stopped."""
-    steps, got = walk(state.root, state.machine.mem, va)
-    if len(steps) < 4:
-        stop = got.phys if isinstance(got, FrameUnmapped) else steps[-1][0]
+    """The locations of the four table slots the current machine's walk
+    of `va` under the current root reads, their entries, and the walk's
+    result (``translate``'s).  A walk that stops before the L1 entry is
+    refused at the slot where it stopped."""
+    mem, slots = state.machine.mem, []
+    got = translate(state.root, mem, va, slots=slots)
+    if len(slots) < 4:
+        stop = got.phys if isinstance(got, FrameUnmapped) else slots[-1]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
                      f"table slot for va {va:#x} holds no present entry "
                      "in the machine")
-    return ([phys_loc(slot) for slot, _entry in steps],
-            [entry for _slot, entry in steps])
+    return ([phys_loc(slot) for slot in slots],
+            [mem[slot >> 12][slot & 0xFFF] for slot in slots], got)
 
 
 def _walk_map(state: CheckState) -> dict:
@@ -427,15 +431,15 @@ def _apply_instr(state: CheckState, step: InstrStep):
 
 
 def _apply_ghost_insert(state: CheckState, step: GhostInsertWalk):
-    slots, entries = _chain_entries(state, step.va)
+    slots, entries, got = _chain_entries(state, step.va)
     theta = _walk_map(state)
     if step.va in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map already holds {step.va:#x}")
-    # the chain must hold on its own: resolve va to pa, every entry present
-    fault = chain_fault(step.va, entries, step.pa)
-    if fault is not None:
-        raise Reject(VALUE_DISAGREEMENT, None, fault)
+    # the chain must hold on its own, as it does when the walk gives pa
+    if got != step.pa:
+        raise Reject(VALUE_DISAGREEMENT, None,
+                     chain_fault(step.va, entries, step.pa))
     state.chain(slots, entries, take=True)
     loc = WalkLoc(state.root, step.va)
     state.add_full(loc, step.pa)
@@ -455,7 +459,7 @@ def _apply_ghost_remove(state: CheckState, step: GhostRemoveWalk):
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
-    slots, entries = _chain_entries(state, step.va)
+    slots, entries, _got = _chain_entries(state, step.va)
     # the chain shares held inside the invariant come back out
     state.chain(slots, entries)
     del theta[step.va]
@@ -489,12 +493,16 @@ def _apply_call(state: CheckState, step: CallStep):
                     state.consume(loc, q, v)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    # the stub writes this copy in place; a refusal puts the old one back
-    state.machine = state.machine.copy()
+    # the stub runs on copies of the machine and walk maps (see undo)
+    maps, state.machine = state.registry, state.machine.copy()
+    state.registry = {root: dict(theta) for root, theta in maps.items()}
     try:
         produced = stub.apply(state)
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, step.name, str(err))
+    if state.registry != maps:
+        raise Reject(STUB_PRE_FAILED, step.name,
+                     f"stub {step.name} changed a walk map")
     state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
@@ -677,7 +685,8 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
     machine, root = state.machine, state.root
-    saved = root, state.den, machine, state.free_cursor, state.reads
+    saved = (root, state.den, machine, state.free_cursor, state.reads,
+             state.registry)
     state.journal, reg, regs, writes, walk = {}, None, None, None, None
     if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
         # the walk-map entry the step writes, as it was

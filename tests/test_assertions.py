@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vmcheck.machine import NotPresent, Reg, walk
+from vmcheck.machine import NotPresent, Reg, pte_frame, translate, walk
 from vmcheck.assertions import (
     DEN,
     FULL,
@@ -491,6 +491,40 @@ def test_chain_fault_reads_the_entries_as_ints():
             f"table entry is not present for "
             f"{L4L1PointsTo(0x20_0008, *gone, pa)!r} "
             f"(observed {gone[level]!r})")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.lists(st.integers(0, (1 << 64) - 1),
+                                         min_size=1, max_size=4))
+def test_a_four_slot_walk_gives_pa_exactly_when_its_chain_holds(seed, words):
+    # the ghost insert takes its verdict on pa from its one walk: wherever
+    # translate reads four slots, it gives pa exactly when the chain of
+    # the entries it read has no fault; pa is the address the L1 entry
+    # resolves, a word beside it, or any word
+    root, mem, vas = oracle.random_table_config(random.Random(seed))
+    for va in vas + words:
+        slots = []
+        got = translate(root, mem, va, slots=slots)
+        if len(slots) < 4:
+            continue
+        entries = [mem[slot >> 12][slot & 0xFFF] for slot in slots]
+        resolved = (pte_frame(entries[3]) << 12) | (va & 0xFFF)
+        for pa in (resolved, resolved ^ 8, *words):
+            assert (got == pa) == (chain_fault(va, entries, pa) is None)
+
+
+def test_random_tables_give_four_slot_walks_of_both_verdicts():
+    # the property above is not vacuous: its tables give four-slot walks
+    # that resolve and ones whose L1 entry is not present
+    verdicts = set()
+    for seed in range(100):
+        root, mem, vas = oracle.random_table_config(random.Random(seed))
+        for va in vas:
+            slots = []
+            got = translate(root, mem, va, slots=slots)
+            if len(slots) == 4:
+                verdicts.add(isinstance(got, int))
+    assert verdicts == {True, False}
 
 
 # --------------------------------------------------------------------------

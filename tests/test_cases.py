@@ -195,9 +195,9 @@ def test_map_page_iterated_variant_coexec():
     assert report.final_ledger == resource.final_ledger
 
 
-def _kernel_walks(monkeypatch, words):
-    """Walks done by the machine's walk kernel while co-executing
-    map_page_case(words)."""
+def _kernel_walks(monkeypatch, words, mode=COEXEC):
+    """Walks done by the machine's walk kernel while checking
+    map_page_case(words) in `mode`."""
     case = map_page_case(words)
     calls = [0]
     kernel = machine.translate
@@ -208,10 +208,20 @@ def _kernel_walks(monkeypatch, words):
 
     for module in (machine, assertions, ghost, checker):
         monkeypatch.setattr(module, "translate", counted)
-    report = run_case(case)
+    report = run_case(case, mode)
     monkeypatch.undo()
     assert report.ok, report.violation
     return calls[0]
+
+
+def test_each_published_walk_costs_one_kernel_walk_in_resource_mode(
+        monkeypatch):
+    # a ghost insert walks its chain once, and takes both the entries and
+    # the verdict on pa from that walk; the rest of the case (the stubs'
+    # walks and the store) costs the same at every width
+    extra = {_kernel_walks(monkeypatch, words, RESOURCE_ONLY) - words
+             for words in (1, 16, 128)}
+    assert len(extra) == 1, extra
 
 
 def test_coexec_walks_grow_linearly_with_mapping_width(monkeypatch):

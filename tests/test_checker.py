@@ -749,6 +749,33 @@ def test_a_stub_that_re_promises_a_held_pure_gone_false_is_refused(mode):
         "predicate: unmapped 0x400000")
 
 
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+@pytest.mark.parametrize("promise", [Pure(PredEq(0x1, 0x2)), Emp()],
+                         ids=("false-pure", "emp"))
+def test_a_stub_that_writes_a_walk_map_is_refused_and_undone(mode, promise):
+    # walk maps are the checker's ghost state, which a stub only reads: a
+    # call whose stub writes 0x500000 -> 0x9000 into one is refused before
+    # its promise is looked at, in both modes, and the refusal leaves the
+    # walk map as it was
+    case = map_page_case(1)
+    seen = []
+
+    def apply(state):
+        seen.append(state)
+        state.registry[state.root][0x50_0000] = 0x9000
+        return lower(promise, state.root, state.registry)
+
+    stubs = dict(case.stubs, meddle=StubSpec(consumes=(), apply=apply))
+    report = check_double(case.pre, case.root, [CallStep("meddle")],
+                          stubs=stubs, mode=mode, init=case.state,
+                          registry=case.registry, free_list=case.free_list)
+    assert report.violation == Violation(
+        STUB_PRE_FAILED, 0, "meddle", "stub meddle changed a walk map")
+    (state,) = seen
+    assert state.registry == case.registry
+    assert 0x50_0000 not in state.registry[case.root]
+
+
 def test_the_alloc_stub_refuses_a_free_list_entry_off_a_page():
     # load_config refuses this list; only the Python API can pass it
     case = map_page_case()
