@@ -29,11 +29,12 @@ the one for its first uncovered claim.
 
 Shares are exact rationals in (0, 1]: ``Fraction``s where they enter
 (checked by ``check_share``), and inside a ledger int numerators over
-its one denominator ``den``, which a share it does not divide widens to
-the lcm.  A ledger's ``chain``, ``add_full`` and ``consume_full`` take the
-chain shares and ``FULL`` as numerators computed once, with no
-``Fraction`` in the way.  ``_add`` is the one place shares are added: it
-requires equal values and never exceeds the full share.
+its one denominator ``den``; ``Ledger.share`` turns one into the other,
+widening ``den`` to the lcm if it must.  Shares change only through
+``add`` and ``consume`` on numerators (a full share is ``den``), which
+``chain`` and ``join`` call for a walk's chain shares and for another
+ledger's claims; ``add`` requires equal values and never exceeds the
+full share.
 """
 
 from __future__ import annotations
@@ -372,12 +373,14 @@ class Ledger:
 
     ``claims`` maps each location to its (n, value) claim, a share of
     n/``den`` (``get`` and ``sorted_claims`` give it as a Fraction).
-    ``add``, ``consume`` and ``set_value`` check all before they change
-    anything but ``den``, and return the ledger.  ``journal``, which step
-    records are rendered from and a check's undo puts back, maps each
-    location changed to its claim before the first change (or None); a
-    ledger whose ``journal`` is None keeps none.  Equality compares
-    shares, whatever their ``den``."""
+    ``add`` and ``consume`` take such an int n: a ``Fraction`` enters
+    through ``share`` (one passed as n is not refused, and is wrong).
+    They and ``set_value`` check all before they change anything, and
+    return the ledger.  ``journal``, which step records are rendered
+    from and a check's undo puts back, maps each location changed to its
+    claim before the first change (or None); a ledger whose ``journal``
+    is None keeps none.  Equality compares shares, whatever their
+    ``den``."""
 
     root: int
     claims: dict = field(default_factory=dict)
@@ -425,7 +428,8 @@ class Ledger:
                       f"ledger holds only {share_text(held[0], den)}")
 
     def share(self, q: Fraction) -> int:
-        """q's numerator over ``den``, widened to fit; q must be positive."""
+        """q's numerator over ``den``, widened to fit: the one step from a
+        ``Fraction`` to a numerator.  q must be positive."""
         if q is FULL:
             return self.den
         n, d = q.as_integer_ratio()
@@ -444,13 +448,7 @@ class Ledger:
                     claims[loc] = claim and (claim[0] * k, claim[1])
         return self.den // d
 
-    def add(self, loc: Location, q: Fraction, val: int) -> "Ledger":
-        return self._add(loc, self.share(q), val)
-
-    def add_full(self, loc: Location, val: int) -> "Ledger":
-        return self._add(loc, self.den, val)
-
-    def _add(self, loc: Location, n: int, val: int) -> "Ledger":
+    def add(self, loc: Location, n: int, val: int) -> "Ledger":
         held = self.claims.get(loc)
         held_n, held_v = held or (0, val)
         if held_v != val:
@@ -462,16 +460,8 @@ class Ledger:
         self.claims[loc] = (held_n + n, val)
         return self
 
-    def consume(self, loc: Location, q: Fraction,
+    def consume(self, loc: Location, n: int,
                 val: Optional[int] = None) -> "Ledger":
-        return self._consume(loc, self.share(q), val)
-
-    def consume_full(self, loc: Location,
-                     val: Optional[int] = None) -> "Ledger":
-        return self._consume(loc, self.den, val)
-
-    def _consume(self, loc: Location, n: int,
-                 val: Optional[int] = None) -> "Ledger":
         held = self.claims.get(loc)
         held_n, held_v = held or (0, val)
         if val is not None and held_v != val:
@@ -486,13 +476,13 @@ class Ledger:
             del self.claims[loc]
         return self
 
-    def chain(self, locs, entries, take: bool = False) -> "Ledger":
-        """Add (or with ``take`` consume) one walk's ``CHAIN_SHARES`` of
-        the four table entries at ``locs``, in walk order."""
+    def chain(self, steps, take: bool = False) -> "Ledger":
+        """Add (or with ``take`` consume) one walk's ``CHAIN_SHARES`` of its
+        table entries, given as ``walk`` lists them: (slot, entry) steps."""
         k = self.widen(DEN)
-        step = self._consume if take else self._add
-        for loc, n, entry in zip(locs, _CHAIN_NS, entries):
-            step(loc, n * k, entry)
+        step = self.consume if take else self.add
+        for (slot, entry), n in zip(steps, _CHAIN_NS):
+            step(phys_loc(slot), n * k, entry)
         return self
 
     def set_value(self, loc: Location, val: int) -> "Ledger":
@@ -506,15 +496,17 @@ class Ledger:
             self.claims[loc] = (self.den, val)
         return self
 
-    def join(self, other: Ledger) -> "Ledger":
-        """Disjoint composition: add every claim of `other`, a ledger under
-        the same root, in location order (the first failing one raises).
-        Its pure facts are not merged: the caller checks them."""
+    def join(self, other: Ledger, take: bool = False) -> "Ledger":
+        """Disjoint composition: add (or with ``take`` consume) every claim
+        of `other`, a ledger under the same root, in location order (the
+        first failing one raises).  Its pure facts are not merged: the
+        caller checks them."""
         if self.root != other.root:
             raise ValueError("ledgers joined under different evaluation roots")
         k = self.widen(other.den)
+        step = self.consume if take else self.add
         for loc, (n, v) in sorted(other.claims.items()):
-            self._add(loc, n * k, v)
+            step(loc, n * k, v)
         return self
 
 
@@ -567,28 +559,27 @@ def _lower_into(acc: Ledger, node: Assertion, g: int,
         if theta is None or node.va not in theta:
             raise WitnessUnavailable(g, node.va)
         pa, n = theta[node.va], acc.share(node.q)
-        acc._add(WalkLoc(g, node.va), n, pa)
-        acc._add(phys_loc(pa), n, node.val)
+        acc.add(WalkLoc(g, node.va), n, pa)
+        acc.add(phys_loc(pa), n, node.val)
     elif isinstance(node, Emp):
         pass
     elif isinstance(node, Pure):
         acc.pures = acc.pures | {(g, node.pred)}
     elif isinstance(node, RegPt):
-        acc.add(RegLoc(node.reg), node.q, node.val)
+        acc.add(RegLoc(node.reg), acc.share(node.q), node.val)
     elif isinstance(node, PhysPt):
-        acc.add(PhysLoc(node.frame, node.off), node.q, node.val)
+        acc.add(PhysLoc(node.frame, node.off), acc.share(node.q), node.val)
     elif isinstance(node, PtePt):
-        acc.add(WalkLoc(g, node.va), node.q, node.pa)
-        acc.add(phys_loc(node.pa), node.q, node.val)
+        acc.add(WalkLoc(g, node.va), acc.share(node.q), node.pa)
+        acc.add(phys_loc(node.pa), acc.share(node.q), node.val)
     elif isinstance(node, L4L1PointsTo):
         entries = (node.l4e, node.l3e, node.l2e, node.l1e)
         fault = chain_fault(node.va, entries, node.pa)
         if fault is not None:
             raise BrokenChain(None, fault)
-        slots = chain_slots(g, node.va, node.l4e, node.l3e, node.l2e)
-        acc.chain([PhysLoc(frame, off) for frame, off in slots], entries)
+        acc.chain(zip(chain_slots(g, node.va, *entries[:3]), entries))
     elif isinstance(node, IASpace):
-        acc.add_full(SpaceLoc(g), g)
+        acc.add(SpaceLoc(g), acc.den, g)
     elif isinstance(node, OtherSpace):
         _lower_into(acc, node.body, node.root, registry)
     else:
@@ -657,8 +648,8 @@ def machine_sat(a: Assertion, root: int, state: MachineState,
     if isinstance(a, L4L1PointsTo):
         slots = chain_slots(root, a.va, a.l4e, a.l3e, a.l2e)
         entries = (a.l4e, a.l3e, a.l2e, a.l1e)
-        for (frame, off), entry in zip(slots, entries):
-            got = state.read_word(frame, off)
+        for slot, entry in zip(slots, entries):
+            got = state.read_word(slot >> 12, slot & (PAGE_SIZE - 1))
             if got != entry:
                 return MismatchReport(a, "table slot differs", got)
         fault = chain_fault(a.va, entries, a.pa)

@@ -113,7 +113,7 @@ def _library(words: int = 1) -> dict:
                         state.root, state.registry)
         # `words` mapped words' shares of the L4, L3 and L2 entries
         for (slot, entry), share in zip(steps[:3], CHAIN_SHARES):
-            product.add(phys_loc(slot), share * words, entry)
+            product.add(phys_loc(slot), product.share(share * words), entry)
         return product
 
     def alloc(state: CheckState) -> Ledger:

@@ -13,7 +13,7 @@ only comparison of claims with the machine; resource mode skips it.
 The checker takes the instruction forms from the machine (the memory
 forms are ``MEM_FORMS``) and reads page tables only through the
 machine's walk kernel, ``translate``: the audit's walks, and a ghost
-step's one walk of its chain, read the current machine (which
+step's one ``walk`` of its chain, read the current machine (which
 co-execution's audit has proved equal to every held claim); the ghost
 step keeps the space's walk map in the registry itself.
 
@@ -66,6 +66,7 @@ from .machine import (
     execute,
     own_frame,
     translate,
+    walk,
     walk_text,
 )
 from .assertions import (
@@ -325,20 +326,17 @@ def _reg_value(state: CheckState, reg: Reg) -> int:
     return claim[1]
 
 
-def _chain_entries(state: CheckState, va: int):
-    """The locations of the four table slots the current machine's walk
-    of `va` under the current root reads, their entries, and the walk's
-    result (``translate``'s).  A walk that stops before the L1 entry is
-    refused at the slot where it stopped."""
-    mem, slots = state.machine.mem, []
-    got = translate(state.root, mem, va, slots=slots)
-    if len(slots) < 4:
-        stop = got.phys if isinstance(got, FrameUnmapped) else slots[-1]
+def _chain(state: CheckState, va: int) -> tuple:
+    """The current machine's walk of `va` under the current root, as
+    ``walk`` gives it; one that stops before the L1 entry is refused at
+    the slot where it stopped."""
+    steps, got = walk(state.root, state.machine.mem, va)
+    if len(steps) < 4:
+        stop = got.phys if isinstance(got, FrameUnmapped) else steps[-1][0]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
                      f"table slot for va {va:#x} holds no present entry "
                      "in the machine")
-    return ([phys_loc(slot) for slot in slots],
-            [mem[slot >> 12][slot & 0xFFF] for slot in slots], got)
+    return steps, got
 
 
 def _walk_map(state: CheckState) -> dict:
@@ -431,18 +429,18 @@ def _apply_instr(state: CheckState, step: InstrStep):
 
 
 def _apply_ghost_insert(state: CheckState, step: GhostInsertWalk):
-    slots, entries, got = _chain_entries(state, step.va)
+    steps, got = _chain(state, step.va)
     theta = _walk_map(state)
     if step.va in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map already holds {step.va:#x}")
     # the chain must hold on its own, as it does when the walk gives pa
     if got != step.pa:
-        raise Reject(VALUE_DISAGREEMENT, None,
-                     chain_fault(step.va, entries, step.pa))
-    state.chain(slots, entries, take=True)
+        raise Reject(VALUE_DISAGREEMENT, None, chain_fault(
+            step.va, [entry for _slot, entry in steps], step.pa))
+    state.chain(steps, take=True)
     loc = WalkLoc(state.root, step.va)
-    state.add_full(loc, step.pa)
+    state.add(loc, state.den, step.pa)
     theta[step.va] = step.pa
     state.touched.add(loc)
     return "ghost-insert-walk"
@@ -455,13 +453,12 @@ def _apply_ghost_remove(state: CheckState, step: GhostRemoveWalk):
                      f"no walk token held for va {step.va:#x}")
     theta = _walk_map(state)
     # the walk claim is the entry's token: only the full claim retires it
-    state.consume_full(loc)
+    state.consume(loc, state.den)
     if step.va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
                      f"walk map has no entry for {step.va:#x}")
-    slots, entries, _got = _chain_entries(state, step.va)
     # the chain shares held inside the invariant come back out
-    state.chain(slots, entries)
+    state.chain(_chain(state, step.va)[0])
     del theta[step.va]
     state.touched.add(loc)
     return "ghost-remove-walk"
@@ -486,11 +483,10 @@ def _apply_call(state: CheckState, step: CallStep):
                                  f"stub {step.name} needs "
                                  f"{pattern.reg.value} = {pattern.val:#x}, "
                                  f"ledger holds {claim[1]:#x}")
-                state.consume(loc, pattern.q)
+                state.consume(loc, state.share(pattern.q))
             else:
-                needed = lower(pattern, state.root, state.registry)
-                for loc, q, v in needed.sorted_claims():
-                    state.consume(loc, q, v)
+                state.join(lower(pattern, state.root, state.registry),
+                           take=True)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
     # the stub runs on copies of the machine and walk maps (see undo)
@@ -649,21 +645,21 @@ def audit_ledger(state: CheckState) -> Optional[str]:
 
 
 def _audit_step(state: CheckState, reg: Optional[Reg], writes,
-                walk: Optional[tuple]) -> Optional[str]:
+                mapping: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the data
     register `reg` and the words the machine wrote (`writes`), every walk
     that read a written word's frame (``state.reads``), and the walk-map
-    entry `walk` = (root, va) a ghost step inserted or removed, with the
+    entry `mapping` = (root, va) a ghost step inserted or removed, with the
     walk claim the step changed there: its rule's own location, found in
     the step's journal.  cr3 is always compared.  Rules change no claim
     outside these, since they take chain and data values from the machine
     audited before the step.  So the first complaint is the one the full
     audit would give."""
     locs = set() if reg is None else {RegLoc(reg)}
-    if walk is not None:
+    if mapping is not None:
         locs.update(loc for loc in state.journal if type(loc) is WalkLoc)
-        return _audit(state, locs, (walk,))
+        return _audit(state, locs, (mapping,))
     walks = set()
     for frame, off, _old in writes or ():
         locs.add(PhysLoc(frame, off))
@@ -687,10 +683,10 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
     machine, root = state.machine, state.root
     saved = (root, state.den, machine, state.free_cursor, state.reads,
              state.registry)
-    state.journal, reg, regs, writes, walk = {}, None, None, None, None
+    state.journal, reg, regs, writes, mapping = {}, None, None, None, None
     if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
         # the walk-map entry the step writes, as it was
-        walk = (root, script_step.va)
+        mapping = (root, script_step.va)
         theta = state.registry.get(root, {})
         entry = theta.get(script_step.va)
     try:
@@ -710,7 +706,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
                 state.reads = {}
                 complaint = audit_ledger(state)
             else:
-                complaint = _audit_step(state, reg, writes, walk)
+                complaint = _audit_step(state, reg, writes, mapping)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
     except BaseException as err:
@@ -720,10 +716,10 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
             machine.regs, machine.pc = regs, pc
             for frame, off, old in reversed(writes):
                 own_frame(machine.mem, frame)[off] = old
-        if walk is not None:
-            theta.pop(walk[1], None)
+        if mapping is not None:
+            theta.pop(mapping[1], None)
             if entry is not None:
-                theta[walk[1]] = entry
+                theta[mapping[1]] = entry
         if not isinstance(err, Reject):
             raise
         return Violation(err.kind, index, err.location, err.narrative)

@@ -37,6 +37,20 @@ class ConfigError(ValueError):
     pass
 
 
+class _JsonInt:
+    """An unquoted JSON integer as its digits, which no reader takes, so
+    its refusal names its field (int() refuses a long one unread)."""
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+    def __repr__(self) -> str:
+        return self.digits
+
+
+_DECODER = json.JSONDecoder(parse_int=_JsonInt)
+
+
 @dataclass
 class StateConfig:
     registers: dict = field(default_factory=dict)  # {Reg: int}
@@ -140,8 +154,8 @@ def _frame_words(words: dict, frame: int, checked: set) -> dict:
 
 def load_config(text: str) -> StateConfig:
     try:
-        body = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
+        body = _DECODER.decode(text)
+    except (ValueError, RecursionError) as err:
         # a RecursionError: arrays or objects nested too deeply to decode
         raise ConfigError(f"not valid JSON: {err}") from None
     if not isinstance(body, dict):

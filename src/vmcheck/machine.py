@@ -385,10 +385,10 @@ def walk_text(result: Union[int, Fault], steps: tuple = ()) -> list:
 
 
 def chain_slots(root: int, va: int, l4e: int, l3e: int, l2e: int) -> tuple:
-    """The four (frame, offset) table slots a walk of `va` reads, computed
-    from the root and the first three raw entries without touching
-    memory."""
-    return tuple((frame, ((va >> shift) & 0x1FF) * WORD_BYTES)
+    """The byte addresses of the four table slots a walk of `va` reads,
+    level 4 first, as :func:`walk` lists them, computed from the root and
+    the first three raw entries without touching memory."""
+    return tuple((frame << 12) | ((va >> shift) & 0x1FF) * WORD_BYTES
                  for frame, (_level, shift) in
                  zip((root >> 12, pte_frame(l4e), pte_frame(l3e),
                       pte_frame(l2e)), _LEVEL_SHIFTS))

@@ -102,14 +102,18 @@ MAX_NESTING = 64
 
 
 # the one number grammar of program and assertion text, state files and
-# command-line arguments
-_NUM = r"0x[0-9a-fA-F]+|[0-9]+"
+# command-line arguments: 0x-hex, or decimal of at most 640 digits after
+# its leading zeros.  A longer decimal is far past any word, and int()
+# may refuse it (Python limits decimal digits, to no fewer than 640).
+_NUM = r"0x[0-9a-fA-F]+|0*(?:[1-9][0-9]{0,639}|0)(?![0-9])"
 _NUM_RE = re.compile(_NUM)
 
 
 def _value(digits: str) -> int:
     """The value of text that ``_NUM`` matched."""
-    return int(digits, 16 if "x" in digits else 10)
+    if "x" in digits:
+        return int(digits, 16)
+    return int(digits.lstrip("0") or "0")
 
 
 def signed_number(text: str) -> Optional[int]:
@@ -119,8 +123,7 @@ def signed_number(text: str) -> Optional[int]:
     negative = text.startswith("-")
     if not _NUM_RE.fullmatch(text, negative):
         return None
-    value = int(text[negative:], 16 if text.startswith("0x", negative)
-                else 10)
+    value = _value(text[negative:])
     return (-value or None) if negative else value
 
 

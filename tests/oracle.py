@@ -324,11 +324,12 @@ class FractionLedger:
                           f"need 1 of {loc}, hold {held_q}")
         return FractionLedger({**self.claims, loc: (Fraction(1), val)})
 
-    def join(self, other):
-        """Add other's claims one by one in location order."""
+    def join(self, other, take=False):
+        """Add (or with `take` consume) other's claims one by one in
+        location order."""
         out = self
         for loc in sorted(other.claims):
-            out = out.add(loc, *other.claims[loc])
+            out = (out.consume if take else out.add)(loc, *other.claims[loc])
         return out
 
     def contains(self, sub):

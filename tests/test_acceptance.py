@@ -136,15 +136,16 @@ def test_criterion_2_fraction_conservation():
             outstanding = []
             for _ in range(rng.randrange(1, 40)):
                 if outstanding and rng.random() < 0.5:
-                    ledger = ledger.add(walk, outstanding.pop(), 0x5000)
+                    q = outstanding.pop()
+                    ledger = ledger.add(walk, ledger.share(q), 0x5000)
                 else:
                     held = ledger.get(walk)[0]
                     q = held / rng.choice([2, 3, 5, 512])
-                    ledger = ledger.consume(walk, q, 0x5000)
+                    ledger = ledger.consume(walk, ledger.share(q), 0x5000)
                     outstanding.append(q)
                 assert 0 < ledger.get(walk)[0] <= 1
             for q in outstanding:
-                ledger = ledger.add(walk, q, 0x5000)
+                ledger = ledger.add(walk, ledger.share(q), 0x5000)
             assert ledger.get(walk) == (FULL, 0x5000)
 
 

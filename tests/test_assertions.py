@@ -49,13 +49,18 @@ from oracle import is_fact, normalize
 
 
 # --------------------------------------------------------------------------
-# Shares: Ledger.add is the one place shares are added
+# Shares: Ledger.add is the one place shares are added, as numerators over
+# den; Ledger.share turns a Fraction into one
+
+
+def _added(ledger, q, val=7, loc=PhysLoc(1, 0)):
+    """`ledger` after adding share q (a Fraction) of `loc` on `val`."""
+    return ledger.add(loc, ledger.share(q), val)
 
 
 def test_frac_combine_halves():
-    half = Ledger(0x1000).add(PhysLoc(1, 0), Fraction(1, 2), 7)
-    assert half.add(PhysLoc(1, 0), Fraction(1, 2), 7).get(PhysLoc(1, 0)) \
-        == (FULL, 7)
+    half = _added(Ledger(0x1000), Fraction(1, 2))
+    assert _added(half, Fraction(1, 2)).get(PhysLoc(1, 0)) == (FULL, 7)
 
 
 def test_frac_combine_512_slices():
@@ -65,14 +70,14 @@ def test_frac_combine_512_slices():
     assert total == 1
     led = Ledger(0x1000)
     for _ in range(512):
-        led = led.add(PhysLoc(1, 0), L1_SHARE, 7)
+        led = _added(led, L1_SHARE)
     assert led.get(PhysLoc(1, 0)) == (FULL, 7)
 
 
 def test_frac_combine_overflow():
-    full = Ledger(0x1000).add(PhysLoc(1, 0), FULL, 7)
+    full = _added(Ledger(0x1000), FULL)
     with pytest.raises(SumExceedsOne):
-        full.add(PhysLoc(1, 0), Fraction(1, 512), 7)
+        _added(full, Fraction(1, 512))
 
 
 @given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200),
@@ -80,12 +85,12 @@ def test_frac_combine_overflow():
 def test_frac_combine_is_exact(n1, d1, n2, d2):
     a = Fraction(min(n1, d1), max(n1, d1))
     b = Fraction(min(n2, d2), max(n2, d2))
-    held = Ledger(0x1000).add(PhysLoc(1, 0), a, 7)
+    held = _added(Ledger(0x1000), a)
     if a + b > 1:
         with pytest.raises(SumExceedsOne):
-            held.add(PhysLoc(1, 0), b, 7)
+            _added(held, b)
     else:
-        assert held.add(PhysLoc(1, 0), b, 7).get(PhysLoc(1, 0)) == (a + b, 7)
+        assert _added(held, b).get(PhysLoc(1, 0)) == (a + b, 7)
 
 
 @pytest.mark.parametrize("share", ["1/2", True, False, 0.1, 0.5, None])
@@ -115,20 +120,19 @@ def test_ledger_build_checks_every_share(share):
 
 
 def test_ledger_operations_refuse_a_share_that_is_not_positive():
+    # share, the one step from a Fraction to a numerator, refuses it
+    # before it widens den
     loc = PhysLoc(1, 0)
-    full = Ledger(0x1000).add(loc, FULL, 0)
-    with pytest.raises(ValueError, match=r"share -1/2 outside \(0, 1\]"):
-        full.consume(loc, Fraction(-1, 2))
-    half = Ledger(0x1000).add(loc, Fraction(1, 2), 0)
-    with pytest.raises(ValueError, match=r"share -1/2 outside \(0, 1\]"):
-        half.add(loc, Fraction(-1, 2), 0)
+    full = _added(Ledger(0x1000), FULL, 0, loc)
+    half = _added(Ledger(0x1000), Fraction(1, 2), 0, loc)
     for ledger in (full, half):
-        for op in (lambda d: d.add(loc, Fraction(0), 0),
-                   lambda d: d.consume(loc, Fraction(0)),
-                   lambda d: d.add(PhysLoc(1, 8), Fraction(-1, 2), 0)):
-            with pytest.raises(ValueError):
-                op(ledger)
+        for q, text in ((Fraction(-1, 2), "-1/2"), (Fraction(0), "0"),
+                        (Fraction(-1, 3), "-1/3")):
+            with pytest.raises(ValueError,
+                               match=rf"share {text} outside \(0, 1\]"):
+                ledger.share(q)
     assert (full.get(loc), half.get(loc)) == ((FULL, 0), (Fraction(1, 2), 0))
+    assert full.den == half.den == 512 ** 4
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +215,7 @@ _ref_ops = st.one_of(
               st.sampled_from((0, 1, None))),
     st.tuples(st.just("set_value"), _some_locs, st.sampled_from((0, 1))),
     st.tuples(st.just("join"), _claim_sets),
+    st.tuples(st.just("take"), _claim_sets),
     st.tuples(st.just("contains"), _claim_sets))
 
 
@@ -240,15 +245,24 @@ def test_the_ledger_agrees_with_its_fraction_reference(steps):
                     got and (got.kind, got.location, got.narrative))
                 continue
             before = work.sorted_claims()
-            ref_args = args
-            if kind == "join":
+            name, ref_args, kwargs = kind, args, {}
+            if kind in ("join", "take"):
+                # take: join's consuming form, a call's consumes
+                name, kwargs = "join", {"take": kind == "take"}
                 args = [build(0x1000, args[0])]
                 ref_args = [oracle.FractionLedger(ref_args[0])]
-            new_ref, want = _said(lambda: getattr(step_ref, kind)(*ref_args))
-            assert _said(lambda: getattr(work, kind)(*args))[1] == want
+            new_ref, want = _said(
+                lambda: getattr(step_ref, name)(*ref_args, **kwargs))
+            if kind in ("add", "consume"):
+                loc, q, *rest = args
+                got = _said(lambda: getattr(work, kind)(
+                    loc, work.share(q), *rest))
+            else:
+                got = _said(lambda: getattr(work, name)(*args, **kwargs))
+            assert got[1] == want
             if want is None:
                 step_ref = new_ref
-            elif kind == "join":
+            elif name == "join":
                 break  # a join refused partway drops the step's copy
             else:
                 assert work.sorted_claims() == before

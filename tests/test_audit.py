@@ -376,7 +376,7 @@ def test_a_ghost_steps_walk_claim_is_audited(monkeypatch):
 
     def misclaiming(state, step):
         state.registry[state.root][step.va] = step.pa
-        state.add_full(WalkLoc(state.root, step.va), step.pa + 8)
+        state.add(WalkLoc(state.root, step.va), state.den, step.pa + 8)
         return "ghost-insert-walk"
 
     monkeypatch.setitem(checker._RULES, GhostInsertWalk, misclaiming)

@@ -50,6 +50,7 @@ from vmcheck.assertions import (
     VirtPt,
     WalkLoc,
     lower,
+    phys_loc,
     sep,
 )
 from vmcheck.checker import (
@@ -502,9 +503,9 @@ def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     entries = (node.l4e, node.l3e, node.l2e, node.l1e)
     slots = chain_slots(root, node.va, *entries[:3])
     shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
-    frame, off = slots[4 - level]
+    frame, off = slots[4 - level] >> 12, slots[4 - level] & 0xFFF
     pre = sep(IASpace(), Pure(PredUnmapped(0x20_1000)),
-              *(PhysPt(f, o, q, entry) for (f, o), q, entry
+              *(PhysPt(slot >> 12, slot & 0xFFF, q, entry) for slot, q, entry
                 in zip(slots, shares, entries)))
     script = [GhostInsertWalk(0x20_1000, 0x6000)]
     cleared = state.copy()
@@ -873,9 +874,9 @@ def _try(ledger, op):
     kind, loc, q, val = op
     try:
         if kind == "add":
-            ledger.add(loc, q, val or 0)
+            ledger.add(loc, ledger.share(q), val or 0)
         elif kind == "consume":
-            ledger.consume(loc, q, val)
+            ledger.consume(loc, ledger.share(q), val)
         else:
             ledger.set_value(loc, val or 0)
     except (LedgerError, ValueError) as err:
@@ -937,9 +938,10 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         monkeypatch):
     after = edit(build(0x1000, {RegLoc(Reg.RAX): (FULL, 7),
                                 PhysLoc(1, 0): (Fraction(1, 2), 5)}))
-    (after.consume(RegLoc(Reg.RAX), Fraction(1, 4))
-     .add(PhysLoc(1, 0), Fraction(1, 4), 5)
-     .add(WalkLoc(0x1000, 0x20_0000), FULL, 0x3000))
+    quarter = after.share(Fraction(1, 4))
+    (after.consume(RegLoc(Reg.RAX), quarter)
+     .add(PhysLoc(1, 0), quarter, 5)
+     .add(WalkLoc(0x1000, 0x20_0000), after.share(FULL), 0x3000))
     texts = []
 
     def share_text(n, den):
@@ -952,7 +954,7 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         ("phys:0x1:0x0 1/4 0x5", "walk:0x1000:0x200000 1 0x3000"))
     # one share text per rendered claim, from its int numerator, in
     # location order
-    quarter = after.den // 4
+    assert quarter == after.den // 4
     assert texts == [(quarter, after.den), (quarter, after.den),
                      (after.den, after.den)]
 
@@ -962,9 +964,10 @@ def test_a_location_changed_twice_renders_its_net_change():
     # shares of one slot twice
     after = edit(build(0x1000, {RegLoc(Reg.RAX): (FULL, 0),
                                 PhysLoc(1, 0): (L1_SHARE, 5)}))
-    (after.consume(RegLoc(Reg.RAX), FULL)
-     .add(RegLoc(Reg.RAX), FULL, 0x9003)
-     .add(PhysLoc(1, 0), L1_SHARE, 5).add(PhysLoc(1, 0), L1_SHARE, 5))
+    full, slice_ = after.share(FULL), after.share(L1_SHARE)
+    (after.consume(RegLoc(Reg.RAX), full)
+     .add(RegLoc(Reg.RAX), full, 0x9003)
+     .add(PhysLoc(1, 0), slice_, 5).add(PhysLoc(1, 0), slice_, 5))
     assert _step_claims(after.journal, after) == (
         ("reg:rax 1 0x0",), ("phys:0x1:0x0 1/256 0x5", "reg:rax 1 0x9003"))
 
@@ -1030,7 +1033,7 @@ def _chain_of(state, root, va, pa):
     node = chain_claim(state, root, va, pa)
     slots = chain_slots(root, va, node.l4e, node.l3e, node.l2e)
     return node, list(zip(
-        (PhysLoc(*slot) for slot in slots),
+        map(phys_loc, slots),
         (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE),
         (node.l4e, node.l3e, node.l2e, node.l1e)))
 
@@ -1346,7 +1349,7 @@ def test_an_insert_refused_partway_leaves_the_ledger_before_it():
     registry = {r: dict(t) for r, t in registry.items()}
     del registry[root][0x20_1000]
     node = chain_claim(state, root, 0x20_1000, 0x6000)
-    slots = [PhysLoc(*slot) for slot in chain_slots(
+    slots = [phys_loc(slot) for slot in chain_slots(
         root, node.va, node.l4e, node.l3e, node.l2e)]
     # the L4, L3 and L2 shares are held, the L1 share is not: three
     # consumes succeed before the fourth fails
@@ -1697,7 +1700,7 @@ def test_equal_ledgers_render_alike_whatever_the_insertion_order():
     for order in (claims, claims[::-1]):
         ledger = Ledger(0x1000)
         for loc, q, v in order:
-            ledger = ledger.add(loc, q, v)
+            ledger = ledger.add(loc, ledger.share(q), v)
         ledgers.append(ledger)
     a, b = ledgers
     assert a == b

@@ -210,6 +210,9 @@ def test_usage_error_exit_code(capsys, tmp_path):
 _WRAPPERS_330_DEEP = b"[0x100000](" * 330 + b"emp" + b")" * 330
 _CHECK = ("check", "prog.s", "--state", "state.json", "--pre", "pre.txt",
           "--root", "0x100000")
+_WALK = ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0")
+# a decimal past Python's limit on the digits int() reads (4,300)
+_LONG = "7" * 5000
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -225,23 +228,42 @@ _CHECK = ("check", "prog.s", "--state", "state.json", "--pre", "pre.txt",
      "cannot write out/sub: "),
     # a state file nested deeper than the JSON decoder recurses
     ({"state.json": b'{"registers": ' + b"[" * 1000 + b"]" * 1000 + b"}"},
-     ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0"),
-     "state.json: not valid JSON: "),
+     _WALK, "state.json: not valid JSON: "),
     # one memory frame spelled two ways, which would drop a frame's words
     ({"state.json": b'{"memory": {"0x5": {"0x0": "0x1"}, '
                     b'"5": {"0x8": "0x2"}}}'},
-     ("walk", "--state", "state.json", "--root", "0x100000", "--va", "0x0"),
-     "state.json: memory frame 0x5 spelled '0x5' and '5'\n"),
+     _WALK, "state.json: memory frame 0x5 spelled '0x5' and '5'\n"),
     # other-space wrappers nested deeper than the grammar's bound, refused
     # at the first wrapper past it
     ({"pre.txt": _WRAPPERS_330_DEEP}, _CHECK,
      "line 1, column 705: wrappers nested more than 64 deep\n"),
     ({"prog.s": b"skip\n@assert {" + _WRAPPERS_330_DEEP + b"}\n"}, _CHECK,
      "line 2, column 705: wrappers nested more than 64 deep\n"),
+    # a 5,000-digit decimal at each number reader
+    ({"pre.txt": f"rax |->r {_LONG}".encode()}, _CHECK,
+     "line 1, column 9: cannot read '7777777777'\n"),
+    ({"prog.s": f"mov rax, {_LONG}".encode()}, _CHECK,
+     f"line 1, column 1: bad number '{_LONG}'"),
+    ({"prog.s": f"mov rax, [rbx + {_LONG}]".encode()}, _CHECK,
+     f"line 1, column 1: bad number '[rbx + {_LONG}]'"),
+    ({"prog.s": f"@ghost insert_walk va={_LONG} pa=0x0".encode()}, _CHECK,
+     f"line 1, column 1: bad number '{_LONG}'"),
+    ({"state.json": f'{{"registers": {{"rax": "{_LONG}"}}}}'.encode()},
+     _WALK, f"state.json: bad number '{_LONG}' for register rax\n"),
+    ({"state.json": f'{{"memory": {{"{_LONG}": {{}}}}}}'.encode()}, _WALK,
+     f"state.json: bad number '{_LONG}' for memory frame\n"),
+    ({"state.json": f'{{"registers": {{"rax": {_LONG}}}}}'.encode()}, _WALK,
+     f"state.json: register rax must be a 0x-hex string, got {_LONG}\n"),
+    ({}, _CHECK[:-1] + (_LONG,), f"bad --root: '{_LONG}'\n"),
+    ({}, _WALK[:-1] + (_LONG,), f"bad --va: '{_LONG}'\n"),
 ], ids=["pre-not-utf8", "prog-not-utf8", "emit-onto-a-file",
         "emit-under-a-file", "state-nested-1000-deep",
         "state-frame-spelled-twice", "pre-wrappers-330-deep",
-        "assert-wrappers-330-deep"])
+        "assert-wrappers-330-deep", "assertion-word-5000-digits",
+        "immediate-5000-digits", "displacement-5000-digits",
+        "ghost-argument-5000-digits", "state-word-5000-digits",
+        "state-key-5000-digits", "state-json-number-5000-digits",
+        "root-5000-digits", "va-5000-digits"])
 def test_hostile_input_ends_in_one_error_line(capsys, workdir, monkeypatch,
                                               files, argv, message):
     # an exception escaping main() fails the test, as a traceback would
@@ -457,10 +479,25 @@ _NUMBER_TEXT = st.text(
                     "\u0663\uff18\u09e7\u00b2"), min_size=1, max_size=16)
 
 
+# digit strings of up to 6,000 characters, past the 4,300 decimal digits
+# int() reads: a word after leading zeros, or a decimal with more digits
+# after its leading zeros than the 640 the grammar reads, which no reader
+# takes
+_LONG_DIGITS = st.one_of(
+    st.builds(lambda zeros, word: "0" * zeros + str(word),
+              st.integers(0, 5980), st.integers(0, (1 << 64) - 1)),
+    st.integers(641, 6000).flatmap(lambda size: st.builds(
+        lambda zeros, run: "0" * zeros + (run * size)[:size - zeros],
+        st.integers(0, size - 641),
+        st.text(st.sampled_from("0123456789"), min_size=1, max_size=8)
+        .map(lambda run: "1" + run))))
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_NUMBER_TEXT,
                  st.integers(0, (1 << 64) - 1).map(hex),
-                 st.integers(0, 10 ** 19 - 1).map(str)))
+                 st.integers(0, 10 ** 19 - 1).map(str),
+                 _LONG_DIGITS))
 def test_the_five_number_readers_agree(text):
     outcomes = _reader_outcomes(text)
     assert outcomes == [outcomes[0]] * 5, (text, outcomes)
@@ -470,5 +507,11 @@ def test_the_five_number_readers_read_the_grammar():
     assert _reader_outcomes("0x1f") == [0x1F] * 5
     assert _reader_outcomes("0010") == [10] * 5
     assert _reader_outcomes("0xAb") == [0xAB] * 5
+    assert _reader_outcomes("0" * 5000 + "8") == [8] * 5
+    # 640 digits after the leading zeros are read (all but _parse_int
+    # refuse a value past 64 bits), and 641 are not
+    assert _reader_outcomes("0" * 5000 + "7" * 640) == \
+        [int("7" * 640)] + [None] * 4
+    assert _reader_outcomes("7" * 641) == [None] * 5
     for text in ("1_000", "+5", "-5", "-0", "0X10", "0x", "\u0663"):
         assert _reader_outcomes(text) == [None] * 5, text

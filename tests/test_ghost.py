@@ -264,18 +264,18 @@ def test_token_split_join_stress():
         for _ in range(rng.randrange(1, 30)):
             if outstanding and rng.random() < 0.5:
                 q = outstanding.pop()
-                ledger = ledger.add(loc, q, 0x5000)
+                ledger = ledger.add(loc, ledger.share(q), 0x5000)
             else:
                 held = ledger.get(loc)[0]
                 q = held / rng.choice([2, 3, 4])
-                ledger = ledger.consume(loc, q, 0x5000)
+                ledger = ledger.consume(loc, ledger.share(q), 0x5000)
                 outstanding.append(q)
             assert 0 < ledger.get(loc)[0] <= 1
         for q in outstanding:
-            ledger = ledger.add(loc, q, 0x5000)
+            ledger = ledger.add(loc, ledger.share(q), 0x5000)
         assert ledger.get(loc) == (FULL, 0x5000)
         with pytest.raises(SumExceedsOne):
-            ledger.add(loc, Fraction(1, 512), 0x5000)
+            ledger.add(loc, ledger.share(Fraction(1, 512)), 0x5000)
 
 
 # --------------------------------------------------------------------------

@@ -45,3 +45,26 @@ def test_every_module_the_benchmark_imports_exists():
     assert modules
     for name in modules:
         importlib.import_module(f"vmcheck.{name}")
+
+
+def test_the_tracers_ledger_rows_see_every_ledger_write():
+    # each of map_page_case(16)'s sixteen ghost inserts consumes its four
+    # chain shares and adds its walk claim, all through the hooked
+    # Ledger.consume and Ledger.add
+    from vmcheck.cases import map_page_case
+    from vmcheck.checker import RESOURCE_ONLY, check_double
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer({name: importlib.import_module(f"vmcheck.{name}")
+                             for name, _attr, _span, _count in tracing.HOOKS})
+    case = map_page_case(16)
+    tracer.install()
+    try:
+        tracer.check = 0
+        report = check_double(case.pre, case.root, case.script, case.stubs,
+                              RESOURCE_ONLY, case.state, case.registry,
+                              case.free_list)
+    finally:
+        tracer.uninstall()
+    assert report.ok, report.violation
+    assert tracer.call_counts()["assertions.ledger"] >= 5 * 16
