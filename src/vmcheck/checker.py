@@ -12,10 +12,12 @@ only comparison of claims with the machine; resource mode skips it.
 
 The checker takes the instruction forms from the machine (the memory
 forms are ``MEM_FORMS``) and reads page tables only through the
-machine's walk kernel, ``translate``: the audit's walks, and a ghost
-step's one ``walk`` of its chain, read the current machine (which
-co-execution's audit has proved equal to every held claim); the ghost
-step keeps the space's walk map in the registry itself.
+machine's walk kernel, ``translate``, and its page-walk memo: the
+audit's walks and a ghost step's walk of its chain read the current
+machine (which co-execution's audit has proved equal to every held
+claim), each page's walk under a root once until the tables may have
+changed, as a TLB caches it; the ghost step keeps the space's walk map
+in the registry itself.
 
 ``apply_rule`` is a step's one transaction on the check's one mutable
 ``CheckState``, a ``Ledger`` that also holds the machine, walk maps,
@@ -23,10 +25,12 @@ stubs and free list: the step's rule (from ``_RULES``) changes its
 claims and walk map in place, journaling each claim, and an instruction
 then runs on its machine in place, listing each word written with the
 old word.  A call copies the machine and walk maps once, and its stub
-writes the machine's copy in place.  A refusal by the rule, the stub, the
-machine or the audit is a raised ``Reject`` (a failed ledger operation's
-``LedgerError`` is one), which ``apply_rule`` undoes from those logs and
-stamps with the step's index, as ``check_double`` does at step -1.
+writes the machine's copy in place.  The memo is emptied after an
+instruction that wrote memory and at a call's copy.  A refusal by the
+rule, the stub, the machine or the audit is a raised ``Reject`` (a
+failed ledger operation's ``LedgerError`` is one), which ``apply_rule``
+undoes from those logs, putting the memo back as it was, and stamps with
+the step's index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -66,7 +70,6 @@ from .machine import (
     execute,
     own_frame,
     translate,
-    walk,
     walk_text,
 )
 from .assertions import (
@@ -224,7 +227,12 @@ class CheckState(Ledger):
     a claim at or changed an entry of) and ``reads`` (co-execution's
     audit index {table frame: {(root, va), ...}} of the walk claims and
     walk-map entries read there, from the first full audit on) only
-    grow."""
+    grow.  ``walked`` is the page-walk memo {(root, va >> 12): (the
+    walk's four (slot, entry) steps, page base)} of the walks that
+    resolved on the current machine; every checker walk reads it (see
+    ``_walk``).  It is replaced by an empty one wherever the machine's
+    memory may change, after an instruction that wrote and at a call's
+    copy, and ``undo`` puts back the one the step started with."""
 
     def __init__(self, ledger: Ledger, registry: Registry,
                  machine: MachineState, mode: str = COEXEC,
@@ -233,6 +241,7 @@ class CheckState(Ledger):
         self.registry, self.machine, self.mode = registry, machine, mode
         self.stubs, self.free_list = stubs or {}, tuple(free_list)
         self.free_cursor, self.touched, self.reads = 0, set(), None
+        self.walked = {}
 
     @property
     def ledger(self) -> Ledger:
@@ -243,7 +252,7 @@ class CheckState(Ledger):
         """Put back what `saved` holds from the step's start, and the
         claims from the journal, over the ``den`` saved."""
         (self.root, den, self.machine, self.free_cursor, self.reads,
-         self.registry) = saved
+         self.registry, self.walked) = saved
         for loc, held in self.journal.items():
             if held is None:
                 self.claims.pop(loc, None)
@@ -326,11 +335,26 @@ def _reg_value(state: CheckState, reg: Reg) -> int:
     return claim[1]
 
 
+def _walk(state: CheckState, root: int, va: int) -> tuple:
+    """The current machine's walk of `va` under `root`, as ``walk`` gives
+    it: from the memo when its page's walk is there, else from one
+    ``translate`` pass, which enters the memo if the walk resolves."""
+    key = (root, va >> 12)
+    hit = state.walked.get(key)
+    if hit is not None:
+        return hit[0], hit[1] | (va & 0xFFF)
+    steps = []
+    got = translate(root, state.machine.mem, va, steps=steps)
+    if isinstance(got, int):
+        state.walked[key] = (steps, got & ~0xFFF)
+    return steps, got
+
+
 def _chain(state: CheckState, va: int) -> tuple:
-    """The current machine's walk of `va` under the current root, as
-    ``walk`` gives it; one that stops before the L1 entry is refused at
-    the slot where it stopped."""
-    steps, got = walk(state.root, state.machine.mem, va)
+    """The current machine's walk of `va` under the current root (see
+    ``_walk``); one that stops before the L1 entry is refused at the slot
+    where it stopped."""
+    steps, got = _walk(state, state.root, va)
     if len(steps) < 4:
         stop = got.phys if isinstance(got, FrameUnmapped) else steps[-1][0]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
@@ -489,8 +513,10 @@ def _apply_call(state: CheckState, step: CallStep):
                            take=True)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    # the stub runs on copies of the machine and walk maps (see undo)
+    # the stub runs on copies of the machine and walk maps (see undo),
+    # and may write any table in place: its walks start afresh
     maps, state.machine = state.registry, state.machine.copy()
+    state.walked = {}
     state.registry = {root: dict(theta) for root, theta in maps.items()}
     try:
         produced = stub.apply(state)
@@ -578,9 +604,12 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
     """Validate the held claims at `locs` against the machine, plus, for
     each (root, va) in `walks` whose root's space claim is held, its
     walk-map entry (a space claim in `locs` checks every entry).  Each
-    (root, va) is walked once, and with ``state.reads`` each walk is noted
-    there under every table frame it read.  The first complaint in
-    location order is returned, None when clean."""
+    walk reads the memo (``_walk``), so a page is walked once under a root
+    until the machine's memory changes, and with ``state.reads`` each
+    (root, va) is noted there under every table frame its walk read.  A
+    walk that does not resolve is never memoized, but it ends the audit
+    with a complaint.  The first complaint in location order is returned,
+    None when clean."""
     machine = state.machine
     if machine.reg(Reg.CR3) != state.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
@@ -592,16 +621,13 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
         if space in claims:
             todo.add(space)
     reads = state.reads
-    walked = {}
 
     def translated(root: int, va: int):
-        if (root, va) not in walked:
-            slots = []
-            walked[root, va] = translate(root, machine.mem, va, slots=slots)
-            if reads is not None:
-                for slot in slots:
-                    reads.setdefault(slot >> 12, set()).add((root, va))
-        return walked[root, va]
+        steps, got = _walk(state, root, va)
+        if reads is not None:
+            for slot, _entry in steps:
+                reads.setdefault(slot >> 12, set()).add((root, va))
+        return got
 
     for loc in sorted(todo):
         _q, v = claims[loc]
@@ -682,7 +708,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         raise TypeError(f"unknown script step {script_step!r}")
     machine, root = state.machine, state.root
     saved = (root, state.den, machine, state.free_cursor, state.reads,
-             state.registry)
+             state.registry, state.walked)
     state.journal, reg, regs, writes, mapping = {}, None, None, None, None
     if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
         # the walk-map entry the step writes, as it was
@@ -694,6 +720,8 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         if isinstance(script_step, InstrStep):
             regs, pc, writes = dict(machine.regs), machine.pc, []
             fault = execute(machine, script_step.instr, CHECK_OPTS, writes)
+            if writes:
+                state.walked = {}
             if fault is not None:
                 raise Reject(MACHINE_DISAGREE, None,
                              f"ledger accepts pc {pc} but the machine "

@@ -12,8 +12,9 @@ the physical address held in ``cr3``.  Bits 48..63 of a virtual address
 are ignored by translation.  Uninitialized registers read as zero.
 Every value is a plain int: addresses, raw table entries (read through
 ``pte_frame`` and the ``PTE_*`` bits) and walk results.  One kernel,
-``translate``, does every walk; ``walk`` also returns the raw entries it
-read, and ``walk_text`` renders both.  Bit widths are checked where
+``translate``, does every walk and can list the (slot, entry) pairs it
+read in the same pass; ``walk`` returns them with the result, and
+``walk_text`` renders both.  Bit widths are checked where
 values enter (instruction constructors, the parser, the state loader).
 ``translate`` checks its root's alignment and its va's width on every
 call too, but only to refuse misuse of the Python API: values from
@@ -240,9 +241,9 @@ class Instr:
     def __post_init__(self) -> None:
         disp = getattr(self, "disp", 0)
         if disp % WORD_BYTES:
-            raise ValueError(f"displacement {disp} is not a multiple of 8")
+            raise ValueError(f"displacement {disp:#x} is not a multiple of 8")
         if not (-PAGE_SIZE < disp < PAGE_SIZE):
-            raise ValueError(f"displacement {disp} out of range")
+            raise ValueError(f"displacement {disp:#x} out of range")
         imm = getattr(self, "imm", 0)
         if not (0 <= imm < (1 << 64)):
             raise ValueError(f"immediate {imm:#x} is not a 64-bit word")
@@ -324,15 +325,17 @@ _LEVEL_SHIFTS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
 
 def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
-              slots: Optional[list] = None,
+              steps: Optional[list] = None,
               writes: Optional[list] = None) -> Union[int, Fault]:
     """The walk kernel: the physical byte address `va` translates to under
     the tables rooted at `root`, or the walk's fault.
 
-    With ``slots`` (a list), the byte address of each table slot read is
-    appended to it, level 4 first.  With ``set_accessed`` each entry that
-    passes its present check gets its accessed bit, through ``own_frame``,
-    listed in ``writes`` (a list) as (frame, off, old entry).
+    With ``steps`` (a list), each table slot read is appended to it as
+    (slot byte address, raw entry), level 4 first, in one pass over
+    memory.  With ``set_accessed`` each entry that passes its present
+    check gets its accessed bit, through ``own_frame``, listed in
+    ``writes`` (a list) as (frame, off, old entry); ``steps`` lists the
+    entry as it was read, before that bit.
     """
     if root % PAGE_SIZE:
         raise ValueError(f"table root {root:#x} is not page aligned")
@@ -345,8 +348,8 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
         if words is None or off not in words:
             return FrameUnmapped((frame << 12) | off)
         entry = words[off]
-        if slots is not None:
-            slots.append((frame << 12) | off)
+        if steps is not None:
+            steps.append(((frame << 12) | off, entry))
         if not entry & PTE_PRESENT:
             return NotPresent(level, va)
         if set_accessed and not entry & PTE_ACCESSED:
@@ -359,12 +362,11 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
 
 def walk(root: int, mem: Mem, va: int) -> tuple:
     """The walk of `va` from `root` with the entries it read: ``(((slot_pa,
-    entry), ...), result)``, level 4 first, where the result is what
-    :func:`translate` returns."""
-    slots = []
-    result = translate(root, mem, va, slots=slots)
-    return (tuple([(slot, mem[slot >> 12][slot & 0xFFF]) for slot in slots]),
-            result)
+    entry), ...), result)``, level 4 first, where the steps and the result
+    are what one :func:`translate` pass lists and returns."""
+    steps = []
+    result = translate(root, mem, va, steps=steps)
+    return tuple(steps), result
 
 
 def walk_text(result: Union[int, Fault], steps: tuple = ()) -> list:
@@ -433,13 +435,13 @@ def _access_memory(state: MachineState, instr: Instr, opts: StepOpts,
         return Misaligned(root)
     mem = state.mem
     check_rw = store is not None and opts.enforce_rw
-    slots = [] if check_rw else None
-    pa = translate(root, mem, va, opts.set_accessed, slots, writes)
+    steps = [] if check_rw else None
+    pa = translate(root, mem, va, opts.set_accessed, steps, writes)
     if not isinstance(pa, int):
         return pa
     if check_rw:
-        for level, slot in zip((4, 3, 2, 1), slots):
-            if not mem[slot >> 12][slot & 0xFFF] & PTE_WRITABLE:
+        for level, (_slot, entry) in zip((4, 3, 2, 1), steps):
+            if not entry & PTE_WRITABLE:
                 return ReadOnly(level, va)
     frame, off = pa >> 12, pa & 0xFFF
     word = state.read_word(frame, off)

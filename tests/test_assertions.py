@@ -517,11 +517,11 @@ def test_a_four_slot_walk_gives_pa_exactly_when_its_chain_holds(seed, words):
     # resolves, a word beside it, or any word
     root, mem, vas = oracle.random_table_config(random.Random(seed))
     for va in vas + words:
-        slots = []
-        got = translate(root, mem, va, slots=slots)
-        if len(slots) < 4:
+        steps = []
+        got = translate(root, mem, va, steps=steps)
+        if len(steps) < 4:
             continue
-        entries = [mem[slot >> 12][slot & 0xFFF] for slot in slots]
+        entries = [entry for _slot, entry in steps]
         resolved = (pte_frame(entries[3]) << 12) | (va & 0xFFF)
         for pa in (resolved, resolved ^ 8, *words):
             assert (got == pa) == (chain_fault(va, entries, pa) is None)
@@ -534,9 +534,9 @@ def test_random_tables_give_four_slot_walks_of_both_verdicts():
     for seed in range(100):
         root, mem, vas = oracle.random_table_config(random.Random(seed))
         for va in vas:
-            slots = []
-            got = translate(root, mem, va, slots=slots)
-            if len(slots) == 4:
+            steps = []
+            got = translate(root, mem, va, steps=steps)
+            if len(steps) == 4:
                 verdicts.add(isinstance(got, int))
     assert verdicts == {True, False}
 

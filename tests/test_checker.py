@@ -79,8 +79,8 @@ from vmcheck.checker import (
     check_double,
     frame_audit,
 )
-from vmcheck.cases import (CASE_NAMES, MAP_VA, _map_fixture, case_study,
-                           map_page_case, swtch_case)
+from vmcheck.cases import (CASE_NAMES, MAP_FPADDR, MAP_VA, _map_fixture,
+                           case_study, map_page_case, swtch_case)
 from vmcheck.parsing import parse_assertion, parse_program
 
 import oracle
@@ -1636,6 +1636,75 @@ def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
         Violation(MACHINE_DISAGREE, 1, None,
                   f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, machine "
                   f"walk NotPresent(level=1, va={DATA_VA})")
+
+
+# the memo tests repoint MAP_VA's L1 entry from the allocated page to this
+# one, present and writable
+NEW_PA = 0x30_0000
+
+
+def _repoint(held):
+    """A stub that takes `held` of the L1 slot holding MAP_FPADDR's entry,
+    points the slot at NEW_PA and hands back the slot in full if it took
+    it in full, else nothing."""
+    slot = _map_fixture()[4]
+    frame, off = slot >> 12, slot & 0xFFF
+
+    def apply(state):
+        assert state.machine.write_word(frame, off, NEW_PA | 3) is None
+        return lower(PhysPt(frame, off, FULL, NEW_PA | 3) if held == FULL
+                     else Emp(), state.root)
+
+    return StubSpec((PhysPt(frame, off, held, MAP_FPADDR | 3),), apply)
+
+
+def _memo_outcomes(script, mode, forget):
+    """Each step's outcome on one check state of map_page_case(1) with
+    the repointing stubs, going on past refusals; with `forget` the
+    page-walk memo is emptied before every step.  Also whether MAP_VA's
+    page walk was memoized when the first insert (step 4) was taken."""
+    case = map_page_case(1)
+    check = _case_state(replace(case, stubs={
+        **case.stubs, "repoint": _repoint(FULL),
+        "repoint_held": _repoint(FULL - L1_SHARE)}), mode)
+    outcomes, memoized = [], None
+    for index, script_step in enumerate(script):
+        if forget:
+            check.walked = {}
+        outcomes.append(checker.apply_rule(check, script_step, index))
+        if index == 4:
+            memoized = (check.root, MAP_VA >> 12) in check.walked
+    return outcomes, memoized
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+@pytest.mark.parametrize("change, last", [
+    # remove, store a new L1 entry, insert again: the store empties it
+    ((GhostRemoveWalk(MAP_VA), InstrStep(MovRegImm(Reg.RAX, NEW_PA | 3)),
+      InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX))),
+     GhostInsertWalk(MAP_VA, NEW_PA)),
+    # a stub writes the L1 entry: the call's copy empties it
+    ((GhostRemoveWalk(MAP_VA), CallStep("repoint")),
+     GhostInsertWalk(MAP_VA, NEW_PA)),
+    # a stub writes the L1 entry that the invariant holds a share of; in
+    # co-execution the full audit walks the new entry, fills the memo and
+    # refuses the call: the undo puts the memo back
+    ((CallStep("repoint_held"),), GhostRemoveWalk(MAP_VA)),
+], ids=["store", "stub", "refused-stub"])
+def test_the_page_walk_memo_never_outlives_the_machine_it_read(
+        mode, change, last):
+    # each script maps MAP_VA (whose page walk enters the memo), changes
+    # the L1 entry and ends in a ghost step on the same page: every step
+    # has the outcome it has when no walk is remembered across steps
+    script = [*map_page_case(1).script[:5], *change, last]
+    got, memoized = _memo_outcomes(script, mode, forget=False)
+    want, _ = _memo_outcomes(script, mode, forget=True)
+    assert memoized
+    assert got == want
+    assert isinstance(got[-1], StepRecord), got[-1]
+    refused = [outcome.step for outcome in got
+               if isinstance(outcome, Violation)]
+    assert refused == ([5] if mode == COEXEC and len(change) == 1 else [])
 
 
 def test_an_accepted_coexec_swtch_check_copies_init_once_and_a_frame_once(

@@ -256,6 +256,13 @@ _LONG = "7" * 5000
      f"state.json: register rax must be a 0x-hex string, got {_LONG}\n"),
     ({}, _CHECK[:-1] + (_LONG,), f"bad --root: '{_LONG}'\n"),
     ({}, _WALK[:-1] + (_LONG,), f"bad --va: '{_LONG}'\n"),
+    # a 4,000-digit hex displacement, whose decimal passes that limit:
+    # one not a multiple of 8, one that is
+    ({"prog.s": f"mov rax, [rbx + 0x{'f' * 4000}]".encode()}, _CHECK,
+     f"line 1, column 1: displacement 0x{'f' * 4000} is not a multiple of "
+     "8\n"),
+    ({"prog.s": f"mov rax, [rbx + 0x{'8' * 4000}]".encode()}, _CHECK,
+     f"line 1, column 1: displacement 0x{'8' * 4000} out of range\n"),
 ], ids=["pre-not-utf8", "prog-not-utf8", "emit-onto-a-file",
         "emit-under-a-file", "state-nested-1000-deep",
         "state-frame-spelled-twice", "pre-wrappers-330-deep",
@@ -263,7 +270,8 @@ _LONG = "7" * 5000
         "immediate-5000-digits", "displacement-5000-digits",
         "ghost-argument-5000-digits", "state-word-5000-digits",
         "state-key-5000-digits", "state-json-number-5000-digits",
-        "root-5000-digits", "va-5000-digits"])
+        "root-5000-digits", "va-5000-digits",
+        "displacement-4000-hex-f-digits", "displacement-4000-hex-8-digits"])
 def test_hostile_input_ends_in_one_error_line(capsys, workdir, monkeypatch,
                                               files, argv, message):
     # an exception escaping main() fails the test, as a traceback would
