@@ -43,13 +43,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
 from typing import Optional
 
 from .machine import (
     MachineState,
     PAGE_SIZE,
     PTE_PRESENT,
+    Record,
     Reg,
     WORD_BYTES,
     chain_slots,
@@ -152,34 +152,33 @@ def share_text(n: int, den: int) -> str:
 # Pure predicates (closed language)
 
 
-class Pred:
+class Pred(Record):
     pass
 
 
-@dataclass(frozen=True)
 class PredEq(Pred):
-    lhs: int
-    rhs: int
+    def __new__(cls, lhs: int, rhs: int) -> "PredEq":
+        return tuple.__new__(cls, (22, lhs, rhs))
 
     def __str__(self) -> str:
         return f"{self.lhs:#x} == {self.rhs:#x}"
 
 
-@dataclass(frozen=True)
 class PredAligned(Pred):
     """Page (4K) alignment of an address."""
 
-    addr: int
+    def __new__(cls, addr: int) -> "PredAligned":
+        return tuple.__new__(cls, (23, addr))
 
     def __str__(self) -> str:
         return f"aligned {self.addr:#x}"
 
 
-@dataclass(frozen=True)
 class PredUnmapped(Pred):
     """The governing space's walk map has no entry for this address."""
 
-    va: int
+    def __new__(cls, va: int) -> "PredUnmapped":
+        return tuple.__new__(cls, (24, va))
 
     def __str__(self) -> str:
         return f"unmapped {self.va:#x}"
@@ -189,106 +188,83 @@ class PredUnmapped(Pred):
 # Assertion AST
 
 
-class Assertion:
+class Assertion(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Emp(Assertion):
-    pass
+    def __new__(cls) -> "Emp":
+        return tuple.__new__(cls, (25,))
 
 
-@dataclass(frozen=True)
 class Pure(Assertion):
-    pred: Pred
+    def __new__(cls, pred: Pred) -> "Pure":
+        return tuple.__new__(cls, (26, pred))
 
 
-@dataclass(frozen=True)
 class RegPt(Assertion):
-    reg: Reg
-    q: Fraction
-    val: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", check_share(self.q))
-        if self.reg is Reg.CR3:
+    def __new__(cls, reg: Reg, q: Fraction, val: int) -> "RegPt":
+        q = check_share(q)
+        if reg is Reg.CR3:
             raise ValueError("cr3 is tracked by the checker root, not a claim")
+        return tuple.__new__(cls, (27, reg, q, val))
 
 
-@dataclass(frozen=True)
 class PhysPt(Assertion):
-    frame: int
-    off: int
-    q: Fraction
-    val: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", check_share(self.q))
-        if self.off % WORD_BYTES or not (0 <= self.off < PAGE_SIZE):
-            raise ValueError(f"offset {self.off:#x} is not a word slot")
-        if not (0 <= self.frame < (1 << 52)):
-            raise ValueError(f"frame {self.frame:#x} out of range")
+    def __new__(cls, frame: int, off: int, q: Fraction, val: int) -> "PhysPt":
+        q = check_share(q)
+        if off % WORD_BYTES or not (0 <= off < PAGE_SIZE):
+            raise ValueError(f"offset {off:#x} is not a word slot")
+        if not (0 <= frame < (1 << 52)):
+            raise ValueError(f"frame {frame:#x} out of range")
+        return tuple.__new__(cls, (28, frame, off, q, val))
 
 
-@dataclass(frozen=True)
 class VirtPt(Assertion):
-    va: int
-    q: Fraction
-    val: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", check_share(self.q))
-        if self.va % WORD_BYTES:
-            raise ValueError(f"va {self.va:#x} is not word aligned")
+    def __new__(cls, va: int, q: Fraction, val: int) -> "VirtPt":
+        q = check_share(q)
+        if va % WORD_BYTES:
+            raise ValueError(f"va {va:#x} is not word aligned")
+        return tuple.__new__(cls, (29, va, q, val))
 
 
-@dataclass(frozen=True)
 class PtePt(Assertion):
     """Virtual points-to with the backing physical address exposed."""
 
-    va: int
-    q: Fraction
-    pa: int
-    val: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", check_share(self.q))
-        if self.va % WORD_BYTES or self.pa % WORD_BYTES:
+    def __new__(cls, va: int, q: Fraction, pa: int, val: int) -> "PtePt":
+        q = check_share(q)
+        if va % WORD_BYTES or pa % WORD_BYTES:
             raise ValueError("addresses must be word aligned")
+        return tuple.__new__(cls, (30, va, q, pa, val))
 
 
-@dataclass(frozen=True)
 class L4L1PointsTo(Assertion):
     """The four table entries a walk of `va` traverses, with the standard
     per-word share of each entry, resolving to data address `pa`."""
 
-    va: int
-    l4e: int
-    l3e: int
-    l2e: int
-    l1e: int
-    pa: int
+    def __new__(cls, va: int, l4e: int, l3e: int, l2e: int, l1e: int,
+                pa: int) -> "L4L1PointsTo":
+        return tuple.__new__(cls, (31, va, l4e, l3e, l2e, l1e, pa))
 
 
-@dataclass(frozen=True)
 class IASpace(Assertion):
     """Witness that the governing address space is registered and every
     walk-map entry is backed by present, correctly-chained tables."""
 
+    def __new__(cls) -> "IASpace":
+        return tuple.__new__(cls, (32,))
 
-@dataclass(frozen=True)
+
 class OtherSpace(Assertion):
-    root: int
-    body: Assertion
-
-    def __post_init__(self) -> None:
-        if self.root % PAGE_SIZE:
-            raise ValueError(f"space root {self.root:#x} is not page aligned")
+    def __new__(cls, root: int, body: Assertion) -> "OtherSpace":
+        if root % PAGE_SIZE:
+            raise ValueError(f"space root {root:#x} is not page aligned")
+        return tuple.__new__(cls, (33, root, body))
 
 
-@dataclass(frozen=True)
 class Sep(Assertion):
-    parts: tuple
+    def __new__(cls, parts: tuple) -> "Sep":
+        return tuple.__new__(cls, (34, parts))
 
 
 def sep(*parts: Assertion) -> Assertion:
@@ -314,30 +290,20 @@ def sep(*parts: Assertion) -> Assertion:
 # Ledger locations
 
 
-class Location(tuple):
-    """A ledger location: the tuple (kind, fields...), one subclass per
-    kind, whose constructor's parameters name its fields.  Hashing,
-    equality and ordering are the tuple's, in C, so a location is its own
-    sort key: registers, physical words, walks, spaces (kinds 0 to 3),
-    each kind in field order.  Its text is its class's ``text`` format,
-    built once per location (kinds differ in their first field)."""
+class Location(Record):
+    """A ledger location: a record whose tag is its kind.  Ordering is the
+    tuple's, in C, so a location is its own sort key: registers, physical
+    words, walks, spaces (kinds 0 to 3), each kind in field order.  Its
+    text is its class's ``text`` format, built once per location (kinds
+    differ in their first field)."""
 
     def __init_subclass__(cls, text: str) -> None:
-        code = cls.__new__.__code__
-        cls._text, cls._fields = text, code.co_varnames[1:code.co_argcount]
-        for index, name in enumerate(cls._fields, 1):
-            setattr(cls, name, property(itemgetter(index)))
-
-    def __getnewargs__(self) -> tuple:
-        return self[1:]
+        super().__init_subclass__()
+        cls._text = text
 
     @lru_cache(maxsize=1 << 14)
     def __str__(self) -> str:
         return self._text.format(*self)
-
-    def __repr__(self) -> str:
-        return "{}({})".format(type(self).__name__, ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._fields, self[1:])))
 
 
 class RegLoc(Location, text="reg:{1.value}"):
@@ -379,19 +345,21 @@ class Ledger:
     return the ledger.  ``journal``, which step records are rendered
     from and a check's undo puts back, maps each location changed to its
     claim before the first change (or None); a ledger whose ``journal``
-    is None keeps none.  Equality compares shares, whatever their
-    ``den``."""
+    is None keeps none.  ``pures`` lists the pure facts in the order
+    ``lower`` met them, so a check names the first false one as printed.
+    Equality compares shares, whatever their ``den``, and pure facts as a
+    set."""
 
     root: int
     claims: dict = field(default_factory=dict)
-    pures: frozenset = frozenset()  # {(governing_root, Pred)}
+    pures: tuple = ()  # ((governing_root, Pred), ...), in lowering order
     den: int = DEN
     journal: Optional[dict] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ledger) and (
-            (self.root, self.pures, self.sorted_claims())
-            == (other.root, other.pures, other.sorted_claims()))
+            (self.root, frozenset(self.pures), self.sorted_claims())
+            == (other.root, frozenset(other.pures), other.sorted_claims()))
 
     def sorted_claims(self) -> tuple:
         """((Location, share, value), ...) in location order."""
@@ -555,29 +523,34 @@ def _lower_into(acc: Ledger, node: Assertion, g: int,
         for part in node.parts:
             _lower_into(acc, part, g, registry)
     elif isinstance(node, VirtPt):
+        _tag, va, q, val = node
         theta = registry.get(g)
-        if theta is None or node.va not in theta:
-            raise WitnessUnavailable(g, node.va)
-        pa, n = theta[node.va], acc.share(node.q)
-        acc.add(WalkLoc(g, node.va), n, pa)
-        acc.add(phys_loc(pa), n, node.val)
+        if theta is None or va not in theta:
+            raise WitnessUnavailable(g, va)
+        pa, n = theta[va], acc.share(q)
+        acc.add(WalkLoc(g, va), n, pa)
+        acc.add(phys_loc(pa), n, val)
     elif isinstance(node, Emp):
         pass
     elif isinstance(node, Pure):
-        acc.pures = acc.pures | {(g, node.pred)}
+        acc.pures += ((g, node.pred),)
     elif isinstance(node, RegPt):
-        acc.add(RegLoc(node.reg), acc.share(node.q), node.val)
+        _tag, reg, q, val = node
+        acc.add(RegLoc(reg), acc.share(q), val)
     elif isinstance(node, PhysPt):
-        acc.add(PhysLoc(node.frame, node.off), acc.share(node.q), node.val)
+        _tag, frame, off, q, val = node
+        acc.add(PhysLoc(frame, off), acc.share(q), val)
     elif isinstance(node, PtePt):
-        acc.add(WalkLoc(g, node.va), acc.share(node.q), node.pa)
-        acc.add(phys_loc(node.pa), acc.share(node.q), node.val)
+        _tag, va, q, pa, val = node
+        n = acc.share(q)
+        acc.add(WalkLoc(g, va), n, pa)
+        acc.add(phys_loc(pa), n, val)
     elif isinstance(node, L4L1PointsTo):
-        entries = (node.l4e, node.l3e, node.l2e, node.l1e)
-        fault = chain_fault(node.va, entries, node.pa)
+        _tag, va, *entries, pa = node
+        fault = chain_fault(va, entries, pa)
         if fault is not None:
             raise BrokenChain(None, fault)
-        acc.chain(zip(chain_slots(g, node.va, *entries[:3]), entries))
+        acc.chain(zip(chain_slots(g, va, *entries[:3]), entries))
     elif isinstance(node, IASpace):
         acc.add(SpaceLoc(g), acc.den, g)
     elif isinstance(node, OtherSpace):

@@ -62,7 +62,9 @@ from .machine import (
     MovRegImm,
     MovRegReg,
     MovToCr3FromReg,
+    NonCanonical,
     PAGE_SIZE,
+    Record,
     Reg,
     Skip,
     StepOpts,
@@ -126,59 +128,58 @@ class Violation:
 # Script steps
 
 
-class ScriptStep:
+class ScriptStep(Record):
     pass
 
 
-@dataclass(frozen=True)
 class InstrStep(ScriptStep):
-    instr: Instr
+    def __new__(cls, instr: Instr) -> "InstrStep":
+        return tuple.__new__(cls, (35, instr))
 
 
 class GhostStep(ScriptStep):
     """A ghost step: every field is a word address, a word-aligned 64-bit
     word, as a walk-map key or value must be."""
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not 0 <= value < 1 << 64:
-                raise ValueError(f"ghost {name}={value:#x} is not a 64-bit "
-                                 "word")
-            if value % WORD_BYTES:
-                raise ValueError(f"ghost {name}={value:#x} is not word "
-                                 "aligned")
+
+def _ghost_word(name: str, value: int) -> int:
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"ghost {name}={value:#x} is not a 64-bit word")
+    if value % WORD_BYTES:
+        raise ValueError(f"ghost {name}={value:#x} is not word aligned")
+    return value
 
 
-@dataclass(frozen=True)
 class GhostInsertWalk(GhostStep):
-    va: int
-    pa: int
+    def __new__(cls, va: int, pa: int) -> "GhostInsertWalk":
+        return tuple.__new__(cls, (36, _ghost_word("va", va),
+                                   _ghost_word("pa", pa)))
 
 
-@dataclass(frozen=True)
 class GhostRemoveWalk(GhostStep):
-    va: int
+    def __new__(cls, va: int) -> "GhostRemoveWalk":
+        return tuple.__new__(cls, (37, _ghost_word("va", va)))
 
 
-@dataclass(frozen=True)
 class GhostPteToVirt(GhostStep):
-    va: int
+    def __new__(cls, va: int) -> "GhostPteToVirt":
+        return tuple.__new__(cls, (38, _ghost_word("va", va)))
 
 
-@dataclass(frozen=True)
 class GhostVirtToPte(GhostStep):
-    va: int
-    pa: int
+    def __new__(cls, va: int, pa: int) -> "GhostVirtToPte":
+        return tuple.__new__(cls, (39, _ghost_word("va", va),
+                                   _ghost_word("pa", pa)))
 
 
-@dataclass(frozen=True)
 class CallStep(ScriptStep):
-    name: str
+    def __new__(cls, name: str) -> "CallStep":
+        return tuple.__new__(cls, (40, name))
 
 
-@dataclass(frozen=True)
 class AssertStep(ScriptStep):
-    assertion: Assertion
+    def __new__(cls, assertion: Assertion) -> "AssertStep":
+        return tuple.__new__(cls, (41, assertion))
 
 
 Script = list  # [ScriptStep]
@@ -353,8 +354,12 @@ def _walk(state: CheckState, root: int, va: int) -> tuple:
 def _chain(state: CheckState, va: int) -> tuple:
     """The current machine's walk of `va` under the current root (see
     ``_walk``); one that stops before the L1 entry is refused at the slot
-    where it stopped."""
+    where it stopped, and a va that is not canonical at its walk."""
     steps, got = _walk(state, state.root, va)
+    if isinstance(got, NonCanonical):
+        raise Reject(MISSING_RESOURCE, str(WalkLoc(state.root, va)),
+                     f"va {va:#x} is not canonical: the machine faults "
+                     "before it walks")
     if len(steps) < 4:
         stop = got.phys if isinstance(got, FrameUnmapped) else steps[-1][0]
         raise Reject(MISSING_RESOURCE, str(phys_loc(stop)),
@@ -420,9 +425,10 @@ def _apply_instr(state: CheckState, step: InstrStep):
     if isinstance(instr, MovRegImm):
         return _set_value(state, RegLoc(instr.dst), instr.imm, "reg-imm")
     if isinstance(instr, AddRegImm):
-        return _set_value(state, RegLoc(instr.dst),
-                          (_reg_value(state, instr.dst) + instr.imm)
-                          % (1 << 64), "reg-add")
+        _tag, dst, imm = instr
+        return _set_value(state, RegLoc(dst),
+                          (_reg_value(state, dst) + imm) % (1 << 64),
+                          "reg-add")
     if isinstance(instr, MovRegFromCr3):
         return _set_value(state, RegLoc(instr.dst), state.root, "cr3-read")
     if isinstance(instr, MovToCr3FromReg):
@@ -453,61 +459,62 @@ def _apply_instr(state: CheckState, step: InstrStep):
 
 
 def _apply_ghost_insert(state: CheckState, step: GhostInsertWalk):
-    steps, got = _chain(state, step.va)
+    _tag, va, pa = step
+    steps, got = _chain(state, va)
     theta = _walk_map(state)
-    if step.va in theta:
+    if va in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
-                     f"walk map already holds {step.va:#x}")
+                     f"walk map already holds {va:#x}")
     # the chain must hold on its own, as it does when the walk gives pa
-    if got != step.pa:
+    if got != pa:
         raise Reject(VALUE_DISAGREEMENT, None, chain_fault(
-            step.va, [entry for _slot, entry in steps], step.pa))
+            va, [entry for _slot, entry in steps], pa))
     state.chain(steps, take=True)
-    loc = WalkLoc(state.root, step.va)
-    state.add(loc, state.den, step.pa)
-    theta[step.va] = step.pa
+    loc = WalkLoc(state.root, va)
+    state.add(loc, state.den, pa)
+    theta[va] = pa
     state.touched.add(loc)
     return "ghost-insert-walk"
 
 
 def _apply_ghost_remove(state: CheckState, step: GhostRemoveWalk):
-    loc = WalkLoc(state.root, step.va)
+    va = step.va
+    loc = WalkLoc(state.root, va)
     if loc not in state.claims:
         raise Reject(INSUFFICIENT_FRACTION, str(loc),
-                     f"no walk token held for va {step.va:#x}")
+                     f"no walk token held for va {va:#x}")
     theta = _walk_map(state)
     # the walk claim is the entry's token: only the full claim retires it
     state.consume(loc, state.den)
-    if step.va not in theta:
+    if va not in theta:
         raise Reject(VALUE_DISAGREEMENT, None,
-                     f"walk map has no entry for {step.va:#x}")
+                     f"walk map has no entry for {va:#x}")
     # the chain shares held inside the invariant come back out
-    state.chain(_chain(state, step.va)[0])
-    del theta[step.va]
+    state.chain(_chain(state, va)[0])
+    del theta[va]
     state.touched.add(loc)
     return "ghost-remove-walk"
 
 
 def _apply_call(state: CheckState, step: CallStep):
-    stub = state.stubs.get(step.name)
+    name = step.name
+    stub = state.stubs.get(name)
     if stub is None:
-        raise Reject(STUB_PRE_FAILED, step.name,
-                     f"no stub named {step.name!r}")
+        raise Reject(STUB_PRE_FAILED, name, f"no stub named {name!r}")
     try:
         for pattern in stub.consumes:
             if isinstance(pattern, RegPt):
-                loc = RegLoc(pattern.reg)
+                _tag, reg, q, val = pattern
+                loc = RegLoc(reg)
                 claim = state.claims.get(loc)
                 if claim is None:
                     raise Reject(STUB_PRE_FAILED, str(loc),
-                                 f"stub {step.name} needs a claim on "
-                                 f"{pattern.reg.value}")
-                if pattern.val is not None and claim[1] != pattern.val:
+                                 f"stub {name} needs a claim on {reg.value}")
+                if val is not None and claim[1] != val:
                     raise Reject(STUB_PRE_FAILED, str(loc),
-                                 f"stub {step.name} needs "
-                                 f"{pattern.reg.value} = {pattern.val:#x}, "
-                                 f"ledger holds {claim[1]:#x}")
-                state.consume(loc, state.share(pattern.q))
+                                 f"stub {name} needs {reg.value} = "
+                                 f"{val:#x}, ledger holds {claim[1]:#x}")
+                state.consume(loc, state.share(q))
             else:
                 state.join(lower(pattern, state.root, state.registry),
                            take=True)
@@ -521,23 +528,21 @@ def _apply_call(state: CheckState, step: CallStep):
     try:
         produced = stub.apply(state)
     except StubError as err:
-        raise Reject(STUB_PRE_FAILED, step.name, str(err))
+        raise Reject(STUB_PRE_FAILED, name, str(err))
     if state.registry != maps:
-        raise Reject(STUB_PRE_FAILED, step.name,
-                     f"stub {step.name} changed a walk map")
+        raise Reject(STUB_PRE_FAILED, name, f"stub {name} changed a walk map")
     state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
-            raise Reject(STUB_PRE_FAILED, step.name,
-                         f"stub {step.name} promised a false pure "
-                         f"predicate: {pred}")
+            raise Reject(STUB_PRE_FAILED, name, f"stub {name} promised a "
+                         f"false pure predicate: {pred}")
     if state.mode == COEXEC:
         complaint = _audit(state, produced.claims)
         if complaint is not None:
-            raise Reject(STUB_PRE_FAILED, step.name,
-                         f"stub {step.name} promised claims the machine "
+            raise Reject(STUB_PRE_FAILED, name,
+                         f"stub {name} promised claims the machine "
                          f"does not satisfy: {complaint}")
-    return f"call:{step.name}"
+    return f"call:{name}"
 
 
 def _apply_assert(state: CheckState, step: AssertStep):
@@ -575,12 +580,14 @@ def _apply_view(state: CheckState,
                 step: Union[GhostPteToVirt, GhostVirtToPte]):
     """Moving between the virtual and the PTE view of a mapping needs the
     current space's walk claim; the ledger does not change."""
-    pa = _walk_claim(state, step.va)
+    va = step.va
+    pa = _walk_claim(state, va)
     if isinstance(step, GhostPteToVirt):
         return "ghost-pte-to-virt"
-    if pa != step.pa:
-        raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(state.root, step.va)),
-                     f"walk resolves to {pa:#x}, not {step.pa:#x}")
+    want = step.pa
+    if pa != want:
+        raise Reject(VALUE_DISAGREEMENT, str(WalkLoc(state.root, va)),
+                     f"walk resolves to {pa:#x}, not {want:#x}")
     return "ghost-virt-to-pte"
 
 
@@ -636,27 +643,29 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
             if got != v:
                 return f"{loc}: ledger {v:#x}, machine {got:#x}"
         elif isinstance(loc, PhysLoc):
-            got = machine.read_word(loc.frame, loc.off)
+            _kind, frame, off = loc
+            got = machine.read_word(frame, off)
             if got != v:
                 return (f"{loc}: ledger {v:#x}, machine "
                         f"{walk_text(got)[0]}")
         elif isinstance(loc, WalkLoc):
-            got = translated(loc.root, loc.va)
+            _kind, root, va = loc
+            got = translated(root, va)
             if got != v:
                 return (f"{loc}: ledger {v:#x}, machine walk "
                         f"{walk_text(got)[0]}")
-            theta = state.registry.get(loc.root)
-            if theta is None or theta.get(loc.va) != v:
+            theta = state.registry.get(root)
+            if theta is None or theta.get(va) != v:
                 return f"{loc}: walk map does not record {v:#x}"
         else:
-            theta = state.registry.get(loc.root)
+            _kind, root = loc
+            theta = state.registry.get(root)
             if theta is None:
-                return (f"{loc}: address space {loc.root:#x} is not "
-                        "registered")
+                return f"{loc}: address space {root:#x} is not registered"
             vas = theta if loc in locs else \
-                {va for root, va in walks if root == loc.root and va in theta}
+                {va for r, va in walks if r == root and va in theta}
             for va in sorted(vas):
-                got = translated(loc.root, va)
+                got = translated(root, va)
                 if got != theta[va]:
                     return (f"{loc}: walk-map entry {va:#x} broken: "
                             f"{walk_text(got)[0]}")
@@ -714,12 +723,13 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         # the walk-map entry the step writes, as it was
         mapping = (root, script_step.va)
         theta = state.registry.get(root, {})
-        entry = theta.get(script_step.va)
+        entry = theta.get(mapping[1])
     try:
         name = rule(state, script_step)
         if isinstance(script_step, InstrStep):
+            instr = script_step.instr
             regs, pc, writes = dict(machine.regs), machine.pc, []
-            fault = execute(machine, script_step.instr, CHECK_OPTS, writes)
+            fault = execute(machine, instr, CHECK_OPTS, writes)
             if writes:
                 state.walked = {}
             if fault is not None:
@@ -727,7 +737,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
                              f"ledger accepts pc {pc} but the machine "
                              f"faults: {fault!r}")
             # the one data register an instruction writes is its dst
-            reg = getattr(script_step.instr, "dst", None)
+            reg = instr.dst
         if state.mode == COEXEC:
             if state.reads is None or isinstance(script_step, CallStep):
                 # a stub's effect is arbitrary code: audit and index afresh

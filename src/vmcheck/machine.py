@@ -8,17 +8,17 @@ writes also require the word to exist (the memory domain is the set of
 allocated words, and fixtures allocate explicitly).
 
 Virtual addresses translate through four levels of page tables rooted at
-the physical address held in ``cr3``.  Bits 48..63 of a virtual address
-are ignored by translation.  Uninitialized registers read as zero.
-Every value is a plain int: addresses, raw table entries (read through
-``pte_frame`` and the ``PTE_*`` bits) and walk results.  One kernel,
-``translate``, does every walk and can list the (slot, entry) pairs it
-read in the same pass; ``walk`` returns them with the result, and
-``walk_text`` renders both.  Bit widths are checked where
-values enter (instruction constructors, the parser, the state loader).
-``translate`` checks its root's alignment and its va's width on every
-call too, but only to refuse misuse of the Python API: values from
-those entry points always pass.
+the physical address held in ``cr3``.  A virtual address must be
+canonical, bits 48..63 copies of bit 47, or its translation faults.
+Uninitialized registers read as zero.  Every value is a plain int:
+addresses, raw table entries (read through ``pte_frame`` and the
+``PTE_*`` bits) and walk results.  One kernel, ``translate``, does every
+walk and can list the (slot, entry) pairs it read in the same pass;
+``walk`` returns them with the result, and ``walk_text`` renders both.
+Bit widths are checked where values enter (instruction constructors,
+the parser, the state loader).  ``translate`` checks its root's
+alignment and its va's width on every call too, but only to refuse
+misuse of the Python API: values from those entry points always pass.
 
 The one in-place operation is the core, ``execute``: it runs an
 instruction on the given state and can list each word it writes with
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 PAGE_SIZE = 4096
@@ -102,43 +103,83 @@ def encode_pte(frame: int, present: bool = True, writable: bool = False,
 
 
 # --------------------------------------------------------------------------
+# Records
+
+
+class Record(tuple):
+    """An immutable value: the tuple (tag, fields...), one subclass per
+    kind of value, whose ``__new__`` checks its fields and whose
+    parameters name them; each field is read through an ``itemgetter``
+    property.  The tag is an int written in the class's ``__new__`` and
+    used by no other class, so hashing, equality and pickling are the
+    tuple's, in C: records of different classes never compare equal, and
+    a record of int fields hashes alike under every ``PYTHONHASHSEED``.
+    Its repr is the dataclass format, ``Name(field=value, ...)``, from
+    one ``%`` format per class."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__new__" in vars(cls):
+            code = cls.__new__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+            for index, name in enumerate(cls._fields, 1):
+                setattr(cls, name, property(itemgetter(index)))
+            cls._repr = "{}({})".format(cls.__name__, ", ".join(
+                f"{name}=%r" for name in cls._fields))
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return self._repr % self[1:]
+
+
+# --------------------------------------------------------------------------
 # Faults
 
 
-class Fault:
+class Fault(Record):
     """Base for every machine-level failure value."""
 
 
-@dataclass(frozen=True)
 class NotPresent(Fault):
-    level: int  # 1..4, the table level whose entry failed the present check
-    va: int
+    # level: 1..4, the table level whose entry failed the present check
+    def __new__(cls, level: int, va: int) -> "NotPresent":
+        return tuple.__new__(cls, (4, level, va))
 
 
-@dataclass(frozen=True)
 class FrameUnmapped(Fault):
-    phys: int  # byte address of the absent table frame or word
+    # phys: byte address of the absent table frame or word
+    def __new__(cls, phys: int) -> "FrameUnmapped":
+        return tuple.__new__(cls, (5, phys))
 
 
-@dataclass(frozen=True)
 class Misaligned(Fault):
-    addr: int
+    def __new__(cls, addr: int) -> "Misaligned":
+        return tuple.__new__(cls, (6, addr))
 
 
-@dataclass(frozen=True)
 class ReadOnly(Fault):
-    level: int
-    va: int
+    def __new__(cls, level: int, va: int) -> "ReadOnly":
+        return tuple.__new__(cls, (7, level, va))
 
 
-@dataclass(frozen=True)
 class BadRegister(Fault):
-    reg: Reg
+    def __new__(cls, reg: Reg) -> "BadRegister":
+        return tuple.__new__(cls, (8, reg))
 
 
-@dataclass(frozen=True)
 class PcOutOfRange(Fault):
-    pc: int
+    def __new__(cls, pc: int) -> "PcOutOfRange":
+        return tuple.__new__(cls, (9, pc))
+
+
+class NonCanonical(Fault):
+    """An access through a va that is not canonical (see ``is_canonical``),
+    which faults before any table is read."""
+
+    def __new__(cls, va: int) -> "NonCanonical":
+        return tuple.__new__(cls, (10, va))
 
 
 # --------------------------------------------------------------------------
@@ -232,89 +273,95 @@ def mem_set(mem: Mem, frame: int, off: int, value: int) -> None:
 # Instructions
 
 
-class Instr:
+class Instr(Record):
     """Base for the mov-family instruction forms.  Every form names its
     operands with the same fields: registers ``dst``, ``src`` and
-    ``base`` (``step`` faults on cr3 in any of them), a displacement
-    ``disp`` and an immediate ``imm``, the last two checked here."""
+    ``base`` (``step`` faults on cr3 in any of them; a form without one
+    reads it as None), a displacement ``disp`` and an immediate ``imm``,
+    the last two checked here."""
 
-    def __post_init__(self) -> None:
-        disp = getattr(self, "disp", 0)
-        if disp % WORD_BYTES:
-            raise ValueError(f"displacement {disp:#x} is not a multiple of 8")
-        if not (-PAGE_SIZE < disp < PAGE_SIZE):
-            raise ValueError(f"displacement {disp:#x} out of range")
-        imm = getattr(self, "imm", 0)
-        if not (0 <= imm < (1 << 64)):
-            raise ValueError(f"immediate {imm:#x} is not a 64-bit word")
+    dst = src = base = None
 
 
-@dataclass(frozen=True)
+def _disp(disp: int) -> int:
+    if disp % WORD_BYTES:
+        raise ValueError(f"displacement {disp:#x} is not a multiple of 8")
+    if not (-PAGE_SIZE < disp < PAGE_SIZE):
+        raise ValueError(f"displacement {disp:#x} out of range")
+    return disp
+
+
+def _imm(imm: int) -> int:
+    if not (0 <= imm < (1 << 64)):
+        raise ValueError(f"immediate {imm:#x} is not a 64-bit word")
+    return imm
+
+
 class MovRegReg(Instr):
-    dst: Reg
-    src: Reg
+    def __new__(cls, dst: Reg, src: Reg) -> "MovRegReg":
+        return tuple.__new__(cls, (11, dst, src))
 
 
-@dataclass(frozen=True)
 class MovRegImm(Instr):
-    dst: Reg
-    imm: int
+    def __new__(cls, dst: Reg, imm: int) -> "MovRegImm":
+        return tuple.__new__(cls, (12, dst, _imm(imm)))
 
 
-@dataclass(frozen=True)
 class AddRegImm(Instr):
-    dst: Reg
-    imm: int
+    def __new__(cls, dst: Reg, imm: int) -> "AddRegImm":
+        return tuple.__new__(cls, (13, dst, _imm(imm)))
 
 
-@dataclass(frozen=True)
 class MovRegFromMem(Instr):
-    dst: Reg
-    base: Reg
-    disp: int = 0
+    def __new__(cls, dst: Reg, base: Reg, disp: int = 0) -> "MovRegFromMem":
+        return tuple.__new__(cls, (14, dst, base, _disp(disp)))
 
 
-@dataclass(frozen=True)
 class MovMemFromReg(Instr):
-    base: Reg
-    disp: int
-    src: Reg
+    def __new__(cls, base: Reg, disp: int, src: Reg) -> "MovMemFromReg":
+        return tuple.__new__(cls, (15, base, _disp(disp), src))
 
 
-@dataclass(frozen=True)
 class MovToCr3FromReg(Instr):
-    src: Reg
+    def __new__(cls, src: Reg) -> "MovToCr3FromReg":
+        return tuple.__new__(cls, (16, src))
 
 
-@dataclass(frozen=True)
 class MovRegFromCr3(Instr):
-    dst: Reg
+    def __new__(cls, dst: Reg) -> "MovRegFromCr3":
+        return tuple.__new__(cls, (17, dst))
 
 
-@dataclass(frozen=True)
 class MovMemFromCr3(Instr):
-    base: Reg
-    disp: int = 0
+    def __new__(cls, base: Reg, disp: int = 0) -> "MovMemFromCr3":
+        return tuple.__new__(cls, (18, base, _disp(disp)))
 
 
-@dataclass(frozen=True)
 class MovToCr3FromMem(Instr):
-    base: Reg
-    disp: int = 0
+    def __new__(cls, base: Reg, disp: int = 0) -> "MovToCr3FromMem":
+        return tuple.__new__(cls, (19, base, _disp(disp)))
 
 
-@dataclass(frozen=True)
 class Skip(Instr):
-    pass
+    def __new__(cls) -> "Skip":
+        return tuple.__new__(cls, (20,))
 
 
 # --------------------------------------------------------------------------
 # Address translation
 
 
+def is_canonical(va: int) -> bool:
+    """Whether the 64-bit `va` is canonical: bits 63..48 all equal bit 47.
+    x86-64 faults on any other address before it walks (Intel SDM Vol. 1
+    §3.3.7.1)."""
+    return va >> 47 in (0, (1 << 17) - 1)
+
+
 def split_va(va: int) -> tuple:
     """Split a virtual address into the four 9-bit table indices plus the
-    12-bit page offset.  Bits 48..63 are ignored."""
+    12-bit page offset.  Bits 48..63 index nothing: ``translate`` faults
+    on a va that is not canonical, and indexes only a canonical one."""
     if not (0 <= va < (1 << 64)):
         raise ValueError(f"virtual address {va:#x} is not a 64-bit word")
     return ((va >> 39) & 0x1FF, (va >> 30) & 0x1FF, (va >> 21) & 0x1FF,
@@ -328,7 +375,8 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
               steps: Optional[list] = None,
               writes: Optional[list] = None) -> Union[int, Fault]:
     """The walk kernel: the physical byte address `va` translates to under
-    the tables rooted at `root`, or the walk's fault.
+    the tables rooted at `root`, or the walk's fault (``NonCanonical``,
+    reading no slot, for a va that is not canonical).
 
     With ``steps`` (a list), each table slot read is appended to it as
     (slot byte address, raw entry), level 4 first, in one pass over
@@ -341,6 +389,8 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
         raise ValueError(f"table root {root:#x} is not page aligned")
     if not (0 <= va < (1 << 64)):
         raise ValueError(f"virtual address {va:#x} is not a 64-bit word")
+    if not is_canonical(va):
+        return NonCanonical(va)
     frame = root >> 12
     for level, shift in _LEVEL_SHIFTS:
         off = ((va >> shift) & 0x1FF) * WORD_BYTES
@@ -400,13 +450,13 @@ def chain_slots(root: int, va: int, l4e: int, l3e: int, l2e: int) -> tuple:
 # Small-step semantics
 
 
-@dataclass(frozen=True)
-class StepOpts:
+class StepOpts(Record):
     """Execution switches: read-write enforcement on writes, and hardware
     accessed-bit updates during translation.  Both independent."""
 
-    enforce_rw: bool = True
-    set_accessed: bool = True
+    def __new__(cls, enforce_rw: bool = True,
+                set_accessed: bool = True) -> "StepOpts":
+        return tuple.__new__(cls, (21, enforce_rw, set_accessed))
 
 
 DEFAULT_OPTS = StepOpts()
@@ -416,7 +466,8 @@ DEFAULT_OPTS = StepOpts()
 MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
 
 
-def _access_memory(state: MachineState, instr: Instr, opts: StepOpts,
+def _access_memory(state: MachineState, instr: Instr, dst: Optional[Reg],
+                   src: Optional[Reg], base: Reg, opts: StepOpts,
                    writes: Optional[list]) -> Optional[Fault]:
     """The one path of the memory forms: translate base + disp under cr3,
     load the word into a register or store a register's value, and
@@ -424,10 +475,10 @@ def _access_memory(state: MachineState, instr: Instr, opts: StepOpts,
     misaligned va, a misaligned root, the walk's own fault, a read-only
     entry on a store, an absent word."""
     if isinstance(instr, (MovRegFromMem, MovToCr3FromMem)):
-        load, store = getattr(instr, "dst", Reg.CR3), None
+        load, store = Reg.CR3 if dst is None else dst, None
     else:
-        load, store = None, getattr(instr, "src", Reg.CR3)
-    va = (state.reg(instr.base) + instr.disp) % (1 << 64)
+        load, store = None, Reg.CR3 if src is None else src
+    va = (state.reg(base) + instr.disp) % (1 << 64)
     if va % WORD_BYTES:
         return Misaligned(va)
     root = state.reg(Reg.CR3)
@@ -467,23 +518,23 @@ def execute(state: MachineState, instr: Instr, opts: StepOpts = DEFAULT_OPTS,
     ``writes`` (a list) as (frame, off, old word).  A fault changes no
     register or pc, only the accessed bits its walk set.
     """
-    for operand in (getattr(instr, "dst", None), getattr(instr, "src", None),
-                    getattr(instr, "base", None)):
+    dst, src, base = instr.dst, instr.src, instr.base
+    for operand in (dst, src, base):
         if operand is not None and not operand.is_data:
             return BadRegister(operand)
     regs = state.regs
     if isinstance(instr, MovRegReg):
-        regs[instr.dst] = state.reg(instr.src)
+        regs[dst] = state.reg(src)
     elif isinstance(instr, MovRegImm):
-        regs[instr.dst] = instr.imm
+        regs[dst] = instr.imm
     elif isinstance(instr, AddRegImm):
-        regs[instr.dst] = (state.reg(instr.dst) + instr.imm) % (1 << 64)
+        regs[dst] = (state.reg(dst) + instr.imm) % (1 << 64)
     elif isinstance(instr, MovToCr3FromReg):
-        regs[Reg.CR3] = state.reg(instr.src)
+        regs[Reg.CR3] = state.reg(src)
     elif isinstance(instr, MovRegFromCr3):
-        regs[instr.dst] = state.reg(Reg.CR3)
+        regs[dst] = state.reg(Reg.CR3)
     elif isinstance(instr, MEM_FORMS):
-        return _access_memory(state, instr, opts, writes)
+        return _access_memory(state, instr, dst, src, base, opts, writes)
     elif not isinstance(instr, Skip):
         raise TypeError(f"unknown instruction {instr!r}")
     state.pc += 1

@@ -36,10 +36,10 @@ def fraction_claims(ledger):
     return {loc: (q, v) for loc, q, v in ledger.sorted_claims()}
 
 
-def build(root, claims, pures=frozenset()):
+def build(root, claims, pures=()):
     """The ledger under `root` of {location: (share, value)} claims, each
     share checked as it enters (``check_share``)."""
-    ledger = Ledger(root, {}, frozenset(pures))
+    ledger = Ledger(root, {}, tuple(pures))
     for loc, (q, v) in claims.items():
         ledger.claims[loc] = (ledger.share(check_share(q)), v)
     return ledger
@@ -57,7 +57,7 @@ def join(a, b):
     ``a``, with ``b``'s claims added by ``Ledger.join``, and the pure
     facts of both (``Ledger.join`` merges none)."""
     joined = edit(a).join(b)
-    joined.pures = a.pures | b.pures
+    joined.pures = a.pures + b.pures
     return joined
 
 

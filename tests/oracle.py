@@ -59,13 +59,22 @@ def entry_fields(entry):
     }
 
 
+def canonical(va):
+    """A 64-bit va is canonical when its top 17 binary digits (bits 63 to
+    47) are all 0 or all 1, read from its binary text."""
+    return len(set(format(va, "064b")[:17])) == 1
+
+
 def naive_walk(root, mem, va):
     """Walk 4 levels of tables by direct dict lookups.
 
     `mem` is the nested map {frame: {offset: word}}; `root` is the byte
-    address of the top table (must be page aligned).
+    address of the top table (must be page aligned).  A va that is not
+    canonical is ("non-canonical", va), before any lookup.
     """
     assert root % PAGE == 0
+    if not canonical(va):
+        return ("non-canonical", va)
     fields = va_fields(va)
     table = root // PAGE
     entry = None

@@ -24,6 +24,7 @@ from vmcheck.machine import (
     AddRegImm,
     MovRegFromCr3,
     MovMemFromCr3,
+    NonCanonical,
     NotPresent,
     Reg,
     StepOpts,
@@ -93,6 +94,8 @@ def adapt(result):
         return ("not-present", result.level)
     if isinstance(result, FrameUnmapped):
         return ("frame-unmapped", result.phys)
+    if isinstance(result, NonCanonical):
+        return ("non-canonical", result.va)
     raise AssertionError(f"unexpected result {result!r}")
 
 

@@ -487,6 +487,24 @@ def test_ghost_insert_needs_chain_shares():
     assert report.violation.kind == INSUFFICIENT_FRACTION
 
 
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_ghost_insert_of_a_non_canonical_alias_is_refused(mode):
+    # map_page_case(2) with its second insert moved to an alias of
+    # MAP_VA + 8 that differs in bits 48..63: the machine would fault on
+    # any access through it, so no walk may be published there
+    alias = 0xFFFF_0000_0000_0000 | (MAP_VA + 8)
+    case = map_page_case(2)
+    index = next(i for i, s in enumerate(case.script)
+                 if s == GhostInsertWalk(MAP_VA + 8, MAP_FPADDR + 8))
+    script = list(case.script)
+    script[index] = GhostInsertWalk(alias, MAP_FPADDR + 8)
+    report = check_double(case.pre, case.root, script, case.stubs, mode,
+                          case.state, case.registry, case.free_list)
+    assert str(report.violation) == (
+        f"step {index}: MissingResource at walk:{case.root:#x}:{alias:#x}: "
+        f"va {alias:#x} is not canonical: the machine faults before it walks")
+
+
 @pytest.mark.parametrize("level", [4, 3, 2, 1])
 def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     # an entry without its present bit does not justify a walk: the
@@ -499,8 +517,9 @@ def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     registry[root] = {}  # no other walk-map entry reads the cleared slot
     field = f"l{level}e"
     good = chain_claim(state, root, 0x20_1000, 0x6000)
-    node = replace(good, **{field: getattr(good, field) & ~1})
-    entries = (node.l4e, node.l3e, node.l2e, node.l1e)
+    entries = [good.l4e, good.l3e, good.l2e, good.l1e]
+    entries[4 - level] &= ~1
+    node = L4L1PointsTo(good.va, *entries, good.pa)
     slots = chain_slots(root, node.va, *entries[:3])
     shares = (L4_SHARE, L3_SHARE, L2_SHARE, L1_SHARE)
     frame, off = slots[4 - level] >> 12, slots[4 - level] & 0xFFF
@@ -1122,10 +1141,10 @@ def test_an_accepted_map_page_check_builds_no_walk_chain_claim(monkeypatch):
     # ghost insert checks the chain's ints; an L4L1PointsTo is built only
     # to word a not-present refusal
     built = []
-    real = L4L1PointsTo.__init__
-    monkeypatch.setattr(L4L1PointsTo, "__init__",
-                        lambda node, *args: built.append(args)
-                        or real(node, *args))
+    real = L4L1PointsTo.__new__
+    monkeypatch.setattr(L4L1PointsTo, "__new__",
+                        lambda cls, *args: built.append(args)
+                        or real(cls, *args))
     case = map_page_case(16)
     for mode in (RESOURCE_ONLY, COEXEC):
         report = check_double(case.pre, case.root, case.script, case.stubs,
@@ -1144,9 +1163,9 @@ def test_an_accepted_map_page_check_builds_no_physical_points_to(
     # the stubs hand over ledgers: no PhysPt is built once the case is
     case = map_page_case(64)
     built = []
-    real = PhysPt.__init__
-    monkeypatch.setattr(PhysPt, "__init__", lambda node, *args:
-                        built.append(args) or real(node, *args))
+    real = PhysPt.__new__
+    monkeypatch.setattr(PhysPt, "__new__", lambda cls, *args:
+                        built.append(args) or real(cls, *args))
     report = check_double(case.pre, case.root, case.script, case.stubs,
                           mode=mode, init=case.state, registry=case.registry,
                           free_list=case.free_list)
@@ -1245,15 +1264,15 @@ def test_a_stub_refused_for_a_false_pure_leaves_the_pures_as_they_were(mode):
     root = roots[0]
     ledger = lower(sep(IASpace(), Pure(PredAligned(0x20_0000))), root,
                    registry)
-    assert ledger.pures == {(root, PredAligned(0x20_0000))}
+    assert ledger.pures == ((root, PredAligned(0x20_0000)),)
     check = checker.CheckState(
         ledger, {r: dict(t) for r, t in registry.items()}, state.copy(), mode,
         {"liar": StubSpec(consumes=(), apply=apply)})
-    assert check.pures == frozenset()
+    assert check.pures == ()
     violation = _refused_leaving_the_ledger(check, CallStep("liar"))
     assert str(violation) == ("step 0: StubPreFailed at liar: stub liar "
                               "promised a false pure predicate: 0x1 == 0x2")
-    assert check.pures == frozenset()
+    assert check.pures == ()
 
 
 @pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
@@ -1265,7 +1284,42 @@ def test_an_accepted_map_page_check_keeps_no_pure_facts(mode):
                           mode=mode, init=case.state, registry=case.registry,
                           free_list=case.free_list)
     assert report.ok, report.violation
-    assert report.final_ledger.pures == frozenset()
+    assert report.final_ledger.pures == ()
+
+
+# four false facts, which a set of them iterates out of printed order
+_FALSE_FACTS = ("pure(0x1 == 0x65) * pure(0x3 == 0x67) * pure(0x5 == 0x69) "
+                "* pure(0x7 == 0x6b)")
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+@pytest.mark.parametrize("site, refusal", [
+    ("precondition", "step -1: ValueDisagreement at 0x1 == 0x65: "
+                     "precondition pure predicate is false"),
+    ("assert", "step 0: ValueDisagreement at 0x1 == 0x65: pure predicate "
+               "is false"),
+    ("call", "step 0: StubPreFailed at liar: stub liar promised a false "
+             "pure predicate: 0x1 == 0x65"),
+])
+def test_a_check_names_the_first_false_pure_fact_as_printed(site, refusal,
+                                                            mode):
+    facts = parse_assertion(_FALSE_FACTS)
+    lowered = lower(facts, 0x1000)
+    assert [str(pred) for _g, pred in lowered.pures] == \
+        [part.strip()[5:-1] for part in _FALSE_FACTS.split("*")]
+    case = map_page_case(1)
+    pre, script, stubs = case.pre, [], dict(case.stubs)
+    if site == "precondition":
+        pre = sep(pre, facts)
+    elif site == "assert":
+        script = [AssertStep(facts)]
+    else:
+        stubs["liar"] = StubSpec((), lambda state: lower(
+            facts, state.root, state.registry))
+        script = [CallStep("liar")]
+    report = check_double(pre, case.root, script, stubs, mode, case.state,
+                          case.registry, case.free_list)
+    assert str(report.violation) == refusal
 
 
 # the ways a call is refused after its stub wrote the machine; the last

@@ -91,6 +91,17 @@ def test_walk_reports_fault_level(capsys, workdir):
     assert "NotPresent" in out
 
 
+@pytest.mark.parametrize("va", ["0xffff000000200000", "0x4000000200000",
+                                "0x800000000000"])
+def test_walk_faults_on_a_non_canonical_alias_of_a_mapped_va(capsys, workdir,
+                                                             va):
+    # 0x200000 resolves (test_walk_resolves); its aliases fault, unwalked
+    tmp, state_path, roots = workdir
+    code, out, _ = invoke(capsys, "walk", "--state", str(state_path),
+                          "--root", f"{roots[0]:#x}", "--va", va)
+    assert (code, out) == (1, f"fault: NonCanonical(va={int(va, 16)})\n")
+
+
 def test_walk_refuses_a_root_off_a_page_as_it_reads_it(capsys, workdir):
     # the root is refused before --va is read
     tmp, state_path, roots = workdir

@@ -19,6 +19,7 @@ from vmcheck.machine import (
     MovRegReg,
     MovToCr3FromMem,
     MovToCr3FromReg,
+    NonCanonical,
     NotPresent,
     PTE_ACCESSED,
     PTE_PRESENT,
@@ -28,6 +29,7 @@ from vmcheck.machine import (
     Skip,
     StepOpts,
     encode_pte,
+    is_canonical,
     mem_set,
     pte_frame,
     run,
@@ -49,6 +51,8 @@ def adapt(result):
         return ("not-present", result.level)
     if isinstance(result, FrameUnmapped):
         return ("frame-unmapped", result.phys)
+    if isinstance(result, NonCanonical):
+        return ("non-canonical", result.va)
     raise AssertionError(f"unexpected result {result!r}")
 
 
@@ -72,6 +76,36 @@ def test_split_va_distinct_fields():
 def test_split_va_ignores_high_bits():
     va = (1 << 39) | (7 << 30) | (3 << 21) | (4 << 12) | 5
     assert split_va(va | (0xFFFF << 48)) == split_va(va)
+
+
+# a low-half and a high-half page, mapped; vas drawn from all 64 bits,
+# from each canonical half, and as aliases of the mapped pages' words
+_HIGH_PAGE = (1 << 64) - (1 << 47) + 0x20_0000
+_ANY_VA = st.one_of(
+    st.integers(0, (1 << 64) - 1),
+    st.integers(0, (1 << 47) - 1),
+    st.integers((1 << 64) - (1 << 47), (1 << 64) - 1),
+    st.builds(lambda high, low: (high << 47) | low,
+              st.integers(0, (1 << 17) - 1),
+              st.sampled_from([0x20_0000, 0x20_0ff8, 0x20_0000 + 8 * 7])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_VA)
+@example((1 << 47) - 8)
+@example(1 << 47)
+@example((1 << 64) - (1 << 47))
+@example((1 << 64) - (1 << 47) - 8)
+@example(0xFFFF_0000_0020_0000)
+def test_translate_faults_exactly_on_the_oracles_non_canonical_vas(va):
+    mem, root = synth_tables([(0x20_0000, 0x5000, True),
+                              (_HIGH_PAGE, 0x6000, True)], alloc_base=0x100)
+    got = translate(root, mem, va)
+    assert adapt(got) == oracle.naive_walk(root, mem, va)
+    assert isinstance(got, NonCanonical) == (not oracle.canonical(va))
+    assert is_canonical(va) == oracle.canonical(va)
+    steps, result = walk(root, mem, va)
+    assert result == got and (steps == ()) == isinstance(got, NonCanonical)
 
 
 @given(st.integers(0, (1 << 64) - 1))
@@ -468,6 +502,8 @@ def _adapt_step(result):
         return (kind, result.level)
     if isinstance(result, FrameUnmapped):
         return ("frame-unmapped", result.phys)
+    if isinstance(result, NonCanonical):
+        return ("non-canonical", result.va)
     assert isinstance(result, MachineState), result
     assert result.pc == 4
     return ("ok", {r.value: result.reg(r) for r in Reg}, result.mem)
@@ -497,7 +533,7 @@ def test_step_memory_forms_match_reference(form, dst, src, base, base_va,
                                            set_accessed):
     cls = _MEM_FORM_CLASSES[form]
     ops = {"dst": dst, "src": src, "base": base, "disp": disp}
-    ops = {k: v for k, v in ops.items() if k in cls.__dataclass_fields__}
+    ops = {k: v for k, v in ops.items() if k in cls._fields}
     state = _mem_form_state(cr3)
     state.regs[src] = src_value
     state.regs[base] = base_va

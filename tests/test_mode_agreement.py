@@ -182,9 +182,10 @@ def test_initial_cr3_must_be_the_root_in_both_modes():
 
 
 @pytest.mark.parametrize("broken, narrative", [
-    (lambda chain: replace(chain, pa=0x7000),
+    (lambda chain: L4L1PointsTo(*chain[1:-1], 0x7000),
      "chain for 0x201000 does not resolve to 0x7000"),
-    (lambda chain: replace(chain, l2e=chain.l2e & ~1),
+    (lambda chain: L4L1PointsTo(chain.va, chain.l4e, chain.l3e,
+                                chain.l2e & ~1, chain.l1e, chain.pa),
      "table entry is not present for {chain!r} (observed {entry!r})"),
 ])
 def test_broken_chain_precondition_is_rejected_in_both_modes(broken,
