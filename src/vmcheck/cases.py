@@ -19,6 +19,7 @@ from .machine import (
     MovRegReg,
     MovToCr3FromMem,
     Reg,
+    ZERO_FRAME,
     mem_set,
     own_frame,
     synth_tables,
@@ -89,24 +90,23 @@ def _library(words: int = 1) -> dict:
     def ensure_l1(state: CheckState) -> Ledger:
         """Hands over the page-table plumbing for the address in rdi:
         shares of the three interior entries plus a full PTE points-to for
-        the L1 slot, whose own virtual address lands in rax.  The fixture
-        must have built the interior tables and mapped the L1 table page
-        somewhere.  Each interior entry's share is stated once, as `words`
-        times one walk's share: each of the `words` walks to be published
-        consumes one walk's share (p |->{q} v * p |->{q} v is
-        p |->{2q} v)."""
+        the L1 slot, whose own virtual address (the least va that the
+        current walk map maps to the slot, ``CheckState.least_va``) lands
+        in rax.  The fixture must have built the interior tables and
+        mapped the L1 table page somewhere.  Each interior entry's share is
+        stated once, as `words` times one walk's share: each of the `words`
+        walks to be published consumes one walk's share (p |->{q} v *
+        p |->{q} v is p |->{2q} v)."""
         va = state.machine.reg(Reg.RDI)
         steps, _ = walk(state.root, state.machine.mem, va)
         if len(steps) < 4:
             raise StubError(
                 f"interior tables for va {va:#x} are not all present")
         (slot_pa, l1e) = steps[3]
-        theta = state.registry.get(state.root, {})
-        candidates = sorted(v for v, p in theta.items() if p == slot_pa)
-        if not candidates:
+        pte_addr = state.least_va(slot_pa)
+        if pte_addr is None:
             raise StubError(
                 f"the L1 slot {slot_pa:#x} is not virtually mapped")
-        pte_addr = candidates[0]
         state.machine.regs[Reg.RAX] = pte_addr
         product = lower(Sep((RegPt(Reg.RAX, FULL, pte_addr),
                              PtePt(pte_addr, FULL, slot_pa, l1e))),
@@ -127,8 +127,7 @@ def _library(words: int = 1) -> dict:
             raise StubError(f"free-list entry {fpaddr:#x} is not page aligned")
         state.free_cursor += 1
         machine = state.machine
-        page = own_frame(machine.mem, fpaddr >> 12)
-        page.update(dict.fromkeys(range(0, PAGE, 8), 0))
+        own_frame(machine.mem, fpaddr >> 12).update(ZERO_FRAME)
         machine.regs[Reg.RAX] = fpaddr + 3
         product = lower(Sep((RegPt(Reg.RAX, FULL, fpaddr + 3),
                              Pure(PredAligned(fpaddr)))),
@@ -226,7 +225,7 @@ def _unmap_fixture():
     mem, root, pte_addr, pte_slot_pa = _pte_page_tables(
         [(MAP_VA, MAP_FPADDR, True)])
     frame = MAP_FPADDR >> 12
-    mem[frame] = {off: 0 for off in range(0, PAGE, 8)}
+    mem[frame] = dict(ZERO_FRAME)
     registry = {root: {MAP_SIBLING_VA: 0x9000, pte_addr: pte_slot_pa,
                        MAP_VA: MAP_FPADDR}}
     state = MachineState(

@@ -6,9 +6,9 @@ values) and consumes and reissues them per its rule.  The concrete
 machine is stepped alongside in both modes, so stubs and walk chains
 read the state the script has reached and a step the machine faults on
 is rejected.  Only co-execution mode compares the two: it audits every
-claim before the first step and after each stub call, and after any
-other step what that step could change.  That audit is the checker's
-only comparison of claims with the machine; resource mode skips it.
+claim before the first step, and after each step only what that step
+could change, a stub call included.  That audit is the checker's only
+comparison of claims with the machine; resource mode skips it.
 
 The checker takes the instruction forms from the machine (the memory
 forms are ``MEM_FORMS``) and reads page tables only through the
@@ -24,13 +24,15 @@ in the registry itself.
 stubs and free list: the step's rule (from ``_RULES``) changes its
 claims and walk map in place, journaling each claim, and an instruction
 then runs on its machine in place, listing each word written with the
-old word.  A call copies the machine and walk maps once, and its stub
-writes the machine's copy in place.  The memo is emptied after an
-instruction that wrote memory and at a call's copy.  A refusal by the
-rule, the stub, the machine or the audit is a raised ``Reject`` (a
-failed ledger operation's ``LedgerError`` is one), which ``apply_rule``
-undoes from those logs, putting the memo back as it was, and stamps with
-the step's index, as ``check_double`` does at step -1.
+old word.  A call's stub writes the machine in place too, under the
+memory's log (``Mem.log``), which keeps only the word maps its
+copy-on-write writes replaced, and reads the walk maps through a
+read-only view: a call copies neither the frame table nor a walk map.
+The memo is emptied after an instruction or a stub that wrote memory.  A
+refusal by the rule, the stub, the machine or the audit is a raised
+``Reject`` (a failed ledger operation's ``LedgerError`` is one), which
+``apply_rule`` undoes from those logs, putting the memo back as it was,
+and stamps with the step's index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -45,6 +47,7 @@ rule; the ledger is the one global precondition threaded through.  The
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
@@ -199,16 +202,16 @@ class StubSpec:
     it consumes, a deterministic state effect, and the claims it produces
     (in co-execution, audited against the machine after the effect runs).
     A RegPt pattern with val=None consumes the register claim whatever
-    its value.  ``apply`` runs on the check state after the consumes and
-    the call's one copy of the machine and walk maps: it reads the state's
-    ``machine``, ``root``, ``registry``, ``free_list`` and ``free_cursor``,
-    writes the machine (memory only through ``write_word``/``mem_set``/
-    ``own_frame``) and the cursor in place, and changes no claim or walk
-    map (a call whose stub does is refused); a refused call puts the
-    machine, walk maps and cursor back.  It returns its product, the
-    ledger of the claims it hands over under the state's root (``lower``
-    of an assertion, plus any claims it adds): the call joins its claims
-    in location order and checks its pure facts."""
+    its value.  ``apply`` runs on the check state after the consumes: it
+    reads the state's ``machine``, ``root``, ``registry``, ``free_list``
+    and ``free_cursor``, and writes the machine (memory only through
+    ``write_word``/``mem_set``/``own_frame``, whose copy-on-write log lets
+    a refused call put back the word maps it replaced) and the cursor in
+    place.  It changes no claim; ``registry`` is a read-only view of the
+    walk maps, and a call whose stub writes one is refused.  It returns
+    its product, the ledger of the claims it hands over under the state's
+    root (``lower`` of an assertion, plus any claims it adds): the call
+    joins its claims in location order and checks its pure facts."""
 
     consumes: tuple
     apply: Callable[["CheckState"], Ledger]
@@ -218,31 +221,96 @@ class StubSpec:
 # Check state
 
 
+def _vas_by_pa(theta: dict) -> dict:
+    """{pa: the va that walk map `theta` maps to pa, or the tuple of vas
+    when several do}, built in one C pass unless some pa has several."""
+    index = dict(zip(theta.values(), theta))
+    if len(index) < len(theta):
+        several = {}
+        for va, pa in theta.items():
+            several.setdefault(pa, []).append(va)
+        index = {pa: vas[0] if len(vas) == 1 else tuple(vas)
+                 for pa, vas in several.items()}
+    return index
+
+
+class _ReadOnly(Mapping):
+    """Stub `name`'s read-only view of the registry, or of one walk map
+    (the registry's maps are viewed read-only too), copying nothing.  A
+    write refuses the call."""
+
+    __slots__ = ("_data", "_name")
+
+    def __init__(self, data: dict, name: str):
+        self._data, self._name = data, name
+
+    def __getitem__(self, key):
+        value = self._data[key]
+        return _ReadOnly(value, self._name) if isinstance(value, dict) \
+            else value
+
+    def __contains__(self, key) -> bool:
+        return key in self._data
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def _write(self, *_args, **_kwargs):
+        raise Reject(STUB_PRE_FAILED, self._name,
+                     f"stub {self._name} changed a walk map")
+
+    __setitem__ = __delitem__ = pop = popitem = clear = update = \
+        setdefault = _write
+
+
 class CheckState(Ledger):
     """A check's one mutable state, owning `ledger`'s claims, `registry`
     and `machine`: its ledger under the root (cr3), whose ``journal`` is
     the current step's, the machine, walk maps, stubs and free list.  It
     keeps claims, not pure facts: each fact is checked where it enters
     and dropped, since one such as ``unmapped va`` reads walk maps that
-    later steps change.  ``touched`` (the walk locations the run has read
-    a claim at or changed an entry of) and ``reads`` (co-execution's
-    audit index {table frame: {(root, va), ...}} of the walk claims and
-    walk-map entries read there, from the first full audit on) only
-    grow.  ``walked`` is the page-walk memo {(root, va >> 12): (the
-    walk's four (slot, entry) steps, page base)} of the walks that
-    resolved on the current machine; every checker walk reads it (see
-    ``_walk``).  It is replaced by an empty one wherever the machine's
-    memory may change, after an instruction that wrote and at a call's
-    copy, and ``undo`` puts back the one the step started with."""
+    later steps change.  ``vas`` is ``least_va``'s index of each walk map
+    as the check got it, by pa (see ``_vas_by_pa``).  ``touched`` (the walk
+    locations the run has read a claim at or changed an entry of) and
+    ``reads`` (co-execution's audit index {table frame: {(root, va),
+    ...}} of the walk claims and walk-map entries read there, from the
+    first full audit on) only grow.  ``walked`` is
+    the page-walk memo {(root, va >> 12): (the walk's four (slot, entry)
+    steps, page base)} of the walks that resolved on the current machine;
+    every checker walk reads it (see ``_walk``).  It is replaced by an
+    empty one wherever the machine's memory may change, after an
+    instruction or a stub that wrote, and ``undo`` puts back the one the
+    step started with."""
 
     def __init__(self, ledger: Ledger, registry: Registry,
                  machine: MachineState, mode: str = COEXEC,
                  stubs: Optional[dict] = None, free_list: tuple = ()):
         super().__init__(ledger.root, ledger.claims, den=ledger.den)
         self.registry, self.machine, self.mode = registry, machine, mode
+        self.vas = {root: _vas_by_pa(theta)
+                    for root, theta in registry.items()}
         self.stubs, self.free_list = stubs or {}, tuple(free_list)
         self.free_cursor, self.touched, self.reads = 0, set(), None
         self.walked = {}
+
+    def least_va(self, pa: int) -> Optional[int]:
+        """The least va that the current space's walk map maps to `pa`, or
+        None, found without a scan of the map: among the vas that mapped
+        `pa` as the map entered the check and the walk locations in
+        ``touched`` (every entry a ghost step has changed is there), each
+        checked against the map."""
+        root = self.root
+        theta = self.registry.get(root)
+        if theta is None:
+            return None
+        held = self.vas[root].get(pa, ())
+        candidates = [held] if type(held) is int else list(held)
+        candidates.extend(loc.va for loc in self.touched if loc.root == root)
+        return min((va for va in candidates if theta.get(va) == pa),
+                   default=None)
 
     @property
     def ledger(self) -> Ledger:
@@ -252,8 +320,7 @@ class CheckState(Ledger):
     def undo(self, saved: tuple) -> None:
         """Put back what `saved` holds from the step's start, and the
         claims from the journal, over the ``den`` saved."""
-        (self.root, den, self.machine, self.free_cursor, self.reads,
-         self.registry, self.walked) = saved
+        self.root, den, self.free_cursor, self.reads, self.walked = saved
         for loc, held in self.journal.items():
             if held is None:
                 self.claims.pop(loc, None)
@@ -520,17 +587,18 @@ def _apply_call(state: CheckState, step: CallStep):
                            take=True)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    # the stub runs on copies of the machine and walk maps (see undo),
-    # and may write any table in place: its walks start afresh
-    maps, state.machine = state.registry, state.machine.copy()
-    state.walked = {}
-    state.registry = {root: dict(theta) for root, theta in maps.items()}
+    # the stub writes the machine under apply_rule's log and reads the
+    # walk maps through a view; a stub that wrote memory may have written
+    # a table, so the walks after it start afresh
+    maps, state.registry = state.registry, _ReadOnly(state.registry, name)
     try:
         produced = stub.apply(state)
     except StubError as err:
         raise Reject(STUB_PRE_FAILED, name, str(err))
-    if state.registry != maps:
-        raise Reject(STUB_PRE_FAILED, name, f"stub {name} changed a walk map")
+    finally:
+        state.registry = maps
+    if state.machine.mem.replaced:
+        state.walked = {}
     state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
@@ -614,14 +682,15 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
     walk reads the memo (``_walk``), so a page is walked once under a root
     until the machine's memory changes, and with ``state.reads`` each
     (root, va) is noted there under every table frame its walk read.  A
-    walk that does not resolve is never memoized, but it ends the audit
-    with a complaint.  The first complaint in location order is returned,
-    None when clean."""
+    walk that does not resolve is never memoized.  The complaint of the
+    least location that fails (and, within a space, of its least broken
+    entry) is returned, None when clean: claims are checked in no order,
+    so the audit sorts nothing unless one fails."""
     machine = state.machine
     if machine.reg(Reg.CR3) != state.root:
         return (f"machine cr3 {machine.reg(Reg.CR3):#x} differs from "
                 f"checker root {state.root:#x}")
-    claims = state.claims
+    claims, registry, mem = state.claims, state.registry, machine.mem
     todo = {loc for loc in locs if loc in claims}
     for root, _va in walks:
         space = SpaceLoc(root)
@@ -636,69 +705,94 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
                 reads.setdefault(slot >> 12, set()).add((root, va))
         return got
 
-    for loc in sorted(todo):
+    failed = []  # (location, complaint)
+    for loc in todo:
         _q, v = claims[loc]
-        if isinstance(loc, RegLoc):
+        kind = type(loc)
+        if kind is PhysLoc:
+            _kind, frame, off = loc
+            words = mem.get(frame)
+            if words is None or words.get(off) != v:
+                got = machine.read_word(frame, off)
+                failed.append((loc, f"{loc}: ledger {v:#x}, machine "
+                                    f"{walk_text(got)[0]}"))
+        elif kind is RegLoc:
             got = machine.reg(loc.reg)
             if got != v:
-                return f"{loc}: ledger {v:#x}, machine {got:#x}"
-        elif isinstance(loc, PhysLoc):
-            _kind, frame, off = loc
-            got = machine.read_word(frame, off)
-            if got != v:
-                return (f"{loc}: ledger {v:#x}, machine "
-                        f"{walk_text(got)[0]}")
-        elif isinstance(loc, WalkLoc):
+                failed.append((loc, f"{loc}: ledger {v:#x}, machine "
+                                    f"{got:#x}"))
+        elif kind is WalkLoc:
             _kind, root, va = loc
             got = translated(root, va)
+            theta = registry.get(root)
             if got != v:
-                return (f"{loc}: ledger {v:#x}, machine walk "
-                        f"{walk_text(got)[0]}")
-            theta = state.registry.get(root)
-            if theta is None or theta.get(va) != v:
-                return f"{loc}: walk map does not record {v:#x}"
+                failed.append((loc, f"{loc}: ledger {v:#x}, machine walk "
+                                    f"{walk_text(got)[0]}"))
+            elif theta is None or theta.get(va) != v:
+                failed.append((loc, f"{loc}: walk map does not record "
+                                    f"{v:#x}"))
         else:
             _kind, root = loc
-            theta = state.registry.get(root)
+            theta = registry.get(root)
             if theta is None:
-                return f"{loc}: address space {root:#x} is not registered"
+                failed.append((loc, f"{loc}: address space {root:#x} is "
+                                    "not registered"))
+                continue
             vas = theta if loc in locs else \
                 {va for r, va in walks if r == root and va in theta}
-            for va in sorted(vas):
-                got = translated(root, va)
-                if got != theta[va]:
-                    return (f"{loc}: walk-map entry {va:#x} broken: "
-                            f"{walk_text(got)[0]}")
-    return None
+            broken = [(va, got) for va in vas
+                      if (got := translated(root, va)) != theta[va]]
+            if broken:
+                va, got = min(broken)
+                failed.append((loc, f"{loc}: walk-map entry {va:#x} "
+                                    f"broken: {walk_text(got)[0]}"))
+    return min(failed)[1] if failed else None
 
 
 def audit_ledger(state: CheckState) -> Optional[str]:
     """Validate every ledger claim against the machine; None when clean.
-    This full audit runs before the first step and after every stub call;
-    it is also the oracle the per-step audit is tested against."""
+    This full audit runs once, before the first step; it is also the
+    oracle the per-step audit is tested against."""
     return _audit(state, state.claims)
 
 
-def _audit_step(state: CheckState, reg: Optional[Reg], writes,
+def _call_writes(mem) -> list:
+    """(frame, off, None) for each word a stub changed, from its log: in
+    each frame it replaced, the words that differ.  A frame it created is
+    skipped: before the call no held claim could agree with a word of it
+    and no walk that resolved read it."""
+    writes = []
+    for frame, old in mem.replaced.items():
+        if old is not None:
+            writes.extend((frame, off, None)
+                          for off, _word in old.items() ^ mem[frame].items())
+    return writes
+
+
+def _audit_step(state: CheckState, regs, writes,
                 mapping: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the data
-    register `reg` and the words the machine wrote (`writes`), every walk
-    that read a written word's frame (``state.reads``), and the walk-map
-    entry `mapping` = (root, va) a ghost step inserted or removed, with the
-    walk claim the step changed there: its rule's own location, found in
-    the step's journal.  cr3 is always compared.  Rules change no claim
-    outside these, since they take chain and data values from the machine
-    audited before the step.  So the first complaint is the one the full
-    audit would give."""
-    locs = set() if reg is None else {RegLoc(reg)}
+    registers `regs` it wrote (an instruction's destination, or each one
+    a call's stub changed) and the words the machine wrote (`writes`, as
+    (frame, off, old word)), every walk that read a written word's frame
+    (``state.reads``), and the walk-map entry `mapping` = (root, va) a
+    ghost step inserted or removed, with the walk claim the step changed
+    there: its rule's own location, found in the step's journal.  cr3 is
+    always compared.  Rules change no claim outside these, since they take
+    chain and data values from the machine audited before the step, and a
+    call's product was audited as it was joined.  So the first complaint
+    is the one the full audit would give."""
+    locs = set(map(RegLoc, regs))
     if mapping is not None:
         locs.update(loc for loc in state.journal if type(loc) is WalkLoc)
         return _audit(state, locs, (mapping,))
-    walks = set()
-    for frame, off, _old in writes or ():
+    walks, last = set(), None
+    for frame, off, _old in writes:  # a frame's words come together
         locs.add(PhysLoc(frame, off))
-        walks.update(state.reads.get(frame, ()))
+        if frame != last:
+            walks.update(state.reads.get(frame, ()))
+            last = frame
     locs.update(WalkLoc(root, va) for root, va in walks)
     return _audit(state, locs, walks)
 
@@ -712,23 +806,30 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
     """Apply one script step to the check state in place, as one
     transaction (see the module docstring): the step's record, or the
     stopping Violation with `state` as it was before the step."""
-    rule = _RULES.get(type(script_step))
+    kind = type(script_step)
+    rule = _RULES.get(kind)
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
     machine, root = state.machine, state.root
-    saved = (root, state.den, machine, state.free_cursor, state.reads,
-             state.registry, state.walked)
-    state.journal, reg, regs, writes, mapping = {}, None, None, None, None
-    if isinstance(script_step, (GhostInsertWalk, GhostRemoveWalk)):
+    saved = (root, state.den, state.free_cursor, state.reads, state.walked)
+    state.journal, regs, writes, wrote, mapping = {}, None, (), (), None
+    call = kind is CallStep
+    if call or kind is InstrStep:
+        # the machine's registers and pc, and for a call its memory's log
+        regs, pc = dict(machine.regs), machine.pc
+        if call:
+            owned = machine.mem.log()
+        else:
+            writes = []
+    elif kind is GhostInsertWalk or kind is GhostRemoveWalk:
         # the walk-map entry the step writes, as it was
         mapping = (root, script_step.va)
         theta = state.registry.get(root, {})
         entry = theta.get(mapping[1])
     try:
         name = rule(state, script_step)
-        if isinstance(script_step, InstrStep):
+        if kind is InstrStep:
             instr = script_step.instr
-            regs, pc, writes = dict(machine.regs), machine.pc, []
             fault = execute(machine, instr, CHECK_OPTS, writes)
             if writes:
                 state.walked = {}
@@ -737,16 +838,23 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
                              f"ledger accepts pc {pc} but the machine "
                              f"faults: {fault!r}")
             # the one data register an instruction writes is its dst
-            reg = instr.dst
+            wrote = (instr.dst,) if instr.dst is not None else ()
         if state.mode == COEXEC:
-            if state.reads is None or isinstance(script_step, CallStep):
-                # a stub's effect is arbitrary code: audit and index afresh
+            if state.reads is None:
                 state.reads = {}
                 complaint = audit_ledger(state)
+            elif call:
+                # the registers and the words the stub changed
+                complaint = _audit_step(
+                    state, {reg for reg, _value in
+                            regs.items() ^ machine.regs.items()},
+                    _call_writes(machine.mem), None)
             else:
-                complaint = _audit_step(state, reg, writes, mapping)
+                complaint = _audit_step(state, wrote, writes, mapping)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
+        if call:
+            machine.mem.keep(owned)
     except BaseException as err:
         # a refusal, or an error raised through the step, is undone
         state.undo(saved)
@@ -754,6 +862,8 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
             machine.regs, machine.pc = regs, pc
             for frame, off, old in reversed(writes):
                 own_frame(machine.mem, frame)[off] = old
+            if call:
+                machine.mem.restore(owned)
         if mapping is not None:
             theta.pop(mapping[1], None)
             if entry is not None:
@@ -843,9 +953,12 @@ def check_double(pre: Assertion, root: int, script: Script,
     The precondition is lowered into the check's one ledger; each step is
     then checked by :func:`apply_rule` on it and on a copy of `registry`,
     stepping a copy of `init` alongside, so `init`'s cr3 must be `root` in
-    both modes; no argument is written.  The mode only switches the audit:
-    in co-execution mode every claim is audited against the machine
-    before the first step and kept in agreement with it after each step.
+    both modes.  No word, register or walk-map entry of an argument is
+    written, but the copy makes `init`'s memory copy-on-write: its
+    ``mem.owned`` becomes a set (see ``Mem.fork``).  The mode only
+    switches the audit: in co-execution mode every claim is audited
+    against the machine before the first step and kept in agreement with
+    it after each step.
     """
     registry = registry or {}
     init = init if init is not None else MachineState()

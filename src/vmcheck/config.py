@@ -29,6 +29,7 @@ from itertools import repeat
 from typing import Optional
 
 from .machine import MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES
+from .machine import ZERO_FRAME as _ZERO_FRAME
 from .assertions import Registry
 from .parsing import signed_number
 
@@ -82,11 +83,19 @@ def _num(value, what: str) -> int:
     return number
 
 
+_HEX_WORD = re.compile(r"0x[0-9a-f]{1,16}").fullmatch
+
+
 def _word(value, what: str, align: int = 1) -> int:
-    """A 64-bit word that `align` (1, WORD_BYTES or PAGE_SIZE) divides."""
-    word = _num(value, what)
-    if not (0 <= word < (1 << 64)):
-        raise ConfigError(f"{what} {word:#x} is not a 64-bit word")
+    """A 64-bit word that `align` (1, WORD_BYTES or PAGE_SIZE) divides.
+    The dumper's spelling, ``0x`` and 1 to 16 lower-case hex digits, is
+    read by ``int`` at once; any other goes through ``_num``."""
+    if isinstance(value, str) and _HEX_WORD(value):
+        word = int(value, 16)
+    else:
+        word = _num(value, what)
+        if not (0 <= word < (1 << 64)):
+            raise ConfigError(f"{what} {word:#x} is not a 64-bit word")
     if word % align:
         unit = "page" if align == PAGE_SIZE else "word"
         raise ConfigError(f"{what} {word:#x} is not {unit} aligned")
@@ -109,7 +118,6 @@ def _once(what: str, number: int, done: dict, keys, text: str) -> None:
 
 
 _SLOTS = {f"{off:#x}": off for off in range(0, PAGE_SIZE, WORD_BYTES)}
-_ZERO_FRAME = dict.fromkeys(_SLOTS.values(), 0)
 _HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
 
 

@@ -28,7 +28,10 @@ per frame: every in-place memory write goes through ``own_frame``, which
 copies a shared frame before its first write, so a write never reaches a
 sibling copy.  ``mem.owned`` is the frames a state has written since its
 last copy, over all its steps, not one step's writes.  Code that writes
-a frame's word map directly, bypassing ``own_frame``, breaks this.
+a frame's word map directly, bypassing ``own_frame``, breaks this.  The
+same path lets a writer be undone without a copy of the frame table:
+``Mem.log`` makes every frame copy-on-write again and keeps each word
+map that a first write replaces, which ``Mem.restore`` puts back.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from typing import Iterable, Optional, Union
 
 PAGE_SIZE = 4096
 WORD_BYTES = 8
+# the words of a zeroed frame, to copy or to update a frame from, never
+# to write
+ZERO_FRAME = dict.fromkeys(range(0, PAGE_SIZE, WORD_BYTES), 0)
 
 class Reg(str, Enum):
     """Register identifiers.  cr3 is the page-table control register and
@@ -190,13 +196,15 @@ class Mem(dict):
     """Physical memory ``{frame: {offset: word}}`` whose word maps may be
     shared with copies.  ``owned`` holds the frames this map may write in
     place (its copies), or is None when it shares none; any other frame
-    is copied by :func:`own_frame` before its first write."""
+    is copied by :func:`own_frame` before its first write.  While a log
+    is open, ``replaced`` is {frame: its word map before the log's first
+    write to it, or None if it was absent}, else None."""
 
-    __slots__ = ("owned",)
+    __slots__ = ("owned", "replaced")
 
     def __init__(self, frames=(), owned: Optional[set] = None):
         super().__init__(frames)
-        self.owned = owned
+        self.owned, self.replaced = owned, None
 
     def fork(self) -> "Mem":
         """A copy sharing every frame with this map; from now on both copy
@@ -204,18 +212,45 @@ class Mem(dict):
         self.owned = set()
         return Mem(self, set())
 
+    def log(self) -> Optional[set]:
+        """Open a log: from now on every frame is copied before its first
+        write, as after a fork, and ``replaced`` keeps the word map each
+        copy replaced.  Returns the owned set that ``keep`` or ``restore``
+        closes the log with."""
+        owned, self.owned, self.replaced = self.owned, set(), {}
+        return owned
+
+    def keep(self, owned: Optional[set]) -> None:
+        """Close the log, keeping its writes: the frames it copied join
+        `owned`."""
+        if owned is not None:
+            owned.update(self.owned)
+        self.owned, self.replaced = owned, None
+
+    def restore(self, owned: Optional[set]) -> None:
+        """Close the log, putting back each word map it replaced."""
+        for frame, words in self.replaced.items():
+            if words is None:
+                del self[frame]
+            else:
+                self[frame] = words
+        self.owned, self.replaced = owned, None
+
 
 def own_frame(mem: dict, frame: int) -> dict:
     """The word map of `frame`, private to `mem`: shared frames are copied
-    first and absent ones created.  Every in-place memory write goes
-    through here; a plain dict (a fixture under construction) shares
-    nothing and is written in place."""
+    first (into ``mem.replaced`` while a log is open) and absent ones
+    created.  Every in-place memory write goes through here; a plain dict
+    (a fixture under construction) shares nothing and is written in
+    place."""
     owned = getattr(mem, "owned", None)
     words = mem.get(frame)
     if owned is None:
         if words is None:
             words = mem[frame] = {}
     elif frame not in owned:
+        if mem.replaced is not None:
+            mem.replaced[frame] = words
         words = mem[frame] = {} if words is None else dict(words)
         owned.add(frame)
     return words
@@ -588,7 +623,7 @@ def synth_tables(mappings: Iterable[tuple], alloc_base: int) -> tuple:
         nonlocal next_frame
         frame = next_frame
         next_frame += 1
-        mem[frame] = {off: 0 for off in range(0, PAGE_SIZE, WORD_BYTES)}
+        mem[frame] = dict(ZERO_FRAME)
         return frame
 
     root_frame = alloc()

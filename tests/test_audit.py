@@ -1,12 +1,16 @@
 """The per-step co-execution audit against the full audit it replaces.
 
 After the initial full audit, ``apply_rule`` re-validates only what a
-step could have changed.  The full ``audit_ledger`` after every step is
-the oracle: both must give byte-identical reports, passing or failing.
+step could have changed, a stub call included.  The full
+``audit_ledger`` after every step is the oracle: both must give
+byte-identical reports, passing or failing.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from vmcheck import checker
 from vmcheck.machine import (
@@ -19,12 +23,14 @@ from vmcheck.machine import (
     MovToCr3FromReg,
     Reg,
     mem_set,
+    own_frame,
     synth_tables,
     walk,
 )
 from vmcheck.assertions import (
     FULL,
     IASpace,
+    PhysLoc,
     WalkLoc,
     OtherSpace,
     PhysPt,
@@ -38,6 +44,7 @@ from vmcheck.checker import (
     CallStep,
     COEXEC,
     CheckState,
+    RESOURCE_ONLY,
     GhostInsertWalk,
     GhostRemoveWalk,
     InstrStep,
@@ -48,11 +55,14 @@ from vmcheck.checker import (
 )
 from vmcheck.cases import CASE_NAMES, case_study, map_page_case
 
+from call_cost import KINDS, call_work, count_work, padded_map_case
 from test_acceptance import _generate_script
 
 
 def _full_audit_report(monkeypatch, *args, **kwargs):
-    """check_double with the full audit after every step."""
+    """check_double with the full audit after every step: ``_audit_step``
+    is the audit after an instruction, a ghost step and a call alike
+    (after the call's own audit of its product)."""
     with monkeypatch.context() as patch:
         patch.setattr(checker, "_audit_step",
                       lambda ctx, *_rest: checker.audit_ledger(ctx))
@@ -284,6 +294,90 @@ def test_per_step_audit_matches_full_audit_on_criterion_8_scripts(
     assert failing >= 30, failing
 
 
+# A stub that lies: it writes one thing the precondition or an earlier
+# step made a claim or a walk depend on, or nothing does, and promises
+# nothing.  The audit after the call must name what the full audit names.
+LIES = ("claimed word", "held walk's entry", "walk-map entry's L1 slot",
+        "unclaimed frame", "register", "cr3")
+
+
+def _lying_stub(seed: int, roots: tuple) -> checker.StubSpec:
+    """The lie `seed` picks, told through ``write_word`` or ``own_frame``,
+    with targets drawn from the state the stub runs on (so a check and
+    its full-audit twin see the same lie)."""
+
+    def apply(state):
+        rng = random.Random(seed)
+        lie, machine = rng.choice(LIES), state.machine
+        claims, mem = sorted(state.claims), machine.mem
+
+        def write(frame, off, value):
+            if rng.random() < 0.5 and off in mem.get(frame, ()):
+                assert machine.write_word(frame, off, value) is None
+            else:
+                own_frame(mem, frame)[off] = value
+
+        def slot_of(root, va, level):
+            steps, _got = walk(root, mem, va)
+            return steps[min(level, len(steps) - 1)]
+
+        if lie == "claimed word":
+            _kind, frame, off = rng.choice(
+                [loc for loc in claims if type(loc) is PhysLoc])
+            old = mem[frame][off]
+            write(frame, off, rng.choice((old, old ^ 0x10, 0)))
+        elif lie in ("held walk's entry", "walk-map entry's L1 slot"):
+            if lie == "held walk's entry":
+                _kind, root, va = rng.choice(
+                    [loc for loc in claims if type(loc) is WalkLoc])
+                level = rng.randrange(4)
+            else:
+                root = rng.choice(sorted(state.registry))
+                va, level = rng.choice(sorted(state.registry[root])), 3
+            slot, entry = slot_of(root, va, level)
+            write(slot >> 12, slot & 0xFFF,
+                  rng.choice((entry, entry ^ 1, entry ^ 0x1000, 0x7003)))
+        elif lie == "unclaimed frame":
+            frame = rng.choice((0x6, 0x77, 0x78))
+            write(frame, 8 * rng.randrange(512), rng.randrange(1 << 16))
+        elif lie == "register":
+            reg = rng.choice((Reg.RAX, Reg.RBX, Reg.RSI, Reg.R9))
+            machine.regs[reg] = rng.choice((machine.reg(reg),
+                                            machine.reg(reg) + 8, 0))
+        else:
+            machine.regs[Reg.CR3] = rng.choice(roots)
+        return lower(sep(), state.root)
+
+    return checker.StubSpec(consumes=(), apply=apply)
+
+
+def test_the_audit_after_a_call_matches_the_full_audit_on_lying_stubs(
+        monkeypatch):
+    rng = random.Random(3303)
+    outcomes = Counter()
+    for _round in range(80):
+        state, registry, root, pre, script = _alias_script(rng)
+        root_b = next(r for r in registry if r != root)
+        calls = sorted(rng.randrange(len(script) + 1)
+                       for _ in range(rng.randrange(1, 3)))
+        for cut in reversed(calls):
+            script.insert(cut, CallStep("lie"))
+        stub = _lying_stub(rng.randrange(1 << 30), (root, root_b))
+        report = _assert_same_reports(monkeypatch, pre, root, script,
+                                      stubs={"lie": stub}, init=state,
+                                      registry=registry)
+        outcomes["accepted"] += sum(r.rule == "call:lie"
+                                    for r in report.records)
+        if not report.ok and isinstance(script[report.violation.step],
+                                        CallStep):
+            outcomes[report.violation.kind] += 1
+    # lies the after-call audit catches, cr3 lies the product audit
+    # catches, and lies that break nothing
+    assert outcomes[MACHINE_DISAGREE] >= 10, outcomes
+    assert outcomes[checker.STUB_PRE_FAILED] >= 3, outcomes
+    assert outcomes["accepted"] >= 10, outcomes
+
+
 def test_per_step_audit_matches_full_audit_on_the_cases(monkeypatch):
     cases = [case_study(name) for name in CASE_NAMES]
     for case in cases + [map_page_case(8)]:
@@ -294,9 +388,10 @@ def test_per_step_audit_matches_full_audit_on_the_cases(monkeypatch):
                                  free_list=case.free_list)
 
 
-def test_call_steps_get_the_full_audit():
+def test_a_call_audits_the_walks_that_read_a_word_its_stub_wrote():
     # a stub's effect is arbitrary: it may change words no claim or rule
-    # names, so the step after a call is audited in full
+    # names, so the audit after a call re-walks every walk that read a
+    # frame the stub wrote, here a walk-map entry of the held space
     state, registry, root, _root_b, l1_a, _l1_b = _alias_fixture()
 
     def apply(state):
@@ -385,3 +480,30 @@ def test_a_ghost_steps_walk_claim_is_audited(monkeypatch):
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None,
         f"walk:{root:#x}:{DATA_VA + 8:#x}: ledger 0x5010, machine walk 0x5008")
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_step_costs_the_same_with_unrelated_state_added(kind, mode):
+    # counted, not timed: per step (calls included) the claims audited,
+    # the walk-map entries copied, compared or iterated and the frame-table
+    # entries copied do not grow with 10**4 claims, walk-map entries or
+    # frames the script never touches; co-execution audits every claim once
+    case = padded_map_case(kind, 10_000)
+    base, base_steps, _counts = count_work(padded_map_case(kind, 0), mode)
+    report, steps, counts = count_work(case, mode)
+    assert report.ok and base.ok, (report.violation, base.violation)
+    assert report.records == base.records
+    assert steps == base_steps
+    assert len(call_work(steps)) == 2
+    if mode == COEXEC:
+        assert all(work["audited"] for work in call_work(steps))
+    assert counts["full_audits"] == (mode == COEXEC)
+    # the once-per-check passes are counted: the copy of init's frame
+    # table, the walk maps' copy and index, and the first full audit
+    outside = counts - sum((work for _i, _s, work in steps), Counter())
+    assert outside["frames"] == len(case.state.mem)
+    if kind == "walks":
+        assert outside["walk_map"] >= 10_000
+    if kind == "claims" and mode == COEXEC:
+        assert outside["audited"] >= 10_000

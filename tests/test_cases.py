@@ -25,14 +25,22 @@ from vmcheck.checker import (
     AssertStep,
     COEXEC,
     CheckState,
+    GhostInsertWalk,
+    GhostRemoveWalk,
     RESOURCE_ONLY,
+    Reject,
+    StepRecord,
     UNSOUND_FRAME,
+    VALUE_DISAGREEMENT,
+    Violation,
+    apply_rule,
     check_double,
     frame_audit,
 )
 from vmcheck.cases import (
     CASE_NAMES,
     MAP_FPADDR,
+    MAP_SIBLING_VA,
     MAP_VA,
     SWTCH_NEW_REGS,
     SWTCH_NEW_STACK_VA,
@@ -41,10 +49,12 @@ from vmcheck.cases import (
     SWTCH_SAVE_VA,
     SWTCH_SLOTS,
     UnknownCase,
+    _pte_page_tables,
     case_study,
     map_page_case,
 )
 from gen import fraction_claims
+from test_checker import chain_claim
 import oracle
 
 
@@ -155,6 +165,69 @@ def test_the_l1_stub_hands_over_words_walks_of_interior_shares(words):
             want = want.add(PhysLoc(slot >> 12, slot & 0xFFF),
                             Fraction(1, 512 ** level), entry)
     assert fraction_claims(product) == want.claims
+
+
+ALIAS_PAGE_VA = 0x70_0000  # maps the L1 table page below MAP_PTE_PAGE_VA
+
+
+def _l1_slot_aliased():
+    """map_page_case(1)'s fixture with the L1 table page mapped a second
+    time, at ALIAS_PAGE_VA: (state, registry, root, the walk map's va of
+    MAP_VA's L1 slot, the alias's va of it, the slot)."""
+    _mem, _root, pte_addr, slot = _pte_page_tables([])
+    mem, root, again, _slot = _pte_page_tables(
+        [(ALIAS_PAGE_VA, slot & ~0xFFF, True)])
+    assert (again, _slot) == (pte_addr, slot)
+    state = map_page_case(1).state
+    state = machine.MachineState(dict(state.regs), mem)
+    registry = {root: {MAP_SIBLING_VA: 0x9000, pte_addr: slot}}
+    alias = ALIAS_PAGE_VA + (slot & 0xFFF)
+    return state, registry, root, pte_addr, alias, slot
+
+
+def test_the_l1_stub_takes_the_least_va_of_the_slot_from_the_index(
+        monkeypatch):
+    # two vas map the L1 slot once the alias is inserted: the stub hands
+    # over the smaller, as a scan of the walk map would, after an insert,
+    # a remove, and a refused remove's undo
+    state, registry, root, pte_addr, alias, slot = _l1_slot_aliased()
+    pre = sep(RegPt(Reg.RAX, FULL, 0), RegPt(Reg.RDI, FULL, MAP_VA),
+              chain_claim(state, root, alias, slot))
+    stub = map_page_case(1).stubs["ensure_L1_page"]
+    check = CheckState(lower(pre, root, registry), registry, state.copy(),
+                       RESOURCE_ONLY, {"ensure_L1_page": stub})
+
+    def handed_over():
+        theta = check.registry[root]
+        assert check.least_va(slot) == min(
+            va for va, pa in theta.items() if pa == slot)
+        stub.apply(check)
+        return check.machine.reg(Reg.RAX)
+
+    assert handed_over() == pte_addr
+    assert isinstance(apply_rule(check, GhostInsertWalk(alias, slot), 0),
+                      StepRecord)
+    assert alias < pte_addr and handed_over() == alias
+
+    def refused(state, step):
+        del state.registry[state.root][step.va]
+        raise Reject(VALUE_DISAGREEMENT, None, "refused after the write")
+
+    with monkeypatch.context() as patch:
+        patch.setitem(checker._RULES, GhostRemoveWalk, refused)
+        assert isinstance(apply_rule(check, GhostRemoveWalk(alias), 1),
+                          Violation)
+    assert handed_over() == alias
+    assert isinstance(apply_rule(check, GhostRemoveWalk(alias), 1),
+                      StepRecord)
+    assert handed_over() == pte_addr
+    # both vas in the walk map as the check starts: the index holds both
+    registry[root][alias] = slot
+    check = CheckState(Ledger(root), registry, state.copy())
+    assert check.vas[root] == {0x9000: MAP_SIBLING_VA,
+                               slot: (pte_addr, alias)}
+    assert check.least_va(slot) == alias
+    assert check.least_va(slot + 8) is None
 
 
 @pytest.mark.parametrize("words", (1, 2, 128, 512))

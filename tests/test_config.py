@@ -283,6 +283,41 @@ def test_dumped_frames_never_take_the_word_by_word_path(monkeypatch):
     assert fields == ["register rax"]
 
 
+
+_HOSTILE_WORDS = (
+    "0x0", "0x1f", "0x8", "0x1000", "0x1008", "0xffffffffffffffff",
+    "0x0ffffffffffffffff", "0x10000000000000000", "0x00000000000000000",
+    "0X1f", "0x_1", "0x1_0", " 0x1", "0x1 ", "0x1\n", "\t0x1", "0xAB",
+    "0xaB", "0x", "x1", "1f", "-0x1", "+0x1", "0x-1", "0x+1", "0b1", "0o7",
+    "16", "-8", "", "0x\u0661", "0x\uff11", "\u0661\u0662", "0xg",
+    "0x1.0", "0x1e3", "1" * 30, "0x" + "f" * 40)
+
+
+def _word_outcome(value, align):
+    try:
+        return config._word(value, "field", align)
+    except ConfigError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("align", (1, 8, 4096))
+def test_the_word_readers_fast_path_agrees_with_the_grammar(
+        monkeypatch, align):
+    # the fast path reads 0x and 1 to 16 lower-case hex digits with int(),
+    # which alone would also take 0X, 0x_1 and surrounding whitespace:
+    # every spelling, fast or not, reads as the grammar path reads it
+    values = (*_HOSTILE_WORDS, config._JsonInt("16"), None, 16, ["0x1"])
+    fast = [_word_outcome(value, align) for value in values]
+    monkeypatch.setattr(config, "_HEX_WORD", lambda _value: None)
+    assert [_word_outcome(value, align) for value in values] == fast
+    outcome = dict(zip(_HOSTILE_WORDS, fast))
+    assert outcome["0x1000"] == 0x1000
+    assert outcome["0x10000000000000000"] == \
+        "field 0x10000000000000000 is not a 64-bit word"
+    for spelling in ("0X1f", "0x_1", " 0x1", "0x1\n"):
+        assert outcome[spelling] == f"bad number {spelling!r} for field"
+
+
 _WORD64 = st.integers(0, (1 << 64) - 1)
 _ALIGNED = {align: _WORD64.map(lambda word, align=align: word - word % align)
             for align in (8, 4096)}

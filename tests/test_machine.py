@@ -625,13 +625,15 @@ def test_library_stubs_leave_input_and_sibling_unchanged(words, rax,
     snap = _snapshot(state)
     names = ["ensure_L1_page", "alloc_phys_page_or_panic"]
     for name in names[::-1] if alloc_first else names:
-        # each call runs on `state`: it hands its stub a copy to write
+        # each call's stub writes the check's own copy of `state` in
+        # place, copying a frame before its first write
+        machine = state.copy()
         check = CheckState(lower(RegPt(Reg.RAX, FULL, rax), case.root),
-                           case.registry, state, RESOURCE_ONLY, case.stubs,
+                           case.registry, machine, RESOURCE_ONLY, case.stubs,
                            case.free_list)
         record = apply_rule(check, CallStep(name), 0)
         assert isinstance(record, StepRecord), record
-        assert check.machine is not state
+        assert check.machine is machine
         assert _snapshot(state) == snap
         assert _snapshot(sibling) == snap
         if name == "alloc_phys_page_or_panic":
