@@ -21,7 +21,7 @@ from .machine import (
     Reg,
     ZERO_FRAME,
     mem_set,
-    own_frame,
+    put_frame,
     synth_tables,
     walk,
 )
@@ -127,7 +127,7 @@ def _library(words: int = 1) -> dict:
             raise StubError(f"free-list entry {fpaddr:#x} is not page aligned")
         state.free_cursor += 1
         machine = state.machine
-        own_frame(machine.mem, fpaddr >> 12).update(ZERO_FRAME)
+        put_frame(machine.mem, fpaddr >> 12, ZERO_FRAME)
         machine.regs[Reg.RAX] = fpaddr + 3
         product = lower(Sep((RegPt(Reg.RAX, FULL, fpaddr + 3),
                              Pure(PredAligned(fpaddr)))),

@@ -23,16 +23,17 @@ in the registry itself.
 ``CheckState``, a ``Ledger`` that also holds the machine, walk maps,
 stubs and free list: the step's rule (from ``_RULES``) changes its
 claims and walk map in place, journaling each claim, and an instruction
-then runs on its machine in place, listing each word written with the
-old word.  A call's stub writes the machine in place too, under the
-memory's log (``Mem.log``), which keeps only the word maps its
-copy-on-write writes replaced, and reads the walk maps through a
-read-only view: a call copies neither the frame table nor a walk map.
-The memo is emptied after an instruction or a stub that wrote memory.  A
-refusal by the rule, the stub, the machine or the audit is a raised
-``Reject`` (a failed ledger operation's ``LedgerError`` is one), which
-``apply_rule`` undoes from those logs, putting the memo back as it was,
-and stamps with the step's index, as ``check_double`` does at step -1.
+then runs on its machine in place.  A call's stub writes the machine in
+place too and reads the walk maps through a read-only view: a call
+copies neither the frame table nor a walk map.  Both run under the
+memory's write journal (``Mem.journal``), which lists each word or frame
+written with what it replaced; the audit reads the step's writes from
+it.  The memo is emptied after an instruction or a stub that wrote
+memory.  A refusal by the rule, the stub, the machine or the audit is a
+raised ``Reject`` (a failed ledger operation's ``LedgerError`` is one),
+which ``apply_rule`` undoes from the two journals (``CheckState.undo``
+and ``Mem.undo``), putting the memo back as it was, and stamps with the
+step's index, as ``check_double`` does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -73,7 +74,6 @@ from .machine import (
     StepOpts,
     WORD_BYTES,
     execute,
-    own_frame,
     translate,
     walk_text,
 )
@@ -205,8 +205,8 @@ class StubSpec:
     its value.  ``apply`` runs on the check state after the consumes: it
     reads the state's ``machine``, ``root``, ``registry``, ``free_list``
     and ``free_cursor``, and writes the machine (memory only through
-    ``write_word``/``mem_set``/``own_frame``, whose copy-on-write log lets
-    a refused call put back the word maps it replaced) and the cursor in
+    ``write_word``, ``mem_set`` or the frame writer ``put_frame``, whose
+    journal lets a refused call take its writes back) and the cursor in
     place.  It changes no claim; ``registry`` is a read-only view of the
     walk maps, and a call whose stub writes one is refused.  It returns
     its product, the ledger of the claims it hands over under the state's
@@ -223,14 +223,13 @@ class StubSpec:
 
 def _vas_by_pa(theta: dict) -> dict:
     """{pa: the va that walk map `theta` maps to pa, or the tuple of vas
-    when several do}, built in one C pass unless some pa has several."""
+    when several do}, built in one C pass, plus a pass over the vas that
+    a later va to the same pa hid there when some pa has several."""
     index = dict(zip(theta.values(), theta))
     if len(index) < len(theta):
-        several = {}
-        for va, pa in theta.items():
-            several.setdefault(pa, []).append(va)
-        index = {pa: vas[0] if len(vas) == 1 else tuple(vas)
-                 for pa, vas in several.items()}
+        for va in theta.keys() - index.values():
+            held = index[theta[va]]
+            index[theta[va]] = (va, held) if type(held) is int else (va, *held)
     return index
 
 
@@ -587,7 +586,7 @@ def _apply_call(state: CheckState, step: CallStep):
                            take=True)
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
-    # the stub writes the machine under apply_rule's log and reads the
+    # the stub writes the machine under apply_rule's journal and reads the
     # walk maps through a view; a stub that wrote memory may have written
     # a table, so the walks after it start afresh
     maps, state.registry = state.registry, _ReadOnly(state.registry, name)
@@ -597,7 +596,7 @@ def _apply_call(state: CheckState, step: CallStep):
         raise Reject(STUB_PRE_FAILED, name, str(err))
     finally:
         state.registry = maps
-    if state.machine.mem.replaced:
+    if state.machine.mem.journal:
         state.walked = {}
     state.join(produced)
     for g, pred in produced.pures:
@@ -756,41 +755,35 @@ def audit_ledger(state: CheckState) -> Optional[str]:
     return _audit(state, state.claims)
 
 
-def _call_writes(mem) -> list:
-    """(frame, off, None) for each word a stub changed, from its log: in
-    each frame it replaced, the words that differ.  A frame it created is
-    skipped: before the call no held claim could agree with a word of it
-    and no walk that resolved read it."""
-    writes = []
-    for frame, old in mem.replaced.items():
-        if old is not None:
-            writes.extend((frame, off, None)
-                          for off, _word in old.items() ^ mem[frame].items())
-    return writes
-
-
 def _audit_step(state: CheckState, regs, writes,
                 mapping: Optional[tuple]) -> Optional[str]:
     """The audit after one step, when every claim held before it: only
     what the step could have changed can have broken.  That is the data
     registers `regs` it wrote (an instruction's destination, or each one
-    a call's stub changed) and the words the machine wrote (`writes`, as
-    (frame, off, old word)), every walk that read a written word's frame
-    (``state.reads``), and the walk-map entry `mapping` = (root, va) a
-    ghost step inserted or removed, with the walk claim the step changed
-    there: its rule's own location, found in the step's journal.  cr3 is
-    always compared.  Rules change no claim outside these, since they take
-    chain and data values from the machine audited before the step, and a
-    call's product was audited as it was joined.  So the first complaint
-    is the one the full audit would give."""
+    a call's stub changed) and the words the machine wrote (`writes`, the
+    step's ``Mem.journal``: a frame written whole counts the words that
+    differ from its old word map, and a frame created counts none, since
+    no held claim could agree with a word of it and no walk that resolved
+    read it), every walk that read a written frame (``state.reads``), and
+    the walk-map entry `mapping` = (root, va) a ghost step inserted or
+    removed, with the walk claim the step changed there: its rule's own
+    location, found in the step's journal.  cr3 is always compared.  Rules
+    change no claim outside these, since they take chain and data values
+    from the machine audited before the step, and a call's product was
+    audited as it was joined.  So the first complaint is the one the full
+    audit would give."""
     locs = set(map(RegLoc, regs))
     if mapping is not None:
         locs.update(loc for loc in state.journal if type(loc) is WalkLoc)
         return _audit(state, locs, (mapping,))
-    walks, last = set(), None
-    for frame, off, _old in writes:  # a frame's words come together
-        locs.add(PhysLoc(frame, off))
-        if frame != last:
+    walks, last, mem = set(), None, state.machine.mem
+    for frame, off, old in writes:
+        if off is not None:
+            locs.add(PhysLoc(frame, off))
+        elif old is not None:
+            locs.update(PhysLoc(frame, off) for off, _word in
+                        old.items() ^ mem[frame].items())
+        if frame != last:  # a frame's writes mostly come together
             walks.update(state.reads.get(frame, ()))
             last = frame
     locs.update(WalkLoc(root, va) for root, va in walks)
@@ -815,12 +808,9 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
     state.journal, regs, writes, wrote, mapping = {}, None, (), (), None
     call = kind is CallStep
     if call or kind is InstrStep:
-        # the machine's registers and pc, and for a call its memory's log
+        # the machine's registers and pc, and its memory's journal
         regs, pc = dict(machine.regs), machine.pc
-        if call:
-            owned = machine.mem.log()
-        else:
-            writes = []
+        writes = machine.mem.journal = []
     elif kind is GhostInsertWalk or kind is GhostRemoveWalk:
         # the walk-map entry the step writes, as it was
         mapping = (root, script_step.va)
@@ -830,7 +820,7 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         name = rule(state, script_step)
         if kind is InstrStep:
             instr = script_step.instr
-            fault = execute(machine, instr, CHECK_OPTS, writes)
+            fault = execute(machine, instr, CHECK_OPTS)
             if writes:
                 state.walked = {}
             if fault is not None:
@@ -843,27 +833,19 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
             if state.reads is None:
                 state.reads = {}
                 complaint = audit_ledger(state)
-            elif call:
-                # the registers and the words the stub changed
-                complaint = _audit_step(
-                    state, {reg for reg, _value in
-                            regs.items() ^ machine.regs.items()},
-                    _call_writes(machine.mem), None)
             else:
+                if call:  # the registers the stub changed
+                    wrote = {reg for reg, _value in
+                             regs.items() ^ machine.regs.items()}
                 complaint = _audit_step(state, wrote, writes, mapping)
             if complaint is not None:
                 raise Reject(MACHINE_DISAGREE, None, complaint)
-        if call:
-            machine.mem.keep(owned)
     except BaseException as err:
         # a refusal, or an error raised through the step, is undone
         state.undo(saved)
         if regs is not None:
             machine.regs, machine.pc = regs, pc
-            for frame, off, old in reversed(writes):
-                own_frame(machine.mem, frame)[off] = old
-            if call:
-                machine.mem.restore(owned)
+            machine.mem.undo(writes)
         if mapping is not None:
             theta.pop(mapping[1], None)
             if entry is not None:
@@ -871,6 +853,8 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         if not isinstance(err, Reject):
             raise
         return Violation(err.kind, index, err.location, err.narrative)
+    finally:
+        machine.mem.journal = None
 
     consumed, produced = _step_claims(state.journal, state)
     return StepRecord(index, name, consumed, produced, root, state.root)

@@ -100,17 +100,17 @@ def cmd_run(args) -> int:
 
     opts = StepOpts(enforce_rw=not args.no_rw,
                     set_accessed=not args.no_accessed)
-    state, out, written = cfg.to_machine_state(), [], []
+    state, out = cfg.to_machine_state(), []
+    written = state.mem.journal = []
     while state.pc < len(instrs):
-        pc, instr, writes = state.pc, instrs[state.pc], []
+        pc, instr, start = state.pc, instrs[state.pc], len(written)
         regs = dict(state.regs)
-        fault = execute(state, instr, opts, writes)
-        written += writes
+        fault = execute(state, instr, opts)
         if args.trace:
             out.append(f"{pc:4d} | {print_instr(instr):<24} | "
                        f"{state.reg(Reg.CR3):#x} | " +
                        (f"fault: {fault!r}" if fault is not None
-                        else _delta_text(regs, state, writes)))
+                        else _delta_text(regs, state, written[start:])))
         if fault is not None:
             out.append(f"fault at pc {pc}: {fault!r}")
             print("\n".join(out))
@@ -129,9 +129,9 @@ def cmd_run(args) -> int:
 
 
 def _changed_words(state: MachineState, writes: list) -> list:
-    """(frame, offset, word now) for each word of `writes` (as ``execute``
-    lists them) that differs from the first word it replaced there, in
-    address order."""
+    """(frame, offset, word now) for each word of `writes` (a memory
+    journal of ``execute``'s word writes) that differs from the first
+    word it replaced there, in address order."""
     old = {(frame, off): word for frame, off, word in reversed(writes)}
     return [(frame, off, state.mem[frame][off])
             for (frame, off), word in sorted(old.items())

@@ -21,17 +21,18 @@ alignment and its va's width on every call too, but only to refuse
 misuse of the Python API: values from those entry points always pass.
 
 The one in-place operation is the core, ``execute``: it runs an
-instruction on the given state and can list each word it writes with
-the word it replaced.  ``step`` and ``run`` are a copy plus the core, so
-they never mutate their input.  ``MachineState.copy`` is copy-on-write
-per frame: every in-place memory write goes through ``own_frame``, which
-copies a shared frame before its first write, so a write never reaches a
-sibling copy.  ``mem.owned`` is the frames a state has written since its
-last copy, over all its steps, not one step's writes.  Code that writes
-a frame's word map directly, bypassing ``own_frame``, breaks this.  The
-same path lets a writer be undone without a copy of the frame table:
-``Mem.log`` makes every frame copy-on-write again and keeps each word
-map that a first write replaces, which ``Mem.restore`` puts back.
+instruction on the given state.  ``step`` and ``run`` are a copy plus
+the core, so they never mutate their input.  Every in-place memory write
+goes through the word writer, ``mem_set`` (``write_word``, a store and an
+accessed bit all use it), or the frame writer, ``put_frame``; code that
+writes a frame's word map directly breaks what follows.
+``MachineState.copy`` is copy-on-write per frame: a shared frame is
+copied before its first write, so a write never reaches a sibling copy.
+``mem.owned`` is the frames a state has written since its last copy,
+over all its steps, not one step's writes.  While ``mem.journal`` is
+open, both writers list each write with what it replaced, which is how
+a step's writes are read and how ``Mem.undo`` takes them back, without
+a copy of the frame table or of a frame.
 """
 
 from __future__ import annotations
@@ -196,15 +197,16 @@ class Mem(dict):
     """Physical memory ``{frame: {offset: word}}`` whose word maps may be
     shared with copies.  ``owned`` holds the frames this map may write in
     place (its copies), or is None when it shares none; any other frame
-    is copied by :func:`own_frame` before its first write.  While a log
-    is open, ``replaced`` is {frame: its word map before the log's first
-    write to it, or None if it was absent}, else None."""
+    is copied before its first write.  ``journal`` is None, or the list of
+    the writes made since it was opened, oldest first: (frame, off, old
+    word or None) for a word, (frame, None, old word map or None) for a
+    frame created or written whole; ``undo`` takes them back."""
 
-    __slots__ = ("owned", "replaced")
+    __slots__ = ("owned", "journal")
 
     def __init__(self, frames=(), owned: Optional[set] = None):
         super().__init__(frames)
-        self.owned, self.replaced = owned, None
+        self.owned, self.journal = owned, None
 
     def fork(self) -> "Mem":
         """A copy sharing every frame with this map; from now on both copy
@@ -212,46 +214,46 @@ class Mem(dict):
         self.owned = set()
         return Mem(self, set())
 
-    def log(self) -> Optional[set]:
-        """Open a log: from now on every frame is copied before its first
-        write, as after a fork, and ``replaced`` keeps the word map each
-        copy replaced.  Returns the owned set that ``keep`` or ``restore``
-        closes the log with."""
-        owned, self.owned, self.replaced = self.owned, set(), {}
-        return owned
-
-    def keep(self, owned: Optional[set]) -> None:
-        """Close the log, keeping its writes: the frames it copied join
-        `owned`."""
-        if owned is not None:
-            owned.update(self.owned)
-        self.owned, self.replaced = owned, None
-
-    def restore(self, owned: Optional[set]) -> None:
-        """Close the log, putting back each word map it replaced."""
-        for frame, words in self.replaced.items():
-            if words is None:
-                del self[frame]
+    def undo(self, journal: list) -> None:
+        """Take back the writes `journal` lists, the last first.  A frame
+        put back leaves ``owned``, since its old word map may be shared."""
+        for frame, off, old in reversed(journal):
+            if off is None:
+                if old is None:
+                    del self[frame]
+                else:
+                    self[frame] = old
+                if self.owned is not None:
+                    self.owned.discard(frame)
+            elif old is None:
+                del self[frame][off]
             else:
-                self[frame] = words
-        self.owned, self.replaced = owned, None
+                self[frame][off] = old
+
+
+def put_frame(mem: dict, frame: int, words: dict) -> dict:
+    """The frame writer: `frame` becomes a copy of `words`, private to
+    `mem`, and is returned."""
+    journal = getattr(mem, "journal", None)
+    if journal is not None:
+        journal.append((frame, None, mem.get(frame)))
+    words = mem[frame] = dict(words)
+    owned = getattr(mem, "owned", None)
+    if owned is not None:
+        owned.add(frame)
+    return words
 
 
 def own_frame(mem: dict, frame: int) -> dict:
-    """The word map of `frame`, private to `mem`: shared frames are copied
-    first (into ``mem.replaced`` while a log is open) and absent ones
-    created.  Every in-place memory write goes through here; a plain dict
-    (a fixture under construction) shares nothing and is written in
-    place."""
-    owned = getattr(mem, "owned", None)
+    """The word map of `frame`, private to `mem`: a shared frame is copied
+    first and an absent one created by ``put_frame``.  A plain dict (a
+    fixture under construction) shares nothing and is written in place."""
     words = mem.get(frame)
-    if owned is None:
-        if words is None:
-            words = mem[frame] = {}
-    elif frame not in owned:
-        if mem.replaced is not None:
-            mem.replaced[frame] = words
-        words = mem[frame] = {} if words is None else dict(words)
+    if words is None:
+        return put_frame(mem, frame, {})
+    owned = getattr(mem, "owned", None)
+    if owned is not None and frame not in owned:
+        words = mem[frame] = dict(words)
         owned.add(frame)
     return words
 
@@ -293,15 +295,21 @@ class MachineState:
         words = self.mem.get(frame)
         if words is None or off not in words:
             return FrameUnmapped((frame << 12) | off)
-        own_frame(self.mem, frame)[off] = value
+        mem_set(self.mem, frame, off, value)
         return None
 
 
 def mem_set(mem: Mem, frame: int, off: int, value: int) -> None:
-    """Allocate-and-store used by fixtures; step never allocates."""
+    """The word writer: every in-place word write goes through here, into
+    a frame private to `mem`, and enters the journal if one is open.  It
+    allocates an absent word, as fixtures need; ``step`` never does."""
     if off % WORD_BYTES:
         raise ValueError(f"offset {off:#x} is not word aligned")
-    own_frame(mem, frame)[off] = value
+    words = own_frame(mem, frame)
+    journal = getattr(mem, "journal", None)
+    if journal is not None:
+        journal.append((frame, off, words.get(off)))
+    words[off] = value
 
 
 # --------------------------------------------------------------------------
@@ -407,8 +415,7 @@ _LEVEL_SHIFTS = ((4, 39), (3, 30), (2, 21), (1, 12))
 
 
 def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
-              steps: Optional[list] = None,
-              writes: Optional[list] = None) -> Union[int, Fault]:
+              steps: Optional[list] = None) -> Union[int, Fault]:
     """The walk kernel: the physical byte address `va` translates to under
     the tables rooted at `root`, or the walk's fault (``NonCanonical``,
     reading no slot, for a va that is not canonical).
@@ -416,9 +423,9 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
     With ``steps`` (a list), each table slot read is appended to it as
     (slot byte address, raw entry), level 4 first, in one pass over
     memory.  With ``set_accessed`` each entry that passes its present
-    check gets its accessed bit, through ``own_frame``, listed in
-    ``writes`` (a list) as (frame, off, old entry); ``steps`` lists the
-    entry as it was read, before that bit.
+    check gets its accessed bit through the word writer, ``mem_set`` (so
+    the journal lists it); ``steps`` lists the entry as it was read,
+    before that bit.
     """
     if root % PAGE_SIZE:
         raise ValueError(f"table root {root:#x} is not page aligned")
@@ -438,9 +445,7 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
         if not entry & PTE_PRESENT:
             return NotPresent(level, va)
         if set_accessed and not entry & PTE_ACCESSED:
-            if writes is not None:
-                writes.append((frame, off, entry))
-            own_frame(mem, frame)[off] = entry | PTE_ACCESSED
+            mem_set(mem, frame, off, entry | PTE_ACCESSED)
         frame = (entry >> 12) & _FRAME_MASK
     return (frame << 12) | (va & 0xFFF)
 
@@ -502,8 +507,8 @@ MEM_FORMS = (MovRegFromMem, MovToCr3FromMem, MovMemFromReg, MovMemFromCr3)
 
 
 def _access_memory(state: MachineState, instr: Instr, dst: Optional[Reg],
-                   src: Optional[Reg], base: Reg, opts: StepOpts,
-                   writes: Optional[list]) -> Optional[Fault]:
+                   src: Optional[Reg], base: Reg,
+                   opts: StepOpts) -> Optional[Fault]:
     """The one path of the memory forms: translate base + disp under cr3,
     load the word into a register or store a register's value, and
     advance pc, in place.  Faults, in the order they are checked: a
@@ -522,7 +527,7 @@ def _access_memory(state: MachineState, instr: Instr, dst: Optional[Reg],
     mem = state.mem
     check_rw = store is not None and opts.enforce_rw
     steps = [] if check_rw else None
-    pa = translate(root, mem, va, opts.set_accessed, steps, writes)
+    pa = translate(root, mem, va, opts.set_accessed, steps)
     if not isinstance(pa, int):
         return pa
     if check_rw:
@@ -536,22 +541,20 @@ def _access_memory(state: MachineState, instr: Instr, dst: Optional[Reg],
     if store is None:
         state.regs[load] = word
     else:
-        if writes is not None:
-            writes.append((frame, off, word))
-        own_frame(mem, frame)[off] = state.reg(store)
+        mem_set(mem, frame, off, state.reg(store))
     state.pc += 1
     return None
 
 
-def execute(state: MachineState, instr: Instr, opts: StepOpts = DEFAULT_OPTS,
-            writes: Optional[list] = None) -> Optional[Fault]:
+def execute(state: MachineState, instr: Instr,
+            opts: StepOpts = DEFAULT_OPTS) -> Optional[Fault]:
     """Execute one instruction on `state` itself; None, or the fault.
 
     A control register in a data operand (``dst``, ``src`` or ``base``,
     checked in that order) faults before anything else.  At most one
-    memory word changes, plus accessed bits when enabled, each listed in
-    ``writes`` (a list) as (frame, off, old word).  A fault changes no
-    register or pc, only the accessed bits its walk set.
+    memory word changes, plus accessed bits when enabled, each through
+    ``mem_set``, so an open journal (``Mem.journal``) lists it.  A
+    fault changes no register or pc, only the accessed bits its walk set.
     """
     dst, src, base = instr.dst, instr.src, instr.base
     for operand in (dst, src, base):
@@ -569,7 +572,7 @@ def execute(state: MachineState, instr: Instr, opts: StepOpts = DEFAULT_OPTS,
     elif isinstance(instr, MovRegFromCr3):
         regs[dst] = state.reg(Reg.CR3)
     elif isinstance(instr, MEM_FORMS):
-        return _access_memory(state, instr, dst, src, base, opts, writes)
+        return _access_memory(state, instr, dst, src, base, opts)
     elif not isinstance(instr, Skip):
         raise TypeError(f"unknown instruction {instr!r}")
     state.pc += 1

@@ -5,10 +5,11 @@ timing, and the case padded with state that its script never touches.
 frames ("claims"), `n` walk-map entries that resolve on the machine
 ("walks"), or `n` one-word frames that nothing claims ("frames").
 ``count_work`` runs one check and counts, per step, the held claims the
-audit checked, the walk-map entries copied, compared or iterated, and
-the frame-table entries copied; and, per check, the full audits and the
-same counts outside any step.  The tier-1 tests and CI's step summary
-both use it: run ``python tests/call_cost.py`` for the table.
+audit checked, the walk-map entries copied, compared or iterated, the
+frame-table entries copied and the frames copied before a write; and,
+per check, the full audits and the same counts outside any step.  The
+tier-1 tests and CI's step summary both use it: run
+``python tests/call_cost.py`` for the table.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _counted(counts: Counter, steps: list):
     (index, step, Counter) for each step ``apply_rule`` takes."""
     real_audit, real_full = checker._audit, checker.audit_ledger
     real_rule, real_fork = checker.apply_rule, machine.Mem.fork
-    real_init = checker.CheckState.__init__
+    real_init, real_own = checker.CheckState.__init__, machine.own_frame
 
     def audit(state, locs, walks=()):
         claims = state.claims
@@ -119,6 +120,13 @@ def _counted(counts: Counter, steps: list):
     def fork(mem):
         counts["frames"] += len(mem)
         return real_fork(mem)
+
+    def own_frame(mem, frame):
+        words = mem.get(frame)
+        private = real_own(mem, frame)
+        if words is not None and private is not words:
+            counts["copies"] += 1
+        return private
 
     def init(state, *args, **kwargs):
         # the check's copy of the walk maps, and their index, as it starts
@@ -138,13 +146,13 @@ def _counted(counts: Counter, steps: list):
     _CountedMap.counts = counts
     checker._audit, checker.audit_ledger = audit, full
     checker.apply_rule, machine.Mem.fork = rule, fork
-    checker.CheckState.__init__ = init
+    checker.CheckState.__init__, machine.own_frame = init, own_frame
     try:
         yield
     finally:
         checker._audit, checker.audit_ledger = real_audit, real_full
         checker.apply_rule, machine.Mem.fork = real_rule, real_fork
-        checker.CheckState.__init__ = real_init
+        checker.CheckState.__init__, machine.own_frame = real_init, real_own
 
 
 def _check(case, mode: str):
@@ -169,7 +177,7 @@ def call_work(steps: list) -> list:
 
 def _table(sizes=(0, 1000, 10_000), out=sys.stdout) -> None:
     print("kind    pad    mode      per call: audited walk-map frames"
-          "  us/check (best of 5)", file=out)
+          " copies  us/check (best of 5)", file=out)
     for kind in KINDS:
         for n in sizes:
             case = padded_map_case(kind, n)
@@ -178,13 +186,14 @@ def _table(sizes=(0, 1000, 10_000), out=sys.stdout) -> None:
                 assert report.ok, report.violation
                 work = call_work(steps)
                 per_call = [sum(w.get(k, 0) for w in work) / len(work)
-                            for k in ("audited", "walk_map", "frames")]
+                            for k in ("audited", "walk_map", "frames",
+                                      "copies")]
                 number = 3 if n < 10_000 else 1
                 best = min(timeit.repeat(lambda: _check(case, mode),
                                          number=number, repeat=5)) / number
                 print(f"{kind:7} {n:6} {mode:9} {per_call[0]:17g} "
-                      f"{per_call[1]:8g} {per_call[2]:6g} {best * 1e6:11.0f}",
-                      file=out)
+                      f"{per_call[1]:8g} {per_call[2]:6g} {per_call[3]:6g} "
+                      f"{best * 1e6:11.0f}", file=out)
 
 
 if __name__ == "__main__":

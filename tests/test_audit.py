@@ -8,6 +8,7 @@ byte-identical reports, passing or failing.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from vmcheck.machine import (
     MovRegReg,
     MovToCr3FromReg,
     Reg,
+    ZERO_FRAME,
     mem_set,
-    own_frame,
+    put_frame,
     synth_tables,
     walk,
 )
@@ -53,7 +55,7 @@ from vmcheck.checker import (
     apply_rule,
     check_double,
 )
-from vmcheck.cases import CASE_NAMES, case_study, map_page_case
+from vmcheck.cases import CASE_NAMES, case_study, map_page_case, swtch_case
 
 from call_cost import KINDS, call_work, count_work, padded_map_case
 from test_acceptance import _generate_script
@@ -298,11 +300,12 @@ def test_per_step_audit_matches_full_audit_on_criterion_8_scripts(
 # step made a claim or a walk depend on, or nothing does, and promises
 # nothing.  The audit after the call must name what the full audit names.
 LIES = ("claimed word", "held walk's entry", "walk-map entry's L1 slot",
-        "unclaimed frame", "register", "cr3")
+        "unclaimed frame", "register", "cr3", "claimed word's frame")
 
 
 def _lying_stub(seed: int, roots: tuple) -> checker.StubSpec:
-    """The lie `seed` picks, told through ``write_word`` or ``own_frame``,
+    """The lie `seed` picks, told through ``write_word``, ``mem_set`` or
+    ``put_frame`` (the frame lie zeroes a frame that holds a claimed word),
     with targets drawn from the state the stub runs on (so a check and
     its full-audit twin see the same lie)."""
 
@@ -315,7 +318,7 @@ def _lying_stub(seed: int, roots: tuple) -> checker.StubSpec:
             if rng.random() < 0.5 and off in mem.get(frame, ()):
                 assert machine.write_word(frame, off, value) is None
             else:
-                own_frame(mem, frame)[off] = value
+                mem_set(mem, frame, off, value)
 
         def slot_of(root, va, level):
             steps, _got = walk(root, mem, va)
@@ -340,6 +343,10 @@ def _lying_stub(seed: int, roots: tuple) -> checker.StubSpec:
         elif lie == "unclaimed frame":
             frame = rng.choice((0x6, 0x77, 0x78))
             write(frame, 8 * rng.randrange(512), rng.randrange(1 << 16))
+        elif lie == "claimed word's frame":
+            _kind, frame, _off = rng.choice(
+                [loc for loc in claims if type(loc) is PhysLoc])
+            put_frame(mem, frame, ZERO_FRAME)
         elif lie == "register":
             reg = rng.choice((Reg.RAX, Reg.RBX, Reg.RSI, Reg.R9))
             machine.regs[reg] = rng.choice((machine.reg(reg),
@@ -507,3 +514,29 @@ def test_a_step_costs_the_same_with_unrelated_state_added(kind, mode):
         assert outside["walk_map"] >= 10_000
     if kind == "claims" and mode == COEXEC:
         assert outside["audited"] >= 10_000
+
+
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_call_copies_no_frame_the_check_already_owns(mode):
+    # swtch's first store copies the save page's frame away from init; a
+    # stub that then rewrites a word of it writes the check's own copy in
+    # place, and the stores after it copy nothing either
+    case = swtch_case()
+    save = case.state.mem[0x210]
+
+    def rewrite(state):
+        machine = state.machine
+        assert machine.write_word(0x210, 0, machine.read_word(0x210, 0)) \
+            is None
+        return lower(sep(), state.root)
+
+    case = replace(case, script=[case.script[0], CallStep("rewrite"),
+                                 *case.script[1:]],
+                   stubs={**case.stubs,
+                          "rewrite": checker.StubSpec((), rewrite)})
+    report, steps, _counts = count_work(case, mode)
+    assert report.ok, report.violation
+    assert [work["copies"] for _index, _step, work in steps] == \
+        [1] + [0] * (len(case.script) - 1)
+    assert report.final_machine.mem[0x210] is not save
+    assert case.state.mem[0x210] is save

@@ -18,8 +18,10 @@ from vmcheck.machine import (
     MovRegReg,
     MovToCr3FromReg,
     Reg,
+    ZERO_FRAME,
     chain_slots,
     mem_set,
+    put_frame,
     walk,
 )
 from vmcheck import assertions, checker
@@ -1793,6 +1795,32 @@ def test_an_accepted_coexec_swtch_check_copies_init_once_and_a_frame_once(
     assert report.final_machine.mem[0x210] is not case.state.mem[0x210]
 
 
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_refused_call_that_wrote_a_frame_whole_leaves_it_shared(mode):
+    # the undo of a frame written whole puts back the word map the check
+    # shares with init: the store after it must copy that map again, not
+    # write init's
+    case = swtch_case()
+    init = {frame: dict(words) for frame, words in case.state.mem.items()}
+
+    def wipe(state):
+        put_frame(state.machine.mem, 0x210, ZERO_FRAME)
+        return lower(Pure(PredEq(0x1, 0x2)), state.root)
+
+    state = checker.CheckState(
+        lower(case.pre, case.root, case.registry),
+        {r: dict(t) for r, t in case.registry.items()}, case.state.copy(),
+        mode, {"wipe": StubSpec((), wipe)})
+    refused = checker.apply_rule(state, CallStep("wipe"), 0)
+    assert refused.kind == STUB_PRE_FAILED, refused
+    assert state.machine.mem[0x210] is case.state.mem[0x210]
+    store = case.script[0]
+    assert isinstance(store.instr, MovMemFromReg)
+    assert isinstance(checker.apply_rule(state, store, 0), StepRecord)
+    assert state.machine.mem[0x210] is not case.state.mem[0x210]
+    assert case.state.mem == init
+
+
 def test_a_check_copies_no_claims_dict(monkeypatch):
     # every step writes the check's one ledger in place: the final claims
     # are the dict the precondition was lowered into
@@ -1920,3 +1948,46 @@ def test_checker_does_not_use_the_reference_checks():
     assert "machine" in modules
     assert not {"ghost", "vmcheck.ghost"} & modules
     assert not {"ghost", "machine_sat", "ias_check"} & names
+
+
+def test_only_the_machine_knows_how_a_memory_write_is_recorded():
+    # every module writes memory through the machine's writers and reads
+    # a step's writes from its journal: none but machine.py names the
+    # frame copy or a snapshot of word maps, and the machine has no undo
+    # but Mem.undo
+    banned = {"own_frame", "log", "keep", "restore", "replaced"}
+    for path in sorted(Path(machine_module.__file__).parent.glob("*.py")):
+        if path.name == "machine.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not banned & names, (path.name, banned & names)
+    assert not {"log", "keep", "restore", "replaced"} & set(
+        dir(machine_module.Mem))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pas=st.lists(st.sampled_from(range(0x1000, 0x9000, 0x1000)),
+                    min_size=1, max_size=40),
+       order=st.randoms(use_true_random=False))
+def test_the_index_by_pa_groups_every_va_of_a_pa(pas, order):
+    # against a naive grouping, compared as sets: the first pa is mapped
+    # by three vas or more, in any order of the walk map
+    pas = [pas[0]] * 2 + pas
+    vas = list(range(0x40_0000, 0x40_0000 + 8 * len(pas), 8))
+    order.shuffle(vas)
+    theta = dict(zip(vas, pas))
+    naive = {}
+    for va, pa in theta.items():
+        naive.setdefault(pa, set()).add(va)
+    index = checker._vas_by_pa(theta)
+    assert all(type(held) is int or len(held) == len(set(held)) > 1
+               for held in index.values())
+    assert {pa: {held} if type(held) is int else set(held)
+            for pa, held in index.items()} == naive

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,30 @@ def test_run_trace_and_fault_exit(capsys, workdir):
     assert code == 1
     assert "NotPresent" in out
     assert "level=4" in out
+
+
+RUN_PINS = Path(__file__).parent / "run_pins"
+
+
+@pytest.mark.parametrize("flags, pin", [
+    ((), "swtch.txt"),
+    (("--trace",), "swtch.trace.txt"),
+    (("--trace", "--no-accessed"), "swtch.trace-no-accessed.txt"),
+], ids=["plain", "trace", "trace-no-accessed"])
+def test_run_of_the_emitted_swtch_prints_its_pinned_output(capsys, tmp_path,
+                                                           flags, pin):
+    # the registers, the memory: block and each traced step's deltas of
+    # swtch's instructions (its @ lines stripped), byte for byte
+    assert main(["case", "swtch", "--emit", str(tmp_path)]) == 0
+    capsys.readouterr()
+    prog = tmp_path / "swtch.instrs.prog"
+    prog.write_text("".join(
+        line for line in (tmp_path / "swtch.prog").read_text()
+        .splitlines(keepends=True) if not line.startswith("@")))
+    code, out, err = invoke(capsys, "run", str(prog), "--state",
+                            str(tmp_path / "swtch.state.json"), *flags)
+    assert (code, err) == (0, "")
+    assert out == (RUN_PINS / pin).read_text()
 
 
 def test_run_rejects_checker_steps(capsys, workdir):
