@@ -9,9 +9,7 @@ claim in the modality for its governing root keeps it honest.
 from vmcheck.machine import MovToCr3FromReg, Reg
 from vmcheck.assertions import FULL, IASpace, OtherSpace, RegPt, VirtPt, sep
 from vmcheck.cases import case_study
-from vmcheck.checker import (
-    AssertStep, InstrStep, check_double, frame_audit,
-)
+from vmcheck.checker import AssertStep, check_double, frame_audit
 
 # --- the real task switch -------------------------------------------------
 case = case_study("swtch")
@@ -33,7 +31,7 @@ state.regs[Reg.RBX] = root_b
 framed = VirtPt(0x60_0000, FULL, 0)  # save block word, valid under root_a
 base = (IASpace(), RegPt(Reg.RBX, FULL, root_b),
         OtherSpace(root_b, IASpace()))
-script = [InstrStep(MovToCr3FromReg(Reg.RBX)), AssertStep(framed)]
+script = [MovToCr3FromReg(Reg.RBX), AssertStep(framed)]
 
 bad = check_double(sep(*base, framed), root_a, script,
                    init=state, registry=registry)
@@ -42,8 +40,7 @@ print(f"  {bad.violation.narrative}")
 
 wrapped = OtherSpace(root_a, framed)
 good = check_double(sep(*base, wrapped), root_a,
-                    [InstrStep(MovToCr3FromReg(Reg.RBX)),
-                     AssertStep(wrapped)],
+                    [MovToCr3FromReg(Reg.RBX), AssertStep(wrapped)],
                     init=state, registry=registry)
 assert good.ok
 print("same claim wrapped for its governing root: ok")

@@ -51,7 +51,6 @@ from .checker import (
     GhostInsertWalk,
     GhostPteToVirt,
     GhostRemoveWalk,
-    InstrStep,
     CheckState,
     Script,
     StubError,
@@ -197,9 +196,9 @@ def map_page_case(words: int = 1) -> CaseStudy:
     )
     script = [
         CallStep("ensure_L1_page"),
-        InstrStep(MovRegReg(Reg.R14, Reg.RAX)),
+        MovRegReg(Reg.R14, Reg.RAX),
         CallStep("alloc_phys_page_or_panic"),
-        InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX)),
+        MovMemFromReg(Reg.R14, 0, Reg.RAX),
     ]
     for w in range(words):
         script.append(GhostInsertWalk(MAP_VA + 8 * w, MAP_FPADDR + 8 * w))
@@ -253,8 +252,8 @@ def unmap_page_case() -> CaseStudy:
     script = [
         AssertStep(VirtPt(MAP_VA, FULL, 0)),
         GhostRemoveWalk(MAP_VA),
-        InstrStep(MovRegImm(Reg.RAX, 0)),
-        InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX)),
+        MovRegImm(Reg.RAX, 0),
+        MovMemFromReg(Reg.R14, 0, Reg.RAX),
         AssertStep(sep(
             PhysPt(pte_slot_pa >> 12, pte_slot_pa & (PAGE - 1), FULL, 0),
             PhysPt(MAP_FPADDR >> 12, 0, FULL, 0),
@@ -344,11 +343,11 @@ def swtch_case() -> CaseStudy:
 
     script: Script = []
     for k, reg in enumerate(SWTCH_SLOTS):
-        script.append(InstrStep(MovMemFromReg(Reg.RDI, 8 * k, reg)))
-    script.append(InstrStep(MovMemFromCr3(Reg.RDI, 56)))
+        script.append(MovMemFromReg(Reg.RDI, 8 * k, reg))
+    script.append(MovMemFromCr3(Reg.RDI, 56))
     for k, reg in enumerate(SWTCH_SLOTS):
-        script.append(InstrStep(MovRegFromMem(reg, Reg.RSI, 8 * k)))
-    script.append(InstrStep(MovToCr3FromMem(Reg.RSI, 56)))
+        script.append(MovRegFromMem(reg, Reg.RSI, 8 * k))
+    script.append(MovToCr3FromMem(Reg.RSI, 56))
 
     saved = [VirtPt(SWTCH_SAVE_VA + 8 * k, FULL, val)
              for k, val in enumerate(SWTCH_OLD_REGS)]

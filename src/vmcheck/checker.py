@@ -10,14 +10,14 @@ claim before the first step, and after each step only what that step
 could change, a stub call included.  That audit is the checker's only
 comparison of claims with the machine; resource mode skips it.
 
-The checker takes the instruction forms from the machine (the memory
-forms are ``MEM_FORMS``) and reads page tables only through the
-machine's walk kernel, ``translate``, and its page-walk memo: the
-audit's walks and a ghost step's walk of its chain read the current
-machine (which co-execution's audit has proved equal to every held
-claim), each page's walk under a root once until the tables may have
-changed, as a TLB caches it; the ghost step keeps the space's walk map
-in the registry itself.
+A script's instruction steps are the machine's own ``Instr`` records
+(the memory forms are ``MEM_FORMS``), and the checker reads page tables
+only through the machine's ``walk``: the audit's walks and a ghost
+step's walk of its chain read the current machine (which co-execution's
+audit has proved equal to every held claim), each page's walk under a
+root once until memory is written, from the memo the machine keeps on
+the check's copy of its memory (``Mem.walks``); the ghost step keeps the
+space's walk map in the registry itself.
 
 ``apply_rule`` is a step's one transaction on the check's one mutable
 ``CheckState``, a ``Ledger`` that also holds the machine, walk maps,
@@ -28,12 +28,11 @@ place too and reads the walk maps through a read-only view: a call
 copies neither the frame table nor a walk map.  Both run under the
 memory's write journal (``Mem.journal``), which lists each word or frame
 written with what it replaced; the audit reads the step's writes from
-it.  The memo is emptied after an instruction or a stub that wrote
-memory.  A refusal by the rule, the stub, the machine or the audit is a
+it.  A refusal by the rule, the stub, the machine or the audit is a
 raised ``Reject`` (a failed ledger operation's ``LedgerError`` is one),
 which ``apply_rule`` undoes from the two journals (``CheckState.undo``
-and ``Mem.undo``), putting the memo back as it was, and stamps with the
-step's index, as ``check_double`` does at step -1.
+and ``Mem.undo``) and stamps with the step's index, as ``check_double``
+does at step -1.
 
 Writing cr3 is the special case: it is *physically* a register update
 but it reinterprets every root-relative claim.  The ledger keys such
@@ -74,7 +73,7 @@ from .machine import (
     StepOpts,
     WORD_BYTES,
     execute,
-    translate,
+    walk,
     walk_text,
 )
 from .assertions import (
@@ -132,12 +131,8 @@ class Violation:
 
 
 class ScriptStep(Record):
-    pass
-
-
-class InstrStep(ScriptStep):
-    def __new__(cls, instr: Instr) -> "InstrStep":
-        return tuple.__new__(cls, (35, instr))
+    """A step of a script that is not an instruction: a script holds each
+    instruction as the machine's ``Instr`` record itself."""
 
 
 class GhostStep(ScriptStep):
@@ -185,7 +180,7 @@ class AssertStep(ScriptStep):
         return tuple.__new__(cls, (41, assertion))
 
 
-Script = list  # [ScriptStep]
+Script = list  # [Instr or ScriptStep]
 
 
 # --------------------------------------------------------------------------
@@ -206,12 +201,13 @@ class StubSpec:
     reads the state's ``machine``, ``root``, ``registry``, ``free_list``
     and ``free_cursor``, and writes the machine (memory only through
     ``write_word``, ``mem_set`` or the frame writer ``put_frame``, whose
-    journal lets a refused call take its writes back) and the cursor in
-    place.  It changes no claim; ``registry`` is a read-only view of the
-    walk maps, and a call whose stub writes one is refused.  It returns
-    its product, the ledger of the claims it hands over under the state's
-    root (``lower`` of an assertion, plus any claims it adds): the call
-    joins its claims in location order and checks its pure facts."""
+    journal lets a refused call take its writes back and which empty the
+    walk memo) and the cursor in place.  It changes no claim; ``registry``
+    is a read-only view of the walk maps, and a call whose stub writes one
+    is refused.  It returns its product, the ledger of the claims it
+    hands over under the state's root (``lower`` of an assertion, plus
+    any claims it adds): the call joins its claims in location order and
+    checks its pure facts."""
 
     consumes: tuple
     apply: Callable[["CheckState"], Ledger]
@@ -276,13 +272,9 @@ class CheckState(Ledger):
     locations the run has read a claim at or changed an entry of) and
     ``reads`` (co-execution's audit index {table frame: {(root, va),
     ...}} of the walk claims and walk-map entries read there, from the
-    first full audit on) only grow.  ``walked`` is
-    the page-walk memo {(root, va >> 12): (the walk's four (slot, entry)
-    steps, page base)} of the walks that resolved on the current machine;
-    every checker walk reads it (see ``_walk``).  It is replaced by an
-    empty one wherever the machine's memory may change, after an
-    instruction or a stub that wrote, and ``undo`` puts back the one the
-    step started with."""
+    first full audit on) only grow.  The machine is a copy, so every
+    walk of its memory reads and fills the machine's walk memo
+    (``Mem.walks``)."""
 
     def __init__(self, ledger: Ledger, registry: Registry,
                  machine: MachineState, mode: str = COEXEC,
@@ -293,7 +285,6 @@ class CheckState(Ledger):
                     for root, theta in registry.items()}
         self.stubs, self.free_list = stubs or {}, tuple(free_list)
         self.free_cursor, self.touched, self.reads = 0, set(), None
-        self.walked = {}
 
     def least_va(self, pa: int) -> Optional[int]:
         """The least va that the current space's walk map maps to `pa`, or
@@ -319,7 +310,7 @@ class CheckState(Ledger):
     def undo(self, saved: tuple) -> None:
         """Put back what `saved` holds from the step's start, and the
         claims from the journal, over the ``den`` saved."""
-        self.root, den, self.free_cursor, self.reads, self.walked = saved
+        self.root, den, self.free_cursor, self.reads = saved
         for loc, held in self.journal.items():
             if held is None:
                 self.claims.pop(loc, None)
@@ -402,26 +393,11 @@ def _reg_value(state: CheckState, reg: Reg) -> int:
     return claim[1]
 
 
-def _walk(state: CheckState, root: int, va: int) -> tuple:
-    """The current machine's walk of `va` under `root`, as ``walk`` gives
-    it: from the memo when its page's walk is there, else from one
-    ``translate`` pass, which enters the memo if the walk resolves."""
-    key = (root, va >> 12)
-    hit = state.walked.get(key)
-    if hit is not None:
-        return hit[0], hit[1] | (va & 0xFFF)
-    steps = []
-    got = translate(root, state.machine.mem, va, steps=steps)
-    if isinstance(got, int):
-        state.walked[key] = (steps, got & ~0xFFF)
-    return steps, got
-
-
 def _chain(state: CheckState, va: int) -> tuple:
-    """The current machine's walk of `va` under the current root (see
-    ``_walk``); one that stops before the L1 entry is refused at the slot
-    where it stopped, and a va that is not canonical at its walk."""
-    steps, got = _walk(state, state.root, va)
+    """The current machine's walk of `va` under the current root; one that
+    stops before the L1 entry is refused at the slot where it stopped,
+    and a va that is not canonical at its walk."""
+    steps, got = walk(state.root, state.machine.mem, va)
     if isinstance(got, NonCanonical):
         raise Reject(MISSING_RESOURCE, str(WalkLoc(state.root, va)),
                      f"va {va:#x} is not canonical: the machine faults "
@@ -481,8 +457,8 @@ def _set_value(state: CheckState, loc: Location, value: int,
     return rule
 
 
-def _apply_instr(state: CheckState, step: InstrStep):
-    instr = step.instr
+def _apply_instr(state: CheckState, instr: Instr):
+    """An instruction's rule; ``apply_rule`` then runs it on the machine."""
     if isinstance(instr, Skip):
         return "skip"
     if isinstance(instr, MovRegReg):
@@ -500,8 +476,6 @@ def _apply_instr(state: CheckState, step: InstrStep):
     if isinstance(instr, MovToCr3FromReg):
         return _switch_root(state, _reg_value(state, instr.src),
                             "cr3-switch-reg")
-    if not isinstance(instr, MEM_FORMS):
-        raise TypeError(f"unknown instruction {instr!r}")
 
     # the memory forms, checked as machine._access_memory checks them: the
     # space witness, the base register, the stored register and the walk
@@ -587,8 +561,7 @@ def _apply_call(state: CheckState, step: CallStep):
     except LedgerError as err:
         raise Reject(STUB_PRE_FAILED, err.location, err.narrative)
     # the stub writes the machine under apply_rule's journal and reads the
-    # walk maps through a view; a stub that wrote memory may have written
-    # a table, so the walks after it start afresh
+    # walk maps through a view
     maps, state.registry = state.registry, _ReadOnly(state.registry, name)
     try:
         produced = stub.apply(state)
@@ -596,8 +569,6 @@ def _apply_call(state: CheckState, step: CallStep):
         raise Reject(STUB_PRE_FAILED, name, str(err))
     finally:
         state.registry = maps
-    if state.machine.mem.journal:
-        state.walked = {}
     state.join(produced)
     for g, pred in produced.pures:
         if not pure_holds(pred, g, state.registry):
@@ -658,9 +629,11 @@ def _apply_view(state: CheckState,
     return "ghost-virt-to-pte"
 
 
-# the rule of each kind of script step
+# the rule of each kind of script step, _apply_instr for each instruction
+# form
 _RULES = {
-    InstrStep: _apply_instr,
+    **dict.fromkeys((MovRegReg, MovRegImm, AddRegImm, MovRegFromCr3,
+                     MovToCr3FromReg, Skip, *MEM_FORMS), _apply_instr),
     GhostInsertWalk: _apply_ghost_insert,
     GhostRemoveWalk: _apply_ghost_remove,
     GhostPteToVirt: _apply_view,
@@ -674,12 +647,12 @@ _RULES = {
 # Co-execution audit
 
 
-def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
+def _audit(state: CheckState, locs, rewalk=()) -> Optional[str]:
     """Validate the held claims at `locs` against the machine, plus, for
-    each (root, va) in `walks` whose root's space claim is held, its
+    each (root, va) in `rewalk` whose root's space claim is held, its
     walk-map entry (a space claim in `locs` checks every entry).  Each
-    walk reads the memo (``_walk``), so a page is walked once under a root
-    until the machine's memory changes, and with ``state.reads`` each
+    walk reads the machine's walk memo, so a page is walked once under a
+    root until the machine's memory changes, and with ``state.reads`` each
     (root, va) is noted there under every table frame its walk read.  A
     walk that does not resolve is never memoized.  The complaint of the
     least location that fails (and, within a space, of its least broken
@@ -691,14 +664,14 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
                 f"checker root {state.root:#x}")
     claims, registry, mem = state.claims, state.registry, machine.mem
     todo = {loc for loc in locs if loc in claims}
-    for root, _va in walks:
+    for root, _va in rewalk:
         space = SpaceLoc(root)
         if space in claims:
             todo.add(space)
     reads = state.reads
 
     def translated(root: int, va: int):
-        steps, got = _walk(state, root, va)
+        steps, got = walk(root, mem, va)
         if reads is not None:
             for slot, _entry in steps:
                 reads.setdefault(slot >> 12, set()).add((root, va))
@@ -738,7 +711,7 @@ def _audit(state: CheckState, locs, walks=()) -> Optional[str]:
                                     "not registered"))
                 continue
             vas = theta if loc in locs else \
-                {va for r, va in walks if r == root and va in theta}
+                {va for r, va in rewalk if r == root and va in theta}
             broken = [(va, got) for va in vas
                       if (got := translated(root, va)) != theta[va]]
             if broken:
@@ -776,7 +749,7 @@ def _audit_step(state: CheckState, regs, writes,
     if mapping is not None:
         locs.update(loc for loc in state.journal if type(loc) is WalkLoc)
         return _audit(state, locs, (mapping,))
-    walks, last, mem = set(), None, state.machine.mem
+    rewalk, last, mem = set(), None, state.machine.mem
     for frame, off, old in writes:
         if off is not None:
             locs.add(PhysLoc(frame, off))
@@ -784,30 +757,32 @@ def _audit_step(state: CheckState, regs, writes,
             locs.update(PhysLoc(frame, off) for off, _word in
                         old.items() ^ mem[frame].items())
         if frame != last:  # a frame's writes mostly come together
-            walks.update(state.reads.get(frame, ()))
+            rewalk.update(state.reads.get(frame, ()))
             last = frame
-    locs.update(WalkLoc(root, va) for root, va in walks)
-    return _audit(state, locs, walks)
+    locs.update(WalkLoc(root, va) for root, va in rewalk)
+    return _audit(state, locs, rewalk)
 
 
 # --------------------------------------------------------------------------
 # apply_rule / check_double
 
 
-def apply_rule(state: CheckState, script_step: ScriptStep,
+def apply_rule(state: CheckState, script_step: Union[Instr, ScriptStep],
                index: int) -> Union[StepRecord, Violation]:
     """Apply one script step to the check state in place, as one
-    transaction (see the module docstring): the step's record, or the
-    stopping Violation with `state` as it was before the step."""
+    transaction (see the module docstring): the step's rule, then, for an
+    instruction, the instruction itself on the machine.  The step's
+    record, or the stopping Violation with `state` as it was before the
+    step."""
     kind = type(script_step)
     rule = _RULES.get(kind)
     if rule is None:
         raise TypeError(f"unknown script step {script_step!r}")
     machine, root = state.machine, state.root
-    saved = (root, state.den, state.free_cursor, state.reads, state.walked)
+    saved = (root, state.den, state.free_cursor, state.reads)
     state.journal, regs, writes, wrote, mapping = {}, None, (), (), None
-    call = kind is CallStep
-    if call or kind is InstrStep:
+    call, instr = kind is CallStep, isinstance(script_step, Instr)
+    if call or instr:
         # the machine's registers and pc, and its memory's journal
         regs, pc = dict(machine.regs), machine.pc
         writes = machine.mem.journal = []
@@ -818,17 +793,14 @@ def apply_rule(state: CheckState, script_step: ScriptStep,
         entry = theta.get(mapping[1])
     try:
         name = rule(state, script_step)
-        if kind is InstrStep:
-            instr = script_step.instr
-            fault = execute(machine, instr, CHECK_OPTS)
-            if writes:
-                state.walked = {}
+        if instr:
+            fault = execute(machine, script_step, CHECK_OPTS)
             if fault is not None:
                 raise Reject(MACHINE_DISAGREE, None,
                              f"ledger accepts pc {pc} but the machine "
                              f"faults: {fault!r}")
             # the one data register an instruction writes is its dst
-            wrote = (instr.dst,) if instr.dst is not None else ()
+            wrote = (script_step.dst,) if script_step.dst is not None else ()
         if state.mode == COEXEC:
             if state.reads is None:
                 state.reads = {}

@@ -21,6 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .machine import (
+    Instr,
     MachineState,
     PAGE_SIZE,
     Reg,
@@ -31,7 +32,6 @@ from .machine import (
 )
 from .checker import (
     COEXEC,
-    InstrStep,
     RESOURCE_ONLY,
     check_double,
     frame_audit,
@@ -89,14 +89,11 @@ def _load_state(path: str) -> StateConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_state(args.state)
-    script = parse_program(_read(args.prog))
-    instrs = []
-    for s in script:
-        if not isinstance(s, InstrStep):
-            raise UsageError(
-                "program contains checker-only steps (@ghost/@assert/call); "
-                "use the check subcommand")
-        instrs.append(s.instr)
+    instrs = parse_program(_read(args.prog))
+    if not all(isinstance(s, Instr) for s in instrs):
+        raise UsageError(
+            "program contains checker-only steps (@ghost/@assert/call); "
+            "use the check subcommand")
 
     opts = StepOpts(enforce_rw=not args.no_rw,
                     set_accessed=not args.no_accessed)

@@ -189,15 +189,15 @@ def load_config(text: str) -> StateConfig:
             _shaped(words, dict, f"memory frame {frame:#x}"), frame, checked)
 
     registry = {}
-    for root_text, walks in _shaped(body.get("registry", {}), dict,
-                                    "registry").items():
+    for root_text, entries in _shaped(body.get("registry", {}), dict,
+                                      "registry").items():
         root = _word(root_text, "space root", PAGE_SIZE)
         _once("space root", root, registry, body["registry"], root_text)
         theta = registry[root] = {}
-        for va_text, pa_text in _shaped(walks, dict,
+        for va_text, pa_text in _shaped(entries, dict,
                                         f"walk map {root:#x}").items():
             va = _word(va_text, f"walk map {root:#x} key", WORD_BYTES)
-            _once(f"walk map {root:#x} key", va, theta, walks, va_text)
+            _once(f"walk map {root:#x} key", va, theta, entries, va_text)
             theta[va] = _word(pa_text, f"walk map {root:#x} entry {va:#x} ->",
                               WORD_BYTES)
 

@@ -32,7 +32,9 @@ copied before its first write, so a write never reaches a sibling copy.
 over all its steps, not one step's writes.  While ``mem.journal`` is
 open, both writers list each write with what it replaced, which is how
 a step's writes are read and how ``Mem.undo`` takes them back, without
-a copy of the frame table or of a frame.
+a copy of the frame table or of a frame.  On a copy's memory ``walk``
+remembers each page's walk that resolved (``Mem.walks``), as a TLB does;
+both writers and ``Mem.undo`` empty that memo, so no walk outlives a write.
 """
 
 from __future__ import annotations
@@ -200,23 +202,32 @@ class Mem(dict):
     is copied before its first write.  ``journal`` is None, or the list of
     the writes made since it was opened, oldest first: (frame, off, old
     word or None) for a word, (frame, None, old word map or None) for a
-    frame created or written whole; ``undo`` takes them back."""
+    frame created or written whole; ``undo`` takes them back.  ``walks``
+    is ``walk``'s page-walk memo {(root, va >> 12): (steps, page base)}
+    of the walks that resolved, emptied by every write and undo; it is
+    None, and every walk is done afresh, on a memory a caller built,
+    whose word maps a caller may write by hand, and {} on a copy."""
 
-    __slots__ = ("owned", "journal")
+    __slots__ = ("owned", "journal", "walks")
 
     def __init__(self, frames=(), owned: Optional[set] = None):
         super().__init__(frames)
-        self.owned, self.journal = owned, None
+        self.owned, self.journal, self.walks = owned, None, None
 
     def fork(self) -> "Mem":
-        """A copy sharing every frame with this map; from now on both copy
-        a frame before writing it."""
+        """A copy sharing every frame with this map, with an empty walk
+        memo; from now on both copy a frame before writing it."""
         self.owned = set()
-        return Mem(self, set())
+        copy = Mem(self, set())
+        copy.walks = {}
+        return copy
 
     def undo(self, journal: list) -> None:
-        """Take back the writes `journal` lists, the last first.  A frame
-        put back leaves ``owned``, since its old word map may be shared."""
+        """Take back the writes `journal` lists, the last first, and empty
+        the walk memo.  A frame put back leaves ``owned``, since its old
+        word map may be shared."""
+        if self.walks:
+            self.walks.clear()
         for frame, off, old in reversed(journal):
             if off is None:
                 if old is None:
@@ -233,10 +244,13 @@ class Mem(dict):
 
 def put_frame(mem: dict, frame: int, words: dict) -> dict:
     """The frame writer: `frame` becomes a copy of `words`, private to
-    `mem`, and is returned."""
+    `mem`, and is returned; the walk memo is emptied."""
     journal = getattr(mem, "journal", None)
     if journal is not None:
         journal.append((frame, None, mem.get(frame)))
+    walks = getattr(mem, "walks", None)
+    if walks:
+        walks.clear()
     words = mem[frame] = dict(words)
     owned = getattr(mem, "owned", None)
     if owned is not None:
@@ -301,14 +315,18 @@ class MachineState:
 
 def mem_set(mem: Mem, frame: int, off: int, value: int) -> None:
     """The word writer: every in-place word write goes through here, into
-    a frame private to `mem`, and enters the journal if one is open.  It
-    allocates an absent word, as fixtures need; ``step`` never does."""
+    a frame private to `mem`, enters the journal if one is open and
+    empties the walk memo.  It allocates an absent word, as fixtures
+    need; ``step`` never does."""
     if off % WORD_BYTES:
         raise ValueError(f"offset {off:#x} is not word aligned")
     words = own_frame(mem, frame)
     journal = getattr(mem, "journal", None)
     if journal is not None:
         journal.append((frame, off, words.get(off)))
+    walks = getattr(mem, "walks", None)
+    if walks:
+        walks.clear()
     words[off] = value
 
 
@@ -453,10 +471,21 @@ def translate(root: int, mem: Mem, va: int, set_accessed: bool = False,
 def walk(root: int, mem: Mem, va: int) -> tuple:
     """The walk of `va` from `root` with the entries it read: ``(((slot_pa,
     entry), ...), result)``, level 4 first, where the steps and the result
-    are what one :func:`translate` pass lists and returns."""
+    are what one :func:`translate` pass lists and returns.  On a memory
+    with a walk memo (``Mem.walks``) a page's walk under a root is done
+    once: a walk that resolves enters the memo, and a later walk of the
+    same page reads it until a write or an undo empties it."""
+    walks = getattr(mem, "walks", None)
+    if walks is not None:
+        hit = walks.get((root, va >> 12))
+        if hit is not None:
+            return hit[0], hit[1] | (va & 0xFFF)
     steps = []
     result = translate(root, mem, va, steps=steps)
-    return tuple(steps), result
+    steps = tuple(steps)
+    if walks is not None and isinstance(result, int):
+        walks[root, va >> 12] = steps, result & ~0xFFF
+    return steps, result
 
 
 def walk_text(result: Union[int, Fault], steps: tuple = ()) -> list:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .machine import (
     AddRegImm,
@@ -80,7 +80,6 @@ from .checker import (
     GhostPteToVirt,
     GhostRemoveWalk,
     GhostVirtToPte,
-    InstrStep,
     Script,
     ScriptStep,
 )
@@ -413,7 +412,7 @@ def _operand(text: str, line: int):
     return "mem", (_REG_NAMES[name], -disp if m["sign"] == "-" else disp)
 
 
-def _build(form, fields, values, line: int) -> ScriptStep:
+def _build(form, fields, values, line: int) -> Union[Instr, ScriptStep]:
     """The one constructor call for a step read from text; a value the
     form refuses is a ParseError."""
     try:
@@ -482,9 +481,9 @@ def parse_program(text: str) -> Script:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head in ("mov", "add"):
-            script.append(InstrStep(_parse_instr(head, rest, lineno)))
+            script.append(_parse_instr(head, rest, lineno))
         elif head == "skip" and not rest:
-            script.append(InstrStep(Skip()))
+            script.append(Skip())
         elif head == "call":
             if not rest or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):
                 raise ParseError(lineno, 1, "call takes a procedure name")
@@ -520,9 +519,9 @@ def print_instr(instr: Instr) -> str:
                                       for kind in kinds)
 
 
-def print_step(script_step: ScriptStep) -> str:
-    if isinstance(script_step, InstrStep):
-        return print_instr(script_step.instr)
+def print_step(script_step: Union[Instr, ScriptStep]) -> str:
+    if isinstance(script_step, Instr):
+        return print_instr(script_step)
     if type(script_step) in _GHOST_SPELLING:
         op, fields = _GHOST_SPELLING[type(script_step)]
         return f"@ghost {op}" + "".join(f" {f}={getattr(script_step, f):#x}"

@@ -14,6 +14,7 @@ import pytest
 
 from vmcheck.machine import (
     FrameUnmapped,
+    Instr,
     MachineState,
     MovRegFromMem,
     MovRegImm,
@@ -58,7 +59,6 @@ from vmcheck.checker import (
     COEXEC,
     CheckState,
     GhostRemoveWalk,
-    InstrStep,
     UNSOUND_FRAME,
     Violation,
     apply_rule,
@@ -282,7 +282,7 @@ def test_criterion_7_frame_rule_unsoundness():
                 OtherSpace(roots[1], IASpace()))
 
         bare_pre = sep(*base, framed)
-        script = [InstrStep(MovToCr3FromReg(Reg.RBX)), AssertStep(framed)]
+        script = [MovToCr3FromReg(Reg.RBX), AssertStep(framed)]
         report = check_double(bare_pre, roots[0], script, init=state,
                               registry=registry)
         assert not report.ok
@@ -291,7 +291,7 @@ def test_criterion_7_frame_rule_unsoundness():
         assert [w.kind for w in audit] == [UNSOUND_FRAME]
 
         wrapped_pre = sep(*base, OtherSpace(roots[0], framed))
-        wrapped_script = [InstrStep(MovToCr3FromReg(Reg.RBX)),
+        wrapped_script = [MovToCr3FromReg(Reg.RBX),
                           AssertStep(OtherSpace(roots[0], framed))]
         report = check_double(wrapped_pre, roots[0], wrapped_script,
                               init=state, registry=registry)
@@ -343,18 +343,18 @@ def _candidate_steps(rng, ctx, roots):
     imm_pool = [0, 8, 0x7, 0x20_0000, 0x20_1000, *roots]
     roll = rng.random()
     if roll < 0.18:
-        return [InstrStep(MovRegImm(pick_reg(), rng.choice(imm_pool)))]
+        return [MovRegImm(pick_reg(), rng.choice(imm_pool))]
     if roll < 0.3:
-        return [InstrStep(MovRegReg(pick_reg(), pick_reg()))]
+        return [MovRegReg(pick_reg(), pick_reg())]
     if roll < 0.38:
-        return [InstrStep(AddRegImm(pick_reg(), rng.choice([8, 16, 0x1000])))]
+        return [AddRegImm(pick_reg(), rng.choice([8, 16, 0x1000]))]
     if roll < 0.46:
-        return [InstrStep(MovRegFromCr3(pick_reg()))]
+        return [MovRegFromCr3(pick_reg())]
     if roll < 0.62 and walk_claims:
         loc, _q, _v = rng.choice(walk_claims)
         base = pick_reg()
-        return [InstrStep(MovRegImm(base, loc.va)),
-                InstrStep(MovRegFromMem(pick_reg(), base, 0))]
+        return [MovRegImm(base, loc.va),
+                MovRegFromMem(pick_reg(), base, 0)]
     if roll < 0.74 and walk_claims:
         loc, _q, pa = rng.choice(walk_claims)
         data = ctx.ledger.get(PhysLoc(pa >> 12, pa & 0xFFF))
@@ -362,18 +362,18 @@ def _candidate_steps(rng, ctx, roots):
             return []
         base, src = pick_reg(), pick_reg()
         value = rng.choice(imm_pool)
-        return [InstrStep(MovRegImm(src, value)),
-                InstrStep(MovRegImm(base, loc.va)),
-                InstrStep(MovMemFromReg(base, 0, src))
-                if rng.random() < 0.8 else InstrStep(MovMemFromCr3(base, 0))]
+        return [MovRegImm(src, value),
+                MovRegImm(base, loc.va),
+                MovMemFromReg(base, 0, src)
+                if rng.random() < 0.8 else MovMemFromCr3(base, 0)]
     if roll < 0.84:
         target = rng.choice(roots)
         if ctx.ledger.get(SpaceLoc(target)) is None:
             return []
         reg = pick_reg()
         if rng.random() < 0.7:
-            return [InstrStep(MovRegImm(reg, target)),
-                    InstrStep(MovToCr3FromReg(reg))]
+            return [MovRegImm(reg, target),
+                    MovToCr3FromReg(reg)]
         # switch through memory: store the root somewhere readable first
         stores = [(loc, q, v) for loc, q, v in walk_claims
                   if (d := ctx.ledger.get(PhysLoc(v >> 12, v & 0xFFF)))
@@ -382,10 +382,10 @@ def _candidate_steps(rng, ctx, roots):
             return []
         loc, _q, _pa = rng.choice(stores)
         base, src = pick_reg(), pick_reg()
-        return [InstrStep(MovRegImm(src, target)),
-                InstrStep(MovRegImm(base, loc.va)),
-                InstrStep(MovMemFromReg(base, 0, src)),
-                InstrStep(MovToCr3FromMem(base, 0))]
+        return [MovRegImm(src, target),
+                MovRegImm(base, loc.va),
+                MovMemFromReg(base, 0, src),
+                MovToCr3FromMem(base, 0)]
     if roll < 0.92 and walk_claims:
         loc, q, _v = rng.choice(walk_claims)
         if q == FULL:
@@ -427,7 +427,7 @@ def test_criterion_8_coexecution_soundness():
                             if r.root_before != r.root_after)
 
             # the machine runs the instruction part without faulting
-            instrs = [s.instr for s in script if isinstance(s, InstrStep)]
+            instrs = [s for s in script if isinstance(s, Instr)]
             outcome = run(state.copy(), instrs, CHECK_OPTS)
             assert isinstance(outcome, MachineState), (round_no, outcome)
             assert outcome.regs == report.final_machine.regs

@@ -49,7 +49,6 @@ from vmcheck.checker import (
     RESOURCE_ONLY,
     GhostInsertWalk,
     GhostRemoveWalk,
-    InstrStep,
     MACHINE_DISAGREE,
     Violation,
     apply_rule,
@@ -127,7 +126,7 @@ def test_store_through_alias_breaks_a_held_walk_claim(monkeypatch):
               RegPt(Reg.RDI, FULL, ALIAS_B_VA),
               VirtPt(ALIAS_B_VA, FULL, _word(state, l1_b)),
               OtherSpace(root_b, VirtPt(DATA_VA, FULL, 0x3333)))
-    script = [InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))]
+    script = [MovMemFromReg(Reg.RDI, 0, Reg.RAX)]
     report = _assert_same_reports(monkeypatch, pre, root, script,
                                   init=state, registry=registry)
     assert report.violation == Violation(
@@ -145,8 +144,8 @@ def test_store_through_alias_redirects_a_held_walk_claim(monkeypatch):
               RegPt(Reg.RDI, FULL, ALIAS_B_VA),
               VirtPt(ALIAS_B_VA, FULL, _word(state, l1_b)),
               OtherSpace(root_b, VirtPt(DATA_VA, FULL, 0x3333)))
-    script = [InstrStep(MovRegImm(Reg.RAX, 0x7003)),
-              InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))]
+    script = [MovRegImm(Reg.RAX, 0x7003),
+              MovMemFromReg(Reg.RDI, 0, Reg.RAX)]
     report = _assert_same_reports(monkeypatch, pre, root, script,
                                   init=state, registry=registry)
     assert report.violation == Violation(
@@ -161,8 +160,8 @@ def test_store_through_alias_breaks_only_a_walk_map_entry(monkeypatch):
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0),
               RegPt(Reg.RDI, FULL, ALIAS_VA + 8),
               VirtPt(ALIAS_VA + 8, FULL, _word(state, l1_a + 8)))
-    script = [InstrStep(MovRegImm(Reg.RAX, 0x7003)),
-              InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))]
+    script = [MovRegImm(Reg.RAX, 0x7003),
+              MovMemFromReg(Reg.RDI, 0, Reg.RAX)]
     report = _assert_same_reports(monkeypatch, pre, root, script,
                                   init=state, registry=registry)
     assert report.violation == Violation(
@@ -197,20 +196,20 @@ def _alias_candidates(rng, roots, entries):
         # rewrite an L1 entry through an alias, sometimes to itself
         target = rng.choice([ALIAS_VA, ALIAS_VA + 8, ALIAS_VA + 16,
                              ALIAS_B_VA])
-        return [InstrStep(MovRegImm(reg, rng.choice(values))),
-                InstrStep(MovRegImm(Reg.RDI, target)),
-                InstrStep(MovMemFromReg(Reg.RDI, 0, reg))]
+        return [MovRegImm(reg, rng.choice(values)),
+                MovRegImm(Reg.RDI, target),
+                MovMemFromReg(Reg.RDI, 0, reg)]
     if roll < 0.5:
-        return [InstrStep(MovRegImm(Reg.RSI, rng.choice(
-                    [DATA_VA, SIBLING_VA, ALIAS_VA, ALIAS_VA + 8]))),
-                InstrStep(MovRegFromMem(reg, Reg.RSI, 0))]
+        return [MovRegImm(Reg.RSI, rng.choice(
+                    [DATA_VA, SIBLING_VA, ALIAS_VA, ALIAS_VA + 8])),
+                MovRegFromMem(reg, Reg.RSI, 0)]
     if roll < 0.6:
-        return [InstrStep(MovRegImm(reg, rng.choice(roots))),
-                InstrStep(MovToCr3FromReg(reg))]
+        return [MovRegImm(reg, rng.choice(roots)),
+                MovToCr3FromReg(reg)]
     if roll < 0.7:
-        return [InstrStep(MovRegReg(reg, rng.choice(regs)))]
+        return [MovRegReg(reg, rng.choice(regs))]
     if roll < 0.75:
-        return [InstrStep(AddRegImm(reg, 8))]
+        return [AddRegImm(reg, 8)]
     if roll < 0.85:
         return [GhostRemoveWalk(rng.choice([DATA_VA, SIBLING_VA]))]
     if roll < 0.95:
@@ -425,7 +424,7 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0),
               RegPt(Reg.RDI, FULL, ALIAS_VA + 8),
               VirtPt(ALIAS_VA + 8, FULL, entry))
-    real_rule = checker._RULES[InstrStep]
+    real_rule = checker._RULES[MovRegImm]
 
     def forgetful(state, step):
         # a refusal raises through; the change lands on a copy of the
@@ -438,14 +437,15 @@ def test_the_write_set_comes_from_the_machine_not_the_rule(monkeypatch):
             state.claims = claims
         return "nop"
 
-    monkeypatch.setitem(checker._RULES, InstrStep, forgetful)
-    report = check_double(pre, root, [InstrStep(MovRegImm(Reg.RAX, 7))],
+    for form in (MovRegImm, MovMemFromReg):
+        monkeypatch.setitem(checker._RULES, form, forgetful)
+    report = check_double(pre, root, [MovRegImm(Reg.RAX, 7)],
                           init=state, registry=registry)
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None, "reg:rax: ledger 0x0, machine 0x7")
     # the store also breaks SIBLING_VA's walk-map entry, which sorts later
     report = check_double(pre, root,
-                          [InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))],
+                          [MovMemFromReg(Reg.RDI, 0, Reg.RAX)],
                           init=state, registry=registry)
     assert report.violation == Violation(
         MACHINE_DISAGREE, 0, None,

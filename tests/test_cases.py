@@ -1,9 +1,10 @@
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from vmcheck import assertions, checker, ghost, machine
+from vmcheck import checker, machine
 from vmcheck.machine import Reg, translate
 from vmcheck.assertions import (
     FULL,
@@ -280,8 +281,7 @@ def _kernel_walks(monkeypatch, words, mode=COEXEC):
         calls[0] += 1
         return kernel(*args, **kwargs)
 
-    for module in (machine, assertions, ghost, checker):
-        monkeypatch.setattr(module, "translate", counted)
+    monkeypatch.setattr(machine, "translate", counted)
     report = run_case(case, mode)
     monkeypatch.undo()
     assert report.ok, report.violation
@@ -324,11 +324,11 @@ def test_coexec_swtch_walks_each_audited_walk_once(monkeypatch):
     kernel = machine.translate
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        # the walks, not the instructions' own translations
+        calls[0] += sys._getframe(1).f_code is machine.walk.__code__
         return kernel(*args, **kwargs)
 
-    for module in (assertions, ghost, checker):
-        monkeypatch.setattr(module, "translate", counted)
+    monkeypatch.setattr(machine, "translate", counted)
     report = run_case(case)
     monkeypatch.undo()
     assert report.ok, report.violation
@@ -401,11 +401,10 @@ def test_swtch_final_state():
 
 def test_swtch_machine_run_alone():
     # the listing also runs as plain machine code, no checker involved
-    from vmcheck.machine import MachineState, StepOpts, run
-    from vmcheck.checker import InstrStep
+    from vmcheck.machine import Instr, MachineState, StepOpts, run
 
     case = case_study("swtch")
-    instrs = [s.instr for s in case.script if isinstance(s, InstrStep)]
+    instrs = [s for s in case.script if isinstance(s, Instr)]
     out = run(case.state.copy(), instrs, StepOpts(set_accessed=False))
     assert isinstance(out, MachineState)
     assert out.reg(Reg.CR3) == case.state.mem[0x211][56]

@@ -63,7 +63,6 @@ from vmcheck.checker import (
     GhostPteToVirt,
     GhostRemoveWalk,
     GhostVirtToPte,
-    InstrStep,
     INSUFFICIENT_FRACTION,
     MACHINE_DISAGREE,
     MISSING_RESOURCE,
@@ -120,7 +119,7 @@ def test_reg_move_needs_full_destination():
     pre = sep(RegPt(Reg.RAX, Fraction(1, 2), 0x7),
               RegPt(Reg.RBX, FULL, 0x0))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegReg(Reg.RAX, Reg.RBX))],
+                          [MovRegReg(Reg.RAX, Reg.RBX)],
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == INSUFFICIENT_FRACTION
@@ -131,7 +130,7 @@ def test_reg_move_reads_any_fraction():
     pre = sep(RegPt(Reg.RAX, Fraction(1, 2), 0x7),
               RegPt(Reg.RBX, FULL, 0x0))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegReg(Reg.RBX, Reg.RAX))],
+                          [MovRegReg(Reg.RBX, Reg.RAX)],
                           init=state, registry=registry)
     assert report.ok
     assert report.final_ledger.get(RegLoc(Reg.RBX)) == (FULL, 0x7)
@@ -143,7 +142,7 @@ def test_load_updates_register_claim():
               RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, Fraction(1, 2), 0x1111))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))],
+                          [MovRegFromMem(Reg.RAX, Reg.RDI, 0)],
                           init=state, registry=registry)
     assert report.ok
     assert report.final_ledger.get(RegLoc(Reg.RAX)) == (FULL, 0x1111)
@@ -155,7 +154,7 @@ def test_load_requires_space_witness():
     pre = sep(RegPt(Reg.RAX, FULL, 0x7), RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, FULL, 0x1111))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))],
+                          [MovRegFromMem(Reg.RAX, Reg.RDI, 0)],
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == MISSING_RESOURCE
@@ -168,7 +167,7 @@ def test_store_requires_full_data_claim():
               RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, Fraction(1, 2), 0x1111))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))],
+                          [MovMemFromReg(Reg.RDI, 0, Reg.RAX)],
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == INSUFFICIENT_FRACTION
@@ -180,7 +179,7 @@ def test_store_updates_value_and_machine():
               RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, FULL, 0x1111))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))],
+                          [MovMemFromReg(Reg.RDI, 0, Reg.RAX)],
                           init=state, registry=registry)
     assert report.ok
     assert report.final_ledger.get(PhysLoc(0x5, 0x0)) == (FULL, 0x7)
@@ -197,7 +196,7 @@ def test_cr3_switch_moves_root_and_keeps_facts():
     state.regs[Reg.RBX] = roots[1]
     pre = switch_pre(roots, (RegPt(Reg.RAX, FULL, 0x7),))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovToCr3FromReg(Reg.RBX))],
+                          [MovToCr3FromReg(Reg.RBX)],
                           init=state, registry=registry)
     assert report.ok
     assert report.final_root == roots[1]
@@ -211,7 +210,7 @@ def test_cr3_switch_requires_target_witness():
     state.regs[Reg.RBX] = roots[1]
     pre = sep(IASpace(), RegPt(Reg.RBX, FULL, roots[1]))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovToCr3FromReg(Reg.RBX))],
+                          [MovToCr3FromReg(Reg.RBX)],
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == MISSING_RESOURCE
@@ -222,7 +221,7 @@ def test_cr3_switch_to_unregistered_root():
     state.regs[Reg.RBX] = 0xFE000
     pre = sep(IASpace(), RegPt(Reg.RBX, FULL, 0xFE000))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovToCr3FromReg(Reg.RBX))],
+                          [MovToCr3FromReg(Reg.RBX)],
                           init=state, registry=registry)
     assert not report.ok
     assert report.violation.kind == UNKNOWN_ROOT
@@ -233,7 +232,7 @@ def test_framed_virtpt_across_switch_is_unsound():
     state.regs[Reg.RBX] = roots[1]
     claim = VirtPt(0x20_0000, FULL, 0x1111)
     pre = switch_pre(roots, (claim,))
-    script = [InstrStep(MovToCr3FromReg(Reg.RBX)), AssertStep(claim)]
+    script = [MovToCr3FromReg(Reg.RBX), AssertStep(claim)]
     report = check_double(pre, roots[0], script, init=state,
                           registry=registry)
     assert not report.ok
@@ -249,7 +248,7 @@ def test_wrapped_claim_across_switch_passes():
     state.regs[Reg.RBX] = roots[1]
     claim = VirtPt(0x20_0000, FULL, 0x1111)
     pre = switch_pre(roots, (OtherSpace(roots[0], claim),))
-    script = [InstrStep(MovToCr3FromReg(Reg.RBX)),
+    script = [MovToCr3FromReg(Reg.RBX),
               AssertStep(OtherSpace(roots[0], claim))]
     report = check_double(pre, roots[0], script, init=state,
                           registry=registry)
@@ -272,7 +271,7 @@ def audited(pre, script, stubs=None, root=None):
 def test_frame_audit_silent_without_switch():
     _state, _registry, roots = fixture()
     report, warnings = audited(basic_pre(roots),
-                               [InstrStep(MovRegImm(Reg.RAX, 1))])
+                               [MovRegImm(Reg.RAX, 1)])
     assert report.ok and warnings == []
 
 
@@ -281,8 +280,8 @@ def test_frame_audit_skips_touched_claims():
     claim = VirtPt(0x20_0000, FULL, 0x1111)
     pre = switch_pre(roots, (claim, RegPt(Reg.RDI, FULL, 0x20_0000),
                              RegPt(Reg.RAX, FULL, 0x7)))
-    script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
-              InstrStep(MovToCr3FromReg(Reg.RBX))]
+    script = [MovRegFromMem(Reg.RAX, Reg.RDI, 0),
+              MovToCr3FromReg(Reg.RBX)]
     report, warnings = audited(pre, script)
     assert report.ok and warnings == []
 
@@ -305,8 +304,8 @@ def test_frame_audit_forgets_registers_at_a_call():
                              RegPt(Reg.RDI, FULL, 0x20_0000),
                              RegPt(Reg.RAX, FULL, 0x7)))
     script = [CallStep("next_page"),
-              InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
-              InstrStep(MovToCr3FromReg(Reg.RBX))]
+              MovRegFromMem(Reg.RAX, Reg.RDI, 0),
+              MovToCr3FromReg(Reg.RBX)]
     report, warnings = audited(pre, script, stubs={"next_page": stub})
     assert report.ok, report.violation
     assert warnings == [(UNSOUND_FRAME, 2, f"walk:{roots[0]:#x}:0x200000")]
@@ -394,7 +393,7 @@ def test_frame_audit_of_a_run_refused_before_its_first_step():
     # records, so no cr3 write was taken
     _state, _registry, roots = fixture()
     pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),))
-    report, warnings = audited(pre, [InstrStep(MovToCr3FromReg(Reg.RBX))],
+    report, warnings = audited(pre, [MovToCr3FromReg(Reg.RBX)],
                                root=roots[0] + 8)
     assert (report.violation.kind, report.violation.step) == \
         (UNKNOWN_ROOT, -1)
@@ -408,8 +407,8 @@ def test_frame_audit_ignores_a_cr3_write_after_the_refused_step():
     pre = switch_pre(roots, (VirtPt(0x20_0000, FULL, 0x1111),
                              RegPt(Reg.RAX, FULL, 0x7)))
     report, warnings = audited(pre, [
-        InstrStep(MovRegFromMem(Reg.RAX, Reg.RCX, 0)),
-        InstrStep(MovToCr3FromReg(Reg.RBX))])
+        MovRegFromMem(Reg.RAX, Reg.RCX, 0),
+        MovToCr3FromReg(Reg.RBX)])
     assert (report.violation.kind, report.violation.step) == \
         (MISSING_RESOURCE, 0)
     assert warnings == []
@@ -566,7 +565,7 @@ def test_not_present_insert_reports_alike_in_both_modes():
     case = map_page_case(1)
     script = list(case.script)
     assert script[2] == CallStep("alloc_phys_page_or_panic")
-    script.insert(3, InstrStep(AddRegImm(Reg.RAX, (1 << 64) - 1)))
+    script.insert(3, AddRegImm(Reg.RAX, (1 << 64) - 1))
     reports = {mode: check_double(case.pre, case.root, script, case.stubs,
                                   mode=mode, init=case.state,
                                   registry=case.registry,
@@ -814,7 +813,7 @@ def test_rule_locality_in_step_records():
     state, registry, roots = fixture()
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7), RegPt(Reg.RBX, FULL, 0))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegReg(Reg.RBX, Reg.RAX))],
+                          [MovRegReg(Reg.RBX, Reg.RAX)],
                           init=state, registry=registry)
     assert report.ok
     (record,) = report.records
@@ -858,7 +857,7 @@ def test_resource_mode_ignores_machine():
     # it but never compares claims with it
     pre = sep(RegPt(Reg.RAX, FULL, 0x9999), RegPt(Reg.RBX, FULL, 0))
     report = check_double(pre, roots[0],
-                          [InstrStep(MovRegReg(Reg.RBX, Reg.RAX))],
+                          [MovRegReg(Reg.RBX, Reg.RAX)],
                           mode=RESOURCE_ONLY,
                           init=MachineState(regs={Reg.CR3: roots[0]}),
                           registry=registry)
@@ -869,7 +868,7 @@ def test_resource_mode_ignores_machine():
 def test_reports_are_deterministic():
     state, registry, roots = fixture()
     pre = basic_pre(roots)
-    script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0)),
+    script = [MovRegFromMem(Reg.RAX, Reg.RDI, 0),
               AssertStep(RegPt(Reg.RAX, FULL, 0x1111))]
 
     def render():
@@ -1442,7 +1441,7 @@ def test_a_ghost_step_refused_by_the_audit_is_undone(inserted):
                   walk_maps), walk_maps, state.copy(), COEXEC)
 
     violation, record = _takes_the_next_step_after_refusing(
-        make_ctx, step, InstrStep(MovRegImm(Reg.RAX, 7)))
+        make_ctx, step, MovRegImm(Reg.RAX, 7))
     assert violation == Violation(MACHINE_DISAGREE, 0, None,
                                   "reg:rax: ledger 0x99, machine 0x7")
     assert (record.rule, record.consumed, record.produced) == \
@@ -1465,7 +1464,7 @@ def test_a_remove_refused_after_its_consume_is_undone():
 
     violation, record = _takes_the_next_step_after_refusing(
         make_ctx, GhostRemoveWalk(va),
-        InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX)))
+        MovMemFromReg(Reg.RDI, 0, Reg.RAX))
     assert violation == Violation(VALUE_DISAGREEMENT, 0, None,
                                   "walk map has no entry for 0x201000")
     assert (record.rule, record.consumed, record.produced) == \
@@ -1641,7 +1640,7 @@ def test_a_refused_step_leaves_the_state_and_machine_as_they_were(by):
     # and the state then takes its next step as a fresh one does
     if by == "ledger":
         make_state, script = _swtch_refusal(read_only=False)
-        refused, accepted = InstrStep(MovMemFromReg(Reg.RDI, 64, Reg.RBX)), \
+        refused, accepted = MovMemFromReg(Reg.RDI, 64, Reg.RBX), \
             script[8]
         want = Violation(MISSING_RESOURCE, 0, "walk:0x100000:0x600040",
                          "no walk claim for va 0x600040 in the current space")
@@ -1654,14 +1653,14 @@ def test_a_refused_step_leaves_the_state_and_machine_as_they_were(by):
     elif by == "audit":
         # the audit sees the broken walk: the store wrote the word first
         make_state, root_b = _alias_store_refusal()
-        refused = InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))
-        accepted = InstrStep(MovRegImm(Reg.RAX, 5))
+        refused = MovMemFromReg(Reg.RDI, 0, Reg.RAX)
+        accepted = MovRegImm(Reg.RAX, 5)
         want = Violation(MACHINE_DISAGREE, 0, None,
                          f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, "
                          f"machine walk NotPresent(level=1, va={DATA_VA})")
     else:
         make_state, refused = _lying_call_refusal(), CallStep("lie")
-        accepted = InstrStep(MovRegImm(Reg.RBX, 5))
+        accepted = MovRegImm(Reg.RBX, 5)
         want = Violation(STUB_PRE_FAILED, 0, "lie",
                          "stub lie promised claims the machine does not "
                          "satisfy: reg:rax: ledger 0x8, machine 0x9")
@@ -1688,7 +1687,7 @@ def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
     violation = _refused_leaving_the_ledger(check, CallStep("clobber"))
     assert violation.narrative == "reg:rax: ledger 0x0, machine 0x1"
     assert checker.apply_rule(
-        check, InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX)), 1) == \
+        check, MovMemFromReg(Reg.RDI, 0, Reg.RAX), 1) == \
         Violation(MACHINE_DISAGREE, 1, None,
                   f"walk:{root_b:#x}:{DATA_VA:#x}: ledger 0x6000, machine "
                   f"walk NotPresent(level=1, va={DATA_VA})")
@@ -1699,15 +1698,20 @@ def test_a_call_refused_by_the_full_audit_keeps_the_audit_index():
 NEW_PA = 0x30_0000
 
 
-def _repoint(held):
+def _repoint(held, whole=False):
     """A stub that takes `held` of the L1 slot holding MAP_FPADDR's entry,
-    points the slot at NEW_PA and hands back the slot in full if it took
-    it in full, else nothing."""
+    points the slot at NEW_PA (with `whole`, by writing the slot's table
+    frame whole through the frame writer) and hands back the slot in full
+    if it took it in full, else nothing."""
     slot = _map_fixture()[4]
     frame, off = slot >> 12, slot & 0xFFF
 
     def apply(state):
-        assert state.machine.write_word(frame, off, NEW_PA | 3) is None
+        mem = state.machine.mem
+        if whole:
+            put_frame(mem, frame, {**mem[frame], off: NEW_PA | 3})
+        else:
+            assert state.machine.write_word(frame, off, NEW_PA | 3) is None
         return lower(PhysPt(frame, off, FULL, NEW_PA | 3) if held == FULL
                      else Emp(), state.root)
 
@@ -1722,31 +1726,36 @@ def _memo_outcomes(script, mode, forget):
     case = map_page_case(1)
     check = _case_state(replace(case, stubs={
         **case.stubs, "repoint": _repoint(FULL),
+        "repoint_frame": _repoint(FULL, whole=True),
         "repoint_held": _repoint(FULL - L1_SHARE)}), mode)
     outcomes, memoized = [], None
     for index, script_step in enumerate(script):
         if forget:
-            check.walked = {}
+            check.machine.mem.walks.clear()
         outcomes.append(checker.apply_rule(check, script_step, index))
         if index == 4:
-            memoized = (check.root, MAP_VA >> 12) in check.walked
+            memoized = (check.root, MAP_VA >> 12) in check.machine.mem.walks
     return outcomes, memoized
 
 
 @pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
 @pytest.mark.parametrize("change, last", [
     # remove, store a new L1 entry, insert again: the store empties it
-    ((GhostRemoveWalk(MAP_VA), InstrStep(MovRegImm(Reg.RAX, NEW_PA | 3)),
-      InstrStep(MovMemFromReg(Reg.R14, 0, Reg.RAX))),
+    ((GhostRemoveWalk(MAP_VA), MovRegImm(Reg.RAX, NEW_PA | 3),
+      MovMemFromReg(Reg.R14, 0, Reg.RAX)),
      GhostInsertWalk(MAP_VA, NEW_PA)),
-    # a stub writes the L1 entry: the call's copy empties it
+    # a stub writes the L1 entry: the word writer empties it
     ((GhostRemoveWalk(MAP_VA), CallStep("repoint")),
      GhostInsertWalk(MAP_VA, NEW_PA)),
+    # a stub writes the L1 entry's table frame whole: the frame writer
+    # empties it
+    ((GhostRemoveWalk(MAP_VA), CallStep("repoint_frame")),
+     GhostInsertWalk(MAP_VA, NEW_PA)),
     # a stub writes the L1 entry that the invariant holds a share of; in
-    # co-execution the full audit walks the new entry, fills the memo and
-    # refuses the call: the undo puts the memo back
+    # co-execution the audit walks the new entry, fills the memo and
+    # refuses the call: the undo of its writes empties the memo
     ((CallStep("repoint_held"),), GhostRemoveWalk(MAP_VA)),
-], ids=["store", "stub", "refused-stub"])
+], ids=["store", "stub", "frame-stub", "refused-stub"])
 def test_the_page_walk_memo_never_outlives_the_machine_it_read(
         mode, change, last):
     # each script maps MAP_VA (whose page walk enters the memo), changes
@@ -1815,7 +1824,7 @@ def test_a_refused_call_that_wrote_a_frame_whole_leaves_it_shared(mode):
     assert refused.kind == STUB_PRE_FAILED, refused
     assert state.machine.mem[0x210] is case.state.mem[0x210]
     store = case.script[0]
-    assert isinstance(store.instr, MovMemFromReg)
+    assert isinstance(store, MovMemFromReg)
     assert isinstance(checker.apply_rule(state, store, 0), StepRecord)
     assert state.machine.mem[0x210] is not case.state.mem[0x210]
     assert case.state.mem == init
@@ -1932,7 +1941,8 @@ def test_ordering_work_grows_linearly_with_mapping_width(monkeypatch):
 def test_checker_does_not_use_the_reference_checks():
     # the checker compares claims with the machine only through its own
     # audit: it neither imports the ghost module nor names the reference
-    # checks machine_sat and ias_check
+    # checks machine_sat and ias_check; and it walks tables only through
+    # machine.walk, never naming the walk kernel translate
     modules = set()
     names = set()
     for node in ast.walk(ast.parse(Path(checker.__file__).read_text())):
@@ -1948,14 +1958,15 @@ def test_checker_does_not_use_the_reference_checks():
     assert "machine" in modules
     assert not {"ghost", "vmcheck.ghost"} & modules
     assert not {"ghost", "machine_sat", "ias_check"} & names
+    assert "walk" in names and "translate" not in names
 
 
 def test_only_the_machine_knows_how_a_memory_write_is_recorded():
     # every module writes memory through the machine's writers and reads
     # a step's writes from its journal: none but machine.py names the
-    # frame copy or a snapshot of word maps, and the machine has no undo
-    # but Mem.undo
-    banned = {"own_frame", "log", "keep", "restore", "replaced"}
+    # frame copy, a snapshot of word maps or the walk memo the writers
+    # empty, and the machine has no undo but Mem.undo
+    banned = {"own_frame", "log", "keep", "restore", "replaced", "walks"}
     for path in sorted(Path(machine_module.__file__).parent.glob("*.py")):
         if path.name == "machine.py":
             continue

@@ -502,7 +502,7 @@ def _reader_outcomes(text: str) -> list:
 
     def program():
         (step,) = parsing.parse_program(f"mov rax, {text}")
-        return step.instr.imm
+        return step.imm
 
     def assertion():
         return parsing.parse_assertion(f"rax |->r {text}").val

@@ -32,6 +32,7 @@ from vmcheck.machine import (
     is_canonical,
     mem_set,
     pte_frame,
+    put_frame,
     run,
     split_va,
     step,
@@ -39,6 +40,7 @@ from vmcheck.machine import (
     translate,
     walk,
 )
+from vmcheck.config import StateConfig
 
 import oracle
 
@@ -236,6 +238,56 @@ def test_translate_sets_accessed_bits():
     translate(root, mem, 0x20_0000, set_accessed=True)
     for slot, _entry in steps:
         assert mem[slot >> 12][slot & 0xFFF] & PTE_ACCESSED
+
+
+# --------------------------------------------------------------------------
+# the walk memo
+
+
+@pytest.mark.parametrize("build", [
+    lambda mem: MachineState(mem=mem),
+    lambda mem: StateConfig(memory=mem).to_machine_state(),
+], ids=["MachineState", "StateConfig"])
+def test_a_memory_a_caller_built_is_walked_unmemoized(build):
+    # a caller may write its own memory's word maps by hand: the next walk
+    # reads them, since only a copy remembers its walks
+    mem, root = identity_fixture()
+    state = build(mem)
+    steps, pa = walk(root, state.mem, 0x20_0000)
+    assert pa == 0x5000 and state.mem.walks is None
+    slot, entry = steps[3]
+    state.mem[slot >> 12][slot & 0xFFF] = encode_pte(0x6, writable=True)
+    assert walk(root, state.mem, 0x20_0008) == (
+        (*steps[:3], (slot, encode_pte(0x6, writable=True))), 0x6008)
+
+
+def test_a_copy_remembers_a_page_walk_until_a_write_or_an_undo():
+    mem, root = identity_fixture()
+    copy = MachineState(mem=mem).copy().mem
+    steps, _pa = walk(root, copy, 0x20_0000)
+    frame, off = steps[3][0] >> 12, steps[3][0] & 0xFFF
+
+    def remembered():
+        # a second word of the page reads the first word's walk
+        got = walk(root, copy, 0x20_0000)
+        assert walk(root, copy, 0x20_0ff8) == (got[0], got[1] + 0xff8)
+        return bool(copy.walks)
+
+    assert remembered()
+    mem_set(copy, frame, off, encode_pte(0x6, writable=True))
+    assert not copy.walks
+    assert walk(root, copy, 0x20_0010)[1] == 0x6010
+    assert remembered()
+    put_frame(copy, frame, {**copy[frame], off: encode_pte(0x7)})
+    assert not copy.walks
+    assert walk(root, copy, 0x20_0010)[1] == 0x7010
+    copy.journal = []
+    mem_set(copy, frame, off, encode_pte(0x8))
+    journal, copy.journal = copy.journal, None
+    assert remembered()
+    copy.undo(journal)
+    assert not copy.walks
+    assert walk(root, copy, 0x20_0010)[1] == 0x7010
 
 
 # --------------------------------------------------------------------------

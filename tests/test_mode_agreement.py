@@ -26,7 +26,6 @@ from vmcheck.checker import (
     AssertStep,
     COEXEC,
     GhostRemoveWalk,
-    InstrStep,
     MACHINE_DISAGREE,
     RESOURCE_ONLY,
     STUB_PRE_FAILED,
@@ -133,7 +132,7 @@ def test_remove_returns_the_chain_the_script_wrote_in_resource_mode():
 
 def test_stubs_read_the_registers_the_script_set_in_resource_mode():
     case = map_page_case(1)
-    script = [InstrStep(MovRegImm(Reg.RDI, MAP_VA + 0x1000)), *case.script]
+    script = [MovRegImm(Reg.RDI, MAP_VA + 0x1000), *case.script]
     reports = {mode: _run_case(case, script, mode) for mode in MODES}
     assert reports[COEXEC].violation == Violation(
         STUB_PRE_FAILED, 1, "ensure_L1_page",
@@ -154,7 +153,7 @@ def test_a_step_the_machine_faults_on_fails_in_resource_mode():
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
               RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, FULL, 0x1111))
-    script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))]
+    script = [MovRegFromMem(Reg.RAX, Reg.RDI, 0)]
     reports = {mode: check_double(pre, root, script, mode=mode, init=state,
                                   registry=registry) for mode in MODES}
     assert reports[COEXEC].violation.step == -1
@@ -171,7 +170,7 @@ def test_initial_cr3_must_be_the_root_in_both_modes():
     pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
               RegPt(Reg.RDI, FULL, 0x20_0000),
               VirtPt(0x20_0000, FULL, 0x1111))
-    script = [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))]
+    script = [MovRegFromMem(Reg.RAX, Reg.RDI, 0)]
     for mode in MODES:
         report = check_double(pre, root_a, script, mode=mode, init=state,
                               registry=registry)

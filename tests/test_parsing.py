@@ -44,7 +44,6 @@ from vmcheck.checker import (
     GhostRemoveWalk,
     GhostStep,
     GhostVirtToPte,
-    InstrStep,
 )
 from vmcheck.parsing import (
     _FORMS,
@@ -67,10 +66,6 @@ from oracle import normalize
 # programs
 
 
-def unwrap(script):
-    return [s.instr if isinstance(s, InstrStep) else s for s in script]
-
-
 def test_parse_basic_movs():
     text = """
     ; a comment line
@@ -82,7 +77,7 @@ def test_parse_basic_movs():
     mov rdx, [rsp]
     skip
     """
-    assert unwrap(parse_program(text)) == [
+    assert parse_program(text) == [
         MovRegReg(Reg.RAX, Reg.RBX),
         MovRegImm(Reg.RAX, 0x10),
         AddRegImm(Reg.RAX, 8),
@@ -100,7 +95,7 @@ def test_parse_cr3_forms():
     mov [rdi+56], cr3
     mov cr3, [rsi+56]
     """
-    assert unwrap(parse_program(text)) == [
+    assert parse_program(text) == [
         MovToCr3FromReg(Reg.RSI),
         MovRegFromCr3(Reg.RAX),
         MovMemFromCr3(Reg.RDI, 56),
@@ -186,7 +181,7 @@ def test_parse_refuses_operand_kinds_that_match_no_form(line, message):
 
 def test_parse_reads_cr3_from_cr3_as_a_cr3_load():
     # machine.step faults on it, as on any cr3 in a data operand
-    assert unwrap(parse_program("mov cr3, cr3")) == [MovToCr3FromReg(Reg.CR3)]
+    assert parse_program("mov cr3, cr3") == [MovToCr3FromReg(Reg.CR3)]
 
 
 @pytest.mark.parametrize("line", [
@@ -235,9 +230,8 @@ def test_every_spelling_row_roundtrips(row, data):
     form, fields = row
     built = data.draw(st.builds(form, **{f: _FIELD_VALUES[f]
                                          for f in fields if f}))
-    step = InstrStep(built) if isinstance(built, Instr) else built
-    printed = print_program([step])
-    assert parse_program(printed) == [step]
+    printed = print_program([built])
+    assert parse_program(printed) == [built]
     # printing is a fixed point
     assert print_program(parse_program(printed)) == printed
 
@@ -381,8 +375,8 @@ def test_assertion_numbers_are_ascii_hex_or_decimal(text):
 
 
 def test_program_numbers_read_as_before():
-    assert unwrap(parse_program(
-        "mov rax, 0x1f\nmov rbx, 010\nmov rcx, [rdi-0x8]\nmov rdx, 0xAb")) == [
+    assert parse_program(
+        "mov rax, 0x1f\nmov rbx, 010\nmov rcx, [rdi-0x8]\nmov rdx, 0xAb") == [
         MovRegImm(Reg.RAX, 0x1F), MovRegImm(Reg.RBX, 10),
         MovRegFromMem(Reg.RCX, Reg.RDI, -8), MovRegImm(Reg.RDX, 0xAB)]
     with pytest.raises(ParseError, match="immediate -0x1 is not a 64-bit"):

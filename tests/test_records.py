@@ -66,7 +66,6 @@ from vmcheck.checker import (
     GhostPteToVirt,
     GhostRemoveWalk,
     GhostVirtToPte,
-    InstrStep,
 )
 
 R = Reg
@@ -132,7 +131,6 @@ VALUE_TYPES = [
      "OtherSpace(root=1310720, body=IASpace())", (("root",), ("body",))),
     (Sep((IASpace(), Pure(PredAligned(0)))),
      "Sep(parts=(IASpace(), Pure(pred=PredAligned(addr=0))))", (("parts",),)),
-    (InstrStep(Skip()), "InstrStep(instr=Skip())", (("instr",),)),
     (GhostInsertWalk(0x400000, 0x200000),
      "GhostInsertWalk(va=4194304, pa=2097152)", (("va",), ("pa",))),
     (GhostRemoveWalk(0x400008), "GhostRemoveWalk(va=4194312)", (("va",),)),
@@ -163,7 +161,7 @@ def _classes():
 
 
 def test_the_table_has_one_row_per_value_type():
-    assert len(VALUE_TYPES) == 37
+    assert len(VALUE_TYPES) == 36
     records = {cls for cls in _classes()
                if issubclass(cls, Record) and "__new__" in vars(cls)}
     assert records == {type(r) for r, _, _ in VALUE_TYPES + NEW_TYPES} | \

@@ -56,7 +56,6 @@ from vmcheck.checker import (
     GhostRemoveWalk,
     GhostVirtToPte,
     INSUFFICIENT_FRACTION,
-    InstrStep,
     MACHINE_DISAGREE,
     MISSING_RESOURCE,
     RESOURCE_ONLY,
@@ -136,7 +135,7 @@ def _mem_form(form, regs_held, claims):
     regs = {Reg.RAX: (FULL, 0x7), Reg.RDI: (FULL, VA), **regs_held}
     pre = sep(*(RegPt(r, q, v) for r, (q, v) in regs.items() if q),
               *claims)
-    return _check(pre, [InstrStep(instr)])
+    return _check(pre, [instr])
 
 
 def _memory_cases():
@@ -181,8 +180,8 @@ def _memory_cases():
                 sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
                     RegPt(Reg.RDI, FULL, NEXT), _chain(NEXT)),
                 [GhostInsertWalk(NEXT, 0x5008),
-                 InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0) if f == "load"
-                           else MovToCr3FromMem(Reg.RDI, 0))],
+                 MovRegFromMem(Reg.RAX, Reg.RDI, 0) if f == "load"
+                           else MovToCr3FromMem(Reg.RDI, 0)],
                 regs={Reg.RDI: NEXT}))
     cases["load-partial-destination"] = (
         INSUFFICIENT_FRACTION, "reg:rax",
@@ -206,7 +205,7 @@ def _memory_cases():
 
 def _switch(target, claims):
     return _check(sep(RegPt(Reg.RBX, FULL, target), *claims),
-                  [InstrStep(MovToCr3FromReg(Reg.RBX))],
+                  [MovToCr3FromReg(Reg.RBX)],
                   regs={Reg.RBX: target})
 
 
@@ -216,29 +215,29 @@ def _register_cases():
         "move-no-source": (
             MISSING_RESOURCE, "no claim on register rbx",
             lambda: _check(RegPt(Reg.RAX, FULL, 0x7),
-                           [InstrStep(MovRegReg(Reg.RAX, Reg.RBX))])),
+                           [MovRegReg(Reg.RAX, Reg.RBX)])),
         "move-partial-destination": (
             INSUFFICIENT_FRACTION, "reg:rax",
             lambda: _check(sep(RegPt(Reg.RAX, HALF, 0x7),
                                RegPt(Reg.RBX, FULL, 0)),
-                           [InstrStep(MovRegReg(Reg.RAX, Reg.RBX))])),
+                           [MovRegReg(Reg.RAX, Reg.RBX)])),
         "immediate-no-destination": (
             INSUFFICIENT_FRACTION, "reg:rbx",
-            lambda: _check(sep(), [InstrStep(MovRegImm(Reg.RBX, 0x5))])),
+            lambda: _check(sep(), [MovRegImm(Reg.RBX, 0x5)])),
         "add-no-destination": (
             MISSING_RESOURCE, "no claim on register rbx",
-            lambda: _check(sep(), [InstrStep(AddRegImm(Reg.RBX, 0x1))])),
+            lambda: _check(sep(), [AddRegImm(Reg.RBX, 0x1)])),
         "add-partial-destination": (
             INSUFFICIENT_FRACTION, "reg:rax",
             lambda: _check(RegPt(Reg.RAX, HALF, 0x7),
-                           [InstrStep(AddRegImm(Reg.RAX, 0x1))])),
+                           [AddRegImm(Reg.RAX, 0x1)])),
         "cr3-read-partial-destination": (
             INSUFFICIENT_FRACTION, "reg:rax",
             lambda: _check(RegPt(Reg.RAX, HALF, 0x7),
-                           [InstrStep(MovRegFromCr3(Reg.RAX))])),
+                           [MovRegFromCr3(Reg.RAX)])),
         "switch-no-source": (
             MISSING_RESOURCE, "no claim on register rbx",
-            lambda: _check(IASpace(), [InstrStep(MovToCr3FromReg(Reg.RBX))])),
+            lambda: _check(IASpace(), [MovToCr3FromReg(Reg.RBX)])),
         "switch-unaligned": (
             UNKNOWN_ROOT, "target root is not page aligned",
             lambda: _switch(root_b + 8, [IASpace()])),
@@ -257,7 +256,7 @@ def _register_cases():
             lambda: _check(sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
                                RegPt(Reg.RDI, FULL, UNMAPPED),
                                PtePt(UNMAPPED, FULL, 0x5000, 0x1111)),
-                           [InstrStep(MovRegFromMem(Reg.RAX, Reg.RDI, 0))],
+                           [MovRegFromMem(Reg.RAX, Reg.RDI, 0)],
                            regs={Reg.RDI: UNMAPPED})),
         "step-breaks-a-walk-map-entry": (
             MACHINE_DISAGREE, "walk-map entry 0x201000 broken: 0x7000",
@@ -274,8 +273,8 @@ def _store_through_alias():
                         RegPt(Reg.RDI, FULL, ALIAS_VA + 8),
                         VirtPt(ALIAS_VA + 8, FULL, entry)),
                 root=root, init=state, registry=registry, stubs={},
-                script=[InstrStep(MovRegImm(Reg.RAX, 0x7003)),
-                        InstrStep(MovMemFromReg(Reg.RDI, 0, Reg.RAX))])
+                script=[MovRegImm(Reg.RAX, 0x7003),
+                        MovMemFromReg(Reg.RDI, 0, Reg.RAX)])
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +416,7 @@ def _after_switch(claim, step):
     _a, root_b, _c = _roots()
     return _check(sep(IASpace(), RegPt(Reg.RBX, FULL, root_b),
                       OtherSpace(root_b, IASpace()), claim),
-                  [InstrStep(MovToCr3FromReg(Reg.RBX)), step],
+                  [MovToCr3FromReg(Reg.RBX), step],
                   regs={Reg.RBX: root_b})
 
 
@@ -489,7 +488,7 @@ def _precondition_cases():
         "pre-machine-disagrees": (
             MACHINE_DISAGREE, "reg:rax: ledger 0x8, machine 0x7",
             lambda: _check(RegPt(Reg.RAX, FULL, 0x8),
-                           [InstrStep(MovRegImm(Reg.RAX, 0x9))])),
+                           [MovRegImm(Reg.RAX, 0x9)])),
     }
 
 
