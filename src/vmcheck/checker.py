@@ -46,10 +46,10 @@ rule; the ledger is the one global precondition threaded through.  The
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple, Optional, Union
 
 from .machine import (
@@ -832,6 +832,24 @@ def apply_rule(state: CheckState, script_step: Union[Instr, ScriptStep],
     return StepRecord(index, name, consumed, produced, root, state.root)
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """`value`, made of dicts with str keys, lists, str, int, bool and
+    None, as ``json.dumps(value, indent=2)`` writes it, each string quoted
+    by the C encoder; `indent` starts each line inside `value`."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + json_text(v, inner)
+            for k, v in value.items()]) + indent + "}"
+    if isinstance(value, list) and value:
+        return "[" + inner + ("," + inner).join([
+            json_text(v, inner) for v in value]) + indent + "]"
+    return {"None": "null", "True": "true", "False": "false"}.get(
+        repr(value), repr(value))  # also an int, {} or []
+
+
 @dataclass(frozen=True)
 class Report:
     root: int
@@ -875,7 +893,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2) + "\n"
+        return json_text(self.payload()) + "\n"
 
     def to_text(self) -> str:
         lines = [f"mode: {self.mode}", f"initial root: {self.root:#x}"]

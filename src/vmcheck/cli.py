@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,6 +26,7 @@ from .machine import (
     Reg,
     StepOpts,
     execute,
+    is_canonical,
     walk,
     walk_text,
 )
@@ -35,6 +35,7 @@ from .checker import (
     RESOURCE_ONLY,
     check_double,
     frame_audit,
+    json_text,
 )
 from .cases import CASE_NAMES, STUB_LIBRARY, UnknownCase, case_study
 from .config import ConfigError, StateConfig, dump_config, load_config
@@ -162,9 +163,8 @@ def cmd_check(args) -> int:
                           free_list=cfg.free_list)
     warnings = frame_audit(pre, report)
     if args.report == "json":
-        payload = report.payload()
-        payload["frame_audit"] = [asdict(w) for w in warnings]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json_text({**report.payload(), "frame_audit": [
+            asdict(w) for w in warnings]}) + "\n")
     else:
         sys.stdout.write(report.to_text())
         for w in warnings:
@@ -180,6 +180,8 @@ def cmd_walk(args) -> int:
     cfg = _load_state(args.state)
     root = _parse_word(args.root, "--root", PAGE_SIZE)
     va = _parse_word(args.va, "--va")
+    if not is_canonical(va):
+        raise UsageError(f"--va {va:#x} is not canonical")
     steps, result = walk(root, cfg.memory, va)
     *lines, outcome = walk_text(result, steps)
     ok = isinstance(result, int)

@@ -8,29 +8,34 @@ uses (``parsing.signed_number``: 0x-hex or decimal ASCII digits), and a
 frame, offset, space root or walk-map key spelled two ways in one object.
 One reader, ``_word``, checks a word's width and alignment where it is
 read: every word in [0, 2^64), walk-map keys and values word aligned,
-space roots and free-list entries page aligned.
+space roots and free-list entries page aligned; a walk-map key must also
+be a canonical va (``machine.is_canonical``).
 
-The words of a frame whose offsets are ``0x0`` .. ``0xff8`` are read in
-bulk when each is spelled as the dumper spells it (``0x`` and 1 to 16
-lower-case hex digits): one pattern over the newline-joined texts, with
-one newline fewer than texts, so ``"0x1\\n0x2"`` cannot pass as two.  A
-frame of all 512 offsets starts as a copy of one all-zero frame, and
-only its other words are read: every shipped and benchmark state is at
-least 99.5% ``0x0`` words.  Everything else, walk maps included, is read
-word by word, so any grammar spelling loads, and every error names the
-first bad field."""
+A memory frame's object may give ``"*"`` a word, held by each slot
+(``0x0`` .. ``0xff8``) it does not list; the dumper writes it first in
+every frame of all 512 slots, holding the frame's most common word.  A
+frame that lists every slot loads as one whose ``"*"`` is ``0x0`` (the
+word of 99.5% of a benchmark state), which starts as a copy of one
+all-zero frame.  The words listed at slots are read at once when each is
+spelled as the dumper spells it (``0x`` and 1 to 16 lower-case hex
+digits): one pattern over the newline-joined texts, with one newline
+fewer than texts, so ``"0x1\\n0x2"`` cannot pass as two.  Everything
+else, walk maps included, is read word by word, so any grammar spelling
+loads, and every error names the first bad field."""
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
 
-from .machine import MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES
+from .machine import (MachineState, Mem, PAGE_SIZE, Reg, WORD_BYTES,
+                      is_canonical)
 from .machine import ZERO_FRAME as _ZERO_FRAME
 from .assertions import Registry
+from .checker import json_text
 from .parsing import signed_number
 
 
@@ -121,35 +126,19 @@ _SLOTS = {f"{off:#x}": off for off in range(0, PAGE_SIZE, WORD_BYTES)}
 _HEX_WORDS = re.compile(r"0x[0-9a-f]{1,16}(?:\n0x[0-9a-f]{1,16})*")
 
 
-def _bulk(texts: list) -> Optional[list]:
-    """The words of `texts` when each is spelled as the dumper spells a
-    word, else None."""
+def _slot_words(words: dict, frame: int) -> dict:
+    """The {offset: word} map of the offsets a frame's object lists: read at
+    once when they are slots spelled as the dumper spells them."""
+    texts = list(words.values())
     try:
         joined = "\n".join(texts)
     except TypeError:
-        return None
-    if not texts or (_HEX_WORDS.fullmatch(joined)
-                     and joined.count("\n") == len(texts) - 1):
-        return list(map(int, texts, repeat(16)))
-    return None
-
-
-def _frame_words(words: dict, frame: int, checked: set) -> dict:
-    """The {offset: word} map of one memory frame's JSON object: one
-    `_bulk` call when its offsets are slots, else word by word.  `checked`
-    holds the key tuples this load found to be slots: a dump repeats one."""
-    keys = tuple(words)
-    if keys in checked or words.keys() <= _SLOTS.keys():
-        checked.add(keys)
-        # a frame of every slot is the zero frame with its other words
-        full = len(words) == len(_ZERO_FRAME)
-        inner = _ZERO_FRAME.copy() if full else {}
-        spelled = {text: value for text, value in words.items()
-                   if value != "0x0"} if full else words
-        numbers = _bulk(list(spelled.values()))
-        if numbers is not None:
-            inner.update(zip(map(_SLOTS.__getitem__, spelled), numbers))
-            return inner
+        joined = ""  # a value that is no str: no pattern matches
+    if words.keys() <= _SLOTS.keys() and (not texts or (
+            _HEX_WORDS.fullmatch(joined)
+            and joined.count("\n") == len(texts) - 1)):
+        return dict(zip(map(_SLOTS.__getitem__, words),
+                        map(int, texts, repeat(16))))
     inner = {}
     for off_text, val in words.items():
         off = _num(off_text, "memory offset")
@@ -157,6 +146,25 @@ def _frame_words(words: dict, frame: int, checked: set) -> dict:
             raise ConfigError(f"offset {off:#x} is not a word slot")
         _once(f"memory frame {frame:#x} offset", off, inner, words, off_text)
         inner[off] = _word(val, f"memory word {frame:#x}:{off:#x}")
+    return inner
+
+
+def _frame_words(words: dict, frame: int, slots: list) -> dict:
+    """The {offset: word} map of a frame's JSON object; one that lists
+    every slot is read as ``"*"`` 0x0 and its other words.  `slots[0]` is
+    this load's last such key list: the decoder makes one str of each key
+    text, so a dump's next full frame equals it object for object."""
+    keys = list(words)
+    if len(keys) == len(_ZERO_FRAME) and (
+            keys == slots[0] or words.keys() <= _SLOTS.keys()):
+        slots[0] = keys
+        words = {"*": "0x0", **{k: v for k, v in words.items() if v != "0x0"}}
+    if "*" not in words:
+        return _slot_words(words, frame)
+    inner = _ZERO_FRAME.copy() if words["*"] == "0x0" else dict.fromkeys(
+        _ZERO_FRAME, _word(words["*"], f"memory word {frame:#x}:*"))
+    inner.update(_slot_words({k: v for k, v in words.items() if k != "*"},
+                             frame))
     return inner
 
 
@@ -178,7 +186,7 @@ def load_config(text: str) -> StateConfig:
             raise ConfigError(f"unknown register {name!r}") from None
         registers[reg] = _word(value, f"register {name}")
 
-    memory, checked = {}, set()
+    memory, slots = {}, [list(_SLOTS)]
     for frame_text, words in _shaped(body.get("memory", {}), dict,
                                      "memory").items():
         frame = _num(frame_text, "memory frame")
@@ -186,7 +194,7 @@ def load_config(text: str) -> StateConfig:
             raise ConfigError(f"frame {frame:#x} out of range")
         _once("memory frame", frame, memory, body["memory"], frame_text)
         memory[frame] = _frame_words(
-            _shaped(words, dict, f"memory frame {frame:#x}"), frame, checked)
+            _shaped(words, dict, f"memory frame {frame:#x}"), frame, slots)
 
     registry = {}
     for root_text, entries in _shaped(body.get("registry", {}), dict,
@@ -197,6 +205,9 @@ def load_config(text: str) -> StateConfig:
         for va_text, pa_text in _shaped(entries, dict,
                                         f"walk map {root:#x}").items():
             va = _word(va_text, f"walk map {root:#x} key", WORD_BYTES)
+            if not is_canonical(va):
+                raise ConfigError(f"walk map {root:#x} key {va:#x} is not "
+                                  "canonical")
             _once(f"walk map {root:#x} key", va, theta, entries, va_text)
             theta[va] = _word(pa_text, f"walk map {root:#x} entry {va:#x} ->",
                               WORD_BYTES)
@@ -207,16 +218,23 @@ def load_config(text: str) -> StateConfig:
                        registry=registry, free_list=free_list)
 
 
+def _dumped_frame(words: dict) -> dict:
+    """A frame's JSON object: for a frame of every slot, "*" holding its
+    most common word (the least on a tie), then only the other words."""
+    star = (Counter(sorted(words.values())).most_common(1)[0][0]
+            if len(words) == len(_ZERO_FRAME) else None)
+    return {**({} if star is None else {"*": f"{star:#x}"}),
+            **{f"{off:#x}": f"{val:#x}" for off, val in sorted(words.items())
+               if val != star}}
+
+
 def dump_config(cfg: StateConfig) -> str:
     body = {
         "registers": {reg.value: f"{val:#x}"
                       for reg, val in sorted(cfg.registers.items(),
                                              key=lambda kv: kv[0].value)},
-        "memory": {
-            f"{frame:#x}": {f"{off:#x}": f"{val:#x}"
-                            for off, val in sorted(words.items())}
-            for frame, words in sorted(cfg.memory.items())
-        },
+        "memory": {f"{frame:#x}": _dumped_frame(words)
+                   for frame, words in sorted(cfg.memory.items())},
         "registry": {
             f"{root:#x}": {f"{va:#x}": f"{pa:#x}"
                            for va, pa in sorted(theta.items())}
@@ -224,4 +242,4 @@ def dump_config(cfg: StateConfig) -> str:
         },
         "free_list": [f"{x:#x}" for x in cfg.free_list],
     }
-    return json.dumps(body, indent=2) + "\n"
+    return json_text(body) + "\n"

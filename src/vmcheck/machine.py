@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -78,6 +79,8 @@ class Reg(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    __repr__ = lru_cache(maxsize=32)(Enum.__repr__)  # once per member
 
 
 DATA_REGS = tuple(r for r in Reg if r.is_data)

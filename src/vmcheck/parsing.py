@@ -13,9 +13,9 @@ Program lines:
     @assert { ASSERTION }
 
 ``;`` starts a comment.  DISP is optional (default 0) and may be
-negative.  An ADDR is a word-aligned 64-bit word.  A ghost step names
-each of its arguments once and nothing else.  Numbers are 0x-hex or
-decimal in ASCII digits, ``0x[0-9a-fA-F]+`` or ``[0-9]+``, everywhere.
+negative.  An ADDR is a word-aligned 64-bit word, a va also canonical.
+A ghost step names each of its arguments once and nothing else.  Numbers
+are 0x-hex or decimal ASCII digits, ``0x[0-9a-fA-F]+`` or ``[0-9]+``.
 
 Assertions:
     A ::= "emp" | REG "|->r" FR? WORD
@@ -29,17 +29,18 @@ Assertions:
 
 An absent FR means the full share, and a share must lie in (0, 1].
 Every number in an assertion must fit in 64 bits, and a value a claim
-refuses (a cr3 claim, a misaligned address or root) is a ParseError with
-its line and column.  Wrappers nest at most 64 deep (``MAX_NESTING``); a
-deeper one is refused at its ``[``.  Parsing and printing round-trip.
-Each number is matched once, its value read by ``int``; a character no
-token starts with is refused at the end of the token before it.
+refuses (a cr3 claim, a misaligned address or root, a va not canonical)
+is a ParseError with its line and column.  Wrappers nest at most 64 deep
+(``MAX_NESTING``); a deeper one is refused at its ``[``.  Parsing and
+printing round-trip.  One split of the text finds every token; a
+character no token starts with is refused where the last token ends.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import Optional, Union
 
 from .machine import (
@@ -55,6 +56,7 @@ from .machine import (
     MovToCr3FromReg,
     Reg,
     Skip,
+    is_canonical,
 )
 from .assertions import (
     Assertion,
@@ -140,32 +142,26 @@ def _parse_int(text: str, line: int, col: int) -> int:
 # Assertion tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sym>\|->vpte|\|->r|\|->a|\|->v|==|[{}()\[\]*:/])"
-    rf"|(?P<num>{_NUM})"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?=\S))")
+    r"(\|->vpte|\|->r|\|->a|\|->v|==|[{}()\[\]*:/]"
+    rf"|{_NUM}"
+    r"|[A-Za-z_][A-Za-z0-9_]*)")
 
 # the token after the last one
-_END = (None, None, 0, None)
+_END = ("", 0)
 
 
 def _tokenize(text: str, line: int) -> list:
-    """The tokens of `text`, each (kind, text, column, number or None),
-    then _END.  One pass: every match starts where the last one ended,
-    and a match of the empty alternative marks a character no token
-    starts with, refused at the end of the token before it."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            pos = m.start()
-            raise ParseError(line, pos + 1,
-                             f"cannot read {text[pos:].strip()[:10]!r}")
-        token = m.group(kind)
-        tokens.append((kind, token, m.start(kind) + 1,
-                       _value(token) if kind == "num" else None))
-    tokens.append(_END)
-    return tokens
+    """Each token of `text` as (text, column), a number's text starting
+    with a digit, then _END.  Only whitespace may lie between tokens: a
+    character no token starts with is refused where the last token ends."""
+    parts = _TOKEN_RE.split(text)
+    if "".join(parts[::2]).strip():
+        gap = next(i for i in range(0, len(parts), 2) if parts[i].strip())
+        pos = sum(map(len, parts[:gap]))
+        raise ParseError(line, pos + 1,
+                         f"cannot read {text[pos:].strip()[:10]!r}")
+    return [*zip(parts[1::2], islice(
+        accumulate(map(len, parts), initial=1), 1, None, 2)), _END]
 
 
 class _AssertionParser:
@@ -181,30 +177,31 @@ class _AssertionParser:
         if token is _END:
             return ParseError(self.line, 0, "unexpected end of assertion",
                               (summary,) if summary else expected)
-        return ParseError(self.line, token[2], f"got {token[1]!r}", expected)
+        return ParseError(self.line, token[1], f"got {token[0]!r}", expected)
 
     def expect_sym(self, sym):
         token = self.tokens[self.pos]
-        if token[1] != sym:
+        if token[0] != sym:
             raise self.refusal(token, (sym,))
         self.pos += 1
 
     def word(self, token):
-        if token[3] >= 1 << 64:
-            raise ParseError(self.line, token[2],
-                             f"{token[1]} is not a 64-bit word")
-        return token[3]
+        value = _value(token[0])
+        if value >= 1 << 64:
+            raise ParseError(self.line, token[1],
+                             f"{token[0]} is not a 64-bit word")
+        return value
 
     def number(self):
         token = self.tokens[self.pos]
-        if token[0] != "num":
+        if not token[0][:1].isdigit():
             raise self.refusal(token, ("number",))
         self.pos += 1
         return self.word(token)
 
     def fraction(self) -> Fraction:
         token = self.tokens[self.pos]
-        if token[1] != "{":
+        if token[0] != "{":
             return FULL
         self.pos += 1
         num = self.number()
@@ -212,12 +209,12 @@ class _AssertionParser:
         den = self.number()
         self.expect_sym("}")
         if den == 0:
-            raise ParseError(self.line, token[2], "share has denominator 0")
+            raise ParseError(self.line, token[1], "share has denominator 0")
         return Fraction(num, den)
 
     def parse(self) -> Assertion:
         parts = [self.parse_one()]
-        while self.tokens[self.pos][1] == "*":
+        while self.tokens[self.pos][0] == "*":
             self.pos += 1
             parts.append(self.parse_one())
         if len(parts) == 1:
@@ -225,30 +222,31 @@ class _AssertionParser:
         return sep(*parts)
 
     def parse_one(self) -> Assertion:
-        """One leaf or wrapper; a value its constructor refuses (a cr3
-        claim, a misaligned address, a share outside (0, 1]) is a
-        ParseError at the leaf's first token."""
+        """One leaf or wrapper; a va that is not canonical, or a value its
+        constructor refuses (a cr3 claim, a misaligned address, a share
+        outside (0, 1]), is a ParseError at the leaf's first token."""
         token = self.tokens[self.pos]
         try:
             return self.parse_leaf()
         except ParseError:
             raise
         except ValueError as err:
-            raise ParseError(self.line, token[2], str(err)) from None
+            raise ParseError(self.line, token[1], str(err)) from None
 
     def parse_leaf(self) -> Assertion:
-        # but for a number, a token's text tells its kind
         token = self.tokens[self.pos]
-        text = token[1]
+        text = token[0]
         self.pos += 1
-        if token[0] == "num":
+        if text[:1].isdigit():
             va = self.word(token)
+            if not is_canonical(va):
+                raise ValueError(f"va {va:#x} is not canonical")
             after = self.tokens[self.pos]
             self.pos += 1
             # arguments are read left to right, as they are written
-            if after[1] == "|->v":
+            if after[0] == "|->v":
                 return VirtPt(va, self.fraction(), self.number())
-            if after[1] == "|->vpte":
+            if after[0] == "|->vpte":
                 return PtePt(va, self.fraction(), self.number(), self.number())
             raise self.refusal(after, ("|->v", "|->vpte"), "|->v or |->vpte")
         if text in _REG_NAMES:
@@ -256,7 +254,7 @@ class _AssertionParser:
             return RegPt(_REG_NAMES[text], self.fraction(), self.number())
         if text == "[":
             if self.depth == MAX_NESTING:
-                raise ParseError(self.line, token[2], "wrappers nested more "
+                raise ParseError(self.line, token[1], "wrappers nested more "
                                  f"than {MAX_NESTING} deep")
             root = self.number()
             self.expect_sym("]")
@@ -287,11 +285,11 @@ class _AssertionParser:
     def parse_pred(self):
         token = self.tokens[self.pos]
         self.pos += 1
-        if token[1] == "aligned":
+        if token[0] == "aligned":
             return PredAligned(self.number())
-        if token[1] == "unmapped":
+        if token[0] == "unmapped":
             return PredUnmapped(self.number())
-        if token[0] == "num":
+        if token[0][:1].isdigit():
             lhs = self.word(token)
             self.expect_sym("==")
             return PredEq(lhs, self.number())
@@ -304,7 +302,7 @@ def parse_assertion(text: str, line: int = 1) -> Assertion:
     node = parser.parse()
     leftover = parser.tokens[parser.pos]
     if leftover is not _END:
-        raise ParseError(line, leftover[2], f"trailing {leftover[1]!r}")
+        raise ParseError(line, leftover[1], f"trailing {leftover[0]!r}")
     return node
 
 
@@ -380,14 +378,12 @@ _MEM_OPERAND_RE = re.compile(
 
 
 def _split_operands(rest: str, line: int):
-    depth = 0
-    for i, ch in enumerate(rest):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return rest[:i].strip(), rest[i + 1:].strip()
+    """`rest` split at its first comma outside brackets."""
+    comma = rest.find(",")
+    while comma >= 0:
+        if rest.count("[", 0, comma) == rest.count("]", 0, comma):
+            return rest[:comma].strip(), rest[comma + 1:].strip()
+        comma = rest.find(",", comma + 1)
     raise ParseError(line, 1, "expected two comma-separated operands")
 
 
@@ -458,7 +454,10 @@ def _parse_ghost(rest: str, line: int) -> ScriptStep:
     for name in fields:
         if name not in args:
             raise ParseError(line, 1, f"ghost {op} is missing {name}=")
-    return _build(form, fields, [args[name] for name in fields], line)
+    step = _build(form, fields, [args[name] for name in fields], line)
+    if not is_canonical(step.va):
+        raise ParseError(line, 1, f"ghost va={step.va:#x} is not canonical")
+    return step
 
 
 def parse_program(text: str) -> Script:

@@ -506,6 +506,23 @@ def test_a_ghost_insert_of_a_non_canonical_alias_is_refused(mode):
         f"va {alias:#x} is not canonical: the machine faults before it walks")
 
 
+@pytest.mark.parametrize("mode", [COEXEC, RESOURCE_ONLY])
+def test_a_va_made_non_canonical_at_run_time_is_refused_by_the_ledger(mode):
+    # text takes only canonical vas, but `add` can make one: rdi holds the
+    # last word of the lower half, and a load through rdi + 8 finds no walk
+    # claim, so the ledger refuses it before the machine faults
+    state, registry, roots = fixture()
+    state.regs[Reg.RDI] = 0x7FFF_FFFF_FFF8
+    pre = sep(IASpace(), RegPt(Reg.RAX, FULL, 0x7),
+              RegPt(Reg.RDI, FULL, 0x7FFF_FFFF_FFF8))
+    report = check_double(pre, roots[0],
+                          parse_program("add rdi, 8\nmov rax, [rdi]\n"),
+                          mode=mode, init=state, registry=registry)
+    assert str(report.violation) == (
+        f"step 1: MissingResource at walk:{roots[0]:#x}:0x800000000000: no "
+        "walk claim for va 0x800000000000 in the current space")
+
+
 @pytest.mark.parametrize("level", [4, 3, 2, 1])
 def test_ghost_insert_rejects_not_present_chain_in_resource_mode(level):
     # an entry without its present bit does not justify a walk: the

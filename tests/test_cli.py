@@ -118,13 +118,14 @@ def test_walk_reports_fault_level(capsys, workdir):
 
 @pytest.mark.parametrize("va", ["0xffff000000200000", "0x4000000200000",
                                 "0x800000000000"])
-def test_walk_faults_on_a_non_canonical_alias_of_a_mapped_va(capsys, workdir,
-                                                             va):
-    # 0x200000 resolves (test_walk_resolves); its aliases fault, unwalked
+def test_walk_refuses_a_non_canonical_alias_of_a_mapped_va(capsys, workdir,
+                                                           va):
+    # 0x200000 resolves (test_walk_resolves); its aliases are refused as
+    # --va is read, unwalked
     tmp, state_path, roots = workdir
-    code, out, _ = invoke(capsys, "walk", "--state", str(state_path),
-                          "--root", f"{roots[0]:#x}", "--va", va)
-    assert (code, out) == (1, f"fault: NonCanonical(va={int(va, 16)})\n")
+    code, out, err = invoke(capsys, "walk", "--state", str(state_path),
+                            "--root", f"{roots[0]:#x}", "--va", va)
+    assert (code, out, err) == (2, "", f"error: --va {va} is not canonical\n")
 
 
 def test_walk_refuses_a_root_off_a_page_as_it_reads_it(capsys, workdir):
@@ -299,6 +300,23 @@ _LONG = "7" * 5000
      "8\n"),
     ({"prog.s": f"mov rax, [rbx + 0x{'8' * 4000}]".encode()}, _CHECK,
      f"line 1, column 1: displacement 0x{'8' * 4000} out of range\n"),
+    # a frame's "*" word that is no word
+    ({"state.json": b'{"memory": {"0x5": {"0x0": "0x1", "*": "0xg"}}}'},
+     _WALK, "state.json: bad number '0xg' for memory word 0x5:*\n"),
+    # a va that is not canonical (bits 63..48 differ from bit 47), at each
+    # reader of a va
+    ({"state.json": b'{"registry": {"0x100000": '
+                    b'{"0xffff000000200000": "0x5000"}}}'}, _WALK,
+     "state.json: walk map 0x100000 key 0xffff000000200000 is not "
+     "canonical\n"),
+    ({"pre.txt": b"emp * 0xffff000000200000 |->v 0x0"}, _CHECK,
+     "line 1, column 7: va 0xffff000000200000 is not canonical\n"),
+    ({"prog.s": b"skip\n@assert { 0x800000000000 |->vpte 0x5000 0x0 }\n"},
+     _CHECK, "line 2, column 2: va 0x800000000000 is not canonical\n"),
+    ({"prog.s": b"@ghost remove_walk va=0x4000000200000\n"}, _CHECK,
+     "line 1, column 1: ghost va=0x4000000200000 is not canonical\n"),
+    ({}, _WALK[:-1] + ("0xffff000000600000",),
+     "--va 0xffff000000600000 is not canonical\n"),
 ], ids=["pre-not-utf8", "prog-not-utf8", "emit-onto-a-file",
         "emit-under-a-file", "state-nested-1000-deep",
         "state-frame-spelled-twice", "pre-wrappers-330-deep",
@@ -307,7 +325,10 @@ _LONG = "7" * 5000
         "ghost-argument-5000-digits", "state-word-5000-digits",
         "state-key-5000-digits", "state-json-number-5000-digits",
         "root-5000-digits", "va-5000-digits",
-        "displacement-4000-hex-f-digits", "displacement-4000-hex-8-digits"])
+        "displacement-4000-hex-f-digits", "displacement-4000-hex-8-digits",
+        "state-star-word-bad", "state-walk-map-key-non-canonical",
+        "pre-va-non-canonical", "assert-pte-va-non-canonical",
+        "ghost-va-non-canonical", "va-non-canonical"])
 def test_hostile_input_ends_in_one_error_line(capsys, workdir, monkeypatch,
                                               files, argv, message):
     # an exception escaping main() fails the test, as a traceback would

@@ -1,13 +1,15 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vmcheck import cli, config
-from vmcheck.machine import Reg
+from vmcheck.cases import CASE_NAMES, case_study
+from vmcheck.machine import Reg, synth_tables
 from vmcheck.config import (
     ConfigError,
     StateConfig,
@@ -16,6 +18,7 @@ from vmcheck.config import (
 )
 
 from gen import multi_space_fixture
+from test_multispace_reports import SCRIPTS, multispace
 
 
 def test_roundtrip_is_byte_identical():
@@ -157,7 +160,7 @@ _CANONICAL_SLOTS = st.integers(0, 511).map(lambda i: f"{i * 8:#x}")
 _CANONICAL_WORDS = st.integers(0, (1 << 64) - 1).map(hex)
 _HOSTILE_SLOTS = st.one_of(
     st.integers(-16, 5000).flatmap(_spelling),
-    st.sampled_from(["0x1000", "0xff9", "0x4", "-0x8", "0x08", "8"]))
+    st.sampled_from(["0x1000", "0xff9", "0x4", "-0x8", "0x08", "8", "*"]))
 _HOSTILE_WORDS = st.one_of(
     _WORDS.flatmap(_spelling),
     # one step from the dumper's spelling: too wide, `_`, two words in one
@@ -321,6 +324,10 @@ def test_the_word_readers_fast_path_agrees_with_the_grammar(
 _WORD64 = st.integers(0, (1 << 64) - 1)
 _ALIGNED = {align: _WORD64.map(lambda word, align=align: word - word % align)
             for align in (8, 4096)}
+# a word-aligned va with bits 63..48 equal to bit 47, as walk-map keys are
+_CANONICAL_VA = st.one_of(
+    st.integers(0, (1 << 44) - 1),
+    st.integers((1 << 61) - (1 << 44), (1 << 61) - 1)).map(lambda k: 8 * k)
 
 
 @st.composite
@@ -344,7 +351,8 @@ _CONFIGS = st.builds(
     memory=st.dictionaries(st.integers(0, (1 << 52) - 1), _loadable_frame(),
                            max_size=4),
     registry=st.dictionaries(
-        _ALIGNED[4096], st.dictionaries(_ALIGNED[8], _ALIGNED[8], max_size=8),
+        _ALIGNED[4096], st.dictionaries(_CANONICAL_VA, _ALIGNED[8],
+                                        max_size=8),
         max_size=3),
     free_list=st.lists(_ALIGNED[4096], max_size=4).map(tuple))
 
@@ -433,3 +441,94 @@ def test_the_shared_parser_gives_identical_runs(capsys, tmp_path):
     assert bad == 2 and err.out == "" and "required" in err.err
     assert code1 == code2 == 0 and out1.err == out2.err == ""
     assert out1.out == out2.out and out1.out.endswith("pa 0x5000\n")
+
+
+# --------------------------------------------------------------------------
+# Sparse frames: "*" gives the word of every slot a frame does not list
+
+
+def _memory(text: str) -> dict:
+    return load_config(text).memory
+
+
+_SLOTS_OF = range(0, 4096, 8)
+
+
+def test_a_star_frame_is_every_slot_holding_its_word_but_those_listed():
+    assert _memory('{"memory": {"0x5": {"*": "0x7", "0x10": "0x9"}}}') == \
+        {5: {**dict.fromkeys(_SLOTS_OF, 7), 0x10: 9}}
+    # "*" may come anywhere among the keys, in any spelling of a word
+    assert _memory('{"memory": {"0x5": {"8": "0", "*": "7"}}}') == \
+        {5: {**dict.fromkeys(_SLOTS_OF, 7), 8: 0}}
+    # a repeated "*" collapses as any repeated JSON key does: the last wins
+    assert _memory('{"memory": {"0x5": {"*": "0x1", "*": "0x2"}}}') == \
+        {5: dict.fromkeys(_SLOTS_OF, 2)}
+    assert list(_memory('{"memory": {"0x5": {"*": "0x0"}}}')[5]) == \
+        list(_SLOTS_OF)
+
+
+@pytest.mark.parametrize("words, message", [
+    ({"*": "0xg"}, "bad number '0xg' for memory word 0x5:*"),
+    ({"*": None}, "memory word 0x5:* must be a 0x-hex string, got None"),
+    ({"*": "0x10000000000000000"},
+     "memory word 0x5:* 0x10000000000000000 is not a 64-bit word"),
+    # its other fields keep the errors they have in a frame without "*"
+    ({"*": "0x0", "0x4": "0x1"}, "offset 0x4 is not a word slot"),
+    ({"*": "0x0", "0x8": "0x1", "8": "0x2"},
+     "memory frame 0x5 offset 0x8 spelled '0x8' and '8'"),
+    ({"*": "0x0", "0x8": "0x1_0"},
+     "bad number '0x1_0' for memory word 0x5:0x8"),
+])
+def test_a_star_frame_refuses_a_bad_field_naming_it(words, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(json.dumps({"memory": {"0x5": words}}))
+    assert str(err.value) == message
+
+
+def test_a_full_frame_dumps_its_most_common_word_as_star_first():
+    common = {**dict.fromkeys(_SLOTS_OF, 7), 0x8: 0, 0x10: 9}
+    tie = {off: off // 8 % 2 for off in _SLOTS_OF}
+    body = json.loads(dump_config(StateConfig(
+        memory={0x5: common, 0x6: tie, 0x7: {0: 7, 8: 7}})))["memory"]
+    assert body["0x5"] == {"*": "0x7", "0x8": "0x0", "0x10": "0x9"}
+    assert list(body["0x5"]) == ["*", "0x8", "0x10"]
+    # a tie goes to the least word; a frame of fewer slots lists them all
+    assert body["0x6"] == {"*": "0x0", **{f"{off:#x}": "0x1"
+                                          for off in _SLOTS_OF if off % 16}}
+    assert body["0x7"] == {"0x0": "0x7", "0x8": "0x7"}
+
+
+def _dense(cfg: StateConfig) -> str:
+    """`cfg` dumped with every word of every frame spelled out."""
+    body = json.loads(dump_config(cfg))
+    body["memory"] = {f"{frame:#x}": {f"{off:#x}": f"{val:#x}"
+                                      for off, val in sorted(words.items())}
+                      for frame, words in sorted(cfg.memory.items())}
+    return json.dumps(body, indent=2)
+
+
+def _spellings(dense: str) -> list:
+    """A state spelled dense, as dump_config spells it (sparse), and each
+    of those with every number in decimal."""
+    sparse = dump_config(load_config(dense))
+    assert '"*": "0x0"' in sparse and len(sparse) < len(dense) / 4
+    return [dense, sparse, *(json.dumps(_in_decimal(json.loads(text)))
+                             for text in (dense, sparse))]
+
+
+def test_the_seed_1_multispace_states_load_alike_in_every_spelling(tmp_path):
+    tables = multispace.build_tables(synth_tables)
+    for index, script in enumerate(SCRIPTS):
+        *_, path = multispace.write(script, tmp_path / f"s{index:03d}",
+                                    tables)
+        memory = multispace.initial_memory(script, tables)
+        for text in _spellings(Path(path).read_text()):
+            assert _memory(text) == memory
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_the_case_states_load_alike_in_every_spelling(name):
+    case = case_study(name)
+    cfg = StateConfig.of(case.state, case.registry, case.free_list)
+    for text in _spellings(_dense(cfg)):
+        assert load_config(text) == cfg

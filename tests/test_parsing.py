@@ -211,13 +211,17 @@ def test_every_form_has_exactly_one_spelling_row():
 
 
 _WORD_ADDR = st.integers(0, (1 << 61) - 1).map(lambda k: 8 * k)
+# a word-aligned va with bits 63..48 equal to bit 47, as text must give it
+_CANONICAL_VA = st.one_of(
+    st.integers(0, (1 << 44) - 1),
+    st.integers((1 << 61) - (1 << 44), (1 << 61) - 1)).map(lambda k: 8 * k)
 _FIELD_VALUES = {
     "dst": st.sampled_from(DATA_REGS),
     "src": st.sampled_from(DATA_REGS),
     "base": st.sampled_from(DATA_REGS),
     "disp": st.integers(-511, 511).map(lambda k: 8 * k),
     "imm": st.integers(0, (1 << 64) - 1),
-    "va": _WORD_ADDR,
+    "va": _CANONICAL_VA,
     "pa": _WORD_ADDR,
 }
 
@@ -396,18 +400,16 @@ _TOKEN_PIECES = st.sampled_from([
 
 def _tokens_or_refusal(text: str):
     """(kind, text, column) of each token, or the refusal's (line,
-    column, text), from the tokenizer; each number is checked against
-    its text on the way."""
+    column, text), from the tokenizer; a token's kind is read from its
+    first character."""
     try:
         tokens = _tokenize(text, 7)
     except ParseError as err:
         return ("refused", err.line, err.col, str(err))
-    assert tokens[-1][0] is None
-    for kind, word, _col, value in tokens[:-1]:
-        assert value == (None if kind != "num" else
-                         int(word, 16) if word.startswith("0x") else
-                         int(word))
-    return [token[:3] for token in tokens[:-1]]
+    assert tokens[-1] == ("", 0)
+    return [("num" if word[0] in "0123456789" else
+             "word" if word[0] == "_" or word[0].isalpha() else "sym",
+             word, col) for word, col in tokens[:-1]]
 
 
 def _reference_tokens(text: str):
