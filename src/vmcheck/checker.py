@@ -50,7 +50,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from .machine import (
     AddRegImm,
@@ -322,13 +322,11 @@ class CheckState(Ledger):
                 self.claims[loc] = (n // k, v)
 
 
-class StepRecord(NamedTuple):
-    index: int
-    rule: str
-    consumed: tuple
-    produced: tuple
-    root_before: int
-    root_after: int
+class StepRecord(Record):
+    def __new__(cls, index: int, rule: str, consumed: tuple, produced: tuple,
+                root_before: int, root_after: int) -> "StepRecord":
+        return tuple.__new__(cls, (42, index, rule, consumed, produced,
+                                   root_before, root_after))
 
 
 @lru_cache(maxsize=1 << 13)
@@ -340,11 +338,14 @@ def _claim_text(loc: Location, n: int, value: int, den: int) -> str:
 def _step_claims(journal: dict, after) -> tuple:
     """(consumed, produced) claim texts of a step from its journal and the
     ledger after it, in location text order: the share a location
-    lost or gained if it kept its value, else its whole claims both ways."""
+    lost or gained if it kept its value, else its whole claims both ways.
+    A claim text is its location's text and a space, and no location text
+    holds a character at or below a space, so sorting the texts sorts the
+    locations by text, even where one location's text prefixes another's."""
     consumed, produced = [], []
     claims, den = after.claims, after.den
-    for loc in sorted(journal, key=str) if len(journal) > 1 else journal:
-        before, now = journal[loc], claims.get(loc)
+    for loc, before in journal.items():
+        now = claims.get(loc)
         if before and now and before[1] == now[1]:
             if now[0] != before[0]:
                 (produced if now[0] > before[0] else consumed).append(
@@ -354,6 +355,9 @@ def _step_claims(journal: dict, after) -> tuple:
             consumed.append(_claim_text(loc, before[0], before[1], den))
         if now:
             produced.append(_claim_text(loc, now[0], now[1], den))
+    if len(journal) > 1:
+        consumed.sort()
+        produced.sort()
     return tuple(consumed), tuple(produced)
 
 
@@ -874,14 +878,15 @@ class Report:
             else f"{self.final_root:#x}",
             "steps": [
                 {
-                    "index": r.index,
-                    "rule": r.rule,
-                    "consumed": list(r.consumed),
-                    "produced": list(r.produced),
-                    "root_before": f"{r.root_before:#x}",
-                    "root_after": f"{r.root_after:#x}",
+                    "index": index,
+                    "rule": rule,
+                    "consumed": list(consumed),
+                    "produced": list(produced),
+                    "root_before": f"{before:#x}",
+                    "root_after": f"{after:#x}",
                 }
-                for r in self.records
+                for _, index, rule, consumed, produced, before, after
+                in self.records
             ],
             "final_claims": None if self.final_ledger is None else [
                 {"location": str(loc),
@@ -897,13 +902,13 @@ class Report:
 
     def to_text(self) -> str:
         lines = [f"mode: {self.mode}", f"initial root: {self.root:#x}"]
-        for r in self.records:
-            arrow = "" if r.root_before == r.root_after else \
-                f"  root {r.root_before:#x} -> {r.root_after:#x}"
-            lines.append(f"[{r.index:03d}] {r.rule}{arrow}")
-            for c in r.consumed:
+        for _, index, rule, consumed, produced, before, after in self.records:
+            arrow = "" if before == after else \
+                f"  root {before:#x} -> {after:#x}"
+            lines.append(f"[{index:03d}] {rule}{arrow}")
+            for c in consumed:
                 lines.append(f"      - {c}")
-            for p in r.produced:
+            for p in produced:
                 lines.append(f"      + {p}")
         if self.violation is None:
             lines.append(f"final root: {self.final_root:#x}")

@@ -900,8 +900,12 @@ def test_reports_are_deterministic():
 # The claim ledger: operations in place, records from its journal
 
 
+# phys:0x1:0x8 prefixes phys:0x1:0x80 and walk:0x1000:0x200000 prefixes
+# walk:0x1000:0x2000000; phys:0x1:0x10 sorts before phys:0x1:0x8 as text
+# but after it as a tuple
 _LOCS = (RegLoc(Reg.RAX), RegLoc(Reg.RBX), PhysLoc(1, 0), PhysLoc(1, 8),
-         WalkLoc(0x1000, 0x20_0000), WalkLoc(0x2000, 0x20_0000),
+         PhysLoc(1, 0x10), PhysLoc(1, 0x80), WalkLoc(0x1000, 0x20_0000),
+         WalkLoc(0x1000, 0x200_0000), WalkLoc(0x2000, 0x20_0000),
          SpaceLoc(0x1000), SpaceLoc(0x2000))
 
 
@@ -953,7 +957,7 @@ def test_a_refused_ledger_operation_changes_nothing_but_den(setup, ops):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(mixed_ops, max_size=8), st.lists(mixed_ops, max_size=20))
 def test_step_records_from_the_journal_match_the_full_diff(setup, ops):
-    # ops repeat locations (8 of them), include refused ones (negative
+    # ops repeat locations (11 of them), include refused ones (negative
     # shares, missing claims, disagreeing values), and draw 1/3, 2/7 and
     # 5/6 shares, which rescale the ledger, often after it has journaled
     ledger = Ledger(0x1000)
@@ -990,7 +994,7 @@ def test_a_location_changed_once_renders_its_operation_without_arithmetic(
         ("reg:rax 1/4 0x7",),
         ("phys:0x1:0x0 1/4 0x5", "walk:0x1000:0x200000 1 0x3000"))
     # one share text per rendered claim, from its int numerator, in
-    # location order
+    # journal order
     assert quarter == after.den // 4
     assert texts == [(quarter, after.den), (quarter, after.den),
                      (after.den, after.den)]

@@ -66,6 +66,7 @@ from vmcheck.checker import (
     GhostPteToVirt,
     GhostRemoveWalk,
     GhostVirtToPte,
+    StepRecord,
 )
 
 R = Reg
@@ -141,9 +142,17 @@ VALUE_TYPES = [
      (("name",),)),
     (AssertStep(Emp()), "AssertStep(assertion=Emp())", (("assertion",),)),
 ]
-# a fault no dataclass had, in the same format
+# value types no dataclass had, in the same format: a fault, and the step
+# record, whose repr is the one it had as a NamedTuple
 NEW_TYPES = [(NonCanonical(0xFFFF_0000_0060_0000),
-              "NonCanonical(va=18446462598739132416)", (("va",),))]
+              "NonCanonical(va=18446462598739132416)", (("va",),)),
+             (StepRecord(3, "cr3-switch-reg", ("reg:rax 1/2 0x7",), (),
+                         0x1000, 0x2000),
+              "StepRecord(index=3, rule='cr3-switch-reg', "
+              "consumed=('reg:rax 1/2 0x7',), produced=(), "
+              "root_before=4096, root_after=8192)",
+              (("index",), ("rule",), ("consumed",), ("produced",),
+               ("root_before",), ("root_after",)))]
 LOCATIONS = [RegLoc(R.RAX), PhysLoc(5, 8), WalkLoc(0x1000, 8),
              SpaceLoc(0x1000)]
 
